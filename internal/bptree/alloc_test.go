@@ -2,6 +2,7 @@ package bptree
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mobidx/internal/pager"
@@ -68,6 +69,66 @@ func TestRangeAppendZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("RangeAppend allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// steadyUpdate returns a closure that deletes one entry of allocTree and
+// inserts it back: leaves stand at 90 % fill and above minLeaf, so both
+// halves take the leaf-local path of leafedit.go, and the tree ends each
+// call as it began.
+func steadyUpdate(t testing.TB, tr *Tree, es []Entry) func() {
+	i := 0
+	return func() {
+		e := es[(i*7919)%len(es)]
+		i++
+		if err := tr.Delete(e.Key, e.Val); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Insert(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// The gate for the write path: a steady-state non-structural Insert or
+// Delete decodes nothing — no *node, no []Entry — so all it allocates is
+// what the stores below keep of the one page it writes. Under allocTree
+// that is two objects per write (the pool frame's header and its image;
+// MemStore's own copy makes three) plus the pager.Page handed to Write:
+// four per operation, two of them page-sized. One decoded node costs more
+// than that, so the ceilings fail if either operation decodes again.
+func TestUpdateZeroAllocAboveStores(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratch buffers at random")
+	}
+	tr, es := allocTree(t, 50000)
+	update := steadyUpdate(t, tr, es)
+	if allocs := testing.AllocsPerRun(200, update); allocs > 2*4 {
+		t.Fatalf("delete+insert allocates %.1f objects, want <= 8 (4 per write, all below the tree)", allocs)
+	}
+	const rounds = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		update()
+	}
+	runtime.ReadMemStats(&after)
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / (2 * rounds)
+	if budget := float64(2*4096 + 256); perOp > budget {
+		t.Fatalf("a non-structural update allocates %.0f B, want <= %.0f (two page images and change)", perOp, budget)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func BenchmarkUpdateSteady(b *testing.B) {
+	tr, es := allocTree(b, 100000)
+	update := steadyUpdate(b, tr, es)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		update()
 	}
 }
 

@@ -148,3 +148,165 @@ func TestTreeSurvivesCorruptRoot(t *testing.T) {
 		t.Fatalf("delete on corrupt root: %v", err)
 	}
 }
+
+// imageStore is a MemStore that serves a planted image for one page until
+// that page is next written: what a store hands back when the medium under
+// it rotted. The image may be any length — MemStore.Write would pad a short
+// one back to a full page.
+type imageStore struct {
+	*pager.MemStore
+	id  pager.PageID
+	img []byte
+}
+
+func (s *imageStore) Read(id pager.PageID) (*pager.Page, error) {
+	if id == s.id && s.img != nil {
+		return &pager.Page{ID: id, Data: append([]byte(nil), s.img...)}, nil
+	}
+	return s.MemStore.Read(id)
+}
+
+func (s *imageStore) View(id pager.PageID) ([]byte, error) {
+	if id == s.id && s.img != nil {
+		return s.img, nil
+	}
+	return s.MemStore.View(id)
+}
+
+func (s *imageStore) Write(p *pager.Page) error {
+	if p.ID == s.id {
+		s.img = nil
+	}
+	return s.MemStore.Write(p)
+}
+
+// hostileTree bulk-loads a three-level tree on an imageStore, its leaves
+// three-quarters full so that a mutation of a genuine leaf is
+// non-structural, and returns the ids of the pages on the root-to-leaf
+// path of probe (path[0] is the root, path[2] the leaf).
+func hostileTree(t testing.TB, codec Codec) (tr *Tree, s *imageStore, probe Entry, path [3]pager.PageID) {
+	t.Helper()
+	s = &imageStore{MemStore: pager.NewMemStore(fuzzPageSize)}
+	tr, err := New(s, Config{Codec: codec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	es := make([]Entry, 400)
+	for i := range es {
+		es[i] = Entry{Key: float64(i % 97), Val: uint64(i), Aux: float64(i)}
+	}
+	if err := tr.BulkLoad(es, 0.75); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Height() != len(path) {
+		t.Fatalf("height %d, want %d", tr.Height(), len(path))
+	}
+	probe = es[len(es)/2]
+	path[0] = tr.root
+	for h := 1; h < len(path); h++ {
+		d, err := s.View(path[h-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		count, err := tr.checkImage(d, path[h-1], false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path[h] = tr.childAt(d, tr.imageChildIndex(d, count, probe.Key, probe.Val))
+	}
+	return tr, s, probe, path
+}
+
+// mutateThroughImage plants mut's rewrite of the genuine page at the given
+// level of the probe's path and runs one Insert or one Delete down that
+// path. Whatever the image, the operation must not panic, and if it fails
+// Len() must be where it was.
+func mutateThroughImage(t *testing.T, codec Codec, level int, insert bool, mut func([]byte) []byte) error {
+	t.Helper()
+	tr, s, probe, path := hostileTree(t, codec)
+	page, err := s.View(path[level])
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.id, s.img = path[level], mut(append([]byte(nil), page...))
+	before := tr.Len()
+	if insert {
+		err = tr.Insert(probe)
+	} else {
+		err = tr.Delete(probe.Key, probe.Val)
+	}
+	if err != nil && tr.Len() != before {
+		t.Fatalf("level-%d image: operation failed (%v) but Len() moved %d -> %d", level, err, before, tr.Len())
+	}
+	return err
+}
+
+// TestMutationSurvivesHostileImages feeds Insert and Delete the named
+// corruptions of the root, of an internal page and of the leaf on their
+// descent: each yields an error wrapping pager.ErrPageCorrupt, never a
+// panic, and Len() stays put.
+func TestMutationSurvivesHostileImages(t *testing.T) {
+	mutations := []struct {
+		name     string
+		leaf     bool // applies to the leaf level
+		internal bool // applies to the internal levels
+		mut      func([]byte) []byte
+	}{
+		{"wrong node type", true, true, func(b []byte) []byte { b[0] ^= 3; return b }},
+		{"unknown node type", true, true, func(b []byte) []byte { b[0] = 9; return b }},
+		{"count past capacity", true, true, func(b []byte) []byte { b[2], b[3] = 0xFF, 0xFF; return b }},
+		{"truncated to half a header", true, true, func(b []byte) []byte { return b[:headerSize/2] }},
+		{"truncated below its entries", true, true, func(b []byte) []byte { return b[:headerSize+4] }},
+		{"empty", true, true, func(b []byte) []byte { return b[:0] }},
+		{"one byte short", true, false, func(b []byte) []byte { return b[:len(b)-1] }},
+		{"nil children", false, true, func(b []byte) []byte {
+			for i := headerSize; i < len(b); i++ {
+				b[i] = 0
+			}
+			return b
+		}},
+	}
+	for _, codec := range []Codec{Wide, Compact} {
+		for level := 0; level < 3; level++ {
+			for _, m := range mutations {
+				if (level == 2 && !m.leaf) || (level < 2 && !m.internal) {
+					continue
+				}
+				for _, insert := range []bool{true, false} {
+					err := mutateThroughImage(t, codec, level, insert, m.mut)
+					if !errors.Is(err, pager.ErrPageCorrupt) {
+						t.Errorf("codec %d, %s at level %d, insert=%v: %v, want ErrPageCorrupt",
+							codec, m.name, level, insert, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzMutateHostileImage plants arbitrary bytes as the root, an internal
+// page or the leaf on a mutation's descent. An image that happens to parse
+// may send the operation anywhere — it may even succeed — but it must not
+// panic, and a failed operation must not have moved Len(). Run with:
+//
+//	go test -fuzz=FuzzMutateHostileImage ./internal/bptree
+func FuzzMutateHostileImage(f *testing.F) {
+	for _, page := range validPages(f) {
+		for level := uint8(0); level < 3; level++ {
+			f.Add(page, level)
+			cp := append([]byte(nil), page...)
+			cp[2], cp[3] = 0xFF, 0xFF
+			f.Add(cp, level)
+			f.Add(page[:headerSize+4], level)
+		}
+	}
+	f.Add([]byte{}, uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, level uint8) {
+		for _, codec := range []Codec{Wide, Compact} {
+			for _, insert := range []bool{true, false} {
+				//mobidxlint:allow errdrop -- any outcome but a panic or a moved Len() is acceptable here; the helper checks both
+				_ = mutateThroughImage(t, codec, int(level%3), insert, func([]byte) []byte { return data })
+			}
+		}
+	})
+}

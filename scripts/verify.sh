@@ -2,7 +2,8 @@
 # Repo verification gate: formatting, vet, the mobidxlint invariant
 # suite, build, full tests (shuffled), the concurrency suites under the
 # race detector, a GOMAXPROCS stress matrix for the parallel serving
-# paths, and fuzz smoke tests.
+# paths, the nested benchmark module's own vet and smoke test, and fuzz
+# smoke tests.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -103,7 +104,9 @@ done
 
 echo "== zero-allocation gates =="
 # The steady-state query hot loops must stay allocation-free above the
-# buffer pool; testing.AllocsPerRun makes a regression a test failure.
+# buffer pool, and a non-structural Insert/Delete must allocate nothing
+# but the page images the stores below keep (TestUpdateZeroAllocAboveStores);
+# testing.AllocsPerRun makes a regression a test failure.
 go test -count=1 -run 'ZeroAlloc' ./internal/bptree
 
 echo "== bench smoke =="
@@ -112,8 +115,16 @@ echo "== bench smoke =="
 # anything.
 go test -run '^$' -bench . -benchtime=1x ./internal/bptree
 
+echo "== benchmark module (bench/) =="
+# bench/ is a module of its own, so nothing above builds it. Vet it and run
+# its smoke test — all six workloads, traced and untraced, at 1/40 size —
+# so a change to bptree, pager or shard cannot silently break the
+# benchmark the driver runs.
+(cd bench && go vet . && go test -count=1 .)
+
 echo "== fuzz smoke =="
 go test ./internal/bptree -run '^$' -fuzz '^FuzzDecodeNode$' -fuzztime=10s
+go test ./internal/bptree -run '^$' -fuzz '^FuzzMutateHostileImage$' -fuzztime=10s
 go test ./internal/pager -run '^$' -fuzz '^FuzzDecodeWALRecord$' -fuzztime=10s
 go test ./internal/geom -run '^$' -fuzz '^FuzzClipConvex$' -fuzztime=10s
 go test ./internal/subscribe -run '^$' -fuzz '^FuzzMatcher$' -fuzztime=10s
