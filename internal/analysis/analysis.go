@@ -2,8 +2,9 @@
 // static-analysis suite. Every pass encodes one hand-maintained
 // correctness convention of the codebase as a machine check:
 //
-//   - pagebufrelease — every pager.GetPageBuf is paired with Release()
-//     on all return paths (CFG-lite escape analysis);
+//   - pagebufrelease — every pager.GetPageBuf (and the pager's own
+//     getLogChunk) is paired with Release() on all return paths
+//     (CFG-lite escape analysis);
 //   - batchdiscipline — every Begin() on a WAL-capable store reaches
 //     Commit or Rollback in the same function;
 //   - codecbounds — constant-folded page-codec offset arithmetic stays

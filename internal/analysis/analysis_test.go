@@ -70,6 +70,20 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// TestPageBufReleaseSeesLogChunk checks that the pass pairs the pager's
+// own frame-chunk pool (getLogChunk/Release) like GetPageBuf: the deferred
+// release is accepted, the early error return that skips it is reported.
+func TestPageBufReleaseSeesLogChunk(t *testing.T) {
+	dir := filepath.Join("testdata", "pagebufrelease", "chunk")
+	want, err := os.ReadFile(filepath.Join(dir, "expect.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(runFixture(t, PageBufRelease, dir), "\n") + "\n"; got != string(want) {
+		t.Errorf("diagnostics mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
 // TestAllowDirective checks both placement forms of //mobidxlint:allow:
 // the annotated drops vanish, the unannotated one is still reported.
 func TestAllowDirective(t *testing.T) {

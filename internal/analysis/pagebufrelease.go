@@ -6,8 +6,9 @@ import (
 	"go/types"
 )
 
-// PageBufRelease checks that every scratch buffer obtained from
-// pager.GetPageBuf is returned to the pool with Release() on every path
+// PageBufRelease checks that every pooled buffer obtained from
+// pager.GetPageBuf — or, inside the pager, a commit's frame chunk from
+// getLogChunk — is returned to the pool with Release() on every path
 // out of the acquiring function — including early error returns, the
 // classic way a pooled buffer leaks. The analysis is a CFG-lite forward
 // walk over the statement tree: it clones the live-buffer set at every
@@ -21,7 +22,7 @@ import (
 // function.
 var PageBufRelease = &Pass{
 	Name: "pagebufrelease",
-	Doc:  "every pager.GetPageBuf must be paired with Release() on all return paths",
+	Doc:  "every pager.GetPageBuf (and getLogChunk) must be paired with Release() on all return paths",
 	Run:  runPageBufRelease,
 }
 
@@ -39,8 +40,14 @@ func runPageBufRelease(pkg *Package) []Diagnostic {
 	return r.diags
 }
 
-// bufLive maps each tracked *PageBuf variable to its acquisition site.
-type bufLive map[*types.Var]token.Pos
+// bufLive maps each tracked buffer variable to its acquisition site.
+type bufLive map[*types.Var]bufAcquire
+
+// bufAcquire is where a buffer was acquired and from which pool function.
+type bufAcquire struct {
+	pos token.Pos
+	fn  string
+}
 
 func (l bufLive) clone() bufLive {
 	out := make(bufLive, len(l))
@@ -56,10 +63,10 @@ type bufReleaseChecker struct {
 }
 
 func (r *bufReleaseChecker) reportLive(live bufLive, at token.Pos, where string) {
-	for v, acquired := range live {
+	for v, acq := range live {
 		r.diags = append(r.diags, r.pkg.diag("pagebufrelease", at,
-			"%s acquired from pager.GetPageBuf at line %d is not Released on the path reaching %s",
-			v.Name(), r.pkg.line(acquired), where))
+			"%s acquired from pager.%s at line %d is not Released on the path reaching %s",
+			v.Name(), acq.fn, r.pkg.line(acq.pos), where))
 	}
 }
 
@@ -172,11 +179,11 @@ func (r *bufReleaseChecker) stmt(s ast.Stmt, live bufLive) bool {
 func (r *bufReleaseChecker) loopBody(body *ast.BlockStmt, live bufLive) {
 	inner := live.clone()
 	if r.stmts(body.List, inner) {
-		for v, acquired := range inner {
+		for v, acq := range inner {
 			if _, outer := live[v]; !outer {
-				r.diags = append(r.diags, r.pkg.diag("pagebufrelease", acquired,
-					"%s acquired from pager.GetPageBuf is not Released by the end of the loop iteration",
-					v.Name()))
+				r.diags = append(r.diags, r.pkg.diag("pagebufrelease", acq.pos,
+					"%s acquired from pager.%s is not Released by the end of the loop iteration",
+					v.Name(), acq.fn))
 			}
 		}
 	}
@@ -262,7 +269,11 @@ func mergeBranches(live bufLive, states []bufLive, falls []bool) {
 func (r *bufReleaseChecker) assign(s *ast.AssignStmt, live bufLive) {
 	for i, rhs := range s.Rhs {
 		call, ok := unparen(rhs).(*ast.CallExpr)
-		if !ok || !r.isGetPageBuf(call) {
+		fn := ""
+		if ok {
+			fn = r.poolAcquire(call)
+		}
+		if fn == "" {
 			r.escapes(rhs, live)
 			continue
 		}
@@ -280,15 +291,15 @@ func (r *bufReleaseChecker) assign(s *ast.AssignStmt, live bufLive) {
 		}
 		if id.Name == "_" {
 			r.diags = append(r.diags, r.pkg.diag("pagebufrelease", s.Pos(),
-				"result of pager.GetPageBuf is discarded and can never be Released"))
+				"result of pager.%s is discarded and can never be Released", fn))
 			continue
 		}
 		if v := r.objOf(id); v != nil {
 			if _, tracked := live[v]; tracked {
 				r.diags = append(r.diags, r.pkg.diag("pagebufrelease", s.Pos(),
-					"%s is reassigned from pager.GetPageBuf while still holding an unreleased buffer", v.Name()))
+					"%s is reassigned from pager.%s while still holding an unreleased buffer", v.Name(), fn))
 			}
-			live[v] = s.Pos()
+			live[v] = bufAcquire{s.Pos(), fn}
 		}
 	}
 }
@@ -350,8 +361,9 @@ func (r *bufReleaseChecker) releaseTarget(call *ast.CallExpr, live bufLive) *typ
 	return v
 }
 
-// isGetPageBuf reports whether the call resolves to pager.GetPageBuf.
-func (r *bufReleaseChecker) isGetPageBuf(call *ast.CallExpr) bool {
+// poolAcquire returns the name of the pager pool function the call
+// resolves to — GetPageBuf or getLogChunk — or "" for any other call.
+func (r *bufReleaseChecker) poolAcquire(call *ast.CallExpr) string {
 	var id *ast.Ident
 	switch fun := unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -359,13 +371,16 @@ func (r *bufReleaseChecker) isGetPageBuf(call *ast.CallExpr) bool {
 	case *ast.SelectorExpr:
 		id = fun.Sel
 	default:
-		return false
+		return ""
 	}
 	obj := r.pkg.Info.Uses[id]
-	if obj == nil || obj.Name() != "GetPageBuf" || obj.Pkg() == nil {
-		return false
+	if obj == nil || obj.Pkg() == nil || obj.Pkg().Name() != "pager" {
+		return ""
 	}
-	return obj.Pkg().Name() == "pager"
+	if name := obj.Name(); name == "GetPageBuf" || name == "getLogChunk" {
+		return name
+	}
+	return ""
 }
 
 func (r *bufReleaseChecker) objOf(id *ast.Ident) *types.Var {

@@ -1,0 +1,187 @@
+package pager
+
+import (
+	"fmt"
+	"path/filepath"
+	"runtime"
+	"testing"
+)
+
+// allocWAL opens a WALStore over a MemStore and the given log with n pages
+// allocated, written and committed once — so the committed table already
+// has their keys.
+func allocWAL(t testing.TB, log LogFile, n int) (*WALStore, []PageID) {
+	t.Helper()
+	w, err := OpenWALStore(NewMemStore(DefaultPageSize), log, WALConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]PageID, n)
+	if err := w.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ids {
+		p, err := w.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = p.ID
+		if err := w.Write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return w, ids
+}
+
+// stageAll opens a batch on s and rewrites every page of ids in it.
+func stageAll(t testing.TB, s Store, ids []PageID, data []byte) {
+	t.Helper()
+	if err := s.(Batcher).Begin(); err != nil {
+		t.Fatal(err)
+	}
+	pg := &Page{Data: data}
+	for _, id := range ids {
+		pg.ID = id
+		if err := s.Write(pg); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A commit encodes its records into a pooled frame chunk: what it
+// allocates does not depend on how many pages the batch staged — no
+// per-page payload, no per-record buffer. Staging is outside the
+// measurement; the commit of 512 pages may cost no more than that of 8.
+func TestCommitZeroAllocPerPage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop frame chunks at random")
+	}
+	data := make([]byte, DefaultPageSize)
+	measure := func(n int) (objects, bytes uint64) {
+		// A log that does not grow its buffer inside the measurement.
+		w, ids := allocWAL(t, &MemLog{buf: make([]byte, 0, 16<<20)}, n)
+		var before, after runtime.MemStats
+		for round := 0; round < 4; round++ { // the last round is the reading
+			stageAll(t, w, ids, data)
+			runtime.ReadMemStats(&before)
+			if err := w.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+		}
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	smallObjs, smallBytes := measure(8)
+	bigObjs, bigBytes := measure(512)
+	if bigObjs > smallObjs+2 || bigBytes > smallBytes+1024 || smallObjs > 8 {
+		t.Fatalf("commit of 8 pages allocates %d objects / %d B, of 512 pages %d objects / %d B; want the same O(1)",
+			smallObjs, smallBytes, bigObjs, bigBytes)
+	}
+}
+
+// Buffered.Write over a WALStore makes the page's one image: the pool's
+// frame and the WAL's staged image are that slice. Beside it only the
+// frame header and the frozen Page are allocated.
+func TestPoolWriteZeroAllocBeyondImage(t *testing.T) {
+	w, ids := allocWAL(t, NewMemLog(), 64)
+	buf := NewBuffered(w, 256)
+	data := make([]byte, DefaultPageSize)
+	stageAll(t, buf, ids, data) // every page now has its slot in the open batch
+	pg := &Page{Data: data}
+	i := 0
+	write := func() {
+		pg.ID = ids[i%len(ids)]
+		i++
+		if err := buf.Write(pg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, write); allocs > 3 {
+		t.Fatalf("a pool write allocates %.1f objects, want <= 3 (image, frame header, frozen Page)", allocs)
+	}
+	const rounds = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < rounds; r++ {
+		write()
+	}
+	runtime.ReadMemStats(&after)
+	perWrite := float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	if budget := float64(DefaultPageSize + 128); perWrite > budget {
+		t.Fatalf("a pool write allocates %.0f B, want <= %.0f (one page image and change)", perWrite, budget)
+	}
+	if err := buf.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A pool miss on a page the WAL still holds installs the WAL's own image
+// as the frame: the frame header is the only allocation.
+func TestPoolMissZeroAllocFromWALTable(t *testing.T) {
+	w, ids := allocWAL(t, NewMemLog(), 2)
+	buf := NewBuffered(w, 1) // two pages, one frame: every view misses
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		id := ids[i%2]
+		i++
+		frame, err := buf.View(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if img, _ := w.View(id); &frame[0] != &img[0] {
+			t.Fatal("the frame is not the WAL's image")
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("a pool miss served from the WAL table allocates %.1f objects, want 1 (the frame header)", allocs)
+	}
+}
+
+// BenchmarkWALCommit times Commit alone — staging runs with the timer
+// stopped — for batches of 1 to 4096 pages on a MemLog and on a FileLog
+// (no fsync cost hidden: Sync is part of the commit), and reports how many
+// log appends a commit made.
+func BenchmarkWALCommit(b *testing.B) {
+	for _, media := range []string{"memlog", "filelog"} {
+		for _, n := range []int{1, 16, 106, 4096} {
+			b.Run(fmt.Sprintf("%s/pages=%d", media, n), func(b *testing.B) {
+				var under LogFile = NewMemLog()
+				if media == "filelog" {
+					fl, err := OpenFileLog(filepath.Join(b.TempDir(), "wal"))
+					if err != nil {
+						b.Fatal(err)
+					}
+					under = fl
+				}
+				log := &countingLog{LogFile: under}
+				w, ids := allocWAL(b, log, n)
+				data := make([]byte, DefaultPageSize)
+				log.appends = 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					if w.LogSize() > 64<<20 {
+						if err := w.Checkpoint(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					data[0] = byte(i)
+					stageAll(b, w, ids, data)
+					b.StartTimer()
+					if err := w.Commit(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(log.appends)/float64(b.N), "appends/op")
+				if err := w.Close(); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
+	}
+}

@@ -11,7 +11,9 @@ import (
 // (3-4 pages) and clears the pool before every query.
 //
 // Writes go through to the underlying store immediately (write-through) and
-// refresh the cached copy, so the pool never holds stale data.
+// refresh the cached frame, so the pool never holds stale data. A frame is
+// the image the store below gave (a View miss) or was given (a Write), not
+// a copy of it: the pool and a WALStore under it hold one slice per page.
 //
 // The pool is sharded by page-id hash: each shard has its own latch, its
 // own capacity slice, and its own LRU clock, so concurrent readers of
@@ -106,7 +108,8 @@ func (b *Buffered) PageSize() int { return b.under.PageSize() }
 // Allocate implements Store.
 func (b *Buffered) Allocate() (*Page, error) { return b.under.Allocate() }
 
-// Read implements Store, serving from the pool when possible.
+// Read implements Store, serving from the pool when possible. Hit or
+// miss, the caller gets the one copy it owns.
 func (b *Buffered) Read(id PageID) (*Page, error) {
 	sh := b.shard(id)
 	sh.mu.RLock()
@@ -121,16 +124,39 @@ func (b *Buffered) Read(id PageID) (*Page, error) {
 		return &Page{ID: id, Data: data}, nil
 	}
 	sh.mu.RUnlock()
-	p, err := b.under.Read(id)
+	src, err := b.fill(id)
 	if err != nil {
 		return nil, err
 	}
-	b.install(id, p.Data)
-	return p, nil
+	data := make([]byte, len(src))
+	copy(data, src)
+	return &Page{ID: id, Data: data}, nil
 }
 
-// Write implements Store (write-through).
+// fill serves a pool miss: it takes the underlying store's image of the
+// page — its own slice when it is a Viewer (a WALStore's staged or
+// page-table image, a MemStore's), a fresh Read otherwise; read-only and
+// stable either way — and installs that slice, not a copy, as the frame.
+func (b *Buffered) fill(id PageID) ([]byte, error) {
+	data, err := ViewBytes(b.under, id)
+	if err != nil {
+		return nil, err
+	}
+	b.install(id, data)
+	return data, nil
+}
+
+// Write implements Store (write-through). The one immutable copy of the
+// caller's bytes made here becomes the pool frame and is passed down
+// frozen, so a store that keeps frozen images (WALStore, MemStore) shares
+// it instead of copying again.
 func (b *Buffered) Write(p *Page) error {
+	if b.cap <= 0 {
+		return b.under.Write(p)
+	}
+	if !p.Frozen {
+		p = &Page{ID: p.ID, Data: append([]byte(nil), p.Data...), Frozen: true}
+	}
 	if err := b.under.Write(p); err != nil {
 		return err
 	}
@@ -138,16 +164,15 @@ func (b *Buffered) Write(p *Page) error {
 	return nil
 }
 
-// install caches a fresh immutable frame for the page, evicting the
-// shard's least-recently-used frames when over capacity.
+// install caches data — an image nobody will modify again — as the page's
+// frame, evicting the shard's least-recently-used frames when over
+// capacity.
 func (b *Buffered) install(id PageID, data []byte) {
 	if b.cap <= 0 {
 		return
 	}
 	sh := b.shard(id)
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	f := &bufFrame{data: cp}
+	f := &bufFrame{data: data}
 	sh.mu.Lock()
 	f.tick.Store(sh.clock.Add(1))
 	sh.frames[id] = f

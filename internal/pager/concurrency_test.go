@@ -172,3 +172,142 @@ func TestMemStoreConcurrentAllocFree(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestSharedImagesConcurrentReaders runs readers against a Buffered over a
+// WALStore while one writer rewrites pages twice per batch, commits,
+// rolls back and checkpoints. The pool's frames and the WAL's images are
+// the same slices, so under -race this is the proof that nothing ever
+// writes through one: every slice View returns is uniform when taken and
+// byte-identical when looked at again later, and WALSnapshot.Read never
+// returns an image a rolled-back batch staged.
+func TestSharedImagesConcurrentReaders(t *testing.T) {
+	const (
+		pages   = 8
+		readers = 4
+		rounds  = 400
+		doomed  = 0xFF // only rolled-back batches write this tag
+	)
+	w, err := OpenWALStore(NewMemStore(256), NewMemLog(), WALConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := NewBuffered(w, pages/2) // half the pages miss
+	snap := w.Snapshot()
+	uniform := func(tag byte) []byte {
+		d := make([]byte, buf.PageSize())
+		for i := range d {
+			d[i] = tag
+		}
+		return d
+	}
+	ids := make([]PageID, pages)
+	for i := range ids {
+		p, err := buf.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = p.ID
+		if err := buf.Write(&Page{ID: p.ID, Data: uniform(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tagOf := func(d []byte) (byte, bool) {
+		for _, x := range d {
+			if x != d[0] {
+				return 0, false
+			}
+		}
+		return d[0], true
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			type held struct {
+				view []byte
+				tag  byte
+			}
+			var keep []held
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := ids[(r+i)%pages]
+				v, err := buf.View(id)
+				if err != nil {
+					t.Errorf("view page %d: %v", id, err)
+					return
+				}
+				tag, ok := tagOf(v)
+				if !ok {
+					t.Errorf("view of page %d is a mix of images", id)
+					return
+				}
+				keep = append(keep, held{v, tag})
+				if len(keep) > 64 {
+					keep = keep[1:]
+				}
+				if h := keep[i%len(keep)]; h.view[0] != h.tag || h.view[len(h.view)-1] != h.tag {
+					t.Errorf("a held view changed from tag %#x", h.tag)
+					return
+				}
+				p, err := snap.Read(id)
+				if err != nil {
+					t.Errorf("snapshot read page %d: %v", id, err)
+					return
+				}
+				if tag, ok := tagOf(p.Data); !ok || tag == doomed {
+					t.Errorf("snapshot read of page %d returned an uncommitted image (tag %#x, uniform %v)", id, tag, ok)
+					return
+				}
+			}
+		}(r)
+	}
+
+	scratch := make([]byte, buf.PageSize())
+	put := func(id PageID, tag byte) error {
+		for i := range scratch {
+			scratch[i] = tag
+		}
+		return buf.Write(&Page{ID: id, Data: scratch}) // recycled at once
+	}
+	for i := 0; i < rounds && !t.Failed(); i++ {
+		if err := buf.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		rollback := i%5 == 4
+		for j := 0; j < 3; j++ {
+			id := ids[(i+j)%pages]
+			first, second := byte(2+i%200), byte(3+i%200)
+			if rollback {
+				first, second = doomed, doomed
+			}
+			if err := put(id, first); err != nil {
+				t.Fatal(err)
+			}
+			if err := put(id, second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rollback {
+			err = buf.Rollback()
+		} else {
+			err = buf.Commit()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%25 == 24 {
+			if err := w.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+}

@@ -33,8 +33,28 @@ const NilPage PageID = 0
 
 // Page is one fixed-size block of storage.
 type Page struct {
-	ID   PageID
-	Data []byte
+	ID PageID
+	// Frozen is set by the caller of Store.Write to promise that nobody
+	// will ever modify Data again: the store may then keep the slice as
+	// its image of the page instead of copying it, and must itself never
+	// write through it. The mark travels with the *Page, so a wrapper that
+	// builds a page of its own (a checksum trailer, a torn prefix) drops
+	// it and the store below copies as for any other caller. (Declared
+	// here it sits in ID's padding: a Page is still 32 bytes.)
+	Frozen bool
+	Data   []byte
+}
+
+// stableImage returns an image of p the store may keep: p.Data itself
+// when the caller froze it at the store's page size, else a private copy
+// (padded or cut to the page size, as Write always did).
+func stableImage(p *Page, pageSize int) []byte {
+	if p.Frozen && len(p.Data) == pageSize {
+		return p.Data
+	}
+	img := make([]byte, pageSize)
+	copy(img, p.Data)
+	return img
 }
 
 // Stats counts the I/O traffic of a Store.
@@ -86,8 +106,10 @@ type Store interface {
 	// Read fetches the page with the given id.
 	Read(id PageID) (*Page, error)
 	// Write persists the page. Implementations copy p.Data before
-	// returning — a store never retains the caller's slice — so callers
-	// may recycle their encode buffers (see PageBuf).
+	// returning — a store never retains the caller's slice, so callers
+	// may recycle their encode buffers (see PageBuf) — unless the caller
+	// set p.Frozen, which hands the store an image it may keep and share
+	// but never modify.
 	Write(p *Page) error
 	// Free returns the page to the allocator.
 	Free(id PageID) error
@@ -179,9 +201,10 @@ func (m *MemStore) Read(id PageID) (*Page, error) {
 	return &Page{ID: id, Data: data}, nil
 }
 
-// Write implements Store. A fresh image is installed rather than mutating
-// the stored slice in place, so slices handed out by View stay stable
-// snapshots (see Viewer).
+// Write implements Store. A fresh image — a copy, or the caller's own
+// slice when it is frozen — is installed rather than mutating the stored
+// slice in place, so slices handed out by View stay stable snapshots (see
+// Viewer).
 func (m *MemStore) Write(p *Page) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -189,9 +212,7 @@ func (m *MemStore) Write(p *Page) error {
 		return fmt.Errorf("%w: %d", ErrPageNotFound, p.ID)
 	}
 	m.stats.writes.Add(1)
-	buf := make([]byte, m.pageSize)
-	copy(buf, p.Data)
-	m.pages[p.ID] = buf
+	m.pages[p.ID] = stableImage(p, m.pageSize)
 	return nil
 }
 

@@ -86,31 +86,17 @@ func (t *Txn) Read(id PageID) (*Page, error) {
 	if _, freed := t.b.freeSet[id]; freed {
 		return nil, fmt.Errorf("%w: page %d freed in txn", ErrPageNotFound, id)
 	}
-	if img, ok := t.b.writes[id]; ok {
-		data := make([]byte, len(img))
-		copy(data, img)
-		w.stats.reads.Add(1)
-		return &Page{ID: id, Data: data}, nil
-	}
-	w.mu.Lock()
-	if err := w.ok(); err != nil {
+	img, ok := t.b.writes[id]
+	if !ok {
+		var err error
+		w.mu.Lock()
+		img, err = w.imageLocked(nil, id)
 		w.mu.Unlock()
-		return nil, err
+		if err != nil {
+			return nil, err
+		}
 	}
-	if id == w.metaPage {
-		w.mu.Unlock()
-		return nil, fmt.Errorf("pager: read wal meta page %d: %w", id, ErrReservedPage)
-	}
-	if img, ok := w.table[id]; ok {
-		data := make([]byte, len(img))
-		copy(data, img)
-		w.stats.reads.Add(1)
-		w.mu.Unlock()
-		return &Page{ID: id, Data: data}, nil
-	}
-	w.stats.reads.Add(1)
-	w.mu.Unlock()
-	return w.base.Read(id)
+	return w.readImage(id, img)
 }
 
 // Write stages the page image in the transaction (pure memory; no store
@@ -133,9 +119,7 @@ func (t *Txn) Write(p *Page) error {
 	if _, seen := b.writes[p.ID]; !seen {
 		b.writeOrder = append(b.writeOrder, p.ID)
 	}
-	img := make([]byte, w.pageSize)
-	copy(img, p.Data)
-	b.writes[p.ID] = img
+	b.writes[p.ID] = stableImage(p, w.pageSize)
 	w.stats.writes.Add(1)
 	return nil
 }

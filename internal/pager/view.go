@@ -52,8 +52,8 @@ func (m *MemStore) View(id PageID) ([]byte, error) {
 // View implements Viewer. A pool hit returns the cached frame's bytes
 // with no copy and no store I/O — frames are immutable once installed
 // (see bufFrame), so the slice stays consistent even if the page is
-// rewritten later. A miss reads through to the underlying store and
-// installs the frame exactly like Read.
+// rewritten later. A miss installs the underlying store's image as the
+// frame (see fill).
 func (b *Buffered) View(id PageID) ([]byte, error) {
 	sh := b.shard(id)
 	sh.mu.RLock()
@@ -64,20 +64,15 @@ func (b *Buffered) View(id PageID) ([]byte, error) {
 		return data, nil
 	}
 	sh.mu.RUnlock()
-	p, err := b.under.Read(id)
-	if err != nil {
-		return nil, err
-	}
-	b.install(id, p.Data)
-	return p.Data, nil
+	return b.fill(id)
 }
 
 // PageBuf is a pooled page-sized scratch buffer for node encoders. The
-// index packages serialize a node into B and hand it to Store.Write —
-// every Store implementation copies the data before returning (Write
-// never retains p.Data) — then Release the buffer, so a build writes
-// thousands of pages through a handful of recycled buffers instead of
-// allocating one per write.
+// index packages serialize a node into B and hand it to Store.Write,
+// unfrozen — every Store implementation then copies the data before
+// returning (Write never retains p.Data) — and Release the buffer, so a
+// build writes thousands of pages through a handful of recycled buffers
+// instead of allocating one per write.
 type PageBuf struct {
 	B []byte
 }

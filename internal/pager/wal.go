@@ -31,13 +31,60 @@
 // Begin opens a batch (reentrant: nested Begin/Commit pairs join the
 // outermost batch). Inside a batch, Allocate delegates to the base store
 // immediately (so page ids are assigned at once), while Write and Free are
-// staged in memory. Commit appends the batch's records — allocs in
+// staged in memory. Commit encodes the batch's records — allocs in
 // allocation order, then final page images, then frees — followed by a
-// commit record, syncs the log, and only then applies the batch to the
-// volatile state: page images enter the in-memory page table, frees reach
-// the base allocator. Rollback undoes the batch's base allocations (in
-// reverse order) and discards the staged state. A failed commit append
+// commit record, straight from the staged images into one pooled,
+// fixed-size frame chunk (logChunk), and hands the chunk to the log in one
+// Append each time it fills and once at the end: a commit is one append
+// for any batch under 256 KiB of records and about one per 63 pages above
+// that, never one per record, and the log size advances by the bytes
+// appended. The bytes are those of a record-at-a-time log; a crash between
+// two chunks leaves records without a commit record, which recovery
+// discards. Commit then syncs the log, and only then applies the batch to
+// the volatile state: page images enter the in-memory page table, frees
+// reach the base allocator. Rollback undoes the batch's base allocations
+// (in reverse order) and discards the staged state. A failed commit append
 // truncates the log back to the batch's start so the tail stays clean.
+//
+// # Page images
+//
+// A page image exists once between the index and the log. Who allocates,
+// who shares and who copies, for one page written through a Buffered pool
+// over a WALStore over a FileStore with a FileLog:
+//
+//	bptree.writeLeafEdit    encodes into a pooled PageBuf (no allocation),
+//	                        calls Write, releases the buffer
+//	Buffered.Write          makes THE copy: one immutable slice; installs
+//	                        it as the pool frame and passes it down in a
+//	                        Page marked Frozen
+//	[a wrapper]             forwarding the *Page keeps the mark; building a
+//	                        page of its own (ChecksumStore, a tearing
+//	                        FaultStore) drops it, and the store below
+//	                        copies, as for any unmarked page
+//	WALStore.Write          keeps the frozen slice as the batch's staged
+//	(Txn.Write)             image: no copy
+//	Commit                  copies the image once more, into the pooled
+//	                        frame chunk behind its record header and before
+//	                        its CRC, then moves the slice into the page
+//	                        table
+//	FileLog.Append          one pwrite per chunk; the chunk returns to the
+//	                        pool
+//	Buffered miss (fill)    installs the slice WALStore.View returns — the
+//	                        staged or page-table image itself, else what
+//	                        ViewBytes(base) gives (FileStore.Read's fresh
+//	                        page, MemStore's own image) — as the frame: no
+//	                        copy
+//	Read (every layer)      a private copy the caller owns
+//	Checkpoint              writes the page-table images to the base in
+//	                        page-id order and drops its references; frames
+//	                        the pool still holds stay valid
+//
+// Pool frames, staged images and page-table images are therefore the same
+// slices, and what keeps a View a stable snapshot is one rule: nothing
+// ever modifies an image in place. Write stages a fresh slice, Commit and
+// Checkpoint only move or drop references, recovery copies images out of
+// its scan buffer, and Rollback makes the pool forget (Buffered.Rollback
+// clears it) what the WAL discards.
 //
 // # Checkpoint
 //
@@ -71,6 +118,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"time"
 )
@@ -316,20 +364,50 @@ type walRecord struct {
 	encoded int    // total encoded length in the log
 }
 
-// appendWALRecord encodes one record onto buf.
-func appendWALRecord(buf []byte, lsn uint64, typ byte, payload []byte) []byte {
-	body := 9 + len(payload)
+// walRecordOverhead is what a record adds to its payload: length prefix,
+// LSN, type byte and CRC trailer.
+const walRecordOverhead = 4 + 8 + 1 + 4
+
+// appendWALRecord encodes one record onto buf. It is the one encoder: the
+// payload is head followed by tail, so a write record is framed from the
+// page id and the staged image where they lie, with no id+image payload
+// assembled first.
+func appendWALRecord(buf []byte, lsn uint64, typ byte, head []byte, tail ...byte) []byte {
+	body := 9 + len(head) + len(tail)
 	var hdr [12]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(body))
 	binary.LittleEndian.PutUint64(hdr[4:12], lsn)
 	buf = append(buf, hdr[:]...)
 	buf = append(buf, typ)
-	buf = append(buf, payload...)
+	buf = append(buf, head...)
+	buf = append(buf, tail...)
 	sum := crc32.Checksum(buf[len(buf)-body:], castagnoli)
 	var tr [4]byte
 	binary.LittleEndian.PutUint32(tr[:], sum)
 	return append(buf, tr[:]...)
 }
+
+// logChunkSize is the size of a commit's frame chunk: a batch's records
+// are encoded into one and handed to the log in a single Append whenever
+// it fills and once at the end, so a 106-page commit costs two appends.
+const logChunkSize = 256 << 10
+
+// logChunk is a pooled frame chunk. The pool is package-wide and the
+// chunks are of one fixed size, so what commits keep alive between them
+// is bounded by the number of stores committing at once — not by the
+// number of stores, and not by the largest batch any of them ever wrote.
+type logChunk struct {
+	B []byte
+}
+
+var logChunkPool = sync.Pool{New: func() any { return &logChunk{B: make([]byte, 0, logChunkSize)} }}
+
+// getLogChunk returns an empty chunk from the pool; Release it on every
+// path (the pagebufrelease pass pairs the two, as for GetPageBuf).
+func getLogChunk() *logChunk { return logChunkPool.Get().(*logChunk) }
+
+// Release returns the chunk to the pool.
+func (c *logChunk) Release() { logChunkPool.Put(c) }
 
 // decodeWALRecord parses the record at the start of b for a store with the
 // given page size. It returns the record and the number of bytes consumed.
@@ -913,62 +991,13 @@ func (w *WALStore) commitBatchLocked(b *walBatch) (lsn uint64, wait bool, err er
 	if len(b.allocs) == 0 && len(b.writes) == 0 && len(b.frees) == 0 {
 		return 0, false, nil
 	}
-
-	// Append the records: allocations first (in allocation order — replay
-	// re-executes them against the base allocator), then final page
-	// images, then frees. Writes to pages freed later in the same batch
-	// are dead and not logged.
 	startLSN := w.nextLSN
 	startSize := w.logSize
-	var buf []byte
-	count := 0
-	emit := func(typ byte, payload []byte) {
-		buf = appendWALRecord(buf[:0], w.nextLSN, typ, payload)
-		w.nextLSN++
-		count++
+	appended, appendErr := w.appendBatchLocked(b)
+	if appendErr == nil && w.gc == nil {
+		// With the group syncer, durability is deferred to the group sync.
+		appendErr = w.log.Sync()
 	}
-	var idb [4]byte
-	appendErr := func() error {
-		for _, id := range b.allocs {
-			binary.LittleEndian.PutUint32(idb[:], uint32(id))
-			emit(recAlloc, idb[:])
-			if err := w.log.Append(buf); err != nil {
-				return err
-			}
-		}
-		for _, id := range b.writeOrder {
-			if _, dead := b.freeSet[id]; dead {
-				continue
-			}
-			payload := make([]byte, 4+w.pageSize)
-			binary.LittleEndian.PutUint32(payload[0:4], uint32(id))
-			copy(payload[4:], b.writes[id])
-			emit(recWrite, payload)
-			if err := w.log.Append(buf); err != nil {
-				return err
-			}
-		}
-		for _, id := range b.frees {
-			binary.LittleEndian.PutUint32(idb[:], uint32(id))
-			emit(recFree, idb[:])
-			if err := w.log.Append(buf); err != nil {
-				return err
-			}
-		}
-		var cp [12]byte
-		binary.LittleEndian.PutUint64(cp[0:8], w.seq+1)
-		binary.LittleEndian.PutUint32(cp[8:12], uint32(count))
-		buf = appendWALRecord(buf[:0], w.nextLSN, recCommit, cp[:])
-		w.nextLSN++
-		if err := w.log.Append(buf); err != nil {
-			return err
-		}
-		w.logSize = startSize // recomputed below on success
-		if w.gc != nil {
-			return nil // durability deferred to the group sync
-		}
-		return w.log.Sync()
-	}()
 	if appendErr != nil {
 		// The log tail now holds a half-written batch; cut it back so the
 		// next commit appends onto a clean boundary, then undo the batch.
@@ -982,13 +1011,7 @@ func (w *WALStore) commitBatchLocked(b *walBatch) (lsn uint64, wait bool, err er
 		return 0, false, fmt.Errorf("pager: wal commit: %w", appendErr)
 	}
 	commitLSN := w.nextLSN - 1
-	// Recompute the log size: records were appended one by one.
-	sz, err := w.log.Size()
-	if err == nil {
-		w.logSize = sz
-	} else {
-		w.logSize = startSize // unknown; next checkpoint fixes it
-	}
+	w.logSize = startSize + appended
 
 	// The batch is durable (or, under group commit, fully logged with its
 	// sync pending); apply it to the volatile state. The log is now the
@@ -1021,6 +1044,68 @@ func (w *WALStore) commitBatchLocked(b *walBatch) (lsn uint64, wait bool, err er
 		}
 	}
 	return commitLSN, false, nil
+}
+
+// appendBatchLocked encodes the batch's records — allocations first (in
+// allocation order: replay re-executes them against the base allocator),
+// then final page images in first-write order, then frees, then the
+// commit record — straight from the staged images into one pooled frame
+// chunk, and appends the chunk to the log each time it fills and once at
+// the end. Writes to pages freed later in the same batch are dead and not
+// logged. It advances nextLSN per record and returns the bytes appended; a
+// crash (or an error) between two chunks leaves records without a commit
+// record, which recovery discards and the caller truncates.
+func (w *WALStore) appendBatchLocked(b *walBatch) (appended int64, err error) {
+	chunk := getLogChunk()
+	defer chunk.Release()
+	buf := chunk.B[:0]
+	// emit frames one record, first emptying the chunk into the log when
+	// the record would not fit behind what is there.
+	emit := func(typ byte, head, tail []byte) error {
+		if need := walRecordOverhead + len(head) + len(tail); len(buf) > 0 && len(buf)+need > cap(buf) {
+			if err := w.log.Append(buf); err != nil {
+				return err
+			}
+			appended += int64(len(buf))
+			buf = buf[:0]
+		}
+		buf = appendWALRecord(buf, w.nextLSN, typ, head, tail...)
+		w.nextLSN++
+		return nil
+	}
+	first := w.nextLSN
+	var idb [4]byte
+	for _, id := range b.allocs {
+		binary.LittleEndian.PutUint32(idb[:], uint32(id))
+		if err := emit(recAlloc, idb[:], nil); err != nil {
+			return appended, err
+		}
+	}
+	for _, id := range b.writeOrder {
+		if _, dead := b.freeSet[id]; dead {
+			continue
+		}
+		binary.LittleEndian.PutUint32(idb[:], uint32(id))
+		if err := emit(recWrite, idb[:], b.writes[id]); err != nil {
+			return appended, err
+		}
+	}
+	for _, id := range b.frees {
+		binary.LittleEndian.PutUint32(idb[:], uint32(id))
+		if err := emit(recFree, idb[:], nil); err != nil {
+			return appended, err
+		}
+	}
+	var cp [12]byte
+	binary.LittleEndian.PutUint64(cp[0:8], w.seq+1)
+	binary.LittleEndian.PutUint32(cp[8:12], uint32(w.nextLSN-first))
+	if err := emit(recCommit, cp[:], nil); err != nil {
+		return appended, err
+	}
+	if err := w.log.Append(buf); err != nil {
+		return appended, err
+	}
+	return appended + int64(len(buf)), nil
 }
 
 // waitDurable blocks on the group syncer until lsn is covered by a
@@ -1079,9 +1164,16 @@ func (w *WALStore) checkpointLocked() error {
 	if len(w.table) == 0 && w.logSize <= walHeaderLen && w.appliedLSN == w.nextLSN-1 {
 		return nil
 	}
-	// 1. Apply committed images to the base.
-	for id, img := range w.table {
-		if err := w.base.Write(&Page{ID: id, Data: img}); err != nil {
+	// 1. Apply committed images to the base, in page-id order: the base
+	// sees the same write sequence on every run (a crash sweep's kill
+	// point k names the same page each time) and ascending file offsets.
+	ids := make([]PageID, 0, len(w.table))
+	for id := range w.table {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		if err := w.base.Write(&Page{ID: id, Data: w.table[id]}); err != nil {
 			return fmt.Errorf("pager: checkpoint page %d: %w", id, err)
 		}
 	}
@@ -1210,41 +1302,67 @@ func (w *WALStore) allocateLocked() (*Page, error) {
 	return p, nil
 }
 
-// Read implements Store: the open batch's staged image, else the committed
-// table, else the base store.
-func (w *WALStore) Read(id PageID) (*Page, error) {
-	w.mu.Lock()
+// imageLocked returns the store's own image of page id as a batch would
+// see it — b's staged image (b may be nil), else the committed table's —
+// or nil when only the base store has the page (caller holds mu). The
+// slice is immutable: every Write stages a fresh one and nothing modifies
+// a staged or committed image in place.
+func (w *WALStore) imageLocked(b *walBatch, id PageID) ([]byte, error) {
 	if err := w.ok(); err != nil {
-		w.mu.Unlock()
 		return nil, err
 	}
 	if id == w.metaPage {
-		w.mu.Unlock()
 		return nil, fmt.Errorf("pager: read wal meta page %d: %w", id, ErrReservedPage)
 	}
-	if w.batch != nil {
-		if _, freed := w.batch.freeSet[id]; freed {
-			w.mu.Unlock()
+	if b != nil {
+		if _, freed := b.freeSet[id]; freed {
 			return nil, fmt.Errorf("%w: page %d freed in open batch", ErrPageNotFound, id)
 		}
-		if img, ok := w.batch.writes[id]; ok {
-			data := make([]byte, len(img))
-			copy(data, img)
-			w.stats.reads.Add(1)
-			w.mu.Unlock()
-			return &Page{ID: id, Data: data}, nil
+		if img, ok := b.writes[id]; ok {
+			return img, nil
 		}
 	}
-	if img, ok := w.table[id]; ok {
-		data := make([]byte, len(img))
-		copy(data, img)
-		w.stats.reads.Add(1)
-		w.mu.Unlock()
-		return &Page{ID: id, Data: data}, nil
+	return w.table[id], nil
+}
+
+// readImage finishes a Read: a private copy of img, or the base store's
+// page when the WAL holds no image of it.
+func (w *WALStore) readImage(id PageID, img []byte) (*Page, error) {
+	w.stats.reads.Add(1)
+	if img == nil {
+		return w.base.Read(id)
+	}
+	return &Page{ID: id, Data: append([]byte(nil), img...)}, nil
+}
+
+// Read implements Store: a private copy of what View returns.
+func (w *WALStore) Read(id PageID) (*Page, error) {
+	w.mu.Lock()
+	img, err := w.imageLocked(w.batch, id)
+	w.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return w.readImage(id, img)
+}
+
+// View implements Viewer: the open batch's staged image, else the
+// committed table's, else the base store's — the store's own slice, not a
+// copy. It stays a stable snapshot because images are never modified in
+// place: a later Write stages a fresh slice, Commit moves slices into the
+// table and a checkpoint only drops them.
+func (w *WALStore) View(id PageID) ([]byte, error) {
+	w.mu.Lock()
+	img, err := w.imageLocked(w.batch, id)
+	w.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
 	w.stats.reads.Add(1)
-	w.mu.Unlock()
-	return w.base.Read(id)
+	if img == nil {
+		return ViewBytes(w.base, id)
+	}
+	return img, nil
 }
 
 // WALSnapshot is a read-only view of a WALStore that provides the
@@ -1281,24 +1399,12 @@ func (s *WALSnapshot) PageSize() int { return s.w.pageSize }
 func (s *WALSnapshot) Read(id PageID) (*Page, error) {
 	w := s.w
 	w.mu.Lock()
-	if err := w.ok(); err != nil {
-		w.mu.Unlock()
+	img, err := w.imageLocked(nil, id)
+	w.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
-	if id == w.metaPage {
-		w.mu.Unlock()
-		return nil, fmt.Errorf("pager: read wal meta page %d: %w", id, ErrReservedPage)
-	}
-	if img, ok := w.table[id]; ok {
-		data := make([]byte, len(img))
-		copy(data, img)
-		w.mu.Unlock()
-		w.stats.reads.Add(1)
-		return &Page{ID: id, Data: data}, nil
-	}
-	w.mu.Unlock()
-	w.stats.reads.Add(1)
-	return w.base.Read(id)
+	return w.readImage(id, img)
 }
 
 // Write implements Store: inside a batch the image is staged (visible to
@@ -1337,9 +1443,7 @@ func (w *WALStore) writeLocked(p *Page) error {
 	if _, seen := b.writes[p.ID]; !seen {
 		b.writeOrder = append(b.writeOrder, p.ID)
 	}
-	img := make([]byte, w.pageSize)
-	copy(img, p.Data)
-	b.writes[p.ID] = img
+	b.writes[p.ID] = stableImage(p, w.pageSize)
 	w.stats.writes.Add(1)
 	return nil
 }
