@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -24,71 +23,22 @@ import (
 	"mobidx/internal/workload"
 )
 
+// figChoices are the values -fig accepts.
+const figChoices = "figures|e5|e6|e7|e8|all"
+
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "what to run: figures|e5|e6|e7|e8|all")
+		fig      = flag.String("fig", "all", "what to run: "+figChoices)
 		nsFlag   = flag.String("ns", "20000,40000,60000,80000,100000", "comma-separated object counts for the figures")
 		ticks    = flag.Int("ticks", 200, "scenario length in time instants (paper: 2000)")
 		verify   = flag.Bool("verify", false, "cross-check every query against brute force (slow)")
 		partTree = flag.Bool("parttree", false, "include the §3.4 partition tree in the figures")
 
-		throughput = flag.Bool("throughput", false, "run the parallel serving benchmark instead of the figures")
-		tpWorkers  = flag.String("tpworkers", "1,2,4,8", "comma-separated worker counts for -throughput")
-		tpN        = flag.Int("tpn", 20000, "object count for -throughput")
-		tpQueries  = flag.Int("tpqueries", 4000, "queries served per worker count in -throughput")
-		tpIO       = flag.Duration("tpio", 150*time.Microsecond, "simulated disk latency per buffer-pool miss in -throughput (0 = in-memory)")
-		tpRebuild  = flag.Bool("tprebuild", false, "perform a mid-run bulk reindex in each -throughput run")
-		benchOut   = flag.String("benchout", "BENCH_parallel.json", "output file for the -throughput report")
-
-		shardBench  = flag.Bool("shard", false, "run the sharded serving benchmark instead of the figures")
-		shardCounts = flag.String("shardcounts", "1,2,4,8", "comma-separated shard counts for -shard")
-		shardWork   = flag.Int("shardworkers", 0, "query-serving goroutines for -shard (0 = GOMAXPROCS)")
-		shardN      = flag.Int("shardn", 20000, "object count for -shard")
-		shardQ      = flag.Int("shardqueries", 4000, "queries served per run in -shard")
-		shardIO     = flag.Duration("shardio", 150*time.Microsecond, "simulated disk latency per page read in -shard (0 = in-memory)")
-		shardOut    = flag.String("shardout", "BENCH_shard.json", "output file for the -shard report")
-
-		clusterBench  = flag.Bool("cluster", false, "run the durable-cluster lifecycle benchmark instead of the figures")
-		clusterCounts = flag.String("clustercounts", "1,2,4,8", "comma-separated shard counts for -cluster")
-		clusterWork   = flag.Int("clusterworkers", 0, "query-serving goroutines for -cluster (0 = GOMAXPROCS)")
-		clusterN      = flag.Int("clustern", 20000, "object count for -cluster")
-		clusterQ      = flag.Int("clusterqueries", 2000, "baseline queries per run in -cluster")
-		clusterOut    = flag.String("clusterout", "BENCH_cluster.json", "output file for the -cluster report")
-
-		ingestBench   = flag.Bool("ingest", false, "run the ingest-tier write benchmark instead of the figures")
-		ingestWriters = flag.String("ingestwriters", "1,2,4,8", "comma-separated concurrent writer counts for -ingest")
-		ingestN       = flag.Int("ingestn", 20000, "object count for -ingest")
-		ingestUpdates = flag.Int("ingestupdates", 4000, "update pairs per leg in -ingest")
-		ingestSync    = flag.Duration("ingestsync", 2*time.Millisecond, "simulated log fsync latency in -ingest")
-		ingestOut     = flag.String("ingestout", "BENCH_ingest.json", "output file for the -ingest report")
-
 		build    = flag.Bool("build", false, "run the incremental-vs-bulk construction benchmark instead of the figures")
 		buildN   = flag.Int("buildn", 100000, "records per structure for -build")
 		buildOut = flag.String("buildout", "BENCH_build.json", "output file for the -build report")
-
-		subBench  = flag.Bool("subscribe", false, "run the continuous-query subscription benchmark instead of the figures")
-		subCounts = flag.String("subcounts", "100,1000,10000", "comma-separated standing-query counts for -subscribe")
-		subN      = flag.Int("subn", 2000, "commuter population for -subscribe")
-		subTicks  = flag.Int("subticks", 20, "trace length for -subscribe")
-		subOut    = flag.String("subout", "BENCH_subscribe.json", "output file for the -subscribe report")
 	)
 	flag.Parse()
-
-	if *subBench {
-		if err := runSubscribe(*subCounts, *subN, *subTicks, *subOut); err != nil {
-			fmt.Fprintf(os.Stderr, "mobbench: subscribe: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *ingestBench {
-		if err := runIngest(*ingestWriters, *ingestN, *ingestUpdates, *ingestSync, *ingestOut); err != nil {
-			fmt.Fprintf(os.Stderr, "mobbench: ingest: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *build {
 		if err := runBuild(*buildN, *buildOut); err != nil {
@@ -98,28 +48,12 @@ func main() {
 		return
 	}
 
-	if *clusterBench {
-		if err := runClusterBench(*clusterCounts, *clusterWork, *clusterN, *clusterQ, *clusterOut); err != nil {
-			fmt.Fprintf(os.Stderr, "mobbench: cluster: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *shardBench {
-		if err := runShardBench(*shardCounts, *shardWork, *shardN, *shardQ, *shardIO, *shardOut); err != nil {
-			fmt.Fprintf(os.Stderr, "mobbench: shard: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *throughput {
-		if err := runThroughput(*tpWorkers, *tpN, *tpQueries, *tpIO, *tpRebuild, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "mobbench: throughput: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	switch strings.ToLower(*fig) {
+	case "figures", "e5", "e6", "e7", "e8", "all":
+	default:
+		fmt.Fprintf(os.Stderr, "mobbench: unknown -fig %q (accepted: %s)\n", *fig, figChoices)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	ns, err := parseInts(*nsFlag)
@@ -206,328 +140,6 @@ func main() {
 		fmt.Println(harness.FormatRouted(routed))
 		return nil
 	})
-}
-
-// runThroughput serves a mixed query/update workload at each worker count
-// and writes the machine-readable report (QPS, p50/p99 latency, 4-vs-1
-// speedup, and the result of the parallel-vs-sequential differential
-// check) to outPath.
-func runThroughput(workersCSV string, n, queries int, ioLat time.Duration, rebuild bool, outPath string) error {
-	workers, err := parseInts(workersCSV)
-	if err != nil {
-		return fmt.Errorf("bad -tpworkers: %w", err)
-	}
-
-	fmt.Printf("Throughput serving benchmark: N=%d, %d queries per run, %v per page miss, GOMAXPROCS=%d\n",
-		n, queries, ioLat, runtime.GOMAXPROCS(0))
-
-	type report struct {
-		N            int                         `json:"n"`
-		Queries      int                         `json:"queries_per_run"`
-		IOLatencyUs  float64                     `json:"io_latency_us"`
-		GOMAXPROCS   int                         `json:"gomaxprocs"`
-		Rebuild      bool                        `json:"rebuild"`
-		Runs         []*harness.ThroughputResult `json:"runs"`
-		Speedup4v1   float64                     `json:"speedup_4v1,omitempty"`
-		Differential string                      `json:"differential"`
-	}
-	rep := report{
-		N: n, Queries: queries, GOMAXPROCS: runtime.GOMAXPROCS(0),
-		IOLatencyUs: float64(ioLat.Nanoseconds()) / 1e3,
-		Rebuild:     rebuild,
-	}
-
-	qpsAt := map[int]float64{}
-	for _, w := range workers {
-		res, err := harness.RunThroughput(harness.ThroughputConfig{
-			N: n, Workers: w, Queries: queries, IOLatency: ioLat, Rebuild: rebuild,
-		})
-		if err != nil {
-			return fmt.Errorf("workers=%d: %w", w, err)
-		}
-		rep.Runs = append(rep.Runs, res)
-		qpsAt[w] = res.QPS
-		fmt.Printf("  workers=%-2d  %8.0f q/s   p50 %8s   p99 %8s   (%d updates interleaved",
-			w, res.QPS, res.P50, res.P99, res.Updates)
-		if res.Rebuilds > 0 {
-			fmt.Printf(", bulk reindex held the latch %.1f ms", res.RebuildMs)
-		}
-		fmt.Println(")")
-	}
-	if qpsAt[1] > 0 && qpsAt[4] > 0 {
-		rep.Speedup4v1 = qpsAt[4] / qpsAt[1]
-		fmt.Printf("  speedup 4 vs 1 workers: %.2fx\n", rep.Speedup4v1)
-	}
-
-	// The determinism half of the story: parallel subquery execution must
-	// be byte-identical to sequential at every worker count.
-	rep.Differential = "ok"
-	if err := harness.CheckParallelDifferential(min(n, 10000), 1999, []int{1, 2, 8}); err != nil {
-		rep.Differential = err.Error()
-	}
-	fmt.Printf("  differential (parallel vs sequential vs oracle): %s\n", rep.Differential)
-
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("  wrote %s\n", outPath)
-	if rep.Differential != "ok" {
-		return fmt.Errorf("differential check failed: %s", rep.Differential)
-	}
-	return nil
-}
-
-// runShardBench serves the query workload through a shard.Router at each
-// shard count, then repeats the widest topology under a rolling fault
-// storm (QPS-under-chaos), and writes the machine-readable report to
-// outPath.
-func runShardBench(countsCSV string, workers, n, queries int, ioLat time.Duration, outPath string) error {
-	counts, err := parseInts(countsCSV)
-	if err != nil {
-		return fmt.Errorf("bad -shardcounts: %w", err)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	fmt.Printf("Sharded serving benchmark: N=%d, %d queries per run, %d serving goroutines, %v per page read, GOMAXPROCS=%d\n",
-		n, queries, workers, ioLat, runtime.GOMAXPROCS(0))
-
-	type report struct {
-		N            int                         `json:"n"`
-		Queries      int                         `json:"queries_per_run"`
-		Workers      int                         `json:"workers"`
-		IOLatencyUs  float64                     `json:"io_latency_us"`
-		GOMAXPROCS   int                         `json:"gomaxprocs"`
-		Runs         []*harness.ShardBenchResult `json:"runs"`
-		Chaos        *harness.ShardBenchResult   `json:"chaos"`
-		SpeedupMaxV1 float64                     `json:"speedup_max_v1,omitempty"`
-		Differential string                      `json:"differential"`
-	}
-	rep := report{
-		N: n, Queries: queries, Workers: workers, GOMAXPROCS: runtime.GOMAXPROCS(0),
-		IOLatencyUs: float64(ioLat.Nanoseconds()) / 1e3,
-	}
-	qpsAt := map[int]float64{}
-	maxShards := 1
-	for _, s := range counts {
-		res, err := harness.RunShardBench(harness.ShardBenchConfig{
-			N: n, Shards: s, Workers: workers, Queries: queries, IOLatency: ioLat,
-		})
-		if err != nil {
-			return fmt.Errorf("shards=%d: %w", s, err)
-		}
-		rep.Runs = append(rep.Runs, res)
-		qpsAt[s] = res.QPS
-		if s > maxShards {
-			maxShards = s
-		}
-		fmt.Printf("  shards=%-2d  %8.0f q/s   p50 %8.0fus   p99 %8.0fus\n",
-			s, res.QPS, res.P50us, res.P99us)
-	}
-	if qpsAt[1] > 0 && qpsAt[maxShards] > 0 && maxShards > 1 {
-		rep.SpeedupMaxV1 = qpsAt[maxShards] / qpsAt[1]
-		fmt.Printf("  speedup %d vs 1 shards: %.2fx\n", maxShards, rep.SpeedupMaxV1)
-	}
-
-	chaos, err := harness.RunShardBench(harness.ShardBenchConfig{
-		N: n, Shards: maxShards, Workers: workers, Queries: queries, IOLatency: ioLat,
-		Chaos: true,
-	})
-	if err != nil {
-		return fmt.Errorf("chaos run: %w", err)
-	}
-	rep.Chaos = chaos
-	fmt.Printf("  chaos (shards=%d, rolling transient storms): %8.0f q/s   p99 %8.0fus   %d retries, %d partial, %d breaker skips\n",
-		maxShards, chaos.QPS, chaos.P99us, chaos.Retries, chaos.Partial, chaos.BreakerSkips)
-
-	rep.Differential = "ok"
-	if err := harness.CheckShardDifferential(min(n, 5000), 1999, counts); err != nil {
-		rep.Differential = err.Error()
-	}
-	fmt.Printf("  differential (routed vs unsharded oracle): %s\n", rep.Differential)
-
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("  wrote %s\n", outPath)
-	if rep.Differential != "ok" {
-		return fmt.Errorf("differential check failed: %s", rep.Differential)
-	}
-	return nil
-}
-
-// runClusterBench drives the durable cluster's lifecycle at each shard
-// count — load, serve, live split under load, crash, cold recovery,
-// checkpoint, warm recovery — and writes the machine-readable report
-// (cold-recovery time vs shard count, QPS dip during live migration) to
-// outPath. Every run's recovered answers are verified against the
-// simulator's brute force before its numbers are reported.
-func runClusterBench(countsCSV string, workers, n, queries int, outPath string) error {
-	counts, err := parseInts(countsCSV)
-	if err != nil {
-		return fmt.Errorf("bad -clustercounts: %w", err)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	fmt.Printf("Cluster lifecycle benchmark: N=%d, %d baseline queries per run, %d serving goroutines, GOMAXPROCS=%d\n",
-		n, queries, workers, runtime.GOMAXPROCS(0))
-
-	type report struct {
-		N          int                           `json:"n"`
-		Queries    int                           `json:"queries_per_run"`
-		Workers    int                           `json:"workers"`
-		GOMAXPROCS int                           `json:"gomaxprocs"`
-		Runs       []*harness.ClusterBenchResult `json:"runs"`
-	}
-	rep := report{N: n, Queries: queries, Workers: workers, GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	for _, s := range counts {
-		res, err := harness.RunClusterBench(harness.ClusterBenchConfig{
-			N: n, Shards: s, Workers: workers, Queries: queries,
-		})
-		if err != nil {
-			return fmt.Errorf("shards=%d: %w", s, err)
-		}
-		rep.Runs = append(rep.Runs, res)
-		fmt.Printf("  shards=%-2d  cold recovery %8.2fms   checkpointed %8.2fms   split %7.2fms   QPS dip %5.1f%% (%.0f → %.0f q/s)\n",
-			s, res.ColdRecoveryMs, res.CheckpointedRecoveryMs, res.SplitMs,
-			res.QPSDipPct, res.BaselineQPS, res.MigrationQPS)
-	}
-
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("  wrote %s\n", outPath)
-	return nil
-}
-
-// runSubscribe measures the subscription engine's incremental maintenance
-// against naive per-tick re-execution at each standing-query count and
-// writes the machine-readable report to outPath. The run fails if any
-// differential check fails or if the incremental engine does not beat the
-// naive strategy by at least 5x update throughput at 1000 standing
-// queries — the scaling claim the engine exists for.
-func runSubscribe(countsCSV string, commuters, ticks int, outPath string) error {
-	counts, err := parseInts(countsCSV)
-	if err != nil {
-		return fmt.Errorf("bad -subcounts: %w", err)
-	}
-	fmt.Printf("Subscription benchmark: %d commuters, %d ticks, standing queries in %v\n",
-		commuters, ticks, counts)
-
-	type report struct {
-		Commuters  int                             `json:"commuters"`
-		Ticks      int                             `json:"ticks"`
-		GOMAXPROCS int                             `json:"gomaxprocs"`
-		Runs       []*harness.SubscribeBenchResult `json:"runs"`
-		Speedup1k  float64                         `json:"speedup_at_1k,omitempty"`
-	}
-	rep := report{Commuters: commuters, Ticks: ticks, GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	for _, s := range counts {
-		res, err := harness.RunSubscribeBench(harness.SubscribeBenchConfig{
-			Subs: s, Commuters: commuters, Ticks: ticks,
-		})
-		if err != nil {
-			return fmt.Errorf("subs=%d: %w", s, err)
-		}
-		rep.Runs = append(rep.Runs, res)
-		if s == 1000 {
-			rep.Speedup1k = res.Speedup
-		}
-		fmt.Printf("  subs=%-6d incremental %9.0f up/s   naive %9.0f up/s   speedup %7.1fx   (%d cert fires, differential: %s)\n",
-			s, res.IncrementalUPS, res.NaiveUPS, res.Speedup, res.CertFires, res.Differential)
-		if res.Differential != "ok" {
-			return fmt.Errorf("subs=%d: differential check failed: %s", s, res.Differential)
-		}
-	}
-
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("  wrote %s\n", outPath)
-	if rep.Speedup1k > 0 && rep.Speedup1k < 5 {
-		return fmt.Errorf("incremental speedup %.1fx at 1000 standing queries is below the 5x gate", rep.Speedup1k)
-	}
-	return nil
-}
-
-// runIngest compares sustained update throughput through the
-// log-structured write tier (per-writer durable journals under group
-// commit + shared memtable) against direct delete+insert on the flat
-// index, at each writer count, and writes the machine-readable report to
-// outPath. The run fails if the tier does not sustain at least 3x the
-// direct path's updates/sec at 4 writers, or if its query throughput
-// falls below 80% of the flat path's — the trade the tier exists for.
-func runIngest(writersCSV string, n, updates int, syncLat time.Duration, outPath string) error {
-	writers, err := parseInts(writersCSV)
-	if err != nil {
-		return fmt.Errorf("bad -ingestwriters: %w", err)
-	}
-	fmt.Printf("Ingest-tier write benchmark: N=%d, %d update pairs per leg, %v per log fsync, GOMAXPROCS=%d\n",
-		n, updates, syncLat, runtime.GOMAXPROCS(0))
-
-	type report struct {
-		N          int                          `json:"n"`
-		Updates    int                          `json:"update_pairs_per_leg"`
-		SyncUs     float64                      `json:"sync_latency_us"`
-		GOMAXPROCS int                          `json:"gomaxprocs"`
-		Runs       []*harness.IngestBenchResult `json:"runs"`
-		Speedup4w  float64                      `json:"updates_speedup_4w,omitempty"`
-		QPSRatio4w float64                      `json:"qps_ratio_4w,omitempty"`
-	}
-	rep := report{
-		N: n, Updates: updates, GOMAXPROCS: runtime.GOMAXPROCS(0),
-		SyncUs: float64(syncLat.Nanoseconds()) / 1e3,
-	}
-	for _, w := range writers {
-		res, err := harness.RunIngestBench(harness.IngestBenchConfig{
-			N: n, Writers: w, Updates: updates, SyncLatency: syncLat,
-		})
-		if err != nil {
-			return fmt.Errorf("writers=%d: %w", w, err)
-		}
-		rep.Runs = append(rep.Runs, res)
-		if w == 4 {
-			rep.Speedup4w = res.Speedup
-			rep.QPSRatio4w = res.QPSRatio
-		}
-		fmt.Printf("  writers=%-2d  direct %8.0f up/s (p99 %7.0fus)   ingest %8.0f up/s (p99 %7.0fus)   speedup %5.2fx   qps %.0f→%.0f (%.2fx)   %d commits / %d syncs\n",
-			w, res.Direct.UPS, res.Direct.UpdP99us, res.Ingest.UPS, res.Ingest.UpdP99us,
-			res.Speedup, res.Direct.QPS, res.Ingest.QPS, res.QPSRatio,
-			res.Ingest.Commits, res.Ingest.Syncs)
-	}
-
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("  wrote %s\n", outPath)
-	if rep.Speedup4w > 0 && rep.Speedup4w < 3 {
-		return fmt.Errorf("ingest speedup %.2fx at 4 writers is below the 3x gate", rep.Speedup4w)
-	}
-	if rep.QPSRatio4w > 0 && rep.QPSRatio4w < 0.8 {
-		return fmt.Errorf("ingest query throughput %.2fx of flat at 4 writers is below the 0.8x gate", rep.QPSRatio4w)
-	}
-	return nil
 }
 
 // runBuild measures incremental vs bulk construction for every access

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"mobidx/internal/bptree"
@@ -62,7 +63,7 @@ func TestDualBPlusAttachRoundTrip(t *testing.T) {
 	exec := NewExecutor(1)
 	var want [][]dual.OID
 	for _, q := range queries {
-		res, err := ix.QueryParallel(exec, q)
+		res, err := ix.QueryParallelCtx(context.Background(), exec, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func TestDualBPlusAttachRoundTrip(t *testing.T) {
 		t.Fatalf("attached generations = %d, want %d", ix2.Generations(), len(meta.Gens))
 	}
 	for i, q := range queries {
-		res, err := ix2.QueryParallel(exec, q)
+		res, err := ix2.QueryParallelCtx(context.Background(), exec, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -125,7 +125,7 @@ func (g *dualBPGen) bulkLoad(ms []dual.Motion) error {
 
 // QueryAppend answers q like Query but appends the matching OIDs to dst,
 // returning the extended slice with the appended tail sorted ascending and
-// deduplicated (the same order QueryParallel produces). A serving loop
+// deduplicated (the same order QueryParallelCtx produces). A serving loop
 // that reuses dst's capacity avoids the per-call result-set and seen-map
 // allocations Query pays.
 func (d *DualBPlus) QueryAppend(dst []dual.OID, q dual.MORQuery) ([]dual.OID, error) {

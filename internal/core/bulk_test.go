@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -97,7 +98,7 @@ func TestDualBPlusBulkDifferential(t *testing.T) {
 			t.Fatalf("query %d: QueryAppend diverges from Query", i)
 		}
 		for _, ex := range execs {
-			par, err := bulk.QueryParallel(ex, q)
+			par, err := bulk.QueryParallelCtx(context.Background(), ex, q)
 			if err != nil {
 				t.Fatal(err)
 			}

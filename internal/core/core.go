@@ -51,11 +51,19 @@ func validateMotion(m dual.Motion, tr dual.Terrain) error {
 	return ValidateMotion(m, tr)
 }
 
-// ValidateMotion checks m against the terrain's speed band and position
-// range — the exact admission test every index constructor in this
-// package applies, exported so write tiers in front of an index (ingest)
-// can reject a motion before staging it rather than at merge time.
+// ValidateMotion checks that m is finite and inside the terrain's speed
+// band and position range — the exact admission test every index
+// constructor in this package applies, exported so write tiers in front of
+// an index (ingest) can reject a motion before staging it rather than at
+// merge time.
 func ValidateMotion(m dual.Motion, tr dual.Terrain) error {
+	// Every comparison below is false for NaN, and T0 (which picks the
+	// rotation epoch) is otherwise never looked at.
+	for _, f := range [...]float64{m.V, m.Y0, m.T0} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("core: non-finite motion (y0 %v, t0 %v, v %v)", m.Y0, m.T0, m.V)
+		}
+	}
 	s := math.Abs(m.V)
 	if s < tr.VMin-1e-12 || s > tr.VMax+1e-12 {
 		return fmt.Errorf("core: speed %v outside [%v, %v]", m.V, tr.VMin, tr.VMax)

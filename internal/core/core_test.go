@@ -301,11 +301,18 @@ func TestValidateMotion(t *testing.T) {
 		{OID: 1, Y0: 50, T0: 0, V: -5},  // too fast negative
 		{OID: 1, Y0: 200, T0: 0, V: 1},  // outside terrain
 		{OID: 1, Y0: -5, T0: 0, V: 1},   // outside terrain
+		{OID: 1, Y0: 50, T0: 0, V: math.NaN()},
+		{OID: 1, Y0: math.NaN(), T0: 0, V: 1},
+		{OID: 1, Y0: 50, T0: math.NaN(), V: 1},
+		{OID: 1, Y0: 50, T0: math.Inf(1), V: 1},
 	}
 	for i, m := range bad {
 		if err := ix.Insert(m); err == nil {
 			t.Errorf("case %d: invalid motion accepted: %+v", i, m)
 		}
+	}
+	if ix.Len() != 0 {
+		t.Errorf("Len() = %d after only rejected inserts", ix.Len())
 	}
 }
 

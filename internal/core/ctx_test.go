@@ -94,8 +94,9 @@ func TestRunCtxTaskErrorWins(t *testing.T) {
 }
 
 // TestQueryParallelCtx checks the index-level cancellation path: a
-// background context answers exactly like QueryParallel, an already
-// cancelled one returns the context error and no results.
+// live context answers exactly like the single-worker sequential
+// reference, an already cancelled one returns the context error and no
+// results.
 func TestQueryParallelCtx(t *testing.T) {
 	store := pager.NewMemStore(pager.DefaultPageSize)
 	tr := dual.Terrain{YMax: 1000, VMin: 0.16, VMax: 1.66}
@@ -115,20 +116,22 @@ func TestQueryParallelCtx(t *testing.T) {
 	}
 	q := dual.MORQuery{Y1: 100, Y2: 600, T1: 10, T2: 60}
 	exec := NewExecutor(4)
-	want, err := ix.QueryParallel(exec, q)
+	want, err := ix.QueryParallelCtx(context.Background(), NewExecutor(1), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ix.QueryParallelCtx(context.Background(), exec, q)
+	live, cancelLive := context.WithCancel(context.Background())
+	defer cancelLive()
+	got, err := ix.QueryParallelCtx(live, exec, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("ctx variant returned %d OIDs, plain %d", len(got), len(want))
+		t.Fatalf("4 workers returned %d OIDs, sequential %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("ctx variant diverges at %d", i)
+			t.Fatalf("4 workers diverge from sequential at %d", i)
 		}
 	}
 

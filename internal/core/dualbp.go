@@ -133,19 +133,13 @@ func (d *DualBPlus) Subqueries(q dual.MORQuery) []func(emit func(dual.OID)) erro
 	return subs
 }
 
-// QueryParallel answers q by running the decomposition's independent
+// QueryParallelCtx answers q by running the decomposition's independent
 // subqueries on exec and merging deterministically: the returned OIDs are
 // sorted ascending and deduplicated, and the slice is identical for every
 // worker count — a single-worker executor is the sequential reference.
-func (d *DualBPlus) QueryParallel(exec *Executor, q dual.MORQuery) ([]dual.OID, error) {
-	//mobidxlint:allow ctxflow -- compat facade: ctx-less entry point for callers with no deadline; cancellation users call QueryParallelCtx
-	return d.QueryParallelCtx(context.Background(), exec, q)
-}
-
-// QueryParallelCtx is QueryParallel with a cancellation path: the context
-// is checked between subqueries (see Executor.RunCtx), so a router-imposed
-// deadline stops an in-flight query at piece granularity instead of
-// letting it run to completion against a sick store.
+// The context is checked between subqueries (see Executor.RunCtx), so a
+// router-imposed deadline stops an in-flight query at piece granularity
+// instead of letting it run to completion against a sick store.
 func (d *DualBPlus) QueryParallelCtx(ctx context.Context, exec *Executor, q dual.MORQuery) ([]dual.OID, error) {
 	d.candidates.Store(0)
 	return RunSubqueriesCtx(ctx, exec, d.Subqueries(q))

@@ -11,7 +11,7 @@ import (
 
 // Executor runs independent subqueries on a bounded pool of workers. It is
 // the fan-out engine behind the parallel query paths (DualBPlus
-// QueryParallel and the 2-dimensional methods in package twod): a query is
+// QueryParallelCtx and the 2-dimensional methods in package twod): a query is
 // decomposed into its independent pieces — the Lemma 1 subterrain and
 // endpoint subqueries, the per-velocity-sign observation scans, the
 // per-axis 1-dimensional queries of the 2D decomposition — and the pieces
@@ -39,25 +39,19 @@ func NewExecutor(workers int) *Executor {
 // Workers returns the concurrency bound.
 func (e *Executor) Workers() int { return e.workers }
 
-// Run executes every task, at most Workers() concurrently, and waits for
-// all of them. The first error encountered is returned (the remaining
-// tasks still run to completion, so no goroutine outlives Run). With one
-// worker the tasks run inline, in order, with no goroutines at all.
-func (e *Executor) Run(tasks []func() error) error {
-	//mobidxlint:allow ctxflow -- compat facade: ctx-less entry point for callers with no deadline; cancellation users call RunCtx
-	return e.RunCtx(context.Background(), tasks)
-}
-
-// RunCtx is Run with a cancellation path: the context is checked before
-// every task is started, so a deadline or cancellation stops the fan-out
-// at task granularity — tasks not yet begun are skipped, tasks already
-// running finish (no goroutine is ever abandoned mid-flight), and the
-// context's error is returned once everything started has drained. A task
-// that wants finer-grained cancellation must watch the context itself.
-// Task errors take precedence over the context error in the return value,
-// since they describe what actually went wrong first. The workers <= 1
-// path stays inline — sequential, in order, zero goroutines — so a
-// single-worker executor remains the sequential reference implementation.
+// RunCtx executes every task, at most Workers() concurrently, and waits
+// for all of them. The first error encountered is returned (the remaining
+// tasks still run to completion, so no goroutine outlives RunCtx). The
+// context is checked before every task is started, so a deadline or
+// cancellation stops the fan-out at task granularity — tasks not yet
+// begun are skipped, tasks already running finish (no goroutine is ever
+// abandoned mid-flight), and the context's error is returned once
+// everything started has drained. A task that wants finer-grained
+// cancellation must watch the context itself. Task errors take precedence
+// over the context error in the return value, since they describe what
+// actually went wrong first. The workers <= 1 path stays inline —
+// sequential, in order, zero goroutines — so a single-worker executor
+// remains the sequential reference implementation.
 func (e *Executor) RunCtx(ctx context.Context, tasks []func() error) error {
 	if e.workers <= 1 || len(tasks) <= 1 {
 		var first error
@@ -137,20 +131,14 @@ func MergeOIDs(buckets [][]dual.OID) []dual.OID {
 	return out[:w]
 }
 
-// RunSubqueries runs a set of emit-style subqueries on the executor, each
-// collecting into a private bucket, and returns the deterministic sorted,
-// deduplicated union of their emissions. It is the shared harness for
-// every parallel query path (1-dimensional here, 2-dimensional in package
-// twod).
-func RunSubqueries(exec *Executor, subs []func(emit func(dual.OID)) error) ([]dual.OID, error) {
-	//mobidxlint:allow ctxflow -- compat facade: ctx-less entry point for callers with no deadline; cancellation users call RunSubqueriesCtx
-	return RunSubqueriesCtx(context.Background(), exec, subs)
-}
-
-// RunSubqueriesCtx is RunSubqueries with the executor's cancellation path:
-// the context stops the fan-out between subqueries (see RunCtx). On
-// cancellation the partial buckets are discarded and the context's error
-// is returned — a cancelled query has no answer, not a truncated one.
+// RunSubqueriesCtx runs a set of emit-style subqueries on the executor,
+// each collecting into a private bucket, and returns the deterministic
+// sorted, deduplicated union of their emissions. It is the shared harness
+// for every parallel query path (1-dimensional here, 2-dimensional in
+// package twod). The context stops the fan-out between subqueries (see
+// RunCtx). On cancellation the partial buckets are discarded and the
+// context's error is returned — a cancelled query has no answer, not a
+// truncated one.
 func RunSubqueriesCtx(ctx context.Context, exec *Executor, subs []func(emit func(dual.OID)) error) ([]dual.OID, error) {
 	buckets := make([][]dual.OID, len(subs))
 	tasks := make([]func() error, len(subs))

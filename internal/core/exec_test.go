@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync/atomic"
@@ -30,7 +31,7 @@ func TestExecutorRunsAllTasks(t *testing.T) {
 		for i := range tasks {
 			tasks[i] = func() error { ran.Add(1); return nil }
 		}
-		if err := NewExecutor(workers).Run(tasks); err != nil {
+		if err := NewExecutor(workers).RunCtx(context.Background(), tasks); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if ran.Load() != 50 {
@@ -41,10 +42,10 @@ func TestExecutorRunsAllTasks(t *testing.T) {
 
 func TestExecutorEmptyAndNil(t *testing.T) {
 	e := NewExecutor(4)
-	if err := e.Run(nil); err != nil {
+	if err := e.RunCtx(context.Background(), nil); err != nil {
 		t.Fatalf("Run(nil): %v", err)
 	}
-	if err := e.Run([]func() error{}); err != nil {
+	if err := e.RunCtx(context.Background(), []func() error{}); err != nil {
 		t.Fatalf("Run(empty): %v", err)
 	}
 }
@@ -70,7 +71,7 @@ func TestExecutorBoundedConcurrency(t *testing.T) {
 			return nil
 		}
 	}
-	if err := NewExecutor(workers).Run(tasks); err != nil {
+	if err := NewExecutor(workers).RunCtx(context.Background(), tasks); err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > workers {
@@ -97,7 +98,7 @@ func TestExecutorErrorPropagation(t *testing.T) {
 				return nil
 			}
 		}
-		err := NewExecutor(workers).Run(tasks)
+		err := NewExecutor(workers).RunCtx(context.Background(), tasks)
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
 		}
@@ -133,7 +134,7 @@ func TestRunSubqueriesMergesAndDedups(t *testing.T) {
 		func(emit func(dual.OID)) error { emit(2); emit(4); return nil },
 	}
 	for _, workers := range []int{1, 2, 8} {
-		got, err := RunSubqueries(NewExecutor(workers), subs)
+		got, err := RunSubqueriesCtx(context.Background(), NewExecutor(workers), subs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"sort"
 	"sync"
@@ -78,12 +79,12 @@ func TestQueryParallelDifferential(t *testing.T) {
 					s.randQuery(40, 0),   // degenerate time
 				}
 				for _, q := range queries {
-					ref, err := ix.QueryParallel(execs[0], q)
+					ref, err := ix.QueryParallelCtx(context.Background(), execs[0], q)
 					if err != nil {
 						t.Fatalf("seed %d c %d: sequential reference: %v", seed, c, err)
 					}
 					for i := 1; i < len(execs); i++ {
-						got, err := ix.QueryParallel(execs[i], q)
+						got, err := ix.QueryParallelCtx(context.Background(), execs[i], q)
 						if err != nil {
 							t.Fatalf("seed %d c %d workers %d: %v", seed, c, workerCounts[i], err)
 						}
@@ -143,7 +144,7 @@ func TestDualBPlusConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
 				c := cases[(r+rep)%len(cases)]
-				got, err := ix.QueryParallel(exec, c.q)
+				got, err := ix.QueryParallelCtx(context.Background(), exec, c.q)
 				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return
@@ -206,7 +207,7 @@ func TestDualBPlusReadersWithWriter(t *testing.T) {
 				mu.RLock()
 				q := queries[(r+i)%len(queries)]
 				want := oracle(q)
-				got, err := ix.QueryParallel(exec, q)
+				got, err := ix.QueryParallelCtx(context.Background(), exec, q)
 				mu.RUnlock()
 				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
@@ -236,7 +237,7 @@ func TestDualBPlusReadersWithWriter(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", ix.Len(), len(s.cur))
 	}
 	q := s.randQuery(80, 40)
-	got, err := ix.QueryParallel(NewExecutor(0), q)
+	got, err := ix.QueryParallelCtx(context.Background(), NewExecutor(0), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,8 +106,7 @@ type Stats struct {
 // lookups share a read latch (and may run in parallel through a
 // core.Executor). Durability is the caller's concern — the tier is the
 // volatile serving structure; internal/shard journals ops in its motion
-// catalog within the same WAL batch, and standalone callers can pair the
-// tier with a Journal.
+// catalog within the same WAL batch.
 type Tier struct {
 	cfg  Config
 	base Base

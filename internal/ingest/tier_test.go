@@ -2,8 +2,10 @@ package ingest
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"mobidx/internal/bptree"
@@ -79,7 +81,7 @@ func TestTierDifferential(t *testing.T) {
 		}
 		for i := 0; i < 5; i++ {
 			q := morAt(rng, now)
-			want, err := flat.QueryParallel(execs[0], q)
+			want, err := flat.QueryParallelCtx(context.Background(), execs[0], q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,6 +192,13 @@ func TestTierStrictDiscipline(t *testing.T) {
 		if _, err := tier.Add([]Op{op}); err == nil {
 			t.Fatalf("case %d: Add(%+v) succeeded, want error", i, op)
 		}
+	}
+	// A T0 that would pick an undefined rotation epoch: the tier passes the
+	// index's own admission error through, wrapped.
+	nonFinite := dual.Motion{OID: 4, Y0: 10, T0: math.Inf(1), V: 1}
+	_, err = tier.Add([]Op{{Insert: true, M: nonFinite}})
+	if want := core.ValidateMotion(nonFinite, testTerrain); want == nil || err == nil || !strings.Contains(err.Error(), want.Error()) {
+		t.Fatalf("Add(non-finite T0) = %v, want it to carry %v", err, want)
 	}
 	if tier.Len() != 1 {
 		t.Fatalf("failed Adds changed Len: %d", tier.Len())

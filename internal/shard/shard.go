@@ -51,8 +51,8 @@ type Config struct {
 	// GroupCommit enables WAL group commit (pager.WALConfig.GroupCommit):
 	// concurrent commits against this shard's store coalesce onto shared
 	// log syncs. The shard's own Apply path is serialized under its write
-	// latch, so this matters when other committers — explicit pager.Txn
-	// writers such as per-writer ingest journals — share the store.
+	// latch, so this matters only when other committers — explicit
+	// pager.Txn writers — share the store.
 	GroupCommit bool
 	// Ingest, when non-nil, puts a log-structured write tier in front of
 	// the shard's index: Apply lands ops in the tier's memtable instead of

@@ -3,8 +3,10 @@ package shard
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
+	"mobidx/internal/core"
 	"mobidx/internal/dual"
 	"mobidx/internal/pager"
 )
@@ -53,6 +55,29 @@ func TestShardApplyQueryRoundtrip(t *testing.T) {
 	}
 	if h := s.Health(); !h.Healthy || h.Failures != 0 {
 		t.Fatalf("healthy shard reports %+v", h)
+	}
+}
+
+// A motion the index cannot key (NaN speed or position, NaN/Inf T0) is
+// refused with core.ValidateMotion's own error, like any other
+// out-of-terrain motion, and nothing of the batch becomes visible.
+func TestShardApplyRejectsNonFiniteMotion(t *testing.T) {
+	s, err := New(Config{Terrain: terrain1D})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	bad := dual.Motion{OID: 9, Y0: 50, T0: math.NaN(), V: 1}
+	want := core.ValidateMotion(bad, terrain1D)
+	if want == nil {
+		t.Fatal("core.ValidateMotion accepts a NaN T0")
+	}
+	err = s.Apply(context.Background(), []Op{{Insert: true, M: bad}})
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("Apply(non-finite motion) = %v, want %v", err, want)
+	}
+	if n := s.Len(); n != 0 {
+		t.Fatalf("Len() = %d after a rejected batch", n)
 	}
 }
 

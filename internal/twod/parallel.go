@@ -8,31 +8,34 @@
 package twod
 
 import (
+	"context"
+
 	"mobidx/internal/core"
 	"mobidx/internal/dual"
 )
 
 // QueryParallel answers q by running the four quadrant scans of every live
-// generation concurrently on exec. The returned OIDs are sorted ascending
-// and deduplicated; the slice is identical for every worker count.
-// Subqueries only read index pages, so QueryParallel may run concurrently
-// with other queries but not with Insert/Delete.
-func (k *KD4) QueryParallel(exec *core.Executor, q MOR2Query) ([]dual.OID, error) {
+// generation concurrently on exec; ctx stops the fan-out between scans.
+// The returned OIDs are sorted ascending and deduplicated; the slice is
+// identical for every worker count. Subqueries only read index pages, so
+// QueryParallel may run concurrently with other queries but not with
+// Insert/Delete.
+func (k *KD4) QueryParallel(ctx context.Context, exec *core.Executor, q MOR2Query) ([]dual.OID, error) {
 	var subs []func(emit func(dual.OID)) error
 	for _, g := range k.rot.Live() {
 		subs = append(subs, g.subqueries(q)...)
 	}
-	return core.RunSubqueries(exec, subs)
+	return core.RunSubqueriesCtx(ctx, exec, subs)
 }
 
 // QueryParallel answers q by running the two per-axis 1-dimensional MOR
 // queries — themselves decomposed into their Lemma 1 pieces — concurrently
-// on one shared worker pool, then intersecting the per-axis answers by
-// object id and filtering with the exact 2-dimensional predicate. The
-// returned OIDs are sorted ascending and deduplicated; the slice is
-// identical for every worker count. Safe to run concurrently with other
-// queries, but not with Insert/Delete.
-func (d *Decomposed) QueryParallel(exec *core.Executor, q MOR2Query) ([]dual.OID, error) {
+// on one shared worker pool (ctx stops the fan-out between pieces), then
+// intersecting the per-axis answers by object id and filtering with the
+// exact 2-dimensional predicate. The returned OIDs are sorted ascending
+// and deduplicated; the slice is identical for every worker count. Safe
+// to run concurrently with other queries, but not with Insert/Delete.
+func (d *Decomposed) QueryParallel(ctx context.Context, exec *core.Executor, q MOR2Query) ([]dual.OID, error) {
 	xq := dual.MORQuery{Y1: q.X1, Y2: q.X2, T1: q.T1, T2: q.T2}
 	yq := dual.MORQuery{Y1: q.Y1, Y2: q.Y2, T1: q.T1, T2: q.T2}
 	xsubs := d.xIndex.Subqueries(xq)
@@ -55,7 +58,7 @@ func (d *Decomposed) QueryParallel(exec *core.Executor, q MOR2Query) ([]dual.OID
 			return sq(func(id dual.OID) { buckets[j] = append(buckets[j], id) })
 		})
 	}
-	if err := exec.Run(tasks); err != nil {
+	if err := exec.RunCtx(ctx, tasks); err != nil {
 		return nil, err
 	}
 

@@ -1,6 +1,7 @@
 package twod
 
 import (
+	"context"
 	"runtime"
 	"sort"
 	"testing"
@@ -14,7 +15,7 @@ import (
 
 type parallelQuerier interface {
 	Index2D
-	QueryParallel(exec *core.Executor, q MOR2Query) ([]dual.OID, error)
+	QueryParallel(ctx context.Context, exec *core.Executor, q MOR2Query) ([]dual.OID, error)
 }
 
 func sameOIDs2(a, b []dual.OID) bool {
@@ -58,12 +59,12 @@ func runParallelDifferential2(t *testing.T, mk func(st pager.Store) parallelQuer
 			s.randQuery(60, 25),
 			s.randQuery(30, 0), // instant query
 		} {
-			ref, err := ix.QueryParallel(execs[0], q)
+			ref, err := ix.QueryParallel(context.Background(), execs[0], q)
 			if err != nil {
 				t.Fatalf("step %d: sequential reference: %v", step, err)
 			}
 			for i := 1; i < len(execs); i++ {
-				got, err := ix.QueryParallel(execs[i], q)
+				got, err := ix.QueryParallel(context.Background(), execs[i], q)
 				if err != nil {
 					t.Fatalf("step %d workers %d: %v", step, workerCounts[i], err)
 				}

@@ -229,7 +229,7 @@ func RunBatch(s Store, fn func() error) error { return pager.RunBatch(s, fn) }
 // subqueries — the Dual-B+ decomposition's per-subterrain scans, the 2D
 // methods' per-structure or per-axis scans — across a bounded pool of
 // goroutines; results are merged deterministically, so the answer is
-// byte-identical at every worker count. See QueryParallel on the Dual-B+
+// byte-identical at every worker count. See QueryParallelCtx on the Dual-B+
 // and 2D indexes. Serving concurrency (many queries against one index,
 // interleaved with updates) is the caller's readers-writer latch: queries
 // under RLock, updates under Lock.

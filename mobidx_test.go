@@ -1,6 +1,7 @@
 package mobidx
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"path/filepath"
@@ -455,7 +456,7 @@ func TestPublicParallelQuery(t *testing.T) {
 	} {
 		want := collect(t, ix, q)
 		for _, workers := range []int{1, 2, 8} {
-			got, err := ix.QueryParallel(NewExecutor(workers), q)
+			got, err := ix.QueryParallelCtx(context.Background(), NewExecutor(workers), q)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}

@@ -2,8 +2,8 @@
 # Repo verification gate: formatting, vet, the mobidxlint invariant
 # suite, build, full tests (shuffled), the concurrency suites under the
 # race detector, a GOMAXPROCS stress matrix for the parallel serving
-# paths, the nested benchmark module's own vet and smoke test, and fuzz
-# smoke tests.
+# paths, a cmd/mobbench smoke, the nested benchmark module's own vet and
+# smoke test, and fuzz smoke tests.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -13,9 +13,9 @@ cd "$(dirname "$0")/.."
 # TestRaceGateCoverage in internal/analysis parses this assignment and
 # fails if the list falls behind the code.
 RACE_PKGS="./internal/pager/... ./internal/core/... ./internal/twod/... \
-	./internal/kdtree/... ./internal/kinetic/... ./internal/harness/... \
-	./internal/ingest/... ./internal/leakcheck/... ./internal/shard/... \
-	./internal/subscribe/... ./internal/workload/..."
+	./internal/kdtree/... ./internal/kinetic/... ./internal/ingest/... \
+	./internal/leakcheck/... ./internal/shard/... ./internal/subscribe/... \
+	./internal/workload/..."
 
 echo "== gofmt -s =="
 unformatted=$(gofmt -s -l .)
@@ -96,9 +96,9 @@ echo "== stress matrix (GOMAXPROCS=1,4) =="
 for procs in 1 4; do
 	echo "-- GOMAXPROCS=$procs --"
 	GOMAXPROCS=$procs go test -count=1 \
-		-run 'Concurrent|Parallel|Stress|Snapshot|StatsDuringBuild|Executor|Throughput|Router|ShardBench|CloseUnderLoad|IngestBench' \
+		-run 'Concurrent|Parallel|Stress|Snapshot|StatsDuringBuild|Executor|Router|CloseUnderLoad' \
 		./internal/pager ./internal/core ./internal/twod \
-		./internal/kdtree ./internal/kinetic ./internal/harness \
+		./internal/kdtree ./internal/kinetic \
 		./internal/ingest ./internal/shard ./internal/shard/chaostest
 done
 
@@ -116,6 +116,15 @@ echo "== bench smoke =="
 # (and the bulk-vs-incremental build paths it drives) without timing
 # anything.
 go test -run '^$' -bench . -benchtime=1x ./internal/bptree ./internal/pager
+
+echo "== mobbench smoke =="
+# cmd/mobbench has no test file: run its quickest sweep, and check that a
+# -fig value it does not know is a usage error rather than a silent no-op.
+go run ./cmd/mobbench -fig e7 >/dev/null
+if go run ./cmd/mobbench -fig nosuch >/dev/null 2>&1; then
+	echo "mobbench -fig nosuch exited 0" >&2
+	exit 1
+fi
 
 echo "== benchmark module (bench/) =="
 # bench/ is a module of its own, so nothing above builds it. Vet it and run
