@@ -5,19 +5,17 @@ import (
 )
 
 // BatchDiscipline checks that a WAL batch opened with Begin() on a
-// *pager.WALStore, *pager.Buffered or pager.Tx — or an explicit
-// transaction opened with BeginTxn() — reaches a Commit() or Rollback()
-// in the same function. An open batch that escapes the function silently
-// stages writes forever (they are never logged, never become visible to
-// snapshots, and poison the next Begin); an escaped Txn additionally
-// pins its journal and blocks Close. So the pairing is a hard project
-// invariant. Functions whose job *is* the batch machinery (Begin,
-// BeginTxn, Commit, Rollback, RunBatch wrappers) are exempt; a batch or
-// txn that intentionally escapes must carry a
+// *pager.WALStore, *pager.Buffered or pager.Tx reaches a Commit() or
+// Rollback() in the same function. An open batch that escapes the
+// function silently stages writes forever (they are never logged, never
+// become visible to snapshots, and poison the next Begin). So the pairing
+// is a hard project invariant. Functions whose job *is* the batch
+// machinery (Begin, Commit, Rollback, RunBatch wrappers) are exempt; a
+// batch that intentionally escapes must carry a
 // //mobidxlint:allow batchdiscipline annotation with a reason.
 var BatchDiscipline = &Pass{
 	Name: "batchdiscipline",
-	Doc:  "every Begin()/BeginTxn() on a WAL-capable store must reach Commit or Rollback in the same function",
+	Doc:  "every Begin() on a WAL-capable store must reach Commit or Rollback in the same function",
 	Run:  runBatchDiscipline,
 }
 
@@ -31,17 +29,12 @@ var batchTypes = map[string]bool{
 	"Buffered":   true,
 	"Tx":         true,
 	"FaultStore": true,
-	// Txn is the explicit-transaction handle BeginTxn returns; its
-	// Commit/Rollback close the protocol, and any future Begin-shaped
-	// method on it is as binding as the store's own.
-	"Txn": true,
 }
 
 // batchExemptFuncs implement the protocol itself and legitimately call
 // one half of it.
 var batchExemptFuncs = map[string]bool{
 	"Begin":    true,
-	"BeginTxn": true,
 	"Commit":   true,
 	"Rollback": true,
 	"RunBatch": true,
@@ -70,7 +63,7 @@ func runBatchDiscipline(pkg *Package) []Diagnostic {
 					return true
 				}
 				switch sel.Sel.Name {
-				case "Begin", "BeginTxn":
+				case "Begin":
 					if tn := namedReceiver(pkg.Info, sel); tn != nil &&
 						batchTypes[tn.Name()] && tn.Pkg() != nil && tn.Pkg().Name() == "pager" {
 						begins = append(begins, call)

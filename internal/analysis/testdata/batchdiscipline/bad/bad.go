@@ -18,11 +18,3 @@ func unclosedBuffered(b *pager.Buffered) error {
 func unclosedFault(f *pager.FaultStore) error {
 	return f.Begin()
 }
-
-func unclosedTxn(w *pager.WALStore) error {
-	txn, err := w.BeginTxn()
-	if err != nil {
-		return err
-	}
-	return txn.Write(&pager.Page{ID: 2, Data: make([]byte, 8)})
-}

@@ -44,17 +44,3 @@ func faultCommit(f *pager.FaultStore, p *pager.Page) error {
 	}
 	return f.Commit()
 }
-
-func txnCommit(w *pager.WALStore, p *pager.Page) error {
-	txn, err := w.BeginTxn()
-	if err != nil {
-		return err
-	}
-	if err := txn.Write(p); err != nil {
-		if rerr := txn.Rollback(); rerr != nil {
-			return rerr
-		}
-		return err
-	}
-	return txn.Commit()
-}

@@ -47,8 +47,8 @@ func (s *Store) SyncOutside() error {
 	return f.Sync()
 }
 
-// UnlockRelock releases the latch around the blocking wait, the
-// leader/follower shape group commit uses.
+// UnlockRelock releases the latch around each blocking wait of a loop
+// and retakes it after.
 func (s *Store) UnlockRelock(ch chan struct{}) {
 	s.mu.Lock()
 	for i := 0; i < 3; i++ {

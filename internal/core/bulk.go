@@ -48,7 +48,7 @@ func (r *Rotator[M, G]) groupByEpoch(ms []M) map[int64][]M {
 // commits atomically. The input slice is not modified.
 func (d *DualBPlus) BulkLoad(ms []dual.Motion) error {
 	for _, m := range ms {
-		if err := validateMotion(m, d.cfg.Terrain); err != nil {
+		if err := ValidateMotion(m, d.cfg.Terrain); err != nil {
 			return err
 		}
 	}
@@ -129,6 +129,9 @@ func (g *dualBPGen) bulkLoad(ms []dual.Motion) error {
 // that reuses dst's capacity avoids the per-call result-set and seen-map
 // allocations Query pays.
 func (d *DualBPlus) QueryAppend(dst []dual.OID, q dual.MORQuery) ([]dual.OID, error) {
+	if err := ValidateQuery(q); err != nil {
+		return dst, err
+	}
 	d.candidates.Store(0)
 	base := len(dst)
 	for _, g := range d.rot.Live() {
@@ -146,7 +149,7 @@ func (d *DualBPlus) QueryAppend(dst []dual.OID, q dual.MORQuery) ([]dual.OID, er
 // batching store the reindex commits atomically.
 func (k *KDDual) BulkLoad(ms []dual.Motion) error {
 	for _, m := range ms {
-		if err := validateMotion(m, k.cfg.Terrain); err != nil {
+		if err := ValidateMotion(m, k.cfg.Terrain); err != nil {
 			return err
 		}
 	}
@@ -190,7 +193,7 @@ func (k *KDDual) BulkLoad(ms []dual.Motion) error {
 // amortized rebuilds.
 func (p *PartTreeDual) BulkLoad(ms []dual.Motion) error {
 	for _, m := range ms {
-		if err := validateMotion(m, p.cfg.Terrain); err != nil {
+		if err := ValidateMotion(m, p.cfg.Terrain); err != nil {
 			return err
 		}
 	}
@@ -230,7 +233,7 @@ func (p *PartTreeDual) BulkLoad(ms []dual.Motion) error {
 func (r *RStarSeg) BulkLoad(ms []dual.Motion) error {
 	items := make([]rstar.Item, len(ms))
 	for i, m := range ms {
-		if err := validateMotion(m, r.cfg.Terrain); err != nil {
+		if err := ValidateMotion(m, r.cfg.Terrain); err != nil {
 			return err
 		}
 		seg, err := r.segment(m)

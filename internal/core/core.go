@@ -46,11 +46,6 @@ type Index1D interface {
 	Len() int
 }
 
-// validateMotion checks the "moving object" speed band of §3.
-func validateMotion(m dual.Motion, tr dual.Terrain) error {
-	return ValidateMotion(m, tr)
-}
-
 // ValidateMotion checks that m is finite and inside the terrain's speed
 // band and position range — the exact admission test every index
 // constructor in this package applies, exported so write tiers in front of
@@ -70,6 +65,26 @@ func ValidateMotion(m dual.Motion, tr dual.Terrain) error {
 	}
 	if m.Y0 < -1e-9 || m.Y0 > tr.YMax+1e-9 {
 		return fmt.Errorf("core: position %v outside terrain [0, %v]", m.Y0, tr.YMax)
+	}
+	return nil
+}
+
+// ValidateQuery checks that q's bounds are finite and ordered (Y1 ≤ Y2,
+// T1 ≤ T2) — the admission test every query entry point applies, because
+// the planners clamp what they cannot order (a NaN bound lands in band 0)
+// and would answer with the wrong objects and no error. A degenerate range
+// (Y1 = Y2, T1 = T2) and a finite range outside the terrain are legal.
+func ValidateQuery(q dual.MORQuery) error {
+	for _, f := range [...]float64{q.Y1, q.Y2, q.T1, q.T2} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("core: non-finite query (y [%v, %v], t [%v, %v])", q.Y1, q.Y2, q.T1, q.T2)
+		}
+	}
+	if q.Y1 > q.Y2 {
+		return fmt.Errorf("core: query range y [%v, %v] is reversed", q.Y1, q.Y2)
+	}
+	if q.T1 > q.T2 {
+		return fmt.Errorf("core: query range t [%v, %v] is reversed", q.T1, q.T2)
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mobidx/internal/bptree"
@@ -313,6 +315,55 @@ func TestValidateMotion(t *testing.T) {
 	}
 	if ix.Len() != 0 {
 		t.Errorf("Len() = %d after only rejected inserts", ix.Len())
+	}
+}
+
+// A query the planners cannot order is refused at every entry point:
+// unchecked, they clamp it into band 0 (or scan past a bound they never
+// look at) and answer with the wrong objects and a nil error. Ranges that
+// are merely degenerate or off the terrain stay legal and exact.
+func TestValidateQuery(t *testing.T) {
+	ix := newParallelDual(t, 4)
+	s := newSim(17, testTerrain)
+	for i := 0; i < 300; i++ {
+		s.spawn(ix, t)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, q := range []dual.MORQuery{
+		{Y1: nan, Y2: 60, T1: 20, T2: 30},
+		{Y1: 10, Y2: nan, T1: 20, T2: 30},
+		{Y1: 10, Y2: 60, T1: nan, T2: 30},
+		{Y1: 10, Y2: 60, T1: 20, T2: nan},
+		{Y1: 10, Y2: inf, T1: 20, T2: 30},
+		{Y1: -inf, Y2: 60, T1: 20, T2: 30},
+		{Y1: 10, Y2: 60, T1: 20, T2: inf},
+		{Y1: 60, Y2: 10, T1: 20, T2: 30},
+		{Y1: 10, Y2: 90, T1: 30, T2: 20}, // a Lemma-1 query, reversed in time
+	} {
+		if err := ValidateQuery(q); err == nil || !strings.HasPrefix(err.Error(), "core: ") {
+			t.Errorf("ValidateQuery(%+v) = %v, want a core: error", q, err)
+		}
+		emitted := 0
+		err := ix.Query(q, func(dual.OID) { emitted++ })
+		got, aerr := ix.QueryAppend(nil, q)
+		par, perr := ix.QueryParallelCtx(context.Background(), NewExecutor(2), q)
+		if err == nil || aerr == nil || perr == nil || emitted+len(got)+len(par) != 0 {
+			t.Errorf("query %+v: errors %v / %v / %v with %d answers, want three refusals and none",
+				q, err, aerr, perr, emitted+len(got)+len(par))
+		}
+	}
+	for _, q := range []dual.MORQuery{
+		{Y1: 40, Y2: 40, T1: 20, T2: 30},
+		{Y1: 10, Y2: 60, T1: 25, T2: 25},
+		{Y1: 40, Y2: 40, T1: 25, T2: 25},
+		{Y1: -50, Y2: -10, T1: 20, T2: 30},
+		{Y1: 150, Y2: 300, T1: 20, T2: 30},
+		{Y1: -10, Y2: 200, T1: 20, T2: 30},
+	} {
+		if err := ValidateQuery(q); err != nil {
+			t.Errorf("ValidateQuery(%+v) = %v, want nil", q, err)
+		}
+		checkQuery(t, ix, s, q, 0.02)
 	}
 }
 

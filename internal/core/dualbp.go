@@ -74,7 +74,7 @@ func NewDualBPlus(store pager.Store, cfg DualBPlusConfig) (*DualBPlus, error) {
 
 // Insert implements Index1D.
 func (d *DualBPlus) Insert(m dual.Motion) error {
-	if err := validateMotion(m, d.cfg.Terrain); err != nil {
+	if err := ValidateMotion(m, d.cfg.Terrain); err != nil {
 		return err
 	}
 	return d.rot.Insert(m)
@@ -101,6 +101,9 @@ func (d *DualBPlus) LastQueryCandidates() int { return int(d.candidates.Load()) 
 // same time (readers-writer locking is the caller's choice of policy; see
 // the harness throughput mode).
 func (d *DualBPlus) Query(q dual.MORQuery, emit func(dual.OID)) error {
+	if err := ValidateQuery(q); err != nil {
+		return err
+	}
 	d.candidates.Store(0)
 	seen := make(map[dual.OID]struct{})
 	for _, g := range d.rot.Live() {
@@ -141,6 +144,9 @@ func (d *DualBPlus) Subqueries(q dual.MORQuery) []func(emit func(dual.OID)) erro
 // router-imposed deadline stops an in-flight query at piece granularity
 // instead of letting it run to completion against a sick store.
 func (d *DualBPlus) QueryParallelCtx(ctx context.Context, exec *Executor, q dual.MORQuery) ([]dual.OID, error) {
+	if err := ValidateQuery(q); err != nil {
+		return nil, err
+	}
 	d.candidates.Store(0)
 	return RunSubqueriesCtx(ctx, exec, d.Subqueries(q))
 }
@@ -277,6 +283,14 @@ func (g *dualBPGen) eachResidence(m dual.Motion, fn func(i int, in, out float64)
 	return nil
 }
 
+// small reports whether q is answered by one observation index: it spans
+// at most one subterrain, or it lies wholly off the terrain, where there is
+// no subterrain border for Lemma 1 to split it on (the clamped split would
+// stretch its fragments back to the terrain's edge).
+func (g *dualBPGen) small(q dual.MORQuery) bool {
+	return q.Y2-q.Y1 <= g.h || q.Y2 < 0 || q.Y1 > g.cfg.Terrain.YMax
+}
+
 // lemma1Split computes the whole-subterrain range [jLo, jHi) of the
 // Lemma 1 decomposition for a query wider than one subterrain.
 func (g *dualBPGen) lemma1Split(q dual.MORQuery) (jLo, jHi int) {
@@ -303,7 +317,7 @@ func (g *dualBPGen) subterrainScan(j int, q dual.MORQuery, emit func(dual.OID)) 
 
 // Query answers the MOR query per §3.5.2.
 func (g *dualBPGen) Query(q dual.MORQuery, emit func(dual.OID)) error {
-	if q.Y2-q.Y1 <= g.h {
+	if g.small(q) {
 		return g.smallQuery(q, emit)
 	}
 	// Decompose: whole subterrains inside [Y1, Y2] answered exactly by the
@@ -340,7 +354,7 @@ func (g *dualBPGen) Query(q dual.MORQuery, emit func(dual.OID)) error {
 // scans of the two endpoint fragments. Running every piece and
 // deduplicating the union of emissions reproduces Query exactly.
 func (g *dualBPGen) subqueries(q dual.MORQuery) []func(emit func(dual.OID)) error {
-	if q.Y2-q.Y1 <= g.h {
+	if g.small(q) {
 		return g.smallQueryPieces(q)
 	}
 	jLo, jHi := g.lemma1Split(q)

@@ -47,7 +47,7 @@ func NewKDDual(store pager.Store, cfg KDDualConfig) (*KDDual, error) {
 
 // Insert implements Index1D.
 func (k *KDDual) Insert(m dual.Motion) error {
-	if err := validateMotion(m, k.cfg.Terrain); err != nil {
+	if err := ValidateMotion(m, k.cfg.Terrain); err != nil {
 		return err
 	}
 	return k.rot.Insert(m)

@@ -50,7 +50,7 @@ func NewPartTreeDual(store pager.Store, cfg PartTreeDualConfig) (*PartTreeDual, 
 
 // Insert implements Index1D.
 func (p *PartTreeDual) Insert(m dual.Motion) error {
-	if err := validateMotion(m, p.cfg.Terrain); err != nil {
+	if err := ValidateMotion(m, p.cfg.Terrain); err != nil {
 		return err
 	}
 	return p.rot.Insert(m)

@@ -72,7 +72,7 @@ func (r *RStarSeg) val(m dual.Motion) uint64 {
 
 // Insert implements Index1D.
 func (r *RStarSeg) Insert(m dual.Motion) error {
-	if err := validateMotion(m, r.cfg.Terrain); err != nil {
+	if err := ValidateMotion(m, r.cfg.Terrain); err != nil {
 		return err
 	}
 	seg, err := r.segment(m)

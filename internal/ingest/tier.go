@@ -506,6 +506,9 @@ func (t *Tier) Query(q dual.MORQuery) ([]dual.OID, error) {
 // now ≤ T1 contract, so T1 is at or after every live motion's update
 // time) — the regime in which the flat index itself is exact.
 func (t *Tier) QueryParallelCtx(ctx context.Context, exec *core.Executor, q dual.MORQuery) ([]dual.OID, error) {
+	if err := core.ValidateQuery(q); err != nil {
+		return nil, err
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if err := t.ok(); err != nil {

@@ -197,8 +197,11 @@ func runSweep(t *testing.T, mode Mode, wl workload) {
 	}
 }
 
-// rawWorkload exercises multi-page batches, frees, page-id reuse and
-// checkpoints directly against the WALStore API.
+// errAbandon is what rawWorkload's rollback step fails its batch with.
+var errAbandon = errors.New("abandon the batch")
+
+// rawWorkload exercises multi-page batches, a rollback, frees, page-id
+// reuse and checkpoints directly against the WALStore API.
 func rawWorkload(cfg pager.WALConfig) workload {
 	const ps = 128
 	pat := func(tag byte) []byte {
@@ -246,6 +249,28 @@ func rawWorkload(cfg pager.WALConfig) workload {
 					}
 					return wr(w, c, 0xC1)
 				})
+			}},
+			{"rollback", func(w *pager.WALStore) error {
+				// A rolled-back batch leaves no durable or visible trace:
+				// the shadow recorded after this step replaces an equal one,
+				// and alloc-d below is handed the id returned here.
+				err := pager.RunBatch(w, func() error {
+					if err := wr(w, b, 0x66); err != nil {
+						return err
+					}
+					var scratch pager.PageID
+					if err := alloc(w, &scratch); err != nil {
+						return err
+					}
+					if err := wr(w, scratch, 0x67); err != nil {
+						return err
+					}
+					return errAbandon
+				})
+				if errors.Is(err, errAbandon) {
+					return nil
+				}
+				return fmt.Errorf("abandoned batch: %v, want its own error back", err)
 			}},
 			{"checkpoint-1", func(w *pager.WALStore) error { return w.Checkpoint() }},
 			{"free-b-write-a", func(w *pager.WALStore) error {

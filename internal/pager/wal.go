@@ -62,7 +62,7 @@
 //	                        FaultStore) drops it, and the store below
 //	                        copies, as for any unmarked page
 //	WALStore.Write          keeps the frozen slice as the batch's staged
-//	(Txn.Write)             image: no copy
+//	                        image: no copy
 //	Commit                  copies the image once more, into the pooled
 //	                        frame chunk behind its record header and before
 //	                        its CRC, then moves the slice into the page
@@ -120,7 +120,6 @@ import (
 	"os"
 	"slices"
 	"sync"
-	"time"
 )
 
 // Typed failures of the write-ahead log layer.
@@ -474,26 +473,6 @@ type WALConfig struct {
 	// the log at or beyond this size, keeping the log bounded. Zero
 	// disables automatic checkpoints.
 	AutoCheckpointBytes int64
-
-	// GroupCommit coalesces concurrent commits onto shared log syncs: a
-	// committer appends its records and applies its batch under the store
-	// latch, then waits — latch released — until a sync covers its commit
-	// record. The first waiter of a round leads it (see groupSyncer), so N
-	// concurrent writers pay roughly one sync per round instead of one
-	// each, while every Commit still returns only after its own batch is
-	// durable. Off, commits keep the strict append-sync-apply sequence.
-	GroupCommit bool
-	// CommitLinger is how long a group-commit leader waits for more
-	// committers to join its sync round before issuing the sync. A leader
-	// lingers only when other committers are already waiting — a lone
-	// committer syncs immediately — so the knob trades tail latency for
-	// batching under load and costs nothing when idle. Ignored without
-	// GroupCommit.
-	CommitLinger time.Duration
-	// MaxCommitQueue cuts a leader's linger short once this many commits
-	// are waiting on the next sync (0 selects 64). Ignored without
-	// GroupCommit.
-	MaxCommitQueue int
 }
 
 // walBatch is the staged state of one open batch.
@@ -535,7 +514,6 @@ type WALStore struct {
 
 	table map[PageID][]byte // committed page images not yet checkpointed
 	batch *walBatch
-	gc    *groupSyncer // non-nil iff WALConfig.GroupCommit
 	stats counters
 	fail  error // poisoned: volatile state diverged from the log
 	done  bool  // closed
@@ -576,11 +554,6 @@ func OpenWALStore(base Store, log LogFile, cfg WALConfig) (*WALStore, error) {
 		}
 	} else if err := w.recover(size); err != nil {
 		return nil, err
-	}
-	if cfg.GroupCommit {
-		// Everything in the log (and everything replayed) is already
-		// durable, so the syncer starts with no sync debt.
-		w.gc = newGroupSyncer(log, cfg.CommitLinger, cfg.MaxCommitQueue, w.nextLSN-1)
 	}
 	return w, nil
 }
@@ -937,45 +910,34 @@ func (w *WALStore) rollbackBatchLocked(b *walBatch) error {
 // Commit implements Batcher: the outermost Commit appends the batch's
 // records and a commit record to the log, syncs it, and then applies the
 // batch — page images into the committed table, frees into the base
-// allocator. The batch is durable once Commit returns. Under GroupCommit
-// the sync is the shared group sync: the batch is applied under the
-// latch, then Commit waits — latch released — for a sync that covers its
-// commit record; the durable-on-return guarantee is identical. An
-// automatic checkpoint may follow (WALConfig); its error is returned
-// even though the commit itself succeeded.
+// allocator. The batch is durable once Commit returns. An automatic
+// checkpoint may follow (WALConfig); its error is returned even though
+// the commit itself succeeded.
 func (w *WALStore) Commit() error {
 	w.mu.Lock()
-	//mobidxlint:allow lockorder -- by design: the commit record must be appended (and, without group commit, synced) under the latch to keep the log in LSN order; group commit moves the sync wait below the Unlock
-	lsn, wait, err := w.commitLocked()
-	w.mu.Unlock()
-	if err != nil || !wait {
-		return err
-	}
-	if err := w.waitDurable(lsn); err != nil {
-		return err
-	}
-	return w.maybeAutoCheckpoint()
+	defer w.mu.Unlock()
+	//mobidxlint:allow lockorder -- by design: the commit record must be appended and synced under the latch, so the log stays in LSN order and no reader sees a batch before it is durable
+	return w.commitLocked()
 }
 
-// commitLocked resolves the implicit batch protocol (nesting, aborts)
-// and commits the outermost batch. wait is true when the caller must
-// still wait on the group syncer for durability.
-func (w *WALStore) commitLocked() (lsn uint64, wait bool, err error) {
+// commitLocked resolves the batch protocol (nesting, aborts) and commits
+// the outermost batch.
+func (w *WALStore) commitLocked() error {
 	if w.batch == nil {
-		return 0, false, ErrNoBatch
+		return ErrNoBatch
 	}
 	if w.batch.depth > 1 {
 		w.batch.depth--
-		return 0, false, nil
+		return nil
 	}
 	if w.batch.aborted {
 		if err := w.rollbackLocked(); err != nil {
-			return 0, false, err
+			return err
 		}
-		return 0, false, ErrBatchAborted
+		return ErrBatchAborted
 	}
 	if err := w.ok(); err != nil {
-		return 0, false, err
+		return err
 	}
 	b := w.batch
 	w.batch = nil
@@ -983,19 +945,15 @@ func (w *WALStore) commitLocked() (lsn uint64, wait bool, err error) {
 }
 
 // commitBatchLocked appends a detached batch's records and commit record
-// to the log, syncs (inline without the group syncer, deferred to the
-// shared group sync with it), and applies the batch to the volatile
-// state. The batch must already be detached from whatever handle staged
-// it (w.batch or a Txn).
-func (w *WALStore) commitBatchLocked(b *walBatch) (lsn uint64, wait bool, err error) {
+// to the log, syncs it, and applies the batch to the volatile state.
+func (w *WALStore) commitBatchLocked(b *walBatch) error {
 	if len(b.allocs) == 0 && len(b.writes) == 0 && len(b.frees) == 0 {
-		return 0, false, nil
+		return nil
 	}
 	startLSN := w.nextLSN
 	startSize := w.logSize
 	appended, appendErr := w.appendBatchLocked(b)
-	if appendErr == nil && w.gc == nil {
-		// With the group syncer, durability is deferred to the group sync.
+	if appendErr == nil {
 		appendErr = w.log.Sync()
 	}
 	if appendErr != nil {
@@ -1003,23 +961,17 @@ func (w *WALStore) commitBatchLocked(b *walBatch) (lsn uint64, wait bool, err er
 		// next commit appends onto a clean boundary, then undo the batch.
 		w.nextLSN = startLSN
 		if terr := w.log.Truncate(startSize); terr != nil {
-			return 0, false, w.poison(fmt.Errorf("commit append: %w; truncate: %w", appendErr, terr))
+			return w.poison(fmt.Errorf("commit append: %w; truncate: %w", appendErr, terr))
 		}
 		if rerr := w.rollbackBatchLocked(b); rerr != nil {
-			return 0, false, errors.Join(fmt.Errorf("pager: wal commit: %w", appendErr), rerr)
+			return errors.Join(fmt.Errorf("pager: wal commit: %w", appendErr), rerr)
 		}
-		return 0, false, fmt.Errorf("pager: wal commit: %w", appendErr)
+		return fmt.Errorf("pager: wal commit: %w", appendErr)
 	}
-	commitLSN := w.nextLSN - 1
 	w.logSize = startSize + appended
 
-	// The batch is durable (or, under group commit, fully logged with its
-	// sync pending); apply it to the volatile state. The log is now the
-	// source of truth — an apply failure poisons the store. Applying
-	// before the group sync is safe because Commit does not return until
-	// the sync covers this batch: no caller can act on the new state
-	// before it is durable, and reads served meanwhile show state that is
-	// at worst about to become durable.
+	// The batch is durable; apply it to the volatile state. The log is
+	// now the source of truth — an apply failure poisons the store.
 	for _, id := range b.writeOrder {
 		if _, dead := b.freeSet[id]; dead {
 			continue
@@ -1029,21 +981,17 @@ func (w *WALStore) commitBatchLocked(b *walBatch) (lsn uint64, wait bool, err er
 	for _, id := range b.frees {
 		delete(w.table, id)
 		if err := w.base.Free(id); err != nil {
-			return 0, false, w.poison(fmt.Errorf("commit apply free page %d: %w", id, err))
+			return w.poison(fmt.Errorf("commit apply free page %d: %w", id, err))
 		}
 	}
 	w.seq++
 
-	if w.gc != nil {
-		w.gc.noteAppend(commitLSN)
-		return commitLSN, true, nil
-	}
 	if w.cfg.AutoCheckpointBytes > 0 && w.logSize >= w.cfg.AutoCheckpointBytes {
 		if err := w.checkpointLocked(); err != nil {
-			return 0, false, fmt.Errorf("pager: commit durable; auto-checkpoint: %w", err)
+			return fmt.Errorf("pager: commit durable; auto-checkpoint: %w", err)
 		}
 	}
-	return commitLSN, false, nil
+	return nil
 }
 
 // appendBatchLocked encodes the batch's records — allocations first (in
@@ -1108,41 +1056,6 @@ func (w *WALStore) appendBatchLocked(b *walBatch) (appended int64, err error) {
 	return appended + int64(len(buf)), nil
 }
 
-// waitDurable blocks on the group syncer until lsn is covered by a
-// completed sync. A sync failure leaves durability unknown, so it
-// poisons the store like any other post-append failure.
-func (w *WALStore) waitDurable(lsn uint64) error {
-	if err := w.gc.waitDurable(lsn); err != nil {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if w.fail != nil {
-			return w.fail
-		}
-		return w.poison(err)
-	}
-	return nil
-}
-
-// maybeAutoCheckpoint runs the configured auto-checkpoint after a group
-// commit's durability wait (without group commit the checkpoint runs
-// inline in commitBatchLocked). A concurrently opened batch skips it —
-// that batch's own commit will retry.
-func (w *WALStore) maybeAutoCheckpoint() error {
-	if w.cfg.AutoCheckpointBytes <= 0 {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.done || w.fail != nil || w.batch != nil || w.logSize < w.cfg.AutoCheckpointBytes {
-		return nil
-	}
-	//mobidxlint:allow lockorder -- by design: a checkpoint must hold the latch across base-sync + truncate so no commit interleaves between the two
-	if err := w.checkpointLocked(); err != nil {
-		return fmt.Errorf("pager: commit durable; auto-checkpoint: %w", err)
-	}
-	return nil
-}
-
 // Checkpoint applies every committed page image to the base store, makes
 // the base durable, advances the watermark, and truncates the log to its
 // header. It fails with ErrBatchOpen while a batch is open. Checkpoint is
@@ -1201,12 +1114,6 @@ func (w *WALStore) checkpointLocked() error {
 		return fmt.Errorf("pager: checkpoint truncate sync: %w", err)
 	}
 	w.logSize = walHeaderLen
-	if w.gc != nil {
-		// Everything at or below the watermark is durable in the base:
-		// waiters whose commit record the truncation just discarded are
-		// covered and must not wait for (or lead) another log sync.
-		w.gc.noteDurable(w.appliedLSN)
-	}
 	return nil
 }
 
@@ -1232,11 +1139,6 @@ func (w *WALStore) Close() error {
 		}
 	}
 	w.done = true
-	if w.gc != nil {
-		// Wake any remaining waiters: commits the close checkpoint made
-		// durable return nil; anything else fails with ErrStoreClosed.
-		w.gc.shutdown(ErrStoreClosed)
-	}
 	if err := w.log.Close(); err != nil {
 		errs = append(errs, err)
 	}

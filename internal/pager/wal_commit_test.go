@@ -71,7 +71,7 @@ func refLogBytes(pageSize int, metaPage PageID, batches []refBatch) []byte {
 
 // The log format did not change with chunked commits: a scripted workload
 // — single operations, a batch larger than one frame chunk with a rewrite
-// and a dead write, a Txn, a rollback — leaves exactly the bytes the
+// and a dead write, a rollback, a RunBatch — leaves exactly the bytes the
 // per-record encoding of the same batches gives, in one Append per commit
 // (two for the batch that outgrows a chunk).
 func TestWALLogBytesGolden(t *testing.T) {
@@ -146,22 +146,18 @@ func TestWALLogBytesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A Txn commits through the same function.
-	txn, err := w.BeginTxn()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, err := txn.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.Write(&Page{ID: tp.ID, Data: img(3)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.Free(big.allocs[7]); err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.Commit(); err != nil {
+	// The next batch after a rollback appends onto the same boundary.
+	var tp *Page
+	if err := RunBatch(w, func() error {
+		var err error
+		if tp, err = w.Allocate(); err != nil {
+			return err
+		}
+		if err := w.Write(&Page{ID: tp.ID, Data: img(3)}); err != nil {
+			return err
+		}
+		return w.Free(big.allocs[7])
+	}); err != nil {
 		t.Fatal(err)
 	}
 	commit(refBatch{allocs: []PageID{tp.ID}, writes: []Page{{ID: tp.ID, Data: img(3)}}, frees: []PageID{big.allocs[7]}}, 1)
@@ -337,5 +333,152 @@ func TestWALTornCommitEveryCut(t *testing.T) {
 	checkWALState(t, w4, three)
 	if w4.LogSize() != int64(len(full)) {
 		t.Fatalf("full log: LogSize %d, want %d", w4.LogSize(), len(full))
+	}
+}
+
+var errInjectedLog = errors.New("injected log failure")
+
+// failingLog fails the LogFile calls a test arms; unarmed (as during
+// OpenWALStore's header append and sync) it is the MemLog under it.
+type failingLog struct {
+	*MemLog
+	failSync     bool
+	failAppend   int // fail the n-th Append from now, torn halfway; 0 never
+	failTruncate bool
+}
+
+func (l *failingLog) Sync() error {
+	if l.failSync {
+		return errInjectedLog
+	}
+	return l.MemLog.Sync()
+}
+
+func (l *failingLog) Append(b []byte) error {
+	if l.failAppend > 0 {
+		if l.failAppend--; l.failAppend == 0 {
+			_ = l.MemLog.Append(b[:len(b)/2])
+			return errInjectedLog
+		}
+	}
+	return l.MemLog.Append(b)
+}
+
+func (l *failingLog) Truncate(size int64) error {
+	if l.failTruncate {
+		return errInjectedLog
+	}
+	return l.MemLog.Truncate(size)
+}
+
+// A commit whose append or sync fails cuts the log back to the batch's
+// start and undoes the batch — nothing of it is durable or visible, the
+// allocator and the LSN sequence read as if it never ran — and the store
+// stays usable: the next batch commits onto the clean boundary and is what
+// a recovery from the log alone finds. Only when the cut itself fails does
+// the store poison itself.
+func TestWALCommitFailureRollsBack(t *testing.T) {
+	const ps = 4096
+	for _, tc := range []struct {
+		name     string
+		arm      func(*failingLog)
+		poisoned bool
+	}{
+		{"sync", func(l *failingLog) { l.failSync = true }, false},
+		// 70 pages of records outgrow one 256 KiB chunk: the first chunk is
+		// in the log when the second append tears.
+		{"append-second-chunk", func(l *failingLog) { l.failAppend = 2 }, false},
+		{"truncate", func(l *failingLog) { l.failSync, l.failTruncate = true, true }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := &failingLog{MemLog: NewMemLog()}
+			w := openTestWAL(t, NewMemStore(ps), log, WALConfig{})
+			var a PageID
+			if err := RunBatch(w, func() error {
+				p, err := w.Allocate()
+				if err != nil {
+					return err
+				}
+				a = p.ID
+				return w.Write(&Page{ID: a, Data: walPattern(ps, 0xA1)})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			before := log.Bytes()
+			startLSN, inUse := w.nextLSN, w.PagesInUse()
+
+			tc.arm(log)
+			var staged []PageID
+			err := RunBatch(w, func() error {
+				for i := 0; i < 70; i++ {
+					p, err := w.Allocate()
+					if err != nil {
+						return err
+					}
+					staged = append(staged, p.ID)
+					if err := w.Write(&Page{ID: p.ID, Data: walPattern(ps, byte(i))}); err != nil {
+						return err
+					}
+				}
+				return w.Write(&Page{ID: a, Data: walPattern(ps, 0xA2)})
+			})
+			if !errors.Is(err, errInjectedLog) {
+				t.Fatalf("commit on a failing log: %v, want the injected failure", err)
+			}
+			if log.failAppend != 0 {
+				t.Fatalf("the batch fit one chunk: %d armed appends left", log.failAppend)
+			}
+			*log = failingLog{MemLog: log.MemLog}
+
+			if tc.poisoned {
+				if !errors.Is(err, ErrStoreFailed) {
+					t.Fatalf("commit with a failed truncate: %v, want ErrStoreFailed", err)
+				}
+				_, aerr := w.Allocate()
+				_, rerr := w.Read(a)
+				for op, err := range map[string]error{
+					"Begin": w.Begin(), "Allocate": aerr, "Read": rerr, "Free": w.Free(a),
+					"Write": w.Write(&Page{ID: a, Data: walPattern(ps, 1)}), "Checkpoint": w.Checkpoint(),
+				} {
+					if !errors.Is(err, ErrStoreFailed) {
+						t.Errorf("%s on the poisoned store: %v, want ErrStoreFailed", op, err)
+					}
+				}
+				return
+			}
+
+			if errors.Is(err, ErrStoreFailed) {
+				t.Fatalf("a rolled-back commit poisoned the store: %v", err)
+			}
+			if got := log.Bytes(); !bytes.Equal(got, before) {
+				t.Fatalf("log is %d bytes after the failed commit, want the %d before it", len(got), len(before))
+			}
+			if w.LogSize() != int64(len(before)) || w.nextLSN != startLSN || w.PagesInUse() != inUse {
+				t.Fatalf("LogSize %d nextLSN %d PagesInUse %d, want %d %d %d",
+					w.LogSize(), w.nextLSN, w.PagesInUse(), len(before), startLSN, inUse)
+			}
+			one := walWant{seq: 1, pages: map[PageID][]byte{a: walPattern(ps, 0xA1)}, gone: staged}
+			checkWALState(t, w, one)
+
+			// The next batch reuses the returned allocation and commits.
+			var b PageID
+			if err := RunBatch(w, func() error {
+				p, err := w.Allocate()
+				if err != nil {
+					return err
+				}
+				b = p.ID
+				return w.Write(&Page{ID: b, Data: walPattern(ps, 0xB1)})
+			}); err != nil {
+				t.Fatalf("commit after the rolled-back one: %v", err)
+			}
+			if b != staged[0] {
+				t.Fatalf("allocated page %d, want the rolled-back batch's first id %d", b, staged[0])
+			}
+			w2 := openTestWAL(t, NewMemStore(ps), NewMemLogFrom(log.Bytes()), WALConfig{})
+			two := walWant{seq: 2, gone: staged,
+				pages: map[PageID][]byte{a: walPattern(ps, 0xA1), b: walPattern(ps, 0xB1)}}
+			checkWALState(t, w2, two)
+		})
 	}
 }

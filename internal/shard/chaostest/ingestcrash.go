@@ -32,9 +32,7 @@ import (
 
 // ingestCrashConfig keeps the tier thresholds tiny so the short workload
 // crosses several freeze and fold boundaries, putting crash points inside
-// the interesting windows. GroupCommit stays off: the sweep needs a
-// deterministic sync sequence, and the group-commit torn-tail coverage
-// lives in pager/crashtest.
+// the interesting windows.
 func ingestCrashConfig() shard.Config {
 	return shard.Config{
 		Terrain:  terrain,

@@ -341,6 +341,10 @@ func (r *Router) Stats() Stats {
 // failing it: the results cover exactly the healthy partitions and the
 // returned error is a *PartialError naming the missing ones.
 func (r *Router) Query(ctx context.Context, q dual.MORQuery) ([]dual.OID, error) {
+	// Refused before any shard, breaker or PartialError sees it.
+	if err := core.ValidateQuery(q); err != nil {
+		return nil, err
+	}
 	r.stQueries.Add(1)
 	// The read lock pins one topology generation for the whole query: a
 	// concurrent migration flip waits for us (and we never see its half).

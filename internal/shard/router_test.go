@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -43,6 +44,43 @@ func TestRouterValidation(t *testing.T) {
 	}
 	if _, err := NewRouter(make([]*Shard, 3), p, nil, Policy{}); err == nil {
 		t.Fatal("shard/band count mismatch accepted")
+	}
+}
+
+// A query with a non-finite or reversed bound is the caller's error: the
+// router and the shard refuse it with core.ValidateQuery's own error before
+// any shard call, breaker, PartialError or health counter sees it.
+func TestRouterRejectsHostileQuery(t *testing.T) {
+	r, _ := cluster(t, 2, 2, Policy{AllowPartial: true})
+	if err := r.Apply(context.Background(), opsFor(motions1D(64))); err != nil {
+		t.Fatal(err)
+	}
+	calls := r.Stats().ShardCalls
+	for _, q := range []dual.MORQuery{
+		{Y1: math.NaN(), Y2: 600, T1: 20, T2: 30},
+		{Y1: 0, Y2: math.Inf(1), T1: 20, T2: 30},
+		{Y1: 100, Y2: 900, T1: 30, T2: 20},
+	} {
+		want := core.ValidateQuery(q)
+		if want == nil {
+			t.Fatalf("core.ValidateQuery accepts %+v", q)
+		}
+		for name, query := range map[string]func(context.Context, dual.MORQuery) ([]dual.OID, error){
+			"router": r.Query, "shard": r.Shard(0).Query,
+		} {
+			got, err := query(context.Background(), q)
+			if err == nil || err.Error() != want.Error() || len(got) != 0 {
+				t.Fatalf("%s Query(%+v) = %d answers, %v; want none and %v", name, q, len(got), err, want)
+			}
+		}
+	}
+	if st := r.Stats(); st.ShardCalls != calls || st.Partial != 0 || st.FailedShards != 0 {
+		t.Fatalf("refused queries reached the failure policy: %+v", st)
+	}
+	for i := 0; i < 2; i++ {
+		if h := r.Shard(i).Health(); !h.Healthy || h.Failures != 0 {
+			t.Fatalf("shard %d after refused queries: %+v", i, h)
+		}
 	}
 }
 

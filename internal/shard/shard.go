@@ -48,12 +48,6 @@ type Config struct {
 	WrapStore func(pager.Store) pager.Store
 	// AutoCheckpointBytes bounds the shard's WAL (0 disables).
 	AutoCheckpointBytes int64
-	// GroupCommit enables WAL group commit (pager.WALConfig.GroupCommit):
-	// concurrent commits against this shard's store coalesce onto shared
-	// log syncs. The shard's own Apply path is serialized under its write
-	// latch, so this matters only when other committers — explicit
-	// pager.Txn writers — share the store.
-	GroupCommit bool
 	// Ingest, when non-nil, puts a log-structured write tier in front of
 	// the shard's index: Apply lands ops in the tier's memtable instead of
 	// the B+-trees, and the trees are rebuilt by one atomic bulk reindex
@@ -166,8 +160,7 @@ func New(cfg Config) (*Shard, error) {
 // initializes itself with one atomic batch. Either way the shard serves
 // exactly the last committed batch's state.
 func Open(cfg Config, base pager.Store, log pager.LogFile) (*Shard, error) {
-	wal, err := pager.OpenWALStore(base, log,
-		pager.WALConfig{AutoCheckpointBytes: cfg.AutoCheckpointBytes, GroupCommit: cfg.GroupCommit})
+	wal, err := pager.OpenWALStore(base, log, pager.WALConfig{AutoCheckpointBytes: cfg.AutoCheckpointBytes})
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: open wal: %w", cfg.ID, err)
 	}
@@ -388,6 +381,11 @@ func (s *Shard) down() error {
 // pieces (see core.Executor.RunCtx): a router deadline stops the query at
 // piece granularity.
 func (s *Shard) Query(ctx context.Context, q dual.MORQuery) ([]dual.OID, error) {
+	// A bad query is the caller's error, not a shard failure: it is
+	// refused before anything observes it.
+	if err := core.ValidateQuery(q); err != nil {
+		return nil, err
+	}
 	if err := s.down(); err != nil {
 		return nil, err
 	}

@@ -84,10 +84,10 @@ echo "== ingest crash sweep (memtable-flush kill points x media modes, race-gate
 # freezes and base folds under every media failure mode, asserting the
 # reboot lands on a batch boundary (complete or absent, never torn),
 # answers a brute-force oracle exactly, and keeps folding afterwards;
-# plus the group-commit torn-tail recovery tests in the pager.
+# plus the pager's commit tests (a failed append, sync or truncate; a
+# commit durable across a reopen).
 go test -race -count=1 -run 'TestIngestCrashSweep' ./internal/shard/chaostest
-go test -race -count=1 -run 'TestGroupCommit|TestTxn' ./internal/pager
-go test -race -count=1 -run 'TestCrashSweepGroupCommitTxn' ./internal/pager/crashtest
+go test -race -count=1 -run 'TestWALCommit' ./internal/pager
 
 echo "== stress matrix (GOMAXPROCS=1,4) =="
 # The concurrency tests must hold both when goroutines interleave on one
