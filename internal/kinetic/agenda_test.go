@@ -105,3 +105,41 @@ func TestAgendaCompact(t *testing.T) {
 		prev = ev.Time
 	}
 }
+
+// TestAgendaPopOrderIgnoresPushOrder: eventLess is a total order on
+// (Time, OID, Ver), so the pop sequence is a function of the set of
+// events alone. The subscription engine relies on it when it arms
+// certificates while ranging over a map.
+func TestAgendaPopOrderIgnoresPushOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	evs := make([]Event, 0, 600)
+	for oid := dual.OID(0); oid < 200; oid++ {
+		for ver := uint64(1); ver <= 3; ver++ {
+			evs = append(evs, Event{Time: float64(rng.Intn(5)), OID: oid, Ver: ver}) // many ties on Time
+		}
+	}
+	popAll := func() []Event {
+		a := NewAgenda()
+		for _, ev := range evs {
+			a.Push(ev)
+		}
+		out := make([]Event, 0, len(evs))
+		for {
+			ev, ok := a.PopDue(10)
+			if !ok {
+				return out
+			}
+			out = append(out, ev)
+		}
+	}
+	want := popAll()
+	for round := 0; round < 5; round++ {
+		rng.Shuffle(len(evs), func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
+		got := popAll()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: pop %d is %v, want %v", round, i, got[i], want[i])
+			}
+		}
+	}
+}

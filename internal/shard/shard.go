@@ -128,9 +128,12 @@ type Shard struct {
 
 	// subs is the shard's continuous-query matcher: standing queries over
 	// exactly the motions this shard holds (replicas included — the router
-	// deduplicates). It is serving state, not durable state: Open re-seeds
-	// it from the catalog, BulkLoad resets it, and a failed feed only
-	// disables the subscription path (subErr), never the index.
+	// deduplicates). It is serving state, not durable state, and it tracks
+	// motions only while it has standing queries: the first Subscribe seeds
+	// it from the catalog, Apply and BulkLoad feed it from then on, and the
+	// last Unsubscribe empties it — an idle engine holds nothing and costs
+	// the write path nothing. A failed feed only disables the subscription
+	// path (subErr), never the index.
 	subs *subscribe.Engine
 
 	mu sync.RWMutex // serving latch: Query RLock, Apply/BulkLoad Lock
@@ -244,15 +247,6 @@ func openOn(cfg Config, wal *pager.WALStore, store pager.Store) (*Shard, error) 
 		eng, err := subscribe.New(subscribe.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: subscription engine: %w", cfg.ID, err)
-		}
-		// Re-seed the matcher from the durable catalog: the recovered shard
-		// answers new subscriptions over exactly the motions it serves.
-		ms, err := cat.motions()
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: read catalog: %w", cfg.ID, err)
-		}
-		if err := eng.Reset(ms); err != nil {
-			return nil, fmt.Errorf("shard %d: seed subscriptions: %w", cfg.ID, err)
 		}
 		s.subs = eng
 		return s, nil
@@ -458,7 +452,7 @@ func (s *Shard) Apply(ctx context.Context, ops []Op) error {
 	if err != nil && !ctxOnly {
 		s.quarantine(err)
 	}
-	if err == nil {
+	if err == nil && s.subs.Subs() > 0 {
 		// The batch committed; feed the standing-query matcher (still under
 		// the write latch, so subscription state tracks the index exactly).
 		// A feed failure is a subscription-path failure only: the durable
@@ -542,7 +536,7 @@ func (s *Shard) BulkLoad(ctx context.Context, ms []dual.Motion) error {
 	if err != nil {
 		s.quarantine(err)
 	}
-	if err == nil {
+	if err == nil && s.subs.Subs() > 0 {
 		// Contents replaced atomically; the matcher resets to match,
 		// emitting the net membership transitions.
 		if ferr := s.subs.Reset(ms); ferr != nil {
@@ -621,19 +615,52 @@ func (s *Shard) subsDown() error {
 // Subscribe registers a standing query [y1, y2] with the given sliding
 // window against this shard's partition; the current per-shard answer set
 // arrives as Enter deltas (see subscribe.Engine.Subscribe).
+//
+// Subscribe and Unsubscribe hold the write latch, so no Apply or BulkLoad
+// falls between the idle engine's seeding and the registration: the first
+// standing query pays one catalog read and one engine object per motion
+// the shard holds, with queries stalled meanwhile; later ones pay the
+// engine's own scan of its objects. A seeding failure fails this call only
+// and registers nothing.
 func (s *Shard) Subscribe(y1, y2, window float64) (subscribe.SubID, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.subsDown(); err != nil {
 		return 0, err
 	}
-	return s.subs.Subscribe(y1, y2, window)
+	if s.subs.Subs() == 0 {
+		ms, err := s.cat.motions()
+		if err == nil {
+			err = s.subs.Reset(ms)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("shard %d: seed subscriptions: %w", s.id, err)
+		}
+	}
+	id, err := s.subs.Subscribe(y1, y2, window)
+	if err != nil {
+		return 0, errors.Join(err, s.dropIdleSubs())
+	}
+	return id, nil
 }
 
-// Unsubscribe tears a shard-level standing query down.
+// Unsubscribe tears a shard-level standing query down; the last one takes
+// the engine's copy of the shard's motions with it.
 func (s *Shard) Unsubscribe(id subscribe.SubID) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.subsDown(); err != nil {
 		return err
 	}
-	return s.subs.Unsubscribe(id)
+	return errors.Join(s.subs.Unsubscribe(id), s.dropIdleSubs())
+}
+
+// dropIdleSubs empties an engine that has no standing query left.
+func (s *Shard) dropIdleSubs() error {
+	if s.subs.Subs() > 0 {
+		return nil
+	}
+	return s.subs.Reset(nil)
 }
 
 // AdvanceSubs moves the shard's subscription clock to now, firing kinetic

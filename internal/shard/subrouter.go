@@ -7,7 +7,9 @@
 // first (count 0→1) and swallows the rest, and symmetrically emits only
 // the Leave that drops the count back to zero. Shards are processed in
 // ascending band order and each shard's stream is already in emission
-// order, so the merged stream is deterministic.
+// order, so the merged stream is deterministic. A subscription with one
+// leg — every range that does not straddle a band cut — has nothing to
+// merge: its deltas are forwarded re-sequenced, without the refcount.
 //
 // Subscriptions pin the shards they were created on: a shard revived by
 // ReplaceShard or a migration has a fresh matcher that knows nothing of
@@ -40,7 +42,7 @@ type subLeg struct {
 // routerSub is the router's bookkeeping for one standing query.
 type routerSub struct {
 	legs []subLeg         // ascending by band
-	ref  map[dual.OID]int // shard-membership count per object
+	ref  map[dual.OID]int // shard-membership count per object; nil with one leg
 	seq  uint64           // merged-stream emission counter
 }
 
@@ -87,7 +89,11 @@ func (r *Router) Subscribe(y1, y2, window float64) (subscribe.SubID, error) {
 	defer st.mu.Unlock()
 	st.next++
 	rid := st.next
-	st.table[rid] = &routerSub{legs: legs, ref: make(map[dual.OID]int)}
+	rs := &routerSub{legs: legs}
+	if len(legs) > 1 {
+		rs.ref = make(map[dual.OID]int)
+	}
+	st.table[rid] = rs
 	return rid, nil
 }
 
@@ -147,6 +153,15 @@ func (r *Router) DrainSubs(id subscribe.SubID) ([]subscribe.Delta, error) {
 		ds, err := leg.shard.DrainSubs(leg.id)
 		if err != nil {
 			return nil, fmt.Errorf("shard: drain band %d: %w", leg.band, err)
+		}
+		if rs.ref == nil {
+			// One leg cannot double-report. The drained slice is the
+			// caller's (Engine.Drain hands its buffer over): restamp it.
+			for i := range ds {
+				rs.seq++
+				ds[i].Seq, ds[i].Sub = rs.seq, id
+			}
+			return ds, nil
 		}
 		for _, d := range ds {
 			switch d.Kind {

@@ -154,9 +154,9 @@ func TestRouterSubscriptionDifferential(t *testing.T) {
 }
 
 // TestShardSubscriptionRecovery crashes a shard and reopens it over the
-// surviving media: the recovered shard's matcher must be re-seeded from
-// the durable catalog, so a fresh subscription sees exactly the motions
-// the index serves.
+// surviving media: a fresh subscription seeds the recovered shard's
+// matcher from the durable catalog, so it sees exactly the motions the
+// index serves.
 func TestShardSubscriptionRecovery(t *testing.T) {
 	cfg := Config{ID: 1, Terrain: testTerrain(), PageSize: 512}
 	base := pager.NewMemStore(512)
@@ -287,5 +287,100 @@ func TestRouterSubscribeRollback(t *testing.T) {
 	}
 	if _, err := r.SubMembers(id); err != nil {
 		t.Fatalf("SubMembers: %v", err)
+	}
+}
+
+// TestRouterDrainSingleAndMultiLeg drains a fence inside one band (one
+// leg: forwarded without the refcount) and one straddling band cuts
+// (several legs: refcount-merged) through the same ticks. Both must
+// reconstruct the brute-force membership at every tick, carry the router's
+// id, and number their deltas 1, 2, 3, … without a gap.
+func TestRouterDrainSingleAndMultiLeg(t *testing.T) {
+	p := workload.DefaultGeofenceParams(200, 1)
+	sim, err := workload.NewGeofenceSim(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewCluster(Config{Terrain: p.Terrain}, 4, nil, Policy{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ctx := context.Background()
+	var pend []Op
+	feed := func(op workload.Op) error {
+		pend = append(pend, Op{Insert: op.Insert, M: op.Motion})
+		return nil
+	}
+	if err := sim.Bootstrap(feed); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Apply(ctx, pend); err != nil {
+		t.Fatal(err)
+	}
+	pend = pend[:0]
+
+	type standing struct {
+		id    subscribe.SubID
+		fence workload.Geofence
+		legs  int
+		recon map[dual.OID]bool
+		seq   uint64
+	}
+	subs := []*standing{
+		{fence: workload.Geofence{Y1: 300, Y2: 420, Window: 20}, legs: 1},
+		{fence: workload.Geofence{Y1: 180, Y2: 620, Window: 20}, legs: 3},
+	}
+	for _, st := range subs {
+		st.recon = make(map[dual.OID]bool)
+		if st.id, err = r.Subscribe(st.fence.Y1, st.fence.Y2, st.fence.Window); err != nil {
+			t.Fatal(err)
+		}
+		rs := r.subsTable().table[st.id]
+		if len(rs.legs) != st.legs || (rs.ref == nil) != (st.legs == 1) {
+			t.Fatalf("fence %+v: %d legs (refcount %v), want %d", st.fence, len(rs.legs), rs.ref != nil, st.legs)
+		}
+	}
+	deltas := 0
+	for tick := 0; tick <= 40; tick++ {
+		if tick > 0 {
+			if err := sim.Tick(feed); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.AdvanceSubs(sim.Now()); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Apply(ctx, pend); err != nil {
+				t.Fatal(err)
+			}
+			pend = pend[:0]
+		}
+		for _, st := range subs {
+			ds, err := r.DrainSubs(st.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deltas += len(ds)
+			for _, d := range ds {
+				st.seq++
+				if d.Sub != st.id || d.Seq != st.seq || (d.Kind == subscribe.Enter) == st.recon[d.OID] {
+					t.Fatalf("tick %d sub %d: delta %+v (want seq %d) does not follow from the set so far",
+						tick, st.id, d, st.seq)
+				}
+				st.recon[d.OID] = d.Kind == subscribe.Enter
+			}
+			var recon []dual.OID
+			for oid, in := range st.recon {
+				if in {
+					recon = append(recon, oid)
+				}
+			}
+			if truth := sim.BruteForce(st.fence); fingerprint(recon) != fingerprint(truth) {
+				t.Fatalf("tick %d fence %+v: reconstruction %v != brute force %v", tick, st.fence, recon, truth)
+			}
+		}
+	}
+	if deltas < 100 {
+		t.Fatalf("only %d deltas in 40 ticks; the scenario is inert", deltas)
 	}
 }

@@ -3,6 +3,7 @@ package subscribe_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -77,7 +78,12 @@ func sortedSet(set map[dual.OID]bool) []dual.OID {
 // (a) the engine's own member set, (b) a one-shot re-run through the
 // oracle index, and (c) brute force over the simulator's ground truth.
 // It returns the full drained delta stream for cross-leg comparison.
-func runDifferentialLeg(t *testing.T, mkOracle func(t *testing.T) oracleIndex) []subscribe.Delta {
+//
+// With churn set, every tick also tears down two seeded-random standing
+// queries and registers two fresh ones — before the tick's Apply on odd
+// ticks, after it on even ones — so subscription slots are freed and
+// reused out of id order while objects are members of their neighbours.
+func runDifferentialLeg(t *testing.T, mkOracle func(t *testing.T) oracleIndex, churn bool) []subscribe.Delta {
 	t.Helper()
 	const ticks = 60
 	p := workload.DefaultGeofenceParams(300, 50)
@@ -119,6 +125,14 @@ func runDifferentialLeg(t *testing.T, mkOracle func(t *testing.T) oracleIndex) [
 		recon map[dual.OID]bool
 	}
 	live := make(map[subscribe.SubID]*standing)
+	liveIDs := func() []subscribe.SubID {
+		ids := make([]subscribe.SubID, 0, len(live))
+		for id := range live {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		return ids
+	}
 	var stream []subscribe.Delta
 	addSub := func(f workload.Geofence) {
 		id, serr := eng.Subscribe(f.Y1, f.Y2, f.Window)
@@ -134,12 +148,7 @@ func runDifferentialLeg(t *testing.T, mkOracle func(t *testing.T) oracleIndex) [
 	}
 
 	check := func(tick int) {
-		ids := make([]subscribe.SubID, 0, len(live))
-		for id := range live {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
+		for _, id := range liveIDs() {
 			st := live[id]
 			ds, derr := eng.Drain(id)
 			if derr != nil {
@@ -188,6 +197,23 @@ func runDifferentialLeg(t *testing.T, mkOracle func(t *testing.T) oracleIndex) [
 		}
 	}
 
+	rng := rand.New(rand.NewSource(7))
+	nextFence := 0
+	churnOnce := func() {
+		for i := 0; i < 2; i++ {
+			ids := liveIDs()
+			id := ids[rng.Intn(len(ids))]
+			if uerr := eng.Unsubscribe(id); uerr != nil {
+				t.Fatalf("Unsubscribe: %v", uerr)
+			}
+			delete(live, id)
+		}
+		for i := 0; i < 2; i++ {
+			addSub(fences[nextFence%len(fences)])
+			nextFence++
+		}
+	}
+
 	check(0)
 	for tick := 1; tick <= ticks; tick++ {
 		if err := sim.Tick(feed); err != nil {
@@ -196,22 +222,23 @@ func runDifferentialLeg(t *testing.T, mkOracle func(t *testing.T) oracleIndex) [
 		if err := eng.Advance(sim.Now()); err != nil {
 			t.Fatalf("Advance: %v", err)
 		}
+		if churn && tick%2 == 1 {
+			churnOnce()
+		}
 		if err := eng.Apply(pend); err != nil {
 			t.Fatalf("Apply: %v", err)
 		}
 		pend = pend[:0]
+		if churn && tick%2 == 0 {
+			churnOnce()
+		}
 		if tick == 15 {
 			for _, f := range fences[40:] {
 				addSub(f)
 			}
 		}
 		if tick == 30 {
-			ids := make([]subscribe.SubID, 0, len(live))
-			for id := range live {
-				ids = append(ids, id)
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			for _, id := range ids[:10] {
+			for _, id := range liveIDs()[:10] {
 				if uerr := eng.Unsubscribe(id); uerr != nil {
 					t.Fatalf("Unsubscribe: %v", uerr)
 				}
@@ -253,7 +280,7 @@ func TestDifferentialOracle(t *testing.T) {
 		l := l
 		first := i == 0
 		t.Run(l.name, func(t *testing.T) {
-			stream := runDifferentialLeg(t, l.mk)
+			stream := runDifferentialLeg(t, l.mk, false)
 			if len(stream) == 0 {
 				t.Fatalf("differential trace emitted no deltas; scenario is inert")
 			}
@@ -265,5 +292,22 @@ func TestDifferentialOracle(t *testing.T) {
 				t.Fatalf("delta stream differs between legs (%d vs %d deltas)", len(stream), len(ref))
 			}
 		})
+	}
+}
+
+// churnStreamHash is subscribe.StreamHash of the churn leg's delta stream
+// as the map-based engine of commit 4aa2e1a emitted it: the slice-and-
+// bitset membership must reproduce it byte for byte.
+const churnStreamHash = "930e23cc4ef56c8931315a503448c8c7460ea8d782e6707d13bd52e6951629ae"
+
+// TestDifferentialChurn runs the differential trace with subscriptions
+// coming and going every tick, against the one-shot oracle and the
+// recorded stream of the parent implementation.
+func TestDifferentialChurn(t *testing.T) {
+	stream := runDifferentialLeg(t, func(t *testing.T) oracleIndex {
+		return newDualBPOracle(t, workload.DefaultGeofenceParams(1, 1).Terrain, 1)
+	}, true)
+	if got := subscribe.StreamHash(stream); got != churnStreamHash {
+		t.Fatalf("churn leg: %d deltas hash to %s, want %s", len(stream), got, churnStreamHash)
 	}
 }

@@ -1,8 +1,10 @@
 package subscribe
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mobidx/internal/bptree"
 	"mobidx/internal/dual"
@@ -33,9 +35,46 @@ type windowClass struct {
 	// maxWidth is the running maximum query width ever admitted to the
 	// class: a stab over [lo, hi] scans byY1 from lo − maxWidth, which
 	// is the furthest a still-overlapping query's lower edge can sit.
-	// It never shrinks while the class is populated (a shrink could
-	// under-scan), and resets when the class empties.
+	// It never shrinks (a shrink could under-scan); the class is
+	// destroyed when it empties.
 	maxWidth float64
+}
+
+// add indexes the subscription under its slot, leaving no entry behind
+// when it fails.
+func (cl *windowClass) add(s *sub) error {
+	if err := cl.byY1.Insert(bptree.Entry{Key: s.y1, Val: uint64(s.slot), Aux: s.y2}); err != nil {
+		return err
+	}
+	if err := cl.byY2.Insert(bptree.Entry{Key: s.y2, Val: uint64(s.slot), Aux: s.y1}); err != nil {
+		return errors.Join(err, cl.byY1.Delete(s.y1, uint64(s.slot)))
+	}
+	cl.count++
+	cl.maxWidth = max(cl.maxWidth, s.y2-s.y1)
+	return nil
+}
+
+// remove takes the subscription's two entries out of the class.
+func (cl *windowClass) remove(s *sub) error {
+	if err := cl.byY1.Delete(s.y1, uint64(s.slot)); err != nil {
+		return err
+	}
+	if err := cl.byY2.Delete(s.y2, uint64(s.slot)); err != nil {
+		return err
+	}
+	cl.count--
+	return nil
+}
+
+// dropIfEmpty destroys a class no subscription uses any more: window
+// lengths are arbitrary floats, so a class kept for reuse is two trees
+// leaked per length ever seen.
+func (e *Engine) dropIfEmpty(cl *windowClass) error {
+	if cl.count > 0 {
+		return nil
+	}
+	delete(e.classes, math.Float64bits(cl.w))
+	return errors.Join(cl.byY1.Destroy(), cl.byY2.Destroy())
 }
 
 // certEarly schedules certificates slightly before the raw boundary
@@ -81,18 +120,16 @@ func (e *Engine) classFor(w float64) (*windowClass, error) {
 	return cl, nil
 }
 
-// matchSet returns the exact set of subscriptions whose standing query
-// the motion currently satisfies, via one stab per window class. The
-// returned map is engine-owned scratch, valid until the next matchSet —
-// this is the hottest path (every upsert and every certificate fire),
-// so the stab runs on the zero-alloc RangeAppend fastpath with reused
-// buffers instead of the allocating decode Range.
-func (e *Engine) matchSet(m dual.Motion) (map[SubID]struct{}, error) {
-	clear(e.hitSet)
+// matchSet returns the slots of exactly the subscriptions whose standing
+// query the motion currently satisfies, ascending, via one stab per
+// window class. The returned slice is engine-owned scratch, valid until
+// the next matchSet — this is the hottest path (every upsert and every
+// certificate fire), so the stab runs on the zero-alloc RangeAppend
+// fastpath with reused buffers instead of the allocating decode Range,
+// and a hit is one bit set: a stab sees hundreds of hits in key order,
+// and reading the bitset back is what orders them.
+func (e *Engine) matchSet(m dual.Motion) ([]uint32, error) {
 	for _, cl := range e.classes {
-		if cl.count == 0 {
-			continue
-		}
 		ya := m.At(e.now)
 		yb := m.At(e.now + cl.w)
 		lo, hi := math.Min(ya, yb), math.Max(ya, yb)
@@ -101,6 +138,7 @@ func (e *Engine) matchSet(m dual.Motion) (map[SubID]struct{}, error) {
 		ents, err := cl.byY1.RangeAppend(e.scanBuf[:0], lo-cl.maxWidth-pad, hi+pad)
 		e.scanBuf = ents
 		if err != nil {
+			clear(e.hitBits)
 			return nil, fmt.Errorf("subscribe: stab: %w", err)
 		}
 		e.stats.Candidates += uint64(len(ents))
@@ -108,14 +146,21 @@ func (e *Engine) matchSet(m dual.Motion) (map[SubID]struct{}, error) {
 			if en.Aux < lo-pad {
 				continue // query ends below the swept interval
 			}
-			s := e.subs[SubID(en.Val)]
-			q.Y1, q.Y2 = s.y1, s.y2
+			q.Y1, q.Y2 = en.Key, en.Aux // byY1: the entry is the query
 			if m.Matches(q) {
-				e.hitSet[SubID(en.Val)] = struct{}{}
+				e.hitBits[en.Val>>6] |= 1 << (en.Val & 63)
 			}
 		}
 	}
-	return e.hitSet, nil
+	hits := e.hitBuf[:0]
+	for w, word := range e.hitBits {
+		for ; word != 0; word &= word - 1 {
+			hits = append(hits, uint32(w<<6+bits.TrailingZeros64(word)))
+		}
+		e.hitBits[w] = 0
+	}
+	e.hitBuf = hits
+	return hits, nil
 }
 
 // classBoundary returns the earliest future time at which the motion
@@ -203,9 +248,6 @@ func subBoundary(m dual.Motion, y1, y2, w, now float64) float64 {
 func (e *Engine) recert(oid dual.OID, o *object) error {
 	t := math.Inf(1)
 	for _, cl := range e.classes {
-		if cl.count == 0 {
-			continue
-		}
 		b, err := e.classBoundary(cl, o.m)
 		if err != nil {
 			return err

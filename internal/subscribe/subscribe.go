@@ -32,15 +32,24 @@
 // deterministic (affected subscriptions in SubID order per re-evaluation,
 // certificate events in agenda order). Subscriptions are serving-side
 // state, not durable state: the query trees live on a private in-memory
-// store, and a recovered or bulk-reloaded shard re-seeds its engine via
-// Reset.
+// store, and a shard seeds its engine via Reset when the first standing
+// query arrives (and again when a bulk load replaces its contents).
+//
+// Membership is kept in ordered slices, not maps. Every subscription
+// owns a slot in a dense, free-listed table (bounded by the live
+// subscriptions, not by the ids ever issued); the query trees carry the
+// slot as the entry value, an object's memberships are an ascending slot
+// list, and a re-evaluation marks its hits in a bitset over the slots,
+// reads them back ascending and merge-diffs the two lists. Only the
+// difference — usually a handful of slots — is put in SubID order.
 package subscribe
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"mobidx/internal/bptree"
@@ -123,14 +132,15 @@ var ErrUnknownSub = errors.New("subscribe: unknown subscription")
 // object is the engine's view of one mobile object.
 type object struct {
 	m        dual.Motion
-	member   map[SubID]struct{} // subscriptions currently containing it
-	certTime float64            // scheduled certificate time (+Inf: none)
-	certVer  uint64             // stamp of the one live agenda event
+	member   []uint32 // slots of the subscriptions containing it, ascending
+	certTime float64  // scheduled certificate time (+Inf: none)
+	certVer  uint64   // stamp of the one live agenda event
 }
 
 // sub is one standing query.
 type sub struct {
 	id      SubID
+	slot    uint32 // index in Engine.slots; the query trees' entry value
 	y1, y2  float64
 	class   *windowClass
 	members map[dual.OID]struct{}
@@ -145,6 +155,8 @@ type Engine struct {
 	objects map[dual.OID]*object
 	classes map[uint64]*windowClass // keyed by math.Float64bits(window)
 	subs    map[SubID]*sub
+	slots   []*sub   // dense subscription table; nil where free
+	free    []uint32 // free slots, reused before the table grows
 	agenda  *kinetic.Agenda
 	now     float64
 	nextSub SubID
@@ -155,10 +167,11 @@ type Engine struct {
 	// Re-evaluation scratch, reused across calls under mu: the match
 	// path runs once per update and once per certificate fire, so its
 	// buffers must not allocate in steady state.
-	scanBuf  []bptree.Entry     // stab-scan result buffer (RangeAppend dst)
-	hitSet   map[SubID]struct{} // matchSet result, valid until next matchSet
-	leaveBuf []SubID
-	enterBuf []SubID
+	scanBuf  []bptree.Entry // stab-scan result buffer (RangeAppend dst)
+	hitBits  []uint64       // one bit per slot; all zero outside matchSet
+	hitBuf   []uint32       // matchSet result, valid until next matchSet
+	leaveBuf []uint32
+	enterBuf []uint32
 }
 
 // New builds an empty engine.
@@ -177,7 +190,6 @@ func New(cfg Config) (*Engine, error) {
 		subs:    make(map[SubID]*sub),
 		agenda:  kinetic.NewAgenda(),
 		now:     cfg.Start,
-		hitSet:  make(map[SubID]struct{}),
 	}, nil
 }
 
@@ -262,47 +274,72 @@ func (e *Engine) subscribe(y1, y2, window float64, buf int) (SubID, <-chan Delta
 	if err != nil {
 		return 0, nil, err
 	}
+	s := &sub{y1: y1, y2: y2, class: cl, members: make(map[dual.OID]struct{})}
+	e.allocSlot(s)
+	if err := cl.add(s); err != nil {
+		e.freeSlot(s)
+		return 0, nil, errors.Join(fmt.Errorf("subscribe: index query: %w", err), e.dropIfEmpty(cl))
+	}
 	e.nextSub++
-	id := e.nextSub
-	if err := cl.byY1.Insert(bptree.Entry{Key: y1, Val: uint64(id), Aux: y2}); err != nil {
-		return 0, nil, fmt.Errorf("subscribe: index query: %w", err)
-	}
-	if err := cl.byY2.Insert(bptree.Entry{Key: y2, Val: uint64(id), Aux: y1}); err != nil {
-		return 0, nil, fmt.Errorf("subscribe: index query: %w", err)
-	}
-	cl.count++
-	if y2-y1 > cl.maxWidth {
-		cl.maxWidth = y2 - y1
-	}
-	s := &sub{id: id, y1: y1, y2: y2, class: cl, members: make(map[dual.OID]struct{})}
+	s.id = e.nextSub
 	if buf >= 0 {
 		s.ch = make(chan Delta, buf)
 	}
-	e.subs[id] = s
+	e.subs[s.id] = s
 
-	// Initial answer set and certificate promotion, in OID order: every
-	// current member enters, and any object whose boundary against the
-	// new query precedes its scheduled certificate gets an earlier one —
+	// Initial answer set and certificate promotion: every current member
+	// enters, in OID order, and any object whose boundary against the new
+	// query precedes its scheduled certificate gets an earlier one —
 	// without this, a crossing of the new query's edges before the next
-	// unrelated event would be missed.
+	// unrelated event would be missed. The certificates are armed in map
+	// order: the agenda pops by (Time, OID, Ver), a total order, so the
+	// order events were pushed in cannot show in the order they fire.
 	q := dual.MORQuery{Y1: y1, Y2: y2, T1: e.now, T2: e.now + window}
-	oids := make([]dual.OID, 0, len(e.objects))
-	for oid := range e.objects {
-		oids = append(oids, oid)
-	}
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
-	for _, oid := range oids {
-		o := e.objects[oid]
+	var oids []dual.OID
+	for oid, o := range e.objects {
 		if o.m.Matches(q) {
-			o.member[id] = struct{}{}
+			at, _ := slices.BinarySearch(o.member, s.slot)
+			o.member = slices.Insert(o.member, at, s.slot)
 			s.members[oid] = struct{}{}
-			e.emit(s, oid, Enter)
+			oids = append(oids, oid)
 		}
 		if t := subBoundary(o.m, y1, y2, window, e.now); t < o.certTime {
 			e.arm(oid, o, t)
 		}
 	}
-	return id, s.ch, nil
+	slices.Sort(oids)
+	for _, oid := range oids {
+		e.emit(s, oid, Enter)
+	}
+	return s.id, s.ch, nil
+}
+
+// allocSlot gives the subscription a slot, reusing a freed one before
+// growing the table (and the hit bitset with it).
+func (e *Engine) allocSlot(s *sub) {
+	if n := len(e.free); n > 0 {
+		s.slot, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		s.slot = uint32(len(e.slots))
+		e.slots = append(e.slots, nil)
+		if len(e.slots) > 64*len(e.hitBits) {
+			e.hitBits = append(e.hitBits, 0)
+		}
+	}
+	e.slots[s.slot] = s
+}
+
+func (e *Engine) freeSlot(s *sub) {
+	e.slots[s.slot] = nil
+	e.free = append(e.free, s.slot)
+}
+
+// byID puts a slot list in the SubID order deltas are emitted in. Slot
+// order is id order until a freed slot is reused.
+func (e *Engine) byID(slots []uint32) {
+	if len(slots) > 1 {
+		slices.SortFunc(slots, func(a, b uint32) int { return cmp.Compare(e.slots[a].id, e.slots[b].id) })
+	}
 }
 
 // Unsubscribe tears the standing query down. Undrained deltas are
@@ -318,24 +355,20 @@ func (e *Engine) Unsubscribe(id SubID) error {
 	if !ok {
 		return fmt.Errorf("subscribe: unsubscribe %d: %w", id, ErrUnknownSub)
 	}
-	if err := s.class.byY1.Delete(s.y1, uint64(id)); err != nil {
+	if err := s.class.remove(s); err != nil {
 		return fmt.Errorf("subscribe: unsubscribe %d: %w", id, err)
-	}
-	if err := s.class.byY2.Delete(s.y2, uint64(id)); err != nil {
-		return fmt.Errorf("subscribe: unsubscribe %d: %w", id, err)
-	}
-	s.class.count--
-	if s.class.count == 0 {
-		s.class.maxWidth = 0 // no members left to widen the stab window for
 	}
 	for oid := range s.members {
-		delete(e.objects[oid].member, id)
+		o := e.objects[oid]
+		at, _ := slices.BinarySearch(o.member, s.slot)
+		o.member = slices.Delete(o.member, at, at+1)
 	}
 	if s.ch != nil {
 		close(s.ch)
 	}
 	delete(e.subs, id)
-	return nil
+	e.freeSlot(s)
+	return e.dropIfEmpty(s.class)
 }
 
 // Apply feeds a batch of motion mutations at the current engine time.
@@ -363,9 +396,7 @@ func (e *Engine) Apply(ops []Op) error {
 			i++
 			continue
 		}
-		if err := e.remove(op.M.OID); err != nil {
-			return err
-		}
+		e.remove(op.M.OID)
 	}
 	e.maybeCompact()
 	return nil
@@ -445,7 +476,7 @@ func (e *Engine) Members(id SubID) ([]dual.OID, error) {
 	for oid := range s.members {
 		out = append(out, oid)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -460,20 +491,25 @@ func (e *Engine) Reset(ms []dual.Motion) error {
 	if e.closed {
 		return ErrClosed
 	}
-	keep := make(map[dual.OID]struct{}, len(ms))
-	for _, m := range ms {
-		keep[m.OID] = struct{}{}
-	}
-	gone := make([]dual.OID, 0)
-	for oid := range e.objects {
-		if _, ok := keep[oid]; !ok {
-			gone = append(gone, oid)
+	if len(e.subs) == 0 {
+		// No standing query can see the old population leave: drop it
+		// wholesale. This is how a shard seeds and empties an idle engine.
+		e.objects = make(map[dual.OID]*object, len(ms))
+		e.agenda = kinetic.NewAgenda()
+	} else {
+		keep := make(map[dual.OID]struct{}, len(ms))
+		for _, m := range ms {
+			keep[m.OID] = struct{}{}
 		}
-	}
-	sort.Slice(gone, func(i, j int) bool { return gone[i] < gone[j] })
-	for _, oid := range gone {
-		if err := e.remove(oid); err != nil {
-			return err
+		gone := make([]dual.OID, 0)
+		for oid := range e.objects {
+			if _, ok := keep[oid]; !ok {
+				gone = append(gone, oid)
+			}
+		}
+		slices.Sort(gone)
+		for _, oid := range gone {
+			e.remove(oid)
 		}
 	}
 	for _, m := range ms {
@@ -510,6 +546,7 @@ func (e *Engine) Close() error {
 		}
 	}
 	e.subs = nil
+	e.slots = nil
 	e.objects = nil
 	e.classes = nil
 	e.agenda = nil
@@ -539,7 +576,7 @@ func (e *Engine) upsert(m dual.Motion) error {
 	}
 	o := e.objects[m.OID]
 	if o == nil {
-		o = &object{member: make(map[SubID]struct{}), certTime: math.Inf(1)}
+		o = &object{certTime: math.Inf(1)}
 		e.objects[m.OID] = o
 	}
 	o.m = m
@@ -552,57 +589,60 @@ func (e *Engine) upsert(m dual.Motion) error {
 
 // remove drops one motion, emitting Leave for every membership. Unknown
 // OIDs are a no-op, so delete ops are idempotent.
-func (e *Engine) remove(oid dual.OID) error {
+func (e *Engine) remove(oid dual.OID) {
 	o := e.objects[oid]
 	if o == nil {
-		return nil
+		return
 	}
-	ids := make([]SubID, 0, len(o.member))
-	for id := range o.member {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		s := e.subs[id]
+	e.byID(o.member)
+	for _, slot := range o.member {
+		s := e.slots[slot]
 		delete(s.members, oid)
 		e.emit(s, oid, Leave)
 	}
 	delete(e.objects, oid) // orphans the agenda event; pop skips it
 	e.stats.Removes++
-	return nil
 }
 
 // refresh recomputes the object's exact membership across all standing
 // queries and emits the difference: leaves then enters, each in SubID
 // order.
 func (e *Engine) refresh(oid dual.OID, o *object) error {
-	got, err := e.matchSet(o.m)
+	hits, err := e.matchSet(o.m)
 	if err != nil {
 		return err
 	}
+	// Both lists ascend by slot: one merge pass finds the difference.
 	leave, enter := e.leaveBuf[:0], e.enterBuf[:0]
-	for id := range o.member {
-		if _, ok := got[id]; !ok {
-			leave = append(leave, id)
+	old, i, j := o.member, 0, 0
+	for i < len(old) && j < len(hits) {
+		switch {
+		case old[i] == hits[j]:
+			i, j = i+1, j+1
+		case old[i] < hits[j]:
+			leave = append(leave, old[i])
+			i++
+		default:
+			enter = append(enter, hits[j])
+			j++
 		}
 	}
-	for id := range got {
-		if _, ok := o.member[id]; !ok {
-			enter = append(enter, id)
-		}
-	}
+	leave = append(leave, old[i:]...)
+	enter = append(enter, hits[j:]...)
 	e.leaveBuf, e.enterBuf = leave, enter
-	sort.Slice(leave, func(i, j int) bool { return leave[i] < leave[j] })
-	sort.Slice(enter, func(i, j int) bool { return enter[i] < enter[j] })
-	for _, id := range leave {
-		s := e.subs[id]
-		delete(o.member, id)
+	if len(leave)+len(enter) == 0 {
+		return nil
+	}
+	o.member = append(o.member[:0], hits...)
+	e.byID(leave)
+	e.byID(enter)
+	for _, slot := range leave {
+		s := e.slots[slot]
 		delete(s.members, oid)
 		e.emit(s, oid, Leave)
 	}
-	for _, id := range enter {
-		s := e.subs[id]
-		o.member[id] = struct{}{}
+	for _, slot := range enter {
+		s := e.slots[slot]
 		s.members[oid] = struct{}{}
 		e.emit(s, oid, Enter)
 	}

@@ -392,6 +392,12 @@ func TestDeltaSequencingAndDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("two identical runs emitted different delta streams:\n%v\n%v", a, b)
 	}
+	// Recorded from the map-based membership of commit 4aa2e1a: a change of
+	// representation must not move one delta.
+	const want = "5c07b778b56a987cd57ec966ed914265158a78d20ee5cb2785ede377af1f1522"
+	if got := StreamHash(a); got != want {
+		t.Fatalf("%d deltas hash to %s, want %s", len(a), got, want)
+	}
 	perSub := make(map[SubID]uint64)
 	global := make(map[uint64]bool)
 	for _, d := range a {

@@ -55,9 +55,12 @@ echo "== subscription storm (leak + race gated) =="
 # The continuous-query engine under a live update storm: concurrent
 # subscribe/unsubscribe/update/advance stress, Unsubscribe and Close
 # mid-storm with leakcheck asserting no goroutine survives, and the
-# differential oracle suite. -count=1 defeats the cache so the race
-# detector really runs.
+# differential oracle suite (churn leg included); then one shard under
+# concurrent Apply x Subscribe x Unsubscribe x Query, where the first
+# Subscribe seeds the idle engine and the last Unsubscribe empties it.
+# -count=1 defeats the cache so the race detector really runs.
 go test -race -count=1 -run 'Storm|Stress|Differential|Leak' ./internal/subscribe
+go test -race -count=1 -run 'TestSubscribeStormOnShard' ./internal/shard
 
 echo "== chaos sweep (topology x fault x policy, race-gated) =="
 # The sharded-serving chaos harness: every topology through every fault
@@ -108,14 +111,16 @@ echo "== zero-allocation gates =="
 # but the one page image the stores below share (TestUpdateZeroAllocAboveStores);
 # in the pager a commit allocates the same for 8 staged pages as for 512,
 # a pool write one image and a pool miss on a page the WAL holds only the
-# frame header. testing.AllocsPerRun makes a regression a test failure.
-go test -count=1 -run 'ZeroAlloc' ./internal/bptree ./internal/pager
+# frame header; in the subscription engine an upsert or a certificate
+# fire that changes no membership allocates nothing.
+# testing.AllocsPerRun makes a regression a test failure.
+go test -count=1 -run 'ZeroAlloc' ./internal/bptree ./internal/pager ./internal/subscribe
 
 echo "== bench smoke =="
 # One iteration of each benchmark: catches bit-rot in the benchmark code
 # (and the bulk-vs-incremental build paths it drives) without timing
 # anything.
-go test -run '^$' -bench . -benchtime=1x ./internal/bptree ./internal/pager
+go test -run '^$' -bench . -benchtime=1x ./internal/bptree ./internal/pager ./internal/subscribe
 
 echo "== mobbench smoke =="
 # cmd/mobbench has no test file: run its quickest sweep, and check that a
