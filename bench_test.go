@@ -263,14 +263,14 @@ func BenchmarkPartitionTree(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			base := pager.NewMemStore(pager.DefaultPageSize)
 			buf := pager.NewBuffered(base, harness.BufferPages)
-			t, err := parttree.New(buf, parttree.Config{})
+			t, err := parttree.New(buf, 2)
 			if err != nil {
 				b.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(23))
 			pts := make([]parttree.Point, n)
 			for i := range pts {
-				pts[i] = parttree.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000, Val: uint64(i)}
+				pts[i] = parttree.Pt(geom.Vec{rng.Float64() * 1000, rng.Float64() * 1000}, uint64(i))
 			}
 			if err := t.BulkLoad(pts); err != nil {
 				b.Fatal(err)

@@ -26,8 +26,13 @@ import (
 // checked by every constructor against the store's PageSize), these two
 // facts imply that every write lands inside the page: H + cap·S ≤
 // PageSize. The pass checks exactly the half of that argument the
-// compiler can see; offsets it cannot fold (a stride fetched from a
-// codec method value) are skipped, never guessed.
+// compiler can see; offsets it cannot fold are skipped, never guessed.
+// That covers a stride fetched from a codec method value and, since the
+// k-d tree and the partition tree became d-dimensional, their point and
+// cell records (strides 4d+4 and 8d+4, displacements 4·k): for those only
+// the headers and the k-d directory's 16-byte slots are folded, and the
+// rest of the argument is the constructors' run-time assertion plus the
+// decoders' ErrPageCorrupt checks.
 var CodecBounds = &Pass{
 	Name: "codecbounds",
 	Doc:  "constant-folded codec offsets must stay inside the declared header and record strides",

@@ -165,18 +165,16 @@ func (k *KDDual) BulkLoad(ms []dual.Motion) error {
 			pos := make([]kdtree.Point, 0, len(group))
 			neg := make([]kdtree.Point, 0, len(group))
 			for _, m := range group {
-				p := dual.HoughX(m, g.tref)
-				pt := kdtree.Point{X: p.X, Y: p.Y, Val: uint64(m.OID)}
 				if m.V > 0 {
-					pos = append(pos, pt)
+					pos = append(pos, g.point(m))
 				} else {
-					neg = append(neg, pt)
+					neg = append(neg, g.point(m))
 				}
 			}
-			if err := g.pos.BulkLoad(pos, 0); err != nil {
+			if err := g.pos.BulkLoad(pos); err != nil {
 				return err
 			}
-			if err := g.neg.BulkLoad(neg, 0); err != nil {
+			if err := g.neg.BulkLoad(neg); err != nil {
 				return err
 			}
 			g.size = len(group)
@@ -207,12 +205,10 @@ func (p *PartTreeDual) BulkLoad(ms []dual.Motion) error {
 		}
 		var pp, np []parttree.Point
 		for _, m := range group {
-			pt := dual.HoughX(m, g.tref)
-			q := parttree.Point{X: pt.X, Y: pt.Y, Val: uint64(m.OID)}
 			if m.V > 0 {
-				pp = append(pp, q)
+				pp = append(pp, g.point(m))
 			} else {
-				np = append(np, q)
+				np = append(np, g.point(m))
 			}
 		}
 		if err := g.pos.BulkLoad(pp); err != nil {

@@ -90,19 +90,19 @@ func newKDDualGen(store pager.Store, cfg KDDualConfig, tref float64) (*kdDualGen
 	// a ∈ [0, YMax + VMax·p] for V < 0. Small eps margin absorbs float32
 	// rounding at the edges.
 	const eps = 1e-3
-	posWorld := geom.Rect{
-		MinX: tr.VMin - eps, MaxX: tr.VMax + eps,
-		MinY: -tr.VMax*p - eps, MaxY: tr.YMax + eps,
+	posWorld := geom.Box{
+		Lo: geom.Vec{tr.VMin - eps, -tr.VMax*p - eps},
+		Hi: geom.Vec{tr.VMax + eps, tr.YMax + eps},
 	}
-	negWorld := geom.Rect{
-		MinX: -tr.VMax - eps, MaxX: -tr.VMin + eps,
-		MinY: -eps, MaxY: tr.YMax + tr.VMax*p + eps,
+	negWorld := geom.Box{
+		Lo: geom.Vec{-tr.VMax - eps, -eps},
+		Hi: geom.Vec{-tr.VMin + eps, tr.YMax + tr.VMax*p + eps},
 	}
-	pt, err := kdtree.New(store, kdtree.Config{World: posWorld})
+	pt, err := kdtree.New(store, 2, posWorld)
 	if err != nil {
 		return nil, err
 	}
-	nt, err := kdtree.New(store, kdtree.Config{World: negWorld})
+	nt, err := kdtree.New(store, 2, negWorld)
 	if err != nil {
 		return nil, err
 	}
@@ -118,9 +118,14 @@ func (g *kdDualGen) tree(positive bool) *kdtree.Tree {
 
 func (g *kdDualGen) Len() int { return g.size }
 
-func (g *kdDualGen) Insert(m dual.Motion) error {
+// point is the motion's Hough-X dual (v, a) relative to tref.
+func (g *kdDualGen) point(m dual.Motion) kdtree.Point {
 	p := dual.HoughX(m, g.tref)
-	if err := g.tree(m.V > 0).Insert(kdtree.Point{X: p.X, Y: p.Y, Val: uint64(m.OID)}); err != nil {
+	return kdtree.Pt(geom.Vec{p.X, p.Y}, uint64(m.OID))
+}
+
+func (g *kdDualGen) Insert(m dual.Motion) error {
+	if err := g.tree(m.V > 0).Insert(g.point(m)); err != nil {
 		return err
 	}
 	g.size++
@@ -128,8 +133,7 @@ func (g *kdDualGen) Insert(m dual.Motion) error {
 }
 
 func (g *kdDualGen) Delete(m dual.Motion) error {
-	p := dual.HoughX(m, g.tref)
-	found, err := g.tree(m.V > 0).Delete(kdtree.Point{X: p.X, Y: p.Y, Val: uint64(m.OID)})
+	found, err := g.tree(m.V > 0).Delete(g.point(m))
 	if err != nil {
 		return err
 	}
@@ -142,6 +146,7 @@ func (g *kdDualGen) Delete(m dual.Motion) error {
 
 func (g *kdDualGen) Query(q dual.MORQuery, emit func(dual.OID)) error {
 	for _, positive := range []bool{true, false} {
+		// The exact-clip classifier: Figures 6-9 were measured with it.
 		reg := dual.HoughXRegion(q, g.tref, g.cfg.Terrain, positive)
 		err := g.tree(positive).SearchRegion(reg, func(p kdtree.Point) bool {
 			// Points inside the Proposition 1 region are exact answers

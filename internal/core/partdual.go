@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mobidx/internal/dual"
+	"mobidx/internal/geom"
 	"mobidx/internal/pager"
 	"mobidx/internal/parttree"
 )
@@ -31,11 +32,11 @@ func NewPartTreeDual(store pager.Store, cfg PartTreeDualConfig) (*PartTreeDual, 
 	}
 	p := &PartTreeDual{cfg: cfg}
 	rot, err := NewRotator(cfg.Terrain.TPeriod(), motionTime, func(tref float64) (*partDualGen, error) {
-		pos, err := parttree.New(store, parttree.Config{})
+		pos, err := parttree.New(store, 2)
 		if err != nil {
 			return nil, err
 		}
-		neg, err := parttree.New(store, parttree.Config{})
+		neg, err := parttree.New(store, 2)
 		if err != nil {
 			return nil, err
 		}
@@ -89,9 +90,14 @@ func (g *partDualGen) tree(positive bool) *parttree.Tree {
 
 func (g *partDualGen) Len() int { return g.size }
 
+// point is the motion's Hough-X dual (v, a) relative to tref.
+func (g *partDualGen) point(m dual.Motion) parttree.Point {
+	p := dual.HoughX(m, g.tref)
+	return parttree.Pt(geom.Vec{p.X, p.Y}, uint64(m.OID))
+}
+
 func (g *partDualGen) Insert(m dual.Motion) error {
-	pt := dual.HoughX(m, g.tref)
-	if err := g.tree(m.V > 0).Insert(parttree.Point{X: pt.X, Y: pt.Y, Val: uint64(m.OID)}); err != nil {
+	if err := g.tree(m.V > 0).Insert(g.point(m)); err != nil {
 		return err
 	}
 	g.size++
@@ -99,8 +105,7 @@ func (g *partDualGen) Insert(m dual.Motion) error {
 }
 
 func (g *partDualGen) Delete(m dual.Motion) error {
-	pt := dual.HoughX(m, g.tref)
-	found, err := g.tree(m.V > 0).Delete(parttree.Point{X: pt.X, Y: pt.Y, Val: uint64(m.OID)})
+	found, err := g.tree(m.V > 0).Delete(g.point(m))
 	if err != nil {
 		return err
 	}

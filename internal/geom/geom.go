@@ -390,3 +390,138 @@ func (r ConvexRegion) ClassifyRect(rect Rect) RegionRelation {
 	}
 	return Outside
 }
+
+// MaxDims is the highest dimensionality the point indexes store: the dual
+// space (vx, ax, vy, ay) of §4.2.
+const MaxDims = 4
+
+// Vec is a point of ℝ^d, d ≤ MaxDims, held inline so that carrying one
+// costs no allocation. Coordinates past d are zero.
+type Vec [MaxDims]float64
+
+// GridVec is a Vec snapped to the float32 grid on which the point indexes
+// store coordinates on their pages.
+type GridVec [MaxDims]float32
+
+// Grid snaps v to the float32 grid.
+func (v Vec) Grid() GridVec {
+	var g GridVec
+	for i, x := range v {
+		g[i] = float32(x)
+	}
+	return g
+}
+
+// Vec widens g back to float64; the values are unchanged.
+func (g GridVec) Vec() Vec {
+	var v Vec
+	for i, x := range g {
+		v[i] = float64(x)
+	}
+	return v
+}
+
+// Box is the axis-parallel d-box [Lo, Hi].
+type Box struct {
+	Lo, Hi Vec
+}
+
+// Contains reports whether the first d coordinates of p lie inside b
+// (boundary inclusive).
+func (b Box) Contains(p Vec, d int) bool {
+	for i := 0; i < d; i++ {
+		if p[i] < b.Lo[i]-Eps || p[i] > b.Hi[i]+Eps {
+			return false
+		}
+	}
+	return true
+}
+
+// Region is a query region as a point index sees it: the one thing a k-d
+// tree or a partition tree needs from a query is how it relates to a cell
+// and whether it holds a point. There are exactly two implementations.
+// ConvexRegion (d = 2) clips the cell against the whole conjunction, which
+// is exact; HalfSpaces (any d) tests one constraint at a time, which never
+// misses an answer but may call a cell Partial that the conjunction as a
+// whole does not reach.
+type Region interface {
+	// Dims is the dimensionality of the space the region lives in; an
+	// index of another dimensionality rejects it.
+	Dims() int
+	ClassifyBox(b Box) RegionRelation
+	ContainsVec(p Vec) bool
+}
+
+// Dims implements Region: a ConvexRegion lives in the plane.
+func (r ConvexRegion) Dims() int { return 2 }
+
+// ClassifyBox implements Region by the exact clip of ClassifyRect.
+func (r ConvexRegion) ClassifyBox(b Box) RegionRelation {
+	return r.ClassifyRect(Rect{MinX: b.Lo[0], MinY: b.Lo[1], MaxX: b.Hi[0], MaxY: b.Hi[1]})
+}
+
+// ContainsVec implements Region.
+func (r ConvexRegion) ContainsVec(p Vec) bool { return r.ContainsPoint(Point{X: p[0], Y: p[1]}) }
+
+// HalfSpace is the constraint Coef·x <= C in ℝ^d.
+type HalfSpace struct {
+	Coef Vec
+	C    float64
+}
+
+// Extremes returns the minimum and maximum of Coef·x over the first d
+// dimensions of b: a linear functional attains both at corners, chosen per
+// coordinate by the sign of its coefficient.
+func (h HalfSpace) Extremes(b Box, d int) (lo, hi float64) {
+	for i := 0; i < d; i++ {
+		if a := h.Coef[i]; a >= 0 {
+			lo += a * b.Lo[i]
+			hi += a * b.Hi[i]
+		} else {
+			lo += a * b.Hi[i]
+			hi += a * b.Lo[i]
+		}
+	}
+	return lo, hi
+}
+
+// HalfSpaces is a conjunction of half-spaces in ℝ^D; with no constraints
+// it is the whole space.
+type HalfSpaces struct {
+	D  int
+	Hs []HalfSpace
+}
+
+// Dims implements Region.
+func (r HalfSpaces) Dims() int { return r.D }
+
+// ClassifyBox implements Region one constraint at a time: Outside as soon
+// as one half-space misses the box entirely, Inside when every one
+// contains it.
+func (r HalfSpaces) ClassifyBox(b Box) RegionRelation {
+	rel := Inside
+	for _, h := range r.Hs {
+		lo, hi := h.Extremes(b, r.D)
+		if lo > h.C+Eps {
+			return Outside
+		}
+		if hi > h.C+Eps {
+			rel = Partial
+		}
+	}
+	return rel
+}
+
+// ContainsVec implements Region.
+func (r HalfSpaces) ContainsVec(p Vec) bool {
+	for _, h := range r.Hs {
+		s := 0.0
+		for i := 0; i < r.D; i++ {
+			s += h.Coef[i] * p[i]
+		}
+		if s > h.C+Eps {
+			return false
+		}
+	}
+	return true
+}

@@ -220,14 +220,14 @@ func RunBuildBench(cfg BuildBenchConfig, logf func(format string, args ...any)) 
 	add(r)
 
 	// --- k-d tree (§3.5.1 PAM) -------------------------------------------
-	world := geom.Rect{MinX: -10, MinY: -10, MaxX: 1010, MaxY: 1010}
+	world := geom.Box{Lo: geom.Vec{-10, -10}, Hi: geom.Vec{1010, 1010}}
 	points := make([]kdtree.Point, cfg.N)
 	for i := range points {
-		points[i] = kdtree.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000, Val: uint64(i)}
+		points[i] = kdtree.Pt(geom.Vec{rng.Float64() * 1000, rng.Float64() * 1000}, uint64(i))
 	}
 
 	r, err = measureBuild("kdtree", "incremental", cfg.N, cfg.BufferPages, func(st pager.Store) error {
-		tr, err := kdtree.New(st, kdtree.Config{World: world})
+		tr, err := kdtree.New(st, 2, world)
 		if err != nil {
 			return err
 		}
@@ -244,11 +244,11 @@ func RunBuildBench(cfg BuildBenchConfig, logf func(format string, args ...any)) 
 	add(r)
 
 	r, err = measureBuild("kdtree", "bulk", cfg.N, cfg.BufferPages, func(st pager.Store) error {
-		tr, err := kdtree.New(st, kdtree.Config{World: world})
+		tr, err := kdtree.New(st, 2, world)
 		if err != nil {
 			return err
 		}
-		return tr.BulkLoad(points, 0)
+		return tr.BulkLoad(points)
 	})
 	if err != nil {
 		return nil, err
@@ -298,11 +298,11 @@ func RunBuildBench(cfg BuildBenchConfig, logf func(format string, args ...any)) 
 	// --- Partition tree (§3.4) -------------------------------------------
 	ppts := make([]parttree.Point, cfg.N)
 	for i := range ppts {
-		ppts[i] = parttree.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000, Val: uint64(i)}
+		ppts[i] = parttree.Pt(geom.Vec{rng.Float64() * 1000, rng.Float64() * 1000}, uint64(i))
 	}
 
 	r, err = measureBuild("parttree", "incremental", cfg.N, cfg.BufferPages, func(st pager.Store) error {
-		tr, err := parttree.New(st, parttree.Config{})
+		tr, err := parttree.New(st, 2)
 		if err != nil {
 			return err
 		}
@@ -319,7 +319,7 @@ func RunBuildBench(cfg BuildBenchConfig, logf func(format string, args ...any)) 
 	add(r)
 
 	r, err = measureBuild("parttree", "bulk", cfg.N, cfg.BufferPages, func(st pager.Store) error {
-		tr, err := parttree.New(st, parttree.Config{})
+		tr, err := parttree.New(st, 2)
 		if err != nil {
 			return err
 		}

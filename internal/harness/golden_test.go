@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"mobidx/internal/geom"
-	"mobidx/internal/kdnd"
 	"mobidx/internal/kdtree"
 	"mobidx/internal/pager"
 	"mobidx/internal/parttree"
@@ -20,8 +19,8 @@ import (
 // their pages and what a fixed query set costs and answers, at d = 2 and
 // d = 4, so that a refactor of either structure is shown not to move the
 // paper reproduction. Every constant below was captured from the
-// implementations at commit 09179fc (internal/kdtree + internal/kdnd,
-// parttree.Tree + parttree.NDTree); none may be edited to make a later
+// implementations at commit 09179fc, which had a 2-dimensional and a
+// d-dimensional copy of each structure; none may be edited to make a later
 // commit pass.
 
 // goldenHalfSpace is Coef·x <= C over the first d coordinates.
@@ -34,8 +33,9 @@ type goldenHalfSpace struct {
 type goldenIndex struct {
 	insert func(val uint64, c []float64) error
 	remove func(val uint64, c []float64) (bool, error)
-	// bulk is nil where the structure had no bulk loader when the
-	// constants were captured (the 4-dimensional k-d tree).
+	// bulk is nil on the rows whose stream has no bulk-load step (the
+	// 4-dimensional k-d tree had no bulk loader when the constants were
+	// captured).
 	bulk   func(vals []uint64, cs [][]float64) error
 	search func(q []goldenHalfSpace, emit func(val uint64)) error
 	size   func() int
@@ -45,50 +45,34 @@ type goldenIndex struct {
 // velocities beside wide intercepts, as the dual indexes see them.
 var goldenScale = []float64{2, 1000, 2, 1000}
 
+func goldenVec(c []float64) geom.Vec {
+	var v geom.Vec
+	copy(v[:], c)
+	return v
+}
+
 func goldenKD(t *testing.T, st pager.Store, d int) goldenIndex {
 	t.Helper()
-	if d == 2 {
-		tr, err := kdtree.New(st, kdtree.Config{World: geom.Rect{MinX: 0, MinY: 0, MaxX: goldenScale[0], MaxY: goldenScale[1]}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return goldenIndex{
-			insert: func(val uint64, c []float64) error {
-				return tr.Insert(kdtree.Point{X: c[0], Y: c[1], Val: val})
-			},
-			remove: func(val uint64, c []float64) (bool, error) {
-				return tr.Delete(kdtree.Point{X: c[0], Y: c[1], Val: val})
-			},
-			bulk: func(vals []uint64, cs [][]float64) error {
-				pts := make([]kdtree.Point, len(vals))
-				for i := range pts {
-					pts[i] = kdtree.Point{X: cs[i][0], Y: cs[i][1], Val: vals[i]}
-				}
-				return tr.BulkLoad(pts, 0)
-			},
-			search: func(q []goldenHalfSpace, emit func(uint64)) error {
-				return tr.SearchRegion(goldenRegion2(q), func(p kdtree.Point) bool { emit(p.Val); return true })
-			},
-			size: tr.Len,
-		}
-	}
-	tr, err := kdnd.New(st, kdnd.Config{Dims: d, World: kdnd.Box{Lo: make([]float64, d), Hi: goldenScale[:d]}})
+	tr, err := kdtree.New(st, d, geom.Box{Hi: goldenVec(goldenScale[:d])})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return goldenIndex{
 		insert: func(val uint64, c []float64) error {
-			return tr.Insert(kdnd.Point{Coords: c, Val: val})
+			return tr.Insert(kdtree.Pt(goldenVec(c), val))
 		},
 		remove: func(val uint64, c []float64) (bool, error) {
-			return tr.Delete(kdnd.Point{Coords: c, Val: val})
+			return tr.Delete(kdtree.Pt(goldenVec(c), val))
+		},
+		bulk: func(vals []uint64, cs [][]float64) error {
+			pts := make([]kdtree.Point, len(vals))
+			for i := range pts {
+				pts[i] = kdtree.Pt(goldenVec(cs[i]), vals[i])
+			}
+			return tr.BulkLoad(pts)
 		},
 		search: func(q []goldenHalfSpace, emit func(uint64)) error {
-			cs := make([]kdnd.Constraint, len(q))
-			for i, h := range q {
-				cs[i] = kdnd.Constraint{Coef: h.Coef, C: h.C}
-			}
-			return tr.SearchConstraints(cs, func(p kdnd.Point) bool { emit(p.Val); return true })
+			return tr.SearchRegion(goldenRegion(q, d), func(p kdtree.Point) bool { emit(p.Val); return true })
 		},
 		size: tr.Len,
 	}
@@ -96,68 +80,47 @@ func goldenKD(t *testing.T, st pager.Store, d int) goldenIndex {
 
 func goldenPart(t *testing.T, st pager.Store, d int) goldenIndex {
 	t.Helper()
-	if d == 2 {
-		tr, err := parttree.New(st, parttree.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return goldenIndex{
-			insert: func(val uint64, c []float64) error {
-				return tr.Insert(parttree.Point{X: c[0], Y: c[1], Val: val})
-			},
-			remove: func(val uint64, c []float64) (bool, error) {
-				return tr.Delete(parttree.Point{X: c[0], Y: c[1], Val: val})
-			},
-			bulk: func(vals []uint64, cs [][]float64) error {
-				pts := make([]parttree.Point, len(vals))
-				for i := range pts {
-					pts[i] = parttree.Point{X: cs[i][0], Y: cs[i][1], Val: vals[i]}
-				}
-				return tr.BulkLoad(pts)
-			},
-			search: func(q []goldenHalfSpace, emit func(uint64)) error {
-				return tr.SearchRegion(goldenRegion2(q), func(p parttree.Point) bool { emit(p.Val); return true })
-			},
-			size: tr.Len,
-		}
-	}
-	tr, err := parttree.NewND(st, d)
+	tr, err := parttree.New(st, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return goldenIndex{
 		insert: func(val uint64, c []float64) error {
-			return tr.Insert(parttree.NDPoint{Coords: c, Val: val})
+			return tr.Insert(parttree.Pt(goldenVec(c), val))
 		},
 		remove: func(val uint64, c []float64) (bool, error) {
-			return tr.Delete(parttree.NDPoint{Coords: c, Val: val})
+			return tr.Delete(parttree.Pt(goldenVec(c), val))
 		},
 		bulk: func(vals []uint64, cs [][]float64) error {
-			pts := make([]parttree.NDPoint, len(vals))
+			pts := make([]parttree.Point, len(vals))
 			for i := range pts {
-				pts[i] = parttree.NDPoint{Coords: cs[i], Val: vals[i]}
+				pts[i] = parttree.Pt(goldenVec(cs[i]), vals[i])
 			}
 			return tr.BulkLoad(pts)
 		},
 		search: func(q []goldenHalfSpace, emit func(uint64)) error {
-			cs := make([]kdnd.Constraint, len(q))
-			for i, h := range q {
-				cs[i] = kdnd.Constraint{Coef: h.Coef, C: h.C}
-			}
-			return tr.SearchConstraints(cs, func(p parttree.NDPoint) bool { emit(p.Val); return true })
+			return tr.SearchRegion(goldenRegion(q, d), func(p parttree.Point) bool { emit(p.Val); return true })
 		},
 		size: tr.Len,
 	}
 }
 
-// goldenRegion2 is the exact-clip classifier Figures 6-9 were measured
-// with; the 2-dimensional rows must keep using it.
-func goldenRegion2(q []goldenHalfSpace) geom.ConvexRegion {
-	cs := make([]geom.Constraint, len(q))
-	for i, h := range q {
-		cs[i] = geom.Constraint{A: h.Coef[0], B: h.Coef[1], C: h.C}
+// goldenRegion gives each row the classifier its constants were captured
+// with: the exact clip of geom.ConvexRegion at d = 2 (what Figures 6-9
+// were measured with), the per-constraint geom.HalfSpaces at d = 4.
+func goldenRegion(q []goldenHalfSpace, d int) geom.Region {
+	if d == 2 {
+		cs := make([]geom.Constraint, len(q))
+		for i, h := range q {
+			cs[i] = geom.Constraint{A: h.Coef[0], B: h.Coef[1], C: h.C}
+		}
+		return geom.NewRegion(cs...)
 	}
-	return geom.NewRegion(cs...)
+	hs := make([]geom.HalfSpace, len(q))
+	for i, h := range q {
+		hs[i] = geom.HalfSpace{Coef: goldenVec(h.Coef), C: h.C}
+	}
+	return geom.HalfSpaces{D: d, Hs: hs}
 }
 
 type goldenLive struct {

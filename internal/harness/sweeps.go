@@ -213,13 +213,13 @@ func PartTreeSweep(ns []int, seed int64) ([]PartRow, error) {
 	for _, n := range ns {
 		base := pager.NewMemStore(pager.DefaultPageSize)
 		buf := pager.NewBuffered(base, BufferPages)
-		t, err := parttree.New(buf, parttree.Config{})
+		t, err := parttree.New(buf, 2)
 		if err != nil {
 			return nil, err
 		}
 		pts := make([]parttree.Point, n)
 		for i := range pts {
-			pts[i] = parttree.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000, Val: uint64(i)}
+			pts[i] = parttree.Pt(geom.Vec{rng.Float64() * 1000, rng.Float64() * 1000}, uint64(i))
 		}
 		if err := t.BulkLoad(pts); err != nil {
 			return nil, err
@@ -244,7 +244,7 @@ func PartTreeSweep(ns []int, seed int64) ([]PartRow, error) {
 			theta := rng.Float64() * math.Pi
 			a, bb := math.Cos(theta), math.Sin(theta)
 			cc := a*rng.Float64()*1000 + bb*rng.Float64()*1000
-			crossed, cells, err := t.MaxLineCrossings(geom.Constraint{A: a, B: bb, C: cc})
+			crossed, cells, err := t.MaxLineCrossings(geom.HalfSpace{Coef: geom.Vec{a, bb}, C: cc})
 			if err != nil {
 				return nil, err
 			}

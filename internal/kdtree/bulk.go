@@ -8,13 +8,7 @@
 // the construction cost differs.
 package kdtree
 
-import (
-	"fmt"
-	"math"
-
-	"mobidx/internal/geom"
-	"mobidx/internal/pager"
-)
+import "mobidx/internal/pager"
 
 // bchild is a link in the in-memory build tree: an internal split when n is
 // non-nil, otherwise a concrete bucket reference.
@@ -31,38 +25,25 @@ type bnode struct {
 	l, r  bchild
 }
 
+// bulkFill is the fraction of a bucket BulkLoad fills: the slack keeps the
+// Inserts that follow a bulk load from splitting every bucket at once.
+const bulkFill = 0.9
+
 // BulkLoad replaces the tree's contents with the given points, splitting
-// until every bucket holds at most fill·BucketCap points (fill 0 selects
-// 0.9). The slack keeps subsequent Inserts from splitting immediately;
-// fill 1.0 packs buckets full. On a batching store the whole rebuild
-// commits atomically. The input slice is not modified.
-func (t *Tree) BulkLoad(points []Point, fill float64) error {
-	if fill == 0 {
-		fill = 0.9
-	}
-	if fill <= 0 || fill > 1 {
-		return fmt.Errorf("kdtree: fill fraction %v outside (0, 1]", fill)
-	}
-	per := int(fill * float64(t.bucketCap))
-	if per < 1 {
-		per = 1
-	}
-	pts := make([]Point, len(points))
-	for i, p := range points {
-		if p.Val > math.MaxUint32 {
-			return fmt.Errorf("kdtree: value %d does not fit in the 32-bit page slot", p.Val)
+// until every bucket holds at most bulkFill·BucketCap points. On a batching
+// store the whole rebuild commits atomically. The input slice is not
+// modified.
+func (t *Tree) BulkLoad(points []Point) error {
+	for _, p := range points {
+		if err := t.checkPoint(p); err != nil {
+			return err
 		}
-		p = roundPoint(p)
-		if !t.world.Contains(geom.Point{X: p.X, Y: p.Y}) {
-			return fmt.Errorf("kdtree: point (%v,%v) outside world %+v", p.X, p.Y, t.world)
-		}
-		pts[i] = p
 	}
-	return pager.RunBatch(t.store, func() error { return t.bulkLoad(pts, per) })
+	return pager.RunBatch(t.store, func() error { return t.bulkLoad(points, int(bulkFill*float64(t.bucketCap))) })
 }
 
 func (t *Tree) bulkLoad(pts []Point, per int) error {
-	if err := t.destroyRef(t.rootRef, nil); err != nil {
+	if err := t.Destroy(); err != nil {
 		return err
 	}
 	c, err := t.buildSub(pts, per)
@@ -81,40 +62,17 @@ func (t *Tree) bulkLoad(pts []Point, per int) error {
 
 // buildSub recursively partitions pts exactly as splitBucket would have,
 // producing buckets of at most per points (or overflow chains for point
-// sets identical in both dimensions).
+// sets identical in every dimension).
 func (t *Tree) buildSub(pts []Point, per int) (bchild, error) {
 	if len(pts) <= per {
 		return t.packBucketChain(pts)
 	}
-	minX, maxX := math.Inf(1), math.Inf(-1)
-	minY, maxY := math.Inf(1), math.Inf(-1)
-	for _, q := range pts {
-		minX, maxX = math.Min(minX, q.X), math.Max(maxX, q.X)
-		minY, maxY = math.Min(minY, q.Y), math.Max(maxY, q.Y)
-	}
-	wx := t.world.MaxX - t.world.MinX
-	wy := t.world.MaxY - t.world.MinY
-	dim := 0
-	if (maxY-minY)*wx > (maxX-minX)*wy {
-		dim = 1
-	}
-	split, ok := medianSplit(pts, dim)
-	if !ok {
-		dim = 1 - dim
-		split, ok = medianSplit(pts, dim)
-	}
+	dim, split, ok := t.chooseSplit(pts)
 	if !ok {
 		// All points identical: an overflow chain, as chainOverflow builds.
 		return t.packBucketChain(pts)
 	}
-	var left, right []Point
-	for _, q := range pts {
-		if q.coord(dim) <= split {
-			left = append(left, q)
-		} else {
-			right = append(right, q)
-		}
-	}
+	left, right := cut(pts, dim, split)
 	lc, err := t.buildSub(left, per)
 	if err != nil {
 		return bchild{}, err

@@ -12,10 +12,24 @@ import (
 // each operation class in turn: every failure must surface as an error
 // (never a panic), and a run on the same data without faults stays intact.
 func TestKDTreeSurfacesStorageFaults(t *testing.T) {
-	world := geom.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
+	eachSpace(t, testSurfacesStorageFaults)
+}
+
+// latticePoint spreads i over [0, 100)^d.
+func latticePoint(d, i int) Point {
+	var v geom.Vec
+	for k, step := range []int{37, 61, 43, 71}[:d] {
+		v[k] = float64((i * step) % 100)
+	}
+	return Pt(v, uint64(i))
+}
+
+func testSurfacesStorageFaults(t *testing.T, sp space) {
+	world := geom.Box{Hi: uniform(sp.d, 100)}
+	query := sp.box(uniform(sp.d, 10), uniform(sp.d, 60))
 	pts := make([]Point, 300)
 	for i := range pts {
-		pts[i] = Point{X: float64((i * 37) % 100), Y: float64((i * 61) % 100), Val: uint64(i)}
+		pts[i] = latticePoint(sp.d, i)
 	}
 	for _, cfg := range []pager.FaultConfig{
 		{Seed: 1, Read: pager.OpFaults{FailEvery: 5}},
@@ -24,7 +38,7 @@ func TestKDTreeSurfacesStorageFaults(t *testing.T) {
 		{Seed: 4, Free: pager.OpFaults{FailEvery: 2}},
 	} {
 		faulty := pager.NewFaultStore(pager.NewMemStore(256), cfg)
-		tr, err := New(faulty, Config{World: world})
+		tr, err := New(faulty, sp.d, world)
 		if err != nil {
 			if !errors.Is(err, pager.ErrInjected) {
 				t.Fatalf("cfg %+v: constructor error outside taxonomy: %v", cfg, err)
@@ -40,7 +54,7 @@ func TestKDTreeSurfacesStorageFaults(t *testing.T) {
 				opErrs++
 			}
 		}
-		if err := tr.SearchRect(geom.Rect{MinX: 10, MinY: 10, MaxX: 60, MaxY: 60}, func(Point) bool { return true }); err != nil {
+		if err := tr.SearchRegion(query, func(Point) bool { return true }); err != nil {
 			if !errors.Is(err, pager.ErrInjected) && !errors.Is(err, pager.ErrPageNotFound) {
 				t.Fatalf("cfg %+v: search error outside taxonomy: %v", cfg, err)
 			}
@@ -63,22 +77,21 @@ func TestKDTreeSurfacesStorageFaults(t *testing.T) {
 // TestKDTreeRetryQuiescence checks full correctness once transient faults
 // are absorbed by the retry layer.
 func TestKDTreeRetryQuiescence(t *testing.T) {
-	world := geom.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
+	eachSpace(t, testRetryQuiescence)
+}
+
+func testRetryQuiescence(t *testing.T, sp space) {
 	build := func(store pager.Store) int {
-		tr, err := New(store, Config{World: world})
+		tr, err := New(store, sp.d, geom.Box{Hi: uniform(sp.d, 100)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 300; i++ {
-			if err := tr.Insert(Point{X: float64((i * 37) % 100), Y: float64((i * 61) % 100), Val: uint64(i)}); err != nil {
+			if err := tr.Insert(latticePoint(sp.d, i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		n := 0
-		if err := tr.SearchRect(geom.Rect{MinX: 10, MinY: 10, MaxX: 60, MaxY: 60}, func(Point) bool { n++; return true }); err != nil {
-			t.Fatal(err)
-		}
-		return n
+		return len(search(t, tr, sp.box(uniform(sp.d, 10), uniform(sp.d, 60))))
 	}
 	want := build(pager.NewMemStore(256))
 	faulty := pager.NewFaultStore(pager.NewMemStore(256), pager.FaultConfig{

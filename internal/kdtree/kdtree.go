@@ -10,11 +10,19 @@
 // median of the wider-spread dimension, and linear-constraint (simplex)
 // search with subtree pruning à la Goldstein et al.
 //
+// The tree is d-dimensional, 1 ≤ d ≤ geom.MaxDims. The 1-dimensional MOR
+// indexes use d = 2 over the dual plane (v, a); §4.2 maps 2-dimensional
+// motion to (vx, ax, vy, ay) and answers its query with the same structure
+// at d = 4. What differs between the two is only how a query classifies a
+// k-d cell, which is the caller's geom.Region.
+//
 // On-page layout. Directory pages hold up to ~255 binary split nodes,
 // forming one subtree per page (fanout between pages is therefore up to
 // 256, giving a directory height comparable to a B-tree's). Bucket pages
-// hold up to B = 340 points of 12 bytes (two 4-byte coordinates and a
-// 4-byte reference), the same record size as the paper's B+-tree method.
+// hold points of 4d+4 bytes (d 4-byte coordinates and a 4-byte reference):
+// at d = 2 that is B = 340 points of 12 bytes, the same record size as the
+// paper's B+-tree method; at d = 4, B = 204 points of 20 bytes, the record
+// size of the R*-tree baseline.
 package kdtree
 
 import (
@@ -26,25 +34,28 @@ import (
 	"mobidx/internal/pager"
 )
 
-// Point is one indexed point with an opaque 32-bit reference.
+// Point is one indexed point: its coordinates on the float32 grid the
+// pages store (zero past the tree's dimensionality) and an opaque
+// reference. Held inline, a point costs no allocation of its own.
 type Point struct {
-	X, Y float64
-	Val  uint64 // must fit in 32 bits
+	C   geom.GridVec
+	Val uint64 // must fit in 32 bits
 }
 
-// Config tunes the tree.
-type Config struct {
-	// World bounds every indexed point; search uses it as the root region
-	// for pruning. Required.
-	World geom.Rect
-}
+// Pt snaps c to the float32 grid used on page.
+func Pt(c geom.Vec, val uint64) Point { return Point{C: c.Grid(), Val: val} }
+
+// Vec returns the point's coordinates.
+func (p Point) Vec() geom.Vec { return p.C.Vec() }
 
 // Tree is a paged k-d tree.
 type Tree struct {
 	store     pager.Store
-	world     geom.Rect
+	dims      int
+	world     geom.Box
 	rootRef   ref
 	size      int
+	pointSize int // bytes per bucket record: 4·dims + 4
 	bucketCap int
 	nodeCap   int
 }
@@ -80,12 +91,18 @@ func (r ref) value() uint32       { return uint32(r) & 0x3fffffff }
 //	off 0: page type (4)
 //	off 2: point count (uint16)
 //	off 4: overflow-chain next bucket page id (uint32; 0 = none)
-//	off 8: points, 12 bytes each: x float32, y float32, val uint32
+//	off 8: points, 4d+4 bytes each: d × float32, val uint32
+//
+// The record stride depends on d, so it is the constructor, not a
+// constant the codecbounds lint can fold, that guarantees
+// header + cap·stride ≤ PageSize; and since a page comes back from the
+// store as whatever bytes the medium kept, readBucket and readDir check
+// every count and index they are about to trust and report a violation as
+// pager.ErrPageCorrupt.
 const (
 	dirHeader    = 12
 	slotSize     = 16
 	bucketHeader = 8
-	pointSize    = 12
 
 	typeDir    = 3
 	typeBucket = 4
@@ -94,7 +111,7 @@ const (
 )
 
 type slot struct {
-	dim         int // 0 = x, 1 = y
+	dim         int
 	split       float64
 	left, right ref
 }
@@ -114,16 +131,27 @@ type bucket struct {
 	points []Point
 }
 
-// New creates an empty tree whose points all lie within cfg.World.
-func New(store pager.Store, cfg Config) (*Tree, error) {
-	if cfg.World.IsEmpty() {
-		return nil, fmt.Errorf("kdtree: config requires a non-empty World rect")
+// New creates an empty dims-dimensional tree whose points all lie within
+// world. Search prunes from world as the root cell, and its per-dimension
+// extents normalize the choice of split dimension.
+func New(store pager.Store, dims int, world geom.Box) (*Tree, error) {
+	if dims < 1 || dims > geom.MaxDims {
+		return nil, fmt.Errorf("kdtree: dims must be in [1, %d], got %d", geom.MaxDims, dims)
 	}
-	t := &Tree{store: store, world: cfg.World}
-	t.bucketCap = (store.PageSize() - bucketHeader) / pointSize
-	t.nodeCap = (store.PageSize() - dirHeader) / slotSize
-	if t.bucketCap < 4 || t.nodeCap < 4 {
-		return nil, fmt.Errorf("kdtree: page size %d too small", store.PageSize())
+	for i := 0; i < dims; i++ {
+		if !(world.Lo[i] < world.Hi[i]) {
+			return nil, fmt.Errorf("kdtree: empty world extent in dimension %d", i)
+		}
+	}
+	ps := store.PageSize()
+	t := &Tree{store: store, dims: dims, world: world, pointSize: 4*dims + 4}
+	t.bucketCap = (ps - bucketHeader) / t.pointSize
+	t.nodeCap = (ps - dirHeader) / slotSize
+	// The second line is the bound every codec write relies on, asserted
+	// here because no lint can fold a stride that depends on dims.
+	if t.bucketCap < 4 || t.nodeCap < 4 ||
+		bucketHeader+t.bucketCap*t.pointSize > ps || dirHeader+t.nodeCap*slotSize > ps {
+		return nil, fmt.Errorf("kdtree: page size %d too small for %d dims", ps, dims)
 	}
 	b, err := t.allocBucket()
 	if err != nil {
@@ -141,6 +169,30 @@ func (t *Tree) Len() int { return t.size }
 
 // BucketCap returns the page capacity B for data points.
 func (t *Tree) BucketCap() int { return t.bucketCap }
+
+// corrupt reports a page whose bytes cannot have been written by this
+// codec.
+func corrupt(id pager.PageID, format string, args ...any) error {
+	return fmt.Errorf("kdtree: %w: page %d %s", pager.ErrPageCorrupt, id, fmt.Sprintf(format, args...))
+}
+
+// walk bounds the page reads of one traversal. No traversal reads a page
+// twice, so one that has read more pages than the store holds is going
+// round a reference cycle that only a corrupt page can have planted. A nil
+// walk bounds nothing: it is for the single reads outside a traversal.
+type walk struct{ left int }
+
+func (t *Tree) newWalk() *walk { return &walk{left: t.store.PagesInUse()} }
+
+func (w *walk) step(id pager.PageID) error {
+	if w == nil {
+		return nil
+	}
+	if w.left--; w.left < 0 {
+		return corrupt(id, "is reached again: page references form a cycle")
+	}
+	return nil
+}
 
 // ---------------------------------------------------------------------------
 // Serialization
@@ -176,36 +228,57 @@ func (t *Tree) writeBucket(b *bucket) error {
 	put32(data[4:], uint32(b.next))
 	off := bucketHeader
 	for _, pt := range b.points {
-		putf32(data[off:], pt.X)
-		putf32(data[off+4:], pt.Y)
-		put32(data[off+8:], uint32(pt.Val))
-		off += pointSize
+		for k := 0; k < t.dims; k++ {
+			put32(data[off+4*k:], math.Float32bits(pt.C[k]))
+		}
+		put32(data[off+4*t.dims:], uint32(pt.Val))
+		off += t.pointSize
 	}
 	err := t.store.Write(&pager.Page{ID: b.id, Data: data})
 	pb.Release()
 	return err
 }
 
-func (t *Tree) readBucket(id pager.PageID) (*bucket, error) {
+// readPage reads page id, charging the read to traversal w when it is not
+// nil, and checks that the image is a whole page of the wanted type.
+func (t *Tree) readPage(w *walk, id pager.PageID, typ byte) ([]byte, error) {
+	if err := w.step(id); err != nil {
+		return nil, err
+	}
 	p, err := t.store.Read(id)
 	if err != nil {
 		return nil, err
 	}
-	d := p.Data
-	if d[0] != typeBucket {
-		return nil, fmt.Errorf("kdtree: page %d is not a bucket", id)
+	if len(p.Data) < t.store.PageSize() {
+		return nil, corrupt(id, "is %d bytes long", len(p.Data))
+	}
+	if p.Data[0] != typ {
+		return nil, corrupt(id, "has type %d, want %d", p.Data[0], typ)
+	}
+	return p.Data, nil
+}
+
+func (t *Tree) readBucket(w *walk, id pager.PageID) (*bucket, error) {
+	d, err := t.readPage(w, id, typeBucket)
+	if err != nil {
+		return nil, err
 	}
 	b := &bucket{id: id, next: pager.PageID(get32(d[4:]))}
 	count := get16(d[2:])
+	if count > t.bucketCap {
+		return nil, corrupt(id, "holds %d points, capacity %d", count, t.bucketCap)
+	}
+	if b.next == id {
+		return nil, corrupt(id, "chains to itself")
+	}
 	b.points = make([]Point, count)
 	off := bucketHeader
-	for i := 0; i < count; i++ {
-		b.points[i] = Point{
-			X:   getf32(d[off:]),
-			Y:   getf32(d[off+4:]),
-			Val: uint64(get32(d[off+8:])),
+	for i := range b.points {
+		for k := 0; k < t.dims; k++ {
+			b.points[i].C[k] = math.Float32frombits(get32(d[off+4*k:]))
 		}
-		off += pointSize
+		b.points[i].Val = uint64(get32(d[off+4*t.dims:]))
+		off += t.pointSize
 	}
 	return b, nil
 }
@@ -242,14 +315,14 @@ func (t *Tree) writeDir(dp *dirPage) error {
 	return err
 }
 
-func (t *Tree) readDir(id pager.PageID) (*dirPage, error) {
-	p, err := t.store.Read(id)
+// readDir decodes directory page id. Beyond the header bounds it checks
+// that the in-page nodes reachable from the root and the free chain
+// together account for every allocated slot, so no later walk of the page
+// can index past it or loop inside it.
+func (t *Tree) readDir(w *walk, id pager.PageID) (*dirPage, error) {
+	d, err := t.readPage(w, id, typeDir)
 	if err != nil {
 		return nil, err
-	}
-	d := p.Data
-	if d[0] != typeDir {
-		return nil, fmt.Errorf("kdtree: page %d is not a directory page", id)
 	}
 	dp := &dirPage{
 		id:    id,
@@ -257,6 +330,9 @@ func (t *Tree) readDir(id pager.PageID) (*dirPage, error) {
 		root:  get16(d[4:]),
 		free:  get16(d[6:]),
 		high:  get16(d[8:]),
+	}
+	if dp.high > t.nodeCap || dp.count > dp.high || dp.root >= dp.high {
+		return nil, corrupt(id, "has count %d, root %d, high %d; capacity %d", dp.count, dp.root, dp.high, t.nodeCap)
 	}
 	dp.slots = make([]slot, t.nodeCap)
 	off := dirHeader
@@ -269,7 +345,40 @@ func (t *Tree) readDir(id pager.PageID) (*dirPage, error) {
 		}
 		off += slotSize
 	}
+	nodes := 0
+	if !dp.countNodes(dp.root, t.dims, &nodes) || nodes != dp.count {
+		return nil, corrupt(id, "has a node with a bad dimension or in-page link, or not %d nodes under its root", dp.count)
+	}
+	free := 0
+	for i := dp.free; i != noSlot; i = int(dp.slots[i].left) {
+		if free++; i >= dp.high || free > dp.high-dp.count {
+			return nil, corrupt(id, "has a broken free-slot chain")
+		}
+	}
+	if free != dp.high-dp.count {
+		return nil, corrupt(id, "has %d free slots on its chain, want %d", free, dp.high-dp.count)
+	}
 	return dp, nil
+}
+
+// countNodes adds the in-page nodes under slot i to *n. It reports false
+// on a split dimension the tree does not have, a link of no known kind, an
+// in-page link past the allocated slots, or more than count nodes (a link
+// cycle).
+func (dp *dirPage) countNodes(i, dims int, n *int) bool {
+	s := dp.slots[i]
+	if *n++; *n > dp.count || s.dim >= dims {
+		return false
+	}
+	for _, c := range [2]ref{s.left, s.right} {
+		switch {
+		case c.tag() > tagDir:
+			return false
+		case c.tag() == tagNode && (int(c.value()) >= dp.high || !dp.countNodes(int(c.value()), dims, n)):
+			return false
+		}
+	}
+	return true
 }
 
 // allocSlot grabs a free slot in dp; ok is false when the page is full.
@@ -295,18 +404,6 @@ func (dp *dirPage) freeSlot(i int) {
 	dp.count--
 }
 
-// roundPoint snaps to the float32 grid used on page.
-func roundPoint(p Point) Point {
-	return Point{X: float64(float32(p.X)), Y: float64(float32(p.Y)), Val: p.Val}
-}
-
-func (p Point) coord(dim int) float64 {
-	if dim == 0 {
-		return p.X
-	}
-	return p.Y
-}
-
 // ---------------------------------------------------------------------------
 // Insert
 // ---------------------------------------------------------------------------
@@ -319,20 +416,41 @@ type pathStep struct {
 	right bool
 }
 
-// Insert adds a point.
-func (t *Tree) Insert(p Point) error {
+// checkDims rejects a point of more dimensions than the tree has.
+func (t *Tree) checkDims(p Point) error {
+	for _, c := range p.C[t.dims:] {
+		if c != 0 {
+			return fmt.Errorf("kdtree: point %v has coordinates past the tree's %d dims", p.C, t.dims)
+		}
+	}
+	return nil
+}
+
+// checkPoint rejects a point the page format or the tree cannot hold.
+func (t *Tree) checkPoint(p Point) error {
 	if p.Val > math.MaxUint32 {
 		return fmt.Errorf("kdtree: value %d does not fit in the 32-bit page slot", p.Val)
 	}
-	p = roundPoint(p)
-	if !t.world.Contains(geom.Point{X: p.X, Y: p.Y}) {
-		return fmt.Errorf("kdtree: point (%v,%v) outside world %+v", p.X, p.Y, t.world)
+	if err := t.checkDims(p); err != nil {
+		return err
 	}
-	path, bid, err := t.descend(p.X, p.Y)
+	if !t.world.Contains(p.Vec(), t.dims) {
+		return fmt.Errorf("kdtree: point %v outside world %+v", p.C, t.world)
+	}
+	return nil
+}
+
+// Insert adds a point.
+func (t *Tree) Insert(p Point) error {
+	if err := t.checkPoint(p); err != nil {
+		return err
+	}
+	w := t.newWalk()
+	path, bid, err := t.descend(w, p)
 	if err != nil {
 		return err
 	}
-	b, err := t.readBucket(bid)
+	b, err := t.readBucket(w, bid)
 	if err != nil {
 		return err
 	}
@@ -345,16 +463,16 @@ func (t *Tree) Insert(p Point) error {
 		return nil
 	}
 	// Bucket overflow: split it.
-	if err := t.splitBucket(path, b, p); err != nil {
+	if err := t.splitBucket(w, path, b, p); err != nil {
 		return err
 	}
 	t.size++
 	return nil
 }
 
-// descend walks from the root to the bucket responsible for (x, y),
-// returning the directory path taken.
-func (t *Tree) descend(x, y float64) ([]pathStep, pager.PageID, error) {
+// descend walks from the root to the bucket responsible for p, returning
+// the directory path taken.
+func (t *Tree) descend(w *walk, p Point) ([]pathStep, pager.PageID, error) {
 	var path []pathStep
 	r := t.rootRef
 	var dp *dirPage
@@ -364,19 +482,15 @@ func (t *Tree) descend(x, y float64) ([]pathStep, pager.PageID, error) {
 		case tagBucket:
 			return path, pager.PageID(r.value()), nil
 		case tagDir:
-			dp, err = t.readDir(pager.PageID(r.value()))
+			dp, err = t.readDir(w, pager.PageID(r.value()))
 			if err != nil {
 				return nil, 0, err
 			}
 			r = mkRef(tagNode, uint32(dp.root))
 		case tagNode:
 			s := dp.slots[r.value()]
-			c := x
-			if s.dim == 1 {
-				c = y
-			}
 			step := pathStep{page: dp, slot: int(r.value())}
-			if c <= s.split {
+			if float64(p.C[s.dim]) <= s.split {
 				r = s.left
 			} else {
 				step.right = true
@@ -387,45 +501,56 @@ func (t *Tree) descend(x, y float64) ([]pathStep, pager.PageID, error) {
 	}
 }
 
-// splitBucket splits the full bucket b (receiving newcomer p) at the median
-// of the wider-spread dimension, installing a new directory node.
-func (t *Tree) splitBucket(path []pathStep, b *bucket, p Point) error {
-	pts := append(append([]Point(nil), b.points...), p)
-	// Pick the dimension with the larger spread *relative to the world
-	// extent of that dimension*. Raw spread would never split a dimension
-	// whose domain is narrow (velocities span ~1.5 while intercepts span
-	// ~1000), defeating the both-dimensions splitting the paper's §3.5.1
-	// argues for; normalizing makes the two domains comparable.
-	minX, maxX := math.Inf(1), math.Inf(-1)
-	minY, maxY := math.Inf(1), math.Inf(-1)
+// chooseSplit picks where to cut pts in two: at the median of the
+// dimension with the largest spread *relative to the world extent of that
+// dimension*. Raw spread would never split a dimension whose domain is
+// narrow (velocities span ~1.5 while intercepts span ~1000), defeating the
+// both-dimensions splitting the paper's §3.5.1 argues for; normalizing
+// makes the domains comparable. The ratios are compared cross-multiplied.
+// A dimension in which all of pts coincide cannot be cut and the next one
+// is tried; ok is false when the points are identical in every dimension.
+func (t *Tree) chooseSplit(pts []Point) (dim int, split float64, ok bool) {
+	var spread, extent float64
+	for k := 0; k < t.dims; k++ {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, q := range pts {
+			lo, hi = math.Min(lo, float64(q.C[k])), math.Max(hi, float64(q.C[k]))
+		}
+		if e := t.world.Hi[k] - t.world.Lo[k]; k == 0 || (hi-lo)*extent > spread*e {
+			dim, spread, extent = k, hi-lo, e
+		}
+	}
+	for try := 0; try < t.dims; try++ {
+		k := (dim + try) % t.dims
+		if split, ok = medianSplit(pts, k); ok {
+			return k, split, true
+		}
+	}
+	return 0, 0, false
+}
+
+// cut distributes pts around a split: coordinate <= split goes left.
+func cut(pts []Point, dim int, split float64) (left, right []Point) {
 	for _, q := range pts {
-		minX, maxX = math.Min(minX, q.X), math.Max(maxX, q.X)
-		minY, maxY = math.Min(minY, q.Y), math.Max(maxY, q.Y)
-	}
-	wx := t.world.MaxX - t.world.MinX
-	wy := t.world.MaxY - t.world.MinY
-	dim := 0
-	if (maxY-minY)*wx > (maxX-minX)*wy {
-		dim = 1
-	}
-	split, ok := medianSplit(pts, dim)
-	if !ok {
-		// Degenerate in the chosen dimension; try the other.
-		dim = 1 - dim
-		split, ok = medianSplit(pts, dim)
-	}
-	if !ok {
-		// All points identical: chain an overflow bucket.
-		return t.chainOverflow(b, p)
-	}
-	var left, right []Point
-	for _, q := range pts {
-		if q.coord(dim) <= split {
+		if float64(q.C[dim]) <= split {
 			left = append(left, q)
 		} else {
 			right = append(right, q)
 		}
 	}
+	return left, right
+}
+
+// splitBucket splits the full bucket b (receiving newcomer p), installing
+// a new directory node.
+func (t *Tree) splitBucket(w *walk, path []pathStep, b *bucket, p Point) error {
+	pts := append(append([]Point(nil), b.points...), p)
+	dim, split, ok := t.chooseSplit(pts)
+	if !ok {
+		// All points identical: chain an overflow bucket.
+		return t.chainOverflow(w, b, p)
+	}
+	left, right := cut(pts, dim, split)
 	// Reuse b as the left bucket; allocate the right.
 	rb, err := t.allocBucket()
 	if err != nil {
@@ -453,7 +578,7 @@ func (t *Tree) splitBucket(path []pathStep, b *bucket, p Point) error {
 func medianSplit(pts []Point, dim int) (float64, bool) {
 	cs := make([]float64, len(pts))
 	for i, q := range pts {
-		cs[i] = q.coord(dim)
+		cs[i] = float64(q.C[dim])
 	}
 	sort.Float64s(cs)
 	if cs[0] == cs[len(cs)-1] {
@@ -470,9 +595,9 @@ func medianSplit(pts []Point, dim int) (float64, bool) {
 }
 
 // chainOverflow appends p to b's overflow chain.
-func (t *Tree) chainOverflow(b *bucket, p Point) error {
+func (t *Tree) chainOverflow(w *walk, b *bucket, p Point) error {
 	for b.next != 0 {
-		nb, err := t.readBucket(b.next)
+		nb, err := t.readBucket(w, b.next)
 		if err != nil {
 			return err
 		}
@@ -525,7 +650,7 @@ func (t *Tree) installNode(path []pathStep, ns slot) error {
 		return t.writeDir(dp)
 	}
 	// Directory page full: evict a subtree to a fresh page, then retry.
-	if err := t.splitDirPage(dp, path); err != nil {
+	if err := t.splitDirPage(dp); err != nil {
 		return err
 	}
 	// The split invalidated in-page slot indexes along the path; re-locate
@@ -542,7 +667,7 @@ func (t *Tree) installNode(path []pathStep, ns slot) error {
 // only on the rare page-split retry; cost is a directory walk).
 func (t *Tree) findBucketPath(bucketID uint32) ([]pathStep, error) {
 	var out []pathStep
-	found, err := t.findBucketWalk(t.rootRef, nil, bucketID, &out)
+	found, err := t.findBucketWalk(t.newWalk(), t.rootRef, nil, bucketID, &out)
 	if err != nil {
 		return nil, err
 	}
@@ -552,25 +677,25 @@ func (t *Tree) findBucketPath(bucketID uint32) ([]pathStep, error) {
 	return out, nil
 }
 
-func (t *Tree) findBucketWalk(r ref, dp *dirPage, bucketID uint32, out *[]pathStep) (bool, error) {
+func (t *Tree) findBucketWalk(w *walk, r ref, dp *dirPage, bucketID uint32, out *[]pathStep) (bool, error) {
 	switch r.tag() {
 	case tagBucket:
 		return r.value() == bucketID, nil
 	case tagDir:
-		ndp, err := t.readDir(pager.PageID(r.value()))
+		ndp, err := t.readDir(w, pager.PageID(r.value()))
 		if err != nil {
 			return false, err
 		}
-		return t.findBucketWalk(mkRef(tagNode, uint32(ndp.root)), ndp, bucketID, out)
+		return t.findBucketWalk(w, mkRef(tagNode, uint32(ndp.root)), ndp, bucketID, out)
 	default:
 		s := dp.slots[r.value()]
 		*out = append(*out, pathStep{page: dp, slot: int(r.value())})
-		ok, err := t.findBucketWalk(s.left, dp, bucketID, out)
+		ok, err := t.findBucketWalk(w, s.left, dp, bucketID, out)
 		if err != nil || ok {
 			return ok, err
 		}
 		(*out)[len(*out)-1].right = true
-		ok, err = t.findBucketWalk(s.right, dp, bucketID, out)
+		ok, err = t.findBucketWalk(w, s.right, dp, bucketID, out)
 		if err != nil || ok {
 			return ok, err
 		}
@@ -579,22 +704,9 @@ func (t *Tree) findBucketWalk(r ref, dp *dirPage, bucketID uint32, out *[]pathSt
 	}
 }
 
-// subtreeSize computes the in-page subtree size below slot i.
-func (dp *dirPage) subtreeSize(i int) int {
-	n := 1
-	s := dp.slots[i]
-	if s.left.tag() == tagNode {
-		n += dp.subtreeSize(int(s.left.value()))
-	}
-	if s.right.tag() == tagNode {
-		n += dp.subtreeSize(int(s.right.value()))
-	}
-	return n
-}
-
 // splitDirPage moves a roughly half-size in-page subtree of dp to a new
 // directory page and replaces its slot with a tagDir reference.
-func (t *Tree) splitDirPage(dp *dirPage, path []pathStep) error {
+func (t *Tree) splitDirPage(dp *dirPage) error {
 	// Find the best eviction root: a non-root slot whose subtree is close
 	// to half the page.
 	target := dp.count / 2
@@ -699,11 +811,14 @@ func (dp *dirPage) findParent(i int) (parent int, right bool, found bool) {
 // Delete
 // ---------------------------------------------------------------------------
 
-// Delete removes one point matching (x, y, val) after float32 rounding; it
+// Delete removes one point equal to p in coordinates and reference; it
 // reports whether a point was removed.
 func (t *Tree) Delete(p Point) (bool, error) {
-	p = roundPoint(p)
-	path, bid, err := t.descend(p.X, p.Y)
+	if err := t.checkDims(p); err != nil {
+		return false, err
+	}
+	w := t.newWalk()
+	path, bid, err := t.descend(w, p)
 	if err != nil {
 		return false, err
 	}
@@ -711,37 +826,46 @@ func (t *Tree) Delete(p Point) (bool, error) {
 	prevID := pager.PageID(0)
 	id := bid
 	for id != 0 {
-		b, err := t.readBucket(id)
+		b, err := t.readBucket(w, id)
 		if err != nil {
 			return false, err
 		}
 		for i, q := range b.points {
-			if q.Val == p.Val && q.X == p.X && q.Y == p.Y {
+			if q == p {
 				b.points = append(b.points[:i], b.points[i+1:]...)
-				t.size--
 				if len(b.points) == 0 && b.next == 0 && prevID == 0 {
 					// Primary bucket empty with no chain: collapse.
-					return true, t.collapseBucket(path, b)
-				}
-				if len(b.points) == 0 && prevID != 0 {
+					err = t.collapseBucket(path, b)
+				} else if len(b.points) == 0 && prevID != 0 {
 					// Empty chained bucket: unlink it.
-					pb, err := t.readBucket(prevID)
-					if err != nil {
-						return false, err
-					}
-					pb.next = b.next
-					if err := t.writeBucket(pb); err != nil {
-						return false, err
-					}
-					return true, t.store.Free(b.id)
+					err = t.unlinkBucket(prevID, b)
+				} else {
+					err = t.writeBucket(b)
 				}
-				return true, t.writeBucket(b)
+				if err != nil {
+					return false, err
+				}
+				t.size--
+				return true, nil
 			}
 		}
 		prevID = id
 		id = b.next
 	}
 	return false, nil
+}
+
+// unlinkBucket drops the empty chained bucket b from behind bucket prevID.
+func (t *Tree) unlinkBucket(prevID pager.PageID, b *bucket) error {
+	pb, err := t.readBucket(nil, prevID)
+	if err != nil {
+		return err
+	}
+	pb.next = b.next
+	if err := t.writeBucket(pb); err != nil {
+		return err
+	}
+	return t.store.Free(b.id)
 }
 
 // collapseBucket removes an empty bucket, replacing its parent split node
@@ -804,98 +928,76 @@ func (t *Tree) collapseBucket(path []pathStep, b *bucket) error {
 // Search
 // ---------------------------------------------------------------------------
 
-// SearchRegion reports every stored point inside the convex region,
-// pruning subtrees whose k-d cell misses it.
-func (t *Tree) SearchRegion(reg geom.ConvexRegion, fn func(Point) bool) error {
-	_, err := t.searchRef(t.rootRef, nil, t.world, reg, fn)
+// SearchRegion reports every stored point inside the region, pruning
+// subtrees whose k-d cell the region classifies as Outside and reporting
+// wholesale those it classifies as Inside.
+func (t *Tree) SearchRegion(reg geom.Region, fn func(Point) bool) error {
+	if reg.Dims() != t.dims {
+		return fmt.Errorf("kdtree: region has %d dims, tree has %d", reg.Dims(), t.dims)
+	}
+	_, err := t.searchRef(t.newWalk(), t.rootRef, nil, t.world, reg, fn)
 	return err
 }
 
-// SearchRegionAppend appends every stored point inside the convex region
-// to dst and returns the extended slice. When dst has sufficient capacity
-// the only per-call allocations are the callback plumbing, so a serving
-// loop reusing its buffer stays off the heap for the results themselves.
-func (t *Tree) SearchRegionAppend(dst []Point, reg geom.ConvexRegion) ([]Point, error) {
-	err := t.SearchRegion(reg, func(p Point) bool {
-		dst = append(dst, p)
-		return true
-	})
-	return dst, err
-}
-
-// SearchRect reports every stored point inside the rectangle.
-func (t *Tree) SearchRect(r geom.Rect, fn func(Point) bool) error {
-	reg := geom.NewRegion(
-		geom.Constraint{A: -1, B: 0, C: -r.MinX},
-		geom.Constraint{A: 1, B: 0, C: r.MaxX},
-		geom.Constraint{A: 0, B: -1, C: -r.MinY},
-		geom.Constraint{A: 0, B: 1, C: r.MaxY},
-	)
-	return t.SearchRegion(reg, fn)
-}
-
-func (t *Tree) searchRef(r ref, dp *dirPage, cell geom.Rect, reg geom.ConvexRegion, fn func(Point) bool) (bool, error) {
-	switch reg.ClassifyRect(cell) {
+func (t *Tree) searchRef(w *walk, r ref, dp *dirPage, cell geom.Box, reg geom.Region, fn func(Point) bool) (bool, error) {
+	switch reg.ClassifyBox(cell) {
 	case geom.Outside:
 		return true, nil
 	case geom.Inside:
-		return t.reportAll(r, dp, fn)
+		return t.reportAll(w, r, dp, fn)
 	}
 	switch r.tag() {
 	case tagBucket:
-		return t.scanBucketChain(pager.PageID(r.value()), reg, true, fn)
+		return t.scanBucketChain(w, pager.PageID(r.value()), reg, fn)
 	case tagDir:
-		ndp, err := t.readDir(pager.PageID(r.value()))
+		ndp, err := t.readDir(w, pager.PageID(r.value()))
 		if err != nil {
 			return false, err
 		}
-		return t.searchRef(mkRef(tagNode, uint32(ndp.root)), ndp, cell, reg, fn)
+		return t.searchRef(w, mkRef(tagNode, uint32(ndp.root)), ndp, cell, reg, fn)
 	default:
 		s := dp.slots[r.value()]
 		lcell, rcell := cell, cell
-		if s.dim == 0 {
-			lcell.MaxX = s.split
-			rcell.MinX = s.split
-		} else {
-			lcell.MaxY = s.split
-			rcell.MinY = s.split
-		}
-		cont, err := t.searchRef(s.left, dp, lcell, reg, fn)
+		lcell.Hi[s.dim] = s.split
+		rcell.Lo[s.dim] = s.split
+		cont, err := t.searchRef(w, s.left, dp, lcell, reg, fn)
 		if err != nil || !cont {
 			return cont, err
 		}
-		return t.searchRef(s.right, dp, rcell, reg, fn)
+		return t.searchRef(w, s.right, dp, rcell, reg, fn)
 	}
 }
 
-func (t *Tree) reportAll(r ref, dp *dirPage, fn func(Point) bool) (bool, error) {
+func (t *Tree) reportAll(w *walk, r ref, dp *dirPage, fn func(Point) bool) (bool, error) {
 	switch r.tag() {
 	case tagBucket:
-		return t.scanBucketChain(pager.PageID(r.value()), geom.ConvexRegion{}, false, fn)
+		return t.scanBucketChain(w, pager.PageID(r.value()), nil, fn)
 	case tagDir:
-		ndp, err := t.readDir(pager.PageID(r.value()))
+		ndp, err := t.readDir(w, pager.PageID(r.value()))
 		if err != nil {
 			return false, err
 		}
-		return t.reportAll(mkRef(tagNode, uint32(ndp.root)), ndp, fn)
+		return t.reportAll(w, mkRef(tagNode, uint32(ndp.root)), ndp, fn)
 	default:
 		s := dp.slots[r.value()]
-		cont, err := t.reportAll(s.left, dp, fn)
+		cont, err := t.reportAll(w, s.left, dp, fn)
 		if err != nil || !cont {
 			return cont, err
 		}
-		return t.reportAll(s.right, dp, fn)
+		return t.reportAll(w, s.right, dp, fn)
 	}
 }
 
-func (t *Tree) scanBucketChain(id pager.PageID, reg geom.ConvexRegion, filter bool, fn func(Point) bool) (bool, error) {
+// scanBucketChain reports the points of a bucket and its overflow chain
+// that reg contains; a nil reg reports them all.
+func (t *Tree) scanBucketChain(w *walk, id pager.PageID, reg geom.Region, fn func(Point) bool) (bool, error) {
 	for id != 0 {
-		b, err := t.readBucket(id)
+		b, err := t.readBucket(w, id)
 		if err != nil {
 			return false, err
 		}
 		for _, p := range b.points {
-			if filter && !reg.ContainsPoint(geom.Point{X: p.X, Y: p.Y}) {
+			if reg != nil && !reg.ContainsVec(p.Vec()) {
 				continue
 			}
 			if !fn(p) {
@@ -908,14 +1010,14 @@ func (t *Tree) scanBucketChain(id pager.PageID, reg geom.ConvexRegion, filter bo
 }
 
 // Destroy frees every page of the tree; the tree must not be used after.
-func (t *Tree) Destroy() error { return t.destroyRef(t.rootRef, nil) }
+func (t *Tree) Destroy() error { return t.destroyRef(t.newWalk(), t.rootRef, nil) }
 
-func (t *Tree) destroyRef(r ref, dp *dirPage) error {
+func (t *Tree) destroyRef(w *walk, r ref, dp *dirPage) error {
 	switch r.tag() {
 	case tagBucket:
 		id := pager.PageID(r.value())
 		for id != 0 {
-			b, err := t.readBucket(id)
+			b, err := t.readBucket(w, id)
 			if err != nil {
 				return err
 			}
@@ -926,20 +1028,20 @@ func (t *Tree) destroyRef(r ref, dp *dirPage) error {
 		}
 		return nil
 	case tagDir:
-		ndp, err := t.readDir(pager.PageID(r.value()))
+		ndp, err := t.readDir(w, pager.PageID(r.value()))
 		if err != nil {
 			return err
 		}
-		if err := t.destroyRef(mkRef(tagNode, uint32(ndp.root)), ndp); err != nil {
+		if err := t.destroyRef(w, mkRef(tagNode, uint32(ndp.root)), ndp); err != nil {
 			return err
 		}
 		return t.store.Free(ndp.id)
 	default:
 		s := dp.slots[r.value()]
-		if err := t.destroyRef(s.left, dp); err != nil {
+		if err := t.destroyRef(w, s.left, dp); err != nil {
 			return err
 		}
-		return t.destroyRef(s.right, dp)
+		return t.destroyRef(w, s.right, dp)
 	}
 }
 
@@ -961,7 +1063,7 @@ func (t *Tree) CheckInvariants() error {
 	return nil
 }
 
-func (t *Tree) checkRef(r ref, dp *dirPage, cell geom.Rect, seen map[pager.PageID]bool) (int, error) {
+func (t *Tree) checkRef(r ref, dp *dirPage, cell geom.Box, seen map[pager.PageID]bool) (int, error) {
 	switch r.tag() {
 	case tagBucket:
 		total := 0
@@ -971,16 +1073,13 @@ func (t *Tree) checkRef(r ref, dp *dirPage, cell geom.Rect, seen map[pager.PageI
 				return 0, fmt.Errorf("kdtree: bucket %d visited twice", id)
 			}
 			seen[id] = true
-			b, err := t.readBucket(id)
+			b, err := t.readBucket(nil, id)
 			if err != nil {
 				return 0, err
 			}
-			if len(b.points) > t.bucketCap {
-				return 0, fmt.Errorf("kdtree: bucket %d overfull", id)
-			}
 			for _, p := range b.points {
-				if !cell.Contains(geom.Point{X: p.X, Y: p.Y}) {
-					return 0, fmt.Errorf("kdtree: point (%v,%v) outside cell %+v", p.X, p.Y, cell)
+				if !cell.Contains(p.Vec(), t.dims) {
+					return 0, fmt.Errorf("kdtree: point %v outside cell %+v", p.C, cell)
 				}
 			}
 			total += len(b.points)
@@ -993,44 +1092,19 @@ func (t *Tree) checkRef(r ref, dp *dirPage, cell geom.Rect, seen map[pager.PageI
 			return 0, fmt.Errorf("kdtree: directory page %d visited twice", id)
 		}
 		seen[id] = true
-		ndp, err := t.readDir(id)
+		ndp, err := t.readDir(nil, id)
 		if err != nil {
 			return 0, err
-		}
-		// Count reachable in-page nodes; must equal the page's count.
-		reach := 0
-		var walk func(i int)
-		walk = func(i int) {
-			reach++
-			s := ndp.slots[i]
-			if s.left.tag() == tagNode {
-				walk(int(s.left.value()))
-			}
-			if s.right.tag() == tagNode {
-				walk(int(s.right.value()))
-			}
-		}
-		walk(ndp.root)
-		if reach != ndp.count {
-			return 0, fmt.Errorf("kdtree: page %d count %d but %d reachable slots", id, ndp.count, reach)
 		}
 		return t.checkRef(mkRef(tagNode, uint32(ndp.root)), ndp, cell, seen)
 	default:
 		s := dp.slots[r.value()]
-		lcell, rcell := cell, cell
-		if s.dim == 0 {
-			if s.split < cell.MinX-geom.Eps || s.split > cell.MaxX+geom.Eps {
-				return 0, fmt.Errorf("kdtree: split %v outside cell x-range", s.split)
-			}
-			lcell.MaxX = s.split
-			rcell.MinX = s.split
-		} else {
-			if s.split < cell.MinY-geom.Eps || s.split > cell.MaxY+geom.Eps {
-				return 0, fmt.Errorf("kdtree: split %v outside cell y-range", s.split)
-			}
-			lcell.MaxY = s.split
-			rcell.MinY = s.split
+		if s.split < cell.Lo[s.dim]-geom.Eps || s.split > cell.Hi[s.dim]+geom.Eps {
+			return 0, fmt.Errorf("kdtree: split %v outside cell range in dimension %d", s.split, s.dim)
 		}
+		lcell, rcell := cell, cell
+		lcell.Hi[s.dim] = s.split
+		rcell.Lo[s.dim] = s.split
 		lc, err := t.checkRef(s.left, dp, lcell, seen)
 		if err != nil {
 			return 0, err

@@ -18,9 +18,12 @@ import (
 // any page-level corruption or racy read surfaces as a wrong answer (and
 // -race flags unsynchronized access outright).
 func TestConcurrentSearchWithWriter(t *testing.T) {
+	eachSpace(t, testConcurrentSearchWithWriter)
+}
+
+func testConcurrentSearchWithWriter(t *testing.T, sp space) {
 	leakcheck.Check(t)
-	world := geom.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
-	tr, err := New(pager.NewBuffered(pager.NewMemStore(512), 64), Config{World: world})
+	tr, err := New(pager.NewBuffered(pager.NewMemStore(512), 64), sp.d, geom.Box{Hi: uniform(sp.d, 100)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +33,11 @@ func TestConcurrentSearchWithWriter(t *testing.T) {
 	alive := make(map[uint64]Point)
 	var nextVal uint64
 	addPoint := func() {
-		p := Point{X: rng.Float64() * 100, Y: rng.Float64() * 100, Val: nextVal}
+		var v geom.Vec
+		for k := 0; k < sp.d; k++ {
+			v[k] = rng.Float64() * 100
+		}
+		p := Pt(v, nextVal)
 		nextVal++
 		if err := tr.Insert(p); err != nil {
 			t.Fatalf("insert: %v", err)
@@ -49,18 +56,22 @@ func TestConcurrentSearchWithWriter(t *testing.T) {
 			defer wg.Done()
 			rrng := rand.New(rand.NewSource(int64(100 + r)))
 			for !stop.Load() {
-				x1 := rrng.Float64() * 90
-				y1 := rrng.Float64() * 90
-				q := geom.Rect{MinX: x1, MinY: y1, MaxX: x1 + 10, MaxY: y1 + 10}
+				// A window a tenth of the domain wide in the plane; wider in
+				// four dimensions so that it still holds points.
+				var q geom.Box
+				for k := 0; k < sp.d; k++ {
+					q.Lo[k] = rrng.Float64() * 50
+					q.Hi[k] = q.Lo[k] + 5*float64(sp.d*sp.d)/2
+				}
 				mu.RLock()
 				want := map[uint64]bool{}
 				for v, p := range alive {
-					if p.X >= q.MinX && p.X <= q.MaxX && p.Y >= q.MinY && p.Y <= q.MaxY {
+					if q.Contains(p.Vec(), sp.d) {
 						want[v] = true
 					}
 				}
 				got := map[uint64]bool{}
-				err := tr.SearchRect(q, func(p Point) bool { got[p.Val] = true; return true })
+				err := tr.SearchRegion(sp.box(q.Lo, q.Hi), func(p Point) bool { got[p.Val] = true; return true })
 				mu.RUnlock()
 				if err != nil {
 					t.Errorf("reader %d: %v", r, err)

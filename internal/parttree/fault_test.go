@@ -12,14 +12,22 @@ import (
 // global rebuilds do a lot of page traffic; all of it must fail loudly,
 // not corrupt silently or panic.
 func TestPartTreeSurfacesStorageFaults(t *testing.T) {
+	eachSpace(t, testSurfacesStorageFaults)
+}
+
+func testSurfacesStorageFaults(t *testing.T, sp space) {
 	pts := make([]Point, 400)
 	for i := range pts {
-		pts[i] = Point{X: float64((i * 37) % 100), Y: float64((i * 61) % 100), Val: uint64(i)}
+		var v geom.Vec
+		for k, step := range []int{37, 61, 43, 71}[:sp.d] {
+			v[k] = float64((i * step) % 100)
+		}
+		pts[i] = Pt(v, uint64(i))
 	}
-	// x <= 70 and -x <= -10, i.e. the vertical band 10 <= x <= 70.
-	region := geom.NewRegion(
-		geom.Constraint{A: 1, B: 0, C: 70},
-		geom.Constraint{A: -1, B: 0, C: -10},
+	// x0 <= 70 and -x0 <= -10, i.e. the band 10 <= x0 <= 70.
+	region := sp.region(
+		geom.HalfSpace{Coef: geom.Vec{1}, C: 70},
+		geom.HalfSpace{Coef: geom.Vec{-1}, C: -10},
 	)
 	for _, cfg := range []pager.FaultConfig{
 		{Seed: 1, Read: pager.OpFaults{FailEvery: 9}},
@@ -28,7 +36,7 @@ func TestPartTreeSurfacesStorageFaults(t *testing.T) {
 		{Seed: 4, Free: pager.OpFaults{FailEvery: 3}},
 	} {
 		faulty := pager.NewFaultStore(pager.NewMemStore(256), cfg)
-		tr, err := New(faulty, Config{})
+		tr, err := New(faulty, sp.d)
 		if err != nil {
 			if !errors.Is(err, pager.ErrInjected) {
 				t.Fatalf("cfg %+v: constructor error outside taxonomy: %v", cfg, err)

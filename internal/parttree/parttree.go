@@ -11,8 +11,14 @@
 // of a balanced r-cell partition, the query time is O(n^(1/2+ε) + k) I/Os —
 // matching the Theorem 1 lower bound for linear space up to ε.
 //
+// The tree is d-dimensional, 1 ≤ d ≤ geom.MaxDims: d = 2 over the dual plane
+// (v, a) for the 1-dimensional MOR query, and d = 4 over (vx, ax, vy, ay)
+// for the §4.2 remark that a 4-dimensional partition tree answers the
+// 2-dimensional query in O(n^(3/4+ε) + k) I/Os. How a query classifies a
+// cell is the caller's geom.Region.
+//
 // Construction note (documented substitution): cells are produced by
-// recursive median subdivision on alternating axes — a balanced partition
+// recursive median subdivision on the widest axis — a balanced partition
 // whose cells are boxes — rather than by Matousek's test-set/cutting
 // construction with triangle cells. The O(√r) crossing bound for balanced
 // median subdivisions is the classic k-d partition bound; the package
@@ -35,47 +41,55 @@ import (
 	"mobidx/internal/pager"
 )
 
-// Point is one indexed point with an opaque 32-bit reference.
+// Point is one indexed point: its coordinates on the float32 grid the
+// pages store (zero past the tree's dimensionality) and an opaque
+// reference. Held inline, a point costs no allocation of its own.
 type Point struct {
-	X, Y float64
-	Val  uint64
+	C   geom.GridVec
+	Val uint64 // must fit in 32 bits
 }
 
-// Config tunes the tree. Zero values select page-derived defaults.
-type Config struct {
-	// Fanout caps the number of cells per internal node; 0 derives it
-	// from the page size (one page per node).
-	Fanout int
-	// LeafCap caps points per leaf; 0 derives it from the page size.
-	LeafCap int
-}
+// Pt snaps c to the float32 grid used on page.
+func Pt(c geom.Vec, val uint64) Point { return Point{C: c.Grid(), Val: val} }
+
+// Vec returns the point's coordinates.
+func (p Point) Vec() geom.Vec { return p.C.Vec() }
 
 // Page layout:
 //
 // Internal (type 9): off 0 type, off 2 count u16;
 //
-//	entries at off 8, 20 bytes: cell rect (4 × f32) + child page u32.
+//	entries at off 8, 8d+4 bytes: cell box lo (d × f32), hi (d × f32),
+//	child page u32.
 //
 // Leaf (type 10): off 0 type, off 2 count u16;
 //
-//	points at off 8, 12 bytes: x f32, y f32, val u32.
+//	points at off 8, 4d+4 bytes: d × f32, val u32.
+//
+// At d = 2 that is the 20-byte cell and the paper's 12-byte record. Both
+// strides depend on d, so it is the constructor, not a constant the
+// codecbounds lint can fold, that guarantees header + cap·stride ≤
+// PageSize; and since a page comes back from the store as whatever bytes
+// the medium kept, readNode checks the type and count it is about to trust
+// and reports a violation as pager.ErrPageCorrupt.
 const (
 	typeInternal = 9
 	typeLeaf     = 10
 
 	headerSize = 8
-	cellSize   = 20
-	pointSize  = 12
 )
 
 // Tree is a dynamized partition tree.
 type Tree struct {
-	store   pager.Store
-	fanout  int
-	leafCap int
-	blocks  []*block // sorted by size ascending after maintenance
-	size    int      // live points
-	dead    int      // weak-deleted points since last global rebuild
+	store     pager.Store
+	dims      int
+	cellSize  int // bytes per internal entry: 8·dims + 4
+	pointSize int // bytes per leaf record: 4·dims + 4
+	fanout    int
+	leafCap   int
+	blocks    []*block // sorted by size ascending after maintenance
+	size      int      // live points
+	dead      int      // weak-deleted points since last global rebuild
 }
 
 // block is one static partition tree.
@@ -85,19 +99,20 @@ type block struct {
 	size   int // live points in the block
 }
 
-// New creates an empty tree.
-func New(store pager.Store, cfg Config) (*Tree, error) {
-	t := &Tree{store: store}
-	t.fanout = cfg.Fanout
-	if t.fanout == 0 {
-		t.fanout = (store.PageSize() - headerSize) / cellSize
+// New creates an empty dims-dimensional tree with one page per node.
+func New(store pager.Store, dims int) (*Tree, error) {
+	if dims < 1 || dims > geom.MaxDims {
+		return nil, fmt.Errorf("parttree: dims must be in [1, %d], got %d", geom.MaxDims, dims)
 	}
-	t.leafCap = cfg.LeafCap
-	if t.leafCap == 0 {
-		t.leafCap = (store.PageSize() - headerSize) / pointSize
-	}
-	if t.fanout < 2 || t.leafCap < 2 {
-		return nil, fmt.Errorf("parttree: page size %d too small", store.PageSize())
+	ps := store.PageSize()
+	t := &Tree{store: store, dims: dims, cellSize: 8*dims + 4, pointSize: 4*dims + 4}
+	t.fanout = (ps - headerSize) / t.cellSize
+	t.leafCap = (ps - headerSize) / t.pointSize
+	// The second line is the bound every codec write relies on, asserted
+	// here because no lint can fold a stride that depends on dims.
+	if t.fanout < 2 || t.leafCap < 2 ||
+		headerSize+t.fanout*t.cellSize > ps || headerSize+t.leafCap*t.pointSize > ps {
+		return nil, fmt.Errorf("parttree: page size %d too small for %d dims", ps, dims)
 	}
 	return t, nil
 }
@@ -108,8 +123,18 @@ func (t *Tree) Len() int { return t.size }
 // Blocks returns the number of static blocks (O(log n)).
 func (t *Tree) Blocks() int { return len(t.blocks) }
 
-func roundPoint(p Point) Point {
-	return Point{X: float64(float32(p.X)), Y: float64(float32(p.Y)), Val: p.Val}
+// checkPoint rejects a point of more dimensions than the tree has or one
+// whose reference the page format cannot hold.
+func (t *Tree) checkPoint(p Point) error {
+	if p.Val > math.MaxUint32 {
+		return fmt.Errorf("parttree: value %d does not fit in the 32-bit page slot", p.Val)
+	}
+	for _, c := range p.C[t.dims:] {
+		if c != 0 {
+			return fmt.Errorf("parttree: point %v has coordinates past the tree's %d dims", p.C, t.dims)
+		}
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -130,17 +155,21 @@ func get32(b []byte) uint32 {
 func putf32(b []byte, f float64) { put32(b, math.Float32bits(float32(f))) }
 func getf32(b []byte) float64    { return float64(math.Float32frombits(get32(b))) }
 
-func bound(pts []Point) geom.Rect {
-	r := geom.EmptyRect()
-	for _, p := range pts {
-		r = r.Extend(geom.Point{X: p.X, Y: p.Y})
+// bound returns the bounding box of pts in the first d dimensions.
+func bound(pts []Point, d int) geom.Box {
+	var b geom.Box
+	for k := 0; k < d; k++ {
+		b.Lo[k], b.Hi[k] = math.Inf(1), math.Inf(-1)
+		for _, p := range pts {
+			b.Lo[k], b.Hi[k] = math.Min(b.Lo[k], float64(p.C[k])), math.Max(b.Hi[k], float64(p.C[k]))
+		}
 	}
-	return r
+	return b
 }
 
 // partition splits pts into at most fanout balanced cells by recursive
-// median subdivision on the wider-spread axis.
-func partition(pts []Point, fanout int) [][]Point {
+// median subdivision on the widest axis.
+func partition(pts []Point, fanout, d int) [][]Point {
 	out := [][]Point{pts}
 	for len(out) < fanout {
 		// Split the largest cell.
@@ -154,10 +183,12 @@ func partition(pts []Point, fanout int) [][]Point {
 			break // all cells are singletons or empty
 		}
 		c := out[bi]
-		r := bound(c)
+		b := bound(c, d)
 		dim := 0
-		if r.MaxY-r.MinY > r.MaxX-r.MinX {
-			dim = 1
+		for k := 1; k < d; k++ {
+			if b.Hi[k]-b.Lo[k] > b.Hi[dim]-b.Lo[dim] {
+				dim = k
+			}
 		}
 		mid := len(c) / 2
 		nthElement(c, mid, dim)
@@ -174,13 +205,6 @@ func partition(pts []Point, fanout int) [][]Point {
 	return keep
 }
 
-func coordOf(p Point, dim int) float64 {
-	if dim == 0 {
-		return p.X
-	}
-	return p.Y
-}
-
 // nthElement partially orders c by the dim coordinate so that c[k] holds
 // the value it would have after a full sort, everything before it compares
 // <= and everything after >=. Expected O(n) — a three-way-partition
@@ -191,7 +215,7 @@ func nthElement(c []Point, k, dim int) {
 	lo, hi := 0, len(c)
 	for hi-lo > 1 {
 		// Median-of-three pivot guards against sorted runs.
-		a, b, d := coordOf(c[lo], dim), coordOf(c[(lo+hi)/2], dim), coordOf(c[hi-1], dim)
+		a, b, d := c[lo].C[dim], c[(lo+hi)/2].C[dim], c[hi-1].C[dim]
 		pv := a
 		switch {
 		case (a <= b && b <= d) || (d <= b && b <= a):
@@ -204,7 +228,7 @@ func nthElement(c []Point, k, dim int) {
 		// quadratic behaviour.
 		lt, i, gt := lo, lo, hi
 		for i < gt {
-			v := coordOf(c[i], dim)
+			v := c[i].C[dim]
 			switch {
 			case v < pv:
 				c[lt], c[i] = c[i], c[lt]
@@ -228,11 +252,12 @@ func nthElement(c []Point, k, dim int) {
 	}
 }
 
-// buildStatic writes a static partition tree for pts (already rounded) and
-// returns its root and height.
+// buildStatic writes a static partition tree for pts and returns its root
+// and height.
 func (t *Tree) buildStatic(pts []Point) (pager.PageID, int, error) {
 	if len(pts) <= t.leafCap {
-		return t.writeLeaf(pts)
+		id, err := t.writeLeaf(0, pts)
+		return id, 1, err
 	}
 	// Cap the partition arity so cells stay at least a leaf-page large:
 	// over-splitting would leave leaves nearly empty and multiply the
@@ -244,7 +269,7 @@ func (t *Tree) buildStatic(pts []Point) (pager.PageID, int, error) {
 	if r < 2 {
 		r = 2
 	}
-	cells := partition(pts, r)
+	cells := partition(pts, r, t.dims)
 	if len(cells) == 1 {
 		// All points identical: overflow leaf chainless fallback — split
 		// arbitrarily to respect the page bound.
@@ -265,7 +290,6 @@ func (t *Tree) buildStatic(pts []Point) (pager.PageID, int, error) {
 	d[0] = typeInternal
 	maxH := 0
 	off := headerSize
-	count := 0
 	for _, c := range cells {
 		child, h, err := t.buildStatic(c)
 		if err != nil {
@@ -274,90 +298,115 @@ func (t *Tree) buildStatic(pts []Point) (pager.PageID, int, error) {
 		if h > maxH {
 			maxH = h
 		}
-		r := bound(c)
-		putf32(d[off:], r.MinX)
-		putf32(d[off+4:], r.MinY)
-		putf32(d[off+8:], r.MaxX)
-		putf32(d[off+12:], r.MaxY)
-		put32(d[off+16:], uint32(child))
-		off += cellSize
-		count++
+		b := bound(c, t.dims)
+		for k := 0; k < t.dims; k++ {
+			putf32(d[off+4*k:], b.Lo[k])
+			putf32(d[off+4*(t.dims+k):], b.Hi[k])
+		}
+		put32(d[off+8*t.dims:], uint32(child))
+		off += t.cellSize
 	}
-	put16(d[2:], count)
+	put16(d[2:], len(cells))
 	if err := t.store.Write(p); err != nil {
 		return 0, 0, err
 	}
 	return p.ID, maxH + 1, nil
 }
 
-func (t *Tree) writeLeaf(pts []Point) (pager.PageID, int, error) {
-	p, err := t.store.Allocate()
-	if err != nil {
-		return 0, 0, err
+// writeLeaf writes pts as leaf page id, or as a freshly allocated leaf
+// when id is 0, and returns the page written.
+func (t *Tree) writeLeaf(id pager.PageID, pts []Point) (pager.PageID, error) {
+	if id == 0 {
+		p, err := t.store.Allocate()
+		if err != nil {
+			return 0, err
+		}
+		id = p.ID
 	}
-	d := p.Data
+	pb := pager.GetPageBuf(t.store.PageSize())
+	d := pb.B
 	d[0] = typeLeaf
 	put16(d[2:], len(pts))
 	off := headerSize
 	for _, q := range pts {
-		putf32(d[off:], q.X)
-		putf32(d[off+4:], q.Y)
-		put32(d[off+8:], uint32(q.Val))
-		off += pointSize
+		for k := 0; k < t.dims; k++ {
+			put32(d[off+4*k:], math.Float32bits(q.C[k]))
+		}
+		put32(d[off+4*t.dims:], uint32(q.Val))
+		off += t.pointSize
 	}
-	if err := t.store.Write(p); err != nil {
-		return 0, 0, err
-	}
-	return p.ID, 1, nil
+	err := t.store.Write(&pager.Page{ID: id, Data: d})
+	pb.Release()
+	return id, err
 }
 
 type cellEntry struct {
-	rect  geom.Rect
+	box   geom.Box
 	child pager.PageID
 }
 
-func (t *Tree) readNode(id pager.PageID) (leafPts []Point, cells []cellEntry, err error) {
+func corrupt(id pager.PageID, format string, args ...any) error {
+	return fmt.Errorf("parttree: %w: page %d %s", pager.ErrPageCorrupt, id, fmt.Sprintf(format, args...))
+}
+
+// readNode reads and decodes the node at page id, h levels above the
+// deepest leaf its block may have. A block records its height when it is
+// built, so a descent that runs out of levels has followed a child
+// reference no builder wrote — a cycle included.
+func (t *Tree) readNode(id pager.PageID, h int) (leafPts []Point, cells []cellEntry, err error) {
+	if h < 1 {
+		return nil, nil, corrupt(id, "lies below its block's recorded height")
+	}
 	p, err := t.store.Read(id)
 	if err != nil {
 		return nil, nil, err
 	}
 	d := p.Data
+	if len(d) < t.store.PageSize() {
+		return nil, nil, corrupt(id, "is %d bytes long", len(d))
+	}
 	count := get16(d[2:])
+	off := headerSize
 	switch d[0] {
 	case typeLeaf:
+		if count > t.leafCap {
+			return nil, nil, corrupt(id, "holds %d points, capacity %d", count, t.leafCap)
+		}
 		pts := make([]Point, count)
-		off := headerSize
-		for i := 0; i < count; i++ {
-			pts[i] = Point{X: getf32(d[off:]), Y: getf32(d[off+4:]), Val: uint64(get32(d[off+8:]))}
-			off += pointSize
+		for i := range pts {
+			for k := 0; k < t.dims; k++ {
+				pts[i].C[k] = math.Float32frombits(get32(d[off+4*k:]))
+			}
+			pts[i].Val = uint64(get32(d[off+4*t.dims:]))
+			off += t.pointSize
 		}
 		return pts, nil, nil
 	case typeInternal:
+		if count > t.fanout {
+			return nil, nil, corrupt(id, "holds %d cells, fanout %d", count, t.fanout)
+		}
 		cs := make([]cellEntry, count)
-		off := headerSize
-		for i := 0; i < count; i++ {
-			cs[i] = cellEntry{
-				rect: geom.Rect{
-					MinX: getf32(d[off:]), MinY: getf32(d[off+4:]),
-					MaxX: getf32(d[off+8:]), MaxY: getf32(d[off+12:]),
-				},
-				child: pager.PageID(get32(d[off+16:])),
+		for i := range cs {
+			for k := 0; k < t.dims; k++ {
+				cs[i].box.Lo[k] = getf32(d[off+4*k:])
+				cs[i].box.Hi[k] = getf32(d[off+4*(t.dims+k):])
 			}
-			off += cellSize
+			cs[i].child = pager.PageID(get32(d[off+8*t.dims:]))
+			off += t.cellSize
 		}
 		return nil, cs, nil
 	default:
-		return nil, nil, fmt.Errorf("parttree: page %d has unknown type %d", id, d[0])
+		return nil, nil, corrupt(id, "has unknown type %d", d[0])
 	}
 }
 
-func (t *Tree) freeSubtree(id pager.PageID) error {
-	_, cells, err := t.readNode(id)
+func (t *Tree) freeSubtree(id pager.PageID, h int) error {
+	_, cells, err := t.readNode(id, h)
 	if err != nil {
 		return err
 	}
 	for _, c := range cells {
-		if err := t.freeSubtree(c.child); err != nil {
+		if err := t.freeSubtree(c.child, h-1); err != nil {
 			return err
 		}
 	}
@@ -365,14 +414,14 @@ func (t *Tree) freeSubtree(id pager.PageID) error {
 }
 
 // collect gathers every live point of a subtree.
-func (t *Tree) collect(id pager.PageID, out *[]Point) error {
-	pts, cells, err := t.readNode(id)
+func (t *Tree) collect(id pager.PageID, h int, out *[]Point) error {
+	pts, cells, err := t.readNode(id, h)
 	if err != nil {
 		return err
 	}
 	*out = append(*out, pts...)
 	for _, c := range cells {
-		if err := t.collect(c.child, out); err != nil {
+		if err := t.collect(c.child, h-1, out); err != nil {
 			return err
 		}
 	}
@@ -386,10 +435,9 @@ func (t *Tree) collect(id pager.PageID, out *[]Point) error {
 // Insert adds a point, rebuilding the smallest prefix of blocks whose
 // total (plus the new point) fits the next power-of-two budget.
 func (t *Tree) Insert(p Point) error {
-	if p.Val > math.MaxUint32 {
-		return fmt.Errorf("parttree: value %d does not fit in the 32-bit page slot", p.Val)
+	if err := t.checkPoint(p); err != nil {
+		return err
 	}
-	p = roundPoint(p)
 	sort.Slice(t.blocks, func(a, b int) bool { return t.blocks[a].size < t.blocks[b].size })
 	// Binary-counter merge: absorb every block no larger than the running
 	// total, so block sizes keep (at least) doubling and at most
@@ -401,13 +449,8 @@ func (t *Tree) Insert(p Point) error {
 		prefix++
 	}
 	pts := []Point{p}
-	for i := 0; i < prefix; i++ {
-		if err := t.collect(t.blocks[i].root, &pts); err != nil {
-			return err
-		}
-		if err := t.freeSubtree(t.blocks[i].root); err != nil {
-			return err
-		}
+	if err := t.drain(t.blocks[:prefix], &pts); err != nil {
+		return err
 	}
 	root, h, err := t.buildStatic(pts)
 	if err != nil {
@@ -419,14 +462,30 @@ func (t *Tree) Insert(p Point) error {
 	return nil
 }
 
-// Delete removes one point matching p (after float32 rounding) from
+// drain appends the live points of blocks to out and frees their pages,
+// one block after the other.
+func (t *Tree) drain(blocks []*block, out *[]Point) error {
+	for _, b := range blocks {
+		if err := t.collect(b.root, b.height, out); err != nil {
+			return err
+		}
+		if err := t.freeSubtree(b.root, b.height); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Delete removes one point equal to p in coordinates and reference from
 // whichever block holds it; it reports whether a point was removed. Once
 // half the inserted points have been deleted the whole structure is
 // rebuilt, keeping space linear in the live count.
 func (t *Tree) Delete(p Point) (bool, error) {
-	p = roundPoint(p)
+	if err := t.checkPoint(p); err != nil {
+		return false, err
+	}
 	for _, b := range t.blocks {
-		found, err := t.deleteFrom(b.root, p)
+		found, err := t.deleteFrom(b.root, b.height, p)
 		if err != nil {
 			return false, err
 		}
@@ -445,37 +504,26 @@ func (t *Tree) Delete(p Point) (bool, error) {
 	return false, nil
 }
 
-func (t *Tree) deleteFrom(id pager.PageID, p Point) (bool, error) {
-	pts, cells, err := t.readNode(id)
+func (t *Tree) deleteFrom(id pager.PageID, h int, p Point) (bool, error) {
+	pts, cells, err := t.readNode(id, h)
 	if err != nil {
 		return false, err
 	}
 	if cells == nil {
 		for i, q := range pts {
-			if q.Val == p.Val && q.X == p.X && q.Y == p.Y {
-				pts = append(pts[:i], pts[i+1:]...)
+			if q == p {
 				// Rewrite the leaf in place (static structure, weak delete).
-				pg := &pager.Page{ID: id, Data: make([]byte, t.store.PageSize())}
-				d := pg.Data
-				d[0] = typeLeaf
-				put16(d[2:], len(pts))
-				off := headerSize
-				for _, q := range pts {
-					putf32(d[off:], q.X)
-					putf32(d[off+4:], q.Y)
-					put32(d[off+8:], uint32(q.Val))
-					off += pointSize
-				}
-				return true, t.store.Write(pg)
+				_, err := t.writeLeaf(id, append(pts[:i], pts[i+1:]...))
+				return err == nil, err
 			}
 		}
 		return false, nil
 	}
 	for _, c := range cells {
-		if !c.rect.Contains(geom.Point{X: p.X, Y: p.Y}) {
+		if !c.box.Contains(p.Vec(), t.dims) {
 			continue
 		}
-		found, err := t.deleteFrom(c.child, p)
+		found, err := t.deleteFrom(c.child, h-1, p)
 		if err != nil || found {
 			return found, err
 		}
@@ -485,63 +533,24 @@ func (t *Tree) deleteFrom(id pager.PageID, p Point) (bool, error) {
 
 // BulkLoad replaces the tree's contents with pts in a single static block —
 // the fastest way to construct a large tree (the dynamic Insert path pays
-// the logarithmic method's amortized rebuilds).
+// the logarithmic method's amortized rebuilds). The input slice is not
+// modified.
 func (t *Tree) BulkLoad(pts []Point) error {
 	for _, p := range pts {
-		if p.Val > math.MaxUint32 {
-			return fmt.Errorf("parttree: value %d does not fit in the 32-bit page slot", p.Val)
-		}
-	}
-	for _, b := range t.blocks {
-		if err := t.freeSubtree(b.root); err != nil {
+		if err := t.checkPoint(p); err != nil {
 			return err
 		}
 	}
-	t.blocks = nil
-	t.dead = 0
-	t.size = 0
-	if len(pts) == 0 {
-		return nil
-	}
-	rounded := make([]Point, len(pts))
-	for i, p := range pts {
-		rounded[i] = roundPoint(p)
-	}
-	root, h, err := t.buildStatic(rounded)
-	if err != nil {
+	if err := t.Destroy(); err != nil {
 		return err
 	}
-	t.blocks = []*block{{root: root, height: h, size: len(rounded)}}
-	t.size = len(rounded)
-	return nil
+	return t.buildBlock(append([]Point(nil), pts...))
 }
 
-// Destroy frees every page of every block; the tree must not be used
-// afterwards.
-func (t *Tree) Destroy() error {
-	for _, b := range t.blocks {
-		if err := t.freeSubtree(b.root); err != nil {
-			return err
-		}
-	}
-	t.blocks = nil
-	t.size = 0
-	t.dead = 0
-	return nil
-}
-
-func (t *Tree) rebuildAll() error {
-	var pts []Point
-	for _, b := range t.blocks {
-		if err := t.collect(b.root, &pts); err != nil {
-			return err
-		}
-		if err := t.freeSubtree(b.root); err != nil {
-			return err
-		}
-	}
-	t.blocks = nil
-	t.dead = 0
+// buildBlock makes pts, which it reorders, the tree's only block; with no
+// points the tree is left empty.
+func (t *Tree) buildBlock(pts []Point) error {
+	t.blocks, t.size, t.dead = nil, len(pts), 0
 	if len(pts) == 0 {
 		return nil
 	}
@@ -553,15 +562,36 @@ func (t *Tree) rebuildAll() error {
 	return nil
 }
 
+// Destroy frees every page of every block, leaving the tree empty.
+func (t *Tree) Destroy() error {
+	for _, b := range t.blocks {
+		if err := t.freeSubtree(b.root, b.height); err != nil {
+			return err
+		}
+	}
+	return t.buildBlock(nil)
+}
+
+func (t *Tree) rebuildAll() error {
+	var pts []Point
+	if err := t.drain(t.blocks, &pts); err != nil {
+		return err
+	}
+	return t.buildBlock(pts)
+}
+
 // ---------------------------------------------------------------------------
 // Search
 // ---------------------------------------------------------------------------
 
-// SearchRegion reports every live point inside the convex region: the
-// simplex range query of §3.3.
-func (t *Tree) SearchRegion(reg geom.ConvexRegion, fn func(Point) bool) error {
+// SearchRegion reports every live point inside the region: the simplex
+// range query of §3.3.
+func (t *Tree) SearchRegion(reg geom.Region, fn func(Point) bool) error {
+	if reg.Dims() != t.dims {
+		return fmt.Errorf("parttree: region has %d dims, tree has %d", reg.Dims(), t.dims)
+	}
 	for _, b := range t.blocks {
-		cont, err := t.searchNode(b.root, reg, fn)
+		cont, err := t.searchNode(b.root, b.height, reg, fn)
 		if err != nil || !cont {
 			return err
 		}
@@ -569,51 +599,32 @@ func (t *Tree) SearchRegion(reg geom.ConvexRegion, fn func(Point) bool) error {
 	return nil
 }
 
-func (t *Tree) searchNode(id pager.PageID, reg geom.ConvexRegion, fn func(Point) bool) (bool, error) {
-	pts, cells, err := t.readNode(id)
-	if err != nil {
-		return false, err
-	}
-	if cells == nil {
-		for _, p := range pts {
-			if reg.ContainsPoint(geom.Point{X: p.X, Y: p.Y}) {
-				if !fn(p) {
-					return false, nil
-				}
-			}
-		}
-		return true, nil
-	}
-	for _, c := range cells {
-		switch reg.ClassifyRect(c.rect) {
-		case geom.Outside:
-		case geom.Inside:
-			cont, err := t.reportSubtree(c.child, fn)
-			if err != nil || !cont {
-				return cont, err
-			}
-		default:
-			cont, err := t.searchNode(c.child, reg, fn)
-			if err != nil || !cont {
-				return cont, err
-			}
-		}
-	}
-	return true, nil
-}
-
-func (t *Tree) reportSubtree(id pager.PageID, fn func(Point) bool) (bool, error) {
-	pts, cells, err := t.readNode(id)
+// searchNode reports the points of a subtree that reg contains; a nil reg
+// reports them all.
+func (t *Tree) searchNode(id pager.PageID, h int, reg geom.Region, fn func(Point) bool) (bool, error) {
+	pts, cells, err := t.readNode(id, h)
 	if err != nil {
 		return false, err
 	}
 	for _, p := range pts {
+		if reg != nil && !reg.ContainsVec(p.Vec()) {
+			continue
+		}
 		if !fn(p) {
 			return false, nil
 		}
 	}
 	for _, c := range cells {
-		cont, err := t.reportSubtree(c.child, fn)
+		sub := reg
+		if reg != nil {
+			switch reg.ClassifyBox(c.box) {
+			case geom.Outside:
+				continue
+			case geom.Inside:
+				sub = nil
+			}
+		}
+		cont, err := t.searchNode(c.child, h-1, sub, fn)
 		if err != nil || !cont {
 			return cont, err
 		}
@@ -622,9 +633,10 @@ func (t *Tree) reportSubtree(id pager.PageID, fn func(Point) bool) (bool, error)
 }
 
 // MaxLineCrossings returns, for the root partition of the largest block,
-// the number of cells the given line crosses — the quantity Matousek
-// bounds by O(√r). Tests use it to validate the construction empirically.
-func (t *Tree) MaxLineCrossings(line geom.Constraint) (crossed, cells int, err error) {
+// the number of cells the hyperplane Coef·x = C crosses — the quantity
+// Matousek bounds by O(√r) in the plane. Tests use it to validate the
+// construction empirically.
+func (t *Tree) MaxLineCrossings(line geom.HalfSpace) (crossed, cells int, err error) {
 	if len(t.blocks) == 0 {
 		return 0, 0, nil
 	}
@@ -634,31 +646,15 @@ func (t *Tree) MaxLineCrossings(line geom.Constraint) (crossed, cells int, err e
 			big = b
 		}
 	}
-	_, cs, err := t.readNode(big.root)
+	_, cs, err := t.readNode(big.root, big.height)
 	if err != nil {
 		return 0, 0, err
 	}
 	for _, c := range cs {
-		if rectCrossesLine(c.rect, line) {
+		// The cell has corners strictly on both sides of the hyperplane.
+		if lo, hi := line.Extremes(c.box, t.dims); lo-line.C < -geom.Eps && hi-line.C > geom.Eps {
 			crossed++
 		}
 	}
 	return crossed, len(cs), nil
-}
-
-// rectCrossesLine reports whether the line A·x + B·y = C intersects the
-// interior-or-boundary of r without containing it on one side.
-func rectCrossesLine(r geom.Rect, line geom.Constraint) bool {
-	corners := r.Corners()
-	neg, pos := false, false
-	for _, p := range corners {
-		v := line.Eval(p)
-		if v < -geom.Eps {
-			neg = true
-		}
-		if v > geom.Eps {
-			pos = true
-		}
-	}
-	return neg && pos
 }

@@ -35,7 +35,7 @@ func NewPartTree4(store pager.Store, cfg PartTree4Config) (*PartTree4, error) {
 	rot, err := core.NewRotator(t.TPeriod(), motion2DTime, func(tref float64) (*part4Gen, error) {
 		g := &part4Gen{cfg: cfg, tref: tref}
 		for q := 0; q < 4; q++ {
-			tree, err := parttree.NewND(store, 4)
+			tree, err := parttree.New(store, 4)
 			if err != nil {
 				return nil, err
 			}
@@ -77,20 +77,15 @@ func (p *PartTree4) Query(q MOR2Query, emit func(dual.OID)) error {
 type part4Gen struct {
 	cfg   PartTree4Config
 	tref  float64
-	quads [4]*parttree.NDTree
+	quads [4]*parttree.Tree
 	size  int
-}
-
-func (g *part4Gen) dualPoint(m Motion2D) []float64 {
-	x, y := m.At(g.tref)
-	return []float64{m.VX, x, m.VY, y}
 }
 
 func (g *part4Gen) Len() int { return g.size }
 
 func (g *part4Gen) Insert(m Motion2D) error {
 	tree := g.quads[quadrant(m.VX, m.VY)]
-	if err := tree.Insert(parttree.NDPoint{Coords: g.dualPoint(m), Val: uint64(m.OID)}); err != nil {
+	if err := tree.Insert(parttree.Pt(dualVec(m, g.tref), uint64(m.OID))); err != nil {
 		return err
 	}
 	g.size++
@@ -99,7 +94,7 @@ func (g *part4Gen) Insert(m Motion2D) error {
 
 func (g *part4Gen) Delete(m Motion2D) error {
 	tree := g.quads[quadrant(m.VX, m.VY)]
-	found, err := tree.Delete(parttree.NDPoint{Coords: g.dualPoint(m), Val: uint64(m.OID)})
+	found, err := tree.Delete(parttree.Pt(dualVec(m, g.tref), uint64(m.OID)))
 	if err != nil {
 		return err
 	}
@@ -114,15 +109,9 @@ func (g *part4Gen) Query(q MOR2Query, emit func(dual.OID)) error {
 	for quad := 0; quad < 4; quad++ {
 		negX := quad&1 != 0
 		negY := quad&2 != 0
-		cs := constraints4(q, g.tref, g.cfg.Terrain, negX, negY)
-		err := g.quads[quad].SearchConstraints(cs, func(p parttree.NDPoint) bool {
-			m := Motion2D{
-				OID: dual.OID(p.Val),
-				X0:  p.Coords[1], Y0: p.Coords[3],
-				T0: g.tref,
-				VX: p.Coords[0], VY: p.Coords[2],
-			}
-			if m.Matches(q) {
+		reg := constraints4(q, g.tref, g.cfg.Terrain, negX, negY)
+		err := g.quads[quad].SearchRegion(reg, func(p parttree.Point) bool {
+			if m := motionAt(p.Vec(), dual.OID(p.Val), g.tref); m.Matches(q) {
 				emit(m.OID)
 			}
 			return true

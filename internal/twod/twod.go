@@ -9,7 +9,7 @@
 //     take the Hough-X dual of each, giving the 4-dimensional point
 //     (vx, ax, vy, ay). The query becomes a conjunction of the two planes'
 //     Proposition 1 wedges — a simplex in ℝ⁴ — answered by a paged
-//     4-dimensional k-d tree (package kdnd), with candidates filtered
+//     k-d tree at d = 4 (package kdtree), with candidates filtered
 //     exactly (the conjunction alone over-approximates, because the x- and
 //     y-conditions may hold at different instants).
 //
@@ -34,7 +34,7 @@ import (
 	"mobidx/internal/core"
 	"mobidx/internal/dual"
 	"mobidx/internal/geom"
-	"mobidx/internal/kdnd"
+	"mobidx/internal/kdtree"
 	"mobidx/internal/pager"
 )
 
@@ -204,7 +204,7 @@ func (k *KD4) Query(q MOR2Query, emit func(dual.OID)) error {
 type kd4Gen struct {
 	cfg   KD4Config
 	tref  float64
-	quads [4]*kdnd.Tree // index = (vx>0 ? 0 : 1) | (vy>0 ? 0 : 2)
+	quads [4]*kdtree.Tree // index = (vx>0 ? 0 : 1) | (vy>0 ? 0 : 2)
 	size  int
 }
 
@@ -246,12 +246,9 @@ func newKD4Gen(store pager.Store, cfg KD4Config, tref float64) (*kd4Gen, error) 
 		axLo, axHi := aRange(negX, t.XMax)
 		vyLo, vyHi := vRange(negY)
 		ayLo, ayHi := aRange(negY, t.YMax)
-		tree, err := kdnd.New(store, kdnd.Config{
-			Dims: 4,
-			World: kdnd.Box{
-				Lo: []float64{vxLo, axLo, vyLo, ayLo},
-				Hi: []float64{vxHi, axHi, vyHi, ayHi},
-			},
+		tree, err := kdtree.New(store, 4, geom.Box{
+			Lo: geom.Vec{vxLo, axLo, vyLo, ayLo},
+			Hi: geom.Vec{vxHi, axHi, vyHi, ayHi},
 		})
 		if err != nil {
 			return nil, err
@@ -261,17 +258,22 @@ func newKD4Gen(store pager.Store, cfg KD4Config, tref float64) (*kd4Gen, error) 
 	return g, nil
 }
 
-// dualPoint maps the motion to (vx, ax, vy, ay) relative to tref.
-func (g *kd4Gen) dualPoint(m Motion2D) []float64 {
-	x, y := m.At(g.tref)
-	return []float64{m.VX, x, m.VY, y}
+// dualVec maps the motion to its dual point (vx, ax, vy, ay) relative to
+// tref; motionAt is its inverse.
+func dualVec(m Motion2D, tref float64) geom.Vec {
+	x, y := m.At(tref)
+	return geom.Vec{m.VX, x, m.VY, y}
+}
+
+func motionAt(v geom.Vec, oid dual.OID, tref float64) Motion2D {
+	return Motion2D{OID: oid, X0: v[1], Y0: v[3], T0: tref, VX: v[0], VY: v[2]}
 }
 
 func (g *kd4Gen) Len() int { return g.size }
 
 func (g *kd4Gen) Insert(m Motion2D) error {
 	tree := g.quads[quadrant(m.VX, m.VY)]
-	if err := tree.Insert(kdnd.Point{Coords: g.dualPoint(m), Val: uint64(m.OID)}); err != nil {
+	if err := tree.Insert(kdtree.Pt(dualVec(m, g.tref), uint64(m.OID))); err != nil {
 		return err
 	}
 	g.size++
@@ -280,7 +282,7 @@ func (g *kd4Gen) Insert(m Motion2D) error {
 
 func (g *kd4Gen) Delete(m Motion2D) error {
 	tree := g.quads[quadrant(m.VX, m.VY)]
-	found, err := tree.Delete(kdnd.Point{Coords: g.dualPoint(m), Val: uint64(m.OID)})
+	found, err := tree.Delete(kdtree.Pt(dualVec(m, g.tref), uint64(m.OID)))
 	if err != nil {
 		return err
 	}
@@ -293,37 +295,39 @@ func (g *kd4Gen) Delete(m Motion2D) error {
 
 // constraints4 builds the ℝ⁴ simplex: the Proposition 1 wedge of the x
 // projection on dims (0,1) and of the y projection on dims (2,3), with
-// times relative to tref.
-func constraints4(q MOR2Query, tref float64, tr Terrain2D, negX, negY bool) []kdnd.Constraint {
+// times relative to tref. The region classifies a cell one half-space at a
+// time (geom.HalfSpaces): the eight constraints are never clipped against
+// a cell together, which is E8's suspected defect (ROADMAP item 6(b)).
+func constraints4(q MOR2Query, tref float64, tr Terrain2D, negX, negY bool) geom.HalfSpaces {
 	t1 := q.T1 - tref
 	t2 := q.T2 - tref
-	var cs []kdnd.Constraint
+	var hs []geom.HalfSpace
 	add := func(vDim, aDim int, Y1, Y2 float64, neg bool) {
-		coef := func(v, a float64) []float64 {
-			c := make([]float64, 4)
-			c[vDim] = v
-			c[aDim] = a
-			return c
+		half := func(v, a, c float64) geom.HalfSpace {
+			h := geom.HalfSpace{C: c}
+			h.Coef[vDim] = v
+			h.Coef[aDim] = a
+			return h
 		}
 		if !neg {
-			cs = append(cs,
-				kdnd.Constraint{Coef: coef(-1, 0), C: -tr.VMin}, // v >= vmin
-				kdnd.Constraint{Coef: coef(1, 0), C: tr.VMax},   // v <= vmax
-				kdnd.Constraint{Coef: coef(-t2, -1), C: -Y1},    // a + t2 v >= Y1
-				kdnd.Constraint{Coef: coef(t1, 1), C: Y2},       // a + t1 v <= Y2
+			hs = append(hs,
+				half(-1, 0, -tr.VMin), // v >= vmin
+				half(1, 0, tr.VMax),   // v <= vmax
+				half(-t2, -1, -Y1),    // a + t2 v >= Y1
+				half(t1, 1, Y2),       // a + t1 v <= Y2
 			)
 		} else {
-			cs = append(cs,
-				kdnd.Constraint{Coef: coef(1, 0), C: -tr.VMin},
-				kdnd.Constraint{Coef: coef(-1, 0), C: tr.VMax},
-				kdnd.Constraint{Coef: coef(-t1, -1), C: -Y1},
-				kdnd.Constraint{Coef: coef(t2, 1), C: Y2},
+			hs = append(hs,
+				half(1, 0, -tr.VMin),
+				half(-1, 0, tr.VMax),
+				half(-t1, -1, -Y1),
+				half(t2, 1, Y2),
 			)
 		}
 	}
 	add(0, 1, q.X1, q.X2, negX)
 	add(2, 3, q.Y1, q.Y2, negY)
-	return cs
+	return geom.HalfSpaces{D: 4, Hs: hs}
 }
 
 // quadScan searches one velocity quadrant's tree with the ℝ⁴ simplex and
@@ -331,19 +335,13 @@ func constraints4(q MOR2Query, tref float64, tr Terrain2D, negX, negY bool) []kd
 func (g *kd4Gen) quadScan(quad int, q MOR2Query, emit func(dual.OID)) error {
 	negX := quad&1 != 0
 	negY := quad&2 != 0
-	cs := constraints4(q, g.tref, g.cfg.Terrain, negX, negY)
-	return g.quads[quad].SearchConstraints(cs, func(p kdnd.Point) bool {
+	reg := constraints4(q, g.tref, g.cfg.Terrain, negX, negY)
+	return g.quads[quad].SearchRegion(reg, func(p kdtree.Point) bool {
 		// The conjunction of per-axis wedges over-approximates (the
 		// axis conditions may hold at different instants): filter with
 		// the exact 2-dimensional predicate reconstructed from the
 		// dual point.
-		m := Motion2D{
-			OID: dual.OID(p.Val),
-			X0:  p.Coords[1], Y0: p.Coords[3],
-			T0: g.tref,
-			VX: p.Coords[0], VY: p.Coords[2],
-		}
-		if m.Matches(q) {
+		if m := motionAt(p.Vec(), dual.OID(p.Val), g.tref); m.Matches(q) {
 			emit(m.OID)
 		}
 		return true

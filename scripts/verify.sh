@@ -141,6 +141,10 @@ echo "== benchmark module (bench/) =="
 echo "== fuzz smoke =="
 go test ./internal/bptree -run '^$' -fuzz '^FuzzDecodeNode$' -fuzztime=10s
 go test ./internal/bptree -run '^$' -fuzz '^FuzzMutateHostileImage$' -fuzztime=10s
+# One execution of these two builds six trees, so the default 60 s
+# minimisation budget would swallow the whole smoke.
+go test ./internal/kdtree -run '^$' -fuzz '^FuzzHostileImage$' -fuzztime=10s -fuzzminimizetime=1s
+go test ./internal/parttree -run '^$' -fuzz '^FuzzHostileImage$' -fuzztime=10s -fuzzminimizetime=1s
 go test ./internal/pager -run '^$' -fuzz '^FuzzDecodeWALRecord$' -fuzztime=10s
 go test ./internal/geom -run '^$' -fuzz '^FuzzClipConvex$' -fuzztime=10s
 go test ./internal/subscribe -run '^$' -fuzz '^FuzzMatcher$' -fuzztime=10s
