@@ -8,7 +8,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mobidx/internal/bptree"
 	"mobidx/internal/interval"
@@ -43,16 +43,10 @@ type DualMeta struct {
 // ascending epoch order (deterministic, so serialized forms are
 // byte-stable for identical states).
 func (d *DualBPlus) Meta() DualMeta {
-	epochs := make([]int64, 0, len(d.rot.gens))
-	for e := range d.rot.gens {
-		epochs = append(epochs, e)
-	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	m := DualMeta{Gens: make([]DualGenMeta, 0, len(epochs))}
-	for _, e := range epochs {
-		g := d.rot.gens[e]
+	m := DualMeta{Gens: make([]DualGenMeta, 0, len(d.rot.gens))}
+	for gi, g := range d.rot.gens {
 		gm := DualGenMeta{
-			Epoch: e,
+			Epoch: d.rot.epochs[gi],
 			Size:  g.size,
 			Pos:   make([]bptree.Meta, g.cfg.C),
 			Neg:   make([]bptree.Meta, g.cfg.C),
@@ -88,7 +82,7 @@ func AttachDualBPlus(store pager.Store, cfg DualBPlusConfig, m DualMeta) (*DualB
 		if gm.Size < 0 {
 			return nil, fmt.Errorf("core: attach: generation %d size %d", gm.Epoch, gm.Size)
 		}
-		if _, dup := d.rot.gens[gm.Epoch]; dup {
+		if _, dup := slices.BinarySearch(d.rot.epochs, gm.Epoch); dup {
 			return nil, fmt.Errorf("core: attach: duplicate generation epoch %d", gm.Epoch)
 		}
 		g := &dualBPGen{
@@ -115,8 +109,7 @@ func AttachDualBPlus(store pager.Store, cfg DualBPlusConfig, m DualMeta) (*DualB
 			g.neg = append(g.neg, n)
 			g.sub = append(g.sub, s)
 		}
-		d.rot.gens[gm.Epoch] = g
-		d.rot.size += gm.Size
+		d.rot.adopt(gm.Epoch, g, gm.Size)
 	}
 	return d, nil
 }

@@ -18,29 +18,6 @@ import (
 	"mobidx/internal/rstar"
 )
 
-// reset destroys every live generation, leaving the rotator empty.
-func (r *Rotator[M, G]) reset() error {
-	for e, g := range r.gens {
-		if err := g.Destroy(); err != nil {
-			return err
-		}
-		delete(r.gens, e)
-	}
-	r.size = 0
-	return nil
-}
-
-// groupByEpoch partitions motions by their rotation epoch, preserving
-// input order within each group.
-func (r *Rotator[M, G]) groupByEpoch(ms []M) map[int64][]M {
-	groups := make(map[int64][]M)
-	for _, m := range ms {
-		e := r.epoch(r.updTime(m))
-		groups[e] = append(groups[e], m)
-	}
-	return groups
-}
-
 // BulkLoad replaces the index's contents with the given motions using the
 // B+-trees' bottom-up builders: per generation, each of the 2c observation
 // trees and c interval indexes receives its full entry slice, sorted once,
@@ -53,21 +30,7 @@ func (d *DualBPlus) BulkLoad(ms []dual.Motion) error {
 		}
 	}
 	return pager.RunBatch(d.store, func() error {
-		if err := d.rot.reset(); err != nil {
-			return err
-		}
-		for e, group := range d.rot.groupByEpoch(ms) {
-			g, err := d.rot.make(float64(e) * d.rot.period)
-			if err != nil {
-				return err
-			}
-			if err := g.bulkLoad(group); err != nil {
-				return err
-			}
-			d.rot.gens[e] = g
-			d.rot.size += len(group)
-		}
-		return nil
+		return d.rot.BulkLoad(ms, (*dualBPGen).bulkLoad)
 	})
 }
 
@@ -154,14 +117,7 @@ func (k *KDDual) BulkLoad(ms []dual.Motion) error {
 		}
 	}
 	return pager.RunBatch(k.store, func() error {
-		if err := k.rot.reset(); err != nil {
-			return err
-		}
-		for e, group := range k.rot.groupByEpoch(ms) {
-			g, err := k.rot.make(float64(e) * k.rot.period)
-			if err != nil {
-				return err
-			}
+		return k.rot.BulkLoad(ms, func(g *kdDualGen, group []dual.Motion) error {
 			pos := make([]kdtree.Point, 0, len(group))
 			neg := make([]kdtree.Point, 0, len(group))
 			for _, m := range group {
@@ -178,10 +134,8 @@ func (k *KDDual) BulkLoad(ms []dual.Motion) error {
 				return err
 			}
 			g.size = len(group)
-			k.rot.gens[e] = g
-			k.rot.size += len(group)
-		}
-		return nil
+			return nil
+		})
 	})
 }
 
@@ -195,14 +149,7 @@ func (p *PartTreeDual) BulkLoad(ms []dual.Motion) error {
 			return err
 		}
 	}
-	if err := p.rot.reset(); err != nil {
-		return err
-	}
-	for e, group := range p.rot.groupByEpoch(ms) {
-		g, err := p.rot.make(float64(e) * p.rot.period)
-		if err != nil {
-			return err
-		}
+	return p.rot.BulkLoad(ms, func(g *partDualGen, group []dual.Motion) error {
 		var pp, np []parttree.Point
 		for _, m := range group {
 			if m.V > 0 {
@@ -218,10 +165,8 @@ func (p *PartTreeDual) BulkLoad(ms []dual.Motion) error {
 			return err
 		}
 		g.size = len(group)
-		p.rot.gens[e] = g
-		p.rot.size += len(group)
-	}
-	return nil
+		return nil
+	})
 }
 
 // BulkLoad replaces the baseline's contents with the given motions via the

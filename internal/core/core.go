@@ -24,6 +24,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mobidx/internal/dual"
 )
@@ -113,8 +114,12 @@ type Rotator[M any, G Generation[M]] struct {
 	period  float64
 	updTime func(M) float64
 	make    func(tref float64) (G, error)
-	gens    map[int64]G
-	size    int
+	// epochs is ascending and gens[i] is the generation of epochs[i]: every
+	// walk over the live generations (a query, a reindex, a retirement)
+	// goes in epoch order, so page allocation repeats run to run.
+	epochs []int64
+	gens   []G
+	size   int
 }
 
 // NewRotator builds a rotator; mk constructs a fresh generation whose dual
@@ -124,7 +129,7 @@ func NewRotator[M any, G Generation[M]](period float64, updTime func(M) float64,
 	if period <= 0 {
 		return nil, fmt.Errorf("core: rotation period must be positive, got %v", period)
 	}
-	return &Rotator[M, G]{period: period, updTime: updTime, make: mk, gens: make(map[int64]G)}, nil
+	return &Rotator[M, G]{period: period, updTime: updTime, make: mk}, nil
 }
 
 func (r *Rotator[M, G]) epoch(t float64) int64 { return int64(math.Floor(t / r.period)) }
@@ -136,39 +141,52 @@ func (r *Rotator[M, G]) Generations() int { return len(r.gens) }
 // Len returns the number of indexed motions across generations.
 func (r *Rotator[M, G]) Len() int { return r.size }
 
-// Live returns the live generations (query them all; each object lives in
-// exactly one, so no cross-generation duplicates arise).
-func (r *Rotator[M, G]) Live() []G {
-	out := make([]G, 0, len(r.gens))
-	for _, g := range r.gens {
-		out = append(out, g)
+// Live returns the live generations in ascending epoch order (query them
+// all; each object lives in exactly one, so no cross-generation duplicates
+// arise). The slice is the rotator's own: read it, do not keep it across
+// an Insert, Delete or BulkLoad.
+func (r *Rotator[M, G]) Live() []G { return r.gens }
+
+// adopt records g as the generation of epoch e, which must not be live.
+func (r *Rotator[M, G]) adopt(e int64, g G, size int) {
+	i, _ := slices.BinarySearch(r.epochs, e)
+	r.epochs = slices.Insert(r.epochs, i, e)
+	r.gens = slices.Insert(r.gens, i, g)
+	r.size += size
+}
+
+// retire destroys the i-th live generation and forgets it.
+func (r *Rotator[M, G]) retire(i int) error {
+	if err := r.gens[i].Destroy(); err != nil {
+		return err
 	}
-	return out
+	r.epochs = slices.Delete(r.epochs, i, i+1)
+	r.gens = slices.Delete(r.gens, i, i+1)
+	return nil
 }
 
 // Insert routes m to the generation of its update epoch.
 func (r *Rotator[M, G]) Insert(m M) error {
 	e := r.epoch(r.updTime(m))
-	g, ok := r.gens[e]
+	i, ok := slices.BinarySearch(r.epochs, e)
 	if !ok {
-		var err error
-		if g, err = r.make(float64(e) * r.period); err != nil {
+		g, err := r.make(float64(e) * r.period)
+		if err != nil {
 			return err
 		}
-		r.gens[e] = g
+		r.adopt(e, g, 0)
 	}
-	if err := g.Insert(m); err != nil {
+	if err := r.gens[i].Insert(m); err != nil {
 		return err
 	}
 	r.size++
 	// Retire any older generation that drained while it was still the
 	// newest (Delete could not retire it then — there was nowhere newer).
-	for e2, g2 := range r.gens {
-		if e2 < e && g2.Len() == 0 {
-			if err := g2.Destroy(); err != nil {
+	for j := i - 1; j >= 0; j-- {
+		if r.gens[j].Len() == 0 {
+			if err := r.retire(j); err != nil {
 				return err
 			}
-			delete(r.gens, e2)
 		}
 	}
 	return nil
@@ -178,28 +196,53 @@ func (r *Rotator[M, G]) Insert(m M) error {
 // drains and a newer one exists.
 func (r *Rotator[M, G]) Delete(m M) error {
 	e := r.epoch(r.updTime(m))
-	g, ok := r.gens[e]
+	i, ok := slices.BinarySearch(r.epochs, e)
 	if !ok {
 		return fmt.Errorf("core: no generation for epoch %d", e)
 	}
-	if err := g.Delete(m); err != nil {
+	if err := r.gens[i].Delete(m); err != nil {
 		return err
 	}
 	r.size--
-	if g.Len() == 0 {
-		newer := false
-		for e2 := range r.gens {
-			if e2 > e {
-				newer = true
-				break
-			}
+	if r.gens[i].Len() == 0 && i < len(r.gens)-1 {
+		return r.retire(i)
+	}
+	return nil
+}
+
+// BulkLoad replaces the rotator's contents with ms: it destroys every live
+// generation, groups ms by rotation epoch (input order kept within a
+// group), and for each epoch in ascending order makes a fresh generation
+// and hands it its group through load. The caller validates ms first and
+// runs the call inside pager.RunBatch, so a failure midway rolls the store
+// back; the rotator itself is then empty or partly loaded and must be
+// loaded again.
+func (r *Rotator[M, G]) BulkLoad(ms []M, load func(G, []M) error) error {
+	for len(r.gens) > 0 {
+		if err := r.retire(0); err != nil {
+			return err
 		}
-		if newer {
-			if err := g.Destroy(); err != nil {
-				return err
-			}
-			delete(r.gens, e)
+	}
+	r.size = 0
+	groups := make(map[int64][]M)
+	var epochs []int64
+	for _, m := range ms {
+		e := r.epoch(r.updTime(m))
+		if _, ok := groups[e]; !ok {
+			epochs = append(epochs, e)
 		}
+		groups[e] = append(groups[e], m)
+	}
+	slices.Sort(epochs)
+	for _, e := range epochs {
+		g, err := r.make(float64(e) * r.period)
+		if err != nil {
+			return err
+		}
+		if err := load(g, groups[e]); err != nil {
+			return err
+		}
+		r.adopt(e, g, len(groups[e]))
 	}
 	return nil
 }
