@@ -12,9 +12,7 @@ import (
 
 	"mobidx/internal/bptree"
 	"mobidx/internal/dual"
-	"mobidx/internal/kdtree"
 	"mobidx/internal/pager"
-	"mobidx/internal/parttree"
 	"mobidx/internal/rstar"
 )
 
@@ -105,68 +103,6 @@ func (d *DualBPlus) QueryAppend(dst []dual.OID, q dual.MORQuery) ([]dual.OID, er
 	tail := dst[base:]
 	slices.Sort(tail)
 	return dst[:base+len(slices.Compact(tail))], nil
-}
-
-// BulkLoad replaces the index's contents with the given motions, packing
-// each generation's two k-d trees with their bottom-up builder. On a
-// batching store the reindex commits atomically.
-func (k *KDDual) BulkLoad(ms []dual.Motion) error {
-	for _, m := range ms {
-		if err := ValidateMotion(m, k.cfg.Terrain); err != nil {
-			return err
-		}
-	}
-	return pager.RunBatch(k.store, func() error {
-		return k.rot.BulkLoad(ms, func(g *kdDualGen, group []dual.Motion) error {
-			pos := make([]kdtree.Point, 0, len(group))
-			neg := make([]kdtree.Point, 0, len(group))
-			for _, m := range group {
-				if m.V > 0 {
-					pos = append(pos, g.point(m))
-				} else {
-					neg = append(neg, g.point(m))
-				}
-			}
-			if err := g.pos.BulkLoad(pos); err != nil {
-				return err
-			}
-			if err := g.neg.BulkLoad(neg); err != nil {
-				return err
-			}
-			g.size = len(group)
-			return nil
-		})
-	})
-}
-
-// BulkLoad replaces the index's contents with the given motions, building
-// each generation's two partition trees as single static blocks — the
-// construction the logarithmic method converges to, without paying its
-// amortized rebuilds.
-func (p *PartTreeDual) BulkLoad(ms []dual.Motion) error {
-	for _, m := range ms {
-		if err := ValidateMotion(m, p.cfg.Terrain); err != nil {
-			return err
-		}
-	}
-	return p.rot.BulkLoad(ms, func(g *partDualGen, group []dual.Motion) error {
-		var pp, np []parttree.Point
-		for _, m := range group {
-			if m.V > 0 {
-				pp = append(pp, g.point(m))
-			} else {
-				np = append(np, g.point(m))
-			}
-		}
-		if err := g.pos.BulkLoad(pp); err != nil {
-			return err
-		}
-		if err := g.neg.BulkLoad(np); err != nil {
-			return err
-		}
-		g.size = len(group)
-		return nil
-	})
 }
 
 // BulkLoad replaces the baseline's contents with the given motions via the

@@ -152,68 +152,6 @@ func TestDualBPlusBulkReplaces(t *testing.T) {
 	}
 }
 
-// The bulk-loaded KDDual must be answer-identical to the incremental one.
-func TestKDDualBulkDifferential(t *testing.T) {
-	ms := randMotions(46, 2000, 1.5)
-	mk := func() *KDDual {
-		k, err := NewKDDual(pager.NewMemStore(1024), KDDualConfig{Terrain: testTerrain})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
-	}
-	inc := mk()
-	for _, m := range ms {
-		if err := inc.Insert(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bulk := mk()
-	if err := bulk.BulkLoad(ms); err != nil {
-		t.Fatal(err)
-	}
-	if bulk.Len() != inc.Len() {
-		t.Fatalf("bulk Len=%d, incremental %d", bulk.Len(), inc.Len())
-	}
-	rng := rand.New(rand.NewSource(47))
-	for i := 0; i < 60; i++ {
-		q := randMOR(rng, 1.5)
-		if !slices.Equal(sortedQuery(t, inc, q), sortedQuery(t, bulk, q)) {
-			t.Fatalf("query %d diverges", i)
-		}
-	}
-}
-
-// The bulk-loaded PartTreeDual must be answer-identical to the
-// incremental one.
-func TestPartTreeDualBulkDifferential(t *testing.T) {
-	ms := randMotions(48, 1500, 1.5)
-	mk := func() *PartTreeDual {
-		p, err := NewPartTreeDual(pager.NewMemStore(1024), PartTreeDualConfig{Terrain: testTerrain})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	inc := mk()
-	for _, m := range ms {
-		if err := inc.Insert(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bulk := mk()
-	if err := bulk.BulkLoad(ms); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(49))
-	for i := 0; i < 40; i++ {
-		q := randMOR(rng, 1.5)
-		if !slices.Equal(sortedQuery(t, inc, q), sortedQuery(t, bulk, q)) {
-			t.Fatalf("query %d diverges", i)
-		}
-	}
-}
-
 // The bulk-loaded RStarSeg baseline must be answer-identical to the
 // incremental one.
 func TestRStarSegBulkDifferential(t *testing.T) {

@@ -4,8 +4,12 @@
 //   - DualBPlus — the query-approximation method of §3.5.2: c observation
 //     B+-tree indexes over Hough-Y b-coordinates plus c subterrain interval
 //     indexes, with queries routed to minimize the enlargement E.
-//   - KDDual — the point-access-method approach of §3.5.1: paged k-d trees
-//     over Hough-X dual points answering the wedge query of Proposition 1.
+//   - PointDual — the "index the dual point, answer a linear-constraint
+//     query" family: Hough-X dual points in a paged point structure,
+//     answering the wedge query of Proposition 1. NewKDDual puts them in
+//     k-d trees (the point-access-method approach of §3.5.1),
+//     NewPartTreeDual in partition trees (§3.4); package twod builds the
+//     4-dimensional members of §4.2 on the same type.
 //   - RStarSeg — the traditional baseline of §3.1/§5: an R*-tree over
 //     trajectory line segments in the (t, y) plane.
 //
@@ -13,7 +17,7 @@
 // an object's change of motion is a Delete of the old motion followed by an
 // Insert of the new one.
 //
-// DualBPlus and KDDual bound their dual coordinates with the two-index
+// DualBPlus and PointDual bound their dual coordinates with the two-index
 // rotation scheme of §3.2 (see Rotator): motions are assigned to
 // generations by update time, each generation computes dual coordinates
 // against its own reference time, and a generation is retired once every
@@ -53,12 +57,8 @@ type Index1D interface {
 // an index (ingest) can reject a motion before staging it rather than at
 // merge time.
 func ValidateMotion(m dual.Motion, tr dual.Terrain) error {
-	// Every comparison below is false for NaN, and T0 (which picks the
-	// rotation epoch) is otherwise never looked at.
-	for _, f := range [...]float64{m.V, m.Y0, m.T0} {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return fmt.Errorf("core: non-finite motion (y0 %v, t0 %v, v %v)", m.Y0, m.T0, m.V)
-		}
+	if err := finiteMotion(m); err != nil {
+		return err
 	}
 	s := math.Abs(m.V)
 	if s < tr.VMin-1e-12 || s > tr.VMax+1e-12 {
@@ -66,6 +66,18 @@ func ValidateMotion(m dual.Motion, tr dual.Terrain) error {
 	}
 	if m.Y0 < -1e-9 || m.Y0 > tr.YMax+1e-9 {
 		return fmt.Errorf("core: position %v outside terrain [0, %v]", m.Y0, tr.YMax)
+	}
+	return nil
+}
+
+// finiteMotion rejects NaN and ±Inf fields: every range comparison is false
+// for NaN, and T0 (which picks the rotation epoch) is otherwise never
+// looked at.
+func finiteMotion(m dual.Motion) error {
+	for _, f := range [...]float64{m.V, m.Y0, m.T0} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("core: non-finite motion (y0 %v, t0 %v, v %v)", m.Y0, m.T0, m.V)
+		}
 	}
 	return nil
 }

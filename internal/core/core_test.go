@@ -274,26 +274,6 @@ func TestRotationBoundsGenerations(t *testing.T) {
 	checkQuery(t, ix, s, s.randQuery(50, 30), 0)
 }
 
-func TestKDRotation(t *testing.T) {
-	st := pager.NewMemStore(1024)
-	ix, err := NewKDDual(st, KDDualConfig{Terrain: testTerrain})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newSim(11, testTerrain)
-	for i := 0; i < 200; i++ {
-		s.spawn(ix, t)
-	}
-	for step := 0; step < 500; step++ {
-		s.tick(ix, 2, t)
-		s.churn(ix, 5, t)
-		if g := ix.Generations(); g > 2 {
-			t.Fatalf("step %d: %d live generations", step, g)
-		}
-	}
-	checkQuery(t, ix, s, s.randQuery(50, 30), 0.02)
-}
-
 func TestValidateMotion(t *testing.T) {
 	st := pager.NewMemStore(1024)
 	ix, _ := NewDualBPlus(st, DualBPlusConfig{Terrain: testTerrain, C: 4})
@@ -453,26 +433,6 @@ func TestPartTreeDualDifferential(t *testing.T) {
 		return ix
 	}
 	runDifferential(t, mk, 0.02, 4000)
-}
-
-func TestPartTreeDualRotation(t *testing.T) {
-	st := pager.NewMemStore(1024)
-	ix, err := NewPartTreeDual(st, PartTreeDualConfig{Terrain: testTerrain})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newSim(29, testTerrain)
-	for i := 0; i < 150; i++ {
-		s.spawn(ix, t)
-	}
-	for step := 0; step < 400; step++ {
-		s.tick(ix, 2, t)
-		s.churn(ix, 4, t)
-		if g := ix.rot.Generations(); g > 2 {
-			t.Fatalf("step %d: %d generations", step, g)
-		}
-	}
-	checkQuery(t, ix, s, s.randQuery(40, 20), 0.02)
 }
 
 // SpeedPartitioned handles the paper's slow-object population (§3/§3.6):

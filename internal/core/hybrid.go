@@ -70,6 +70,9 @@ func (s *SpeedPartitioned) Insert(m dual.Motion) error {
 	if !s.isSlow(m) {
 		return s.moving.Insert(m)
 	}
+	if err := finiteMotion(m); err != nil {
+		return err
+	}
 	if m.Y0 < -1e-9 || m.Y0 > s.cfg.Terrain.YMax+1e-9 {
 		return fmt.Errorf("core: position %v outside terrain [0, %v]", m.Y0, s.cfg.Terrain.YMax)
 	}

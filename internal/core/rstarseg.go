@@ -103,6 +103,9 @@ func (r *RStarSeg) Len() int { return r.tree.Len() }
 
 // Query implements Index1D.
 func (r *RStarSeg) Query(q dual.MORQuery, emit func(dual.OID)) error {
+	if err := ValidateQuery(q); err != nil {
+		return err
+	}
 	rect := geom.Rect{MinX: q.T1, MinY: q.Y1, MaxX: q.T2, MaxY: q.Y2}
 	return r.tree.SearchRect(rect, func(it rstar.Item) bool {
 		// Reconstruct the segment from the MBR and the sign bit: positive
@@ -130,6 +133,6 @@ func (r *RStarSeg) Query(q dual.MORQuery, emit func(dual.OID)) error {
 // Interface compliance checks.
 var (
 	_ Index1D = (*DualBPlus)(nil)
-	_ Index1D = (*KDDual)(nil)
+	_ Index1D = (*HoughXDual)(nil)
 	_ Index1D = (*RStarSeg)(nil)
 )

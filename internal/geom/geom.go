@@ -421,6 +421,21 @@ func (g GridVec) Vec() Vec {
 	return v
 }
 
+// GridPoint is one point of a paged point index (kdtree, parttree): its
+// coordinates on the float32 grid the pages store (zero past the index's
+// dimensionality) and an opaque reference. Held inline, a point costs no
+// allocation of its own.
+type GridPoint struct {
+	C   GridVec
+	Val uint64 // must fit in 32 bits
+}
+
+// Pt snaps c to the float32 grid used on page.
+func Pt(c Vec, val uint64) GridPoint { return GridPoint{C: c.Grid(), Val: val} }
+
+// Vec returns the point's coordinates.
+func (p GridPoint) Vec() Vec { return p.C.Vec() }
+
 // Box is the axis-parallel d-box [Lo, Hi].
 type Box struct {
 	Lo, Hi Vec

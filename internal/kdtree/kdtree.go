@@ -34,19 +34,12 @@ import (
 	"mobidx/internal/pager"
 )
 
-// Point is one indexed point: its coordinates on the float32 grid the
-// pages store (zero past the tree's dimensionality) and an opaque
-// reference. Held inline, a point costs no allocation of its own.
-type Point struct {
-	C   geom.GridVec
-	Val uint64 // must fit in 32 bits
-}
+// Point is the point record this tree shares with the other paged point
+// index, so one caller can sit on either.
+type Point = geom.GridPoint
 
 // Pt snaps c to the float32 grid used on page.
-func Pt(c geom.Vec, val uint64) Point { return Point{C: c.Grid(), Val: val} }
-
-// Vec returns the point's coordinates.
-func (p Point) Vec() geom.Vec { return p.C.Vec() }
+func Pt(c geom.Vec, val uint64) Point { return geom.Pt(c, val) }
 
 // Tree is a paged k-d tree.
 type Tree struct {

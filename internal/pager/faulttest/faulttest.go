@@ -77,76 +77,47 @@ func fingerprint(ids []dual.OID) string {
 	return sb.String()
 }
 
-// index1DWorkload builds, queries, updates a third of the population, and
-// queries again.
-func index1DWorkload(name string, mk func(pager.Store) (core.Index1D, error)) Workload {
-	return Workload{Name: name, Run: func(store pager.Store) (string, error) {
-		idx, err := mk(store)
-		if err != nil {
-			return "", err
-		}
-		ms := motions1D(48)
-		for _, m := range ms {
-			if err := idx.Insert(m); err != nil {
-				return "", err
-			}
-		}
-		var out strings.Builder
-		runQueries := func() error {
-			for _, q := range queries1D {
-				var ids []dual.OID
-				if err := idx.Query(q, func(id dual.OID) { ids = append(ids, id) }); err != nil {
-					return err
-				}
-				out.WriteString(fingerprint(ids))
-				out.WriteByte(';')
-			}
-			return nil
-		}
-		if err := runQueries(); err != nil {
-			return "", err
-		}
-		// A motion change is Delete(old) + Insert(new), the paper's model.
-		for i := 0; i < len(ms); i += 3 {
-			if err := idx.Delete(ms[i]); err != nil {
-				return "", err
-			}
-			ms[i].T0 = 50
-			ms[i].Y0 = float64((i*211 + 37) % 1000)
-			if err := idx.Insert(ms[i]); err != nil {
-				return "", err
-			}
-		}
-		if err := runQueries(); err != nil {
-			return "", err
-		}
-		return out.String(), nil
-	}}
+// index is the surface the sweep drives, which every Index1D and Index2D
+// implementation has for its own motion and query type.
+type index[M, Q any] interface {
+	Insert(M) error
+	Delete(M) error
+	Query(Q, func(dual.OID)) error
 }
 
-// bulkIndex1D is an Index1D with a bottom-up builder — what the bulk
-// workload exercises under faults.
-type bulkIndex1D interface {
-	core.Index1D
-	BulkLoad([]dual.Motion) error
-}
+type (
+	index1D = index[dual.Motion, dual.MORQuery]
+	index2D = index[twod.Motion2D, twod.MOR2Query]
+)
 
-// index1DBulkWorkload is index1DWorkload with the build phase replaced by
+// indexWorkload builds the index from ms — by Insert, or with bulk set by
 // BulkLoad: the bottom-up packed index must survive the same faults, and
-// subsequent updates and queries must behave identically.
-func index1DBulkWorkload(name string, mk func(pager.Store) (bulkIndex1D, error)) Workload {
+// updates and queries on top of it behave identically — queries, moves a
+// third of the population, and queries again. A motion change is
+// Delete(old) + Insert(new), the paper's model.
+func indexWorkload[M, Q any](name string, mk func(pager.Store) (index[M, Q], error), bulk bool,
+	population func() []M, queries []Q, move func(m *M, i int)) Workload {
 	return Workload{Name: name, Run: func(store pager.Store) (string, error) {
 		idx, err := mk(store)
 		if err != nil {
 			return "", err
 		}
-		ms := motions1D(48)
-		if err := idx.BulkLoad(ms); err != nil {
+		ms := population()
+		if bulk {
+			err = idx.(interface{ BulkLoad([]M) error }).BulkLoad(ms)
+		} else {
+			for _, m := range ms {
+				if err = idx.Insert(m); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
 			return "", err
 		}
 		var out strings.Builder
 		runQueries := func() error {
-			for _, q := range queries1D {
+			for _, q := range queries {
 				var ids []dual.OID
 				if err := idx.Query(q, func(id dual.OID) { ids = append(ids, id) }); err != nil {
 					return err
@@ -163,8 +134,7 @@ func index1DBulkWorkload(name string, mk func(pager.Store) (bulkIndex1D, error))
 			if err := idx.Delete(ms[i]); err != nil {
 				return "", err
 			}
-			ms[i].T0 = 50
-			ms[i].Y0 = float64((i*211 + 37) % 1000)
+			move(&ms[i], i)
 			if err := idx.Insert(ms[i]); err != nil {
 				return "", err
 			}
@@ -174,6 +144,15 @@ func index1DBulkWorkload(name string, mk func(pager.Store) (bulkIndex1D, error))
 		}
 		return out.String(), nil
 	}}
+}
+
+// index1DWorkload is indexWorkload over the deterministic 1-D population.
+func index1DWorkload(name string, bulk bool, mk func(pager.Store) (index1D, error)) Workload {
+	return indexWorkload(name, mk, bulk, func() []dual.Motion { return motions1D(48) }, queries1D,
+		func(m *dual.Motion, i int) {
+			m.T0 = 50
+			m.Y0 = float64((i*211 + 37) % 1000)
+		})
 }
 
 var terrain2D = twod.Terrain2D{XMax: 1000, YMax: 1000, VMin: 0.16, VMax: 1.66}
@@ -204,48 +183,12 @@ var queries2D = []twod.MOR2Query{
 	{X1: 600, X2: 700, Y1: 200, Y2: 800, T1: 50, T2: 90},
 }
 
-func index2DWorkload(name string, mk func(pager.Store) (twod.Index2D, error)) Workload {
-	return Workload{Name: name, Run: func(store pager.Store) (string, error) {
-		idx, err := mk(store)
-		if err != nil {
-			return "", err
-		}
-		ms := motions2D(40)
-		for _, m := range ms {
-			if err := idx.Insert(m); err != nil {
-				return "", err
-			}
-		}
-		var out strings.Builder
-		runQueries := func() error {
-			for _, q := range queries2D {
-				var ids []dual.OID
-				if err := idx.Query(q, func(id dual.OID) { ids = append(ids, id) }); err != nil {
-					return err
-				}
-				out.WriteString(fingerprint(ids))
-				out.WriteByte(';')
-			}
-			return nil
-		}
-		if err := runQueries(); err != nil {
-			return "", err
-		}
-		for i := 0; i < len(ms); i += 3 {
-			if err := idx.Delete(ms[i]); err != nil {
-				return "", err
-			}
-			ms[i].T0 = 40
-			ms[i].X0 = float64((i*211 + 37) % 1000)
-			if err := idx.Insert(ms[i]); err != nil {
-				return "", err
-			}
-		}
-		if err := runQueries(); err != nil {
-			return "", err
-		}
-		return out.String(), nil
-	}}
+func index2DWorkload(name string, mk func(pager.Store) (index2D, error)) Workload {
+	return indexWorkload(name, mk, false, func() []twod.Motion2D { return motions2D(40) }, queries2D,
+		func(m *twod.Motion2D, i int) {
+			m.T0 = 40
+			m.X0 = float64((i*211 + 37) % 1000)
+		})
 }
 
 // kineticWorkload builds the §3.6 bounded-horizon structure and runs
@@ -282,33 +225,33 @@ func kineticWorkload() Workload {
 // two 2-D indexes.
 func Workloads() []Workload {
 	return []Workload{
-		index1DWorkload("dualbp", func(st pager.Store) (core.Index1D, error) {
+		index1DWorkload("dualbp", false, func(st pager.Store) (index1D, error) {
 			return core.NewDualBPlus(st, core.DualBPlusConfig{Terrain: terrain1D, C: 4})
 		}),
-		index1DWorkload("kddual", func(st pager.Store) (core.Index1D, error) {
+		index1DWorkload("kddual", false, func(st pager.Store) (index1D, error) {
 			return core.NewKDDual(st, core.KDDualConfig{Terrain: terrain1D})
 		}),
-		index1DWorkload("rstarseg", func(st pager.Store) (core.Index1D, error) {
+		index1DWorkload("rstarseg", false, func(st pager.Store) (index1D, error) {
 			return core.NewRStarSeg(st, core.RStarSegConfig{Terrain: terrain1D})
 		}),
-		index1DWorkload("parttree", func(st pager.Store) (core.Index1D, error) {
+		index1DWorkload("parttree", false, func(st pager.Store) (index1D, error) {
 			return core.NewPartTreeDual(st, core.PartTreeDualConfig{Terrain: terrain1D})
 		}),
-		index1DWorkload("speedpart", func(st pager.Store) (core.Index1D, error) {
+		index1DWorkload("speedpart", false, func(st pager.Store) (index1D, error) {
 			moving, err := core.NewDualBPlus(st, core.DualBPlusConfig{Terrain: terrain1D, C: 4})
 			if err != nil {
 				return nil, err
 			}
 			return core.NewSpeedPartitioned(st, core.SpeedPartitionedConfig{Terrain: terrain1D, SlowCutoff: 0.3}, moving)
 		}),
-		index1DBulkWorkload("dualbp-bulk", func(st pager.Store) (bulkIndex1D, error) {
+		index1DWorkload("dualbp-bulk", true, func(st pager.Store) (index1D, error) {
 			return core.NewDualBPlus(st, core.DualBPlusConfig{Terrain: terrain1D, C: 4})
 		}),
 		kineticWorkload(),
-		index2DWorkload("kd4", func(st pager.Store) (twod.Index2D, error) {
+		index2DWorkload("kd4", func(st pager.Store) (index2D, error) {
 			return twod.NewKD4(st, twod.KD4Config{Terrain: terrain2D})
 		}),
-		index2DWorkload("decomposed", func(st pager.Store) (twod.Index2D, error) {
+		index2DWorkload("decomposed", func(st pager.Store) (index2D, error) {
 			return twod.NewDecomposed(st, twod.DecomposedConfig{Terrain: terrain2D, C: 4})
 		}),
 	}

@@ -33,9 +33,9 @@ func sameOIDs2(a, b []dual.OID) bool {
 // runParallelDifferential2 churns an index and, at each checkpoint, asserts
 // that QueryParallel is byte-identical across worker counts 1, 2, 8 and
 // GOMAXPROCS, and set-equal to the sequential Query path on the same index
-// (exact — both read the same pages, so codec rounding cancels out).
-// exactOracle additionally pins the answer to the brute-force motion table.
-func runParallelDifferential2(t *testing.T, mk func(st pager.Store) parallelQuerier, exactOracle bool, seed int64) {
+// (exact — both read the same pages, so codec rounding cancels out), and
+// equal to the brute-force motion table (the caller's codec must be exact).
+func runParallelDifferential2(t *testing.T, mk func(st pager.Store) parallelQuerier, seed int64) {
 	t.Helper()
 	leakcheck.Check(t)
 	ix := mk(pager.NewMemStore(1024))
@@ -86,34 +86,19 @@ func runParallelDifferential2(t *testing.T, mk func(st pager.Store) parallelQuer
 				t.Fatalf("step %d: parallel vs sequential diverged\nq=%+v\npar=%v\nseq=%v",
 					step, q, ref, seq)
 			}
-			if exactOracle {
-				want := make([]dual.OID, 0, 16)
-				for id, m := range s.cur {
-					if m.Matches(q) {
-						want = append(want, id)
-					}
+			want := make([]dual.OID, 0, 16)
+			for id, m := range s.cur {
+				if m.Matches(q) {
+					want = append(want, id)
 				}
-				sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-				if !sameOIDs2(ref, want) {
-					t.Fatalf("step %d: parallel vs oracle diverged\nq=%+v\ngot=%v\nwant=%v",
-						step, q, ref, want)
-				}
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			if !sameOIDs2(ref, want) {
+				t.Fatalf("step %d: parallel vs oracle diverged\nq=%+v\ngot=%v\nwant=%v",
+					step, q, ref, want)
 			}
 		}
 	}
-}
-
-func TestKD4QueryParallelDifferential(t *testing.T) {
-	mk := func(st pager.Store) parallelQuerier {
-		ix, err := NewKD4(st, KD4Config{Terrain: terr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ix
-	}
-	// KD4 pages round to float32, so only same-index comparisons are
-	// exact; the oracle check stays off.
-	runParallelDifferential2(t, mk, false, 171)
 }
 
 func TestDecomposedQueryParallelDifferential(t *testing.T) {
@@ -126,5 +111,5 @@ func TestDecomposedQueryParallelDifferential(t *testing.T) {
 	}
 	// Wide codec stores exact float64 images: the brute-force oracle must
 	// match with zero tolerance.
-	runParallelDifferential2(t, mk, true, 173)
+	runParallelDifferential2(t, mk, 173)
 }

@@ -3,22 +3,24 @@
 // velocity vector, and the two-dimensional MOR query asks which objects
 // are inside a query rectangle at some instant of a future time window.
 //
-// Two methods are provided, mirroring the paper's discussion:
+// Three methods are provided, mirroring the paper's discussion:
 //
-//   - KD4: project the trajectory onto the (x, t) and (y, t) planes and
-//     take the Hough-X dual of each, giving the 4-dimensional point
-//     (vx, ax, vy, ay). The query becomes a conjunction of the two planes'
-//     Proposition 1 wedges — a simplex in ℝ⁴ — answered by a paged
-//     k-d tree at d = 4 (package kdtree), with candidates filtered
-//     exactly (the conjunction alone over-approximates, because the x- and
-//     y-conditions may hold at different instants).
+//   - NewKD4 and NewPartTree4: project the trajectory onto the (x, t) and
+//     (y, t) planes and take the Hough-X dual of each, giving the
+//     4-dimensional point (vx, ax, vy, ay). The query becomes a conjunction
+//     of the two planes' Proposition 1 wedges — a simplex in ℝ⁴ — answered
+//     by a paged k-d tree or partition tree at d = 4, with candidates
+//     filtered exactly (the conjunction alone over-approximates, because
+//     the x- and y-conditions may hold at different instants). Both are
+//     core.PointDual, the rotated point-dual index the 1-dimensional k-d
+//     and partition-tree methods are too.
 //
 //   - Decomposed: answer two 1-dimensional MOR queries, one per axis, with
 //     the Dual-B+ method of §3.5.2, intersect the answer sets by object
 //     id, and filter exactly. This is the paper's "decompose the motion
 //     into two independent motions" alternative.
 //
-// Both use the §3.2 generation rotation to keep dual intercepts bounded.
+// All use the §3.2 generation rotation to keep dual intercepts bounded.
 //
 // Per-axis speed model: each velocity component satisfies
 // VMin ≤ |vx|, |vy| ≤ VMax, the assumption under which both the per-axis
@@ -27,6 +29,7 @@
 package twod
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -36,6 +39,7 @@ import (
 	"mobidx/internal/geom"
 	"mobidx/internal/kdtree"
 	"mobidx/internal/pager"
+	"mobidx/internal/parttree"
 )
 
 // Motion2D is the motion information of one object in the plane.
@@ -66,6 +70,15 @@ type MOR2Query struct {
 	X1, X2 float64
 	Y1, Y2 float64
 	T1, T2 float64
+}
+
+// xQuery and yQuery project the query per axis.
+func (q MOR2Query) xQuery() dual.MORQuery {
+	return dual.MORQuery{Y1: q.X1, Y2: q.X2, T1: q.T1, T2: q.T2}
+}
+
+func (q MOR2Query) yQuery() dual.MORQuery {
+	return dual.MORQuery{Y1: q.Y1, Y2: q.Y2, T1: q.T1, T2: q.T2}
 }
 
 // Matches is the exact membership predicate: the object is inside the
@@ -118,15 +131,29 @@ func (t Terrain2D) yTerrain() dual.Terrain {
 	return dual.Terrain{YMax: t.YMax, VMin: t.VMin, VMax: t.VMax}
 }
 
+// validate is the admission test of every 2-dimensional index, the
+// 1-dimensional one on each axis: m is finite, each velocity component is
+// inside the speed band and the position is inside the terrain.
 func (t Terrain2D) validate(m Motion2D) error {
-	for _, v := range []float64{m.VX, m.VY} {
-		s := math.Abs(v)
-		if s < t.VMin-1e-12 || s > t.VMax+1e-12 {
-			return fmt.Errorf("twod: component speed %v outside [%v, %v]", v, t.VMin, t.VMax)
-		}
+	if err := core.ValidateMotion(m.XMotion(), t.xTerrain()); err != nil {
+		return fmt.Errorf("twod: x axis: %w", err)
 	}
-	if m.X0 < -1e-9 || m.X0 > t.XMax+1e-9 || m.Y0 < -1e-9 || m.Y0 > t.YMax+1e-9 {
-		return fmt.Errorf("twod: position (%v, %v) outside terrain", m.X0, m.Y0)
+	if err := core.ValidateMotion(m.YMotion(), t.yTerrain()); err != nil {
+		return fmt.Errorf("twod: y axis: %w", err)
+	}
+	return nil
+}
+
+// validateQuery is the admission test of every 2-dimensional query entry
+// point, the 1-dimensional one on each axis: q's bounds are finite and
+// ordered. A NaN bound classifies every cell "outside" or "inside" and
+// would answer with the wrong objects and no error.
+func validateQuery(q MOR2Query) error {
+	if err := core.ValidateQuery(q.xQuery()); err != nil {
+		return fmt.Errorf("twod: x axis: %w", err)
+	}
+	if err := core.ValidateQuery(q.yQuery()); err != nil {
+		return fmt.Errorf("twod: y axis: %w", err)
 	}
 	return nil
 }
@@ -139,245 +166,107 @@ type Index2D interface {
 	Len() int
 }
 
-func motion2DTime(m Motion2D) float64 { return m.T0 }
-
 // ---------------------------------------------------------------------------
-// KD4: 4-dimensional dual k-d tree
+// The 4-dimensional duals: k-d tree and partition tree
 // ---------------------------------------------------------------------------
 
-// KD4Config configures the 4-dimensional dual method.
+// Dual4 is a point-dual index over the 4-dimensional dual points
+// (vx, ax, vy, ay), one tree per velocity quadrant and generation.
+type Dual4 = core.PointDual[Motion2D, MOR2Query]
+
+// KD4Config configures the 4-dimensional dual k-d method.
 type KD4Config struct {
 	Terrain Terrain2D
 }
 
-// KD4 indexes the 4-dimensional dual points (vx, ax, vy, ay).
-type KD4 struct {
-	cfg KD4Config
-	rot *core.Rotator[Motion2D, *kd4Gen]
+// PartTree4Config configures the 4-dimensional partition-tree method.
+type PartTree4Config struct {
+	Terrain Terrain2D
 }
 
-// NewKD4 creates the index on the given store.
-func NewKD4(store pager.Store, cfg KD4Config) (*KD4, error) {
+// NewKD4 creates the 4-dimensional dual k-d index on the given store.
+func NewKD4(store pager.Store, cfg KD4Config) (*Dual4, error) {
 	t := cfg.Terrain
+	return newDual4(store, t, func(store pager.Store, quad int) (core.PointIndex, error) {
+		// Per-axis ranges mirror the 1-dimensional analysis, with the
+		// planar period.
+		xLo, xHi := core.AxisWorld(t.xTerrain(), t.TPeriod(), quad&1 != 0)
+		yLo, yHi := core.AxisWorld(t.yTerrain(), t.TPeriod(), quad&2 != 0)
+		return kdtree.New(store, 4, geom.Box{
+			Lo: geom.Vec{xLo[0], xLo[1], yLo[0], yLo[1]},
+			Hi: geom.Vec{xHi[0], xHi[1], yHi[0], yHi[1]},
+		})
+	})
+}
+
+// NewPartTree4 creates the index that realizes the §4.2 remark that the
+// two-dimensional MOR query, mapped to a simplex in the 4-dimensional dual
+// space, can be answered by a 4-dimensional partition tree in
+// O(n^(3/4+ε) + k) I/Os — "almost matching the lower bound for four
+// dimensions".
+func NewPartTree4(store pager.Store, cfg PartTree4Config) (*Dual4, error) {
+	return newDual4(store, cfg.Terrain, func(store pager.Store, _ int) (core.PointIndex, error) {
+		return parttree.New(store, 4)
+	})
+}
+
+// newDual4 is the d = 4 member of the point-dual family over the given
+// point structure. Quadrant (vx<0 ? 1 : 0) | (vy<0 ? 2 : 0) is the slot.
+// The conjunction of the per-axis wedges over-approximates (the axis
+// conditions may hold at different instants), so candidates are filtered
+// with the exact 2-dimensional predicate rebuilt from the dual point.
+func newDual4(store pager.Store, t Terrain2D, newTree func(pager.Store, int) (core.PointIndex, error)) (*Dual4, error) {
 	if t.XMax <= 0 || t.YMax <= 0 || t.VMin <= 0 || t.VMax < t.VMin {
 		return nil, fmt.Errorf("twod: invalid terrain %+v", t)
 	}
-	k := &KD4{cfg: cfg}
-	rot, err := core.NewRotator(t.TPeriod(), motion2DTime, func(tref float64) (*kd4Gen, error) {
-		return newKD4Gen(store, cfg, tref)
+	return core.NewPointDual(store, core.PointDualSpec[Motion2D, MOR2Query]{
+		Period: t.TPeriod(),
+		Time:   func(m Motion2D) float64 { return m.T0 },
+		Slots:  4,
+		Slot: func(m Motion2D) int {
+			quad := 0
+			if m.VX < 0 {
+				quad |= 1
+			}
+			if m.VY < 0 {
+				quad |= 2
+			}
+			return quad
+		},
+		Point: func(m Motion2D, tref float64) geom.GridPoint {
+			x, y := m.At(tref)
+			return geom.Pt(geom.Vec{m.VX, x, m.VY, y}, uint64(m.OID))
+		},
+		NewTree: newTree,
+		Region: func(q MOR2Query, tref float64, quad int) geom.Region {
+			return constraints4(q, tref, t, quad&1 != 0, quad&2 != 0)
+		},
+		Filter: func(p geom.GridPoint, tref float64, q MOR2Query) bool {
+			v := p.Vec()
+			return Motion2D{X0: v[1], Y0: v[3], T0: tref, VX: v[0], VY: v[2]}.Matches(q)
+		},
+		CheckMotion: t.validate,
+		CheckQuery:  validateQuery,
 	})
-	if err != nil {
-		return nil, err
-	}
-	k.rot = rot
-	return k, nil
-}
-
-// Insert implements Index2D.
-func (k *KD4) Insert(m Motion2D) error {
-	if err := k.cfg.Terrain.validate(m); err != nil {
-		return err
-	}
-	return k.rot.Insert(m)
-}
-
-// Delete implements Index2D.
-func (k *KD4) Delete(m Motion2D) error { return k.rot.Delete(m) }
-
-// Len implements Index2D.
-func (k *KD4) Len() int { return k.rot.Len() }
-
-// Generations exposes the live generation count (normally ≤ 2).
-func (k *KD4) Generations() int { return k.rot.Generations() }
-
-// Query implements Index2D.
-func (k *KD4) Query(q MOR2Query, emit func(dual.OID)) error {
-	for _, g := range k.rot.Live() {
-		if err := g.Query(q, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// kd4Gen holds four quadrant trees (sign of vx × sign of vy).
-type kd4Gen struct {
-	cfg   KD4Config
-	tref  float64
-	quads [4]*kdtree.Tree // index = (vx>0 ? 0 : 1) | (vy>0 ? 0 : 2)
-	size  int
-}
-
-func quadrant(vx, vy float64) int {
-	q := 0
-	if vx < 0 {
-		q |= 1
-	}
-	if vy < 0 {
-		q |= 2
-	}
-	return q
-}
-
-func newKD4Gen(store pager.Store, cfg KD4Config, tref float64) (*kd4Gen, error) {
-	t := cfg.Terrain
-	p := t.TPeriod()
-	const eps = 1e-3
-	// Per-axis intercept ranges mirror the 1-dimensional analysis: for a
-	// positive component a ∈ [−VMax·p, extent]; for a negative one
-	// a ∈ [0, extent + VMax·p].
-	vRange := func(negV bool) (lo, hi float64) {
-		if negV {
-			return -t.VMax - eps, -t.VMin + eps
-		}
-		return t.VMin - eps, t.VMax + eps
-	}
-	aRange := func(negV bool, extent float64) (lo, hi float64) {
-		if negV {
-			return -eps, extent + t.VMax*p + eps
-		}
-		return -t.VMax*p - eps, extent + eps
-	}
-	g := &kd4Gen{cfg: cfg, tref: tref}
-	for q := 0; q < 4; q++ {
-		negX := q&1 != 0
-		negY := q&2 != 0
-		vxLo, vxHi := vRange(negX)
-		axLo, axHi := aRange(negX, t.XMax)
-		vyLo, vyHi := vRange(negY)
-		ayLo, ayHi := aRange(negY, t.YMax)
-		tree, err := kdtree.New(store, 4, geom.Box{
-			Lo: geom.Vec{vxLo, axLo, vyLo, ayLo},
-			Hi: geom.Vec{vxHi, axHi, vyHi, ayHi},
-		})
-		if err != nil {
-			return nil, err
-		}
-		g.quads[q] = tree
-	}
-	return g, nil
-}
-
-// dualVec maps the motion to its dual point (vx, ax, vy, ay) relative to
-// tref; motionAt is its inverse.
-func dualVec(m Motion2D, tref float64) geom.Vec {
-	x, y := m.At(tref)
-	return geom.Vec{m.VX, x, m.VY, y}
-}
-
-func motionAt(v geom.Vec, oid dual.OID, tref float64) Motion2D {
-	return Motion2D{OID: oid, X0: v[1], Y0: v[3], T0: tref, VX: v[0], VY: v[2]}
-}
-
-func (g *kd4Gen) Len() int { return g.size }
-
-func (g *kd4Gen) Insert(m Motion2D) error {
-	tree := g.quads[quadrant(m.VX, m.VY)]
-	if err := tree.Insert(kdtree.Pt(dualVec(m, g.tref), uint64(m.OID))); err != nil {
-		return err
-	}
-	g.size++
-	return nil
-}
-
-func (g *kd4Gen) Delete(m Motion2D) error {
-	tree := g.quads[quadrant(m.VX, m.VY)]
-	found, err := tree.Delete(kdtree.Pt(dualVec(m, g.tref), uint64(m.OID)))
-	if err != nil {
-		return err
-	}
-	if !found {
-		return fmt.Errorf("twod: motion of object %d not found in kd4 index", m.OID)
-	}
-	g.size--
-	return nil
 }
 
 // constraints4 builds the ℝ⁴ simplex: the Proposition 1 wedge of the x
-// projection on dims (0,1) and of the y projection on dims (2,3), with
-// times relative to tref. The region classifies a cell one half-space at a
-// time (geom.HalfSpaces): the eight constraints are never clipped against
-// a cell together, which is E8's suspected defect (ROADMAP item 6(b)).
+// projection on dims (0,1) and of the y projection on dims (2,3). The
+// region classifies a cell one half-space at a time (geom.HalfSpaces): the
+// eight constraints are never clipped against a cell together, which is
+// E8's suspected defect (ROADMAP item 6(b)).
 func constraints4(q MOR2Query, tref float64, tr Terrain2D, negX, negY bool) geom.HalfSpaces {
-	t1 := q.T1 - tref
-	t2 := q.T2 - tref
-	var hs []geom.HalfSpace
-	add := func(vDim, aDim int, Y1, Y2 float64, neg bool) {
-		half := func(v, a, c float64) geom.HalfSpace {
-			h := geom.HalfSpace{C: c}
-			h.Coef[vDim] = v
-			h.Coef[aDim] = a
-			return h
-		}
-		if !neg {
-			hs = append(hs,
-				half(-1, 0, -tr.VMin), // v >= vmin
-				half(1, 0, tr.VMax),   // v <= vmax
-				half(-t2, -1, -Y1),    // a + t2 v >= Y1
-				half(t1, 1, Y2),       // a + t1 v <= Y2
-			)
-		} else {
-			hs = append(hs,
-				half(1, 0, -tr.VMin),
-				half(-1, 0, tr.VMax),
-				half(-t1, -1, -Y1),
-				half(t2, 1, Y2),
-			)
+	hs := make([]geom.HalfSpace, 0, 8)
+	add := func(vDim int, axis dual.MORQuery, t dual.Terrain, neg bool) {
+		for _, c := range dual.HoughXRegion(axis, tref, t, !neg).Cs {
+			h := geom.HalfSpace{C: c.C}
+			h.Coef[vDim], h.Coef[vDim+1] = c.A, c.B
+			hs = append(hs, h)
 		}
 	}
-	add(0, 1, q.X1, q.X2, negX)
-	add(2, 3, q.Y1, q.Y2, negY)
+	add(0, q.xQuery(), tr.xTerrain(), negX)
+	add(2, q.yQuery(), tr.yTerrain(), negY)
 	return geom.HalfSpaces{D: 4, Hs: hs}
-}
-
-// quadScan searches one velocity quadrant's tree with the ℝ⁴ simplex and
-// filters candidates with the exact 2-dimensional predicate.
-func (g *kd4Gen) quadScan(quad int, q MOR2Query, emit func(dual.OID)) error {
-	negX := quad&1 != 0
-	negY := quad&2 != 0
-	reg := constraints4(q, g.tref, g.cfg.Terrain, negX, negY)
-	return g.quads[quad].SearchRegion(reg, func(p kdtree.Point) bool {
-		// The conjunction of per-axis wedges over-approximates (the
-		// axis conditions may hold at different instants): filter with
-		// the exact 2-dimensional predicate reconstructed from the
-		// dual point.
-		if m := motionAt(p.Vec(), dual.OID(p.Val), g.tref); m.Matches(q) {
-			emit(m.OID)
-		}
-		return true
-	})
-}
-
-func (g *kd4Gen) Query(q MOR2Query, emit func(dual.OID)) error {
-	for quad := 0; quad < 4; quad++ {
-		if err := g.quadScan(quad, q, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// subqueries returns the four independent quadrant scans; an object lives
-// in exactly one quadrant tree, so the union of emissions is
-// duplicate-free and equals Query's answer.
-func (g *kd4Gen) subqueries(q MOR2Query) []func(emit func(dual.OID)) error {
-	subs := make([]func(emit func(dual.OID)) error, 0, 4)
-	for quad := 0; quad < 4; quad++ {
-		quad := quad
-		subs = append(subs, func(emit func(dual.OID)) error {
-			return g.quadScan(quad, q, emit)
-		})
-	}
-	return subs
-}
-
-func (g *kd4Gen) Destroy() error {
-	for _, t := range g.quads {
-		if err := t.Destroy(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -456,13 +345,14 @@ func (d *Decomposed) Len() int { return len(d.motions) }
 // Query implements Index2D: intersect the two per-axis answers, then apply
 // the exact 2-dimensional predicate.
 func (d *Decomposed) Query(q MOR2Query, emit func(dual.OID)) error {
-	xq := dual.MORQuery{Y1: q.X1, Y2: q.X2, T1: q.T1, T2: q.T2}
-	yq := dual.MORQuery{Y1: q.Y1, Y2: q.Y2, T1: q.T1, T2: q.T2}
-	xHits := make(map[dual.OID]struct{})
-	if err := d.xIndex.Query(xq, func(id dual.OID) { xHits[id] = struct{}{} }); err != nil {
+	if err := validateQuery(q); err != nil {
 		return err
 	}
-	return d.yIndex.Query(yq, func(id dual.OID) {
+	xHits := make(map[dual.OID]struct{})
+	if err := d.xIndex.Query(q.xQuery(), func(id dual.OID) { xHits[id] = struct{}{} }); err != nil {
+		return err
+	}
+	return d.yIndex.Query(q.yQuery(), func(id dual.OID) {
 		if _, ok := xHits[id]; !ok {
 			return
 		}
@@ -472,8 +362,65 @@ func (d *Decomposed) Query(q MOR2Query, emit func(dual.OID)) error {
 	})
 }
 
+// QueryParallel answers q by running the two per-axis 1-dimensional MOR
+// queries — themselves decomposed into their Lemma 1 pieces — concurrently
+// on one shared worker pool (ctx stops the fan-out between pieces), then
+// intersecting the per-axis answers by object id and filtering with the
+// exact 2-dimensional predicate. The returned OIDs are sorted ascending
+// and deduplicated; the slice is identical for every worker count. Safe
+// to run concurrently with other queries, but not with Insert/Delete.
+func (d *Decomposed) QueryParallel(ctx context.Context, exec *core.Executor, q MOR2Query) ([]dual.OID, error) {
+	if err := validateQuery(q); err != nil {
+		return nil, err
+	}
+	xsubs := d.xIndex.Subqueries(q.xQuery())
+	ysubs := d.yIndex.Subqueries(q.yQuery())
+
+	// One flat task list over both axes: the pieces of the slower axis
+	// don't wait for the faster axis to finish.
+	nx := len(xsubs)
+	buckets := make([][]dual.OID, nx+len(ysubs))
+	tasks := make([]func() error, 0, len(buckets))
+	for i, sq := range xsubs {
+		i, sq := i, sq
+		tasks = append(tasks, func() error {
+			return sq(func(id dual.OID) { buckets[i] = append(buckets[i], id) })
+		})
+	}
+	for j, sq := range ysubs {
+		j, sq := nx+j, sq
+		tasks = append(tasks, func() error {
+			return sq(func(id dual.OID) { buckets[j] = append(buckets[j], id) })
+		})
+	}
+	if err := exec.RunCtx(ctx, tasks); err != nil {
+		return nil, err
+	}
+
+	xIDs := core.MergeOIDs(buckets[:nx])
+	yIDs := core.MergeOIDs(buckets[nx:])
+	// Intersect two sorted slices; the result inherits sortedness.
+	var out []dual.OID
+	i, j := 0, 0
+	for i < len(xIDs) && j < len(yIDs) {
+		switch {
+		case xIDs[i] < yIDs[j]:
+			i++
+		case xIDs[i] > yIDs[j]:
+			j++
+		default:
+			if m, ok := d.motions[xIDs[i]]; ok && m.Matches(q) {
+				out = append(out, xIDs[i])
+			}
+			i++
+			j++
+		}
+	}
+	return out, nil
+}
+
 // Interface compliance checks.
 var (
-	_ Index2D = (*KD4)(nil)
+	_ Index2D = (*Dual4)(nil)
 	_ Index2D = (*Decomposed)(nil)
 )

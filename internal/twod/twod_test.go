@@ -223,6 +223,9 @@ func TestDecomposedDifferential(t *testing.T) {
 	runDifferential2(t, mk, 0, 73)
 }
 
+// The rotation table (TestPointDualRotation) re-rolls every update; this is
+// the one run at d = 4 whose objects keep physically consistent motions —
+// sim2 reflects them at the borders — across several rotation periods.
 func TestKD4Rotation(t *testing.T) {
 	st := pager.NewMemStore(1024)
 	ix, err := NewKD4(st, KD4Config{Terrain: terr})

@@ -292,7 +292,7 @@ func AttachDualBPlusIndex(store Store, cfg DualBPlusConfig, m DualMeta) (*core.D
 }
 
 // NewKDIndex creates the k-d dual index (§3.5.1).
-func NewKDIndex(store Store, cfg KDConfig) (*core.KDDual, error) {
+func NewKDIndex(store Store, cfg KDConfig) (*core.HoughXDual, error) {
 	return core.NewKDDual(store, cfg)
 }
 
@@ -302,7 +302,7 @@ func NewRStarIndex(store Store, cfg RStarConfig) (*core.RStarSeg, error) {
 }
 
 // NewPartitionTreeIndex creates the partition-tree index (§3.4).
-func NewPartitionTreeIndex(store Store, cfg PartitionTreeConfig) (*core.PartTreeDual, error) {
+func NewPartitionTreeIndex(store Store, cfg PartitionTreeConfig) (*core.HoughXDual, error) {
 	return core.NewPartTreeDual(store, cfg)
 }
 
@@ -426,7 +426,7 @@ type (
 )
 
 // New2DKDIndex creates the 4-dimensional dual k-d index (§4.2).
-func New2DKDIndex(store Store, cfg KD4Config) (*twod.KD4, error) {
+func New2DKDIndex(store Store, cfg KD4Config) (*twod.Dual4, error) {
 	return twod.NewKD4(store, cfg)
 }
 
@@ -437,7 +437,7 @@ func New2DDecomposedIndex(store Store, cfg DecomposedConfig) (*twod.Decomposed, 
 
 // New2DPartitionTreeIndex creates the 4-dimensional partition-tree index —
 // the §4.2 method with the almost-optimal O(n^(3/4+ε) + k) I/O bound.
-func New2DPartitionTreeIndex(store Store, cfg PartTree4Config) (*twod.PartTree4, error) {
+func New2DPartitionTreeIndex(store Store, cfg PartTree4Config) (*twod.Dual4, error) {
 	return twod.NewPartTree4(store, cfg)
 }
 
@@ -471,5 +471,5 @@ type (
 // Interface compliance.
 var (
 	_ Index1D = (*core.DualBPlus)(nil)
-	_ Index2D = (*twod.KD4)(nil)
+	_ Index2D = (*twod.Dual4)(nil)
 )

@@ -3,6 +3,7 @@ package mobidx
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -568,5 +569,149 @@ func TestPublicSubscriptionEngine(t *testing.T) {
 	}
 	if _, err := eng.Drain(id); !errors.Is(err, ErrUnknownSub) {
 		t.Fatalf("drain after unsubscribe: %v, want ErrUnknownSub", err)
+	}
+}
+
+// hostileIndex is the surface every public index constructor returns, for
+// its own motion and query type.
+type hostileIndex[M, Q any] interface {
+	Insert(M) error
+	Query(Q, func(OID)) error
+	Len() int
+}
+
+// checkHostile loads good, then feeds every bad motion to Insert (and to
+// BulkLoad where the index has one, behind the good ones) and every bad
+// query to each query entry point the index has. Each call must fail,
+// report nothing, and leave Len where it was.
+func checkHostile[M, Q any](t *testing.T, ix hostileIndex[M, Q], good, badMotions []M, badQueries []Q) {
+	t.Helper()
+	for _, m := range good {
+		if err := ix.Insert(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bulk, _ := ix.(interface{ BulkLoad([]M) error })
+	for _, m := range badMotions {
+		if err := ix.Insert(m); err == nil {
+			t.Errorf("Insert accepted %+v", m)
+		}
+		if bulk != nil {
+			if err := bulk.BulkLoad(append(append([]M(nil), good...), m)); err == nil {
+				t.Errorf("BulkLoad accepted %+v", m)
+			}
+		}
+	}
+	par, _ := ix.(interface {
+		QueryParallel(context.Context, *Executor, Q) ([]OID, error)
+	})
+	parCtx, _ := ix.(interface {
+		QueryParallelCtx(context.Context, *Executor, Q) ([]OID, error)
+	})
+	for _, q := range badQueries {
+		emitted := 0
+		if err := ix.Query(q, func(OID) { emitted++ }); err == nil || emitted > 0 {
+			t.Errorf("Query(%+v): err=%v with %d answers", q, err, emitted)
+		}
+		if par != nil {
+			if ids, err := par.QueryParallel(context.Background(), NewExecutor(2), q); err == nil || len(ids) > 0 {
+				t.Errorf("QueryParallel(%+v): err=%v with %d answers", q, err, len(ids))
+			}
+		}
+		if parCtx != nil {
+			if ids, err := parCtx.QueryParallelCtx(context.Background(), NewExecutor(2), q); err == nil || len(ids) > 0 {
+				t.Errorf("QueryParallelCtx(%+v): err=%v with %d answers", q, err, len(ids))
+			}
+		}
+	}
+	if ix.Len() != len(good) {
+		t.Errorf("Len = %d after the hostile input, want %d", ix.Len(), len(good))
+	}
+}
+
+// Every public index constructor must refuse non-finite motions and
+// non-finite or reversed queries with an error, not index or answer them.
+func TestPublicIndexesRejectHostileInput(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	good1 := []Motion{{OID: 1, Y0: 100, T0: 0, V: 1}, {OID: 2, Y0: 900, T0: 5, V: -0.5}, {OID: 3, Y0: 500, T0: 9, V: 0.01}}
+	badMotions1 := []Motion{
+		{OID: 9, Y0: nan, T0: 0, V: 1}, {OID: 9, Y0: 100, T0: nan, V: 1}, {OID: 9, Y0: 100, T0: 0, V: nan},
+		{OID: 9, Y0: inf, T0: 0, V: 1}, {OID: 9, Y0: 100, T0: -inf, V: 1}, {OID: 9, Y0: 100, T0: 0, V: -inf},
+		{OID: 9, Y0: nan, T0: 0, V: 0.01}, {OID: 9, Y0: 100, T0: inf, V: 0.01}, // slow side of the speed partition
+	}
+	badQueries1 := []Query{
+		{Y1: nan, Y2: 200, T1: 0, T2: 10}, {Y1: 100, Y2: nan, T1: 0, T2: 10},
+		{Y1: 100, Y2: 200, T1: nan, T2: 10}, {Y1: 100, Y2: 200, T1: 0, T2: nan},
+		{Y1: -inf, Y2: 200, T1: 0, T2: 10}, {Y1: 100, Y2: 200, T1: 0, T2: inf},
+		{Y1: 200, Y2: 100, T1: 0, T2: 10}, {Y1: 100, Y2: 200, T1: 10, T2: 0},
+	}
+	rows1 := map[string]func(Store) (Index1D, error){
+		"dualbp": func(st Store) (Index1D, error) {
+			return NewDualBPlusIndex(st, DualBPlusConfig{Terrain: testTerrain})
+		},
+		"kd":    func(st Store) (Index1D, error) { return NewKDIndex(st, KDConfig{Terrain: testTerrain}) },
+		"rstar": func(st Store) (Index1D, error) { return NewRStarIndex(st, RStarConfig{Terrain: testTerrain}) },
+		"parttree": func(st Store) (Index1D, error) {
+			return NewPartitionTreeIndex(st, PartitionTreeConfig{Terrain: testTerrain})
+		},
+		"speedpart": func(st Store) (Index1D, error) {
+			moving, err := NewKDIndex(st, KDConfig{Terrain: testTerrain})
+			if err != nil {
+				return nil, err
+			}
+			return NewSpeedPartitionedIndex(st, SpeedPartitionedConfig{Terrain: testTerrain}, moving)
+		},
+	}
+	for name, mk := range rows1 {
+		t.Run(name, func(t *testing.T) {
+			ix, err := mk(NewMemStore(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			good := good1
+			if name != "speedpart" {
+				good = good1[:2] // the third is below the speed band
+			}
+			checkHostile[Motion, Query](t, ix, good, badMotions1, badQueries1)
+		})
+	}
+
+	terrain2 := Terrain2D{XMax: 1000, YMax: 1000, VMin: 0.16, VMax: 1.66}
+	good2 := []Motion2D{{OID: 1, X0: 100, Y0: 100, T0: 0, VX: 1, VY: -1}, {OID: 2, X0: 900, Y0: 500, T0: 5, VX: -0.5, VY: 0.5}}
+	ok2 := Motion2D{OID: 9, X0: 100, Y0: 100, T0: 0, VX: 1, VY: 1}
+	okq := Query2D{X1: 100, X2: 200, Y1: 100, Y2: 200, T1: 0, T2: 10}
+	var badMotions2 []Motion2D
+	var badQueries2 []Query2D
+	for _, f := range []float64{nan, inf, -inf} {
+		for field := 0; field < 5; field++ {
+			m := ok2
+			*[]*float64{&m.X0, &m.Y0, &m.T0, &m.VX, &m.VY}[field] = f
+			badMotions2 = append(badMotions2, m)
+		}
+		for field := 0; field < 6; field++ {
+			q := okq
+			*[]*float64{&q.X1, &q.X2, &q.Y1, &q.Y2, &q.T1, &q.T2}[field] = f
+			badQueries2 = append(badQueries2, q)
+		}
+	}
+	badQueries2 = append(badQueries2,
+		Query2D{X1: 200, X2: 100, Y1: 100, Y2: 200, T1: 0, T2: 10},
+		Query2D{X1: 100, X2: 200, Y1: 200, Y2: 100, T1: 0, T2: 10},
+		Query2D{X1: 100, X2: 200, Y1: 100, Y2: 200, T1: 10, T2: 0})
+	rows2 := map[string]func(Store) (Index2D, error){
+		"kd4":        func(st Store) (Index2D, error) { return New2DKDIndex(st, KD4Config{Terrain: terrain2}) },
+		"decomposed": func(st Store) (Index2D, error) { return New2DDecomposedIndex(st, DecomposedConfig{Terrain: terrain2}) },
+		"parttree4": func(st Store) (Index2D, error) {
+			return New2DPartitionTreeIndex(st, PartTree4Config{Terrain: terrain2})
+		},
+	}
+	for name, mk := range rows2 {
+		t.Run(name, func(t *testing.T) {
+			ix, err := mk(NewMemStore(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkHostile[Motion2D, Query2D](t, ix, good2, badMotions2, badQueries2)
+		})
 	}
 }

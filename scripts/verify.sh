@@ -3,7 +3,7 @@
 # suite, build, full tests (shuffled), the concurrency suites under the
 # race detector, a GOMAXPROCS stress matrix for the parallel serving
 # paths, a cmd/mobbench smoke, the nested benchmark module's own vet and
-# smoke test, and fuzz smoke tests.
+# smoke test, fuzz smoke tests, and the non-test line count.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -150,5 +150,11 @@ go test ./internal/geom -run '^$' -fuzz '^FuzzClipConvex$' -fuzztime=10s
 go test ./internal/subscribe -run '^$' -fuzz '^FuzzMatcher$' -fuzztime=10s
 go test ./internal/subscribe -run '^$' -fuzz '^FuzzKineticBoundary$' -fuzztime=10s
 go test ./internal/ingest -run '^$' -fuzz '^FuzzBloom$' -fuzztime=10s
+
+echo "== least code =="
+# ROADMAP aim 2's number — non-test, non-bench/, non-testdata Go lines —
+# printed by the gate so that a simplicity PR quotes a measured count.
+echo "non-test Go lines: $(find . -name '*.go' -not -name '*_test.go' \
+	-not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l)"
 
 echo "verify: all checks passed"
