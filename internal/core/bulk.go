@@ -95,8 +95,8 @@ func (d *DualBPlus) QueryAppend(dst []dual.OID, q dual.MORQuery) ([]dual.OID, er
 	}
 	d.candidates.Store(0)
 	base := len(dst)
-	for _, g := range d.rot.Live() {
-		if err := g.Query(q, func(id dual.OID) { dst = append(dst, id) }); err != nil {
+	for _, sub := range d.Subqueries(q) {
+		if err := sub(func(id dual.OID) { dst = append(dst, id) }); err != nil {
 			return dst, err
 		}
 	}

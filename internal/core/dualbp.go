@@ -106,8 +106,8 @@ func (d *DualBPlus) Query(q dual.MORQuery, emit func(dual.OID)) error {
 	}
 	d.candidates.Store(0)
 	seen := make(map[dual.OID]struct{})
-	for _, g := range d.rot.Live() {
-		err := g.Query(q, func(id dual.OID) {
+	for _, sub := range d.Subqueries(q) {
+		err := sub(func(id dual.OID) {
 			if _, ok := seen[id]; ok {
 				return
 			}
@@ -124,8 +124,10 @@ func (d *DualBPlus) Query(q dual.MORQuery, emit func(dual.OID)) error {
 // Subqueries returns the independent pieces of one MOR query across all
 // live generations: per generation, either the two per-velocity-sign
 // observation scans (small queries) or the Lemma 1 decomposition — one
-// task per whole subterrain plus the endpoint fragments' sign scans. The
-// deduplicated union of the pieces' emissions equals Query's answer set.
+// task per whole subterrain plus the endpoint fragments' sign scans. It is
+// the one decomposition: Query and QueryAppend run the pieces in this
+// order, QueryParallelCtx on an executor, and the deduplicated union of
+// their emissions is the answer.
 // Each piece reads only index pages, so the pieces may run concurrently
 // with each other (and with other queries), but not with Insert/Delete.
 func (d *DualBPlus) Subqueries(q dual.MORQuery) []func(emit func(dual.OID)) error {
@@ -315,44 +317,11 @@ func (g *dualBPGen) subterrainScan(j int, q dual.MORQuery, emit func(dual.OID)) 
 	})
 }
 
-// Query answers the MOR query per §3.5.2.
-func (g *dualBPGen) Query(q dual.MORQuery, emit func(dual.OID)) error {
-	if g.small(q) {
-		return g.smallQuery(q, emit)
-	}
-	// Decompose: whole subterrains inside [Y1, Y2] answered exactly by the
-	// interval indexes; the two endpoint fragments are small queries.
-	jLo, jHi := g.lemma1Split(q)
-	for j := jLo; j < jHi; j++ {
-		if err := g.subterrainScan(j, q, emit); err != nil {
-			return err
-		}
-	}
-	// Endpoint fragments are run even when degenerate (query edge exactly
-	// on a subterrain boundary) so objects sitting exactly on the boundary
-	// are never missed; the caller deduplicates.
-	if lo := float64(jLo) * g.h; q.Y1 <= lo {
-		sq := q
-		sq.Y2 = lo
-		if err := g.smallQuery(sq, emit); err != nil {
-			return err
-		}
-	}
-	if hi := float64(jHi) * g.h; q.Y2 >= hi {
-		sq := q
-		sq.Y1 = hi
-		if err := g.smallQuery(sq, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// subqueries splits the query into its independent pieces: for a small
-// query the two per-velocity-sign observation scans; for a larger one the
-// Lemma 1 decomposition — one piece per whole subterrain plus the sign
-// scans of the two endpoint fragments. Running every piece and
-// deduplicating the union of emissions reproduces Query exactly.
+// subqueries answers the MOR query per §3.5.2 as independent pieces: for a
+// small query the two per-velocity-sign observation scans; for a larger
+// one the Lemma 1 decomposition — whole subterrains inside [Y1, Y2]
+// answered exactly by the interval indexes, one piece each, plus the sign
+// scans of the two endpoint fragments, which are small queries.
 func (g *dualBPGen) subqueries(q dual.MORQuery) []func(emit func(dual.OID)) error {
 	if g.small(q) {
 		return g.smallQueryPieces(q)
@@ -360,11 +329,13 @@ func (g *dualBPGen) subqueries(q dual.MORQuery) []func(emit func(dual.OID)) erro
 	jLo, jHi := g.lemma1Split(q)
 	var subs []func(emit func(dual.OID)) error
 	for j := jLo; j < jHi; j++ {
-		j := j
 		subs = append(subs, func(emit func(dual.OID)) error {
 			return g.subterrainScan(j, q, emit)
 		})
 	}
+	// Endpoint fragments are run even when degenerate (query edge exactly
+	// on a subterrain boundary) so objects sitting exactly on the boundary
+	// are never missed; the caller deduplicates.
 	if lo := float64(jLo) * g.h; q.Y1 <= lo {
 		sq := q
 		sq.Y2 = lo
@@ -405,26 +376,14 @@ func (g *dualBPGen) signScan(q dual.MORQuery, obs int, positive bool, emit func(
 	})
 }
 
-// smallQuery answers a query whose spatial extent is at most one
-// subterrain via the observation index minimizing E (Equation 1), scanning
-// the approximating b-range (Figure 4) and filtering candidates exactly.
-func (g *dualBPGen) smallQuery(q dual.MORQuery, emit func(dual.OID)) error {
-	best := g.bestObservation(q)
-	for _, positive := range []bool{true, false} {
-		if err := g.signScan(q, best, positive, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// smallQueryPieces is smallQuery split into its two independent sign
-// scans, for concurrent execution.
+// smallQueryPieces answers a query whose spatial extent is at most one
+// subterrain via the observation index minimizing E (Equation 1): one scan
+// of the approximating b-range (Figure 4) per velocity sign, positive
+// first.
 func (g *dualBPGen) smallQueryPieces(q dual.MORQuery) []func(emit func(dual.OID)) error {
 	best := g.bestObservation(q)
 	pieces := make([]func(emit func(dual.OID)) error, 0, 2)
 	for _, positive := range []bool{true, false} {
-		positive := positive
 		pieces = append(pieces, func(emit func(dual.OID)) error {
 			return g.signScan(q, best, positive, emit)
 		})

@@ -34,6 +34,15 @@ type Motion struct {
 	V   float64 // velocity; |V| ∈ [VMin, VMax] for "moving" objects
 }
 
+// Op is one motion mutation: an insert of a new motion or a delete of a
+// previously inserted one. An object's update is a delete+insert pair. It
+// is the one op type of the serving layers: shard.Op, ingest.Op and
+// subscribe.Op are aliases of it, so a batch passes between them uncopied.
+type Op struct {
+	Insert bool
+	M      Motion
+}
+
 // At returns the object's position at time t.
 func (m Motion) At(t float64) float64 { return m.Y0 + m.V*(t-m.T0) }
 

@@ -12,13 +12,8 @@ import (
 	"mobidx/internal/dual"
 )
 
-// Op is one motion mutation, mirroring shard.Op: an insert of a new
-// motion or a delete of a previously inserted one (an object's update is
-// a delete+insert pair, as everywhere else in this repository).
-type Op struct {
-	Insert bool
-	M      dual.Motion
-}
+// Op is one motion mutation (see dual.Op).
+type Op = dual.Op
 
 // Base is the immutable bulk-loaded index the tier fronts. core.DualBPlus
 // satisfies it; any Index1D with Subqueries would.

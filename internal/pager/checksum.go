@@ -80,15 +80,11 @@ func (c *ChecksumStore) Read(id PageID) (*Page, error) {
 	if len(p.Data) != c.size+ChecksumTrailerSize {
 		return nil, fmt.Errorf("%w: page %d has size %d", ErrPageCorrupt, id, len(p.Data))
 	}
-	payload, trailer := p.Data[:c.size], p.Data[c.size:]
-	stored := uint32(trailer[0]) | uint32(trailer[1])<<8 | uint32(trailer[2])<<16 | uint32(trailer[3])<<24
-	if stored == 0 && allZero(payload) {
-		return &Page{ID: id, Data: payload}, nil // never written; valid zero page
+	// A page never written is all zero, trailer included, and valid.
+	if err := verifyTrailer(p.Data); err != nil && !allZero(p.Data) {
+		return nil, fmt.Errorf("%w: page %d %v", ErrPageCorrupt, id, err)
 	}
-	if got := crc32.Checksum(payload, castagnoli); got != stored {
-		return nil, fmt.Errorf("%w: page %d checksum %08x, want %08x", ErrPageCorrupt, id, got, stored)
-	}
-	return &Page{ID: id, Data: payload}, nil
+	return &Page{ID: id, Data: p.Data[:c.size]}, nil
 }
 
 // Write implements Store, stamping the trailer.
@@ -98,11 +94,7 @@ func (c *ChecksumStore) Write(p *Page) error {
 	}
 	buf := make([]byte, c.size+ChecksumTrailerSize)
 	copy(buf, p.Data)
-	sum := crc32.Checksum(p.Data, castagnoli)
-	buf[c.size] = byte(sum)
-	buf[c.size+1] = byte(sum >> 8)
-	buf[c.size+2] = byte(sum >> 16)
-	buf[c.size+3] = byte(sum >> 24)
+	stampTrailer(buf)
 	return c.under.Write(&Page{ID: p.ID, Data: buf})
 }
 

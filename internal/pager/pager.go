@@ -8,6 +8,11 @@
 // small buffer pool mirrors the paper's buffering scheme (§5): "for each
 // tree we buffer the path from the root to a leaf node", i.e. only a
 // handful of pages, and the pool is cleared before each query.
+//
+// Above the Store interface the package also owns the one page-chained
+// record log (RecordChain), which the serving layer's durable bookkeeping
+// — a shard's motion catalog and superblock, the cluster manifest — is
+// stored in, beside the index pages and inside the same WAL batches.
 package pager
 
 import (

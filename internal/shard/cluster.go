@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"mobidx/internal/bptree"
@@ -255,20 +256,6 @@ func filterAssigned(part *Partitioner, ms []dual.Motion, band int) []dual.Motion
 	return out
 }
 
-// motionsEqual compares two catalog enumerations (both sorted by the
-// catalog's deterministic order).
-func motionsEqual(a, b []dual.Motion) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // runMigration drives the pending migration to completion. adminMu held.
 func (c *Cluster) runMigration(ctx context.Context) error {
 	mig := c.cur.Mig
@@ -320,7 +307,8 @@ func (c *Cluster) migratePrepared(ctx context.Context) error {
 		if err != nil {
 			return topology{}, fmt.Errorf("shard: split catch-up read: %w", err)
 		}
-		if !motionsEqual(cur, snap) {
+		// Both enumerations are in the catalog's one sorted order.
+		if !slices.Equal(cur, snap) {
 			if err := recv.BulkLoad(ctx, filterAssigned(newPart, cur, mig.Band+1)); err != nil {
 				return topology{}, fmt.Errorf("shard: split catch-up load: %w", err)
 			}

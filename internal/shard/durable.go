@@ -1,11 +1,11 @@
 package shard
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
-	"sort"
+	"slices"
 
 	"mobidx/internal/bptree"
 	"mobidx/internal/core"
@@ -13,50 +13,72 @@ import (
 	"mobidx/internal/pager"
 )
 
-// Shard durability has two durable records, both updated inside the same
-// WAL batch as the index mutation they describe:
+// Shard durability has two durable records, both pager.RecordChains and
+// both updated inside the same WAL batch as the index mutation they
+// describe:
 //
-//   - the superblock (a page chain, magic "MOBIDXSB"): the serialized
+//   - the superblock (a blob chain, magic "MOBIDXSB"): the serialized
 //     core.DualMeta — tree roots, heights, sizes per rotation generation —
-//     plus the page id of the motion catalog head. Open reads it and
-//     reattaches the index with core.AttachDualBPlus.
+//     plus the page id of the motion catalog head. Open finds it by its
+//     magic and reattaches the index with core.AttachDualBPlus.
 //
-//   - the motion catalog (a linked list of record pages starting at the
-//     head the superblock names): an append-only log of insert/delete
-//     motion records. The dual transform is not invertible in a way that
+//   - the motion catalog (a chain of 33-byte records starting at the head
+//     the superblock names): an append-only log of insert/delete motion
+//     records. The dual transform is not invertible in a way that
 //     preserves residence intervals and rotation epochs, so the original
 //     (OID, Y0, T0, V) tuples cannot be recovered from the trees; the
 //     catalog is the exact source for split/migrate enumeration and for
 //     rebuilding a peer's replicated bands. It compacts itself when
 //     tombstoned records outnumber live ones.
+//
+// The cluster manifest (manifest.go) is a third chain, on media of its own.
+// Pages, links and checksums are the chain's; what is here is the shard's:
+// the payload codecs, the catalog's counters and its compaction rule.
 
 const (
-	sbMagic  = "MOBIDXSB"
-	catMagic = "MOBIDXCA"
+	sbMagic = "MOBIDXSB"
 
-	// sbVersion 2 added the flushed watermark (ingest tier). Version-1
-	// superblocks still decode: they predate the tier, so their base
-	// index covers the whole catalog (flushed = records).
+	// sbVersion 2 added the flushed watermark (ingest tier).
 	sbVersion = 2
-
-	// sbFlushedAll is the decoded flushed value of a v1 superblock: the
-	// caller resolves it to the catalog's record count after attach.
-	sbFlushedAll = -1
 
 	// catRecLen is op(1) + oid(8) + y0/t0/v(3×8).
 	catRecLen = 33
-
-	// catHeaderLen is next(4) + used(4); a trailing CRC closes the page.
-	catHeaderLen = 8
 
 	catOpInsert = 1
 	catOpDelete = 2
 )
 
-func catCap(pageSize int) int {
-	n := (pageSize - catHeaderLen - 4) / catRecLen
-	return n * catRecLen
+// encoder appends little-endian fields to a chain payload.
+type encoder struct{ buf []byte }
+
+func (e *encoder) u32(v uint32)  { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *encoder) u64(v uint64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
+
+// decoder reads them back. A read past the end yields zero and sets short
+// for good, so a codec checks it once per group of fields — and before it
+// trusts a count it is about to loop or allocate on.
+type decoder struct {
+	buf   []byte
+	short bool
 }
+
+func (d *decoder) take(n int) []byte {
+	if len(d.buf) < n {
+		d.short, d.buf = true, nil
+		return make([]byte, n)
+	}
+	b := d.buf[:n]
+	d.buf = d.buf[n:]
+	return b
+}
+
+func (d *decoder) u32() uint32  { return binary.LittleEndian.Uint32(d.take(4)) }
+func (d *decoder) u64() uint64  { return binary.LittleEndian.Uint64(d.take(8)) }
+func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
+
+// done reports that the reads were in bounds and consumed the payload.
+func (d *decoder) done() bool { return !d.short && len(d.buf) == 0 }
 
 // ---------------------------------------------------------------------------
 // Superblock codec
@@ -67,36 +89,33 @@ type superblock struct {
 	// flushed is the ingest-tier watermark: the base index covers exactly
 	// the first flushed catalog records; the suffix past it is the write
 	// tier's delta, replayed into the memtable on recovery. Shards without
-	// a tier keep flushed equal to the record count. Decoding a version-1
-	// superblock yields sbFlushedAll.
+	// a tier keep flushed equal to the record count.
 	flushed int
 	meta    core.DualMeta
 }
 
 func encodeSuperblock(sb superblock) []byte {
-	var buf []byte
-	u32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
-	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	var e encoder
 	tree := func(m bptree.Meta) {
-		u32(uint32(m.Root))
-		u32(uint32(m.Height))
-		u64(uint64(m.Size))
+		e.u32(uint32(m.Root))
+		e.u32(uint32(m.Height))
+		e.u64(uint64(m.Size))
 	}
-	u32(sbVersion)
-	u32(uint32(sb.catHead))
-	u64(uint64(sb.flushed))
-	u32(uint32(len(sb.meta.Gens)))
+	e.u32(sbVersion)
+	e.u32(uint32(sb.catHead))
+	e.u64(uint64(sb.flushed))
+	e.u32(uint32(len(sb.meta.Gens)))
 	for _, g := range sb.meta.Gens {
-		u64(uint64(g.Epoch))
-		u64(uint64(g.Size))
-		u32(uint32(len(g.Pos)))
+		e.u64(uint64(g.Epoch))
+		e.u64(uint64(g.Size))
+		e.u32(uint32(len(g.Pos)))
 		for i := range g.Pos {
 			tree(g.Pos[i])
 			tree(g.Neg[i])
 			tree(g.Sub[i])
 		}
 	}
-	return buf
+	return e.buf
 }
 
 func decodeSuperblock(buf []byte) (superblock, error) {
@@ -104,55 +123,26 @@ func decodeSuperblock(buf []byte) (superblock, error) {
 	corrupt := func(what string) (superblock, error) {
 		return superblock{}, fmt.Errorf("shard: superblock: %s: %w", what, pager.ErrPageCorrupt)
 	}
-	off := 0
-	u32 := func() (uint32, bool) {
-		if off+4 > len(buf) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(buf[off:])
-		off += 4
-		return v, true
+	d := decoder{buf: buf}
+	tree := func() bptree.Meta {
+		return bptree.Meta{Root: pager.PageID(d.u32()), Height: int(d.u32()), Size: int(d.u64())}
 	}
-	u64 := func() (uint64, bool) {
-		if off+8 > len(buf) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-		return v, true
-	}
-	tree := func() (bptree.Meta, bool) {
-		r, ok1 := u32()
-		h, ok2 := u32()
-		n, ok3 := u64()
-		return bptree.Meta{Root: pager.PageID(r), Height: int(h), Size: int(n)}, ok1 && ok2 && ok3
-	}
-	ver, ok := u32()
-	if !ok || (ver != 1 && ver != sbVersion) {
+	if ver := d.u32(); d.short || ver != sbVersion {
 		return corrupt(fmt.Sprintf("version %d", ver))
 	}
-	head, ok := u32()
-	if !ok {
-		return corrupt("truncated catalog head")
+	sb.catHead = pager.PageID(d.u32())
+	fl := d.u64()
+	if d.short || fl > 1<<40 {
+		return corrupt("catalog head and flushed watermark")
 	}
-	sb.catHead = pager.PageID(head)
-	sb.flushed = sbFlushedAll
-	if ver >= 2 {
-		fl, ok := u64()
-		if !ok || fl > 1<<40 {
-			return corrupt("flushed watermark")
-		}
-		sb.flushed = int(fl)
-	}
-	nGens, ok := u32()
-	if !ok || nGens > 1<<20 {
+	sb.flushed = int(fl)
+	nGens := d.u32()
+	if d.short || nGens > 1<<20 {
 		return corrupt("generation count")
 	}
 	for gi := uint32(0); gi < nGens; gi++ {
-		epoch, ok1 := u64()
-		size, ok2 := u64()
-		c, ok3 := u32()
-		if !ok1 || !ok2 || !ok3 || c == 0 || c > 1<<16 {
+		epoch, size, c := d.u64(), d.u64(), d.u32()
+		if d.short || c == 0 || c > 1<<16 {
 			return corrupt(fmt.Sprintf("generation %d header", gi))
 		}
 		g := core.DualGenMeta{
@@ -162,20 +152,17 @@ func decodeSuperblock(buf []byte) (superblock, error) {
 			Neg:   make([]bptree.Meta, 0, c),
 			Sub:   make([]bptree.Meta, 0, c),
 		}
-		for i := uint32(0); i < c; i++ {
-			p, ok1 := tree()
-			n, ok2 := tree()
-			s, ok3 := tree()
-			if !ok1 || !ok2 || !ok3 {
-				return corrupt(fmt.Sprintf("generation %d trees", gi))
-			}
-			g.Pos = append(g.Pos, p)
-			g.Neg = append(g.Neg, n)
-			g.Sub = append(g.Sub, s)
+		for i := uint32(0); i < c && !d.short; i++ {
+			g.Pos = append(g.Pos, tree())
+			g.Neg = append(g.Neg, tree())
+			g.Sub = append(g.Sub, tree())
+		}
+		if d.short {
+			return corrupt(fmt.Sprintf("generation %d trees", gi))
 		}
 		sb.meta.Gens = append(sb.meta.Gens, g)
 	}
-	if off != len(buf) {
+	if !d.done() {
 		return corrupt("trailing bytes")
 	}
 	return sb, nil
@@ -185,121 +172,78 @@ func decodeSuperblock(buf []byte) (superblock, error) {
 // Motion catalog
 // ---------------------------------------------------------------------------
 
-// catalog is the shard's durable motion log. All mutating methods must run
-// inside the shard's open WAL batch; the in-memory cursor fields (pages,
-// tailUsed, counters) mirror the staged state and are only trusted after
-// the batch commits — a failed batch quarantines the owning shard, which
-// never touches the catalog again.
+// catalog is the shard's durable motion log: a record chain plus the two
+// counters the compaction rule and the open-time cross-checks read. All
+// mutating methods must run inside the shard's open WAL batch; the
+// counters mirror the staged state and are only trusted after the batch
+// commits — a failed batch quarantines the owning shard, which never
+// touches the catalog again.
 type catalog struct {
-	store    pager.Store
-	head     pager.PageID
-	pages    []pager.PageID // full chain including head
-	tailUsed int            // bytes of records in the tail page
-	live     int            // records currently live (inserts minus deletes)
-	records  int            // total records in the log
+	chain   *pager.RecordChain
+	live    int // records currently live (inserts minus deletes)
+	records int // total records in the log
 }
 
 // initCatalog allocates an empty catalog inside the caller's open batch.
 func initCatalog(store pager.Store) (*catalog, error) {
-	p, err := store.Allocate()
+	ch, err := pager.InitRecordChain(store, "", catRecLen)
 	if err != nil {
 		return nil, err
 	}
-	c := &catalog{store: store, head: p.ID, pages: []pager.PageID{p.ID}}
-	if err := c.writePage(p.ID, pager.NilPage, nil); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return &catalog{chain: ch}, nil
 }
 
-// attachCatalog walks the chain from head, rebuilding the page list and
-// the live/total counters.
+// attachCatalog reattaches the log that starts at head, rebuilding the
+// live/total counters from one pass over its records.
 func attachCatalog(store pager.Store, head pager.PageID) (*catalog, error) {
-	c := &catalog{store: store, head: head}
-	id := head
-	for hops := 0; ; hops++ {
-		if hops > 1<<22 {
-			return nil, fmt.Errorf("shard: catalog from %d: cycle: %w", head, pager.ErrPageCorrupt)
-		}
-		recs, next, err := c.readPage(id)
-		if err != nil {
-			return nil, err
-		}
-		c.pages = append(c.pages, id)
-		c.tailUsed = len(recs)
-		c.records += len(recs) / catRecLen
-		for off := 0; off < len(recs); off += catRecLen {
-			switch recs[off] {
+	c := &catalog{}
+	ch, err := pager.AttachRecordChain(store, "", catRecLen, head, func(recs []byte) error {
+		for ; len(recs) >= catRecLen; recs = recs[catRecLen:] {
+			switch recs[0] {
 			case catOpInsert:
 				c.live++
 			case catOpDelete:
 				c.live--
 			default:
-				return nil, fmt.Errorf("shard: catalog page %d: bad op %d: %w",
-					id, recs[off], pager.ErrPageCorrupt)
+				return fmt.Errorf("shard: catalog record %d: bad op %d: %w",
+					c.records, recs[0], pager.ErrPageCorrupt)
 			}
+			c.records++
 		}
-		if next == pager.NilPage {
-			return c, nil
-		}
-		id = next
-	}
-}
-
-func (c *catalog) readPage(id pager.PageID) (recs []byte, next pager.PageID, err error) {
-	p, err := c.store.Read(id)
+		return nil
+	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	data := p.Data
-	if !catPageCRCOK(data) {
-		return nil, 0, fmt.Errorf("shard: catalog page %d: bad checksum: %w", id, pager.ErrPageCorrupt)
+	c.chain = ch
+	return c, nil
+}
+
+func appendCatRec(buf []byte, op Op) []byte {
+	opByte := byte(catOpDelete)
+	if op.Insert {
+		opByte = catOpInsert
 	}
-	next = pager.PageID(binary.LittleEndian.Uint32(data[0:4]))
-	used := int(binary.LittleEndian.Uint32(data[4:8]))
-	if used < 0 || used > catCap(len(data)) || used%catRecLen != 0 {
-		return nil, 0, fmt.Errorf("shard: catalog page %d: used %d: %w", id, used, pager.ErrPageCorrupt)
-	}
-	return data[catHeaderLen : catHeaderLen+used], next, nil
-}
-
-func catPageCRCOK(data []byte) bool {
-	return chainPageCRCOK(data)
-}
-
-func catPageCRC(data []byte) uint32 {
-	return crc32.Checksum(data[:len(data)-4], castagnoli)
-}
-
-func (c *catalog) writePage(id, next pager.PageID, recs []byte) error {
-	pageSize := c.store.PageSize()
-	data := make([]byte, pageSize)
-	binary.LittleEndian.PutUint32(data[0:4], uint32(next))
-	binary.LittleEndian.PutUint32(data[4:8], uint32(len(recs)))
-	copy(data[catHeaderLen:], recs)
-	binary.LittleEndian.PutUint32(data[pageSize-4:], catPageCRC(data))
-	return c.store.Write(&pager.Page{ID: id, Data: data})
-}
-
-func encodeCatRec(buf []byte, op byte, m dual.Motion) []byte {
-	buf = append(buf, op)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.OID))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Y0))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.T0))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.V))
+	buf = append(buf, opByte)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(op.M.OID))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(op.M.Y0))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(op.M.T0))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(op.M.V))
 	return buf
 }
 
-func decodeCatRec(rec []byte) (op byte, m dual.Motion) {
-	op = rec[0]
-	m.OID = dual.OID(binary.LittleEndian.Uint64(rec[1:9]))
-	m.Y0 = math.Float64frombits(binary.LittleEndian.Uint64(rec[9:17]))
-	m.T0 = math.Float64frombits(binary.LittleEndian.Uint64(rec[17:25]))
-	m.V = math.Float64frombits(binary.LittleEndian.Uint64(rec[25:33]))
-	return op, m
+// decodeCatRec decodes one catRecLen-byte record whose op byte attach
+// already checked.
+func decodeCatRec(rec []byte) Op {
+	return Op{Insert: rec[0] == catOpInsert, M: dual.Motion{
+		OID: dual.OID(binary.LittleEndian.Uint64(rec[1:9])),
+		Y0:  math.Float64frombits(binary.LittleEndian.Uint64(rec[9:17])),
+		T0:  math.Float64frombits(binary.LittleEndian.Uint64(rec[17:25])),
+		V:   math.Float64frombits(binary.LittleEndian.Uint64(rec[25:33])),
+	}}
 }
 
-// append logs the ops and compacts the chain once tombstoned records
+// append logs the ops and compacts the log once tombstoned records
 // outnumber live ones — the flat (tierless) write path. Must run in the
 // owner's open batch, after the ops were applied to the index.
 func (c *catalog) append(ops []Op) error {
@@ -322,169 +266,76 @@ func (c *catalog) append(ops []Op) error {
 // whole catalog is rewritten from the tier's base. Must run in the
 // owner's open batch.
 func (c *catalog) appendRaw(ops []Op) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	cap_ := catCap(c.store.PageSize())
-	tail := c.pages[len(c.pages)-1]
-	recs, _, err := c.readPage(tail)
-	if err != nil {
-		return err
-	}
-	// Work on a copy: recs aliases the store's page buffer.
-	cur := append(make([]byte, 0, cap_), recs...)
+	recs := make([]byte, 0, len(ops)*catRecLen)
 	for _, op := range ops {
-		if len(cur) == cap_ {
-			p, err := c.store.Allocate()
-			if err != nil {
-				return err
-			}
-			// Seal the full page, linking it to its new successor.
-			if err := c.writePage(tail, p.ID, cur); err != nil {
-				return err
-			}
-			tail = p.ID
-			c.pages = append(c.pages, tail)
-			cur = cur[:0]
-		}
-		opByte := byte(catOpDelete)
+		recs = appendCatRec(recs, op)
 		if op.Insert {
-			opByte = catOpInsert
 			c.live++
 		} else {
 			c.live--
 		}
-		cur = encodeCatRec(cur, opByte, op.M)
-		c.records++
 	}
-	if err := c.writePage(tail, pager.NilPage, cur); err != nil {
-		return err
-	}
-	c.tailUsed = len(cur)
-	return nil
+	c.records += len(ops)
+	return c.chain.Append(recs)
 }
 
-// ops decodes the whole log in append order — the recovery feed for the
-// ingest tier, which splits it at the flushed watermark into the base
-// prefix and the delta suffix.
-func (c *catalog) ops() ([]Op, error) {
-	out := make([]Op, 0, c.records)
-	for _, id := range c.pages {
-		recs, _, err := c.readPage(id)
-		if err != nil {
-			return nil, err
-		}
-		for off := 0; off < len(recs); off += catRecLen {
-			op, m := decodeCatRec(recs[off : off+catRecLen])
-			out = append(out, Op{Insert: op == catOpInsert, M: m})
-		}
-	}
-	return out, nil
-}
-
-// motionsOfOps replays a slice of ops into the live motion multiset it
-// describes (insertion order preserved for the surviving inserts is not
-// guaranteed; the result is unsorted).
-func motionsOfOps(ops []Op) ([]dual.Motion, error) {
-	counts := make(map[dual.Motion]int)
-	for _, op := range ops {
-		if op.Insert {
-			counts[op.M]++
-		} else {
-			counts[op.M]--
-		}
-	}
-	var ms []dual.Motion
-	for m, n := range counts {
-		if n < 0 {
-			return nil, fmt.Errorf("shard: catalog prefix: motion %d deleted more than inserted: %w",
-				m.OID, pager.ErrPageCorrupt)
-		}
-		for i := 0; i < n; i++ {
-			ms = append(ms, m)
-		}
-	}
-	return ms, nil
-}
-
-// rewrite replaces the log with plain inserts of ms (the BulkLoad and
-// compaction path). The head page id is stable — the superblock need not
-// change for a rewrite — while every overflow page is freed and
-// reallocated. Must run in the owner's open batch.
+// rewrite replaces the log with plain inserts of ms (the BulkLoad, fold
+// and compaction path). The head page id is stable, so the superblock
+// need not change for a rewrite. Must run in the owner's open batch.
 func (c *catalog) rewrite(ms []dual.Motion) error {
-	for _, id := range c.pages[1:] {
-		if err := c.store.Free(id); err != nil {
-			return err
-		}
-	}
-	c.pages = c.pages[:1]
-	cap_ := catCap(c.store.PageSize())
-	var cur []byte
-	tail := c.head
+	recs := make([]byte, 0, len(ms)*catRecLen)
 	for _, m := range ms {
-		if len(cur) == cap_ {
-			p, err := c.store.Allocate()
-			if err != nil {
-				return err
-			}
-			if err := c.writePage(tail, p.ID, cur); err != nil {
-				return err
-			}
-			tail = p.ID
-			c.pages = append(c.pages, tail)
-			cur = cur[:0]
-		}
-		cur = encodeCatRec(cur, catOpInsert, m)
+		recs = appendCatRec(recs, Op{Insert: true, M: m})
 	}
-	if err := c.writePage(tail, pager.NilPage, cur); err != nil {
-		return err
-	}
-	c.tailUsed = len(cur)
-	c.live = len(ms)
-	c.records = len(ms)
-	return nil
+	c.live, c.records = len(ms), len(ms)
+	return c.chain.Rewrite(recs)
 }
 
-// motions replays the log into the live motion multiset, sorted by
-// (OID, T0, Y0, V) so identical shard states enumerate identically.
-func (c *catalog) motions() ([]dual.Motion, error) {
+// replay reads the log once, in append order. Its first prefix records
+// fold into the live motion multiset they describe, sorted by (OID, T0,
+// Y0, V) so identical states enumerate identically; the records after them
+// come back as ops. The ingest tier's recovery splits the log at the
+// flushed watermark this way, into the base's contents and the delta.
+func (c *catalog) replay(prefix int) (ms []dual.Motion, suffix []Op, err error) {
 	counts := make(map[dual.Motion]int)
-	for _, id := range c.pages {
-		recs, _, err := c.readPage(id)
-		if err != nil {
-			return nil, err
-		}
-		for off := 0; off < len(recs); off += catRecLen {
-			op, m := decodeCatRec(recs[off : off+catRecLen])
-			if op == catOpInsert {
-				counts[m]++
-			} else {
-				counts[m]--
+	n := 0
+	err = c.chain.Scan(func(recs []byte) error {
+		for ; len(recs) >= catRecLen; recs = recs[catRecLen:] {
+			switch op := decodeCatRec(recs); {
+			case n >= prefix:
+				suffix = append(suffix, op)
+			case op.Insert:
+				counts[op.M]++
+			default:
+				counts[op.M]--
 			}
+			n++
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	var ms []dual.Motion
-	for m, n := range counts {
-		if n < 0 {
-			return nil, fmt.Errorf("shard: catalog: motion %d deleted more than inserted: %w",
+	for m, k := range counts {
+		if k < 0 {
+			return nil, nil, fmt.Errorf("shard: catalog: motion %d deleted more than inserted: %w",
 				m.OID, pager.ErrPageCorrupt)
 		}
-		for i := 0; i < n; i++ {
+		for ; k > 0; k-- {
 			ms = append(ms, m)
 		}
 	}
-	sort.Slice(ms, func(i, j int) bool {
-		a, b := ms[i], ms[j]
-		if a.OID != b.OID {
-			return a.OID < b.OID
+	slices.SortFunc(ms, func(a, b dual.Motion) int {
+		if a.OID != b.OID { // nearly always: replicas aside, one motion per object
+			return cmp.Compare(a.OID, b.OID)
 		}
-		if a.T0 != b.T0 {
-			return a.T0 < b.T0
-		}
-		if a.Y0 != b.Y0 {
-			return a.Y0 < b.Y0
-		}
-		return a.V < b.V
+		return cmp.Or(cmp.Compare(a.T0, b.T0), cmp.Compare(a.Y0, b.Y0), cmp.Compare(a.V, b.V))
 	})
-	return ms, nil
+	return ms, suffix, nil
+}
+
+// motions replays the whole log into the live motion multiset.
+func (c *catalog) motions() ([]dual.Motion, error) {
+	ms, _, err := c.replay(c.records)
+	return ms, err
 }

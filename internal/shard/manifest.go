@@ -1,7 +1,7 @@
 package shard
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -10,8 +10,8 @@ import (
 
 // The cluster manifest is the single authority on topology: which store
 // serves which band, under which epoch, and whether a migration is in
-// flight. It lives in its own tiny WAL-backed media ("manifest"), written
-// as one atomic batch per change — so a crash at any instant recovers to
+// flight. It lives in its own tiny WAL-backed media ("manifest") as a blob
+// pager.RecordChain, rewritten in one atomic batch per change — so a crash at any instant recovers to
 // exactly one manifest, and therefore exactly one topology: the old one
 // or the new one, never a mix. The epoch increments only at a migration
 // flip, giving tests a monotonic witness that no intermediate topology
@@ -55,23 +55,20 @@ type manifest struct {
 }
 
 func encodeManifest(m manifest) []byte {
-	var buf []byte
-	u32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
-	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-	u32(manVersion)
-	u64(m.Epoch)
-	u32(uint32(m.NextStore))
-	u32(uint32(len(m.Bands)))
+	var e encoder
+	e.u32(manVersion)
+	e.u64(m.Epoch)
+	e.u32(uint32(m.NextStore))
+	e.u32(uint32(len(m.Bands)))
 	for _, b := range m.Bands {
-		u32(uint32(b.Store))
-		f64(b.Hi)
+		e.u32(uint32(b.Store))
+		e.f64(b.Hi)
 	}
-	u32(uint32(m.Mig.State))
-	u32(uint32(m.Mig.Band))
-	f64(m.Mig.Cut)
-	u32(uint32(m.Mig.NewStore))
-	return buf
+	e.u32(uint32(m.Mig.State))
+	e.u32(uint32(m.Mig.Band))
+	e.f64(m.Mig.Cut)
+	e.u32(uint32(m.Mig.NewStore))
+	return e.buf
 }
 
 func decodeManifest(buf []byte) (manifest, error) {
@@ -79,61 +76,32 @@ func decodeManifest(buf []byte) (manifest, error) {
 	corrupt := func(what string) (manifest, error) {
 		return manifest{}, fmt.Errorf("shard: manifest: %s: %w", what, pager.ErrPageCorrupt)
 	}
-	off := 0
-	u32 := func() (uint32, bool) {
-		if off+4 > len(buf) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(buf[off:])
-		off += 4
-		return v, true
-	}
-	u64 := func() (uint64, bool) {
-		if off+8 > len(buf) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-		return v, true
-	}
-	f64 := func() (float64, bool) {
-		v, ok := u64()
-		return math.Float64frombits(v), ok
-	}
-	ver, ok := u32()
-	if !ok || ver != manVersion {
+	d := decoder{buf: buf}
+	if ver := d.u32(); d.short || ver != manVersion {
 		return corrupt(fmt.Sprintf("version %d", ver))
 	}
-	epoch, ok1 := u64()
-	next, ok2 := u32()
-	nBands, ok3 := u32()
-	if !ok1 || !ok2 || !ok3 || nBands == 0 || nBands > 1<<20 {
+	m.Epoch, m.NextStore = d.u64(), int(d.u32())
+	nBands := d.u32()
+	if d.short || nBands == 0 || nBands > 1<<20 {
 		return corrupt("header")
 	}
-	m.Epoch = epoch
-	m.NextStore = int(next)
 	prev := math.Inf(-1)
 	for i := uint32(0); i < nBands; i++ {
-		store, ok1 := u32()
-		hi, ok2 := f64()
-		if !ok1 || !ok2 {
+		b := bandEntry{Store: int(d.u32()), Hi: d.f64()}
+		if d.short {
 			return corrupt(fmt.Sprintf("band %d", i))
 		}
-		if hi <= prev {
-			return corrupt(fmt.Sprintf("band %d bound %v out of order", i, hi))
+		if b.Hi <= prev {
+			return corrupt(fmt.Sprintf("band %d bound %v out of order", i, b.Hi))
 		}
-		prev = hi
-		m.Bands = append(m.Bands, bandEntry{Store: int(store), Hi: hi})
+		prev = b.Hi
+		m.Bands = append(m.Bands, b)
 	}
-	st, ok1 := u32()
-	band, ok2 := u32()
-	cut, ok3 := f64()
-	newStore, ok4 := u32()
-	if !ok1 || !ok2 || !ok3 || !ok4 || st > migFlipped {
+	m.Mig = migRecord{State: int(d.u32()), Band: int(d.u32()), Cut: d.f64(), NewStore: int(d.u32())}
+	if d.short || m.Mig.State > migFlipped {
 		return corrupt("migration record")
 	}
-	m.Mig = migRecord{State: int(st), Band: int(band), Cut: cut, NewStore: int(newStore)}
-	if off != len(buf) {
+	if !d.done() {
 		return corrupt("trailing bytes")
 	}
 	return m, nil
@@ -150,11 +118,11 @@ func (m manifest) partitionerOf() (*Partitioner, error) {
 	return NewPartitionerCuts(yMax, cuts)
 }
 
-// manifestStore is the manifest's WAL-backed home: a page chain inside
+// manifestStore is the manifest's WAL-backed home: a record chain inside
 // its own store, rewritten as one atomic batch per change.
 type manifestStore struct {
 	wal *pager.WALStore
-	ch  *chain
+	ch  *pager.RecordChain
 }
 
 // openManifestStore opens (or initializes) the manifest media and loads
@@ -166,15 +134,11 @@ func openManifestStore(media Media, init func() (manifest, error)) (*manifestSto
 		return nil, manifest{}, fmt.Errorf("shard: manifest wal: %w", err)
 	}
 	fail := func(err error) (*manifestStore, manifest, error) {
-		werr := wal.Close()
-		if werr != nil {
-			err = fmt.Errorf("%w (close: %v)", err, werr)
-		}
-		return nil, manifest{}, err
+		return nil, manifest{}, errors.Join(err, wal.Close())
 	}
-	ch, err := findChainRoot(wal, manMagic)
+	ch, err := pager.FindRecordChain(wal, manMagic, 1)
 	if err == nil {
-		payload, err := ch.read()
+		payload, err := ch.Bytes()
 		if err != nil {
 			return fail(fmt.Errorf("shard: manifest read: %w", err))
 		}
@@ -184,7 +148,7 @@ func openManifestStore(media Media, init func() (manifest, error)) (*manifestSto
 		}
 		return &manifestStore{wal: wal, ch: ch}, m, nil
 	}
-	if !isChainNotFound(err) {
+	if !errors.Is(err, pager.ErrChainNotFound) {
 		return fail(fmt.Errorf("shard: manifest locate: %w", err))
 	}
 	m, err := init()
@@ -192,13 +156,11 @@ func openManifestStore(media Media, init func() (manifest, error)) (*manifestSto
 		return fail(err)
 	}
 	ms := &manifestStore{wal: wal}
-	err = pager.RunBatch(wal, func() error {
-		ch, cerr := initChain(wal, manMagic)
-		if cerr != nil {
-			return cerr
+	err = pager.RunBatch(wal, func() (err error) {
+		if ms.ch, err = pager.InitRecordChain(wal, manMagic, 1); err != nil {
+			return err
 		}
-		ms.ch = ch
-		return ch.write(encodeManifest(m))
+		return ms.ch.Rewrite(encodeManifest(m))
 	})
 	if err != nil {
 		return fail(fmt.Errorf("shard: manifest init: %w", err))
@@ -210,7 +172,7 @@ func openManifestStore(media Media, init func() (manifest, error)) (*manifestSto
 // manifest is committed and synced — the next reboot sees it.
 func (s *manifestStore) save(m manifest) error {
 	return pager.RunBatch(s.wal, func() error {
-		return s.ch.write(encodeManifest(m))
+		return s.ch.Rewrite(encodeManifest(m))
 	})
 }
 

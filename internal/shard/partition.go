@@ -15,6 +15,11 @@
 // shard exhausts its retry budget the query degrades instead of dying: the
 // router returns the merged results of the healthy shards together with a
 // typed *PartialError naming the missing partitions.
+//
+// A Cluster makes the deployment durable: each shard keeps a superblock and
+// a motion catalog beside its trees, and the cluster a manifest, all three
+// pager.RecordChains written in the WAL batch of the change they describe
+// (durable.go, manifest.go), so a crash recovers exactly one topology.
 package shard
 
 import (

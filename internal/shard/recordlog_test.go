@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"slices"
 	"testing"
@@ -14,9 +16,9 @@ import (
 	"mobidx/internal/pager"
 )
 
-// logPageSize keeps the record logs' pages small: a catalog page holds 7
-// records and a chain page 236 payload bytes, so a few dozen records span
-// several pages.
+// logPageSize keeps the record chains' pages small: a catalog page holds 7
+// records and a superblock page 236 payload bytes, so a few dozen records
+// and two rotation generations span several pages.
 const logPageSize = 256
 
 func randomOps(rng *rand.Rand, n int) []Op {
@@ -35,70 +37,77 @@ func randomOps(rng *rand.Rand, n int) []Op {
 	return ops
 }
 
-// reseal recomputes a catalog or chain page's CRC trailer, so a case
-// reaches the check behind the checksum.
-func reseal(data []byte) {
-	binary.LittleEndian.PutUint32(data[len(data)-4:], catPageCRC(data))
-}
-
-// patchPage rewrites one stored page in place.
-func patchPage(t *testing.T, st pager.Store, id pager.PageID, resealIt bool, edit func(data []byte)) {
+// rawChainPages follows a chain's next links on the raw pages, hdrLen being
+// the chain's magic + next + used.
+func rawChainPages(t *testing.T, st pager.Store, head pager.PageID, hdrLen int) []pager.PageID {
 	t.Helper()
-	p, err := st.Read(id)
-	if err != nil {
-		t.Fatal(err)
+	var ids []pager.PageID
+	for id := head; id != pager.NilPage; {
+		p, err := st.Read(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+		id = pager.PageID(binary.LittleEndian.Uint32(p.Data[hdrLen-8:]))
 	}
-	edit(p.Data)
-	if resealIt {
-		reseal(p.Data)
-	}
-	if err := st.Write(p); err != nil {
-		t.Fatal(err)
-	}
+	return ids
 }
 
-// TestRecordLogRejectsCorruption drives every rejection path of the
-// shard's durable records — catalog pages, page chains, and the
-// superblock and manifest payloads the chains carry. Each case must
-// return an error wrapping pager.ErrPageCorrupt and must not panic.
+// TestRecordLogRejectsCorruption drives the rejection paths of the shard's
+// durable records from the shard's side. The catalog and chain rows damage
+// one page under a closed shard and reopen it: whatever pager.RecordChain
+// makes of the page (its own table is TestRecordChainRejectsCorruption)
+// must come out of Open wrapping pager.ErrPageCorrupt. The superblock and
+// manifest rows feed the payload decoders damaged images directly. Nothing
+// may panic.
 func TestRecordLogRejectsCorruption(t *testing.T) {
-	// catalogCase builds a three-page catalog, damages it, and reattaches.
-	catalogCase := func(resealIt bool, edit func(c *catalog) (pager.PageID, func([]byte))) func(*testing.T) error {
+	const catHdr, sbHdr = 8, 16
+	// openCase builds a shard whose catalog spans four pages and whose
+	// superblock, describing two rotation generations, spans two; closes it;
+	// damages one page of the base store; and reopens.
+	openCase := func(reseal bool, pick func(cat, sb []pager.PageID) (pager.PageID, func([]byte))) func(*testing.T) error {
 		return func(t *testing.T) error {
-			st := pager.NewMemStore(logPageSize)
-			c, err := initCatalog(st)
+			cfg := Config{ID: 7, Terrain: testTerrain(), PageSize: logPageSize}
+			base, log := pager.NewMemStore(logPageSize), pager.NewMemLog()
+			s, err := Open(cfg, base, log)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.appendRaw(randomOps(rand.New(rand.NewSource(5)), 20)); err != nil {
+			for i := 0; i < 25; i++ {
+				m := testMotion(i)
+				if i >= 20 {
+					m.T0 = 6300 // the next rotation epoch
+				}
+				if err := s.Apply(context.Background(), []Op{{Insert: true, M: m}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cat := s.cat.chain.Head()
+			sb := s.sb.Head()
+			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if len(c.pages) != 3 {
-				t.Fatalf("catalog spans %d pages, want 3", len(c.pages))
+			catPages, sbPages := rawChainPages(t, base, cat, catHdr), rawChainPages(t, base, sb, sbHdr)
+			if len(catPages) != 4 || len(sbPages) != 2 {
+				t.Fatalf("catalog spans %d pages and superblock %d, want 4 and 2", len(catPages), len(sbPages))
 			}
-			id, fn := edit(c)
-			patchPage(t, st, id, resealIt, fn)
-			_, err = attachCatalog(st, c.head)
-			return err
-		}
-	}
-	// chainCase builds a three-page chain, damages it, and reads it back.
-	chainCase := func(resealIt bool, edit func(c *chain) (pager.PageID, func([]byte))) func(*testing.T) error {
-		return func(t *testing.T) error {
-			st := pager.NewMemStore(logPageSize)
-			c, err := initChain(st, sbMagic)
+			id, edit := pick(catPages, sbPages)
+			p, err := base.Read(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.write(make([]byte, 2*chainCap(logPageSize)+10)); err != nil {
+			edit(p.Data)
+			if reseal {
+				sum := crc32.Checksum(p.Data[:len(p.Data)-4], crc32.MakeTable(crc32.Castagnoli))
+				binary.LittleEndian.PutUint32(p.Data[len(p.Data)-4:], sum)
+			}
+			if err := base.Write(p); err != nil {
 				t.Fatal(err)
 			}
-			if len(c.overflow) != 2 {
-				t.Fatalf("chain has %d overflow pages, want 2", len(c.overflow))
+			s2, err := Open(cfg, base, pager.NewMemLogFrom(log.Bytes()))
+			if err == nil {
+				s2.Close()
 			}
-			id, fn := edit(c)
-			patchPage(t, st, id, resealIt, fn)
-			_, err = c.read()
 			return err
 		}
 	}
@@ -128,10 +137,12 @@ func TestRecordLogRejectsCorruption(t *testing.T) {
 	trailing := func(valid []byte) [][]byte {
 		return [][]byte{append(slices.Clone(valid), 0)}
 	}
-	badVersion := func(valid []byte) [][]byte {
-		img := slices.Clone(valid)
-		binary.LittleEndian.PutUint32(img, 99)
-		return [][]byte{img}
+	version := func(v uint32) func(valid []byte) [][]byte {
+		return func(valid []byte) [][]byte {
+			img := slices.Clone(valid)
+			binary.LittleEndian.PutUint32(img, v)
+			return [][]byte{img}
+		}
 	}
 
 	tree := bptree.Meta{Root: 7, Height: 2, Size: 40}
@@ -151,48 +162,45 @@ func TestRecordLogRejectsCorruption(t *testing.T) {
 		name string
 		run  func(*testing.T) error
 	}{
-		{"catalog/flipped CRC byte", catalogCase(false, func(c *catalog) (pager.PageID, func([]byte)) {
-			return c.pages[1], func(d []byte) { d[len(d)-1] ^= 0x40 }
+		{"catalog/flipped CRC byte", openCase(false, func(cat, _ []pager.PageID) (pager.PageID, func([]byte)) {
+			return cat[1], func(d []byte) { d[len(d)-1] ^= 0x40 }
 		})},
-		{"catalog/flipped record byte", catalogCase(false, func(c *catalog) (pager.PageID, func([]byte)) {
-			return c.head, func(d []byte) { d[catHeaderLen+3] ^= 1 }
+		{"catalog/flipped record byte", openCase(false, func(cat, _ []pager.PageID) (pager.PageID, func([]byte)) {
+			return cat[0], func(d []byte) { d[catHdr+3] ^= 1 }
 		})},
-		{"catalog/used over capacity", catalogCase(true, func(c *catalog) (pager.PageID, func([]byte)) {
-			return c.head, func(d []byte) {
-				binary.LittleEndian.PutUint32(d[4:8], uint32(catCap(logPageSize)+catRecLen))
-			}
+		{"catalog/used over capacity", openCase(true, func(cat, _ []pager.PageID) (pager.PageID, func([]byte)) {
+			return cat[0], func(d []byte) { binary.LittleEndian.PutUint32(d[4:8], 8*catRecLen) }
 		})},
-		{"catalog/used not a record multiple", catalogCase(true, func(c *catalog) (pager.PageID, func([]byte)) {
-			return c.pages[2], func(d []byte) { binary.LittleEndian.PutUint32(d[4:8], catRecLen+1) }
+		{"catalog/used not a record multiple", openCase(true, func(cat, _ []pager.PageID) (pager.PageID, func([]byte)) {
+			return cat[2], func(d []byte) { binary.LittleEndian.PutUint32(d[4:8], catRecLen+1) }
 		})},
-		{"catalog/bad op byte", catalogCase(true, func(c *catalog) (pager.PageID, func([]byte)) {
-			return c.pages[1], func(d []byte) { d[catHeaderLen+catRecLen] = 7 }
+		{"catalog/bad op byte", openCase(true, func(cat, _ []pager.PageID) (pager.PageID, func([]byte)) {
+			return cat[1], func(d []byte) { d[catHdr+catRecLen] = 7 }
 		})},
-		{"catalog/next cycles to head", catalogCase(true, func(c *catalog) (pager.PageID, func([]byte)) {
-			return c.pages[2], func(d []byte) { binary.LittleEndian.PutUint32(d[0:4], uint32(c.head)) }
+		{"catalog/next cycles to head", openCase(true, func(cat, _ []pager.PageID) (pager.PageID, func([]byte)) {
+			return cat[2], func(d []byte) { binary.LittleEndian.PutUint32(d[0:4], uint32(cat[0])) }
 		})},
 
-		{"chain/flipped CRC byte", chainCase(false, func(c *chain) (pager.PageID, func([]byte)) {
-			return c.root, func(d []byte) { d[len(d)-2] ^= 1 }
+		{"chain/flipped CRC byte", openCase(false, func(_, sb []pager.PageID) (pager.PageID, func([]byte)) {
+			return sb[1], func(d []byte) { d[len(d)-2] ^= 1 }
 		})},
-		{"chain/bad magic on overflow page", chainCase(true, func(c *chain) (pager.PageID, func([]byte)) {
-			return c.overflow[0], func(d []byte) { copy(d[0:8], catMagic) }
+		{"chain/bad magic on overflow page", openCase(true, func(_, sb []pager.PageID) (pager.PageID, func([]byte)) {
+			return sb[1], func(d []byte) { copy(d[0:8], manMagic) }
 		})},
-		{"chain/length over capacity", chainCase(true, func(c *chain) (pager.PageID, func([]byte)) {
-			return c.overflow[1], func(d []byte) {
-				binary.LittleEndian.PutUint32(d[12:16], uint32(chainCap(logPageSize)+1))
-			}
+		{"chain/length over capacity", openCase(true, func(_, sb []pager.PageID) (pager.PageID, func([]byte)) {
+			return sb[1], func(d []byte) { binary.LittleEndian.PutUint32(d[12:16], logPageSize-sbHdr-4+1) }
 		})},
-		{"chain/next cycles to root", chainCase(true, func(c *chain) (pager.PageID, func([]byte)) {
-			return c.overflow[1], func(d []byte) { binary.LittleEndian.PutUint32(d[8:12], uint32(c.root)) }
+		{"chain/next cycles to root", openCase(true, func(_, sb []pager.PageID) (pager.PageID, func([]byte)) {
+			return sb[1], func(d []byte) { binary.LittleEndian.PutUint32(d[8:12], uint32(sb[0])) }
 		})},
 
 		{"superblock/truncated at every length", payloadCase(sb, decodeSB, prefixes)},
 		{"superblock/trailing bytes", payloadCase(sb, decodeSB, trailing)},
-		{"superblock/unknown version", payloadCase(sb, decodeSB, badVersion)},
+		{"superblock/unknown version", payloadCase(sb, decodeSB, version(99))},
+		{"superblock/version 1", payloadCase(sb, decodeSB, version(1))},
 		{"manifest/truncated at every length", payloadCase(man, decodeMan, prefixes)},
 		{"manifest/trailing bytes", payloadCase(man, decodeMan, trailing)},
-		{"manifest/unknown version", payloadCase(man, decodeMan, badVersion)},
+		{"manifest/unknown version", payloadCase(man, decodeMan, version(99))},
 		{"manifest/band bounds out of order", payloadCase(man, decodeMan, func(valid []byte) [][]byte {
 			bad := encodeManifest(manifest{NextStore: 2, Bands: []bandEntry{{Store: 0, Hi: 600}, {Store: 1, Hi: 600}}})
 			return [][]byte{bad}
@@ -232,34 +240,28 @@ func TestCatalogCrashReopen(t *testing.T) {
 		}
 		want = append(want, ops...)
 	}
-	if len(c.pages) < 3 {
-		t.Fatalf("catalog spans %d pages, want at least 3", len(c.pages))
-	}
-	got, err := c.ops()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(want, got) {
-		t.Fatalf("round trip: got %d ops, want %d", len(got), len(want))
+	if _, got, err := c.replay(0); err != nil || !slices.Equal(want, got) {
+		t.Fatalf("round trip: got %d ops (%v), want %d", len(got), err, len(want))
 	}
 
 	w2, err := pager.OpenWALStore(pager.NewMemStore(logPageSize), pager.NewMemLogFrom(log.Bytes()), pager.WALConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := attachCatalog(w2, c.head)
+	c2, err := attachCatalog(w2, c.chain.Head())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.records != len(want) || c2.live != c.live || !slices.Equal(c2.pages, c.pages) {
-		t.Fatalf("reattached records=%d live=%d pages=%v, want %d %d %v",
-			c2.records, c2.live, c2.pages, len(want), c.live, c.pages)
+	if c2.records != len(want) || c2.live != c.live {
+		t.Fatalf("reattached records=%d live=%d, want %d %d", c2.records, c2.live, len(want), c.live)
 	}
-	got2, err := c2.ops()
-	if err != nil {
+	// The reattached handle appends where the first one stopped.
+	more := randomOps(rng, 9)
+	if err := pager.RunBatch(w2, func() error { return c2.appendRaw(more) }); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(want, got2) {
-		t.Fatal("reattached catalog decodes differently")
+	want = append(want, more...)
+	if _, got, err := c2.replay(0); err != nil || !slices.Equal(want, got) {
+		t.Fatalf("reattached catalog replays %d ops (%v), want %d", len(got), err, len(want))
 	}
 }

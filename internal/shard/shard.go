@@ -14,13 +14,8 @@ import (
 	"mobidx/internal/subscribe"
 )
 
-// Op is one motion mutation: an insert of a new motion or a delete of a
-// previously inserted one (an object's update is a delete+insert pair, as
-// everywhere else in this repository).
-type Op struct {
-	Insert bool
-	M      dual.Motion
-}
+// Op is one motion mutation (see dual.Op).
+type Op = dual.Op
 
 // Config configures one shard.
 type Config struct {
@@ -115,9 +110,9 @@ type Shard struct {
 	wal   *pager.WALStore
 	store pager.Store // the index's store: the WAL, possibly wrapped (Config.WrapStore)
 	ix    *core.DualBPlus
-	exec  *core.Executor // single worker: sequential pieces, ctx-checked between them
-	sb    *chain         // superblock page chain
-	cat   *catalog       // durable motion log
+	exec  *core.Executor     // single worker: sequential pieces, ctx-checked between them
+	sb    *pager.RecordChain // superblock
+	cat   *catalog           // durable motion log
 
 	// tier is the optional write tier (Config.Ingest); when non-nil the
 	// write path stages into it and queries go through it. flushed mirrors
@@ -180,11 +175,11 @@ func Open(cfg Config, base pager.Store, log pager.LogFile) (*Shard, error) {
 
 func openOn(cfg Config, wal *pager.WALStore, store pager.Store) (*Shard, error) {
 	dcfg := core.DualBPlusConfig{Terrain: cfg.Terrain, C: cfg.C, Codec: cfg.Codec}
-	sb, err := findChainRoot(store, sbMagic)
+	sb, err := pager.FindRecordChain(store, sbMagic, 1)
 	switch {
 	case err == nil:
 		// Recovery: reattach the index and catalog from the superblock.
-		payload, err := sb.read()
+		payload, err := sb.Bytes()
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: read superblock: %w", cfg.ID, err)
 		}
@@ -201,9 +196,6 @@ func openOn(cfg Config, wal *pager.WALStore, store pager.Store) (*Shard, error) 
 			return nil, fmt.Errorf("shard %d: attach catalog: %w", cfg.ID, err)
 		}
 		flushed := rec.flushed
-		if flushed == sbFlushedAll {
-			flushed = cat.records // v1 superblock: no tier, base covers all
-		}
 		if flushed > cat.records {
 			return nil, fmt.Errorf("shard %d: flushed watermark %d past %d catalog records: %w",
 				cfg.ID, flushed, cat.records, pager.ErrPageCorrupt)
@@ -214,19 +206,15 @@ func openOn(cfg Config, wal *pager.WALStore, store pager.Store) (*Shard, error) 
 			// Reattach the write tier: the base index covers the catalog's
 			// flushed prefix; the suffix is the delta, replayed into the
 			// memtable (never merged — recovery must not write pages).
-			allOps, err := cat.ops()
+			baseMs, delta, err := cat.replay(flushed)
 			if err != nil {
 				return nil, fmt.Errorf("shard %d: read catalog: %w", cfg.ID, err)
-			}
-			baseMs, err := motionsOfOps(allOps[:flushed])
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", cfg.ID, err)
 			}
 			tier, err := ingest.Attach(ix, baseMs, cfg.Ingest.tierConfig(cfg.Terrain))
 			if err != nil {
 				return nil, fmt.Errorf("shard %d: attach ingest tier: %w", cfg.ID, err)
 			}
-			if err := tier.Replay(toIngestOps(allOps[flushed:])); err != nil {
+			if err := tier.Replay(delta); err != nil {
 				return nil, fmt.Errorf("shard %d: replay ingest delta: %w", cfg.ID, err)
 			}
 			if tier.Len() != cat.live {
@@ -251,7 +239,7 @@ func openOn(cfg Config, wal *pager.WALStore, store pager.Store) (*Shard, error) 
 		s.subs = eng
 		return s, nil
 
-	case errors.Is(err, errChainNotFound):
+	case errors.Is(err, pager.ErrChainNotFound):
 		// Fresh media: initialize superblock and catalog in one batch.
 		ix, err := core.NewDualBPlus(store, dcfg)
 		if err != nil {
@@ -270,17 +258,13 @@ func openOn(cfg Config, wal *pager.WALStore, store pager.Store) (*Shard, error) 
 			}
 			s.tier = tier
 		}
-		err = pager.RunBatch(store, func() error {
-			sbc, cerr := initChain(store, sbMagic)
-			if cerr != nil {
-				return cerr
+		err = pager.RunBatch(store, func() (err error) {
+			if s.sb, err = pager.InitRecordChain(store, sbMagic, 1); err != nil {
+				return err
 			}
-			s.sb = sbc
-			cat, cerr := initCatalog(store)
-			if cerr != nil {
-				return cerr
+			if s.cat, err = initCatalog(store); err != nil {
+				return err
 			}
-			s.cat = cat
 			return s.saveMeta()
 		})
 		if err != nil {
@@ -300,17 +284,8 @@ func (s *Shard) saveMeta() error {
 	if s.tier == nil {
 		s.flushed = s.cat.records // no tier: the base always covers the log
 	}
-	return s.sb.write(encodeSuperblock(superblock{
-		catHead: s.cat.head, flushed: s.flushed, meta: s.ix.Meta()}))
-}
-
-// toIngestOps converts catalog/shard ops to tier ops (identical shape).
-func toIngestOps(ops []Op) []ingest.Op {
-	out := make([]ingest.Op, len(ops))
-	for i, op := range ops {
-		out[i] = ingest.Op{Insert: op.Insert, M: op.M}
-	}
-	return out
+	return s.sb.Rewrite(encodeSuperblock(superblock{
+		catHead: s.cat.chain.Head(), flushed: s.flushed, meta: s.ix.Meta()}))
 }
 
 // ID returns the shard's cluster index.
@@ -458,11 +433,7 @@ func (s *Shard) Apply(ctx context.Context, ops []Op) error {
 		// A feed failure is a subscription-path failure only: the durable
 		// state is fine, so the shard keeps serving queries and writes, and
 		// subscription calls report the sticky subErr instead.
-		sops := make([]subscribe.Op, len(ops))
-		for i, op := range ops {
-			sops[i] = subscribe.Op{Insert: op.Insert, M: op.M}
-		}
-		if ferr := s.subs.Apply(sops); ferr != nil {
+		if ferr := s.subs.Apply(ops); ferr != nil {
 			s.failSubs(ferr)
 		}
 	}
@@ -488,7 +459,7 @@ func (s *Shard) applyTier(ctx context.Context, ops []Op, applied *int) error {
 	// may have mutated tier state, so the caller's quarantine logic treats
 	// the batch as entered.
 	*applied = len(ops)
-	merged, err := s.tier.Add(toIngestOps(ops))
+	merged, err := s.tier.Add(ops)
 	if err != nil {
 		return err
 	}

@@ -93,12 +93,8 @@ type Delta struct {
 	Kind Kind
 }
 
-// Op is one motion mutation, in the repository's usual delete+insert
-// update convention.
-type Op struct {
-	Insert bool
-	M      dual.Motion
-}
+// Op is one motion mutation (see dual.Op).
+type Op = dual.Op
 
 // Config configures an engine. The query trees always use the exact
 // Wide record codec: the stab filters assume unrounded keys.
