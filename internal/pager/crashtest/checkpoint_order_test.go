@@ -7,15 +7,15 @@ import (
 	"mobidx/internal/pager"
 )
 
-// writeTrace records the page ids a Base is asked to write, in order.
+// writeTrace records the page ids a FileStore is asked to write, in order.
 type writeTrace struct {
-	*Base
+	*pager.FileStore
 	ids []pager.PageID
 }
 
 func (r *writeTrace) Write(p *pager.Page) error {
 	r.ids = append(r.ids, p.ID)
-	return r.Base.Write(p)
+	return r.FileStore.Write(p)
 }
 
 // A checkpoint writes the committed table to the base in page-id order,
@@ -26,8 +26,16 @@ func TestCheckpointWriteOrderRepeats(t *testing.T) {
 	const ps, pages, rounds = 128, 64, 3
 	run := func() []pager.PageID {
 		media := NewMedia(KeepAll, 0)
-		base := &writeTrace{Base: NewBase(media, ps)}
-		w, err := pager.OpenWALStore(base, NewLog(media), pager.WALConfig{})
+		fs, err := pager.OpenFileStoreOn(NewFile(media), ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log, err := pager.OpenFileLogOn(NewFile(media))
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := &writeTrace{FileStore: fs}
+		w, err := pager.OpenWALStore(base, log, pager.WALConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,31 +1,32 @@
 // Package crashtest simulates crashes at every write and sync boundary of
 // a write-ahead-logged store and verifies recovery.
 //
-// A Media is a shared crash engine: every effectful I/O — a log append,
-// log sync, log truncate, base-page write, base sync — consumes one crash
+// A File is a crash-simulating pager.File: the sweeps run the real
+// pager.FileStore and pager.FileLog over a pages File and a log File. A
+// Media is the crash engine the files of one simulated machine share:
+// every WriteAt, Truncate and Sync of any of them consumes one crash
 // point, and when a configured budget runs out the operation fails with
 // ErrCrash and the media is dead (every later operation fails too), like a
 // machine losing power. A sweep first runs a workload with no budget to
 // count its crash points, then replays it once per point per crash mode,
-// recovers from what "survived", and checks the recovered store.
+// reboots onto what survived (File.Survivor), recovers, and checks the
+// recovered store.
 //
 // Three crash modes bracket real storage behavior:
 //
 //   - KeepAll: fail-stop. Every completed write survives, synced or not
-//     (the OS flushed its caches). The base allocator still reverts to its
-//     last Sync — a real FileStore keeps allocator state only in the meta
-//     page it writes at Sync.
-//   - LoseUnsynced: everything since the last Sync of each device is lost.
-//     The pessimistic model fsync-based durability must survive.
+//     (the OS flushed its caches) — including whatever meta record a
+//     FileStore had finished writing.
+//   - LoseUnsynced: each file reverts to its last Sync. The pessimistic
+//     model fsync-based durability must survive.
 //   - TearLast: fail-stop, and the write in flight at the crash applies
-//     only a prefix — a torn page or torn log record.
+//     only a strict prefix — a torn page, meta record or log record.
 package crashtest
 
 import (
 	"errors"
 	"fmt"
-
-	"mobidx/internal/pager"
+	"io"
 )
 
 // ErrCrash is the typed failure every operation returns at and after the
@@ -54,8 +55,8 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode%d", int(m))
 }
 
-// Media is the shared crash engine for one simulated machine: the log and
-// base store of one WALStore must share a Media so a single crash stops
+// Media is the shared crash engine for one simulated machine: the pages
+// and log files of one WALStore must share a Media so a single crash stops
 // both.
 type Media struct {
 	mode    Mode
@@ -99,329 +100,116 @@ func (m *Media) tearCut(n int) int {
 	return 1 + (m.points*37)%(n-1)
 }
 
-// Log is a crash-simulating pager.LogFile: appends and truncations apply
-// to a volatile image and become durable at Sync.
-type Log struct {
+// File is a crash-simulating pager.File: writes and truncations apply to a
+// volatile image, which Sync makes the synced one.
+type File struct {
 	m        *Media
-	stable   []byte
 	volatile []byte
+	synced   []byte
 }
 
-// NewLog returns an empty log on the given media.
-func NewLog(m *Media) *Log { return &Log{m: m} }
+// NewFile returns an empty file on the given media.
+func NewFile(m *Media) *File { return &File{m: m} }
 
-// ReadAt implements io.ReaderAt over the volatile (live) image.
-func (l *Log) ReadAt(p []byte, off int64) (int, error) {
-	if l.m.crashed {
+// ReadAt implements io.ReaderAt over the volatile image.
+func (f *File) ReadAt(p []byte, off int64) (int, error) {
+	if f.m.crashed {
 		return 0, ErrCrash
 	}
-	if off < 0 || off > int64(len(l.volatile)) {
-		return 0, fmt.Errorf("crashtest: read at %d of %d", off, len(l.volatile))
+	if off < 0 {
+		return 0, fmt.Errorf("crashtest: read at %d", off)
 	}
-	n := copy(p, l.volatile[off:])
+	if off >= int64(len(f.volatile)) {
+		return 0, io.EOF
+	}
+	n := copy(p, f.volatile[off:])
 	if n < len(p) {
-		return n, fmt.Errorf("crashtest: short read")
+		return n, io.EOF
 	}
 	return n, nil
 }
 
-// Size implements pager.LogFile.
-func (l *Log) Size() (int64, error) {
-	if l.m.crashed {
+// WriteAt implements io.WriterAt; a crash point, and in TearLast mode the
+// crashing write leaves a strict prefix behind.
+func (f *File) WriteAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("crashtest: write at %d", off)
+	}
+	if f.m.hit() {
+		if f.m.mode == TearLast {
+			f.write(p[:f.m.tearCut(len(p))], off)
+		}
 		return 0, ErrCrash
 	}
-	return int64(len(l.volatile)), nil
+	f.write(p, off)
+	return len(p), nil
 }
 
-// Append implements pager.LogFile; it is a crash point, and in TearLast
-// mode the crashing append leaves a strict prefix behind.
-func (l *Log) Append(b []byte) error {
-	if l.m.hit() {
-		if l.m.mode == TearLast {
-			l.volatile = append(l.volatile, b[:l.m.tearCut(len(b))]...)
-		}
+func (f *File) write(p []byte, off int64) {
+	if len(p) == 0 {
+		return
+	}
+	if grow := off + int64(len(p)) - int64(len(f.volatile)); grow > 0 {
+		f.volatile = append(f.volatile, make([]byte, grow)...)
+	}
+	copy(f.volatile[off:], p)
+}
+
+// Truncate implements pager.File; a crash point. Like a real file system,
+// an unsynced truncation can be lost (LoseUnsynced reverts to the last
+// synced image).
+func (f *File) Truncate(size int64) error {
+	if f.m.hit() {
 		return ErrCrash
 	}
-	l.volatile = append(l.volatile, b...)
+	if size < 0 || size > int64(len(f.volatile)) {
+		return fmt.Errorf("crashtest: truncate to %d of %d", size, len(f.volatile))
+	}
+	f.volatile = f.volatile[:size]
 	return nil
 }
 
-// Truncate implements pager.LogFile; a crash point. Like a real file
-// system, an unsynced truncation can be lost (LoseUnsynced reverts to the
-// last synced image).
-func (l *Log) Truncate(size int64) error {
-	if l.m.hit() {
+// Sync implements pager.File; a crash point. On success the volatile
+// image becomes the synced one.
+func (f *File) Sync() error {
+	if f.m.hit() {
 		return ErrCrash
 	}
-	if size < 0 || size > int64(len(l.volatile)) {
-		return fmt.Errorf("crashtest: truncate to %d of %d", size, len(l.volatile))
-	}
-	l.volatile = l.volatile[:size]
+	f.synced = append(f.synced[:0], f.volatile...)
 	return nil
 }
 
-// Sync implements pager.LogFile; a crash point. On success the volatile
-// image becomes the durable one.
-func (l *Log) Sync() error {
-	if l.m.hit() {
+// Seek implements io.Seeker for the one use the stores make of it: their
+// size, Seek(0, io.SeekEnd). The file has no cursor to move.
+func (f *File) Seek(off int64, whence int) (int64, error) {
+	if f.m.crashed {
+		return 0, ErrCrash
+	}
+	if whence != io.SeekEnd {
+		return 0, fmt.Errorf("crashtest: seek whence %d", whence)
+	}
+	return int64(len(f.volatile)) + off, nil
+}
+
+// Close implements pager.File. The file stays usable: a store reopened on
+// the same machine finds it again.
+func (f *File) Close() error {
+	if f.m.crashed {
 		return ErrCrash
 	}
-	l.stable = append(l.stable[:0], l.volatile...)
 	return nil
 }
 
-// Close implements pager.LogFile.
-func (l *Log) Close() error {
-	if l.m.crashed {
-		return ErrCrash
+// Survivor returns the file a reboot would find, on fresh media: the
+// synced image in LoseUnsynced mode, else every completed (or torn) write.
+func (f *File) Survivor(m *Media) *File {
+	src := f.volatile
+	if f.m.mode == LoseUnsynced {
+		src = f.synced
 	}
-	return nil
-}
-
-// Survivor returns the log a reboot would find, on fresh media.
-func (l *Log) Survivor(m *Media) *Log {
-	src := l.volatile
-	if l.m.mode == LoseUnsynced {
-		src = l.stable
+	return &File{
+		m:        m,
+		volatile: append([]byte(nil), src...),
+		synced:   append([]byte(nil), src...),
 	}
-	s := &Log{m: m}
-	s.volatile = append([]byte(nil), src...)
-	s.stable = append([]byte(nil), src...)
-	return s
-}
-
-// allocSnap is a snapshot of the base allocator.
-type allocSnap struct {
-	live map[pager.PageID]struct{}
-	free []pager.PageID
-	next pager.PageID
-}
-
-func (a allocSnap) clone() allocSnap {
-	c := allocSnap{
-		live: make(map[pager.PageID]struct{}, len(a.live)),
-		free: append([]pager.PageID(nil), a.free...),
-		next: a.next,
-	}
-	for id := range a.live {
-		c.live[id] = struct{}{}
-	}
-	return c
-}
-
-func cloneData(d map[pager.PageID][]byte) map[pager.PageID][]byte {
-	c := make(map[pager.PageID][]byte, len(d))
-	for id, b := range d {
-		c[id] = append([]byte(nil), b...)
-	}
-	return c
-}
-
-// Base is a crash-simulating base pager.Store with FileStore-faithful
-// durability: page bytes persist per the crash mode (they are file
-// writes), while the allocator state — live set, free list, next id — is
-// durable only as of the last Sync (a real FileStore keeps it in the meta
-// page Sync writes). Allocate, Free, Adopt and Disown are pure memory
-// operations and are not crash points; Write and Sync are.
-type Base struct {
-	m          *Media
-	pageSize   int
-	data       map[pager.PageID][]byte // "file bytes"; never erased by Free
-	stableData map[pager.PageID][]byte
-	alloc      allocSnap
-	stableAlc  allocSnap
-	stats      pager.Stats
-}
-
-// NewBase returns an empty base store on the given media.
-func NewBase(m *Media, pageSize int) *Base {
-	b := &Base{
-		m:          m,
-		pageSize:   pageSize,
-		data:       make(map[pager.PageID][]byte),
-		stableData: make(map[pager.PageID][]byte),
-		alloc:      allocSnap{live: make(map[pager.PageID]struct{}), next: 1},
-	}
-	b.stableAlc = b.alloc.clone()
-	return b
-}
-
-// PageSize implements pager.Store.
-func (b *Base) PageSize() int { return b.pageSize }
-
-// Allocate implements pager.Store (MemStore/FileStore allocator order:
-// free-list LIFO, then the next fresh id).
-func (b *Base) Allocate() (*pager.Page, error) {
-	if b.m.crashed {
-		return nil, ErrCrash
-	}
-	var id pager.PageID
-	if n := len(b.alloc.free); n > 0 {
-		id = b.alloc.free[n-1]
-		b.alloc.free = b.alloc.free[:n-1]
-	} else {
-		id = b.alloc.next
-		b.alloc.next++
-	}
-	b.alloc.live[id] = struct{}{}
-	b.data[id] = make([]byte, b.pageSize)
-	b.stats.Allocs++
-	return &pager.Page{ID: id, Data: make([]byte, b.pageSize)}, nil
-}
-
-// Read implements pager.Store.
-func (b *Base) Read(id pager.PageID) (*pager.Page, error) {
-	if b.m.crashed {
-		return nil, ErrCrash
-	}
-	if _, ok := b.alloc.live[id]; !ok {
-		return nil, fmt.Errorf("%w: %d", pager.ErrPageNotFound, id)
-	}
-	data := make([]byte, b.pageSize)
-	copy(data, b.data[id]) // absent entry reads as zeroes
-	b.stats.Reads++
-	return &pager.Page{ID: id, Data: data}, nil
-}
-
-// Write implements pager.Store; a crash point, torn in TearLast mode.
-func (b *Base) Write(p *pager.Page) error {
-	if b.m.crashed {
-		return ErrCrash
-	}
-	if _, ok := b.alloc.live[p.ID]; !ok {
-		return fmt.Errorf("%w: %d", pager.ErrPageNotFound, p.ID)
-	}
-	if len(p.Data) != b.pageSize {
-		return fmt.Errorf("crashtest: write page %d: %d bytes, want %d", p.ID, len(p.Data), b.pageSize)
-	}
-	if b.m.hit() {
-		if b.m.mode == TearLast {
-			buf := b.data[p.ID]
-			if buf == nil {
-				buf = make([]byte, b.pageSize)
-				b.data[p.ID] = buf
-			}
-			cut := b.m.tearCut(len(p.Data))
-			copy(buf[:cut], p.Data[:cut])
-		}
-		return ErrCrash
-	}
-	buf := make([]byte, b.pageSize)
-	copy(buf, p.Data)
-	b.data[p.ID] = buf
-	b.stats.Writes++
-	return nil
-}
-
-// Free implements pager.Store with the same error typing as FileStore.
-func (b *Base) Free(id pager.PageID) error {
-	if b.m.crashed {
-		return ErrCrash
-	}
-	if id == 0 {
-		return fmt.Errorf("%w: free page 0", pager.ErrReservedPage)
-	}
-	if _, ok := b.alloc.live[id]; !ok {
-		for _, f := range b.alloc.free {
-			if f == id {
-				return fmt.Errorf("%w: %d", pager.ErrDoubleFree, id)
-			}
-		}
-		return fmt.Errorf("%w: %d", pager.ErrPageNotFound, id)
-	}
-	delete(b.alloc.live, id)
-	b.alloc.free = append(b.alloc.free, id)
-	b.stats.Frees++
-	return nil
-}
-
-// Adopt implements pager.Adopter (see pager.MemStore.Adopt). A
-// materializing adopt clears the page's file bytes: an adopted page must
-// read as a fresh allocation would.
-func (b *Base) Adopt(id pager.PageID) error {
-	if b.m.crashed {
-		return ErrCrash
-	}
-	if id == 0 {
-		return fmt.Errorf("%w: adopt page 0", pager.ErrReservedPage)
-	}
-	if _, live := b.alloc.live[id]; live {
-		return nil
-	}
-	if id < b.alloc.next {
-		for i, f := range b.alloc.free {
-			if f == id {
-				b.alloc.free = append(b.alloc.free[:i], b.alloc.free[i+1:]...)
-				b.alloc.live[id] = struct{}{}
-				b.data[id] = make([]byte, b.pageSize)
-				return nil
-			}
-		}
-		return fmt.Errorf("crashtest: adopt page %d: neither live nor free", id)
-	}
-	if id != b.alloc.next {
-		return fmt.Errorf("crashtest: adopt page %d skips ids (next is %d)", id, b.alloc.next)
-	}
-	b.alloc.next++
-	b.alloc.live[id] = struct{}{}
-	b.data[id] = make([]byte, b.pageSize)
-	return nil
-}
-
-// Disown implements pager.Adopter.
-func (b *Base) Disown(id pager.PageID) error {
-	if b.m.crashed {
-		return ErrCrash
-	}
-	if id == 0 {
-		return fmt.Errorf("%w: disown page 0", pager.ErrReservedPage)
-	}
-	if _, live := b.alloc.live[id]; !live {
-		for _, f := range b.alloc.free {
-			if f == id {
-				return nil
-			}
-		}
-		return fmt.Errorf("%w: disown %d", pager.ErrPageNotFound, id)
-	}
-	delete(b.alloc.live, id)
-	b.alloc.free = append(b.alloc.free, id)
-	return nil
-}
-
-// Sync implements pager.Syncer; a crash point. On success both the file
-// bytes and the allocator become durable, exactly what FileStore.Sync
-// persists.
-func (b *Base) Sync() error {
-	if b.m.hit() {
-		return ErrCrash
-	}
-	b.stableData = cloneData(b.data)
-	b.stableAlc = b.alloc.clone()
-	return nil
-}
-
-// Stats implements pager.Store.
-func (b *Base) Stats() pager.Stats { return b.stats }
-
-// PagesInUse implements pager.Store.
-func (b *Base) PagesInUse() int { return len(b.alloc.live) }
-
-// Survivor returns the base store a reboot would find, on fresh media:
-// the allocator always reverts to its last Sync; page bytes revert only in
-// LoseUnsynced mode.
-func (b *Base) Survivor(m *Media) *Base {
-	data := b.data
-	if b.m.mode == LoseUnsynced {
-		data = b.stableData
-	}
-	s := &Base{
-		m:          m,
-		pageSize:   b.pageSize,
-		data:       cloneData(data),
-		stableData: cloneData(data),
-		alloc:      b.stableAlc.clone(),
-	}
-	s.stableAlc = s.alloc.clone()
-	return s
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"mobidx/internal/bptree"
@@ -84,19 +85,44 @@ func dumpDiff(got, want map[pager.PageID]string) string {
 	return ""
 }
 
+// disk is one simulated machine's pages file and log file.
+type disk struct{ pages, log *File }
+
+func newDisk(m *Media) disk { return disk{NewFile(m), NewFile(m)} }
+
+// reboot returns the files a restart finds, on fresh media m.
+func (d disk) reboot(m *Media) disk { return disk{d.pages.Survivor(m), d.log.Survivor(m)} }
+
+// open opens a FileStore and a FileLog on the disk — creating the store
+// when the pages file holds none yet — and the WALStore over them.
+func (d disk) open(wl workload) (*pager.WALStore, error) {
+	base, err := pager.OpenFileStoreOn(d.pages, wl.pageSize)
+	if err != nil {
+		return nil, err
+	}
+	log, err := pager.OpenFileLogOn(d.log)
+	if err != nil {
+		return nil, err
+	}
+	return pager.OpenWALStore(base, log, wl.cfg)
+}
+
 // runReference executes the workload crash-free, counting its crash points
 // and recording the page dump the store must present at every committed
 // sequence number.
 func runReference(t *testing.T, mode Mode, wl workload) (shadows map[uint64]map[pager.PageID]string, n int, probe pager.PageID) {
 	t.Helper()
 	media := NewMedia(mode, 0)
-	base := NewBase(media, wl.pageSize)
-	log := NewLog(media)
-	w, err := pager.OpenWALStore(base, log, wl.cfg)
+	d := newDisk(media)
+	w, err := d.open(wl)
 	if err != nil {
 		t.Fatalf("reference open: %v", err)
 	}
-	probeNow := func() pager.PageID { return base.alloc.next + 4 }
+	// Every id below the allocator's next came from an allocation (the
+	// WAL's meta page's included) or is a chain page, which is in the file.
+	probeNow := func() pager.PageID {
+		return pager.PageID(w.Stats().Allocs) + pager.PageID(len(d.pages.volatile)/wl.pageSize) + 2
+	}
 	shadows = map[uint64]map[pager.PageID]string{}
 	shadows[w.CommittedSeq()] = dumpStore(t, w, probeNow())
 	for _, s := range wl.make(true) {
@@ -116,14 +142,14 @@ func runReference(t *testing.T, mode Mode, wl workload) (shadows map[uint64]map[
 // point, returning the last sequence number the run saw committed and the
 // error that ended it. A panic anywhere fails the test: crashes must
 // surface as errors.
-func crashRun(t *testing.T, mode Mode, k int, wl workload, base *Base, log *Log) (lastSeq uint64, failed error) {
+func crashRun(t *testing.T, mode Mode, k int, wl workload, d disk) (lastSeq uint64, failed error) {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
 			t.Fatalf("mode %v point %d: panic during crash run: %v", mode, k, r)
 		}
 	}()
-	w, err := pager.OpenWALStore(base, log, wl.cfg)
+	w, err := d.open(wl)
 	if err != nil {
 		return 0, err
 	}
@@ -136,23 +162,20 @@ func crashRun(t *testing.T, mode Mode, k int, wl workload, base *Base, log *Log)
 	return lastSeq, nil
 }
 
-// recoverVerify opens the post-crash survivors and checks the recovery
+// recoverVerify reboots onto the crashed disk and checks the recovery
 // oracle: recovery succeeds, the recovered sequence is the crash run's
 // last committed one (or one more, when the crash struck after the commit
 // record became durable but before Commit returned), the page dump matches
 // the reference shadow at that sequence, and the workload's own invariants
 // hold.
-func recoverVerify(t *testing.T, mode Mode, k int, wl workload, base *Base, log *Log, lastSeq uint64, shadows map[uint64]map[pager.PageID]string, probe pager.PageID) {
+func recoverVerify(t *testing.T, mode Mode, k int, wl workload, d disk, lastSeq uint64, shadows map[uint64]map[pager.PageID]string, probe pager.PageID) {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
 			t.Fatalf("mode %v point %d: panic during recovery: %v", mode, k, r)
 		}
 	}()
-	media := NewMedia(mode, 0)
-	sb := base.Survivor(media)
-	sl := log.Survivor(media)
-	w, err := pager.OpenWALStore(sb, sl, wl.cfg)
+	w, err := d.reboot(NewMedia(mode, 0)).open(wl)
 	if err != nil {
 		t.Fatalf("mode %v point %d: recovery failed: %v", mode, k, err)
 	}
@@ -183,17 +206,15 @@ func runSweep(t *testing.T, mode Mode, wl workload) {
 	shadows, n, probe := runReference(t, mode, wl)
 	t.Logf("mode %v: sweeping %d crash points", mode, n)
 	for k := 1; k <= n; k++ {
-		media := NewMedia(mode, k)
-		base := NewBase(media, wl.pageSize)
-		log := NewLog(media)
-		lastSeq, failed := crashRun(t, mode, k, wl, base, log)
+		d := newDisk(NewMedia(mode, k))
+		lastSeq, failed := crashRun(t, mode, k, wl, d)
 		if failed == nil {
 			t.Fatalf("mode %v point %d/%d: workload survived its crash", mode, k, n)
 		}
 		if !errors.Is(failed, ErrCrash) {
 			t.Errorf("mode %v point %d: crash surfaced untyped: %v", mode, k, failed)
 		}
-		recoverVerify(t, mode, k, wl, base, log, lastSeq, shadows, probe)
+		recoverVerify(t, mode, k, wl, d, lastSeq, shadows, probe)
 	}
 }
 
@@ -322,6 +343,102 @@ func TestCrashSweepRaw(t *testing.T) {
 					runSweep(t, mode, rawWorkload(tc.cfg))
 				})
 			}
+		})
+	}
+}
+
+// chainWorkload frees enough pages between checkpoints that, at 128-byte
+// pages (one free id inline per meta record, 29 per chain page), the free
+// list outgrows the meta record at two checkpoints in a row: the second
+// base sync writes a new chain while the first one is still the durable
+// one.
+func chainWorkload() workload {
+	const ps = 128
+	mk := func(bool) []step {
+		var ids []pager.PageID
+		write := func(w *pager.WALStore, id pager.PageID, tag byte) error {
+			data := make([]byte, ps)
+			for i := range data {
+				data[i] = tag ^ byte(i*5)
+			}
+			return w.Write(&pager.Page{ID: id, Data: data})
+		}
+		alloc := func(w *pager.WALStore, n int) error {
+			return pager.RunBatch(w, func() error {
+				for i := 0; i < n; i++ {
+					p, err := w.Allocate()
+					if err != nil {
+						return err
+					}
+					ids = append(ids, p.ID)
+					if err := write(w, p.ID, byte(len(ids))); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}
+		free := func(w *pager.WALStore, lo, hi int) error {
+			return pager.RunBatch(w, func() error {
+				for _, id := range ids[lo:hi] {
+					if err := w.Free(id); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}
+		checkpoint := func(w *pager.WALStore) error { return w.Checkpoint() }
+		return []step{
+			{"alloc-40", func(w *pager.WALStore) error { return alloc(w, 40) }},
+			{"checkpoint-1", checkpoint},
+			{"free-24", func(w *pager.WALStore) error { return free(w, 0, 24) }},
+			{"checkpoint-2", checkpoint},
+			{"free-8", func(w *pager.WALStore) error { return free(w, 24, 32) }},
+			{"alloc-3", func(w *pager.WALStore) error { return alloc(w, 3) }},
+			{"checkpoint-3", checkpoint},
+			{"final-write", func(w *pager.WALStore) error { return write(w, ids[39], 0xEE) }},
+		}
+	}
+	return workload{pageSize: ps, cfg: pager.WALConfig{}, make: mk}
+}
+
+// chainHead returns the free-list chain head named by the newest meta
+// record in a FileStore's slot 0: two records of half a page each, with
+// the sequence number at offset 16 and the chain head at offset 32.
+func chainHead(f *File, ps int) pager.PageID {
+	rec, other := f.volatile[:ps/2], f.volatile[ps/2:ps]
+	if binary.LittleEndian.Uint64(other[16:24]) > binary.LittleEndian.Uint64(rec[16:24]) {
+		rec = other
+	}
+	return pager.PageID(binary.LittleEndian.Uint32(rec[32:36]))
+}
+
+// TestCrashSweepFreeChain sweeps the chain workload in all three modes,
+// after checking that its reference run does write a chain at both the
+// second and the third checkpoint.
+func TestCrashSweepFreeChain(t *testing.T) {
+	wl := chainWorkload()
+	d := newDisk(NewMedia(KeepAll, 0))
+	w, err := d.open(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var heads []pager.PageID
+	for _, s := range wl.make(true) {
+		if err := s.do(w); err != nil {
+			t.Fatalf("step %s: %v", s.name, err)
+		}
+		if strings.HasPrefix(s.name, "checkpoint") {
+			heads = append(heads, chainHead(d.pages, wl.pageSize))
+		}
+	}
+	if heads[1] == pager.NilPage || heads[2] == pager.NilPage {
+		t.Fatalf("chain heads after the three checkpoints %v: the free list never outgrew the meta record twice", heads)
+	}
+	for _, mode := range allModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			runSweep(t, mode, wl)
 		})
 	}
 }
@@ -745,17 +862,15 @@ func TestCrashDuringRecoverySweep(t *testing.T) {
 				if k < 1 {
 					continue
 				}
-				media := NewMedia(mode, k)
-				base := NewBase(media, wl.pageSize)
-				log := NewLog(media)
-				lastSeq, failed := crashRun(t, mode, k, wl, base, log)
+				d := newDisk(NewMedia(mode, k))
+				lastSeq, failed := crashRun(t, mode, k, wl, d)
 				if failed == nil {
 					t.Fatalf("mode %v point %d: workload survived its crash", mode, k)
 				}
 
 				// Count recovery's own crash points.
 				mc := NewMedia(mode, 0)
-				if _, err := pager.OpenWALStore(base.Survivor(mc), log.Survivor(mc), wl.cfg); err != nil {
+				if _, err := d.reboot(mc).open(wl); err != nil {
 					t.Fatalf("mode %v point %d: recovery failed: %v", mode, k, err)
 				}
 				for j := 1; j <= mc.Points(); j++ {
@@ -765,17 +880,15 @@ func TestCrashDuringRecoverySweep(t *testing.T) {
 								t.Fatalf("mode %v point %d/recovery %d: panic: %v", mode, k, j, r)
 							}
 						}()
-						m2 := NewMedia(mode, j)
-						sb, sl := base.Survivor(m2), log.Survivor(m2)
-						if _, err := pager.OpenWALStore(sb, sl, wl.cfg); err == nil {
+						d2 := d.reboot(NewMedia(mode, j))
+						if _, err := d2.open(wl); err == nil {
 							t.Fatalf("mode %v point %d/recovery %d: interrupted recovery reported success", mode, k, j)
 						} else if !errors.Is(err, ErrCrash) {
 							t.Errorf("mode %v point %d/recovery %d: crash surfaced untyped: %v", mode, k, j, err)
 						}
 						// Crash-free recovery of what the interrupted
 						// attempt left behind.
-						m3 := NewMedia(mode, 0)
-						w, err := pager.OpenWALStore(sb.Survivor(m3), sl.Survivor(m3), wl.cfg)
+						w, err := d2.reboot(NewMedia(mode, 0)).open(wl)
 						if err != nil {
 							t.Fatalf("mode %v point %d/recovery %d: second recovery failed: %v", mode, k, j, err)
 						}

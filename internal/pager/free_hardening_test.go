@@ -31,11 +31,11 @@ func TestMemStoreFreeTyping(t *testing.T) {
 }
 
 // TestFileStoreFreeTyping is the FileStore counterpart, including the
-// overflow-chain case: pages holding the on-disk free list's overflow
-// chain are referenced by the persisted meta, so freeing one must be
-// refused as reserved, not treated as not-found or silently accepted.
+// chain case: pages holding the on-disk free list's chain are referenced
+// by the persisted meta, so freeing one must be refused as reserved, not
+// treated as not-found or silently accepted.
 func TestFileStoreFreeTyping(t *testing.T) {
-	const ps = 64 // inline free capacity (ps-48-4)/4 = 3: chains form fast
+	const ps = 128 // inline free capacity (ps/2-56-4)/4 = 1: chains form fast
 	path := filepath.Join(t.TempDir(), "db.pages")
 	fs, err := NewFileStore(path, ps)
 	if err != nil {
@@ -67,17 +67,17 @@ func TestFileStoreFreeTyping(t *testing.T) {
 		t.Fatalf("free of never-allocated id: %v, want ErrPageNotFound", err)
 	}
 
-	// Sync spills the 15-entry free list past the 3 inline slots into
-	// overflow chain pages; those pages are reserved until the next Sync.
+	// Sync spills the 15-entry free list past the one inline slot into
+	// chain pages; those pages are reserved until the next Sync.
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if len(fs.ovPages) == 0 {
-		t.Fatal("free list never spilled into an overflow chain; test is vacuous")
+	if len(fs.chain) == 0 {
+		t.Fatal("free list never spilled into a chain; test is vacuous")
 	}
-	for _, ov := range fs.ovPages {
+	for _, ov := range fs.chain {
 		if err := fs.Free(ov); !errors.Is(err, ErrReservedPage) {
-			t.Fatalf("free of overflow chain page %d: %v, want ErrReservedPage", ov, err)
+			t.Fatalf("free of chain page %d: %v, want ErrReservedPage", ov, err)
 		}
 	}
 
@@ -90,11 +90,11 @@ func TestFileStoreFreeTyping(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs2.Close()
-	if len(fs2.ovPages) == 0 {
-		t.Fatal("reopen lost the overflow chain")
+	if len(fs2.chain) == 0 {
+		t.Fatal("reopen lost the chain")
 	}
-	if err := fs2.Free(fs2.ovPages[0]); !errors.Is(err, ErrReservedPage) {
-		t.Fatalf("free of overflow page after reopen: %v, want ErrReservedPage", err)
+	if err := fs2.Free(fs2.chain[0]); !errors.Is(err, ErrReservedPage) {
+		t.Fatalf("free of chain page after reopen: %v, want ErrReservedPage", err)
 	}
 	if err := fs2.Free(ids[1]); !errors.Is(err, ErrDoubleFree) {
 		t.Fatalf("double free after reopen: %v, want ErrDoubleFree", err)

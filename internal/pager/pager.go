@@ -22,6 +22,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -135,9 +136,118 @@ var ErrDoubleFree = errors.New("pager: page already free")
 
 // ErrReservedPage is returned by operations targeting a page the store
 // reserves for its own bookkeeping: page 0 (FileStore's meta slot and the
-// universal nil id), a free-list overflow chain page, or a WALStore's
-// watermark page.
+// universal nil id), a free-list chain page, or a WALStore's watermark
+// page.
 var ErrReservedPage = errors.New("pager: reserved page")
+
+// allocator is the page-id allocator MemStore and FileStore share: the
+// next never-allocated id and a LIFO free list. Liveness is a complement:
+// every id in [1, next) that is neither free nor held is live, so the
+// allocator's memory grows with its free list, not with the store. A held
+// id is one the store keeps for its own bookkeeping (FileStore's free-list
+// chain pages): not live, never handed out, and refused as reserved. The
+// owning store serializes access.
+type allocator struct {
+	next PageID
+	free []PageID
+	out  map[PageID]bool // the ids below next that are not live: true if free, false if held
+}
+
+func newAllocator() allocator { return allocator{next: 1, out: make(map[PageID]bool)} }
+
+// live reports whether id is allocated.
+func (a *allocator) live(id PageID) bool {
+	_, out := a.out[id]
+	return id != NilPage && id < a.next && !out
+}
+
+// inUse returns the number of live ids.
+func (a *allocator) inUse() int { return int(a.next) - 1 - len(a.out) }
+
+// allocate hands out the most recently freed id, else the next fresh one.
+func (a *allocator) allocate() PageID {
+	n := len(a.free)
+	if n == 0 {
+		a.next++
+		return a.next - 1
+	}
+	id := a.free[n-1]
+	a.free = a.free[:n-1]
+	delete(a.out, id)
+	return id
+}
+
+// release implements Store.Free: a live id goes on the free list. Page 0
+// and held ids are ErrReservedPage, a free id ErrDoubleFree, any other
+// ErrPageNotFound; either of the first two, accepted, would corrupt the
+// free list.
+func (a *allocator) release(id PageID) error {
+	if a.live(id) {
+		a.push(id)
+		return nil
+	}
+	switch free, out := a.out[id]; {
+	case id == NilPage || out && !free:
+		return fmt.Errorf("%w: free page %d", ErrReservedPage, id)
+	case free:
+		return fmt.Errorf("%w: %d", ErrDoubleFree, id)
+	}
+	return fmt.Errorf("%w: %d", ErrPageNotFound, id)
+}
+
+// push puts ids on the free list, in order.
+func (a *allocator) push(ids ...PageID) {
+	for _, id := range ids {
+		a.free = append(a.free, id)
+		a.out[id] = true
+	}
+}
+
+// hold takes the id allocate would hand out and holds it.
+func (a *allocator) hold() PageID {
+	id := a.allocate()
+	a.out[id] = false
+	return id
+}
+
+// adopt implements Adopter.Adopt: it forces id live, whether it is free,
+// the next unallocated id, or already live (a no-op), and reports whether
+// it was not live before. A held id stays held, as a free one would for
+// disown: WAL replay names one only when the store's meta record was
+// written after the logged batches — a crash between a checkpoint's base
+// sync and its watermark — and those batches leave it free.
+func (a *allocator) adopt(id PageID) (bool, error) {
+	switch free, out := a.out[id]; {
+	case id == NilPage:
+		return false, fmt.Errorf("%w: adopt page 0", ErrReservedPage)
+	case id > a.next:
+		return false, fmt.Errorf("pager: adopt page %d skips ids (next is %d)", id, a.next)
+	case id == a.next:
+		a.next++
+		return true, nil
+	case !out || !free:
+		return false, nil
+	}
+	i := slices.Index(a.free, id)
+	a.free = slices.Delete(a.free, i, i+1)
+	delete(a.out, id)
+	return true, nil
+}
+
+// disown implements Adopter.Disown: it forces id onto the free list; a
+// free or held id is a no-op.
+func (a *allocator) disown(id PageID) error {
+	switch _, out := a.out[id]; {
+	case id == NilPage:
+		return fmt.Errorf("%w: disown page 0", ErrReservedPage)
+	case out:
+		return nil
+	case id >= a.next:
+		return fmt.Errorf("%w: disown %d", ErrPageNotFound, id)
+	}
+	a.push(id)
+	return nil
+}
 
 // MemStore is an in-memory Store. It is the default substrate for
 // experiments: I/Os are counted, not performed, exactly as needed to
@@ -150,9 +260,8 @@ var ErrReservedPage = errors.New("pager: reserved page")
 type MemStore struct {
 	mu       sync.RWMutex
 	pageSize int
-	pages    map[PageID][]byte
-	free     []PageID
-	next     PageID
+	pages    map[PageID][]byte // the live pages' images
+	alloc    allocator
 	stats    counters
 }
 
@@ -164,7 +273,7 @@ func NewMemStore(pageSize int) *MemStore {
 	return &MemStore{
 		pageSize: pageSize,
 		pages:    make(map[PageID][]byte),
-		next:     1,
+		alloc:    newAllocator(),
 	}
 }
 
@@ -175,21 +284,12 @@ func (m *MemStore) PageSize() int { return m.pageSize }
 func (m *MemStore) Allocate() (*Page, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var id PageID
-	if n := len(m.free); n > 0 {
-		id = m.free[n-1]
-		m.free = m.free[:n-1]
-	} else {
-		id = m.next
-		m.next++
-	}
-	buf := make([]byte, m.pageSize)
-	m.pages[id] = buf
+	id := m.alloc.allocate()
+	m.pages[id] = make([]byte, m.pageSize)
 	m.stats.allocs.Add(1)
 	// An allocation materializes the page in memory; the caller writes it
 	// out explicitly, so allocation itself costs no I/O.
-	data := make([]byte, m.pageSize)
-	return &Page{ID: id, Data: data}, nil
+	return &Page{ID: id, Data: make([]byte, m.pageSize)}, nil
 }
 
 // Read implements Store. Concurrent reads share the read-latch.
@@ -226,19 +326,10 @@ func (m *MemStore) Write(p *Page) error {
 func (m *MemStore) Free(id PageID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if id == 0 {
-		return fmt.Errorf("%w: free page 0", ErrReservedPage)
-	}
-	if _, ok := m.pages[id]; !ok {
-		for _, f := range m.free {
-			if f == id {
-				return fmt.Errorf("%w: %d", ErrDoubleFree, id)
-			}
-		}
-		return fmt.Errorf("%w: %d", ErrPageNotFound, id)
+	if err := m.alloc.release(id); err != nil {
+		return err
 	}
 	delete(m.pages, id)
-	m.free = append(m.free, id)
 	m.stats.frees.Add(1)
 	return nil
 }
@@ -250,28 +341,11 @@ func (m *MemStore) Free(id PageID) error {
 func (m *MemStore) Adopt(id PageID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if id == 0 {
-		return fmt.Errorf("%w: adopt page 0", ErrReservedPage)
+	fresh, err := m.alloc.adopt(id)
+	if fresh {
+		m.pages[id] = make([]byte, m.pageSize)
 	}
-	if _, live := m.pages[id]; live {
-		return nil
-	}
-	if id < m.next {
-		for i, f := range m.free {
-			if f == id {
-				m.free = append(m.free[:i], m.free[i+1:]...)
-				m.pages[id] = make([]byte, m.pageSize)
-				return nil
-			}
-		}
-		return fmt.Errorf("pager: adopt page %d: neither live nor free", id)
-	}
-	if id != m.next {
-		return fmt.Errorf("pager: adopt page %d skips ids (next is %d)", id, m.next)
-	}
-	m.next++
-	m.pages[id] = make([]byte, m.pageSize)
-	return nil
+	return err
 }
 
 // Disown implements Adopter: it forces page id onto the free list; a page
@@ -280,19 +354,10 @@ func (m *MemStore) Adopt(id PageID) error {
 func (m *MemStore) Disown(id PageID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if id == 0 {
-		return fmt.Errorf("%w: disown page 0", ErrReservedPage)
-	}
-	if _, live := m.pages[id]; !live {
-		for _, f := range m.free {
-			if f == id {
-				return nil
-			}
-		}
-		return fmt.Errorf("%w: disown %d", ErrPageNotFound, id)
+	if err := m.alloc.disown(id); err != nil {
+		return err
 	}
 	delete(m.pages, id)
-	m.free = append(m.free, id)
 	return nil
 }
 
@@ -308,46 +373,68 @@ func (m *MemStore) PagesInUse() int {
 	return len(m.pages)
 }
 
-// FileStore durability. Slot 0 of the backing file is a meta page that
-// makes the store reopenable after a clean Close or a crash-after-Sync:
+// File is the byte device under a FileStore or a FileLog: positional reads
+// and writes, truncation, a durability barrier, and a size, which the
+// stores take as Seek(0, io.SeekEnd). *os.File implements it.
+type File interface {
+	io.ReaderAt
+	io.WriterAt
+	io.Seeker
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
+
+// FileStore durability. Slot 0 of the backing file holds the allocator
+// state twice, one meta record per half page:
 //
 //	off  0: magic "MOBIDXF1" (8 bytes)
-//	off  8: format version (uint32, = 1)
+//	off  8: format version (uint32, = 2)
 //	off 12: page size (uint32)
-//	off 16: next never-allocated page id (uint32)
-//	off 20: free page count (uint32)
-//	off 24: free-list overflow chain head page id (uint32, 0 = none)
-//	off 28: user metadata length (uint32, <= UserMetaSize)
-//	off 32: user metadata (UserMetaSize bytes)
-//	off 64: inline free page ids (uint32 each)
-//	last 4: CRC-32C of everything before it
+//	off 16: sequence number (uint64)
+//	off 24: next never-allocated page id (uint32)
+//	off 28: free page count (uint32)
+//	off 32: free-list chain head page id (uint32, 0 = none)
+//	off 36: user metadata length (uint32, <= UserMetaSize)
+//	off 40: user metadata (UserMetaSize bytes)
+//	off 56: inline free page ids (uint32 each)
+//	last 4: CRC-32C of everything before it in the record
 //
-// When the free list outgrows the meta page, the tail spills into a chain
-// of overflow pages (layout: next id, count, ids, CRC trailer) repurposed
-// from the free list itself. Chain pages are kept out of circulation until
-// the next Sync rewrites the meta page, so the last synced snapshot is
-// always internally consistent: a crash between Syncs loses at most the
-// allocator changes since the previous Sync, never the meta's integrity.
+// The Sync that writes sequence number s writes record s mod 2, so it
+// never overwrites the record the last completed Sync wrote, and a reopen
+// takes the newest record that verifies and whose free list decodes. The
+// first 16 bytes never change, which is what locates the second record
+// even when the first is torn. A free list longer than a record's inline
+// capacity spills into a chain of pages (next id, count, ids, CRC trailer)
+// taken off the free list. The chain the newest record names stays held —
+// neither live nor free — until the record that supersedes it is durable,
+// so a Sync writes no page a durable record references, and a crash
+// anywhere inside one leaves the previous or the new allocator state.
+// Between Syncs a crash loses the allocator changes made since the last
+// one; page data written since may or may not survive, which is the WAL's
+// concern.
 const (
 	fileMagic = "MOBIDXF1"
-	fileVer   = 1
+	fileVer   = 2
 	// UserMetaSize is the number of user bytes persisted in the meta page;
 	// enough for an index to stash its root pointer and shape (see
 	// SetUserMeta).
 	UserMetaSize = 16
 
-	metaIDsOff = 48 // first inline free id
+	metaIDsOff = 56 // first inline free id of a meta record
+	// minFilePageSize is the smallest page whose halves hold a meta record.
+	minFilePageSize = 2 * (metaIDsOff + 4)
 )
 
 // ErrStoreClosed is returned by operations on a closed FileStore.
 var ErrStoreClosed = errors.New("pager: store closed")
 
-// ErrBadMeta is returned by OpenFileStore when the meta page is missing,
-// unrecognized, or fails its checksum.
+// ErrBadMeta is returned by OpenFileStore when slot 0 is missing or
+// unrecognized, or neither meta record verifies and decodes.
 var ErrBadMeta = errors.New("pager: bad meta page")
 
-// FileStore is a Store backed by a single file, one page per slot, with a
-// checksummed meta page (slot 0) holding the allocator state. Sync
+// FileStore is a Store backed by a single file, one page per slot, with
+// checksummed meta records in slot 0 holding the allocator state. Sync
 // persists that state; OpenFileStore recovers it, so an index built on a
 // FileStore survives process restarts. Experiments normally use MemStore
 // for speed.
@@ -358,32 +445,25 @@ var ErrBadMeta = errors.New("pager: bad meta page")
 // is lock-free.
 type FileStore struct {
 	mu       sync.RWMutex
-	f        *os.File
+	f        File
 	pageSize int
-	free     []PageID
-	next     PageID
-	live     map[PageID]struct{}
+	alloc    allocator
+	chain    []PageID // the free-list chain the newest meta record names; held
+	seq      uint64   // that record's sequence number
 	user     []byte
-	ovPages  []PageID // overflow-chain pages referenced by the on-disk meta
 	closed   bool
 	stats    counters
 }
 
 // NewFileStore creates (truncating) a file-backed store at path and writes
-// an initial meta page, so the file is valid from the first moment.
+// its meta records, so the file is valid from the first moment.
 func NewFileStore(path string, pageSize int) (*FileStore, error) {
-	if pageSize <= 0 {
-		pageSize = DefaultPageSize
-	}
-	if pageSize < metaIDsOff+4 {
-		return nil, fmt.Errorf("pager: page size %d too small for meta page", pageSize)
-	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("pager: open %s: %w", path, err)
 	}
-	fs := &FileStore{f: f, pageSize: pageSize, next: 1, live: make(map[PageID]struct{})}
-	if err := fs.Sync(); err != nil {
+	fs, err := OpenFileStoreOn(f, pageSize)
+	if err != nil {
 		return nil, errors.Join(err, f.Close())
 	}
 	return fs, nil
@@ -391,7 +471,7 @@ func NewFileStore(path string, pageSize int) (*FileStore, error) {
 
 // OpenFileStore opens an existing store file without truncating it,
 // recovering the page size, allocator state and user metadata from the
-// meta page written by the last Sync (or Close).
+// meta record written by the last Sync (or Close).
 func OpenFileStore(path string) (*FileStore, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -404,9 +484,44 @@ func OpenFileStore(path string) (*FileStore, error) {
 	return fs, nil
 }
 
-func recoverFileStore(f *os.File) (*FileStore, error) {
-	head := make([]byte, 16)
-	if _, err := io.ReadFull(io.NewSectionReader(f, 0, 16), head); err != nil {
+// OpenFileStoreOn opens the store f holds, or creates one with the given
+// page size when f is shorter than one page and holds no store: creation
+// writes all of slot 0 before its first fsync, so such a file can only be
+// a creation that never finished.
+func OpenFileStoreOn(f File, pageSize int) (*FileStore, error) {
+	fs, err := recoverFileStore(f)
+	if err == nil {
+		return fs, nil
+	}
+	if pageSize <= 0 {
+		pageSize = DefaultPageSize
+	}
+	if size, serr := f.Seek(0, io.SeekEnd); serr != nil || size >= int64(pageSize) {
+		return nil, errors.Join(err, serr)
+	}
+	if pageSize < minFilePageSize {
+		return nil, fmt.Errorf("pager: page size %d too small for meta page", pageSize)
+	}
+	fs = &FileStore{f: f, pageSize: pageSize, alloc: newAllocator(), seq: 1}
+	slot := make([]byte, pageSize)
+	fs.encodeMeta(slot[:fs.metaLen()], 0, NilPage, nil)
+	fs.encodeMeta(slot[fs.metaLen():2*fs.metaLen()], 1, NilPage, nil)
+	if _, err := f.WriteAt(slot, 0); err != nil {
+		return nil, fmt.Errorf("pager: write meta page: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		return nil, fmt.Errorf("pager: sync: %w", err)
+	}
+	return fs, nil
+}
+
+func recoverFileStore(f File) (*FileStore, error) {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadMeta, err)
+	}
+	var head [16]byte
+	if _, err := f.ReadAt(head[:], 0); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMeta, err)
 	}
 	if string(head[:8]) != fileMagic {
@@ -416,108 +531,124 @@ func recoverFileStore(f *os.File) (*FileStore, error) {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadMeta, v)
 	}
 	pageSize := int(binary.LittleEndian.Uint32(head[12:16]))
-	if pageSize < metaIDsOff+4 || pageSize > 1<<26 {
+	if pageSize < minFilePageSize || pageSize > 1<<26 {
 		return nil, fmt.Errorf("%w: implausible page size %d", ErrBadMeta, pageSize)
 	}
-	meta := make([]byte, pageSize)
-	if _, err := io.ReadFull(io.NewSectionReader(f, 0, int64(pageSize)), meta); err != nil {
-		return nil, fmt.Errorf("%w: truncated meta page: %v", ErrBadMeta, err)
+	if size < int64(pageSize) {
+		return nil, fmt.Errorf("%w: truncated meta page", ErrBadMeta)
 	}
-	if err := verifyTrailer(meta); err != nil {
-		return nil, fmt.Errorf("%w: meta page: %v", ErrBadMeta, err)
+	slot := make([]byte, pageSize)
+	if _, err := f.ReadAt(slot, 0); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadMeta, err)
 	}
-	next := PageID(binary.LittleEndian.Uint32(meta[16:20]))
-	if next == 0 {
-		return nil, fmt.Errorf("%w: next id is zero", ErrBadMeta)
+	fs := &FileStore{f: f, pageSize: pageSize}
+	newest, other := slot[:fs.metaLen()], slot[fs.metaLen():2*fs.metaLen()]
+	if binary.LittleEndian.Uint64(other[16:24]) > binary.LittleEndian.Uint64(newest[16:24]) {
+		newest, other = other, newest
 	}
-	freeCount := int(binary.LittleEndian.Uint32(meta[20:24]))
-	ovHead := PageID(binary.LittleEndian.Uint32(meta[24:28]))
-	userLen := int(binary.LittleEndian.Uint32(meta[28:32]))
-	if userLen > UserMetaSize {
-		return nil, fmt.Errorf("%w: user metadata length %d", ErrBadMeta, userLen)
-	}
-	user := append([]byte(nil), meta[32:32+userLen]...)
-
-	fs := &FileStore{f: f, pageSize: pageSize, next: next, live: make(map[PageID]struct{}), user: user}
-	inlineCap := fs.inlineFreeCap()
-	n := freeCount
-	if n > inlineCap {
-		n = inlineCap
-	}
-	seen := make(map[PageID]struct{}, freeCount)
-	addFree := func(id PageID) error {
-		if id == 0 || id >= next {
-			return fmt.Errorf("%w: free id %d out of range [1, %d)", ErrBadMeta, id, next)
+	err = fs.decodeMeta(newest, size)
+	if err != nil {
+		if err2 := fs.decodeMeta(other, size); err2 != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadMeta, errors.Join(err, err2))
 		}
-		if _, dup := seen[id]; dup {
-			return fmt.Errorf("%w: free id %d listed twice", ErrBadMeta, id)
-		}
-		seen[id] = struct{}{}
-		fs.free = append(fs.free, id)
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		if err := addFree(PageID(binary.LittleEndian.Uint32(meta[metaIDsOff+4*i:]))); err != nil {
-			return nil, err
-		}
-	}
-	// Walk the overflow chain. Chain pages stay out of circulation (they
-	// are still referenced by the on-disk meta) until the next Sync.
-	for id := ovHead; id != 0; {
-		if id >= next {
-			return nil, fmt.Errorf("%w: overflow page %d out of range", ErrBadMeta, id)
-		}
-		for _, p := range fs.ovPages {
-			if p == id {
-				return nil, fmt.Errorf("%w: overflow chain cycle at page %d", ErrBadMeta, id)
-			}
-		}
-		fs.ovPages = append(fs.ovPages, id)
-		page := make([]byte, pageSize)
-		if _, err := io.ReadFull(io.NewSectionReader(f, fs.offset(id), int64(pageSize)), page); err != nil {
-			return nil, fmt.Errorf("%w: overflow page %d: %v", ErrBadMeta, id, err)
-		}
-		if err := verifyTrailer(page); err != nil {
-			return nil, fmt.Errorf("%w: overflow page %d: %v", ErrBadMeta, id, err)
-		}
-		count := int(binary.LittleEndian.Uint32(page[4:8]))
-		if count > fs.overflowCap() {
-			return nil, fmt.Errorf("%w: overflow page %d holds %d ids", ErrBadMeta, id, count)
-		}
-		for i := 0; i < count; i++ {
-			if err := addFree(PageID(binary.LittleEndian.Uint32(page[8+4*i:]))); err != nil {
-				return nil, err
-			}
-		}
-		id = PageID(binary.LittleEndian.Uint32(page[0:4]))
-	}
-	if len(fs.free) != freeCount {
-		return nil, fmt.Errorf("%w: free count %d but %d ids recovered", ErrBadMeta, freeCount, len(fs.free))
-	}
-	// Everything allocated, not free, and not a chain page is live data.
-	ov := make(map[PageID]struct{}, len(fs.ovPages))
-	for _, id := range fs.ovPages {
-		ov[id] = struct{}{}
-	}
-	for id := PageID(1); id < next; id++ {
-		if _, isFree := seen[id]; isFree {
-			continue
-		}
-		if _, isOv := ov[id]; isOv {
-			continue
-		}
-		fs.live[id] = struct{}{}
 	}
 	return fs, nil
 }
 
-// inlineFreeCap is the number of free ids the meta page holds inline.
-func (fs *FileStore) inlineFreeCap() int { return (fs.pageSize - metaIDsOff - 4) / 4 }
+// decodeMeta installs the allocator state a meta record holds, walking its
+// free-list chain. Every id is checked against the record's next id and
+// the chain's pages against the file's size, and no id may appear twice,
+// so arbitrary bytes yield an error, never a panic or an endless walk.
+func (fs *FileStore) decodeMeta(rec []byte, size int64) error {
+	u32 := func(b []byte) uint32 { return binary.LittleEndian.Uint32(b) }
+	if err := verifyTrailer(rec); err != nil {
+		return fmt.Errorf("meta record: %v", err)
+	}
+	if string(rec[:8]) != fileMagic || u32(rec[8:12]) != fileVer || int(u32(rec[12:16])) != fs.pageSize {
+		return errors.New("meta record header differs from slot 0's")
+	}
+	a := allocator{next: PageID(u32(rec[24:28])), out: make(map[PageID]bool)}
+	freeCount, userLen := int(u32(rec[28:32])), int(u32(rec[36:40]))
+	if a.next == NilPage || userLen > UserMetaSize {
+		return fmt.Errorf("next id %d, user metadata length %d", a.next, userLen)
+	}
+	addFree := func(id PageID) error {
+		if id == NilPage || id >= a.next {
+			return fmt.Errorf("free id %d out of range [1, %d)", id, a.next)
+		}
+		if _, dup := a.out[id]; dup {
+			return fmt.Errorf("page %d listed twice", id)
+		}
+		a.push(id)
+		return nil
+	}
+	for i := 0; i < min(freeCount, fs.inlineFreeCap()); i++ {
+		if err := addFree(PageID(u32(rec[metaIDsOff+4*i:]))); err != nil {
+			return err
+		}
+	}
+	var chain []PageID
+	page := make([]byte, fs.pageSize)
+	for id := PageID(u32(rec[32:36])); id != NilPage; id = PageID(u32(page[0:4])) {
+		if _, dup := a.out[id]; dup || id >= a.next || fs.offset(id)+int64(fs.pageSize) > size {
+			return fmt.Errorf("chain page %d listed twice or out of range", id)
+		}
+		if _, err := fs.f.ReadAt(page, fs.offset(id)); err != nil {
+			return fmt.Errorf("chain page %d: %v", id, err)
+		}
+		if err := verifyTrailer(page); err != nil {
+			return fmt.Errorf("chain page %d: %v", id, err)
+		}
+		count := int(u32(page[4:8]))
+		if count > fs.chainCap() {
+			return fmt.Errorf("chain page %d holds %d ids", id, count)
+		}
+		a.out[id] = false
+		chain = append(chain, id)
+		for i := 0; i < count; i++ {
+			if err := addFree(PageID(u32(page[8+4*i:]))); err != nil {
+				return err
+			}
+		}
+	}
+	if len(a.free) != freeCount {
+		return fmt.Errorf("free count %d but %d ids recovered", freeCount, len(a.free))
+	}
+	fs.alloc, fs.chain = a, chain
+	fs.seq = binary.LittleEndian.Uint64(rec[16:24])
+	fs.user = append([]byte(nil), rec[40:40+userLen]...)
+	return nil
+}
 
-// overflowCap is the number of free ids one overflow chain page holds.
-func (fs *FileStore) overflowCap() int { return (fs.pageSize - 8 - 4) / 4 }
+// metaLen is the length of one meta record: half a page.
+func (fs *FileStore) metaLen() int { return fs.pageSize / 2 }
 
-// verifyTrailer checks the CRC-32C trailer of a meta or overflow page.
+// inlineFreeCap is the number of free ids a meta record holds inline.
+func (fs *FileStore) inlineFreeCap() int { return (fs.metaLen() - metaIDsOff - 4) / 4 }
+
+// chainCap is the number of free ids one chain page holds.
+func (fs *FileStore) chainCap() int { return (fs.pageSize - 8 - 4) / 4 }
+
+// encodeMeta fills one meta record: sequence number seq, chain head head,
+// and the free list's count and first ids (the chain holds the rest).
+func (fs *FileStore) encodeMeta(rec []byte, seq uint64, head PageID, free []PageID) {
+	le := binary.LittleEndian
+	copy(rec[0:8], fileMagic)
+	le.PutUint32(rec[8:12], fileVer)
+	le.PutUint32(rec[12:16], uint32(fs.pageSize))
+	le.PutUint64(rec[16:24], seq)
+	le.PutUint32(rec[24:28], uint32(fs.alloc.next))
+	le.PutUint32(rec[28:32], uint32(len(free)))
+	le.PutUint32(rec[32:36], uint32(head))
+	le.PutUint32(rec[36:40], uint32(len(fs.user)))
+	copy(rec[40:40+UserMetaSize], fs.user)
+	for i, id := range free[:min(len(free), fs.inlineFreeCap())] {
+		le.PutUint32(rec[metaIDsOff+4*i:], uint32(id))
+	}
+	stampTrailer(rec)
+}
+
+// verifyTrailer checks the CRC-32C trailer of a meta record or chain page.
 func verifyTrailer(page []byte) error {
 	body, trailer := page[:len(page)-4], page[len(page)-4:]
 	want := binary.LittleEndian.Uint32(trailer)
@@ -532,7 +663,7 @@ func stampTrailer(page []byte) {
 	binary.LittleEndian.PutUint32(page[len(page)-4:], sum)
 }
 
-// Sync persists the allocator state (meta page plus free-list overflow
+// Sync persists the allocator state (a meta record plus its free-list
 // chain) and flushes the file, establishing a recovery point: a crash any
 // time after Sync returns loses nothing written before it.
 func (fs *FileStore) Sync() error {
@@ -546,71 +677,56 @@ func (fs *FileStore) Sync() error {
 }
 
 func (fs *FileStore) syncLocked() error {
-	// Chain pages referenced by the previous meta are superseded by the
-	// snapshot we are about to write; they become ordinary free pages.
-	fs.free = append(fs.free, fs.ovPages...)
-	fs.ovPages = nil
-
-	inlineCap := fs.inlineFreeCap()
-	perOv := fs.overflowCap()
-	var containers []PageID
-	for len(fs.free) > inlineCap+len(containers)*perOv {
-		// Repurpose a free page as an overflow container. It leaves the
-		// free list (the meta will reference it) until the next Sync.
-		c := fs.free[len(fs.free)-1]
-		fs.free = fs.free[:len(fs.free)-1]
-		containers = append(containers, c)
+	// The new chain's pages come off the free list's tail (past its end
+	// once it runs dry), never from the chain the newest record names: that
+	// one is held, and the record written here lists it as free, but it
+	// joins the free list only once this record is durable.
+	var chain []PageID
+	for len(fs.alloc.free)+len(fs.chain) > fs.inlineFreeCap()+len(chain)*fs.chainCap() {
+		chain = append(chain, fs.alloc.hold())
 	}
-
-	inline := fs.free
-	var spill []PageID
-	if len(inline) > inlineCap {
-		inline, spill = fs.free[:inlineCap], fs.free[inlineCap:]
+	if err := fs.writeMeta(chain, append(slices.Clip(fs.alloc.free), fs.chain...)); err != nil {
+		slices.Reverse(chain)
+		fs.alloc.push(chain...)
+		return err
 	}
-	// Write the chain back to front so each page knows its successor.
-	nextID := PageID(0)
-	for i := len(containers) - 1; i >= 0; i-- {
-		lo := i * perOv
-		hi := lo + perOv
-		if lo > len(spill) {
-			lo = len(spill)
-		}
-		if hi > len(spill) {
-			hi = len(spill)
-		}
-		page := make([]byte, fs.pageSize)
-		binary.LittleEndian.PutUint32(page[0:4], uint32(nextID))
-		binary.LittleEndian.PutUint32(page[4:8], uint32(hi-lo))
-		for j, id := range spill[lo:hi] {
+	fs.alloc.push(fs.chain...)
+	fs.chain = chain
+	return nil
+}
+
+// writeMeta writes the free list's spill into the chain pages, then the
+// next meta record naming them, and flushes the file.
+func (fs *FileStore) writeMeta(chain, free []PageID) error {
+	spill := free[min(len(free), fs.inlineFreeCap()):]
+	per := fs.chainCap()
+	head := NilPage
+	page := make([]byte, fs.pageSize)
+	// Back to front, so each page names its successor.
+	for i := len(chain) - 1; i >= 0; i-- {
+		ids := spill[min(i*per, len(spill)):min((i+1)*per, len(spill))]
+		clear(page)
+		binary.LittleEndian.PutUint32(page[0:4], uint32(head))
+		binary.LittleEndian.PutUint32(page[4:8], uint32(len(ids)))
+		for j, id := range ids {
 			binary.LittleEndian.PutUint32(page[8+4*j:], uint32(id))
 		}
 		stampTrailer(page)
-		if _, err := fs.f.WriteAt(page, fs.offset(containers[i])); err != nil {
-			return fmt.Errorf("pager: write overflow page %d: %w", containers[i], err)
+		if _, err := fs.f.WriteAt(page, fs.offset(chain[i])); err != nil {
+			return fmt.Errorf("pager: write free-list chain page %d: %w", chain[i], err)
 		}
-		nextID = containers[i]
+		head = chain[i]
 	}
-
-	meta := make([]byte, fs.pageSize)
-	copy(meta[0:8], fileMagic)
-	binary.LittleEndian.PutUint32(meta[8:12], fileVer)
-	binary.LittleEndian.PutUint32(meta[12:16], uint32(fs.pageSize))
-	binary.LittleEndian.PutUint32(meta[16:20], uint32(fs.next))
-	binary.LittleEndian.PutUint32(meta[20:24], uint32(len(inline)+len(spill)))
-	binary.LittleEndian.PutUint32(meta[24:28], uint32(nextID))
-	binary.LittleEndian.PutUint32(meta[28:32], uint32(len(fs.user)))
-	copy(meta[32:32+UserMetaSize], fs.user)
-	for i, id := range inline {
-		binary.LittleEndian.PutUint32(meta[metaIDsOff+4*i:], uint32(id))
-	}
-	stampTrailer(meta)
-	if _, err := fs.f.WriteAt(meta, 0); err != nil {
+	seq := fs.seq + 1
+	rec := make([]byte, fs.metaLen())
+	fs.encodeMeta(rec, seq, head, free)
+	if _, err := fs.f.WriteAt(rec, int64(seq%2)*int64(fs.metaLen())); err != nil {
 		return fmt.Errorf("pager: write meta page: %w", err)
 	}
-	fs.ovPages = containers
 	if err := fs.f.Sync(); err != nil {
 		return fmt.Errorf("pager: sync: %w", err)
 	}
+	fs.seq = seq
 	return nil
 }
 
@@ -668,15 +784,7 @@ func (fs *FileStore) Allocate() (*Page, error) {
 	if fs.closed {
 		return nil, ErrStoreClosed
 	}
-	var id PageID
-	if n := len(fs.free); n > 0 {
-		id = fs.free[n-1]
-		fs.free = fs.free[:n-1]
-	} else {
-		id = fs.next
-		fs.next++
-	}
-	fs.live[id] = struct{}{}
+	id := fs.alloc.allocate()
 	fs.stats.allocs.Add(1)
 	return &Page{ID: id, Data: make([]byte, fs.pageSize)}, nil
 }
@@ -692,7 +800,7 @@ func (fs *FileStore) Read(id PageID) (*Page, error) {
 	if fs.closed {
 		return nil, ErrStoreClosed
 	}
-	if _, ok := fs.live[id]; !ok {
+	if !fs.alloc.live(id) {
 		return nil, fmt.Errorf("%w: %d", ErrPageNotFound, id)
 	}
 	data := make([]byte, fs.pageSize)
@@ -702,9 +810,7 @@ func (fs *FileStore) Read(id PageID) (*Page, error) {
 	case errors.Is(err, io.EOF):
 		// Allocated beyond the written tail of the file: the unread
 		// remainder is zeroes by definition.
-		for i := n; i < len(data); i++ {
-			data[i] = 0
-		}
+		clear(data[n:])
 	default:
 		return nil, fmt.Errorf("pager: read page %d: %w", id, err)
 	}
@@ -719,7 +825,7 @@ func (fs *FileStore) Write(p *Page) error {
 	if fs.closed {
 		return ErrStoreClosed
 	}
-	if _, ok := fs.live[p.ID]; !ok {
+	if !fs.alloc.live(p.ID) {
 		return fmt.Errorf("%w: %d", ErrPageNotFound, p.ID)
 	}
 	if len(p.Data) != fs.pageSize {
@@ -732,75 +838,36 @@ func (fs *FileStore) Write(p *Page) error {
 	return nil
 }
 
-// Free implements Store. Freeing the meta page (slot 0) or an overflow
+// Free implements Store. Freeing the meta page (slot 0) or a free-list
 // chain page returns ErrReservedPage; freeing a page already on the free
-// list returns ErrDoubleFree. Either would corrupt the free list —
-// duplicate ids hand one page to two allocations.
+// list returns ErrDoubleFree.
 func (fs *FileStore) Free(id PageID) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.closed {
 		return ErrStoreClosed
 	}
-	if id == 0 {
-		return fmt.Errorf("%w: free meta page", ErrReservedPage)
+	if err := fs.alloc.release(id); err != nil {
+		return err
 	}
-	if _, ok := fs.live[id]; !ok {
-		for _, f := range fs.free {
-			if f == id {
-				return fmt.Errorf("%w: %d", ErrDoubleFree, id)
-			}
-		}
-		for _, p := range fs.ovPages {
-			if p == id {
-				return fmt.Errorf("%w: free overflow chain page %d", ErrReservedPage, id)
-			}
-		}
-		return fmt.Errorf("%w: %d", ErrPageNotFound, id)
-	}
-	delete(fs.live, id)
-	fs.free = append(fs.free, id)
 	fs.stats.frees.Add(1)
 	return nil
 }
 
 // Adopt implements Adopter (see MemStore.Adopt): WAL recovery forces page
-// id live. Adopting an overflow chain page is refused — the on-disk meta
-// still references it, so a log asking for it has diverged from this file.
+// id live. A free-list chain page stays held (see allocator.adopt).
 func (fs *FileStore) Adopt(id PageID) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.closed {
 		return ErrStoreClosed
 	}
-	if id == 0 {
-		return fmt.Errorf("%w: adopt meta page", ErrReservedPage)
+	fresh, err := fs.alloc.adopt(id)
+	if err != nil || !fresh {
+		return err
 	}
-	if _, live := fs.live[id]; live {
-		return nil
-	}
-	if id < fs.next {
-		for i, f := range fs.free {
-			if f == id {
-				fs.free = append(fs.free[:i], fs.free[i+1:]...)
-				fs.live[id] = struct{}{}
-				return fs.zeroSlot(id)
-			}
-		}
-		return fmt.Errorf("pager: adopt page %d: neither live nor free", id)
-	}
-	if id != fs.next {
-		return fmt.Errorf("pager: adopt page %d skips ids (next is %d)", id, fs.next)
-	}
-	fs.next++
-	fs.live[id] = struct{}{}
-	return fs.zeroSlot(id)
-}
-
-// zeroSlot clears a page's file bytes. A newly adopted page must read as
-// zeroes (like a fresh allocation), but the file slot may hold bytes from
-// the page's previous life.
-func (fs *FileStore) zeroSlot(id PageID) error {
+	// A newly adopted page must read as zeroes, like a fresh allocation,
+	// but its file slot may hold bytes from the page's previous life.
 	if _, err := fs.f.WriteAt(make([]byte, fs.pageSize), fs.offset(id)); err != nil {
 		return fmt.Errorf("pager: zero page %d: %w", id, err)
 	}
@@ -815,20 +882,7 @@ func (fs *FileStore) Disown(id PageID) error {
 	if fs.closed {
 		return ErrStoreClosed
 	}
-	if id == 0 {
-		return fmt.Errorf("%w: disown meta page", ErrReservedPage)
-	}
-	if _, live := fs.live[id]; !live {
-		for _, f := range fs.free {
-			if f == id {
-				return nil
-			}
-		}
-		return fmt.Errorf("%w: disown %d", ErrPageNotFound, id)
-	}
-	delete(fs.live, id)
-	fs.free = append(fs.free, id)
-	return nil
+	return fs.alloc.disown(id)
 }
 
 // Stats implements Store. Lock-free: see MemStore.Stats.
@@ -838,5 +892,5 @@ func (fs *FileStore) Stats() Stats { return fs.stats.snapshot() }
 func (fs *FileStore) PagesInUse() int {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	return len(fs.live)
+	return fs.alloc.inUse()
 }

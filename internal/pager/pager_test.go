@@ -213,7 +213,7 @@ func TestZeroCapacityBuffer(t *testing.T) {
 }
 
 func TestFileStorePersistsAcrossPages(t *testing.T) {
-	fs, err := NewFileStore(filepath.Join(t.TempDir(), "p.db"), 64)
+	fs, err := NewFileStore(filepath.Join(t.TempDir(), "p.db"), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestFileStorePersistsAcrossPages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Data[0] != byte(i) || p.Data[63] != byte(i) {
+		if p.Data[0] != byte(i) || p.Data[127] != byte(i) {
 			t.Fatalf("page %d corrupted", id)
 		}
 	}

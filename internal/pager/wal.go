@@ -147,7 +147,7 @@ var (
 )
 
 // LogFile is the append-only device a WALStore logs to. MemLog and FileLog
-// implement it; tests substitute crash-simulating implementations.
+// implement it.
 type LogFile interface {
 	io.ReaderAt
 	// Size returns the current length in bytes.
@@ -230,10 +230,10 @@ func (m *MemLog) Sync() error { return nil }
 // Close implements LogFile.
 func (m *MemLog) Close() error { return nil }
 
-// FileLog is a LogFile backed by a real file.
+// FileLog is a LogFile backed by a File.
 type FileLog struct {
 	mu   sync.Mutex
-	f    *os.File
+	f    File
 	size int64
 }
 
@@ -244,11 +244,20 @@ func OpenFileLog(path string) (*FileLog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pager: open log %s: %w", path, err)
 	}
-	st, err := f.Stat()
+	l, err := OpenFileLogOn(f)
 	if err != nil {
-		return nil, errors.Join(fmt.Errorf("pager: stat log %s: %w", path, err), f.Close())
+		return nil, errors.Join(fmt.Errorf("pager: open log %s: %w", path, err), f.Close())
 	}
-	return &FileLog{f: f, size: st.Size()}, nil
+	return l, nil
+}
+
+// OpenFileLogOn returns the log f holds, appending at its end.
+func OpenFileLogOn(f File) (*FileLog, error) {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, fmt.Errorf("pager: log size: %w", err)
+	}
+	return &FileLog{f: f, size: size}, nil
 }
 
 // ReadAt implements io.ReaderAt.
@@ -298,7 +307,8 @@ type Syncer interface{ Sync() error }
 // force: Adopt makes a specific page id live, Disown returns it to the
 // free list. Both are no-ops when the page is already in the target state,
 // which makes log replay idempotent. MemStore and FileStore implement it;
-// ChecksumStore, FaultStore, RetryStore and Buffered forward it.
+// ChecksumStore, FaultStore and RetryStore forward it. Buffered does not:
+// it sits above a WALStore, never below one.
 type Adopter interface {
 	// Adopt makes id live. The page's contents are unspecified until
 	// written.
@@ -768,7 +778,7 @@ func (w *WALStore) recover(size int64) error {
 func (w *WALStore) replayAdopt(a Adopter, id PageID) error {
 	if a != nil {
 		if err := a.Adopt(id); err != nil {
-			return fmt.Errorf("%w: adopt page %d: %v", ErrWALReplay, id, err)
+			return fmt.Errorf("%w: adopt page %d: %w", ErrWALReplay, id, err)
 		}
 		return nil
 	}
@@ -777,7 +787,7 @@ func (w *WALStore) replayAdopt(a Adopter, id PageID) error {
 	// ids (MemStore and FileStore allocators are deterministic).
 	p, err := w.base.Allocate()
 	if err != nil {
-		return fmt.Errorf("%w: alloc page %d: %v", ErrWALReplay, id, err)
+		return fmt.Errorf("%w: alloc page %d: %w", ErrWALReplay, id, err)
 	}
 	if p.ID != id {
 		return fmt.Errorf("%w: replay allocated page %d, log says %d", ErrWALReplay, p.ID, id)
@@ -789,12 +799,12 @@ func (w *WALStore) replayAdopt(a Adopter, id PageID) error {
 func (w *WALStore) replayDisown(a Adopter, id PageID) error {
 	if a != nil {
 		if err := a.Disown(id); err != nil {
-			return fmt.Errorf("%w: disown page %d: %v", ErrWALReplay, id, err)
+			return fmt.Errorf("%w: disown page %d: %w", ErrWALReplay, id, err)
 		}
 		return nil
 	}
 	if err := w.base.Free(id); err != nil && !errors.Is(err, ErrDoubleFree) {
-		return fmt.Errorf("%w: free page %d: %v", ErrWALReplay, id, err)
+		return fmt.Errorf("%w: free page %d: %w", ErrWALReplay, id, err)
 	}
 	return nil
 }

@@ -7,12 +7,12 @@
 // answers the full oracle byte-identically from there, and finishes the
 // interrupted migration idempotently.
 //
-// The machinery mirrors pager/crashtest's sweep: one crashtest.Media is
-// the whole machine (every shard store, every log, and the manifest share
-// it, so one crash stops them all). A recording run with no budget counts
-// the crash points the migration consumes; the sweep then replays the
-// workload once per point per crash mode, reboots onto the survivor
-// bytes, and checks recovery.
+// The machinery mirrors pager/crashtest's sweep: every shard store, every
+// log and the manifest are pager.FileStores and pager.FileLogs over
+// crashtest.Files of one crashtest.Media — one machine, so one crash stops
+// them all. A recording run with no budget counts the crash points the
+// migration consumes; the sweep then replays the workload once per point
+// per crash mode, reboots onto the survivor bytes, and checks recovery.
 package chaostest
 
 import (
@@ -24,11 +24,12 @@ import (
 
 	"mobidx/internal/core"
 	"mobidx/internal/dual"
+	"mobidx/internal/pager"
 	"mobidx/internal/pager/crashtest"
 	"mobidx/internal/shard"
 )
 
-// crashEnv is a shard.Env over crashtest media. All media share one
+// crashEnv is a shard.Env over crashtest files. All of them share one
 // crashtest.Media — one simulated machine — so a single crash point kills
 // shards and manifest together, exactly like pulling the plug.
 type crashEnv struct {
@@ -36,52 +37,50 @@ type crashEnv struct {
 	pageSize int
 
 	mu    sync.Mutex
-	bases map[string]*crashtest.Base
-	logs  map[string]*crashtest.Log
+	files map[string][2]*crashtest.File // pages, log
 }
 
 func newCrashEnv(m *crashtest.Media, pageSize int) *crashEnv {
-	return &crashEnv{
-		m:        m,
-		pageSize: pageSize,
-		bases:    make(map[string]*crashtest.Base),
-		logs:     make(map[string]*crashtest.Log),
-	}
+	return &crashEnv{m: m, pageSize: pageSize, files: make(map[string][2]*crashtest.File)}
 }
 
-// OpenMedia implements shard.Env: first touch provisions fresh media,
-// later touches return the same instances (the surviving bytes).
+// OpenMedia implements shard.Env: a FileStore and a FileLog over the
+// name's files, which the first touch provisions empty.
 func (e *crashEnv) OpenMedia(name string) (shard.Media, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if b, ok := e.bases[name]; ok {
-		return shard.Media{Base: b, Log: e.logs[name]}, nil
+	f, ok := e.files[name]
+	if !ok {
+		f = [2]*crashtest.File{crashtest.NewFile(e.m), crashtest.NewFile(e.m)}
+		e.files[name] = f
 	}
-	b := crashtest.NewBase(e.m, e.pageSize)
-	l := crashtest.NewLog(e.m)
-	e.bases[name] = b
-	e.logs[name] = l
-	return shard.Media{Base: b, Log: l}, nil
+	base, err := pager.OpenFileStoreOn(f[0], e.pageSize)
+	if err != nil {
+		return shard.Media{}, err
+	}
+	log, err := pager.OpenFileLogOn(f[1])
+	if err != nil {
+		return shard.Media{}, err
+	}
+	return shard.Media{Base: base, Log: log}, nil
 }
 
 // DropMedia implements shard.Env.
 func (e *crashEnv) DropMedia(name string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	delete(e.bases, name)
-	delete(e.logs, name)
+	delete(e.files, name)
 	return nil
 }
 
-// reboot returns the environment a restarted machine finds: each media's
+// reboot returns the environment a restarted machine finds: each file's
 // survivor image per the crash mode, on fresh never-crashing media.
 func (e *crashEnv) reboot(m *crashtest.Media) *crashEnv {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	r := newCrashEnv(m, e.pageSize)
-	for name, b := range e.bases {
-		r.bases[name] = b.Survivor(m)
-		r.logs[name] = e.logs[name].Survivor(m)
+	for name, f := range e.files {
+		r.files[name] = [2]*crashtest.File{f[0].Survivor(m), f[1].Survivor(m)}
 	}
 	return r
 }

@@ -150,6 +150,15 @@ func checkIngestExact(ctx context.Context, s *shard.Shard, pop []dual.Motion, ta
 	return nil
 }
 
+// openIngestShard opens the sweep's one shard on its media in env.
+func openIngestShard(env *crashEnv, cfg shard.Config) (*shard.Shard, error) {
+	m, err := env.OpenMedia("ingest")
+	if err != nil {
+		return nil, err
+	}
+	return shard.Open(cfg, m.Base, m.Log)
+}
+
 // RunIngestCrashSweep kills a single ingest shard at every crash point
 // its flush workload consumes under the given mode and verifies recovery
 // at each. It reports how many recoveries rebooted with a live delta
@@ -165,7 +174,7 @@ func RunIngestCrashSweep(mode crashtest.Mode) (deltaRecoveries, cleanRecoveries 
 	// Recording run: count the crash points the open prelude and the
 	// workload consume, and prove the thresholds actually fire.
 	rec := crashtest.NewMedia(mode, 0)
-	s, err := shard.Open(cfg, crashtest.NewBase(rec, PageSize), crashtest.NewLog(rec))
+	s, err := openIngestShard(newCrashEnv(rec, PageSize), cfg)
 	if err != nil {
 		return 0, 0, fmt.Errorf("record open: %w", err)
 	}
@@ -206,9 +215,8 @@ func runIngestCrashPoint(ctx context.Context, mode crashtest.Mode, budget, prelu
 	cfg shard.Config, batches [][]shard.Op, states [][]dual.Motion,
 	extra [][]shard.Op) (deltaRecovery, cleanRecovery int, _ error) {
 	m := crashtest.NewMedia(mode, budget)
-	base := crashtest.NewBase(m, PageSize)
-	log := crashtest.NewLog(m)
-	s, err := shard.Open(cfg, base, log)
+	env := newCrashEnv(m, PageSize)
+	s, err := openIngestShard(env, cfg)
 	if err != nil {
 		return 0, 0, fmt.Errorf("pre-crash open: %w", err)
 	}
@@ -235,8 +243,7 @@ func runIngestCrashPoint(ctx context.Context, mode crashtest.Mode, budget, prelu
 	// Reboot onto the survivor bytes. A torn run or a base/watermark mix
 	// surfaces here as an open error — Open cross-checks the superblock
 	// watermark, the catalog, and the replayed tier against each other.
-	m2 := crashtest.NewMedia(mode, 0)
-	s2, err := shard.Open(cfg, base.Survivor(m2), log.Survivor(m2))
+	s2, err := openIngestShard(env.reboot(crashtest.NewMedia(mode, 0)), cfg)
 	if err != nil {
 		return 0, 0, fmt.Errorf("recovery open: %w", err)
 	}

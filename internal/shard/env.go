@@ -91,31 +91,22 @@ func (e *DirEnv) paths(name string) (pages, log string) {
 	return filepath.Join(e.dir, name+".pages"), filepath.Join(e.dir, name+".log")
 }
 
-// OpenMedia implements Env.
+// OpenMedia implements Env: the pages file is opened, or created, by
+// pager.OpenFileStoreOn, which also takes a file a crash left shorter
+// than one page for the unfinished creation it is.
 func (e *DirEnv) OpenMedia(name string) (Media, error) {
 	pagesPath, logPath := e.paths(name)
-	var base pager.Store
-	if _, err := os.Stat(pagesPath); err == nil {
-		fs, err := pager.OpenFileStore(pagesPath)
-		if err != nil {
-			return Media{}, err
-		}
-		base = fs
-	} else if errors.Is(err, os.ErrNotExist) {
-		fs, err := pager.NewFileStore(pagesPath, e.pageSize)
-		if err != nil {
-			return Media{}, err
-		}
-		base = fs
-	} else {
-		return Media{}, fmt.Errorf("shard: env stat %s: %w", pagesPath, err)
+	f, err := os.OpenFile(pagesPath, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return Media{}, fmt.Errorf("shard: env open %s: %w", pagesPath, err)
+	}
+	base, err := pager.OpenFileStoreOn(f, e.pageSize)
+	if err != nil {
+		return Media{}, errors.Join(fmt.Errorf("shard: env open %s: %w", pagesPath, err), f.Close())
 	}
 	log, err := pager.OpenFileLog(logPath)
 	if err != nil {
-		if c, ok := base.(interface{ Close() error }); ok {
-			err = errors.Join(err, c.Close())
-		}
-		return Media{}, err
+		return Media{}, errors.Join(err, base.Close())
 	}
 	return Media{Base: base, Log: log}, nil
 }

@@ -145,6 +145,9 @@ go test ./internal/bptree -run '^$' -fuzz '^FuzzMutateHostileImage$' -fuzztime=1
 # minimisation budget would swallow the whole smoke.
 go test ./internal/kdtree -run '^$' -fuzz '^FuzzHostileImage$' -fuzztime=10s -fuzzminimizetime=1s
 go test ./internal/parttree -run '^$' -fuzz '^FuzzHostileImage$' -fuzztime=10s -fuzzminimizetime=1s
+# A pages file as arbitrary bytes: a store or ErrBadMeta, never a panic or
+# an endless chain walk. The 8 KB seed image makes minimising a find slow.
+go test ./internal/pager -run '^$' -fuzz '^FuzzOpenFileStore$' -fuzztime=10s -fuzzminimizetime=1s
 go test ./internal/pager -run '^$' -fuzz '^FuzzDecodeWALRecord$' -fuzztime=10s
 go test ./internal/geom -run '^$' -fuzz '^FuzzClipConvex$' -fuzztime=10s
 go test ./internal/subscribe -run '^$' -fuzz '^FuzzMatcher$' -fuzztime=10s
