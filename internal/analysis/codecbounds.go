@@ -8,9 +8,10 @@ import (
 )
 
 // CodecBounds constant-folds the offset arithmetic of the binary page
-// codecs (the writeNode/writeBucket/writeDir/readNode families in the
-// bptree, kdtree, rstar and parttree packages) and verifies that every
-// fixed-width access stays inside the layout the package declares:
+// codecs (bptree's put/encodeEntry/encodeSep, kdtree's
+// writeBucket/writeDir, the writeNode/readNode families of rstar and
+// parttree) and verifies that every fixed-width access stays inside the
+// layout the package declares:
 //
 //   - a codec function is one that steps an offset accumulator that was
 //     initialized to a constant (`off := headerSize; ...; off += pointSize`);

@@ -52,6 +52,23 @@ func TestPointQueryZeroAlloc(t *testing.T) {
 	}
 }
 
+// A range scan with a callback that captures nothing decodes its entries
+// straight from the pool's page images and allocates nothing.
+func TestRangeZeroAlloc(t *testing.T) {
+	tr, es := allocTree(t, 50000)
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		lo := es[(i*37)%len(es)].Key
+		i++
+		if err := tr.Range(lo, lo+0.5, func(Entry) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Range allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
 // A range scan into a caller-owned buffer with sufficient capacity must
 // also run allocation-free.
 func TestRangeAppendZeroAlloc(t *testing.T) {
@@ -74,8 +91,8 @@ func TestRangeAppendZeroAlloc(t *testing.T) {
 
 // steadyUpdate returns a closure that deletes one entry of allocTree and
 // inserts it back: leaves stand at 90 % fill and above minLeaf, so both
-// halves take the leaf-local path of leafedit.go, and the tree ends each
-// call as it began.
+// halves are non-structural — one descent, one leaf image written — and
+// the tree ends each call as it began.
 func steadyUpdate(t testing.TB, tr *Tree, es []Entry) func() {
 	i := 0
 	return func() {
@@ -91,14 +108,15 @@ func steadyUpdate(t testing.TB, tr *Tree, es []Entry) func() {
 }
 
 // The gate for the write path: a steady-state non-structural Insert or
-// Delete decodes nothing — no *node, no []Entry — so all it allocates is
-// what the stores below keep of the one page it writes. Under allocTree
-// that is one image per write, made by the pool and shared, frozen, with
-// the MemStore under it, beside three small objects: the pager.Page handed
-// to Write, the frozen one the pool passes down and the frame header.
-// Four per operation, one of them page-sized. One decoded node costs more
-// than that, and a second copy of the image anywhere below the tree costs
-// a page, so the ceilings fail if either comes back.
+// Delete decodes nothing — it edits the leaf's image in a pooled buffer —
+// so all it allocates is what the stores below keep of the one page it
+// writes. Under allocTree that is one image per write, made by the pool
+// and shared, frozen, with the MemStore under it, beside three small
+// objects: the pager.Page handed to Write, the frozen one the pool passes
+// down and the frame header.
+// Four per operation, one of them page-sized. Decoding a node into
+// entries costs more than that, and a second copy of the image anywhere
+// below the tree costs a page, so the ceilings fail if either appears.
 func TestUpdateZeroAllocAboveStores(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop scratch buffers at random")

@@ -16,8 +16,15 @@
 // composite ordering keeps every operation a single O(log_B n) root-to-leaf
 // descent.
 //
-// Nodes are serialized with encoding/binary into pages of a pager.Store;
-// every node touch is a counted I/O. Deletion rebalances by borrowing from
+// A node is its page image. Every operation reads pages through
+// pager.ViewBytes and binary searches the encoded separators and entries in
+// place, after checkImage has bounds-checked the image, so a steady-state
+// read whose pages sit in the buffer pool allocates nothing and a corrupted
+// page yields an error wrapping pager.ErrPageCorrupt, never a panic. Every
+// write builds a fresh image in a pooled pager.PageBuf as a concatenation of
+// slot runs copied from existing images and newly encoded slots (put), and
+// reaches the store only through Write: a viewed image, which other readers
+// may hold, is never written through. Deletion rebalances by borrowing from
 // or merging with siblings, so space stays proportional to the live entry
 // count under the heavy churn of mobile-object updates.
 package bptree
@@ -57,20 +64,19 @@ const (
 	Compact
 )
 
-func (c Codec) leafEntrySize() int {
+// keySize is the width of one stored key, aux or val.
+func (c Codec) keySize() int {
 	if c == Compact {
-		return 12
+		return 4
 	}
-	return 24
+	return 8
 }
 
-// Internal entries hold a separator (key, val) plus a child pointer.
-func (c Codec) intEntrySize() int {
-	if c == Compact {
-		return 12 // 4-byte key + 4-byte val + 4-byte child id
-	}
-	return 20 // 8-byte key + 8-byte val + 4-byte child id
-}
+// Leaf entries hold (key, aux, val).
+func (c Codec) leafEntrySize() int { return 3 * c.keySize() }
+
+// Internal slots hold a separator (key, val) plus a child pointer.
+func (c Codec) intEntrySize() int { return 2*c.keySize() + 4 }
 
 // roundKey maps a key to the value it will compare as after a round trip
 // through the codec; callers must compare against rounded keys.
@@ -100,14 +106,21 @@ type Config struct {
 //	off 4: next-leaf page id (uint32; leaves only)
 //	off 8: unused (uint32)
 //
-// Leaf body: count entries of leafEntrySize bytes.
-// Internal body: leftmost child id (uint32) then count separator entries.
+// Leaf body: count entries of leafEntrySize bytes. Internal body: the
+// leftmost child id (uint32), then count slots of intEntrySize bytes, slot
+// i holding separator i and the child right of it — so dropping slot i
+// drops a separator together with that child. Every byte past the body is
+// zero.
 const headerSize = 12
 
 const (
 	typeLeaf     = 1
 	typeInternal = 2
 )
+
+// maxPath is the depth a recorded descent holds without allocating:
+// 4 KiB pages reach it only past 10^30 entries.
+const maxPath = 8
 
 // Tree is a B+-tree rooted in a pager.Store.
 type Tree struct {
@@ -120,8 +133,8 @@ type Tree struct {
 	intCap  int
 }
 
-// New creates an empty tree in store.
-func New(store pager.Store, cfg Config) (*Tree, error) {
+// open sizes a tree for store's pages; the caller places its root.
+func open(store pager.Store, cfg Config) (*Tree, error) {
 	t := &Tree{store: store, codec: cfg.Codec}
 	body := store.PageSize() - headerSize
 	t.leafCap = body / cfg.Codec.leafEntrySize()
@@ -129,18 +142,22 @@ func New(store pager.Store, cfg Config) (*Tree, error) {
 	if t.leafCap < 4 || t.intCap < 4 {
 		return nil, fmt.Errorf("bptree: page size %d too small", store.PageSize())
 	}
-	err := pager.RunBatch(store, func() error {
+	return t, nil
+}
+
+// New creates an empty tree in store.
+func New(store pager.Store, cfg Config) (*Tree, error) {
+	t, err := open(store, cfg)
+	if err != nil {
+		return nil, err
+	}
+	err = pager.RunBatch(store, func() error {
 		p, err := store.Allocate()
 		if err != nil {
 			return err
 		}
-		root := &node{id: p.ID, leaf: true}
-		if err := t.writeNode(root); err != nil {
-			return err
-		}
-		t.root = p.ID
-		t.height = 1
-		return nil
+		t.root, t.height = p.ID, 1
+		return t.put(p.ID, true, pager.NilPage)
 	})
 	if err != nil {
 		return nil, err
@@ -157,89 +174,8 @@ func (t *Tree) Height() int { return t.height }
 // LeafCap returns the page capacity B for leaf entries.
 func (t *Tree) LeafCap() int { return t.leafCap }
 
-// node is the in-memory image of one page.
-type node struct {
-	id      pager.PageID
-	leaf    bool
-	entries []Entry        // leaf entries
-	keys    []float64      // internal separator keys
-	vals    []uint64       // internal separator vals (composite tiebreak)
-	kids    []pager.PageID // internal children; len(kids) == len(keys)+1
-	next    pager.PageID   // leaf chain
-}
-
-func (t *Tree) readNode(id pager.PageID) (*node, error) {
-	p, err := t.store.Read(id)
-	if err != nil {
-		return nil, err
-	}
-	return t.decode(p)
-}
-
-// decode parses a page into a node. Every structural field read from the
-// page is bounds-checked before use, so a corrupted page — torn write, bit
-// rot, wrong page fed back by a broken store — yields a typed error
-// wrapping pager.ErrPageCorrupt, never a slice-bounds panic.
-func (t *Tree) decode(p *pager.Page) (*node, error) {
-	d := p.Data
-	if len(d) < headerSize {
-		return nil, fmt.Errorf("bptree: page %d: %d bytes, want >= %d: %w",
-			p.ID, len(d), headerSize, pager.ErrPageCorrupt)
-	}
-	n := &node{id: p.ID}
-	switch d[0] {
-	case typeLeaf:
-		n.leaf = true
-	case typeInternal:
-	default:
-		return nil, fmt.Errorf("bptree: page %d: bad node type %d: %w", p.ID, d[0], pager.ErrPageCorrupt)
-	}
-	count := int(binary.LittleEndian.Uint16(d[2:4]))
-	n.next = pager.PageID(binary.LittleEndian.Uint32(d[4:8]))
-	off := headerSize
-	if n.leaf {
-		es := t.codec.leafEntrySize()
-		if count > (len(d)-headerSize)/es {
-			return nil, fmt.Errorf("bptree: page %d: leaf count %d exceeds page capacity %d: %w",
-				p.ID, count, (len(d)-headerSize)/es, pager.ErrPageCorrupt)
-		}
-		n.entries = make([]Entry, count)
-		for i := 0; i < count; i++ {
-			n.entries[i] = t.decodeEntry(d[off : off+es])
-			off += es
-		}
-		return n, nil
-	}
-	es := t.codec.intEntrySize()
-	if count > (len(d)-headerSize-4)/es {
-		return nil, fmt.Errorf("bptree: page %d: internal count %d exceeds page capacity %d: %w",
-			p.ID, count, (len(d)-headerSize-4)/es, pager.ErrPageCorrupt)
-	}
-	n.kids = make([]pager.PageID, 0, count+1)
-	n.keys = make([]float64, 0, count)
-	n.vals = make([]uint64, 0, count)
-	n.kids = append(n.kids, pager.PageID(binary.LittleEndian.Uint32(d[off:off+4])))
-	off += 4
-	for i := 0; i < count; i++ {
-		if t.codec == Compact {
-			n.keys = append(n.keys, float64(math.Float32frombits(binary.LittleEndian.Uint32(d[off:off+4]))))
-			n.vals = append(n.vals, uint64(binary.LittleEndian.Uint32(d[off+4:off+8])))
-			n.kids = append(n.kids, pager.PageID(binary.LittleEndian.Uint32(d[off+8:off+12])))
-			off += 12
-		} else {
-			n.keys = append(n.keys, math.Float64frombits(binary.LittleEndian.Uint64(d[off:off+8])))
-			n.vals = append(n.vals, binary.LittleEndian.Uint64(d[off+8:off+16]))
-			n.kids = append(n.kids, pager.PageID(binary.LittleEndian.Uint32(d[off+16:off+20])))
-			off += 20
-		}
-	}
-	for _, kid := range n.kids {
-		if kid == pager.NilPage {
-			return nil, fmt.Errorf("bptree: page %d: nil child pointer: %w", p.ID, pager.ErrPageCorrupt)
-		}
-	}
-	return n, nil
-}
+func (t *Tree) minLeaf() int { return t.leafCap / 2 }
+func (t *Tree) minInt() int  { return t.intCap / 2 }
 
 // Meta captures the position and shape of a tree inside its store, so the
 // tree can be reattached after the store is closed and reopened (see
@@ -256,28 +192,157 @@ func (t *Tree) Meta() Meta { return Meta{Root: t.root, Height: t.height, Size: t
 
 // Attach reattaches a tree previously built in store (same page size and
 // codec) from its Meta, typically after a pager.OpenFileStore. The root
-// page is read immediately to validate the metadata.
+// page is read immediately to validate the metadata: a root whose node
+// type disagrees with the height is corruption.
 func Attach(store pager.Store, cfg Config, m Meta) (*Tree, error) {
-	t := &Tree{store: store, codec: cfg.Codec}
-	body := store.PageSize() - headerSize
-	t.leafCap = body / cfg.Codec.leafEntrySize()
-	t.intCap = (body - 4) / cfg.Codec.intEntrySize()
-	if t.leafCap < 4 || t.intCap < 4 {
-		return nil, fmt.Errorf("bptree: page size %d too small", store.PageSize())
+	t, err := open(store, cfg)
+	if err != nil {
+		return nil, err
 	}
 	if m.Root == pager.NilPage || m.Height < 1 || m.Size < 0 {
 		return nil, fmt.Errorf("bptree: invalid meta %+v", m)
 	}
 	t.root, t.height, t.size = m.Root, m.Height, m.Size
-	n, err := t.readNode(m.Root)
-	if err != nil {
+	if _, err := t.view(m.Root, m.Height == 1); err != nil {
 		return nil, fmt.Errorf("bptree: attach: %w", err)
 	}
-	if n.leaf != (m.Height == 1) {
-		return nil, fmt.Errorf("bptree: attach: root leafness disagrees with height %d: %w",
-			m.Height, pager.ErrPageCorrupt)
-	}
 	return t, nil
+}
+
+// image is one node as an operation sees it: its page id, its page bytes —
+// a read-only view — and its checked entry count.
+type image struct {
+	id pager.PageID
+	d  []byte
+	n  int
+}
+
+func (m image) leaf() bool { return m.d[0] == typeLeaf }
+
+// next is a leaf's next-leaf link.
+func (m image) next() pager.PageID { return pager.PageID(binary.LittleEndian.Uint32(m.d[4:8])) }
+
+// view reads page id as a node of the expected kind.
+func (t *Tree) view(id pager.PageID, leaf bool) (image, error) {
+	d, err := pager.ViewBytes(t.store, id)
+	if err != nil {
+		return image{}, err
+	}
+	n, err := t.checkImage(d, id, leaf)
+	return image{id: id, d: d, n: n}, err
+}
+
+// checkImage bounds-checks a page image of the expected node type and
+// returns its entry count: the image is one page long, the type byte is the
+// one expected, and the count fits the node's capacity. Every slot an
+// operation reads afterwards lies inside the image, so a corrupted page —
+// torn write, bit rot, a wrong page fed back by a broken store — yields an
+// error wrapping pager.ErrPageCorrupt, never a slice-bounds panic.
+func (t *Tree) checkImage(d []byte, id pager.PageID, leaf bool) (int, error) {
+	if len(d) != t.store.PageSize() {
+		return 0, fmt.Errorf("bptree: page %d: %d bytes, want %d: %w",
+			id, len(d), t.store.PageSize(), pager.ErrPageCorrupt)
+	}
+	want, cap := byte(typeInternal), t.intCap
+	if leaf {
+		want, cap = typeLeaf, t.leafCap
+	}
+	if d[0] != want {
+		return 0, fmt.Errorf("bptree: page %d: node type %d, want %d: %w", id, d[0], want, pager.ErrPageCorrupt)
+	}
+	count := int(binary.LittleEndian.Uint16(d[2:4]))
+	if count > cap {
+		return 0, fmt.Errorf("bptree: page %d: count %d exceeds page capacity %d: %w",
+			id, count, cap, pager.ErrPageCorrupt)
+	}
+	return count, nil
+}
+
+// layout returns where m's slots start, their stride, and how far into a
+// slot its val sits: a leaf entry holds (key, aux, val), an internal slot
+// (key, val, child).
+func (t *Tree) layout(m image) (base, stride, val int) {
+	ks := t.codec.keySize()
+	if m.leaf() {
+		return headerSize, 3 * ks, 2 * ks
+	}
+	return headerSize + 4, 2*ks + 4, ks
+}
+
+// slot returns the offset of slot i of m: entry i of a leaf, separator i
+// of an internal node. slot(m, m.n) is the end of the body.
+func (t *Tree) slot(m image, i int) int {
+	base, stride, _ := t.layout(m)
+	return base + i*stride
+}
+
+// around returns m's body before slot i and from slot j on: the two runs
+// around an insertion point (i == j) or a dropped slot (j == i+1).
+func (t *Tree) around(m image, i, j int) ([]byte, []byte) {
+	return m.d[headerSize:t.slot(m, i)], m.d[t.slot(m, j):t.slot(m, m.n)]
+}
+
+// kvOf returns the key and val bytes of slot i of m — what a separator
+// made from that entry or separator holds.
+func (t *Tree) kvOf(m image, i int) ([]byte, []byte) {
+	base, stride, val := t.layout(m)
+	at, ks := base+i*stride, t.codec.keySize()
+	return m.d[at : at+ks], m.d[at+val : at+val+ks]
+}
+
+// kv decodes slot i's composite (key, val).
+func (t *Tree) kv(m image, i int) (float64, uint64) {
+	base, stride, val := t.layout(m)
+	return t.kvAt(m.d, base+i*stride, val)
+}
+
+// kvAt decodes the composite of the slot at off whose val sits val bytes
+// into it.
+func (t *Tree) kvAt(d []byte, off, val int) (float64, uint64) {
+	if t.codec == Compact {
+		return float64(math.Float32frombits(binary.LittleEndian.Uint32(d[off:]))), uint64(binary.LittleEndian.Uint32(d[off+val:]))
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(d[off:])), binary.LittleEndian.Uint64(d[off+val:])
+}
+
+// entry decodes leaf entry i.
+func (t *Tree) entry(m image, i int) Entry { return t.decodeEntry(m.d[t.slot(m, i):]) }
+
+// child returns child ci (0 ≤ ci ≤ m.n) of internal node m: the leftmost
+// child, then the one closing each slot, so child ci starts
+// ci·intEntrySize bytes past the header. A nil pointer is corruption.
+func (t *Tree) child(m image, ci int) (pager.PageID, error) {
+	id := pager.PageID(binary.LittleEndian.Uint32(m.d[headerSize+ci*t.codec.intEntrySize():]))
+	if id == pager.NilPage {
+		return pager.NilPage, fmt.Errorf("bptree: page %d: nil child pointer: %w", m.id, pager.ErrPageCorrupt)
+	}
+	return id, nil
+}
+
+// kid views child ci of internal node m as a node of the expected kind.
+func (t *Tree) kid(m image, ci int, leaf bool) (image, error) {
+	id, err := t.child(m, ci)
+	if err != nil {
+		return image{}, err
+	}
+	return t.view(id, leaf)
+}
+
+// search returns the first slot of m whose composite is at or above (k, v),
+// or with after set the first one above it — the child a descent takes:
+// composites equal to a separator live right of it.
+func (t *Tree) search(m image, k float64, v uint64, after bool) int {
+	base, stride, val := t.layout(m)
+	lo, hi := 0, m.n
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if mk, mv := t.kvAt(m.d, base+mid*stride, val); mk < k || (mk == k && (mv < v || (after && mv == v))) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 func (t *Tree) decodeEntry(b []byte) Entry {
@@ -307,688 +372,193 @@ func (t *Tree) encodeEntry(b []byte, e Entry) {
 	binary.LittleEndian.PutUint64(b[16:24], e.Val)
 }
 
-func (t *Tree) writeNode(n *node) error {
+// put writes page id as a node whose body is the concatenation of parts —
+// runs copied from page images and freshly encoded slots; an internal
+// node's first run starts with its leftmost child — behind the header
+// (type, count, and for a leaf its next link) and ahead of a zero tail. It
+// is the one page encoder: the image is built in a pooled buffer and
+// reaches the store only through Write, which keeps its own copy.
+func (t *Tree) put(id pager.PageID, leaf bool, next pager.PageID, parts ...[]byte) error {
 	pb := pager.GetPageBuf(t.store.PageSize())
 	data := pb.B
-	if n.leaf {
+	off := headerSize
+	for _, part := range parts {
+		off += copy(data[off:], part)
+	}
+	if leaf {
 		data[0] = typeLeaf
-		binary.LittleEndian.PutUint16(data[2:4], uint16(len(n.entries)))
-		binary.LittleEndian.PutUint32(data[4:8], uint32(n.next))
-		off := headerSize
-		es := t.codec.leafEntrySize()
-		for _, e := range n.entries {
-			t.encodeEntry(data[off:off+es], e)
-			off += es
-		}
+		binary.LittleEndian.PutUint16(data[2:4], uint16((off-headerSize)/t.codec.leafEntrySize()))
+		binary.LittleEndian.PutUint32(data[4:8], uint32(next))
 	} else {
 		data[0] = typeInternal
-		binary.LittleEndian.PutUint16(data[2:4], uint16(len(n.keys)))
-		off := headerSize
-		binary.LittleEndian.PutUint32(data[off:off+4], uint32(n.kids[0]))
-		off += 4
-		for i, k := range n.keys {
-			if t.codec == Compact {
-				binary.LittleEndian.PutUint32(data[off:off+4], math.Float32bits(float32(k)))
-				binary.LittleEndian.PutUint32(data[off+4:off+8], uint32(n.vals[i]))
-				binary.LittleEndian.PutUint32(data[off+8:off+12], uint32(n.kids[i+1]))
-				off += 12
-			} else {
-				binary.LittleEndian.PutUint64(data[off:off+8], math.Float64bits(k))
-				binary.LittleEndian.PutUint64(data[off+8:off+16], n.vals[i])
-				binary.LittleEndian.PutUint32(data[off+16:off+20], uint32(n.kids[i+1]))
-				off += 20
-			}
-		}
+		binary.LittleEndian.PutUint16(data[2:4], uint16((off-headerSize-4)/t.codec.intEntrySize()))
 	}
-	err := t.store.Write(&pager.Page{ID: n.id, Data: data})
+	err := t.store.Write(&pager.Page{ID: id, Data: data})
 	pb.Release()
 	return err
 }
 
-func (t *Tree) allocNode(leaf bool) (*node, error) {
-	p, err := t.store.Allocate()
-	if err != nil {
-		return nil, err
-	}
-	return &node{id: p.ID, leaf: leaf}, nil
+// step is one internal node of a recorded descent and the child it took.
+type step struct {
+	image
+	ci int
 }
 
-// sepLess reports whether separator i of n is < (k, v).
-func sepLess(n *node, i int, k float64, v uint64) bool {
-	if n.keys[i] != k {
-		return n.keys[i] < k
-	}
-	return n.vals[i] < v
-}
-
-// childIndex returns the child to descend into for composite (k, v): the
-// first child whose separator exceeds (k, v); entries equal to a separator
-// live in the subtree right of it.
-func childIndex(n *node, k float64, v uint64) int {
-	lo, hi := 0, len(n.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sepLess(n, mid, k, v) || (n.keys[mid] == k && n.vals[mid] == v) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// upperBound returns the first index whose entry is > (k, v).
-func upperBound(es []Entry, k float64, v uint64) int {
-	lo, hi := 0, len(es)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if es[mid].less(k, v) || (es[mid].Key == k && es[mid].Val == v) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// lowerBound returns the first index whose entry is >= (k, v).
-func lowerBound(es []Entry, k float64, v uint64) int {
-	lo, hi := 0, len(es)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if es[mid].less(k, v) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Insert adds an entry. Duplicate keys are allowed; the (key, val) pair
-// need not be unique either (exact duplicates sit adjacent).
-//
-// On a store that supports atomic batches (pager.Batcher, e.g. a
-// WALStore) the insert — including any cascade of leaf and internal
-// splits — commits as one batch: a crash mid-split leaves no trace. On a
-// failed mutation the store is rolled back, but the in-memory Tree may be
-// stale; reopen it from the store (Attach) before further use.
-func (t *Tree) Insert(e Entry) error {
-	return pager.RunBatch(t.store, func() error { return t.insert(e) })
-}
-
-func (t *Tree) insert(e Entry) error {
-	e.Key = t.codec.roundKey(e.Key)
-	e.Aux = t.codec.roundKey(e.Aux)
-	if done, err := t.insertLeafLocal(e); done || err != nil {
-		return err
-	}
-	return t.insertRef(e)
-}
-
-// insertRef is the reference insertion of a codec-rounded entry: decode,
-// modify and re-encode every node on the path, splitting as needed. insert
-// reaches it for whatever the leaf-local path of leafedit.go declines;
-// tests call it directly to hold that path to byte-identical store contents.
-func (t *Tree) insertRef(e Entry) error {
-	sepKey, sepVal, sepChild, err := t.insertAt(t.root, e, t.height)
-	if err != nil {
-		return err
-	}
-	if sepChild != pager.NilPage {
-		nr, err := t.allocNode(false)
+// descend walks from page id, height levels above the leaves, to the leaf
+// that would hold composite (k, v), appending every internal node it
+// passes and the child taken to path (a nil path records nothing).
+func (t *Tree) descend(path []step, id pager.PageID, height int, k float64, v uint64) ([]step, image, error) {
+	for ; height > 1; height-- {
+		m, err := t.view(id, false)
 		if err != nil {
-			return err
+			return path, image{}, err
 		}
-		nr.kids = []pager.PageID{t.root, sepChild}
-		nr.keys = []float64{sepKey}
-		nr.vals = []uint64{sepVal}
-		if err := t.writeNode(nr); err != nil {
-			return err
+		ci := t.search(m, k, v, true)
+		if id, err = t.child(m, ci); err != nil {
+			return path, image{}, err
 		}
-		t.root = nr.id
-		t.height++
+		if path != nil {
+			path = append(path, step{m, ci})
+		}
 	}
-	t.size++
-	return nil
+	leaf, err := t.view(id, true)
+	return path, leaf, err
 }
 
-func (t *Tree) insertAt(id pager.PageID, e Entry, height int) (float64, uint64, pager.PageID, error) {
-	n, err := t.readNode(id)
-	if err != nil {
-		return 0, 0, pager.NilPage, err
-	}
-	if n.leaf {
-		pos := upperBound(n.entries, e.Key, e.Val)
-		n.entries = append(n.entries, Entry{})
-		copy(n.entries[pos+1:], n.entries[pos:])
-		n.entries[pos] = e
-		if len(n.entries) <= t.leafCap {
-			return 0, 0, pager.NilPage, t.writeNode(n)
-		}
-		right, err := t.allocNode(true)
-		if err != nil {
-			return 0, 0, pager.NilPage, err
-		}
-		mid := len(n.entries) / 2
-		right.entries = append(right.entries, n.entries[mid:]...)
-		n.entries = n.entries[:mid]
-		right.next = n.next
-		n.next = right.id
-		if err := t.writeNode(n); err != nil {
-			return 0, 0, pager.NilPage, err
-		}
-		if err := t.writeNode(right); err != nil {
-			return 0, 0, pager.NilPage, err
-		}
-		// Separator: entries >= (sepKey, sepVal) live right of it. The
-		// separator equals the right node's first entry, and childIndex
-		// sends equal composites right — consistent.
-		sep := right.entries[0]
-		return sep.Key, sep.Val, right.id, nil
-	}
-	ci := childIndex(n, e.Key, e.Val)
-	sepKey, sepVal, sepChild, err := t.insertAt(n.kids[ci], e, height-1)
-	if err != nil || sepChild == pager.NilPage {
-		return 0, 0, pager.NilPage, err
-	}
-	n.keys = append(n.keys, 0)
-	copy(n.keys[ci+1:], n.keys[ci:])
-	n.keys[ci] = sepKey
-	n.vals = append(n.vals, 0)
-	copy(n.vals[ci+1:], n.vals[ci:])
-	n.vals[ci] = sepVal
-	n.kids = append(n.kids, pager.NilPage)
-	copy(n.kids[ci+2:], n.kids[ci+1:])
-	n.kids[ci+1] = sepChild
-	if len(n.keys) <= t.intCap {
-		return 0, 0, pager.NilPage, t.writeNode(n)
-	}
-	right, err := t.allocNode(false)
-	if err != nil {
-		return 0, 0, pager.NilPage, err
-	}
-	mid := len(n.keys) / 2
-	upK, upV := n.keys[mid], n.vals[mid]
-	right.keys = append(right.keys, n.keys[mid+1:]...)
-	right.vals = append(right.vals, n.vals[mid+1:]...)
-	right.kids = append(right.kids, n.kids[mid+1:]...)
-	n.keys = n.keys[:mid]
-	n.vals = n.vals[:mid]
-	n.kids = n.kids[:mid+1]
-	if err := t.writeNode(n); err != nil {
-		return 0, 0, pager.NilPage, err
-	}
-	if err := t.writeNode(right); err != nil {
-		return 0, 0, pager.NilPage, err
-	}
-	return upK, upV, right.id, nil
-}
-
-// normFill validates a fill fraction; zero selects 0.9 (full packing
-// would make the very next inserts split every leaf).
-func normFill(fill float64) (float64, error) {
-	if fill == 0 {
-		fill = 0.9
-	}
-	if fill <= 0 || fill > 1 {
-		return 0, fmt.Errorf("bptree: fill fraction %v outside (0, 1]", fill)
-	}
-	return fill, nil
-}
-
-// BulkLoad replaces the tree's contents with the given entries, building
-// bottom-up with leaves packed to the given fill fraction: the entries
-// are sorted once, the leaf level is emitted left to right, and each
-// internal level is packed from the level below — one sequential page
-// write per node, against O(n log_B n) page I/Os for n root-to-leaf
-// Inserts. The entries need not be sorted; the input slice is not
-// modified.
-func (t *Tree) BulkLoad(entries []Entry, fill float64) error {
-	fill, err := normFill(fill)
-	if err != nil {
-		return err
-	}
-	es := make([]Entry, len(entries))
-	for i, e := range entries {
-		es[i] = Entry{Key: t.codec.roundKey(e.Key), Val: e.Val, Aux: t.codec.roundKey(e.Aux)}
-	}
-	sortEntries(es)
-	return pager.RunBatch(t.store, func() error { return t.bulkLoad(es, fill) })
-}
-
-// BulkLoadSorted is BulkLoad for entries already in (Key, Val) order with
-// keys and aux values already at codec precision (SortEntries on
-// codec-rounded entries produces exactly this). It skips the copy and the
-// sort — the fast path for dataset generators that emit sorted runs — and
-// fails without touching the tree if the input breaks either premise.
-func (t *Tree) BulkLoadSorted(entries []Entry, fill float64) error {
-	fill, err := normFill(fill)
-	if err != nil {
-		return err
-	}
-	for i, e := range entries {
-		if t.codec.roundKey(e.Key) != e.Key || t.codec.roundKey(e.Aux) != e.Aux {
-			return fmt.Errorf("bptree: BulkLoadSorted entry %d not at codec precision", i)
-		}
-		if i > 0 && e.less(entries[i-1].Key, entries[i-1].Val) {
-			return fmt.Errorf("bptree: BulkLoadSorted entries out of order at %d", i)
-		}
-	}
-	return pager.RunBatch(t.store, func() error { return t.bulkLoad(entries, fill) })
-}
-
-// SortEntries sorts entries in place by (Key, Val) — the order
-// BulkLoadSorted requires — with one scratch allocation regardless of
-// input size.
-func SortEntries(es []Entry) { sortEntries(es) }
-
-// bulkLoad packs sorted, codec-rounded entries bottom-up. es is read, not
-// modified or retained.
-func (t *Tree) bulkLoad(es []Entry, fill float64) error {
-	if err := t.destroy(t.root, t.height); err != nil {
-		return err
-	}
-	perLeaf := int(fill * float64(t.leafCap))
-	if perLeaf < 1 {
-		perLeaf = 1
-	}
-	// Build the leaf level.
-	type childRef struct {
-		firstK float64
-		firstV uint64
-		id     pager.PageID
-	}
-	var level []childRef
-	var prev *node
-	for start := 0; start < len(es) || start == 0; start += perLeaf {
-		end := start + perLeaf
-		if end > len(es) {
-			end = len(es)
-		}
-		leaf, err := t.allocNode(true)
-		if err != nil {
-			return err
-		}
-		leaf.entries = append(leaf.entries, es[start:end]...)
-		if prev != nil {
-			prev.next = leaf.id
-			if err := t.writeNode(prev); err != nil {
-				return err
+// find descends to a copy of composite (k, v) and returns the path, the
+// leaf and the copy's slot, or slot -1 when the tree holds none. A leaf
+// split through a run of exact duplicates leaves a separator equal to them
+// with copies on both sides, and a descent goes right of it; once the
+// right copies are gone, the left ones sit under the child left of the
+// deepest separator equal to (k, v) on the path, so on a miss find backs
+// up there and descends again. The first descent is all a composite the
+// tree holds once ever takes.
+func (t *Tree) find(path []step, k float64, v uint64) ([]step, image, int, error) {
+	path, leaf, err := t.descend(path, t.root, t.height, k, v)
+	for err == nil {
+		if i := t.search(leaf, k, v, false); i < leaf.n {
+			if ek, ev := t.kv(leaf, i); ek == k && ev == v {
+				return path, leaf, i, nil
 			}
 		}
-		var fk float64
-		var fv uint64
-		if len(leaf.entries) > 0 {
-			fk, fv = leaf.entries[0].Key, leaf.entries[0].Val
+		h := len(path) - 1
+		for ; h >= 0; h-- {
+			if s := path[h]; s.ci > 0 {
+				if sk, sv := t.kv(s.image, s.ci-1); sk == k && sv == v {
+					break
+				}
+			}
 		}
-		level = append(level, childRef{firstK: fk, firstV: fv, id: leaf.id})
-		prev = leaf
-		if end >= len(es) {
-			break
+		if h < 0 {
+			return path, leaf, -1, nil
+		}
+		path[h].ci--
+		var id pager.PageID
+		if id, err = t.child(path[h].image, path[h].ci); err == nil {
+			path, leaf, err = t.descend(path[:h+1], id, t.height-1-h, k, v)
 		}
 	}
-	if err := t.writeNode(prev); err != nil {
-		return err
-	}
-	height := 1
-	perInt := int(fill * float64(t.intCap))
-	if perInt < 2 {
-		perInt = 2
-	}
-	for len(level) > 1 {
-		var next []childRef
-		for start := 0; start < len(level); start += perInt {
-			end := start + perInt
-			if end > len(level) {
-				end = len(level)
-			}
-			in, err := t.allocNode(false)
-			if err != nil {
-				return err
-			}
-			group := level[start:end]
-			in.kids = append(in.kids, group[0].id)
-			for _, c := range group[1:] {
-				in.keys = append(in.keys, c.firstK)
-				in.vals = append(in.vals, c.firstV)
-				in.kids = append(in.kids, c.id)
-			}
-			if err := t.writeNode(in); err != nil {
-				return err
-			}
-			next = append(next, childRef{firstK: group[0].firstK, firstV: group[0].firstV, id: in.id})
-		}
-		level = next
-		height++
-	}
-	t.root = level[0].id
-	t.height = height
-	t.size = len(es)
-	return nil
+	return path, image{}, -1, err
 }
 
-// sortEntries orders entries by (Key, Val) with a simple merge sort (the
-// stdlib sort is fine too; this keeps allocation predictable for large
-// loads).
-func sortEntries(es []Entry) {
-	if len(es) < 2 {
-		return
+// nextLeaf views the leaf after m in the chain, or returns a zero image at
+// the chain's end. hops counts the links followed; a chain longer than the
+// store has pages is a cycle, reported as corruption instead of a hang.
+func (t *Tree) nextLeaf(m image, hops *int) (image, error) {
+	id := m.next()
+	if id == pager.NilPage {
+		return image{}, nil
 	}
-	buf := make([]Entry, len(es))
-	mergeSortEntries(es, buf)
+	if *hops++; *hops >= t.store.PagesInUse() {
+		return image{}, fmt.Errorf("bptree: page %d: leaf chain longer than the store: %w", m.id, pager.ErrPageCorrupt)
+	}
+	return t.view(id, true)
 }
 
-func mergeSortEntries(es, buf []Entry) {
-	if len(es) < 32 {
-		// Insertion sort for small runs.
-		for i := 1; i < len(es); i++ {
-			for j := i; j > 0 && es[j].less(es[j-1].Key, es[j-1].Val); j-- {
-				es[j], es[j-1] = es[j-1], es[j]
-			}
-		}
-		return
+// Get returns the entry with exactly the given (key, val) composite, in
+// one root-to-leaf descent: the steady-state point query performs zero
+// heap allocations when the path is resident in the buffer pool. The key
+// is compared after codec rounding.
+func (t *Tree) Get(key float64, val uint64) (Entry, bool, error) {
+	_, leaf, i, err := t.find(make([]step, 0, maxPath), t.codec.roundKey(key), val)
+	if err != nil || i < 0 {
+		return Entry{}, false, err
 	}
-	mid := len(es) / 2
-	mergeSortEntries(es[:mid], buf[:mid])
-	mergeSortEntries(es[mid:], buf[mid:])
-	copy(buf, es)
-	i, j, k := 0, mid, 0
-	for i < mid && j < len(es) {
-		if buf[j].less(buf[i].Key, buf[i].Val) {
-			es[k] = buf[j]
-			j++
-		} else {
-			es[k] = buf[i]
-			i++
-		}
-		k++
-	}
-	for i < mid {
-		es[k] = buf[i]
-		i++
-		k++
-	}
+	return t.entry(leaf, i), true, nil
 }
 
-// ErrNotFound is returned by Delete when no matching entry exists.
-var ErrNotFound = errors.New("bptree: entry not found")
-
-// Delete removes one entry with the given key and value in a single
-// root-to-leaf descent (composite ordering makes the position unique even
-// among massive duplicate-key runs). Like Insert, the whole operation —
-// deletion plus any rebalances and root collapses — is one atomic batch
-// on a batching store.
-func (t *Tree) Delete(key float64, val uint64) error {
-	return pager.RunBatch(t.store, func() error { return t.deleteOne(key, val) })
-}
-
-func (t *Tree) deleteOne(key float64, val uint64) error {
+// Ceil returns the smallest entry whose key is >= key, or ok=false when
+// every key is below it: one root-to-leaf descent, plus a next-leaf hop
+// when the target leaf's tail was deleted — the successor probe kinetic
+// certificate scheduling leans on, zero-alloc when the path is
+// pool-resident.
+func (t *Tree) Ceil(key float64) (Entry, bool, error) {
 	key = t.codec.roundKey(key)
-	if done, err := t.deleteLeafLocal(key, val); done || err != nil {
-		return err
-	}
-	return t.deleteRef(key, val)
-}
-
-// deleteRef is the reference deletion of a codec-rounded key, the
-// counterpart of insertRef: rebalancing descent, then root collapse.
-func (t *Tree) deleteRef(key float64, val uint64) error {
-	deleted, _, err := t.deleteAt(t.root, key, val, t.height)
-	if err != nil {
-		return err
-	}
-	if !deleted {
-		return ErrNotFound
-	}
-	t.size--
-	return t.collapseRoot()
-}
-
-func (t *Tree) minLeaf() int { return t.leafCap / 2 }
-func (t *Tree) minInt() int  { return t.intCap / 2 }
-
-func (t *Tree) deleteAt(id pager.PageID, key float64, val uint64, height int) (bool, bool, error) {
-	n, err := t.readNode(id)
-	if err != nil {
-		return false, false, err
-	}
-	if n.leaf {
-		i := lowerBound(n.entries, key, val)
-		if i >= len(n.entries) || n.entries[i].Key != key || n.entries[i].Val != val {
-			return false, false, nil
-		}
-		n.entries = append(n.entries[:i], n.entries[i+1:]...)
-		if err := t.writeNode(n); err != nil {
-			return false, false, err
-		}
-		return true, len(n.entries) < t.minLeaf(), nil
-	}
-	ci := childIndex(n, key, val)
-	deleted, under, err := t.deleteAt(n.kids[ci], key, val, height-1)
-	if err != nil || !deleted {
-		return deleted, false, err
-	}
-	if !under {
-		return true, false, nil
-	}
-	under2, err := t.rebalanceChild(n, ci)
-	if err != nil {
-		return false, false, err
-	}
-	return true, under2, nil
-}
-
-// rebalanceChild fixes the underfull child at index ci of parent n by
-// borrowing from or merging with an adjacent sibling.
-func (t *Tree) rebalanceChild(n *node, ci int) (bool, error) {
-	child, err := t.readNode(n.kids[ci])
-	if err != nil {
-		return false, err
-	}
-	var left, right *node
-	if ci > 0 {
-		if left, err = t.readNode(n.kids[ci-1]); err != nil {
-			return false, err
+	_, leaf, err := t.descend(nil, t.root, t.height, key, 0)
+	for hops := 0; err == nil && leaf.d != nil; leaf, err = t.nextLeaf(leaf, &hops) {
+		if i := t.search(leaf, key, 0, false); i < leaf.n {
+			return t.entry(leaf, i), true, nil
 		}
 	}
-	if ci < len(n.kids)-1 {
-		if right, err = t.readNode(n.kids[ci+1]); err != nil {
-			return false, err
-		}
-	}
-	if child.leaf {
-		switch {
-		case left != nil && len(left.entries) > t.minLeaf():
-			e := left.entries[len(left.entries)-1]
-			left.entries = left.entries[:len(left.entries)-1]
-			child.entries = append([]Entry{e}, child.entries...)
-			n.keys[ci-1] = e.Key
-			n.vals[ci-1] = e.Val
-			return false, writeAll(t, left, child, n)
-		case right != nil && len(right.entries) > t.minLeaf():
-			e := right.entries[0]
-			right.entries = right.entries[1:]
-			child.entries = append(child.entries, e)
-			n.keys[ci] = right.entries[0].Key
-			n.vals[ci] = right.entries[0].Val
-			return false, writeAll(t, right, child, n)
-		case left != nil:
-			left.entries = append(left.entries, child.entries...)
-			left.next = child.next
-			if err := t.store.Free(child.id); err != nil {
-				return false, err
-			}
-			removeChild(n, ci)
-			return len(n.keys) < t.minInt(), writeAll(t, left, n)
-		case right != nil:
-			child.entries = append(child.entries, right.entries...)
-			child.next = right.next
-			if err := t.store.Free(right.id); err != nil {
-				return false, err
-			}
-			removeChild(n, ci+1)
-			return len(n.keys) < t.minInt(), writeAll(t, child, n)
-		default:
-			return false, t.writeNode(child)
-		}
-	}
-	switch {
-	case left != nil && len(left.keys) > t.minInt():
-		child.keys = append([]float64{n.keys[ci-1]}, child.keys...)
-		child.vals = append([]uint64{n.vals[ci-1]}, child.vals...)
-		child.kids = append([]pager.PageID{left.kids[len(left.kids)-1]}, child.kids...)
-		n.keys[ci-1] = left.keys[len(left.keys)-1]
-		n.vals[ci-1] = left.vals[len(left.vals)-1]
-		left.keys = left.keys[:len(left.keys)-1]
-		left.vals = left.vals[:len(left.vals)-1]
-		left.kids = left.kids[:len(left.kids)-1]
-		return false, writeAll(t, left, child, n)
-	case right != nil && len(right.keys) > t.minInt():
-		child.keys = append(child.keys, n.keys[ci])
-		child.vals = append(child.vals, n.vals[ci])
-		child.kids = append(child.kids, right.kids[0])
-		n.keys[ci] = right.keys[0]
-		n.vals[ci] = right.vals[0]
-		right.keys = right.keys[1:]
-		right.vals = right.vals[1:]
-		right.kids = right.kids[1:]
-		return false, writeAll(t, right, child, n)
-	case left != nil:
-		left.keys = append(left.keys, n.keys[ci-1])
-		left.vals = append(left.vals, n.vals[ci-1])
-		left.keys = append(left.keys, child.keys...)
-		left.vals = append(left.vals, child.vals...)
-		left.kids = append(left.kids, child.kids...)
-		if err := t.store.Free(child.id); err != nil {
-			return false, err
-		}
-		removeChild(n, ci)
-		return len(n.keys) < t.minInt(), writeAll(t, left, n)
-	case right != nil:
-		child.keys = append(child.keys, n.keys[ci])
-		child.vals = append(child.vals, n.vals[ci])
-		child.keys = append(child.keys, right.keys...)
-		child.vals = append(child.vals, right.vals...)
-		child.kids = append(child.kids, right.kids...)
-		if err := t.store.Free(right.id); err != nil {
-			return false, err
-		}
-		removeChild(n, ci+1)
-		return len(n.keys) < t.minInt(), writeAll(t, child, n)
-	default:
-		return false, t.writeNode(child)
-	}
-}
-
-// removeChild removes child slot ci and the separator left of it.
-func removeChild(n *node, ci int) {
-	n.kids = append(n.kids[:ci], n.kids[ci+1:]...)
-	n.keys = append(n.keys[:ci-1], n.keys[ci:]...)
-	n.vals = append(n.vals[:ci-1], n.vals[ci:]...)
-}
-
-func writeAll(t *Tree, ns ...*node) error {
-	for _, n := range ns {
-		if err := t.writeNode(n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Range calls fn for every entry with lo <= key <= hi, in (key, val)
-// order, until fn returns false. Keys are compared after codec rounding.
-func (t *Tree) Range(lo, hi float64, fn func(Entry) bool) error {
-	lo = t.codec.roundKey(lo)
-	hi = t.codec.roundKey(hi)
-	id := t.root
-	height := t.height
-	for height > 1 {
-		n, err := t.readNode(id)
-		if err != nil {
-			return err
-		}
-		id = n.kids[childIndex(n, lo, 0)]
-		height--
-	}
-	for id != pager.NilPage {
-		n, err := t.readNode(id)
-		if err != nil {
-			return err
-		}
-		for _, e := range n.entries[lowerBound(n.entries, lo, 0):] {
-			if e.Key > hi {
-				return nil
-			}
-			if !fn(e) {
-				return nil
-			}
-		}
-		id = n.next
-	}
-	return nil
+	return Entry{}, false, err
 }
 
 // Floor returns the entry with the largest (key, val) whose key is <= key,
-// or ok=false when every key exceeds key.
+// or ok=false when every key exceeds it. Leaves carry no back-pointers, so
+// when the target leaf holds nothing at or below the key the answer ends
+// the rightmost leaf under the child left of the deepest step that did
+// not take its first child.
 func (t *Tree) Floor(key float64) (Entry, bool, error) {
 	key = t.codec.roundKey(key)
-	return t.floorAt(t.root, t.height, key)
-}
-
-func (t *Tree) floorAt(id pager.PageID, height int, key float64) (Entry, bool, error) {
-	n, err := t.readNode(id)
+	path, leaf, err := t.descend(make([]step, 0, maxPath), t.root, t.height, key, math.MaxUint64)
 	if err != nil {
 		return Entry{}, false, err
 	}
-	if n.leaf {
-		i := upperBound(n.entries, key, math.MaxUint64)
-		if i == 0 {
-			return Entry{}, false, nil
-		}
-		return n.entries[i-1], true, nil
+	if i := t.search(leaf, key, math.MaxUint64, true); i > 0 {
+		return t.entry(leaf, i-1), true, nil
 	}
-	for ci := childIndex(n, key, math.MaxUint64); ci >= 0; ci-- {
-		e, ok, err := t.floorAt(n.kids[ci], height-1, key)
-		if err != nil {
-			return Entry{}, false, err
-		}
-		if ok {
-			return e, true, nil
-		}
+	h := len(path) - 1
+	for h >= 0 && path[h].ci == 0 {
+		h--
 	}
-	return Entry{}, false, nil
+	if h < 0 {
+		return Entry{}, false, nil
+	}
+	id, err := t.child(path[h].image, path[h].ci-1)
+	if err == nil {
+		_, leaf, err = t.descend(nil, id, t.height-1-h, math.Inf(1), math.MaxUint64)
+	}
+	if err != nil || leaf.n == 0 {
+		return Entry{}, false, err
+	}
+	return t.entry(leaf, leaf.n-1), true, nil
 }
 
-// Max returns the largest entry, or ok=false when the tree is empty.
-func (t *Tree) Max() (Entry, bool, error) {
-	return t.Floor(math.Inf(1))
+// Range calls fn for every entry with lo <= key <= hi, in (key, val)
+// order, until fn returns false: one descent to the first leaf, then the
+// leaf chain, decoding entries straight from the page images. Keys are
+// compared after codec rounding.
+func (t *Tree) Range(lo, hi float64, fn func(Entry) bool) error {
+	lo, hi = t.codec.roundKey(lo), t.codec.roundKey(hi)
+	_, leaf, err := t.descend(nil, t.root, t.height, lo, 0)
+	es := t.codec.leafEntrySize()
+	for hops := 0; err == nil && leaf.d != nil; leaf, err = t.nextLeaf(leaf, &hops) {
+		for off, end := t.slot(leaf, t.search(leaf, lo, 0, false)), t.slot(leaf, leaf.n); off < end; off += es {
+			if e := t.decodeEntry(leaf.d[off:]); e.Key > hi || !fn(e) {
+				return nil
+			}
+		}
+	}
+	return err
 }
 
-// Min returns the smallest entry, or ok=false when the tree is empty.
-func (t *Tree) Min() (Entry, bool, error) {
-	id := t.root
-	height := t.height
-	for height > 1 {
-		n, err := t.readNode(id)
-		if err != nil {
-			return Entry{}, false, err
-		}
-		id = n.kids[0]
-		height--
-	}
-	for id != pager.NilPage {
-		n, err := t.readNode(id)
-		if err != nil {
-			return Entry{}, false, err
-		}
-		if len(n.entries) > 0 {
-			return n.entries[0], true, nil
-		}
-		id = n.next
-	}
-	return Entry{}, false, nil
+// RangeAppend appends every entry with lo <= key <= hi to dst, in (key,
+// val) order, and returns the extended slice: Range with a caller-owned
+// result buffer. When dst has capacity for the answer and the scanned
+// path is pool-resident, the call performs zero heap allocations.
+func (t *Tree) RangeAppend(dst []Entry, lo, hi float64) ([]Entry, error) {
+	err := t.Range(lo, hi, func(e Entry) bool { dst = append(dst, e); return true })
+	return dst, err
 }
 
 // Destroy frees every page of the tree, atomically on a batching store;
@@ -997,13 +567,19 @@ func (t *Tree) Destroy() error {
 	return pager.RunBatch(t.store, func() error { return t.destroy(t.root, t.height) })
 }
 
+// destroy frees the subtree at id, children before their parent. Leaves
+// are freed without being read.
 func (t *Tree) destroy(id pager.PageID, height int) error {
 	if height > 1 {
-		n, err := t.readNode(id)
+		m, err := t.view(id, false)
 		if err != nil {
 			return err
 		}
-		for _, kid := range n.kids {
+		for ci := 0; ci <= m.n; ci++ {
+			kid, err := t.child(m, ci)
+			if err != nil {
+				return err
+			}
 			if err := t.destroy(kid, height-1); err != nil {
 				return err
 			}
@@ -1012,13 +588,14 @@ func (t *Tree) destroy(id pager.PageID, height int) error {
 	return t.store.Free(id)
 }
 
+// ErrNotFound is returned by Delete when no matching entry exists.
+var ErrNotFound = errors.New("bptree: entry not found")
+
 // CheckInvariants walks the whole tree verifying structural invariants:
-// composite ordering, separator consistency, and entry count. It is
-// exported for tests.
+// node types against heights, composite ordering, separator consistency,
+// and entry count. It is exported for tests.
 func (t *Tree) CheckInvariants() error {
-	loK, loV := math.Inf(-1), uint64(0)
-	hiK, hiV := math.Inf(1), uint64(math.MaxUint64)
-	count, err := t.check(t.root, t.height, loK, loV, hiK, hiV)
+	count, err := t.check(t.root, t.height, math.Inf(-1), 0, math.Inf(1), math.MaxUint64)
 	if err != nil {
 		return err
 	}
@@ -1044,43 +621,39 @@ func cmpKV(a float64, av uint64, b float64, bv uint64) int {
 	}
 }
 
+// check verifies the subtree at id, whose composites must lie within
+// [(loK, loV), (hiK, hiV)], and returns its entry count.
 func (t *Tree) check(id pager.PageID, height int, loK float64, loV uint64, hiK float64, hiV uint64) (int, error) {
-	n, err := t.readNode(id)
+	m, err := t.view(id, height == 1)
 	if err != nil {
 		return 0, err
 	}
-	if n.leaf {
-		if height != 1 {
-			return 0, fmt.Errorf("bptree: leaf at height %d", height)
-		}
-		prevK, prevV := math.Inf(-1), uint64(0)
-		for _, e := range n.entries {
-			if cmpKV(e.Key, e.Val, prevK, prevV) < 0 {
-				return 0, fmt.Errorf("bptree: leaf %d not sorted", id)
+	if height == 1 {
+		prevK, prevV := loK, loV
+		for i := 0; i < m.n; i++ {
+			k, v := t.kv(m, i)
+			if cmpKV(k, v, prevK, prevV) < 0 || cmpKV(k, v, hiK, hiV) > 0 {
+				return 0, fmt.Errorf("bptree: leaf %d entry (%v,%d) out of order or outside separators", id, k, v)
 			}
-			if cmpKV(e.Key, e.Val, loK, loV) < 0 || cmpKV(e.Key, e.Val, hiK, hiV) > 0 {
-				return 0, fmt.Errorf("bptree: leaf %d entry (%v,%d) outside separators", id, e.Key, e.Val)
-			}
-			prevK, prevV = e.Key, e.Val
+			prevK, prevV = k, v
 		}
-		return len(n.entries), nil
-	}
-	if len(n.kids) != len(n.keys)+1 || len(n.vals) != len(n.keys) {
-		return 0, fmt.Errorf("bptree: node %d malformed (%d kids, %d keys, %d vals)",
-			id, len(n.kids), len(n.keys), len(n.vals))
+		return m.n, nil
 	}
 	total := 0
-	for i, kid := range n.kids {
-		cloK, cloV := loK, loV
-		chiK, chiV := hiK, hiV
-		if i > 0 {
-			cloK, cloV = n.keys[i-1], n.vals[i-1]
+	for ci := 0; ci <= m.n; ci++ {
+		cloK, cloV, chiK, chiV := loK, loV, hiK, hiV
+		if ci > 0 {
+			cloK, cloV = t.kv(m, ci-1)
 		}
-		if i < len(n.keys) {
-			chiK, chiV = n.keys[i], n.vals[i]
+		if ci < m.n {
+			chiK, chiV = t.kv(m, ci)
 		}
 		if cmpKV(cloK, cloV, chiK, chiV) > 0 {
 			return 0, fmt.Errorf("bptree: node %d separators out of order", id)
+		}
+		kid, err := t.child(m, ci)
+		if err != nil {
+			return 0, err
 		}
 		c, err := t.check(kid, height-1, cloK, cloV, chiK, chiV)
 		if err != nil {

@@ -103,6 +103,56 @@ func TestDuplicateKeys(t *testing.T) {
 	}
 }
 
+// TestDeleteDuplicateRunAcrossSplit cuts a run of exact duplicate (key,
+// val) composites with a leaf split: the separator equals the composite,
+// equal composites descend right of it, and the right leaf keeps enough
+// other entries not to rebalance once its copy is gone. Every copy must
+// still be deletable — the left ones by backing up to the separator — and
+// a further Delete must miss.
+func TestDeleteDuplicateRunAcrossSplit(t *testing.T) {
+	for _, codec := range []Codec{Wide, Compact} {
+		tr, st := newTree(t, 256, codec)
+		for i := 0; i < 3*tr.LeafCap(); i++ {
+			if err := tr.Insert(Entry{Key: 100 + float64(i), Val: uint64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dup := Entry{Key: 50, Val: 7, Aux: 1}
+		copies := 0
+		cut := func() bool {
+			root := goldenParse(t, st, codec, tr.Meta().Root)
+			for i := range root.keys {
+				if root.keys[i] == dup.Key && root.vals[i] == dup.Val {
+					return true
+				}
+			}
+			return false
+		}
+		for ; !cut(); copies++ {
+			if copies > tr.LeafCap() {
+				t.Fatalf("codec %d: %d copies never produced a separator equal to them", codec, copies)
+			}
+			if err := tr.Insert(dup); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < copies; i++ {
+			if err := tr.Delete(dup.Key, dup.Val); err != nil {
+				t.Fatalf("codec %d: delete copy %d of %d: %v", codec, i+1, copies, err)
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.Delete(dup.Key, dup.Val); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("codec %d: delete past the last copy: %v, want ErrNotFound", codec, err)
+		}
+		if tr.Len() != 3*tr.LeafCap() {
+			t.Fatalf("codec %d: Len %d, want %d", codec, tr.Len(), 3*tr.LeafCap())
+		}
+	}
+}
+
 func TestDeleteNotFound(t *testing.T) {
 	tr, _ := newTree(t, 256, Wide)
 	_ = tr.Insert(Entry{Key: 1, Val: 1})
@@ -225,17 +275,18 @@ func TestDrainToEmpty(t *testing.T) {
 	}
 }
 
+// The smallest entry is Ceil(-Inf).
 func TestMin(t *testing.T) {
 	tr, _ := newTree(t, 256, Wide)
-	if _, ok, _ := tr.Min(); ok {
-		t.Fatal("Min on empty tree returned ok")
+	if _, ok, _ := tr.Ceil(math.Inf(-1)); ok {
+		t.Fatal("Ceil(-Inf) on empty tree returned ok")
 	}
 	for _, k := range []float64{5, 3, 9, 1, 7} {
 		_ = tr.Insert(Entry{Key: k, Val: uint64(k)})
 	}
-	e, ok, err := tr.Min()
+	e, ok, err := tr.Ceil(math.Inf(-1))
 	if err != nil || !ok || e.Key != 1 {
-		t.Fatalf("Min = %+v ok=%v err=%v", e, ok, err)
+		t.Fatalf("Ceil(-Inf) = %+v ok=%v err=%v", e, ok, err)
 	}
 }
 

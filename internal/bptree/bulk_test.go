@@ -149,7 +149,7 @@ func TestBulkLoadFillFactorSweep(t *testing.T) {
 	}
 }
 
-// Get must agree with the decoding Range path on hits and misses, for
+// Get must find every inserted entry and miss absent composites, for
 // both codecs, on bulk-loaded and incrementally built trees.
 func TestGetDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -172,15 +172,13 @@ func TestGetDifferential(t *testing.T) {
 		for _, tr := range []*Tree{inc, bulk} {
 			for i := 0; i < 500; i++ {
 				e := es[rng.Intn(n)]
+				want := Entry{Key: codec.roundKey(e.Key), Val: e.Val, Aux: codec.roundKey(e.Aux)}
 				got, ok, err := tr.Get(e.Key, e.Val)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !ok {
-					t.Fatalf("codec=%v: Get(%v,%d) missed a present entry", codec, e.Key, e.Val)
-				}
-				if got.Val != e.Val || got.Key != codec.roundKey(e.Key) {
-					t.Fatalf("codec=%v: Get returned %+v for %+v", codec, got, e)
+				if !ok || got != want {
+					t.Fatalf("codec=%v: Get(%v,%d) = %+v,%v, want %+v", codec, e.Key, e.Val, got, ok, want)
 				}
 				if _, ok, _ := tr.Get(e.Key, uint64(n)+uint64(i)+1); ok {
 					t.Fatalf("codec=%v: Get hit an absent composite", codec)
@@ -190,46 +188,52 @@ func TestGetDifferential(t *testing.T) {
 	}
 }
 
-// RangeAppend must return exactly what Range yields, and reuse the
-// caller's buffer.
+// Range and RangeAppend must return exactly the model's entries in the
+// range, and RangeAppend must reuse the caller's buffer.
 func TestRangeAppendMatchesRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, codec := range []Codec{Wide, Compact} {
 		tr, _ := New(pager.NewMemStore(4096), Config{Codec: codec})
+		var m model
 		for i := 0; i < 4000; i++ {
-			if err := tr.Insert(Entry{Key: rng.Float64() * 100, Val: uint64(i), Aux: rng.Float64()}); err != nil {
+			e := Entry{Key: rng.Float64() * 100, Val: uint64(i), Aux: rng.Float64()}
+			if err := tr.Insert(e); err != nil {
 				t.Fatal(err)
 			}
+			m.insert(Entry{Key: codec.roundKey(e.Key), Val: e.Val, Aux: codec.roundKey(e.Aux)})
 		}
 		buf := make([]Entry, 0, 4096)
 		for i := 0; i < 100; i++ {
 			lo := rng.Float64() * 100
 			hi := lo + rng.Float64()*20
-			var want []Entry
-			if err := tr.Range(lo, hi, func(e Entry) bool { want = append(want, e); return true }); err != nil {
+			want := m.between(codec.roundKey(lo), codec.roundKey(hi))
+			var got []Entry
+			if err := tr.Range(lo, hi, func(e Entry) bool { got = append(got, e); return true }); err != nil {
 				t.Fatal(err)
+			}
+			if !sameEntries(want, got) {
+				t.Fatalf("codec=%v [%v,%v]: Range %d entries, model %d", codec, lo, hi, len(got), len(want))
 			}
 			got, err := tr.RangeAppend(buf[:0], lo, hi)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameEntries(want, got) {
-				t.Fatalf("codec=%v [%v,%v]: RangeAppend %d entries, Range %d", codec, lo, hi, len(got), len(want))
+			if !sameEntries(want, got) || &got[:1][0] != &buf[:1][0] {
+				t.Fatalf("codec=%v [%v,%v]: RangeAppend %d entries, model %d", codec, lo, hi, len(got), len(want))
 			}
-			buf = got
 		}
 	}
 }
 
-// Ceil and Pred must agree with the decoding reference paths (a
-// first-hit Range for the successor, Floor for the predecessor) on
-// random probes, including probes below the minimum, above the maximum,
-// and after a deletion wave that empties leaf tails — the cases that
-// exercise Ceil's next-leaf hop and Pred's fallback descent.
+// Ceil and Floor must agree with the model on random probes, including
+// probes below the minimum, above the maximum, and after a deletion wave
+// that empties leaf tails — the cases that exercise Ceil's next-leaf hop
+// and Floor's step back to the left subtree.
 func TestCeilPredDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, codec := range []Codec{Wide, Compact} {
 		tr, _ := New(pager.NewMemStore(512), Config{Codec: codec})
+		var m model
 		live := make([]Entry, 0, 3000)
 		for i := 0; i < 3000; i++ {
 			e := Entry{Key: rng.Float64()*200 - 50, Val: uint64(i), Aux: rng.Float64()}
@@ -237,37 +241,28 @@ func TestCeilPredDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			live = append(live, e)
+			m.insert(Entry{Key: codec.roundKey(e.Key), Val: e.Val, Aux: codec.roundKey(e.Aux)})
 		}
 		check := func(stage string) {
 			for i := 0; i < 400; i++ {
 				key := rng.Float64()*320 - 110 // well past both ends
-				var wantC Entry
-				wantCok := false
-				if err := tr.Range(key, math.Inf(1), func(e Entry) bool {
-					wantC, wantCok = e, true
-					return false
-				}); err != nil {
-					t.Fatal(err)
-				}
+				wantC, wantCok := m.ceil(codec.roundKey(key))
 				gotC, okC, err := tr.Ceil(key)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if okC != wantCok || gotC != wantC {
-					t.Fatalf("codec=%v %s: Ceil(%v) = %+v,%v; reference %+v,%v",
+					t.Fatalf("codec=%v %s: Ceil(%v) = %+v,%v; model %+v,%v",
 						codec, stage, key, gotC, okC, wantC, wantCok)
 				}
-				wantP, wantPok, err := tr.Floor(key)
+				wantF, wantFok := m.floor(codec.roundKey(key))
+				gotF, okF, err := tr.Floor(key)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotP, okP, err := tr.Pred(key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if okP != wantPok || gotP != wantP {
-					t.Fatalf("codec=%v %s: Pred(%v) = %+v,%v; Floor %+v,%v",
-						codec, stage, key, gotP, okP, wantP, wantPok)
+				if okF != wantFok || gotF != wantF {
+					t.Fatalf("codec=%v %s: Floor(%v) = %+v,%v; model %+v,%v",
+						codec, stage, key, gotF, okF, wantF, wantFok)
 				}
 			}
 		}
@@ -277,6 +272,7 @@ func TestCeilPredDifferential(t *testing.T) {
 			if err := tr.Delete(e.Key, e.Val); err != nil {
 				t.Fatal(err)
 			}
+			m.delete(codec.roundKey(e.Key), e.Val)
 		}
 		check("after deletes")
 	}

@@ -2,6 +2,7 @@ package bptree
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -39,9 +40,48 @@ func validPages(t interface{ Fatal(...any) }) [][]byte {
 	return out
 }
 
+// probeImage runs the checks every operation trusts a page through on
+// data, read as a leaf and as an internal node of tr: checkImage (one page
+// long, the expected node type, a count within capacity), child (no nil
+// pointer followed) and Attach (the root's type against the height). Each
+// either fails with an error wrapping pager.ErrPageCorrupt or admits only
+// slots and children that can be read without a panic.
+func probeImage(t *testing.T, tr *Tree, data []byte) {
+	t.Helper()
+	for _, leaf := range []bool{true, false} {
+		n, err := tr.checkImage(data, tr.root, leaf)
+		if err != nil {
+			if !errors.Is(err, pager.ErrPageCorrupt) {
+				t.Fatalf("check error outside the corruption taxonomy: %v", err)
+			}
+			continue
+		}
+		m := image{id: tr.root, d: data, n: n}
+		for i := 0; i < n; i++ {
+			tr.kv(m, i)
+			if leaf {
+				tr.entry(m, i)
+			}
+		}
+		for ci := 0; !leaf && ci <= n; ci++ {
+			if _, err := tr.child(m, ci); err != nil && !errors.Is(err, pager.ErrPageCorrupt) {
+				t.Fatalf("child error outside the corruption taxonomy: %v", err)
+			}
+		}
+	}
+	s := &imageStore{MemStore: tr.store.(*pager.MemStore), id: tr.root, img: data}
+	for height := 1; height <= 2; height++ {
+		m := Meta{Root: tr.root, Height: height}
+		if _, err := Attach(s, Config{Codec: tr.codec}, m); err != nil && !errors.Is(err, pager.ErrPageCorrupt) {
+			t.Fatalf("attach at height %d: error outside the corruption taxonomy: %v", height, err)
+		}
+	}
+}
+
 // FuzzDecodeNode feeds arbitrary (and mutated-valid) page images to the
-// node decoder. The only acceptable outcomes are a decoded node or an
-// error; any panic is a bug. Run with:
+// checks every read of a node goes through (probeImage). The only
+// acceptable outcomes are an admitted image or an ErrPageCorrupt; any
+// panic is a bug. Run with:
 //
 //	go test -fuzz=FuzzDecodeNode ./internal/bptree
 func FuzzDecodeNode(f *testing.F) {
@@ -63,37 +103,25 @@ func FuzzDecodeNode(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, codec := range []Codec{Wide, Compact} {
-			store := pager.NewMemStore(fuzzPageSize)
-			tr, err := New(store, Config{Codec: codec})
+			tr, err := New(pager.NewMemStore(fuzzPageSize), Config{Codec: codec})
 			if err != nil {
 				t.Fatal(err)
 			}
-			n, err := tr.decode(&pager.Page{ID: 1, Data: data})
-			if err != nil {
-				if !errors.Is(err, pager.ErrPageCorrupt) {
-					t.Fatalf("decode error outside the corruption taxonomy: %v", err)
-				}
-				continue
-			}
-			// A node that decodes must be structurally sane enough for the
-			// read paths that follow it.
-			if !n.leaf && len(n.kids) != len(n.keys)+1 {
-				t.Fatalf("decoded internal node with %d kids, %d keys", len(n.kids), len(n.keys))
-			}
+			probeImage(t, tr, data)
 		}
 	})
 }
 
 // TestDecodeMutatedPagesNeverPanics is the deterministic slice of the fuzz
 // property that runs on every plain `go test`: random single- and
-// multi-byte mutations of valid pages must decode or error, never panic.
+// multi-byte mutations of valid pages must pass the checks or fail them
+// with ErrPageCorrupt, never panic.
 func TestDecodeMutatedPagesNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pages := validPages(t)
-	store := pager.NewMemStore(fuzzPageSize)
 	trees := map[Codec]*Tree{}
 	for _, codec := range []Codec{Wide, Compact} {
-		tr, err := New(store, Config{Codec: codec})
+		tr, err := New(pager.NewMemStore(fuzzPageSize), Config{Codec: codec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,10 +137,7 @@ func TestDecodeMutatedPagesNeverPanics(t *testing.T) {
 			cp = cp[:rng.Intn(len(cp)+1)]
 		}
 		for _, tr := range trees {
-			if _, err := tr.decode(&pager.Page{ID: 1, Data: cp}); err != nil &&
-				!errors.Is(err, pager.ErrPageCorrupt) {
-				t.Fatalf("round %d: error outside taxonomy: %v", round, err)
-			}
+			probeImage(t, tr, cp)
 		}
 	}
 }
@@ -180,11 +205,47 @@ func (s *imageStore) Write(p *pager.Page) error {
 	return s.MemStore.Write(p)
 }
 
+// hostileOp is one operation driven through a planted image: the val its
+// descent follows beside the probe's key, how many levels from the root
+// it reads on that descent, and whether it follows the child pointers of
+// the internal pages it reads.
+type hostileOp struct {
+	name     string
+	val      func(probe Entry) uint64
+	levels   int
+	children bool
+	run      func(tr *Tree, s *imageStore, probe Entry) error
+}
+
+var hostileOps = func() []hostileOp {
+	exact := func(e Entry) uint64 { return e.Val }
+	first := func(Entry) uint64 { return 0 }
+	last := func(Entry) uint64 { return math.MaxUint64 }
+	return []hostileOp{
+		{"insert", exact, 3, true, func(tr *Tree, _ *imageStore, e Entry) error { return tr.Insert(e) }},
+		{"delete", exact, 3, true, func(tr *Tree, _ *imageStore, e Entry) error { return tr.Delete(e.Key, e.Val) }},
+		{"get", exact, 3, true, func(tr *Tree, _ *imageStore, e Entry) error { _, _, err := tr.Get(e.Key, e.Val); return err }},
+		{"range", first, 3, true, func(tr *Tree, _ *imageStore, e Entry) error {
+			return tr.Range(e.Key, e.Key, func(Entry) bool { return true })
+		}},
+		{"ceil", first, 3, true, func(tr *Tree, _ *imageStore, e Entry) error { _, _, err := tr.Ceil(e.Key); return err }},
+		{"floor", last, 3, true, func(tr *Tree, _ *imageStore, e Entry) error { _, _, err := tr.Floor(e.Key); return err }},
+		{"check", exact, 3, true, func(tr *Tree, _ *imageStore, _ Entry) error { return tr.CheckInvariants() }},
+		// Destroy frees leaves without reading them.
+		{"destroy", exact, 2, true, func(tr *Tree, _ *imageStore, _ Entry) error { return tr.Destroy() }},
+		// Attach reads the root and nothing under it.
+		{"attach", exact, 1, false, func(tr *Tree, s *imageStore, _ Entry) error {
+			_, err := Attach(s, Config{Codec: tr.codec}, tr.Meta())
+			return err
+		}},
+	}
+}()
+
 // hostileTree bulk-loads a three-level tree on an imageStore, its leaves
 // three-quarters full so that a mutation of a genuine leaf is
 // non-structural, and returns the ids of the pages on the root-to-leaf
-// path of probe (path[0] is the root, path[2] the leaf).
-func hostileTree(t testing.TB, codec Codec) (tr *Tree, s *imageStore, probe Entry, path [3]pager.PageID) {
+// descent to (probe's key, val) (path[0] is the root, path[2] the leaf).
+func hostileTree(t testing.TB, codec Codec, val func(Entry) uint64) (tr *Tree, s *imageStore, probe Entry, path [3]pager.PageID) {
 	t.Helper()
 	s = &imageStore{MemStore: pager.NewMemStore(fuzzPageSize)}
 	tr, err := New(s, Config{Codec: codec})
@@ -204,47 +265,39 @@ func hostileTree(t testing.TB, codec Codec) (tr *Tree, s *imageStore, probe Entr
 	probe = es[len(es)/2]
 	path[0] = tr.root
 	for h := 1; h < len(path); h++ {
-		d, err := s.View(path[h-1])
+		m, err := tr.view(path[h-1], false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		count, err := tr.checkImage(d, path[h-1], false)
-		if err != nil {
+		if path[h], err = tr.child(m, tr.search(m, probe.Key, val(probe), true)); err != nil {
 			t.Fatal(err)
 		}
-		path[h] = tr.childAt(d, tr.imageChildIndex(d, count, probe.Key, probe.Val))
 	}
 	return tr, s, probe, path
 }
 
 // mutateThroughImage plants mut's rewrite of the genuine page at the given
-// level of the probe's path and runs one Insert or one Delete down that
-// path. Whatever the image, the operation must not panic, and if it fails
-// Len() must be where it was.
-func mutateThroughImage(t *testing.T, codec Codec, level int, insert bool, mut func([]byte) []byte) error {
+// level of op's descent and runs op once. Whatever the image, op must not
+// panic, and if it fails Len() must be where it was.
+func mutateThroughImage(t *testing.T, codec Codec, level int, op hostileOp, mut func([]byte) []byte) error {
 	t.Helper()
-	tr, s, probe, path := hostileTree(t, codec)
+	tr, s, probe, path := hostileTree(t, codec, op.val)
 	page, err := s.View(path[level])
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.id, s.img = path[level], mut(append([]byte(nil), page...))
 	before := tr.Len()
-	if insert {
-		err = tr.Insert(probe)
-	} else {
-		err = tr.Delete(probe.Key, probe.Val)
-	}
-	if err != nil && tr.Len() != before {
-		t.Fatalf("level-%d image: operation failed (%v) but Len() moved %d -> %d", level, err, before, tr.Len())
+	if err = op.run(tr, s, probe); err != nil && tr.Len() != before {
+		t.Fatalf("%s through a level-%d image: failed (%v) but Len() moved %d -> %d", op.name, level, err, before, tr.Len())
 	}
 	return err
 }
 
-// TestMutationSurvivesHostileImages feeds Insert and Delete the named
-// corruptions of the root, of an internal page and of the leaf on their
-// descent: each yields an error wrapping pager.ErrPageCorrupt, never a
-// panic, and Len() stays put.
+// TestMutationSurvivesHostileImages feeds every operation the named
+// corruptions of the root, of an internal page and of the leaf on its
+// descent: each operation that reads the page yields an error wrapping
+// pager.ErrPageCorrupt, never a panic, and Len() stays put.
 func TestMutationSurvivesHostileImages(t *testing.T) {
 	mutations := []struct {
 		name     string
@@ -258,7 +311,7 @@ func TestMutationSurvivesHostileImages(t *testing.T) {
 		{"truncated to half a header", true, true, func(b []byte) []byte { return b[:headerSize/2] }},
 		{"truncated below its entries", true, true, func(b []byte) []byte { return b[:headerSize+4] }},
 		{"empty", true, true, func(b []byte) []byte { return b[:0] }},
-		{"one byte short", true, false, func(b []byte) []byte { return b[:len(b)-1] }},
+		{"one byte short", true, true, func(b []byte) []byte { return b[:len(b)-1] }},
 		{"nil children", false, true, func(b []byte) []byte {
 			for i := headerSize; i < len(b); i++ {
 				b[i] = 0
@@ -272,11 +325,11 @@ func TestMutationSurvivesHostileImages(t *testing.T) {
 				if (level == 2 && !m.leaf) || (level < 2 && !m.internal) {
 					continue
 				}
-				for _, insert := range []bool{true, false} {
-					err := mutateThroughImage(t, codec, level, insert, m.mut)
-					if !errors.Is(err, pager.ErrPageCorrupt) {
-						t.Errorf("codec %d, %s at level %d, insert=%v: %v, want ErrPageCorrupt",
-							codec, m.name, level, insert, err)
+				for _, op := range hostileOps {
+					err := mutateThroughImage(t, codec, level, op, m.mut)
+					reads := level < op.levels && (op.children || m.name != "nil children")
+					if reads && !errors.Is(err, pager.ErrPageCorrupt) {
+						t.Errorf("codec %d, %s at level %d, %s: %v, want ErrPageCorrupt", codec, m.name, level, op.name, err)
 					}
 				}
 			}
@@ -285,9 +338,10 @@ func TestMutationSurvivesHostileImages(t *testing.T) {
 }
 
 // FuzzMutateHostileImage plants arbitrary bytes as the root, an internal
-// page or the leaf on a mutation's descent. An image that happens to parse
-// may send the operation anywhere — it may even succeed — but it must not
-// panic, and a failed operation must not have moved Len(). Run with:
+// page or the leaf on an operation's descent. An image that happens to
+// parse may send the operation anywhere — it may even succeed — but it
+// must not panic or hang, and a failed operation must not have moved
+// Len(). Run with:
 //
 //	go test -fuzz=FuzzMutateHostileImage ./internal/bptree
 func FuzzMutateHostileImage(f *testing.F) {
@@ -303,9 +357,9 @@ func FuzzMutateHostileImage(f *testing.F) {
 	f.Add([]byte{}, uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, level uint8) {
 		for _, codec := range []Codec{Wide, Compact} {
-			for _, insert := range []bool{true, false} {
+			for _, op := range hostileOps {
 				//mobidxlint:allow errdrop -- any outcome but a panic or a moved Len() is acceptable here; the helper checks both
-				_ = mutateThroughImage(t, codec, int(level%3), insert, func([]byte) []byte { return data })
+				_ = mutateThroughImage(t, codec, int(level%3), op, func([]byte) []byte { return data })
 			}
 		}
 	})

@@ -136,10 +136,10 @@ func TestFloorBasics(t *testing.T) {
 			t.Fatalf("Floor(%v) = (%v, %v), want (%v, %v)", c.probe, e.Key, ok, c.want, c.ok)
 		}
 	}
-	// Max is Floor(+inf).
-	e, ok, err := tr.Max()
+	// The largest entry is Floor(+Inf).
+	e, ok, err := tr.Floor(math.Inf(1))
 	if err != nil || !ok || e.Key != 30 {
-		t.Fatalf("Max = %v %v %v", e, ok, err)
+		t.Fatalf("Floor(+Inf) = %v %v %v", e, ok, err)
 	}
 	// Floor across many leaves.
 	big, _ := New(pager.NewMemStore(256), Config{Codec: Wide})

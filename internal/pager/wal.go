@@ -52,7 +52,7 @@
 // who shares and who copies, for one page written through a Buffered pool
 // over a WALStore over a FileStore with a FileLog:
 //
-//	bptree.writeLeafEdit    encodes into a pooled PageBuf (no allocation),
+//	bptree.put              encodes into a pooled PageBuf (no allocation),
 //	                        calls Write, releases the buffer
 //	Buffered.Write          makes THE copy: one immutable slice; installs
 //	                        it as the pool frame and passes it down in a

@@ -124,10 +124,9 @@ func (e *Engine) classFor(w float64) (*windowClass, error) {
 // query the motion currently satisfies, ascending, via one stab per
 // window class. The returned slice is engine-owned scratch, valid until
 // the next matchSet — this is the hottest path (every upsert and every
-// certificate fire), so the stab runs on the zero-alloc RangeAppend
-// fastpath with reused buffers instead of the allocating decode Range,
-// and a hit is one bit set: a stab sees hundreds of hits in key order,
-// and reading the bitset back is what orders them.
+// certificate fire), so the stab runs on the zero-alloc RangeAppend into
+// reused buffers, and a hit is one bit set: a stab sees hundreds of hits
+// in key order, and reading the bitset back is what orders them.
 func (e *Engine) matchSet(m dual.Motion) ([]uint32, error) {
 	for _, cl := range e.classes {
 		ya := m.At(e.now)
@@ -191,11 +190,11 @@ func (e *Engine) classBoundary(cl *windowClass, m dual.Motion) (float64, error) 
 			}
 		}
 	} else {
-		if en, ok, err = cl.byY2.Pred(lead + edgePad(m.V, lead)); err == nil && ok {
+		if en, ok, err = cl.byY2.Floor(lead + edgePad(m.V, lead)); err == nil && ok {
 			t = e.now + (en.Key-y)/m.V - cl.w
 		}
 		if err == nil {
-			if en, ok, err = cl.byY1.Pred(y + edgePad(m.V, y)); err == nil && ok {
+			if en, ok, err = cl.byY1.Floor(y + edgePad(m.V, y)); err == nil && ok {
 				if lt := e.now + (en.Key-y)/m.V; lt < t {
 					t = lt
 				}

@@ -39,9 +39,11 @@
 // owns a slot in a dense, free-listed table (bounded by the live
 // subscriptions, not by the ids ever issued); the query trees carry the
 // slot as the entry value, an object's memberships are an ascending slot
-// list, and a re-evaluation marks its hits in a bitset over the slots,
-// reads them back ascending and merge-diffs the two lists. Only the
-// difference — usually a handful of slots — is put in SubID order.
+// list — the only record of membership: a subscription's answer set is
+// the objects whose list holds its slot — and a re-evaluation marks its
+// hits in a bitset over the slots, reads them back ascending and
+// merge-diffs the two lists. Only the difference — usually a handful of
+// slots — is put in SubID order.
 package subscribe
 
 import (
@@ -135,13 +137,12 @@ type object struct {
 
 // sub is one standing query.
 type sub struct {
-	id      SubID
-	slot    uint32 // index in Engine.slots; the query trees' entry value
-	y1, y2  float64
-	class   *windowClass
-	members map[dual.OID]struct{}
-	buf     []Delta    // transitions since the last Drain
-	ch      chan Delta // optional stream view (nil: drain-only)
+	id     SubID
+	slot   uint32 // index in Engine.slots; the query trees' entry value
+	y1, y2 float64
+	class  *windowClass
+	buf    []Delta    // transitions since the last Drain
+	ch     chan Delta // optional stream view (nil: drain-only)
 }
 
 // Engine maintains standing queries over a stream of motion updates.
@@ -270,7 +271,7 @@ func (e *Engine) subscribe(y1, y2, window float64, buf int) (SubID, <-chan Delta
 	if err != nil {
 		return 0, nil, err
 	}
-	s := &sub{y1: y1, y2: y2, class: cl, members: make(map[dual.OID]struct{})}
+	s := &sub{y1: y1, y2: y2, class: cl}
 	e.allocSlot(s)
 	if err := cl.add(s); err != nil {
 		e.freeSlot(s)
@@ -296,7 +297,6 @@ func (e *Engine) subscribe(y1, y2, window float64, buf int) (SubID, <-chan Delta
 		if o.m.Matches(q) {
 			at, _ := slices.BinarySearch(o.member, s.slot)
 			o.member = slices.Insert(o.member, at, s.slot)
-			s.members[oid] = struct{}{}
 			oids = append(oids, oid)
 		}
 		if t := subBoundary(o.m, y1, y2, window, e.now); t < o.certTime {
@@ -354,10 +354,10 @@ func (e *Engine) Unsubscribe(id SubID) error {
 	if err := s.class.remove(s); err != nil {
 		return fmt.Errorf("subscribe: unsubscribe %d: %w", id, err)
 	}
-	for oid := range s.members {
-		o := e.objects[oid]
-		at, _ := slices.BinarySearch(o.member, s.slot)
-		o.member = slices.Delete(o.member, at, at+1)
+	for _, o := range e.objects {
+		if at, ok := slices.BinarySearch(o.member, s.slot); ok {
+			o.member = slices.Delete(o.member, at, at+1)
+		}
 	}
 	if s.ch != nil {
 		close(s.ch)
@@ -468,9 +468,11 @@ func (e *Engine) Members(id SubID) ([]dual.OID, error) {
 	if !ok {
 		return nil, fmt.Errorf("subscribe: members %d: %w", id, ErrUnknownSub)
 	}
-	out := make([]dual.OID, 0, len(s.members))
-	for oid := range s.members {
-		out = append(out, oid)
+	var out []dual.OID
+	for oid, o := range e.objects {
+		if _, ok := slices.BinarySearch(o.member, s.slot); ok {
+			out = append(out, oid)
+		}
 	}
 	slices.Sort(out)
 	return out, nil
@@ -592,9 +594,7 @@ func (e *Engine) remove(oid dual.OID) {
 	}
 	e.byID(o.member)
 	for _, slot := range o.member {
-		s := e.slots[slot]
-		delete(s.members, oid)
-		e.emit(s, oid, Leave)
+		e.emit(e.slots[slot], oid, Leave)
 	}
 	delete(e.objects, oid) // orphans the agenda event; pop skips it
 	e.stats.Removes++
@@ -633,14 +633,10 @@ func (e *Engine) refresh(oid dual.OID, o *object) error {
 	e.byID(leave)
 	e.byID(enter)
 	for _, slot := range leave {
-		s := e.slots[slot]
-		delete(s.members, oid)
-		e.emit(s, oid, Leave)
+		e.emit(e.slots[slot], oid, Leave)
 	}
 	for _, slot := range enter {
-		s := e.slots[slot]
-		s.members[oid] = struct{}{}
-		e.emit(s, oid, Enter)
+		e.emit(e.slots[slot], oid, Enter)
 	}
 	return nil
 }

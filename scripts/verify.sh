@@ -107,8 +107,11 @@ done
 
 echo "== zero-allocation gates =="
 # The steady-state query hot loops must stay allocation-free above the
-# buffer pool, and a non-structural Insert/Delete must allocate nothing
-# but the one page image the stores below share (TestUpdateZeroAllocAboveStores);
+# buffer pool — a B+-tree point query (TestPointQueryZeroAlloc), a range
+# scan with a callback (TestRangeZeroAlloc) or into a caller's buffer
+# (TestRangeAppendZeroAlloc) — and a non-structural Insert/Delete must
+# allocate nothing but the one page image the stores below share
+# (TestUpdateZeroAllocAboveStores);
 # in the pager a commit allocates the same for 8 staged pages as for 512,
 # a pool write one image and a pool miss on a page the WAL holds only the
 # frame header; in the subscription engine an upsert or a certificate
@@ -139,10 +142,15 @@ echo "== benchmark module (bench/) =="
 (cd bench && go vet . && go test -count=1 .)
 
 echo "== fuzz smoke =="
+# A B+-tree page image as arbitrary bytes: through the checks every read
+# trusts a node through (type, count, child pointers, Attach's root), then
+# planted on the descent of every operation — Insert, Delete, Get, Range,
+# Ceil, Floor, CheckInvariants, Destroy, Attach: ErrPageCorrupt or an
+# answer, never a panic, a hang or a failed mutation that moved Len().
 go test ./internal/bptree -run '^$' -fuzz '^FuzzDecodeNode$' -fuzztime=10s
-go test ./internal/bptree -run '^$' -fuzz '^FuzzMutateHostileImage$' -fuzztime=10s
-# One execution of these two builds six trees, so the default 60 s
-# minimisation budget would swallow the whole smoke.
+# One execution builds eighteen trees, and these two six, so the default
+# 60 s minimisation budget would swallow the whole smoke.
+go test ./internal/bptree -run '^$' -fuzz '^FuzzMutateHostileImage$' -fuzztime=10s -fuzzminimizetime=1s
 go test ./internal/kdtree -run '^$' -fuzz '^FuzzHostileImage$' -fuzztime=10s -fuzzminimizetime=1s
 go test ./internal/parttree -run '^$' -fuzz '^FuzzHostileImage$' -fuzztime=10s -fuzzminimizetime=1s
 # A pages file as arbitrary bytes: a store or ErrBadMeta, never a panic or
