@@ -33,6 +33,15 @@ import (
 // held-set. Calls into other packages are opaque (documented blind
 // spot: a cycle that closes through a callback or an interface cannot
 // be seen here).
+//
+// The serving stack's latch hierarchy is shard writer latch (Shard.wmu) →
+// serving latch (Shard.mu) → WALStore.mu → FileStore.mu. The first edge
+// lies inside internal/shard and is checked here: taking the writer latch
+// under the serving latch is a cycle. The others cross packages, where
+// the hierarchy holds by construction — the pager never calls up into the
+// shard, and WALStore and FileStore hold their latches only across
+// in-memory work, parking a checkpoint's or a Sync's contenders on a
+// sync.Cond instead of across the I/O.
 var LockOrder = &Pass{
 	Name: "lockorder",
 	Doc:  "per-package lock-acquisition graph: no order cycles, no locks held across blocking calls",

@@ -117,3 +117,24 @@ func (f *F) Indirect(other *F) error {
 func (f *F) flushNoLock() error {
 	return f.f.Sync()
 }
+
+// Server takes its writer latch before its serving latch in Apply; Seed
+// takes them the other way round.
+type Server struct {
+	wmu sync.Mutex
+	mu  sync.RWMutex
+}
+
+func (s *Server) Apply() {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.mu.Lock()
+	s.mu.Unlock()
+}
+
+func (s *Server) Seed() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.wmu.Lock()
+	s.wmu.Unlock()
+}

@@ -92,3 +92,58 @@ func (s *Store) SleepUnlocked() {
 	s.mu.Unlock()
 	time.Sleep(time.Millisecond)
 }
+
+// Server is the serving shard's hierarchy: a writer latch taken before the
+// serving latch, never the reverse, and the serving latch released before
+// the writer's tail runs.
+type Server struct {
+	wmu   sync.Mutex
+	mu    sync.RWMutex
+	store *Gated
+	n     int
+}
+
+func (s *Server) Apply() {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.mu.Lock()
+	s.store.Commit()
+	s.mu.Unlock()
+	s.n++
+}
+
+func (s *Server) Query() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.n
+}
+
+// Gated is a store with a two-phase checkpoint: it marks itself running
+// under the latch, does its I/O with the latch released, and a writer
+// waits on the cond with only the cond's own latch held.
+type Gated struct {
+	mu      sync.Mutex
+	idle    *sync.Cond
+	running bool
+	f       *os.File
+}
+
+func (g *Gated) Commit() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for g.running {
+		g.idle.Wait()
+	}
+}
+
+func (g *Gated) Checkpoint() error {
+	g.mu.Lock()
+	g.running = true
+	g.mu.Unlock()
+	err := g.f.Sync()
+	g.mu.Lock()
+	g.running = false
+	g.idle.Broadcast()
+	g.mu.Unlock()
+	return err
+}

@@ -30,7 +30,6 @@ type step struct {
 // extra workload-specific verification against a recovered store.
 type workload struct {
 	pageSize int
-	cfg      pager.WALConfig
 	make     func(ref bool) []step
 	check    func(t *testing.T, w *pager.WALStore, seq uint64)
 }
@@ -104,7 +103,7 @@ func (d disk) open(wl workload) (*pager.WALStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pager.OpenWALStore(base, log, wl.cfg)
+	return pager.OpenWALStore(base, log, pager.WALConfig{})
 }
 
 // runReference executes the workload crash-free, counting its crash points
@@ -222,8 +221,10 @@ func runSweep(t *testing.T, mode Mode, wl workload) {
 var errAbandon = errors.New("abandon the batch")
 
 // rawWorkload exercises multi-page batches, a rollback, frees, page-id
-// reuse and checkpoints directly against the WALStore API.
-func rawWorkload(cfg pager.WALConfig) workload {
+// reuse and checkpoints directly against the WALStore API. With
+// autoCheckpoint > 0 every step ends in CheckpointIfDue(autoCheckpoint),
+// as a writer bounding its log does after each commit.
+func rawWorkload(autoCheckpoint int64) workload {
 	const ps = 128
 	pat := func(tag byte) []byte {
 		buf := make([]byte, ps)
@@ -324,23 +325,36 @@ func rawWorkload(cfg pager.WALConfig) workload {
 			}},
 		}
 	}
-	return workload{pageSize: ps, cfg: cfg, make: mk}
+	auto := func(ref bool) []step {
+		steps := mk(ref)
+		for i := range steps {
+			do := steps[i].do
+			steps[i].do = func(w *pager.WALStore) error {
+				if err := do(w); err != nil {
+					return err
+				}
+				return w.CheckpointIfDue(autoCheckpoint)
+			}
+		}
+		return steps
+	}
+	return workload{pageSize: ps, make: auto}
 }
 
 // TestCrashSweepRaw sweeps every crash point of the raw batch workload in
 // all three crash modes, with and without auto-checkpointing.
 func TestCrashSweepRaw(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  pager.WALConfig
+		name           string
+		autoCheckpoint int64
 	}{
-		{"manual-checkpoint", pager.WALConfig{}},
-		{"auto-checkpoint", pager.WALConfig{AutoCheckpointBytes: 512}},
+		{"manual-checkpoint", 0},
+		{"auto-checkpoint", 512},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, mode := range allModes {
 				t.Run(mode.String(), func(t *testing.T) {
-					runSweep(t, mode, rawWorkload(tc.cfg))
+					runSweep(t, mode, rawWorkload(tc.autoCheckpoint))
 				})
 			}
 		})
@@ -400,7 +414,7 @@ func chainWorkload() workload {
 			{"final-write", func(w *pager.WALStore) error { return write(w, ids[39], 0xEE) }},
 		}
 	}
-	return workload{pageSize: ps, cfg: pager.WALConfig{}, make: mk}
+	return workload{pageSize: ps, make: mk}
 }
 
 // chainHead returns the free-list chain head named by the newest meta
@@ -571,7 +585,7 @@ func bptreeWorkload(ps int, ops []treeOp, ckptEvery int) workload {
 			}
 		}
 	}
-	return workload{pageSize: ps, cfg: pager.WALConfig{}, make: mk, check: check}
+	return workload{pageSize: ps, make: mk, check: check}
 }
 
 // bptreeBulkWorkload is bptreeWorkload with the build phase replaced by
@@ -680,7 +694,7 @@ func bptreeBulkWorkload(ps int, initial []bptree.Entry, ops []treeOp, ckptEvery 
 			}
 		}
 	}
-	return workload{pageSize: ps, cfg: pager.WALConfig{}, make: mk, check: check}
+	return workload{pageSize: ps, make: mk, check: check}
 }
 
 // TestCrashSweepBPTreeBulk sweeps a workload whose tree is built with the
@@ -838,7 +852,7 @@ func TestCrashSweepKinetic(t *testing.T) {
 			}
 		}
 	}
-	wl := workload{pageSize: 256, cfg: pager.WALConfig{}, make: mk, check: check}
+	wl := workload{pageSize: 256, make: mk, check: check}
 	for _, mode := range allModes {
 		t.Run(mode.String(), func(t *testing.T) {
 			runSweep(t, mode, wl)
@@ -853,7 +867,7 @@ func TestCrashSweepKinetic(t *testing.T) {
 // the same oracle as a single-crash run. A few representative first-crash
 // points are sampled per mode to keep the double sweep bounded.
 func TestCrashDuringRecoverySweep(t *testing.T) {
-	wl := rawWorkload(pager.WALConfig{})
+	wl := rawWorkload(0)
 	for _, mode := range allModes {
 		t.Run(mode.String(), func(t *testing.T) {
 			shadows, n, probe := runReference(t, mode, wl)

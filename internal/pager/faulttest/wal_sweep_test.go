@@ -18,6 +18,36 @@ func walOpen(t *testing.T, base pager.Store) *pager.WALStore {
 	return w
 }
 
+// autoCheckpoint is a WALStore as a writer that bounds its log drives it:
+// every call that may have committed a batch — the outermost Commit, or a
+// Write, Allocate or Free run as a batch of one — is followed by
+// CheckpointIfDue(limit), which skips while a batch is open.
+type autoCheckpoint struct {
+	*pager.WALStore
+	limit int64
+}
+
+func (a autoCheckpoint) due(err error) error {
+	if err != nil {
+		return err
+	}
+	return a.CheckpointIfDue(a.limit)
+}
+
+func (a autoCheckpoint) Commit() error             { return a.due(a.WALStore.Commit()) }
+func (a autoCheckpoint) Write(p *pager.Page) error { return a.due(a.WALStore.Write(p)) }
+func (a autoCheckpoint) Free(id pager.PageID) error {
+	return a.due(a.WALStore.Free(id))
+}
+
+func (a autoCheckpoint) Allocate() (*pager.Page, error) {
+	p, err := a.WALStore.Allocate()
+	if err != nil {
+		return nil, err
+	}
+	return p, a.due(nil)
+}
+
 // walBaselines computes each workload's ground-truth fingerprint through a
 // fault-free WALStore, which must agree with the raw-store baseline: the
 // WAL layer is transparent to correct executions.
@@ -123,13 +153,11 @@ func TestWALFaultSweepQuiescence(t *testing.T) {
 					Transient: true,
 				})
 				rs := pager.NewRetryStore(faulty, pager.RetryPolicy{MaxAttempts: 16})
-				ws, err := pager.OpenWALStore(rs, pager.NewMemLog(), pager.WALConfig{
-					AutoCheckpointBytes: 64 * 1024,
-				})
+				ws, err := pager.OpenWALStore(rs, pager.NewMemLog(), pager.WALConfig{})
 				if err != nil {
 					t.Fatalf("open wal over retry stack: %v", err)
 				}
-				res, err, pan := RunGuarded(w, ws)
+				res, err, pan := RunGuarded(w, autoCheckpoint{ws, 64 * 1024})
 				if pan != nil {
 					t.Fatalf("panicked under transient faults: %v", pan)
 				}

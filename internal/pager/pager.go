@@ -441,10 +441,13 @@ var ErrBadMeta = errors.New("pager: bad meta page")
 //
 // FileStore is safe for concurrent use. Reads take only a read-latch (the
 // underlying ReadAt is positional and thread-safe), so concurrent readers
-// proceed in parallel; every mutation takes the exclusive latch. Stats()
-// is lock-free.
+// proceed in parallel; every mutation takes the exclusive latch, but only
+// for its own writes: Sync and Close run the fsync with it released, so a
+// read never waits on one. Stats() is lock-free.
 type FileStore struct {
 	mu       sync.RWMutex
+	synced   sync.Cond // on mu: broadcast when a Sync's fsync ends
+	syncing  bool      // a Sync is writing its meta record or in its fsync
 	f        File
 	pageSize int
 	alloc    allocator
@@ -503,6 +506,7 @@ func OpenFileStoreOn(f File, pageSize int) (*FileStore, error) {
 		return nil, fmt.Errorf("pager: page size %d too small for meta page", pageSize)
 	}
 	fs = &FileStore{f: f, pageSize: pageSize, alloc: newAllocator(), seq: 1}
+	fs.synced.L = &fs.mu
 	slot := make([]byte, pageSize)
 	fs.encodeMeta(slot[:fs.metaLen()], 0, NilPage, nil)
 	fs.encodeMeta(slot[fs.metaLen():2*fs.metaLen()], 1, NilPage, nil)
@@ -542,6 +546,7 @@ func recoverFileStore(f File) (*FileStore, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadMeta, err)
 	}
 	fs := &FileStore{f: f, pageSize: pageSize}
+	fs.synced.L = &fs.mu
 	newest, other := slot[:fs.metaLen()], slot[fs.metaLen():2*fs.metaLen()]
 	if binary.LittleEndian.Uint64(other[16:24]) > binary.LittleEndian.Uint64(newest[16:24]) {
 		newest, other = other, newest
@@ -665,39 +670,43 @@ func stampTrailer(page []byte) {
 
 // Sync persists the allocator state (a meta record plus its free-list
 // chain) and flushes the file, establishing a recovery point: a crash any
-// time after Sync returns loses nothing written before it.
+// time after Sync returns loses nothing written before it. The chain and
+// the meta record are written under the store latch, the fsync after it is
+// released; Syncs wait for each other, so the record each writes and the
+// chain it names take effect, in order, only once durable.
 func (fs *FileStore) Sync() error {
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	for fs.syncing {
+		fs.synced.Wait()
+	}
 	if fs.closed {
+		fs.mu.Unlock()
 		return ErrStoreClosed
 	}
-	//mobidxlint:allow lockorder -- by design: the store latch serializes meta/free-list writes with their fsync; concurrent writers must observe the completed recovery point
-	return fs.syncLocked()
+	fs.syncing = true
+	chain, err := fs.writeMeta()
+	fs.mu.Unlock()
+	if err == nil {
+		err = fs.flush()
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.endSyncLocked(chain, err)
+	return err
 }
 
-func (fs *FileStore) syncLocked() error {
-	// The new chain's pages come off the free list's tail (past its end
-	// once it runs dry), never from the chain the newest record names: that
-	// one is held, and the record written here lists it as free, but it
-	// joins the free list only once this record is durable.
+// writeMeta writes the free list's spill into newly held chain pages, then
+// the next meta record naming them, and returns the chain (caller holds mu
+// and is the running Sync). The new chain's pages come off the free list's
+// tail (past its end once it runs dry), never from the chain the newest
+// record names: that one is held, and the record written here lists it as
+// free, but it joins the free list only once this record is durable.
+func (fs *FileStore) writeMeta() ([]PageID, error) {
 	var chain []PageID
 	for len(fs.alloc.free)+len(fs.chain) > fs.inlineFreeCap()+len(chain)*fs.chainCap() {
 		chain = append(chain, fs.alloc.hold())
 	}
-	if err := fs.writeMeta(chain, append(slices.Clip(fs.alloc.free), fs.chain...)); err != nil {
-		slices.Reverse(chain)
-		fs.alloc.push(chain...)
-		return err
-	}
-	fs.alloc.push(fs.chain...)
-	fs.chain = chain
-	return nil
-}
-
-// writeMeta writes the free list's spill into the chain pages, then the
-// next meta record naming them, and flushes the file.
-func (fs *FileStore) writeMeta(chain, free []PageID) error {
+	free := append(slices.Clip(fs.alloc.free), fs.chain...)
 	spill := free[min(len(free), fs.inlineFreeCap()):]
 	per := fs.chainCap()
 	head := NilPage
@@ -713,21 +722,41 @@ func (fs *FileStore) writeMeta(chain, free []PageID) error {
 		}
 		stampTrailer(page)
 		if _, err := fs.f.WriteAt(page, fs.offset(chain[i])); err != nil {
-			return fmt.Errorf("pager: write free-list chain page %d: %w", chain[i], err)
+			return chain, fmt.Errorf("pager: write free-list chain page %d: %w", chain[i], err)
 		}
 		head = chain[i]
 	}
-	seq := fs.seq + 1
 	rec := make([]byte, fs.metaLen())
-	fs.encodeMeta(rec, seq, head, free)
-	if _, err := fs.f.WriteAt(rec, int64(seq%2)*int64(fs.metaLen())); err != nil {
-		return fmt.Errorf("pager: write meta page: %w", err)
+	fs.encodeMeta(rec, fs.seq+1, head, free)
+	if _, err := fs.f.WriteAt(rec, int64((fs.seq+1)%2)*int64(fs.metaLen())); err != nil {
+		return chain, fmt.Errorf("pager: write meta page: %w", err)
 	}
+	return chain, nil
+}
+
+// flush is a Sync's fsync, run without mu.
+func (fs *FileStore) flush() error {
 	if err := fs.f.Sync(); err != nil {
 		return fmt.Errorf("pager: sync: %w", err)
 	}
-	fs.seq = seq
 	return nil
+}
+
+// endSyncLocked settles the chain writeMeta held and lets the next Sync
+// in (caller holds mu): once the record is durable the old chain joins the
+// free list and the new one is held in its place; after a failure the new
+// chain's pages go back to the free list's tail.
+func (fs *FileStore) endSyncLocked(chain []PageID, err error) {
+	fs.syncing = false
+	fs.synced.Broadcast()
+	if err != nil {
+		slices.Reverse(chain)
+		fs.alloc.push(chain...)
+		return
+	}
+	fs.alloc.push(fs.chain...)
+	fs.chain = chain
+	fs.seq++
 }
 
 // SetUserMeta stores up to UserMetaSize bytes of caller data in the meta
@@ -754,21 +783,24 @@ func (fs *FileStore) UserMeta() []byte {
 }
 
 // Close syncs the meta page and closes the backing file. It is safe to
-// call more than once; later calls return nil.
+// call more than once; later calls return nil. The store is closed to
+// every other call before the final fsync starts.
 func (fs *FileStore) Close() error {
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	for fs.syncing {
+		fs.synced.Wait()
+	}
 	if fs.closed {
+		fs.mu.Unlock()
 		return nil
 	}
 	fs.closed = true
-	//mobidxlint:allow lockorder -- by design: Close holds the latch across the final sync so no writer can slip in between the meta flush and the file close
-	syncErr := fs.syncLocked()
-	closeErr := fs.f.Close()
-	if syncErr != nil {
-		return syncErr
+	_, err := fs.writeMeta()
+	fs.mu.Unlock()
+	if err == nil {
+		err = fs.flush()
 	}
-	return closeErr
+	return errors.Join(err, fs.f.Close())
 }
 
 // PageSize implements Store.

@@ -75,9 +75,10 @@
 //	                        page, MemStore's own image) — as the frame: no
 //	                        copy
 //	Read (every layer)      a private copy the caller owns
-//	Checkpoint              writes the page-table images to the base in
-//	                        page-id order and drops its references; frames
-//	                        the pool still holds stay valid
+//	Checkpoint              snapshots the page-table references, writes the
+//	                        images to the base in page-id order with the
+//	                        latch released, then drops the references;
+//	                        frames the pool still holds stay valid
 //
 // Pool frames, staged images and page-table images are therefore the same
 // slices, and what keeps a View a stable snapshot is one rule: nothing
@@ -95,6 +96,18 @@
 // syncs again, and truncates the log to its header. The watermark is
 // written only after the allocator sync, so the durable base allocator is
 // never behind the durable watermark.
+//
+// A checkpoint runs in two phases so that it never blocks a reader. Under
+// the latch it snapshots the table's ids and images and marks the store
+// checkpointing; it then does all of the I/O above with the latch
+// released, and takes the latch again only to advance the watermark, drop
+// the table and clear the mark. Readers keep getting the table's images
+// until the base holds them durably, and the snapshot is stable because
+// no image is modified in place. The table itself cannot change
+// meanwhile: only a commit changes it, and Begin waits for the mark to
+// clear, so a batch that arrives during the I/O phase opens after it and
+// its records land in the truncated log. Nothing else writes the base
+// while no batch is open.
 //
 // # Recovery
 //
@@ -476,14 +489,12 @@ func decodeWALRecord(b []byte, pageSize int) (walRecord, error) {
 	return r, nil
 }
 
-// WALConfig configures a WALStore. The zero value checkpoints only on
-// demand and syncs the log inside every commit.
-type WALConfig struct {
-	// AutoCheckpointBytes runs a checkpoint after any commit that leaves
-	// the log at or beyond this size, keeping the log bounded. Zero
-	// disables automatic checkpoints.
-	AutoCheckpointBytes int64
-}
+// WALConfig configures a WALStore. It has no fields: a WALStore syncs the
+// log inside every commit and checkpoints only when asked (Checkpoint,
+// CheckpointIfDue, Close). Bounding the log is the writer's job, so that
+// the checkpoint runs outside whatever latch the writer serves readers
+// under.
+type WALConfig struct{}
 
 // walBatch is the staged state of one open batch.
 type walBatch struct {
@@ -511,11 +522,15 @@ type walBatch struct {
 // committed, checkpointed-or-replayed pages (see WALSnapshot).
 type WALStore struct {
 	mu       sync.Mutex
+	idle     sync.Cond // on mu: broadcast when a checkpoint's I/O phase ends
 	base     Store
 	log      LogFile
-	cfg      WALConfig
 	pageSize int
 	metaPage PageID
+
+	// checkpointing marks a checkpoint's I/O phase: the latch is free for
+	// readers, but Begin and other checkpoints wait on idle.
+	checkpointing bool
 
 	nextLSN    uint64
 	appliedLSN uint64
@@ -545,11 +560,11 @@ func OpenWALStore(base Store, log LogFile, cfg WALConfig) (*WALStore, error) {
 	w := &WALStore{
 		base:     base,
 		log:      log,
-		cfg:      cfg,
 		pageSize: base.PageSize(),
 		nextLSN:  1,
 		table:    make(map[PageID][]byte),
 	}
+	w.idle.L = &w.mu
 	if size > 0 && size < walHeaderLen {
 		// A crash tore the very first header append: nothing was ever
 		// logged, so starting fresh loses nothing.
@@ -576,7 +591,7 @@ func (w *WALStore) initialize() error {
 		return fmt.Errorf("pager: wal init: %w", err)
 	}
 	w.metaPage = p.ID
-	if err := w.writeMetaPage(); err != nil {
+	if err := w.writeMetaPage(w.appliedLSN, w.seq); err != nil {
 		return err
 	}
 	if err := w.baseSync(); err != nil {
@@ -600,12 +615,12 @@ func (w *WALStore) initialize() error {
 
 // writeMetaPage stores the watermark (applied LSN + sequence) in the
 // reserved base page.
-func (w *WALStore) writeMetaPage() error {
+func (w *WALStore) writeMetaPage(lsn, seq uint64) error {
 	data := make([]byte, w.pageSize)
 	copy(data[0:8], walMetaMagic)
 	binary.LittleEndian.PutUint32(data[8:12], walVer)
-	binary.LittleEndian.PutUint64(data[12:20], w.appliedLSN)
-	binary.LittleEndian.PutUint64(data[20:28], w.seq)
+	binary.LittleEndian.PutUint64(data[12:20], lsn)
+	binary.LittleEndian.PutUint64(data[20:28], seq)
 	binary.LittleEndian.PutUint32(data[28:32], crc32.Checksum(data[:28], castagnoli))
 	if err := w.base.Write(&Page{ID: w.metaPage, Data: data}); err != nil {
 		return fmt.Errorf("pager: wal meta: %w", err)
@@ -860,10 +875,14 @@ func (w *WALStore) poison(cause error) error {
 }
 
 // Begin implements Batcher: it opens a batch (or joins the open one —
-// nested Begin/Commit pairs commit only at the outermost level).
+// nested Begin/Commit pairs commit only at the outermost level). A Begin
+// that arrives while a checkpoint writes the base waits for it to finish.
 func (w *WALStore) Begin() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	for w.checkpointing {
+		w.idle.Wait()
+	}
 	if err := w.ok(); err != nil {
 		return err
 	}
@@ -920,9 +939,8 @@ func (w *WALStore) rollbackBatchLocked(b *walBatch) error {
 // Commit implements Batcher: the outermost Commit appends the batch's
 // records and a commit record to the log, syncs it, and then applies the
 // batch — page images into the committed table, frees into the base
-// allocator. The batch is durable once Commit returns. An automatic
-// checkpoint may follow (WALConfig); its error is returned even though
-// the commit itself succeeded.
+// allocator. The batch is durable once Commit returns nil, and an error
+// means it is not: Commit never checkpoints (see CheckpointIfDue).
 func (w *WALStore) Commit() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -995,12 +1013,6 @@ func (w *WALStore) commitBatchLocked(b *walBatch) error {
 		}
 	}
 	w.seq++
-
-	if w.cfg.AutoCheckpointBytes > 0 && w.logSize >= w.cfg.AutoCheckpointBytes {
-		if err := w.checkpointLocked(); err != nil {
-			return fmt.Errorf("pager: commit durable; auto-checkpoint: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -1069,70 +1081,138 @@ func (w *WALStore) appendBatchLocked(b *walBatch) (appended int64, err error) {
 // Checkpoint applies every committed page image to the base store, makes
 // the base durable, advances the watermark, and truncates the log to its
 // header. It fails with ErrBatchOpen while a batch is open. Checkpoint is
-// idempotent and safe to retry after an error.
-func (w *WALStore) Checkpoint() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.ok(); err != nil {
-		return err
+// idempotent and safe to retry after an error. The I/O runs with the latch
+// released: reads are served from the committed table throughout, and a
+// Begin waits until the checkpoint is done.
+func (w *WALStore) Checkpoint() error { return w.checkpoint(0) }
+
+// CheckpointIfDue checkpoints when the log has reached limit bytes and no
+// batch is open, and does nothing when limit is zero or negative. A writer
+// calls it after each commit to keep the log bounded.
+func (w *WALStore) CheckpointIfDue(limit int64) error {
+	if limit <= 0 {
+		return nil
 	}
-	if w.batch != nil {
-		return fmt.Errorf("%w: checkpoint requires a quiescent store", ErrBatchOpen)
-	}
-	//mobidxlint:allow lockorder -- by design: a checkpoint must hold the latch across base-sync + truncate so no commit interleaves between the two
-	return w.checkpointLocked()
+	return w.checkpoint(limit)
 }
 
-func (w *WALStore) checkpointLocked() error {
+// checkpoint runs a checkpoint: unconditionally when limit is zero, else
+// only once the log reaches limit bytes with no batch open.
+func (w *WALStore) checkpoint(limit int64) error {
+	w.mu.Lock()
+	for w.checkpointing {
+		w.idle.Wait()
+	}
+	if err := w.ok(); err != nil {
+		w.mu.Unlock()
+		return err
+	}
+	if limit > 0 && (w.batch != nil || w.logSize < limit) {
+		w.mu.Unlock()
+		return nil
+	}
+	if w.batch != nil {
+		w.mu.Unlock()
+		return fmt.Errorf("%w: checkpoint requires a quiescent store", ErrBatchOpen)
+	}
+	cp := w.planCheckpointLocked()
+	w.mu.Unlock()
+	return w.runCheckpoint(cp)
+}
+
+// checkpointPlan is what a checkpoint's I/O phase works from: the table's
+// images in page-id order, and the watermark they bring the base to.
+type checkpointPlan struct {
+	ids      []PageID
+	imgs     [][]byte
+	lsn, seq uint64
+}
+
+// planCheckpointLocked snapshots the committed table and marks the store
+// checkpointing (caller holds mu, no batch open, no checkpoint running).
+// It returns nil when the base already holds everything the log does.
+func (w *WALStore) planCheckpointLocked() *checkpointPlan {
 	if len(w.table) == 0 && w.logSize <= walHeaderLen && w.appliedLSN == w.nextLSN-1 {
 		return nil
 	}
-	// 1. Apply committed images to the base, in page-id order: the base
-	// sees the same write sequence on every run (a crash sweep's kill
-	// point k names the same page each time) and ascending file offsets.
-	ids := make([]PageID, 0, len(w.table))
+	// Page-id order: the base sees the same write sequence on every run (a
+	// crash sweep's kill point k names the same page each time) and
+	// ascending file offsets.
+	cp := &checkpointPlan{ids: make([]PageID, 0, len(w.table)), lsn: w.nextLSN - 1, seq: w.seq}
 	for id := range w.table {
-		ids = append(ids, id)
+		cp.ids = append(cp.ids, id)
 	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		if err := w.base.Write(&Page{ID: id, Data: w.table[id]}); err != nil {
-			return fmt.Errorf("pager: checkpoint page %d: %w", id, err)
+	slices.Sort(cp.ids)
+	cp.imgs = make([][]byte, len(cp.ids))
+	for i, id := range cp.ids {
+		cp.imgs[i] = w.table[id]
+	}
+	w.checkpointing = true
+	return cp
+}
+
+// runCheckpoint is a checkpoint's I/O phase, run without the latch, and
+// its finish under it. A nil plan is a no-op.
+func (w *WALStore) runCheckpoint(cp *checkpointPlan) error {
+	if cp == nil {
+		return nil
+	}
+	durable, err := w.applyCheckpoint(cp)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if durable {
+		// The base holds every image and the watermark durably: the table
+		// is dropped even if truncation failed — the watermark covers the
+		// stale records and recovery will skip them.
+		w.appliedLSN = cp.lsn
+		w.table = make(map[PageID][]byte)
+		if err == nil {
+			w.logSize = walHeaderLen
 		}
 	}
-	// 2. Base durable: data pages AND the base's own allocator state.
+	w.checkpointing = false
+	w.idle.Broadcast()
+	return err
+}
+
+// applyCheckpoint writes the plan's images to the base, makes them and the
+// base allocator durable, writes the watermark and makes it durable, then
+// truncates the log. durable reports that the watermark is.
+func (w *WALStore) applyCheckpoint(cp *checkpointPlan) (durable bool, err error) {
+	for i, id := range cp.ids {
+		if err := w.base.Write(&Page{ID: id, Data: cp.imgs[i]}); err != nil {
+			return false, fmt.Errorf("pager: checkpoint page %d: %w", id, err)
+		}
+	}
+	// The watermark goes down only after the allocator sync, so the
+	// durable allocator is never behind it.
 	if err := w.baseSync(); err != nil {
-		return fmt.Errorf("pager: checkpoint sync: %w", err)
+		return false, fmt.Errorf("pager: checkpoint sync: %w", err)
 	}
-	// 3. Advance the watermark — only now, so the durable allocator is
-	// never behind it — and make it durable.
-	w.appliedLSN = w.nextLSN - 1
-	if err := w.writeMetaPage(); err != nil {
-		return err
+	if err := w.writeMetaPage(cp.lsn, cp.seq); err != nil {
+		return false, err
 	}
 	if err := w.baseSync(); err != nil {
-		return fmt.Errorf("pager: checkpoint meta sync: %w", err)
+		return false, fmt.Errorf("pager: checkpoint meta sync: %w", err)
 	}
-	// 4. Everything in the log is applied and durable; drop it. The table
-	// is clear even if truncation fails — the watermark covers the stale
-	// records and recovery will skip them.
-	w.table = make(map[PageID][]byte)
 	if err := w.log.Truncate(walHeaderLen); err != nil {
-		return fmt.Errorf("pager: checkpoint truncate: %w", err)
+		return true, fmt.Errorf("pager: checkpoint truncate: %w", err)
 	}
 	if err := w.log.Sync(); err != nil {
-		return fmt.Errorf("pager: checkpoint truncate sync: %w", err)
+		return true, fmt.Errorf("pager: checkpoint truncate sync: %w", err)
 	}
-	w.logSize = walHeaderLen
-	return nil
+	return true, nil
 }
 
 // Close checkpoints and closes the log (the base store remains the
 // caller's to close). An open batch is rolled back first.
 func (w *WALStore) Close() error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
+	for w.checkpointing {
+		w.idle.Wait()
+	}
 	if w.done {
+		w.mu.Unlock()
 		return nil
 	}
 	var errs []error
@@ -1142,13 +1222,17 @@ func (w *WALStore) Close() error {
 			errs = append(errs, err)
 		}
 	}
+	var cp *checkpointPlan
 	if w.fail == nil {
-		//mobidxlint:allow lockorder -- by design: the close checkpoint holds the latch across base-sync + truncate; the store is shutting down, nothing else can make progress anyway
-		if err := w.checkpointLocked(); err != nil {
-			errs = append(errs, err)
-		}
+		cp = w.planCheckpointLocked()
 	}
+	// Closed from here on: the final checkpoint's I/O phase runs without
+	// the latch, and nothing may begin a batch or read behind it.
 	w.done = true
+	w.mu.Unlock()
+	if err := w.runCheckpoint(cp); err != nil {
+		errs = append(errs, err)
+	}
 	if err := w.log.Close(); err != nil {
 		errs = append(errs, err)
 	}

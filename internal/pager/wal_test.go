@@ -285,7 +285,7 @@ func TestWALCheckpointTruncatesAndPersists(t *testing.T) {
 func TestWALAutoCheckpointBoundsLog(t *testing.T) {
 	base := NewMemStore(walTestPageSize)
 	limit := int64(4 * walTestPageSize)
-	w := openTestWAL(t, base, NewMemLog(), WALConfig{AutoCheckpointBytes: limit})
+	w := openTestWAL(t, base, NewMemLog(), WALConfig{})
 
 	p, err := w.Allocate()
 	if err != nil {
@@ -298,6 +298,9 @@ func TestWALAutoCheckpointBoundsLog(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if err := w.Write(&Page{ID: p.ID, Data: walPattern(walTestPageSize, byte(i))}); err != nil {
 			t.Fatalf("Write %d: %v", i, err)
+		}
+		if err := w.CheckpointIfDue(limit); err != nil {
+			t.Fatalf("CheckpointIfDue %d: %v", i, err)
 		}
 		if got := w.LogSize(); got > limit+slack {
 			t.Fatalf("log grew unbounded: %d bytes after write %d (limit %d)", got, i, limit)
@@ -569,7 +572,7 @@ func TestWALThroughChecksumAndRetry(t *testing.T) {
 
 func TestWALConcurrentSingleOps(t *testing.T) {
 	base := NewMemStore(walTestPageSize)
-	w := openTestWAL(t, base, NewMemLog(), WALConfig{AutoCheckpointBytes: 64 * walTestPageSize})
+	w := openTestWAL(t, base, NewMemLog(), WALConfig{})
 
 	const workers = 8
 	ids := make([]PageID, workers)
@@ -588,6 +591,12 @@ func TestWALConcurrentSingleOps(t *testing.T) {
 			for k := 0; k < 50; k++ {
 				if err := w.Write(&Page{ID: id, Data: walPattern(walTestPageSize, tag)}); err != nil {
 					t.Errorf("Write: %v", err)
+					return
+				}
+				// Checkpoints race the other workers' batches: one that
+				// finds a batch open skips, and a Begin waits for one.
+				if err := w.CheckpointIfDue(64 * walTestPageSize); err != nil {
+					t.Errorf("CheckpointIfDue: %v", err)
 					return
 				}
 				if _, err := w.Read(id); err != nil {

@@ -41,7 +41,9 @@ type Config struct {
 	// noticing. Wrappers should forward Batcher (FaultStore does) so the
 	// shard's atomic write batches keep their semantics.
 	WrapStore func(pager.Store) pager.Store
-	// AutoCheckpointBytes bounds the shard's WAL (0 disables).
+	// AutoCheckpointBytes bounds the shard's WAL (0 disables): a write
+	// batch that leaves the log at or beyond it checkpoints before Apply
+	// or BulkLoad returns, with queries still served.
 	AutoCheckpointBytes int64
 	// Ingest, when non-nil, puts a log-structured write tier in front of
 	// the shard's index: Apply lands ops in the tier's memtable instead of
@@ -100,19 +102,22 @@ var ErrShardDown = errors.New("shard: shard down")
 
 // Shard is one partition's server: a Dual-B+ index over a write-ahead-
 // logged private store, behind a context-aware interface. Queries share a
-// read latch; Apply/BulkLoad take the write latch and run as one atomic
-// WAL batch — a failed batch leaves no durable trace and quarantines the
-// shard (see Health). Every batch also rewrites the shard's superblock
-// and appends to its motion catalog (see durable.go), so Open can recover
-// the shard from its surviving base store and log alone.
+// read latch; Apply/BulkLoad take the writer latch, then the write latch,
+// and run as one atomic WAL batch — a failed batch leaves no durable trace
+// and quarantines the shard (see Health). Every batch also rewrites the
+// shard's superblock and appends to its motion catalog (see durable.go),
+// so Open can recover the shard from its surviving base store and log
+// alone. The checkpoint a batch makes due runs after the write latch is
+// released, under the writer latch alone, so queries keep flowing.
 type Shard struct {
-	id    int
-	wal   *pager.WALStore
-	store pager.Store // the index's store: the WAL, possibly wrapped (Config.WrapStore)
-	ix    *core.DualBPlus
-	exec  *core.Executor     // single worker: sequential pieces, ctx-checked between them
-	sb    *pager.RecordChain // superblock
-	cat   *catalog           // durable motion log
+	id       int
+	wal      *pager.WALStore
+	autoCkpt int64       // Config.AutoCheckpointBytes
+	store    pager.Store // the index's store: the WAL, possibly wrapped (Config.WrapStore)
+	ix       *core.DualBPlus
+	exec     *core.Executor     // single worker: sequential pieces, ctx-checked between them
+	sb       *pager.RecordChain // superblock
+	cat      *catalog           // durable motion log
 
 	// tier is the optional write tier (Config.Ingest); when non-nil the
 	// write path stages into it and queries go through it. flushed mirrors
@@ -131,7 +136,11 @@ type Shard struct {
 	// path (subErr), never the index.
 	subs *subscribe.Engine
 
-	mu sync.RWMutex // serving latch: Query RLock, Apply/BulkLoad Lock
+	// wmu is the writer latch: Apply, BulkLoad, Checkpoint and Close hold
+	// it, taken before mu, so writers and checkpoints run one at a time
+	// while mu is held only across what readers must not see half done.
+	wmu sync.Mutex
+	mu  sync.RWMutex // serving latch: Query RLock, Apply/BulkLoad Lock
 
 	stateMu     sync.Mutex
 	consecFails int
@@ -158,7 +167,7 @@ func New(cfg Config) (*Shard, error) {
 // initializes itself with one atomic batch. Either way the shard serves
 // exactly the last committed batch's state.
 func Open(cfg Config, base pager.Store, log pager.LogFile) (*Shard, error) {
-	wal, err := pager.OpenWALStore(base, log, pager.WALConfig{AutoCheckpointBytes: cfg.AutoCheckpointBytes})
+	wal, err := pager.OpenWALStore(base, log, pager.WALConfig{})
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: open wal: %w", cfg.ID, err)
 	}
@@ -200,7 +209,7 @@ func openOn(cfg Config, wal *pager.WALStore, store pager.Store) (*Shard, error) 
 			return nil, fmt.Errorf("shard %d: flushed watermark %d past %d catalog records: %w",
 				cfg.ID, flushed, cat.records, pager.ErrPageCorrupt)
 		}
-		s := &Shard{id: cfg.ID, wal: wal, store: store, ix: ix,
+		s := &Shard{id: cfg.ID, wal: wal, autoCkpt: cfg.AutoCheckpointBytes, store: store, ix: ix,
 			exec: core.NewExecutor(1), sb: sb, cat: cat, flushed: flushed}
 		if cfg.Ingest != nil {
 			// Reattach the write tier: the base index covers the catalog's
@@ -249,7 +258,7 @@ func openOn(cfg Config, wal *pager.WALStore, store pager.Store) (*Shard, error) 
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: subscription engine: %w", cfg.ID, err)
 		}
-		s := &Shard{id: cfg.ID, wal: wal, store: store, ix: ix,
+		s := &Shard{id: cfg.ID, wal: wal, autoCkpt: cfg.AutoCheckpointBytes, store: store, ix: ix,
 			exec: core.NewExecutor(1), subs: eng}
 		if cfg.Ingest != nil {
 			tier, terr := ingest.New(ix, cfg.Ingest.tierConfig(cfg.Terrain))
@@ -267,6 +276,9 @@ func openOn(cfg Config, wal *pager.WALStore, store pager.Store) (*Shard, error) 
 			}
 			return s.saveMeta()
 		})
+		if err == nil {
+			err = wal.CheckpointIfDue(s.autoCkpt)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: initialize: %w", cfg.ID, err)
 		}
@@ -384,7 +396,9 @@ func (s *Shard) Query(ctx context.Context, q dual.MORQuery) ([]dual.OID, error) 
 // on. The context is checked between ops; a cancellation that arrives
 // before the first op rolls back cleanly without quarantining, one that
 // arrives mid-batch quarantines like any other failure (the in-memory
-// index already diverged from the rolled-back pages).
+// index already diverged from the rolled-back pages). A nil return means
+// the batch is durable; the checkpoint it may make due runs before Apply
+// returns, and its failure does not undo that (see checkpointIfDue).
 func (s *Shard) Apply(ctx context.Context, ops []Op) error {
 	if err := s.down(); err != nil {
 		return err
@@ -392,6 +406,17 @@ func (s *Shard) Apply(ctx context.Context, ops []Op) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	err := s.apply(ctx, ops)
+	if err == nil {
+		s.checkpointIfDue()
+	}
+	return err
+}
+
+// apply is Apply's batch under the write latch (caller holds wmu).
+func (s *Shard) apply(ctx context.Context, ops []Op) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	applied := 0
@@ -441,6 +466,19 @@ func (s *Shard) Apply(ctx context.Context, ops []Op) error {
 	return err
 }
 
+// checkpointIfDue runs the checkpoint a committed batch made due (caller
+// holds wmu, not mu): the WAL's I/O runs while queries read the committed
+// table. The batch is durable whatever happens here, so a failure is not
+// reported to the writer, who would retry and apply it twice; it
+// quarantines the shard like a failed batch, and Health reports it.
+func (s *Shard) checkpointIfDue() {
+	if err := s.wal.CheckpointIfDue(s.autoCkpt); err != nil {
+		err = fmt.Errorf("shard %d: checkpoint: %w", s.id, err)
+		s.quarantine(err)
+		s.observe(err)
+	}
+}
+
 // applyTier is Apply's batch body on the ingest path: ops stage into the
 // write tier (validated with the same discipline the flat path's
 // Insert/Delete enforce) and the catalog logs the delta without
@@ -476,7 +514,7 @@ func (s *Shard) applyTier(ctx context.Context, ops []Op, applied *int) error {
 
 // BulkLoad atomically replaces the shard's contents with ms (one WAL
 // batch, bottom-up builders — see core.DualBPlus.BulkLoad). Like Apply, a
-// failure quarantines the shard.
+// failure quarantines the shard, and a due checkpoint follows a success.
 func (s *Shard) BulkLoad(ctx context.Context, ms []dual.Motion) error {
 	if err := s.down(); err != nil {
 		return err
@@ -484,6 +522,17 @@ func (s *Shard) BulkLoad(ctx context.Context, ms []dual.Motion) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	err := s.bulkLoad(ms)
+	if err == nil {
+		s.checkpointIfDue()
+	}
+	return err
+}
+
+// bulkLoad is BulkLoad's batch under the write latch (caller holds wmu).
+func (s *Shard) bulkLoad(ms []dual.Motion) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	err := pager.RunBatch(s.store, func() error {
@@ -545,13 +594,13 @@ func (s *Shard) Motions() ([]dual.Motion, error) {
 
 // Checkpoint folds the shard's committed WAL into its base store and
 // truncates the log — the idle-time compaction hook; recovery works with
-// or without it.
+// or without it. It holds the writer latch only, so queries keep running.
 func (s *Shard) Checkpoint() error {
 	if err := s.down(); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	return s.wal.Checkpoint()
 }
 
@@ -670,6 +719,8 @@ func (s *Shard) Close() error {
 	}
 	s.closed = true
 	s.stateMu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var terr error

@@ -179,7 +179,8 @@ func NewRetryStore(under Store, policy RetryPolicy) *pager.RetryStore {
 type (
 	// WALStore is the write-ahead-logged store.
 	WALStore = pager.WALStore
-	// WALConfig tunes the WAL (automatic checkpoint threshold).
+	// WALConfig configures the WAL; it has no fields. A writer bounds
+	// the log with WALStore.CheckpointIfDue after each commit.
 	WALConfig = pager.WALConfig
 	// LogFile is the append-only device a WALStore logs to.
 	LogFile = pager.LogFile

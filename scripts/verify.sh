@@ -92,6 +92,17 @@ echo "== ingest crash sweep (memtable-flush kill points x media modes, race-gate
 go test -race -count=1 -run 'TestIngestCrashSweep' ./internal/shard/chaostest
 go test -race -count=1 -run 'TestWALCommit' ./internal/pager
 
+echo "== checkpoint off the read path (race-gated) =="
+# A checkpoint parked inside a base Write or Sync must not stall readers:
+# a shard Query, WALStore View/Read/Snapshot, and a FileStore Read all
+# return while it is parked, a batch begun meanwhile waits and lands after
+# it, and a failed checkpoint still acknowledges the durable batch that
+# made it due. Each deadlocks or times out if the I/O runs under a latch
+# readers take.
+go test -race -count=1 -run 'TestWALCheckpointIOPhase|TestFileStoreReadDuringSync' ./internal/pager
+go test -race -count=1 -run 'TestShardQueryDuringCheckpoint|TestShardCheckpointFailureAcksBatch' \
+	./internal/shard
+
 echo "== stress matrix (GOMAXPROCS=1,4) =="
 # The concurrency tests must hold both when goroutines interleave on one
 # processor (maximal context-switch churn) and when they run truly in
