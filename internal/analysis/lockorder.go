@@ -34,14 +34,17 @@ import (
 // spot: a cycle that closes through a callback or an interface cannot
 // be seen here).
 //
-// The serving stack's latch hierarchy is shard writer latch (Shard.wmu) →
-// serving latch (Shard.mu) → WALStore.mu → FileStore.mu. The first edge
-// lies inside internal/shard and is checked here: taking the writer latch
-// under the serving latch is a cycle. The others cross packages, where
-// the hierarchy holds by construction — the pager never calls up into the
-// shard, and WALStore and FileStore hold their latches only across
-// in-memory work, parking a checkpoint's or a Sync's contenders on a
-// sync.Cond instead of across the I/O.
+// The serving stack's latch hierarchy is router topology latch
+// (Router.topoMu) → subscription feed latch (Router.feedMu) → shard
+// writer latch (Shard.wmu) → serving latch (Shard.mu) → WALStore.mu →
+// FileStore.mu, with the subscription engine's mutex below the feed
+// latch. The edges down to Shard.mu lie inside internal/shard and are
+// checked here: taking the feed latch under a shard latch, or the writer
+// latch under the serving latch, is a cycle. The others cross packages,
+// where the hierarchy holds by construction — the pager and the engine
+// never call up into the shard, and WALStore and FileStore hold their
+// latches only across in-memory work, parking a checkpoint's or a Sync's
+// contenders on a sync.Cond instead of across the I/O.
 var LockOrder = &Pass{
 	Name: "lockorder",
 	Doc:  "per-package lock-acquisition graph: no order cycles, no locks held across blocking calls",

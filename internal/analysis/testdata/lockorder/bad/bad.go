@@ -138,3 +138,23 @@ func (s *Server) Seed() {
 	s.wmu.Lock()
 	s.wmu.Unlock()
 }
+
+// Front takes its feed latch before the server's latches in Apply; Feed
+// takes it under the server's serving latch.
+type Front struct {
+	feedMu sync.RWMutex
+	srv    *Server
+}
+
+func (f *Front) Apply() {
+	f.feedMu.Lock()
+	defer f.feedMu.Unlock()
+	f.srv.Apply()
+}
+
+func (s *Server) Feed(f *Front) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f.feedMu.Lock()
+	f.feedMu.Unlock()
+}

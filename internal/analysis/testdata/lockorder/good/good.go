@@ -147,3 +147,26 @@ func (g *Gated) Checkpoint() error {
 	g.mu.Unlock()
 	return err
 }
+
+// Front is the router above the servers: its feed latch is taken before
+// any server latch — shared by writers while nothing is subscribed,
+// exclusive otherwise — and never under one.
+type Front struct {
+	feedMu sync.RWMutex
+	srv    *Server
+	subs   int
+}
+
+func (f *Front) Apply() {
+	f.feedMu.RLock()
+	if f.subs == 0 {
+		defer f.feedMu.RUnlock()
+		f.srv.Apply()
+		return
+	}
+	f.feedMu.RUnlock()
+	f.feedMu.Lock()
+	defer f.feedMu.Unlock()
+	f.srv.Apply()
+	f.subs++
+}

@@ -325,13 +325,17 @@ func (c *catalog) replay(prefix int) (ms []dual.Motion, suffix []Op, err error) 
 			ms = append(ms, m)
 		}
 	}
-	slices.SortFunc(ms, func(a, b dual.Motion) int {
-		if a.OID != b.OID { // nearly always: replicas aside, one motion per object
-			return cmp.Compare(a.OID, b.OID)
-		}
-		return cmp.Or(cmp.Compare(a.T0, b.T0), cmp.Compare(a.Y0, b.Y0), cmp.Compare(a.V, b.V))
-	})
+	slices.SortFunc(ms, compareMotions)
 	return ms, suffix, nil
+}
+
+// compareMotions is the catalog's enumeration order: by OID, then T0, Y0
+// and V.
+func compareMotions(a, b dual.Motion) int {
+	if a.OID != b.OID { // nearly always: replicas aside, one motion per object
+		return cmp.Compare(a.OID, b.OID)
+	}
+	return cmp.Or(cmp.Compare(a.T0, b.T0), cmp.Compare(a.Y0, b.Y0), cmp.Compare(a.V, b.V))
 }
 
 // motions replays the whole log into the live motion multiset.

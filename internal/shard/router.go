@@ -13,6 +13,7 @@ import (
 	"mobidx/internal/core"
 	"mobidx/internal/dual"
 	"mobidx/internal/pager"
+	"mobidx/internal/subscribe"
 )
 
 // Policy is the router's per-shard failure policy. The zero value fans
@@ -205,9 +206,14 @@ type Router struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// Continuous-query state (see subrouter.go), created on first use.
-	subOnce  sync.Once
-	subState *subState
+	// The cluster's one continuous-query engine and its feed latch; under
+	// subMu, the standing queries and the shards the engine no longer
+	// vouches for, with why (see subrouter.go).
+	subs     *subscribe.Engine
+	feedMu   sync.RWMutex
+	subMu    sync.Mutex
+	standing map[subscribe.SubID]*routerSub
+	stale    map[*Shard]error
 
 	stQueries      atomic.Int64
 	stShardCalls   atomic.Int64
@@ -248,12 +254,19 @@ func NewRouter(shards []*Shard, part *Partitioner, exec *core.Executor, policy P
 	for i := range brk {
 		brk[i] = &breaker{}
 	}
+	subs, err := subscribe.New(subscribe.Config{})
+	if err != nil {
+		return nil, fmt.Errorf("shard: subscription engine: %w", err)
+	}
 	return &Router{
-		topo:   topology{part: part, shards: shards, brk: brk},
-		exec:   exec,
-		policy: policy,
-		now:    time.Now,
-		rng:    rand.New(rand.NewSource(seed)),
+		topo:     topology{part: part, shards: shards, brk: brk},
+		exec:     exec,
+		policy:   policy,
+		now:      time.Now,
+		rng:      rand.New(rand.NewSource(seed)),
+		subs:     subs,
+		standing: make(map[subscribe.SubID]*routerSub),
+		stale:    make(map[*Shard]error),
 	}, nil
 }
 
@@ -279,21 +292,36 @@ func (r *Router) Shard(i int) *Shard {
 // circuit breaker so the revived shard does not inherit the dead one's
 // tripped state, and returns the shard it replaced (the caller owns
 // closing it). It waits for in-flight operations against the old topology
-// to drain, so no query observes the swap halfway.
+// to drain, so no query observes the swap halfway. Standing queries are
+// then re-evaluated against what the shards hold (see reseedSubs) with
+// the topology latch shared again, so queries flow during the catalog
+// reads; the replaced shard stays marked stale until then, so no
+// subscription answers from before the swap.
 func (r *Router) ReplaceShard(i int, s *Shard) (*Shard, error) {
 	r.topoMu.Lock()
-	defer r.topoMu.Unlock()
 	if i < 0 || i >= len(r.topo.shards) {
-		return nil, fmt.Errorf("shard: replace band %d of %d", i, len(r.topo.shards))
+		n := len(r.topo.shards)
+		r.topoMu.Unlock()
+		return nil, fmt.Errorf("shard: replace band %d of %d", i, n)
 	}
 	old := r.topo.shards[i]
 	shards := append([]*Shard(nil), r.topo.shards...)
 	brk := append([]*breaker(nil), r.topo.brk...)
 	shards[i] = s
 	brk[i] = &breaker{}
+	r.markStale(r.topo, []int{i}, errors.New("replaced"))
 	r.topo = topology{part: r.topo.part, shards: shards, brk: brk}
 	r.stRevived.Add(1)
+	r.topoMu.Unlock()
+	r.reseedSubs()
 	return old, nil
+}
+
+// snapshot returns the current topology generation.
+func (r *Router) snapshot() topology {
+	r.topoMu.RLock()
+	defer r.topoMu.RUnlock()
+	return r.topo
 }
 
 // swapTopology runs fn with the current topology under the exclusive
@@ -301,19 +329,27 @@ func (r *Router) ReplaceShard(i int, s *Shard) (*Shard, error) {
 // and installs the returned one. fn returning an error leaves the old
 // topology in place. This is the migration flip's quiesce barrier; fn
 // must be short (delta catch-up plus manifest flip), as the whole cluster
-// blocks while it runs.
+// blocks while it runs. A swap made while a band is stale reseeds the
+// subscription engine afterwards, with the latch shared again.
 func (r *Router) swapTopology(fn func(old topology) (topology, error)) error {
 	r.topoMu.Lock()
-	defer r.topoMu.Unlock()
 	next, err := fn(r.topo)
-	if err != nil {
-		return err
-	}
-	if next.part == nil || len(next.shards) != next.part.N() || len(next.brk) != next.part.N() {
-		return fmt.Errorf("shard: swap to inconsistent topology (%d shards, %d breakers, %d bands)",
+	if err == nil && (next.part == nil || len(next.shards) != next.part.N() || len(next.brk) != next.part.N()) {
+		err = fmt.Errorf("shard: swap to inconsistent topology (%d shards, %d breakers, %d bands)",
 			len(next.shards), len(next.brk), next.part.N())
 	}
+	if err != nil {
+		r.topoMu.Unlock()
+		return err
+	}
 	r.topo = next
+	r.topoMu.Unlock()
+	r.subMu.Lock()
+	stale := len(r.stale) > 0
+	r.subMu.Unlock()
+	if stale {
+		r.reseedSubs()
+	}
 	return nil
 }
 
@@ -549,7 +585,11 @@ func (r *Router) attempt(ctx context.Context, s *Shard, q dual.MORQuery) ([]dual
 // batch. Writes do not degrade: a failed shard batch quarantines that
 // shard (see Shard.Apply) and Apply reports it in a *PartialError — the
 // surviving shards applied their batches, the named partitions did not,
-// and reads will degrade around them from now on.
+// and reads will degrade around them from now on. With standing queries,
+// the ops some shard committed are then fed to the subscription engine
+// once, with every shard latch released (see feedApply). Writers share
+// the feed latch: two concurrent Applies of one object have no defined
+// order, on its replicas or in the engine.
 func (r *Router) Apply(ctx context.Context, ops []Op) error {
 	r.topoMu.RLock()
 	defer r.topoMu.RUnlock()
@@ -560,43 +600,27 @@ func (r *Router) Apply(ctx context.Context, ops []Op) error {
 			perShard[si] = append(perShard[si], op)
 		}
 	}
-	failures := make([]error, len(topo.shards))
-	var tasks []func() error
+	writes := make([]func() error, len(perShard))
 	for si, batch := range perShard {
-		if len(batch) == 0 {
-			continue
-		}
-		si, batch := si, batch
-		tasks = append(tasks, func() error {
-			if err := topo.shards[si].Apply(ctx, batch); err != nil {
-				if isCallerCtxErr(ctx, err) {
-					return err
-				}
-				failures[si] = err
-			}
-			return nil
-		})
-	}
-	if err := r.exec.RunCtx(ctx, tasks); err != nil {
-		return err
-	}
-	var missing []int
-	var causes []error
-	for si, err := range failures {
-		if err != nil {
-			missing = append(missing, si)
-			causes = append(causes, err)
+		if len(batch) > 0 {
+			s, batch := topo.shards[si], batch
+			writes[si] = func() error { return s.Apply(ctx, batch) }
 		}
 	}
-	if len(missing) > 0 {
-		return &PartialError{Missing: missing, Causes: causes}
+	r.feedMu.RLock()
+	defer r.feedMu.RUnlock()
+	ok, err := r.writeShards(ctx, writes)
+	if r.subs.Subs() > 0 {
+		r.feedApply(topo, ops, writes, ok, err)
 	}
-	return nil
+	return err
 }
 
 // BulkLoad splits ms by band assignment and bulk-loads every shard
 // concurrently, each as one atomic batch. Any failure is returned as a
-// *PartialError (failed shards are quarantined).
+// *PartialError (failed shards are quarantined). With standing queries,
+// the engine then resets to ms, emitting the net transitions (see
+// feedBulkLoad).
 func (r *Router) BulkLoad(ctx context.Context, ms []dual.Motion) error {
 	r.topoMu.RLock()
 	defer r.topoMu.RUnlock()
@@ -607,22 +631,46 @@ func (r *Router) BulkLoad(ctx context.Context, ms []dual.Motion) error {
 			perShard[si] = append(perShard[si], m)
 		}
 	}
-	failures := make([]error, len(topo.shards))
-	tasks := make([]func() error, len(topo.shards))
-	for si := range topo.shards {
-		si := si
-		tasks[si] = func() error {
-			if err := topo.shards[si].BulkLoad(ctx, perShard[si]); err != nil {
+	writes := make([]func() error, len(perShard))
+	for si, part := range perShard {
+		s, part := topo.shards[si], part
+		writes[si] = func() error { return s.BulkLoad(ctx, part) }
+	}
+	r.feedMu.RLock()
+	defer r.feedMu.RUnlock()
+	ok, err := r.writeShards(ctx, writes)
+	if r.subs.Subs() > 0 {
+		r.feedBulkLoad(topo, ms, writes, ok, err)
+	}
+	return err
+}
+
+// writeShards runs each shard's write concurrently (nil: that shard has
+// none). It reports which writes committed, and the shards whose write
+// failed in a *PartialError.
+func (r *Router) writeShards(ctx context.Context, writes []func() error) ([]bool, error) {
+	ok := make([]bool, len(writes))
+	failures := make([]error, len(writes))
+	var tasks []func() error
+	for si, w := range writes {
+		if w == nil {
+			continue
+		}
+		si, w := si, w
+		tasks = append(tasks, func() error {
+			if err := w(); err != nil {
 				if isCallerCtxErr(ctx, err) {
 					return err
 				}
 				failures[si] = err
+				return nil
 			}
+			ok[si] = true
 			return nil
-		}
+		})
 	}
 	if err := r.exec.RunCtx(ctx, tasks); err != nil {
-		return err
+		return ok, err
 	}
 	var missing []int
 	var causes []error
@@ -633,9 +681,9 @@ func (r *Router) BulkLoad(ctx context.Context, ms []dual.Motion) error {
 		}
 	}
 	if len(missing) > 0 {
-		return &PartialError{Missing: missing, Causes: causes}
+		return ok, &PartialError{Missing: missing, Causes: causes}
 	}
-	return nil
+	return ok, nil
 }
 
 // Degraded reports which shards are currently not serving (unhealthy or
@@ -657,11 +705,11 @@ func (r *Router) Degraded() []int {
 	return out
 }
 
-// Close shuts every shard down.
+// Close shuts every shard and the subscription engine down.
 func (r *Router) Close() error {
 	r.topoMu.Lock()
 	defer r.topoMu.Unlock()
-	var errs []error
+	errs := []error{r.subs.Close()}
 	for _, s := range r.topo.shards {
 		if err := s.Close(); err != nil {
 			errs = append(errs, err)

@@ -11,7 +11,6 @@ import (
 	"mobidx/internal/dual"
 	"mobidx/internal/ingest"
 	"mobidx/internal/pager"
-	"mobidx/internal/subscribe"
 )
 
 // Op is one motion mutation (see dual.Op).
@@ -126,16 +125,6 @@ type Shard struct {
 	tier    *ingest.Tier
 	flushed int
 
-	// subs is the shard's continuous-query matcher: standing queries over
-	// exactly the motions this shard holds (replicas included — the router
-	// deduplicates). It is serving state, not durable state, and it tracks
-	// motions only while it has standing queries: the first Subscribe seeds
-	// it from the catalog, Apply and BulkLoad feed it from then on, and the
-	// last Unsubscribe empties it — an idle engine holds nothing and costs
-	// the write path nothing. A failed feed only disables the subscription
-	// path (subErr), never the index.
-	subs *subscribe.Engine
-
 	// wmu is the writer latch: Apply, BulkLoad, Checkpoint and Close hold
 	// it, taken before mu, so writers and checkpoints run one at a time
 	// while mu is held only across what readers must not see half done.
@@ -147,7 +136,6 @@ type Shard struct {
 	lastErr     error
 	quarantined bool
 	closed      bool
-	subErr      error // first subscription-feed failure; sticky
 }
 
 // New builds a shard with a fresh in-memory store and WAL.
@@ -241,11 +229,6 @@ func openOn(cfg Config, wal *pager.WALStore, store pager.Store) (*Shard, error) 
 					cfg.ID, cat.live, ix.Len(), pager.ErrPageCorrupt)
 			}
 		}
-		eng, err := subscribe.New(subscribe.Config{})
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: subscription engine: %w", cfg.ID, err)
-		}
-		s.subs = eng
 		return s, nil
 
 	case errors.Is(err, pager.ErrChainNotFound):
@@ -254,12 +237,8 @@ func openOn(cfg Config, wal *pager.WALStore, store pager.Store) (*Shard, error) 
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: create index: %w", cfg.ID, err)
 		}
-		eng, err := subscribe.New(subscribe.Config{})
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: subscription engine: %w", cfg.ID, err)
-		}
 		s := &Shard{id: cfg.ID, wal: wal, autoCkpt: cfg.AutoCheckpointBytes, store: store, ix: ix,
-			exec: core.NewExecutor(1), subs: eng}
+			exec: core.NewExecutor(1)}
 		if cfg.Ingest != nil {
 			tier, terr := ingest.New(ix, cfg.Ingest.tierConfig(cfg.Terrain))
 			if terr != nil {
@@ -452,16 +431,6 @@ func (s *Shard) apply(ctx context.Context, ops []Op) error {
 	if err != nil && !ctxOnly {
 		s.quarantine(err)
 	}
-	if err == nil && s.subs.Subs() > 0 {
-		// The batch committed; feed the standing-query matcher (still under
-		// the write latch, so subscription state tracks the index exactly).
-		// A feed failure is a subscription-path failure only: the durable
-		// state is fine, so the shard keeps serving queries and writes, and
-		// subscription calls report the sticky subErr instead.
-		if ferr := s.subs.Apply(ops); ferr != nil {
-			s.failSubs(ferr)
-		}
-	}
 	s.observe(err)
 	return err
 }
@@ -556,13 +525,6 @@ func (s *Shard) bulkLoad(ms []dual.Motion) error {
 	if err != nil {
 		s.quarantine(err)
 	}
-	if err == nil && s.subs.Subs() > 0 {
-		// Contents replaced atomically; the matcher resets to match,
-		// emitting the net membership transitions.
-		if ferr := s.subs.Reset(ms); ferr != nil {
-			s.failSubs(ferr)
-		}
-	}
 	s.observe(err)
 	return err
 }
@@ -581,8 +543,8 @@ func (s *Shard) IngestStats() (ingest.Stats, bool) {
 // Motions enumerates the shard's live motions from its durable catalog,
 // sorted by (OID, T0, Y0, V). This is the exact record of what the shard
 // holds — the dual transform is not invertible in a way that preserves
-// residence intervals, so migration and peer rebuild read from here, not
-// from the trees.
+// residence intervals, so migration, peer rebuild and the router's
+// subscription seeding read from here, not from the trees.
 func (s *Shard) Motions() ([]dual.Motion, error) {
 	if err := s.down(); err != nil {
 		return nil, err
@@ -611,105 +573,6 @@ func (s *Shard) quarantine(cause error) {
 	s.stateMu.Unlock()
 }
 
-// failSubs records the first subscription-feed failure; the subscription
-// path refuses work from then on (the index path is unaffected).
-func (s *Shard) failSubs(cause error) {
-	s.stateMu.Lock()
-	if s.subErr == nil {
-		s.subErr = fmt.Errorf("shard %d: subscription feed: %w", s.id, cause)
-	}
-	s.stateMu.Unlock()
-}
-
-// subsDown gates the subscription path: the shard must be serving and the
-// matcher must not have fallen behind the index.
-func (s *Shard) subsDown() error {
-	if err := s.down(); err != nil {
-		return err
-	}
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	return s.subErr
-}
-
-// Subscribe registers a standing query [y1, y2] with the given sliding
-// window against this shard's partition; the current per-shard answer set
-// arrives as Enter deltas (see subscribe.Engine.Subscribe).
-//
-// Subscribe and Unsubscribe hold the write latch, so no Apply or BulkLoad
-// falls between the idle engine's seeding and the registration: the first
-// standing query pays one catalog read and one engine object per motion
-// the shard holds, with queries stalled meanwhile; later ones pay the
-// engine's own scan of its objects. A seeding failure fails this call only
-// and registers nothing.
-func (s *Shard) Subscribe(y1, y2, window float64) (subscribe.SubID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.subsDown(); err != nil {
-		return 0, err
-	}
-	if s.subs.Subs() == 0 {
-		ms, err := s.cat.motions()
-		if err == nil {
-			err = s.subs.Reset(ms)
-		}
-		if err != nil {
-			return 0, fmt.Errorf("shard %d: seed subscriptions: %w", s.id, err)
-		}
-	}
-	id, err := s.subs.Subscribe(y1, y2, window)
-	if err != nil {
-		return 0, errors.Join(err, s.dropIdleSubs())
-	}
-	return id, nil
-}
-
-// Unsubscribe tears a shard-level standing query down; the last one takes
-// the engine's copy of the shard's motions with it.
-func (s *Shard) Unsubscribe(id subscribe.SubID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.subsDown(); err != nil {
-		return err
-	}
-	return errors.Join(s.subs.Unsubscribe(id), s.dropIdleSubs())
-}
-
-// dropIdleSubs empties an engine that has no standing query left.
-func (s *Shard) dropIdleSubs() error {
-	if s.subs.Subs() > 0 {
-		return nil
-	}
-	return s.subs.Reset(nil)
-}
-
-// AdvanceSubs moves the shard's subscription clock to now, firing kinetic
-// boundary crossings (see subscribe.Engine.Advance).
-func (s *Shard) AdvanceSubs(now float64) error {
-	if err := s.subsDown(); err != nil {
-		return err
-	}
-	return s.subs.Advance(now)
-}
-
-// DrainSubs returns a shard-level subscription's accumulated deltas in
-// emission order.
-func (s *Shard) DrainSubs(id subscribe.SubID) ([]subscribe.Delta, error) {
-	if err := s.subsDown(); err != nil {
-		return nil, err
-	}
-	return s.subs.Drain(id)
-}
-
-// SubMembers returns a shard-level subscription's current answer set over
-// this shard's partition, sorted.
-func (s *Shard) SubMembers(id subscribe.SubID) ([]dual.OID, error) {
-	if err := s.subsDown(); err != nil {
-		return nil, err
-	}
-	return s.subs.Members(id)
-}
-
 // Close shuts the shard down; further operations fail with ErrShardDown.
 func (s *Shard) Close() error {
 	s.stateMu.Lock()
@@ -727,5 +590,5 @@ func (s *Shard) Close() error {
 	if s.tier != nil {
 		terr = s.tier.Close()
 	}
-	return errors.Join(terr, s.subs.Close(), s.wal.Close())
+	return errors.Join(terr, s.wal.Close())
 }

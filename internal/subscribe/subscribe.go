@@ -32,8 +32,14 @@
 // deterministic (affected subscriptions in SubID order per re-evaluation,
 // certificate events in agenda order). Subscriptions are serving-side
 // state, not durable state: the query trees live on a private in-memory
-// store, and a shard seeds its engine via Reset when the first standing
-// query arrives (and again when a bulk load replaces its contents).
+// store, and the sharded router seeds its one engine via Reset when the
+// first standing query arrives (and again when a bulk load or a revived
+// shard replaces what the cluster holds).
+//
+// The scans that visit every object — a new subscription's initial
+// answer set, Unsubscribe, Members — range over a dense list of the
+// objects rather than the OID map, whose iteration cost a third of a
+// Subscribe.
 //
 // Membership is kept in ordered slices, not maps. Every subscription
 // owns a slot in a dense, free-listed table (bounded by the live
@@ -130,6 +136,7 @@ var ErrUnknownSub = errors.New("subscribe: unknown subscription")
 // object is the engine's view of one mobile object.
 type object struct {
 	m        dual.Motion
+	at       int      // index in Engine.all
 	member   []uint32 // slots of the subscriptions containing it, ascending
 	certTime float64  // scheduled certificate time (+Inf: none)
 	certVer  uint64   // stamp of the one live agenda event
@@ -150,6 +157,7 @@ type Engine struct {
 	mu      sync.Mutex
 	store   pager.Store // private in-memory store for the query trees
 	objects map[dual.OID]*object
+	all     []*object               // the objects again, dense: the scans visiting every one range here
 	classes map[uint64]*windowClass // keyed by math.Float64bits(window)
 	subs    map[SubID]*sub
 	slots   []*sub   // dense subscription table; nil where free
@@ -288,12 +296,14 @@ func (e *Engine) subscribe(y1, y2, window float64, buf int) (SubID, <-chan Delta
 	// enters, in OID order, and any object whose boundary against the new
 	// query precedes its scheduled certificate gets an earlier one —
 	// without this, a crossing of the new query's edges before the next
-	// unrelated event would be missed. The certificates are armed in map
-	// order: the agenda pops by (Time, OID, Ver), a total order, so the
-	// order events were pushed in cannot show in the order they fire.
+	// unrelated event would be missed. The certificates are armed in the
+	// dense list's order: the agenda pops by (Time, OID, Ver), a total
+	// order, so the order events were pushed in cannot show in the order
+	// they fire.
 	q := dual.MORQuery{Y1: y1, Y2: y2, T1: e.now, T2: e.now + window}
 	var oids []dual.OID
-	for oid, o := range e.objects {
+	for _, o := range e.all {
+		oid := o.m.OID
 		if o.m.Matches(q) {
 			at, _ := slices.BinarySearch(o.member, s.slot)
 			o.member = slices.Insert(o.member, at, s.slot)
@@ -354,7 +364,7 @@ func (e *Engine) Unsubscribe(id SubID) error {
 	if err := s.class.remove(s); err != nil {
 		return fmt.Errorf("subscribe: unsubscribe %d: %w", id, err)
 	}
-	for _, o := range e.objects {
+	for _, o := range e.all {
 		if at, ok := slices.BinarySearch(o.member, s.slot); ok {
 			o.member = slices.Delete(o.member, at, at+1)
 		}
@@ -469,9 +479,9 @@ func (e *Engine) Members(id SubID) ([]dual.OID, error) {
 		return nil, fmt.Errorf("subscribe: members %d: %w", id, ErrUnknownSub)
 	}
 	var out []dual.OID
-	for oid, o := range e.objects {
+	for _, o := range e.all {
 		if _, ok := slices.BinarySearch(o.member, s.slot); ok {
-			out = append(out, oid)
+			out = append(out, o.m.OID)
 		}
 	}
 	slices.Sort(out)
@@ -481,8 +491,8 @@ func (e *Engine) Members(id SubID) ([]dual.OID, error) {
 // Reset replaces the tracked motion population with ms (last motion wins
 // on duplicate OIDs), re-evaluating every standing query: objects that
 // disappear emit Leave, (re)loaded objects emit their net transitions.
-// This is the bulk-load/recovery hook — the shard calls it when its index
-// contents are atomically replaced.
+// This is the bulk-load/recovery hook — the router calls it when the
+// cluster's contents are replaced.
 func (e *Engine) Reset(ms []dual.Motion) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -491,8 +501,9 @@ func (e *Engine) Reset(ms []dual.Motion) error {
 	}
 	if len(e.subs) == 0 {
 		// No standing query can see the old population leave: drop it
-		// wholesale. This is how a shard seeds and empties an idle engine.
+		// wholesale. This is how the router seeds and empties an idle engine.
 		e.objects = make(map[dual.OID]*object, len(ms))
+		e.all = nil
 		e.agenda = kinetic.NewAgenda()
 	} else {
 		keep := make(map[dual.OID]struct{}, len(ms))
@@ -500,9 +511,9 @@ func (e *Engine) Reset(ms []dual.Motion) error {
 			keep[m.OID] = struct{}{}
 		}
 		gone := make([]dual.OID, 0)
-		for oid := range e.objects {
-			if _, ok := keep[oid]; !ok {
-				gone = append(gone, oid)
+		for _, o := range e.all {
+			if _, ok := keep[o.m.OID]; !ok {
+				gone = append(gone, o.m.OID)
 			}
 		}
 		slices.Sort(gone)
@@ -546,6 +557,7 @@ func (e *Engine) Close() error {
 	e.subs = nil
 	e.slots = nil
 	e.objects = nil
+	e.all = nil
 	e.classes = nil
 	e.agenda = nil
 	return errors.Join(errs...)
@@ -574,8 +586,9 @@ func (e *Engine) upsert(m dual.Motion) error {
 	}
 	o := e.objects[m.OID]
 	if o == nil {
-		o = &object{certTime: math.Inf(1)}
+		o = &object{at: len(e.all), certTime: math.Inf(1)}
 		e.objects[m.OID] = o
+		e.all = append(e.all, o)
 	}
 	o.m = m
 	e.stats.Updates++
@@ -597,6 +610,10 @@ func (e *Engine) remove(oid dual.OID) {
 		e.emit(e.slots[slot], oid, Leave)
 	}
 	delete(e.objects, oid) // orphans the agenda event; pop skips it
+	last := e.all[len(e.all)-1]
+	e.all[o.at], last.at = last, o.at
+	e.all[len(e.all)-1] = nil
+	e.all = e.all[:len(e.all)-1]
 	e.stats.Removes++
 }
 

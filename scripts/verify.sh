@@ -55,12 +55,15 @@ echo "== subscription storm (leak + race gated) =="
 # The continuous-query engine under a live update storm: concurrent
 # subscribe/unsubscribe/update/advance stress, Unsubscribe and Close
 # mid-storm with leakcheck asserting no goroutine survives, and the
-# differential oracle suite (churn leg included); then one shard under
-# concurrent Apply x Subscribe x Unsubscribe x Query, where the first
-# Subscribe seeds the idle engine and the last Unsubscribe empties it.
+# differential oracle suite (churn leg included); then the router's one
+# engine under concurrent Apply x Subscribe x Unsubscribe x Query, where
+# the first Subscribe seeds the idle engine and the last Unsubscribe
+# empties it, through live splits, revives and a failed write, and with
+# readers running while a write holds the feed latch.
 # -count=1 defeats the cache so the race detector really runs.
 go test -race -count=1 -run 'Storm|Stress|Differential|Leak' ./internal/subscribe
-go test -race -count=1 -run 'TestSubscribeStormOnShard' ./internal/shard
+go test -race -count=1 -run 'TestSubscribeStormOnRouter|TestSubscriptionsSurviveTopologyChanges|TestSubscriptionFeedFailure|TestQueryDuringSubscriptionFeed|TestWritesShareFeedLatch|TestRouterWriteCancelledKeepsSubs' \
+	./internal/shard
 
 echo "== chaos sweep (topology x fault x policy, race-gated) =="
 # The sharded-serving chaos harness: every topology through every fault
