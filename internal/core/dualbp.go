@@ -91,9 +91,11 @@ func (d *DualBPlus) Generations() int { return d.rot.Generations() }
 
 // LastQueryCandidates reports how many index entries the most recent Query
 // scanned before exact filtering — the quantity whose excess over the true
-// answer is the approximation error K' of Lemma 1. The counter is atomic;
-// under concurrent queries it aggregates all of them (each Query resets
-// it), so per-query readings are only meaningful for serialized queries.
+// answer is the approximation error K' of Lemma 1. Each query piece counts
+// its scanned entries locally and publishes the total once, when the piece
+// returns, to an atomic counter that every query resets at its start; a
+// serialized query therefore reads exactly its own scanned entries, while
+// under concurrent queries the counter aggregates all of them.
 func (d *DualBPlus) LastQueryCandidates() int { return int(d.candidates.Load()) }
 
 // Query implements Index1D, deduplicating across decomposed subqueries.
@@ -165,9 +167,13 @@ type dualBPGen struct {
 	cand *atomic.Int64 // owner's candidate counter (may be nil)
 }
 
-func (g *dualBPGen) countCandidate() {
-	if g.cand != nil {
-		g.cand.Add(1)
+// publishCandidates adds one piece's scanned-entry total to the owner's
+// counter. A scan counts into a local and publishes once when it returns,
+// so concurrent queries share one write per piece instead of one per
+// entry on the counter's cache line.
+func (g *dualBPGen) publishCandidates(n int64) {
+	if g.cand != nil && n > 0 {
+		g.cand.Add(n)
 	}
 }
 
@@ -310,11 +316,14 @@ func (g *dualBPGen) lemma1Split(q dual.MORQuery) (jLo, jHi int) {
 // subterrainScan answers the time-overlap subquery of one whole subterrain
 // exactly from its interval index.
 func (g *dualBPGen) subterrainScan(j int, q dual.MORQuery, emit func(dual.OID)) error {
-	return g.sub[j].Overlapping(q.T1-g.tref, q.T2-g.tref, func(_, _ float64, v uint64) bool {
-		g.countCandidate()
+	var n int64
+	err := g.sub[j].Overlapping(q.T1-g.tref, q.T2-g.tref, func(_, _ float64, v uint64) bool {
+		n++
 		emit(dual.OID(v))
 		return true
 	})
+	g.publishCandidates(n)
+	return err
 }
 
 // subqueries answers the MOR query per §3.5.2 as independent pieces: for a
@@ -366,14 +375,17 @@ func (g *dualBPGen) bestObservation(q dual.MORQuery) int {
 func (g *dualBPGen) signScan(q dual.MORQuery, obs int, positive bool, emit func(dual.OID)) error {
 	yr := g.yr(obs)
 	bLo, bHi := dual.HoughYRect(q, yr, g.cfg.Terrain, positive)
-	return g.obs(obs, positive).Range(bLo-g.tref, bHi-g.tref, func(e bptree.Entry) bool {
-		g.countCandidate()
+	var n int64
+	err := g.obs(obs, positive).Range(bLo-g.tref, bHi-g.tref, func(e bptree.Entry) bool {
+		n++
 		m := dual.MotionFromHoughY(dual.OID(e.Val), e.Aux, e.Key+g.tref, yr)
 		if m.Matches(q) {
 			emit(m.OID)
 		}
 		return true
 	})
+	g.publishCandidates(n)
+	return err
 }
 
 // smallQueryPieces answers a query whose spatial extent is at most one

@@ -116,8 +116,29 @@ type Tier struct {
 	stats  Stats
 
 	// Bloom-probe counters are atomic so point lookups and query-time
-	// masking can run under the read latch.
+	// masking can run under the read latch. A caller counts its probes in
+	// a local probeTally and publishes it once (see probeTally.publish).
 	runProbes, bloomSkips, bloomFalsePos atomic.Int64
+}
+
+// probeTally counts one caller's bloom probes: deltaLocked and
+// shadowedLocked bump it once per probed OID, and the caller publishes it
+// to the tier's shared counters once per query or lookup, so concurrent
+// queries do not contend on the counters' cache line per probe.
+type probeTally struct {
+	runProbes, bloomSkips, bloomFalsePos int64
+}
+
+func (p *probeTally) publish(t *Tier) {
+	if p.runProbes > 0 {
+		t.runProbes.Add(p.runProbes)
+	}
+	if p.bloomSkips > 0 {
+		t.bloomSkips.Add(p.bloomSkips)
+	}
+	if p.bloomFalsePos > 0 {
+		t.bloomFalsePos.Add(p.bloomFalsePos)
+	}
 }
 
 // New builds a tier over an empty base index.
@@ -163,46 +184,47 @@ func (t *Tier) ok() error {
 }
 
 // deltaLocked returns the newest delta for id across memtable and runs
-// (newest first), maintaining the bloom counters. Safe under the read
-// latch: the counters are atomic.
-func (t *Tier) deltaLocked(id dual.OID) (delta, bool) {
+// (newest first), counting its bloom probes into p. Safe under the read
+// latch: it writes only the caller's tally.
+func (t *Tier) deltaLocked(id dual.OID, p *probeTally) (delta, bool) {
 	if d, ok := t.mem[id]; ok {
 		return d, true
 	}
 	if len(t.runs) > 0 {
-		t.runProbes.Add(1)
+		p.runProbes++
 	}
 	for i := len(t.runs) - 1; i >= 0; i-- {
 		r := t.runs[i]
 		if !r.filter.MayContain(uint64(id)) {
-			t.bloomSkips.Add(1)
+			p.bloomSkips++
 			continue
 		}
 		if d, ok := r.get(id); ok {
 			return d, true
 		}
-		t.bloomFalsePos.Add(1)
+		p.bloomFalsePos++
 	}
 	return delta{}, false
 }
 
 // shadowedLocked reports whether a level newer than run i (the memtable,
 // or a later run) holds a delta for id — i.e. whether run i's entry for
-// id is stale. Blooms skip runs that cannot hold the key.
-func (t *Tier) shadowedLocked(id dual.OID, i int) bool {
+// id is stale. Blooms skip runs that cannot hold the key; the probes are
+// counted into p.
+func (t *Tier) shadowedLocked(id dual.OID, i int, p *probeTally) bool {
 	if _, ok := t.mem[id]; ok {
 		return true
 	}
 	for j := len(t.runs) - 1; j > i; j-- {
 		r := t.runs[j]
 		if !r.filter.MayContain(uint64(id)) {
-			t.bloomSkips.Add(1)
+			p.bloomSkips++
 			continue
 		}
 		if _, ok := r.get(id); ok {
 			return true
 		}
-		t.bloomFalsePos.Add(1)
+		p.bloomFalsePos++
 	}
 	return false
 }
@@ -217,9 +239,12 @@ func (t *Tier) baseMotionLocked(id dual.OID) (dual.Motion, bool) {
 }
 
 // currentLocked resolves id to its live motion, if any, across the whole
-// tier.
+// tier, publishing its probes once.
 func (t *Tier) currentLocked(id dual.OID) (dual.Motion, bool) {
-	if d, ok := t.deltaLocked(id); ok {
+	var p probeTally
+	d, ok := t.deltaLocked(id, &p)
+	p.publish(t)
+	if ok {
 		if d.tomb {
 			return dual.Motion{}, false
 		}
@@ -509,6 +534,8 @@ func (t *Tier) QueryParallelCtx(ctx context.Context, exec *core.Executor, q dual
 	if err := t.ok(); err != nil {
 		return nil, err
 	}
+	var probes probeTally
+	defer probes.publish(t)
 	// Mask base answers with a bloom-filtered point probe per OID: any
 	// delta entry for the OID is newer, so the base's version drops out
 	// (the delta's version decides below). Probing beats materializing a
@@ -525,7 +552,7 @@ func (t *Tier) QueryParallelCtx(ctx context.Context, exec *core.Executor, q dual
 				return nil, err
 			}
 			err := sq(func(id dual.OID) {
-				if _, m := t.deltaLocked(id); m {
+				if _, m := t.deltaLocked(id, &probes); m {
 					return
 				}
 				out = append(out, id)
@@ -541,7 +568,7 @@ func (t *Tier) QueryParallelCtx(ctx context.Context, exec *core.Executor, q dual
 		}
 		out = make([]dual.OID, 0, len(baseOIDs))
 		for _, id := range baseOIDs {
-			if _, m := t.deltaLocked(id); m {
+			if _, m := t.deltaLocked(id, &probes); m {
 				continue
 			}
 			out = append(out, id)
@@ -563,7 +590,7 @@ func (t *Tier) QueryParallelCtx(ctx context.Context, exec *core.Executor, q dual
 			if d.tomb || !d.m.Matches(q) {
 				continue
 			}
-			if t.shadowedLocked(id, i) {
+			if t.shadowedLocked(id, i, &probes) {
 				continue
 			}
 			out = append(out, id)

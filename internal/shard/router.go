@@ -581,8 +581,8 @@ func (r *Router) attempt(ctx context.Context, s *Shard, q dual.MORQuery) ([]dual
 }
 
 // Apply routes each op to every shard whose bands its motion touches and
-// applies the per-shard batches concurrently, each as one atomic WAL
-// batch. Writes do not degrade: a failed shard batch quarantines that
+// applies the per-shard batches through writeShards, each as one atomic
+// WAL batch. Writes do not degrade: a failed shard batch quarantines that
 // shard (see Shard.Apply) and Apply reports it in a *PartialError — the
 // surviving shards applied their batches, the named partitions did not,
 // and reads will degrade around them from now on. With standing queries,
@@ -617,7 +617,7 @@ func (r *Router) Apply(ctx context.Context, ops []Op) error {
 }
 
 // BulkLoad splits ms by band assignment and bulk-loads every shard
-// concurrently, each as one atomic batch. Any failure is returned as a
+// through writeShards, each as one atomic batch. Any failure is returned as a
 // *PartialError (failed shards are quarantined). With standing queries,
 // the engine then resets to ms, emitting the net transitions (see
 // feedBulkLoad).
@@ -645,8 +645,10 @@ func (r *Router) BulkLoad(ctx context.Context, ms []dual.Motion) error {
 	return err
 }
 
-// writeShards runs each shard's write concurrently (nil: that shard has
-// none). It reports which writes committed, and the shards whose write
+// writeShards runs each shard's write (nil: that shard has none) on the
+// router's executor: up to its worker bound at once, and on a one-worker
+// executor one shard after another, in shard order, on the calling
+// goroutine. It reports which writes committed, and the shards whose write
 // failed in a *PartialError.
 func (r *Router) writeShards(ctx context.Context, writes []func() error) ([]bool, error) {
 	ok := make([]bool, len(writes))

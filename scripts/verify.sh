@@ -136,8 +136,10 @@ go test -count=1 -run 'ZeroAlloc' ./internal/bptree ./internal/pager ./internal/
 echo "== bench smoke =="
 # One iteration of each benchmark: catches bit-rot in the benchmark code
 # (and the bulk-vs-incremental build paths it drives) without timing
-# anything.
-go test -run '^$' -bench . -benchtime=1x ./internal/bptree ./internal/pager ./internal/subscribe
+# anything. internal/core's BenchmarkQueryParallel is the standing guard
+# for reader contention: run it with -cpu 1,2 to time it.
+go test -run '^$' -bench . -benchtime=1x ./internal/bptree ./internal/pager ./internal/subscribe \
+	./internal/core
 
 echo "== mobbench smoke =="
 # cmd/mobbench has no test file: run its quickest sweep, and check that a
