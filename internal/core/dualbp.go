@@ -164,15 +164,14 @@ type dualBPGen struct {
 	neg  []*bptree.Tree // per observation line, v < 0
 	sub  []*interval.Index
 	size int
-	cand *atomic.Int64 // owner's candidate counter (may be nil)
+	cand *atomic.Int64 // owner's candidate counter
 }
 
 // publishCandidates adds one piece's scanned-entry total to the owner's
 // counter. A scan counts into a local and publishes once when it returns,
-// so concurrent queries share one write per piece instead of one per
-// entry on the counter's cache line.
+// so its loop never writes memory that concurrent queries share.
 func (g *dualBPGen) publishCandidates(n int64) {
-	if g.cand != nil && n > 0 {
+	if n > 0 {
 		g.cand.Add(n)
 	}
 }
