@@ -73,36 +73,3 @@ func testSurfacesStorageFaults(t *testing.T, sp space) {
 		}
 	}
 }
-
-// TestKDTreeRetryQuiescence checks full correctness once transient faults
-// are absorbed by the retry layer.
-func TestKDTreeRetryQuiescence(t *testing.T) {
-	eachSpace(t, testRetryQuiescence)
-}
-
-func testRetryQuiescence(t *testing.T, sp space) {
-	build := func(store pager.Store) int {
-		tr, err := New(store, sp.d, geom.Box{Hi: uniform(sp.d, 100)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 300; i++ {
-			if err := tr.Insert(latticePoint(sp.d, i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return len(search(t, tr, sp.box(uniform(sp.d, 10), uniform(sp.d, 60))))
-	}
-	want := build(pager.NewMemStore(256))
-	faulty := pager.NewFaultStore(pager.NewMemStore(256), pager.FaultConfig{
-		Seed: 9, Read: pager.OpFaults{FailProb: 0.2}, Write: pager.OpFaults{FailProb: 0.2},
-		Alloc: pager.OpFaults{FailProb: 0.2}, Transient: true,
-	})
-	got := build(pager.NewRetryStore(faulty, pager.RetryPolicy{MaxAttempts: 16}))
-	if got != want {
-		t.Fatalf("retry run found %d points, fault-free run %d", got, want)
-	}
-	if faulty.Counters().Total() == 0 {
-		t.Fatal("no faults injected; test is vacuous")
-	}
-}

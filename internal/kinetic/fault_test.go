@@ -53,46 +53,3 @@ func TestKineticSurfacesStorageFaults(t *testing.T) {
 		}
 	}
 }
-
-// TestKineticBuildRetryQuiescence: a build through the retry layer over a
-// transiently failing store must produce exactly the same answers as a
-// clean build.
-func TestKineticBuildRetryQuiescence(t *testing.T) {
-	objs := make([]Object, 150)
-	for i := range objs {
-		v := 0.2 + 0.2*float64(i%7)
-		if i%2 == 1 {
-			v = -v
-		}
-		objs[i] = Object{OID: dual.OID(i + 1), Y0: float64((i * 137) % 1000), V: v}
-	}
-	run := func(store pager.Store) []int {
-		s, err := Build(store, objs, 0, 60)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var counts []int
-		for _, q := range [][3]float64{{100, 300, 10}, {0, 1000, 0}, {400, 600, 55}} {
-			n := 0
-			if err := s.Query(q[0], q[1], q[2], func(dual.OID) { n++ }); err != nil {
-				t.Fatal(err)
-			}
-			counts = append(counts, n)
-		}
-		return counts
-	}
-	want := run(pager.NewMemStore(512))
-	faulty := pager.NewFaultStore(pager.NewMemStore(512), pager.FaultConfig{
-		Seed: 77, Read: pager.OpFaults{FailProb: 0.15}, Write: pager.OpFaults{FailProb: 0.15},
-		Alloc: pager.OpFaults{FailProb: 0.15}, Transient: true,
-	})
-	got := run(pager.NewRetryStore(faulty, pager.RetryPolicy{MaxAttempts: 16}))
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("query %d: %d results under retry, %d clean", i, got[i], want[i])
-		}
-	}
-	if faulty.Counters().Total() == 0 {
-		t.Fatal("no faults injected; test is vacuous")
-	}
-}

@@ -86,7 +86,7 @@ func (p *parkingStore) Sync() error {
 }
 
 // TestWALCheckpointIOPhase parks a checkpoint inside a base Write and then
-// inside a base Sync. Meanwhile View, Read and Snapshot().Read return the
+// inside a base Sync. Meanwhile View and Read return the
 // committed image without waiting, and a batch begun then waits: it
 // commits after the checkpoint, into the truncated log, and its records
 // survive a reopen.
@@ -117,13 +117,6 @@ func TestWALCheckpointIOPhase(t *testing.T) {
 				"View": func() ([]byte, error) { return w.View(p.ID) },
 				"Read": func() ([]byte, error) {
 					pg, err := w.Read(p.ID)
-					if err != nil {
-						return nil, err
-					}
-					return pg.Data, nil
-				},
-				"Snapshot().Read": func() ([]byte, error) {
-					pg, err := w.Snapshot().Read(p.ID)
 					if err != nil {
 						return nil, err
 					}

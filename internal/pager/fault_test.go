@@ -82,41 +82,6 @@ func TestFaultStoreTransientMarking(t *testing.T) {
 	}
 }
 
-func TestFaultStoreBitFlip(t *testing.T) {
-	under := NewMemStore(128)
-	fs := NewFaultStore(under, FaultConfig{Seed: 7, Read: OpFaults{FailEvery: 1}, BitFlips: true})
-	p, _ := fs.Allocate()
-	for i := range p.Data {
-		p.Data[i] = 0xAA
-	}
-	if err := fs.Write(p); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fs.Read(p.ID)
-	if err != nil {
-		t.Fatalf("bit flips must be silent, got error %v", err)
-	}
-	diff := 0
-	for i := range got.Data {
-		if got.Data[i] != 0xAA {
-			diff++
-		}
-	}
-	if diff != 1 {
-		t.Fatalf("%d corrupted bytes, want exactly 1", diff)
-	}
-	if fs.Counters().BitFlips != 1 {
-		t.Fatalf("counters = %+v", fs.Counters())
-	}
-	// The stored page is untouched; only the returned copy was flipped.
-	clean, _ := under.Read(p.ID)
-	for i := range clean.Data {
-		if clean.Data[i] != 0xAA {
-			t.Fatalf("underlying page corrupted at byte %d", i)
-		}
-	}
-}
-
 func TestFaultStoreTornWrite(t *testing.T) {
 	under := NewMemStore(128)
 	fs := NewFaultStore(under, FaultConfig{Seed: 3, Write: OpFaults{FailEvery: 2}, TornWrites: true})

@@ -6,8 +6,10 @@
 //
 //  1. no operation ever panics, whatever the store does;
 //  2. every storage failure surfaces to the caller as an error;
-//  3. a store that survives to quiescence (transient faults absorbed by a
-//     RetryStore) answers queries exactly as a fault-free store would.
+//  3. a store that survives to quiescence (transient faults absorbed by
+//     retrying) answers queries exactly as a fault-free store would, and
+//     a FileStore whose media flips or tears pages answers exactly or
+//     fails with ErrPageCorrupt.
 //
 // The workloads are deterministic: the same motions, updates and queries
 // every run, so a result fingerprint computed on a clean MemStore is the

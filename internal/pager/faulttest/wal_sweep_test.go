@@ -134,9 +134,8 @@ func TestWALFaultSweepPermanent(t *testing.T) {
 	}
 }
 
-// TestWALFaultSweepQuiescence composes WALStore(Retry(Fault(Mem))) with
-// transient faults in every class: the retry layer absorbs them beneath
-// the WAL, so every workload must complete and answer exactly as the
+// TestWALFaultSweepQuiescence composes WALStore(retrying(Fault(Mem))) with
+// transient faults in every class: retries absorb them beneath the WAL, so every workload must complete and answer exactly as the
 // fault-free baseline does. Auto-checkpointing runs throughout, exercising
 // the checkpoint path under the same fault pressure.
 func TestWALFaultSweepQuiescence(t *testing.T) {
@@ -152,8 +151,7 @@ func TestWALFaultSweepQuiescence(t *testing.T) {
 					Free:      pager.OpFaults{FailProb: rate},
 					Transient: true,
 				})
-				rs := pager.NewRetryStore(faulty, pager.RetryPolicy{MaxAttempts: 16})
-				ws, err := pager.OpenWALStore(rs, pager.NewMemLog(), pager.WALConfig{})
+				ws, err := pager.OpenWALStore(retrying{faulty}, pager.NewMemLog(), pager.WALConfig{})
 				if err != nil {
 					t.Fatalf("open wal over retry stack: %v", err)
 				}
@@ -162,7 +160,7 @@ func TestWALFaultSweepQuiescence(t *testing.T) {
 					t.Fatalf("panicked under transient faults: %v", pan)
 				}
 				if err != nil {
-					t.Fatalf("transient faults at rate %v escaped the retry layer: %v", rate, err)
+					t.Fatalf("transient faults at rate %v escaped the retries: %v", rate, err)
 				}
 				if faulty.Counters().Total() == 0 {
 					t.Fatalf("rate %v injected no faults; sweep is vacuous", rate)

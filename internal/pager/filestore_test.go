@@ -1,6 +1,7 @@
 package pager
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -299,22 +300,22 @@ func TestOpenFileStoreRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestFileStoreWithChecksumWrapper(t *testing.T) {
+// TestFileStoreDetectsBitRotAfterReopen writes a page, reopens the file,
+// reads it back, then flips one bit of the page on disk: the next reopen's
+// read must fail with ErrPageCorrupt.
+func TestFileStoreDetectsBitRotAfterReopen(t *testing.T) {
+	const ps = 256
 	path := filepath.Join(t.TempDir(), "store.db")
-	fs, err := NewFileStore(path, 256)
+	fs, err := NewFileStore(path, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := NewChecksumStore(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := cs.Allocate()
+	p, err := fs.Allocate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	fillPage(p, 0x3C)
-	if err := cs.Write(p); err != nil {
+	if err := fs.Write(p); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Close(); err != nil {
@@ -325,20 +326,17 @@ func TestFileStoreWithChecksumWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	cs2, err := NewChecksumStore(re)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := cs2.Read(p.ID)
+	got, err := re.Read(p.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPage(t, got, 0x3C)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// Flip one bit on disk; the checksum layer must catch it after reopen.
 	raw, _ := os.ReadFile(path)
-	raw[int(p.ID)*256+10] ^= 0x04
+	raw[int(p.ID)*(ps+trailerSize)+10] ^= 0x04
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -347,11 +345,7 @@ func TestFileStoreWithChecksumWrapper(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re2.Close()
-	cs3, err := NewChecksumStore(re2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cs3.Read(p.ID); !errors.Is(err, ErrPageCorrupt) {
+	if _, err := re2.Read(p.ID); !errors.Is(err, ErrPageCorrupt) {
 		t.Fatalf("bit rot on disk not detected: %v", err)
 	}
 }
@@ -370,7 +364,7 @@ func allocState(t *testing.T, img []byte, ps int) string {
 		t.Fatalf("reopen image: %v", err)
 	}
 	defer fs.Close()
-	end := PageID(len(img) / ps)
+	end := PageID(len(img) / (ps + trailerSize))
 	var live, free []PageID
 	for id := PageID(1); id < end; id++ {
 		if _, err := fs.Read(id); err == nil {
@@ -453,5 +447,32 @@ func TestFileStoreSyncCrashImages(t *testing.T) {
 		img := append([]byte(nil), img2...)
 		copy(img[c:ps], img1[c:ps])
 		check(fmt.Sprintf("page 0 torn at %d", c), img)
+	}
+}
+
+// A pages file of format v2 — slots of exactly one page, data pages
+// without trailers — is refused, not read as v3 slots.
+func TestOpenFileStoreRefusesV2(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.db")
+	fs, err := NewFileStore(path, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range [][]byte{raw[:64], raw[64:128]} {
+		binary.LittleEndian.PutUint32(rec[8:12], 2)
+		stampTrailer(rec)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFileStore(path); !errors.Is(err, ErrBadMeta) {
+		t.Fatalf("v2 pages file: %v, want ErrBadMeta", err)
 	}
 }

@@ -89,7 +89,7 @@ func (s *shareStack) checkHeld(t *testing.T, step string) {
 // Pool frames and WAL images are the same slices, so every one of them
 // must stay what it was when a reader took it: through rewrites inside a
 // batch, commit, checkpoint, a later write and a rollback. A wrapper that
-// builds its own page (ChecksumStore, a tearing FaultStore) drops the
+// builds its own page (copyingStore, a tearing FaultStore) drops the
 // frozen mark and the WAL copies as it always did; one that forwards the
 // *Page (FaultStore without a fault) shares.
 func TestSharedImagesStayImmutable(t *testing.T) {
@@ -101,13 +101,7 @@ func TestSharedImagesStayImmutable(t *testing.T) {
 		sharesMiss bool // so does a View miss
 	}{
 		{"direct", func(s Store) Store { return s }, true, true, true},
-		{"checksum", func(s Store) Store {
-			c, err := NewChecksumStore(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
-		}, false, false, false},
+		{"copying", func(s Store) Store { return copyingStore{s} }, false, false, false},
 		{"faultstore-quiet", func(s Store) Store { return NewFaultStore(s, FaultConfig{}) }, true, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -177,7 +171,7 @@ func TestSharedImagesStayImmutable(t *testing.T) {
 				t.Fatal("the first view no longer shows the first image")
 			}
 			// Read hands out private copies at every layer.
-			for _, read := range []func(PageID) (*Page, error){s.buf.Read, w.Read, w.Snapshot().Read} {
+			for _, read := range []func(PageID) (*Page, error){s.buf.Read, w.Read} {
 				pg, err := read(id)
 				if err != nil {
 					t.Fatal(err)
@@ -190,6 +184,14 @@ func TestSharedImagesStayImmutable(t *testing.T) {
 			s.checkHeld(t, "scribbling on Read results")
 		})
 	}
+}
+
+// copyingStore is a wrapper that writes a page of its own: a copy of the
+// caller's bytes, without the caller's frozen mark.
+type copyingStore struct{ Store }
+
+func (c copyingStore) Write(p *Page) error {
+	return c.Store.Write(&Page{ID: p.ID, Data: append([]byte(nil), p.Data...)})
 }
 
 // A torn write reaches the WAL as a page the FaultStore built, unmarked:

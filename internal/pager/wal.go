@@ -58,9 +58,9 @@
 //	                        it as the pool frame and passes it down in a
 //	                        Page marked Frozen
 //	[a wrapper]             forwarding the *Page keeps the mark; building a
-//	                        page of its own (ChecksumStore, a tearing
-//	                        FaultStore) drops it, and the store below
-//	                        copies, as for any unmarked page
+//	                        page of its own (a tearing FaultStore) drops
+//	                        it, and the store below copies, as for any
+//	                        unmarked page
 //	WALStore.Write          keeps the frozen slice as the batch's staged
 //	                        image: no copy
 //	Commit                  copies the image once more, into the pooled
@@ -320,8 +320,8 @@ type Syncer interface{ Sync() error }
 // force: Adopt makes a specific page id live, Disown returns it to the
 // free list. Both are no-ops when the page is already in the target state,
 // which makes log replay idempotent. MemStore and FileStore implement it;
-// ChecksumStore, FaultStore and RetryStore forward it. Buffered does not:
-// it sits above a WALStore, never below one.
+// FaultStore forwards it. Buffered does not: it sits above a WALStore,
+// never below one.
 type Adopter interface {
 	// Adopt makes id live. The page's contents are unspecified until
 	// written.
@@ -517,9 +517,9 @@ type walBatch struct {
 //
 // Batches are a single-writer protocol: Begin/Commit/Rollback pairs must
 // come from one goroutine at a time. Individual operations are safe for
-// concurrent use. Concurrent readers that must not observe the open
-// batch's staged state read through Snapshot(), which serves only
-// committed, checkpointed-or-replayed pages (see WALSnapshot).
+// concurrent use. Readers that must not observe the open batch's staged
+// state are excluded for the batch's span by the caller, as the shard's
+// serving latch does.
 type WALStore struct {
 	mu       sync.Mutex
 	idle     sync.Cond // on mu: broadcast when a checkpoint's I/O phase ends
@@ -664,13 +664,16 @@ func (w *WALStore) recover(size int64) error {
 	// its write mid-checkpoint) degrades to replay-from-zero, which the
 	// forcing replay semantics make safe; the next checkpoint rewrites it.
 	degraded := true
-	if mp, err := w.base.Read(w.metaPage); err == nil {
+	mp, werr := w.base.Read(w.metaPage)
+	if werr == nil {
 		d := mp.Data
 		if len(d) >= walMetaLen && string(d[0:8]) == walMetaMagic &&
 			binary.LittleEndian.Uint32(d[28:32]) == crc32.Checksum(d[:28], castagnoli) {
 			w.appliedLSN = binary.LittleEndian.Uint64(d[12:20])
 			w.seq = binary.LittleEndian.Uint64(d[20:28])
 			degraded = false
+		} else {
+			werr = fmt.Errorf("watermark page %d fails its check", w.metaPage)
 		}
 	}
 
@@ -734,7 +737,7 @@ func (w *WALStore) recover(size int64) error {
 		}
 	}
 	if degraded && len(batches) == 0 {
-		return fmt.Errorf("%w: watermark unreadable and no committed batch in log", ErrWALCorrupt)
+		return fmt.Errorf("%w: watermark unreadable and no committed batch in log: %w", ErrWALCorrupt, werr)
 	}
 	// Discard the torn/uncommitted tail.
 	if lastGood < size {
@@ -1359,48 +1362,6 @@ func (w *WALStore) View(id PageID) ([]byte, error) {
 		return ViewBytes(w.base, id)
 	}
 	return img, nil
-}
-
-// WALSnapshot is a read-only view of a WALStore that provides the
-// read-snapshot guarantee for concurrent query serving: its reads see only
-// committed state — the committed page table (pages whose batch has
-// committed but not yet checkpointed) or the base store (checkpointed or
-// replayed pages) — never the staged writes, allocations, or frees of a
-// batch that is still open. A batch's mutations become visible to the
-// snapshot atomically when Commit applies them (commit application runs
-// entirely under the store's latch).
-//
-// The view is live, not frozen: it always reflects the latest committed
-// state. Readers holding a WALSnapshot can therefore run concurrently
-// with a writer goroutine that is staging a batch, and each read observes
-// either the pre-batch or the post-commit image of a page, never a
-// mixture and never uncommitted bytes.
-type WALSnapshot struct {
-	w *WALStore
-}
-
-// Snapshot returns the committed-reads view of the store. The returned
-// view is valid for the lifetime of the store and is safe for concurrent
-// use by any number of readers.
-func (w *WALStore) Snapshot() *WALSnapshot { return &WALSnapshot{w: w} }
-
-// PageSize returns the store's page size.
-func (s *WALSnapshot) PageSize() int { return s.w.pageSize }
-
-// Read fetches the committed image of the page: the committed table if the
-// page has a not-yet-checkpointed image, else the base store. Pages that
-// exist only as uncommitted staged allocations are not found; pages staged
-// to be freed in an open batch are still served (the free has not
-// committed).
-func (s *WALSnapshot) Read(id PageID) (*Page, error) {
-	w := s.w
-	w.mu.Lock()
-	img, err := w.imageLocked(nil, id)
-	w.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return w.readImage(id, img)
 }
 
 // Write implements Store: inside a batch the image is staged (visible to

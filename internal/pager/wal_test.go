@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"mobidx/internal/pager/crashtest"
 )
 
 const walTestPageSize = 256
@@ -531,18 +533,27 @@ func TestWALRunBatchHelper(t *testing.T) {
 	}
 }
 
-func TestWALThroughChecksumAndRetry(t *testing.T) {
-	// The intended full stack: WAL on top, retry and checksum below, all
-	// over a fault-free MemStore. Exercises the Adopter/Syncer forwarding.
-	mem := NewMemStore(walTestPageSize + ChecksumTrailerSize)
-	cs, err := NewChecksumStore(mem)
-	if err != nil {
-		t.Fatalf("NewChecksumStore: %v", err)
+// TestWALOverChecksummedFileStore runs the served stack, a WALStore over a
+// FileStore, on one in-memory file: a checkpointed page reads back through
+// a reopen, and once a byte of its slot flips on the media the reopened
+// stack reports ErrPageCorrupt, since the truncated log holds no other
+// copy.
+func TestWALOverChecksummedFileStore(t *testing.T) {
+	media := crashtest.NewMedia(crashtest.KeepAll, 0)
+	pages, logFile := crashtest.NewFile(media), crashtest.NewFile(media)
+	open := func() *WALStore {
+		t.Helper()
+		fs, err := OpenFileStoreOn(pages, walTestPageSize)
+		if err != nil {
+			t.Fatalf("OpenFileStoreOn: %v", err)
+		}
+		log, err := OpenFileLogOn(logFile)
+		if err != nil {
+			t.Fatalf("OpenFileLogOn: %v", err)
+		}
+		return openTestWAL(t, fs, log, WALConfig{})
 	}
-	rs := NewRetryStore(cs, RetryPolicy{MaxAttempts: 3})
-	log := NewMemLog()
-	w := openTestWAL(t, rs, log, WALConfig{})
-
+	w := open()
 	p, err := w.Allocate()
 	if err != nil {
 		t.Fatalf("Allocate: %v", err)
@@ -552,21 +563,27 @@ func TestWALThroughChecksumAndRetry(t *testing.T) {
 		t.Fatalf("Write: %v", err)
 	}
 	if err := w.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint through stack: %v", err)
+		t.Fatalf("Checkpoint: %v", err)
 	}
-	got, err := w.Read(p.ID)
+	got, err := open().Read(p.ID)
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("read after reopen: %v", err)
 	}
 	if !bytes.Equal(got.Data, img) {
-		t.Fatalf("page corrupted through checksum+retry stack")
+		t.Fatal("page changed across a reopen")
 	}
 
-	// Crash-reopen through the same stack: recovery adopts via the
-	// forwarded Adopter chain.
-	w2 := openTestWAL(t, rs, log, WALConfig{})
-	if _, err := w2.Read(p.ID); err != nil {
-		t.Fatalf("read after stacked recovery: %v", err)
+	off := int64(p.ID)*(walTestPageSize+trailerSize) + 17
+	b := []byte{0}
+	if _, err := pages.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := pages.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := open().Read(p.ID); !errors.Is(err, ErrPageCorrupt) {
+		t.Fatalf("read of a flipped checkpointed page: %v, want ErrPageCorrupt", err)
 	}
 }
 

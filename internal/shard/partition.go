@@ -9,8 +9,8 @@
 // The layer's reason to exist is what happens when a shard is NOT fine.
 // The router wraps every shard interaction in a failure policy: per-shard
 // deadlines (context cancellation), bounded retry with exponential backoff
-// and seeded jitter (the RetryStore discipline lifted from page operations
-// to shard subqueries), optional hedged reads against stragglers, and a
+// and seeded jitter (the stack's one retry: the page stores below retry
+// nothing), optional hedged reads against stragglers, and a
 // per-shard circuit breaker fed by Health() and error outcomes. When a
 // shard exhausts its retry budget the query degrades instead of dying: the
 // router returns the merged results of the healthy shards together with a

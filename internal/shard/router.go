@@ -29,11 +29,10 @@ type Policy struct {
 	// MaxAttempts is the total tries per shard per query, first try
 	// included (0 selects 1: no retry). Only transient faults
 	// (pager.IsTransient) and attempt timeouts are retried; permanent
-	// errors propagate immediately, exactly as RetryStore does for page
-	// operations.
+	// errors — ErrPageCorrupt among them — propagate immediately.
 	MaxAttempts int
 	// Backoff returns the sleep before retry number attempt (1-based);
-	// nil retries immediately. pager.ExponentialBackoff fits here.
+	// nil retries immediately.
 	Backoff func(attempt int) time.Duration
 	// Jitter spreads each backoff uniformly over [d·(1−J), d·(1+J)],
 	// clamped to [0, 1], so concurrent queries' retries decorrelate.
@@ -432,9 +431,9 @@ func isCallerCtxErr(ctx context.Context, err error) bool {
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }
 
-// retryable mirrors RetryStore's classification at the shard level:
-// transient storage faults and attempt timeouts may heal on retry;
-// everything else is permanent and propagates immediately.
+// retryable is the stack's one retry classification: transient storage
+// faults and attempt timeouts may heal on retry; everything else is
+// permanent and propagates immediately.
 func retryable(err error) bool {
 	return pager.IsTransient(err) || errors.Is(err, context.DeadlineExceeded)
 }

@@ -214,8 +214,8 @@ func TestRouterDifferentialWorkload(t *testing.T) {
 }
 
 // TestRouterRetryAbsorbsTransientFaults: a bounded storm of transient
-// read faults is absorbed by the retry budget — the same discipline
-// RetryStore applies to page operations, lifted to shard subqueries.
+// read faults is absorbed by the router's retry budget, the one place the
+// stack retries.
 func TestRouterRetryAbsorbsTransientFaults(t *testing.T) {
 	leakcheck.Check(t)
 	r, faults := cluster(t, 4, 4, Policy{

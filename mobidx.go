@@ -102,7 +102,9 @@ type (
 // the paper's experiments.
 func NewMemStore(pageSize int) *pager.MemStore { return pager.NewMemStore(pageSize) }
 
-// NewFileStore returns a page store backed by a file at path.
+// NewFileStore returns a page store backed by a file at path. Every page
+// on disk ends in a CRC-32C trailer, so a read of a page the media tore or
+// corrupted fails with ErrPageCorrupt instead of decoding garbage.
 func NewFileStore(path string, pageSize int) (*pager.FileStore, error) {
 	return pager.NewFileStore(path, pageSize)
 }
@@ -120,14 +122,10 @@ func OpenFileStore(path string) (*pager.FileStore, error) {
 	return pager.OpenFileStore(path)
 }
 
-// Robustness layer: fault injection for testing, checksums against silent
-// corruption, bounded retry of transient failures. The recommended
-// composition over an untrusted device is, innermost first,
-//
-//	Buffered(Retry(Checksum(device)))
-//
-// — checksums detect what the device corrupts, retries absorb what is
-// transient, and the buffer caches only pages that verified.
+// Robustness layer: deterministic fault injection for testing the
+// structures above a store, and the typed failures a store reports.
+// Checksums need no layer of their own: FileStore verifies every page it
+// reads.
 type (
 	// FaultConfig configures deterministic fault injection.
 	FaultConfig = pager.FaultConfig
@@ -135,8 +133,6 @@ type (
 	OpFaults = pager.OpFaults
 	// FaultCounters reports operations seen and faults injected.
 	FaultCounters = pager.FaultCounters
-	// RetryPolicy bounds the retry layer's attempts and backoff.
-	RetryPolicy = pager.RetryPolicy
 )
 
 // Typed failures of the robustness layer.
@@ -156,19 +152,6 @@ func IsTransient(err error) bool { return pager.IsTransient(err) }
 // the test harness for everything above it.
 func NewFaultStore(under Store, cfg FaultConfig) *pager.FaultStore {
 	return pager.NewFaultStore(under, cfg)
-}
-
-// NewChecksumStore wraps a store so every page carries a CRC-32C trailer;
-// reads of corrupted pages fail with ErrPageCorrupt instead of decoding
-// garbage. The wrapped store exposes a page size 4 bytes smaller.
-func NewChecksumStore(under Store) (*pager.ChecksumStore, error) {
-	return pager.NewChecksumStore(under)
-}
-
-// NewRetryStore wraps a store to retry transient faults (per IsTransient)
-// up to the policy's budget; permanent errors propagate immediately.
-func NewRetryStore(under Store, policy RetryPolicy) *pager.RetryStore {
-	return pager.NewRetryStore(under, policy)
 }
 
 // Write-ahead logging: OpenWALStore wraps any Store so multi-page updates
@@ -237,11 +220,6 @@ func RunBatch(s Store, fn func() error) error { return pager.RunBatch(s, fn) }
 type (
 	// Executor bounds concurrent subquery execution.
 	Executor = core.Executor
-	// WALSnapshot is a read-only committed view of a WALStore: it serves
-	// the latest committed bytes of every page and never observes the
-	// staged writes or frees of an open batch. Obtained from
-	// WALStore.Snapshot.
-	WALSnapshot = pager.WALSnapshot
 )
 
 // NewExecutor returns an executor running at most workers subqueries

@@ -77,9 +77,13 @@ echo "== cluster crash sweep (kill points x fault schedules x topologies, race-g
 # at every write/sync boundary under every media failure mode and
 # topology, asserting one manifest-proven topology on reboot (never a
 # mix), byte-identical recovered answers, and idempotent resume; plus the
-# fault-injected (non-crash) migration resume path and the durable shard
-# recovery/lifecycle tests.
-go test -race -count=1 -run 'TestClusterCrashSweep|TestClusterSplitFaultResume' \
+# fault-injected (non-crash) migration resume path, the served-cluster
+# bit-flip sweep (one seeded byte of each page slot and of its CRC trailer
+# flipped in a closed shard's pages file: every reopen is refused with
+# ErrPageCorrupt/ErrBadMeta, degrades that band to a PartialError, or
+# answers the oracle exactly — never a wrong answer), and the durable
+# shard recovery/lifecycle tests.
+go test -race -count=1 -run 'TestClusterCrashSweep|TestClusterSplitFaultResume|TestClusterBitFlipSweep' \
 	./internal/shard/chaostest
 go test -race -count=1 -run 'TestCluster|TestShardCloseDuringHedgedReads|TestPartialError' \
 	./internal/shard
@@ -97,7 +101,7 @@ go test -race -count=1 -run 'TestWALCommit' ./internal/pager
 
 echo "== checkpoint off the read path (race-gated) =="
 # A checkpoint parked inside a base Write or Sync must not stall readers:
-# a shard Query, WALStore View/Read/Snapshot, and a FileStore Read all
+# a shard Query, WALStore View and Read, and a FileStore Read all
 # return while it is parked, a batch begun meanwhile waits and lands after
 # it, and a failed checkpoint still acknowledges the durable batch that
 # made it due. Each deadlocks or times out if the I/O runs under a latch
@@ -113,7 +117,7 @@ echo "== stress matrix (GOMAXPROCS=1,4) =="
 for procs in 1 4; do
 	echo "-- GOMAXPROCS=$procs --"
 	GOMAXPROCS=$procs go test -count=1 \
-		-run 'Concurrent|Parallel|Stress|Snapshot|StatsDuringBuild|Executor|Router|CloseUnderLoad' \
+		-run 'Concurrent|Parallel|Stress|StatsDuringBuild|Executor|Router|CloseUnderLoad' \
 		./internal/pager ./internal/core ./internal/twod \
 		./internal/kdtree ./internal/kinetic \
 		./internal/ingest ./internal/shard ./internal/shard/chaostest
@@ -127,8 +131,9 @@ echo "== zero-allocation gates =="
 # allocate nothing but the one page image the stores below share
 # (TestUpdateZeroAllocAboveStores);
 # in the pager a commit allocates the same for 8 staged pages as for 512,
-# a pool write one image and a pool miss on a page the WAL holds only the
-# frame header; in the subscription engine an upsert or a certificate
+# a pool write one image, a pool miss on a page the WAL holds only the
+# frame header, and a FileStore write (trailer included) nothing; in the
+# subscription engine an upsert or a certificate
 # fire that changes no membership allocates nothing.
 # testing.AllocsPerRun makes a regression a test failure.
 go test -count=1 -run 'ZeroAlloc' ./internal/bptree ./internal/pager ./internal/subscribe
@@ -170,7 +175,9 @@ go test ./internal/bptree -run '^$' -fuzz '^FuzzMutateHostileImage$' -fuzztime=1
 go test ./internal/kdtree -run '^$' -fuzz '^FuzzHostileImage$' -fuzztime=10s -fuzzminimizetime=1s
 go test ./internal/parttree -run '^$' -fuzz '^FuzzHostileImage$' -fuzztime=10s -fuzzminimizetime=1s
 # A pages file as arbitrary bytes: a store or ErrBadMeta, never a panic or
-# an endless chain walk. The 8 KB seed image makes minimising a find slow.
+# an endless chain walk; an opened store then reads every live page, each
+# verified against its slot's trailer or ErrPageCorrupt. The 8 KB seed
+# image makes minimising a find slow.
 go test ./internal/pager -run '^$' -fuzz '^FuzzOpenFileStore$' -fuzztime=10s -fuzzminimizetime=1s
 go test ./internal/pager -run '^$' -fuzz '^FuzzDecodeWALRecord$' -fuzztime=10s
 go test ./internal/geom -run '^$' -fuzz '^FuzzClipConvex$' -fuzztime=10s
