@@ -26,6 +26,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -51,6 +52,28 @@ type Index1D interface {
 	Len() int
 }
 
+// Typed admission failures: every error ValidateMotion and ValidateQuery
+// return matches one of these under errors.Is, so a caller can tell its
+// own bad input from a failure of the store or the index.
+var (
+	ErrInvalidMotion = errors.New("core: invalid motion")
+	ErrInvalidQuery  = errors.New("core: invalid query")
+)
+
+// invalidInput is an admission failure: it prints its own message and
+// matches its class (ErrInvalidMotion or ErrInvalidQuery) under errors.Is.
+type invalidInput struct {
+	class error
+	msg   string
+}
+
+func (e *invalidInput) Error() string { return e.msg }
+func (e *invalidInput) Unwrap() error { return e.class }
+
+func invalid(class error, format string, args ...any) error {
+	return &invalidInput{class: class, msg: fmt.Sprintf(format, args...)}
+}
+
 // ValidateMotion checks that m is finite and inside the terrain's speed
 // band and position range — the exact admission test every index
 // constructor in this package applies, exported so write tiers in front of
@@ -62,10 +85,10 @@ func ValidateMotion(m dual.Motion, tr dual.Terrain) error {
 	}
 	s := math.Abs(m.V)
 	if s < tr.VMin-1e-12 || s > tr.VMax+1e-12 {
-		return fmt.Errorf("core: speed %v outside [%v, %v]", m.V, tr.VMin, tr.VMax)
+		return invalid(ErrInvalidMotion, "core: speed %v outside [%v, %v]", m.V, tr.VMin, tr.VMax)
 	}
 	if m.Y0 < -1e-9 || m.Y0 > tr.YMax+1e-9 {
-		return fmt.Errorf("core: position %v outside terrain [0, %v]", m.Y0, tr.YMax)
+		return invalid(ErrInvalidMotion, "core: position %v outside terrain [0, %v]", m.Y0, tr.YMax)
 	}
 	return nil
 }
@@ -76,7 +99,7 @@ func ValidateMotion(m dual.Motion, tr dual.Terrain) error {
 func finiteMotion(m dual.Motion) error {
 	for _, f := range [...]float64{m.V, m.Y0, m.T0} {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return fmt.Errorf("core: non-finite motion (y0 %v, t0 %v, v %v)", m.Y0, m.T0, m.V)
+			return invalid(ErrInvalidMotion, "core: non-finite motion (y0 %v, t0 %v, v %v)", m.Y0, m.T0, m.V)
 		}
 	}
 	return nil
@@ -90,14 +113,14 @@ func finiteMotion(m dual.Motion) error {
 func ValidateQuery(q dual.MORQuery) error {
 	for _, f := range [...]float64{q.Y1, q.Y2, q.T1, q.T2} {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return fmt.Errorf("core: non-finite query (y [%v, %v], t [%v, %v])", q.Y1, q.Y2, q.T1, q.T2)
+			return invalid(ErrInvalidQuery, "core: non-finite query (y [%v, %v], t [%v, %v])", q.Y1, q.Y2, q.T1, q.T2)
 		}
 	}
 	if q.Y1 > q.Y2 {
-		return fmt.Errorf("core: query range y [%v, %v] is reversed", q.Y1, q.Y2)
+		return invalid(ErrInvalidQuery, "core: query range y [%v, %v] is reversed", q.Y1, q.Y2)
 	}
 	if q.T1 > q.T2 {
-		return fmt.Errorf("core: query range t [%v, %v] is reversed", q.T1, q.T2)
+		return invalid(ErrInvalidQuery, "core: query range t [%v, %v] is reversed", q.T1, q.T2)
 	}
 	return nil
 }

@@ -371,12 +371,14 @@ func (l *failingLog) Truncate(size int64) error {
 	return l.MemLog.Truncate(size)
 }
 
-// A commit whose append or sync fails cuts the log back to the batch's
-// start and undoes the batch — nothing of it is durable or visible, the
-// allocator and the LSN sequence read as if it never ran — and the store
-// stays usable: the next batch commits onto the clean boundary and is what
-// a recovery from the log alone finds. Only when the cut itself fails does
-// the store poison itself.
+// A commit whose append fails cuts the log back to the batch's start and
+// undoes the batch — nothing of it is durable or visible, the allocator
+// and the LSN sequence read as if it never ran — and the store stays
+// usable: the next batch commits onto the clean boundary and is what a
+// recovery from the log alone finds. When the cut itself fails, or the
+// log sync after the batch was published does, the store poisons itself: a
+// published batch cannot be undone, and a failed fsync is not retryable.
+// A recovery from what the log holds then finds the batch absent or whole.
 func TestWALCommitFailureRollsBack(t *testing.T) {
 	const ps = 4096
 	for _, tc := range []struct {
@@ -384,7 +386,7 @@ func TestWALCommitFailureRollsBack(t *testing.T) {
 		arm      func(*failingLog)
 		poisoned bool
 	}{
-		{"sync", func(l *failingLog) { l.failSync = true }, false},
+		{"sync", func(l *failingLog) { l.failSync = true }, true},
 		// 70 pages of records outgrow one 256 KiB chunk: the first chunk is
 		// in the log when the second append tears.
 		{"append-second-chunk", func(l *failingLog) { l.failAppend = 2 }, false},
@@ -432,7 +434,7 @@ func TestWALCommitFailureRollsBack(t *testing.T) {
 
 			if tc.poisoned {
 				if !errors.Is(err, ErrStoreFailed) {
-					t.Fatalf("commit with a failed truncate: %v, want ErrStoreFailed", err)
+					t.Fatalf("commit with a failed truncate or sync: %v, want ErrStoreFailed", err)
 				}
 				_, aerr := w.Allocate()
 				_, rerr := w.Read(a)
@@ -444,6 +446,19 @@ func TestWALCommitFailureRollsBack(t *testing.T) {
 						t.Errorf("%s on the poisoned store: %v, want ErrStoreFailed", op, err)
 					}
 				}
+				// Recovery from the log finds the pre-batch or the post-batch
+				// state, never a part of the batch.
+				w2 := openTestWAL(t, NewMemStore(ps), NewMemLogFrom(log.Bytes()), WALConfig{})
+				one := walWant{seq: 1, pages: map[PageID][]byte{a: walPattern(ps, 0xA1)}, gone: staged}
+				if w2.CommittedSeq() == 1 {
+					checkWALState(t, w2, one)
+					return
+				}
+				two := walWant{seq: 2, pages: map[PageID][]byte{a: walPattern(ps, 0xA2)}}
+				for i, id := range staged {
+					two.pages[id] = walPattern(ps, byte(i))
+				}
+				checkWALState(t, w2, two)
 				return
 			}
 

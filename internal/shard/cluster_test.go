@@ -237,11 +237,13 @@ func TestClusterRevive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Force a quarantine: an Apply whose op is invalid fails the batch.
-	bad := dual.Motion{OID: 1, Y0: -1e9, T0: 0, V: 0}
+	// Force a quarantine: deleting a motion the shard does not hold fails
+	// the batch. (An invalid motion is refused before the batch and leaves
+	// the shard healthy.)
+	absent := dual.Motion{OID: 999999, Y0: 600, T0: 0, V: 1}
 	s := c.Router().Shard(2)
-	if err := s.Apply(ctx, []Op{{Insert: true, M: bad}}); err == nil {
-		t.Fatal("invalid motion applied cleanly")
+	if err := s.Apply(ctx, []Op{{Insert: false, M: absent}}); err == nil {
+		t.Fatal("a delete of an absent motion applied cleanly")
 	}
 	if h := s.Health(); !h.Quarantined {
 		t.Fatalf("shard not quarantined: %+v", h)

@@ -82,9 +82,9 @@ type Health struct {
 	// unhealthy when closed or quarantined after a failed write batch.
 	Healthy bool
 	// Quarantined reports a failed Apply/BulkLoad: the WAL rolled the
-	// batch back so the durable state is the pre-batch image, but the
-	// in-memory index may have diverged from it, so the shard refuses
-	// further work until rebuilt.
+	// batch back, or its log sync failed and left it absent or whole on
+	// the media, but the in-memory index may have diverged from the
+	// durable state, so the shard refuses further work until rebuilt.
 	Quarantined bool
 	// Failures counts consecutive failed operations (any kind); it resets
 	// on success. Context cancellations are the caller's doing and are
@@ -106,10 +106,12 @@ var ErrShardDown = errors.New("shard: shard down")
 // and quarantines the shard (see Health). Every batch also rewrites the
 // shard's superblock and appends to its motion catalog (see durable.go),
 // so Open can recover the shard from its surviving base store and log
-// alone. The checkpoint a batch makes due runs after the write latch is
-// released, under the writer latch alone, so queries keep flowing.
+// alone. The batch's log sync and the checkpoint it makes due run after
+// the write latch is released, under the writer latch alone, so queries
+// keep flowing.
 type Shard struct {
 	id       int
+	terrain  dual.Terrain
 	wal      *pager.WALStore
 	autoCkpt int64       // Config.AutoCheckpointBytes
 	store    pager.Store // the index's store: the WAL, possibly wrapped (Config.WrapStore)
@@ -197,7 +199,7 @@ func openOn(cfg Config, wal *pager.WALStore, store pager.Store) (*Shard, error) 
 			return nil, fmt.Errorf("shard %d: flushed watermark %d past %d catalog records: %w",
 				cfg.ID, flushed, cat.records, pager.ErrPageCorrupt)
 		}
-		s := &Shard{id: cfg.ID, wal: wal, autoCkpt: cfg.AutoCheckpointBytes, store: store, ix: ix,
+		s := &Shard{id: cfg.ID, terrain: cfg.Terrain, wal: wal, autoCkpt: cfg.AutoCheckpointBytes, store: store, ix: ix,
 			exec: core.NewExecutor(1), sb: sb, cat: cat, flushed: flushed}
 		if cfg.Ingest != nil {
 			// Reattach the write tier: the base index covers the catalog's
@@ -237,7 +239,7 @@ func openOn(cfg Config, wal *pager.WALStore, store pager.Store) (*Shard, error) 
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: create index: %w", cfg.ID, err)
 		}
-		s := &Shard{id: cfg.ID, wal: wal, autoCkpt: cfg.AutoCheckpointBytes, store: store, ix: ix,
+		s := &Shard{id: cfg.ID, terrain: cfg.Terrain, wal: wal, autoCkpt: cfg.AutoCheckpointBytes, store: store, ix: ix,
 			exec: core.NewExecutor(1)}
 		if cfg.Ingest != nil {
 			tier, terr := ingest.New(ix, cfg.Ingest.tierConfig(cfg.Terrain))
@@ -367,39 +369,34 @@ func (s *Shard) Query(ctx context.Context, q dual.MORQuery) ([]dual.OID, error) 
 	return res, err
 }
 
-// Apply applies the ops as one atomic WAL batch under the write latch.
-// On error the batch is rolled back — the durable state is untouched —
-// and the shard quarantines itself: the in-memory index may have applied
-// a prefix, so it can no longer be trusted to mirror the store. The
-// router's circuit breaker and Health checks route around it from then
-// on. The context is checked between ops; a cancellation that arrives
-// before the first op rolls back cleanly without quarantining, one that
-// arrives mid-batch quarantines like any other failure (the in-memory
-// index already diverged from the rolled-back pages). A nil return means
-// the batch is durable; the checkpoint it may make due runs before Apply
-// returns, and its failure does not undo that (see checkpointIfDue).
+// Apply applies the ops as one atomic WAL batch (see write). An op whose
+// motion the index cannot take (core.ValidateMotion) is the caller's
+// error: the whole batch is refused before any latch or WAL batch sees it,
+// and the shard stays healthy. On any other error the batch is rolled
+// back — the durable state is untouched — and the shard quarantines
+// itself: the in-memory index may have applied a prefix, so it can no
+// longer be trusted to mirror the store. The router's circuit breaker and
+// Health checks route around it from then on. The context is checked
+// between ops; a cancellation that arrives before the first op rolls back
+// cleanly without quarantining, one that arrives mid-batch quarantines
+// like any other failure (the in-memory index already diverged from the
+// rolled-back pages). A nil return means the batch is durable; the
+// checkpoint it may make due runs before Apply returns, and its failure
+// does not undo that (see checkpointIfDue).
 func (s *Shard) Apply(ctx context.Context, ops []Op) error {
+	for _, op := range ops {
+		if err := core.ValidateMotion(op.M, s.terrain); err != nil {
+			return err
+		}
+	}
 	if err := s.down(); err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	err := s.apply(ctx, ops)
-	if err == nil {
-		s.checkpointIfDue()
-	}
-	return err
-}
-
-// apply is Apply's batch under the write latch (caller holds wmu).
-func (s *Shard) apply(ctx context.Context, ops []Op) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	applied := 0
-	err := pager.RunBatch(s.store, func() error {
+	return s.write(func() error {
 		if s.tier != nil {
 			return s.applyTier(ctx, ops, &applied)
 		}
@@ -422,16 +419,47 @@ func (s *Shard) apply(ctx context.Context, ops []Op) error {
 			return err
 		}
 		return s.saveMeta()
+	}, func(err error) bool {
+		// A pre-first-op cancellation left the in-memory index untouched;
+		// every other failure (including a first op that died mid-split)
+		// may have mutated it.
+		return applied == 0 && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 	})
-	// A pre-first-op cancellation left the in-memory index untouched;
-	// every other failure (including a first op that died mid-split) may
-	// have mutated it, so the shard can no longer be trusted.
-	ctxOnly := applied == 0 &&
-		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-	if err != nil && !ctxOnly {
+}
+
+// write runs one write batch, Apply's or BulkLoad's. Under the writer
+// latch and then the serving latch, body edits the index, the catalog and
+// the superblock inside one WAL batch, whose commit appends its log
+// records and publishes its page images. The serving latch is released
+// before the log is synced, so queries run during the fsync and may see
+// the batch up to one fsync before it is durable; write returns only after
+// the sync, so an acknowledged batch is a durable one. A failed batch
+// quarantines the shard before readers can see its in-memory state, unless
+// clean (nil: never) vouches that the failure left that state untouched; a
+// failed sync quarantines it too. A success runs the checkpoint it made
+// due.
+func (s *Shard) write(body func() error, clean func(error) bool) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.mu.Lock()
+	err := pager.RunBatch(s.store, func() error {
+		s.wal.DeferSync()
+		return body()
+	})
+	if err != nil && (clean == nil || !clean(err)) {
 		s.quarantine(err)
 	}
+	s.mu.Unlock()
+	if err == nil {
+		if err = s.wal.SyncLog(); err != nil {
+			err = fmt.Errorf("shard %d: %w", s.id, err)
+			s.quarantine(err)
+		}
+	}
 	s.observe(err)
+	if err == nil {
+		s.checkpointIfDue()
+	}
 	return err
 }
 
@@ -482,29 +510,22 @@ func (s *Shard) applyTier(ctx context.Context, ops []Op, applied *int) error {
 }
 
 // BulkLoad atomically replaces the shard's contents with ms (one WAL
-// batch, bottom-up builders — see core.DualBPlus.BulkLoad). Like Apply, a
-// failure quarantines the shard, and a due checkpoint follows a success.
+// batch, bottom-up builders — see core.DualBPlus.BulkLoad). Like Apply, it
+// refuses an invalid motion before any latch, a failure quarantines the
+// shard, and a due checkpoint follows a success.
 func (s *Shard) BulkLoad(ctx context.Context, ms []dual.Motion) error {
+	for _, m := range ms {
+		if err := core.ValidateMotion(m, s.terrain); err != nil {
+			return err
+		}
+	}
 	if err := s.down(); err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	err := s.bulkLoad(ms)
-	if err == nil {
-		s.checkpointIfDue()
-	}
-	return err
-}
-
-// bulkLoad is BulkLoad's batch under the write latch (caller holds wmu).
-func (s *Shard) bulkLoad(ms []dual.Motion) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := pager.RunBatch(s.store, func() error {
+	return s.write(func() error {
 		if s.tier != nil {
 			// Load through the tier: base replaced, delta cleared, catalog
 			// fully covered by the new base.
@@ -521,12 +542,7 @@ func (s *Shard) bulkLoad(ms []dual.Motion) error {
 			s.flushed = s.cat.records
 		}
 		return s.saveMeta()
-	})
-	if err != nil {
-		s.quarantine(err)
-	}
-	s.observe(err)
-	return err
+	}, nil)
 }
 
 // IngestStats reports the write tier's shape and counters; ok is false

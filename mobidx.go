@@ -87,6 +87,15 @@ type (
 	Index1D = core.Index1D
 )
 
+// Typed admission failures: a motion or query an index refuses (NaN or
+// ±Inf fields, a speed outside the terrain's band, a position off the
+// terrain, a reversed range) fails with an error matching one of these
+// under errors.Is.
+var (
+	ErrInvalidMotion = core.ErrInvalidMotion
+	ErrInvalidQuery  = core.ErrInvalidQuery
+)
+
 // Storage types: all indexes speak to pages through a Store.
 type (
 	// Store is the external-memory page store abstraction.
@@ -183,8 +192,9 @@ var (
 	ErrBatchOpen    = pager.ErrBatchOpen
 	ErrNoBatch      = pager.ErrNoBatch
 	ErrBatchAborted = pager.ErrBatchAborted
-	// ErrStoreFailed marks a store poisoned by a failure after the point
-	// of durability; reopen it to recover.
+	// ErrStoreFailed marks a store poisoned by a failure after a batch was
+	// published (a failed log sync, or a failed apply); reopen it to
+	// recover.
 	ErrStoreFailed = pager.ErrStoreFailed
 	// ErrDoubleFree and ErrReservedPage type invalid frees.
 	ErrDoubleFree   = pager.ErrDoubleFree
