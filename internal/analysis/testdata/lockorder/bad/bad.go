@@ -158,3 +158,21 @@ func (s *Server) Feed(f *Front) {
 	f.feedMu.Lock()
 	f.feedMu.Unlock()
 }
+
+type logSyncer interface{ SyncLog() error }
+
+// Shard holds its serving latch, besides its writer latch, across a log
+// sync: the writer latch's exemption does not cover the serving latch.
+type Shard struct {
+	wmu sync.Mutex
+	mu  sync.RWMutex
+	wal logSyncer
+}
+
+func (s *Shard) Write() error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.wal.SyncLog()
+}

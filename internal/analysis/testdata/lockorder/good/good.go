@@ -170,3 +170,33 @@ func (f *Front) Apply() {
 	f.srv.Apply()
 	f.subs++
 }
+
+type logSyncer interface{ SyncLog() error }
+
+// Shard syncs its log under its writer latch alone, after releasing the
+// serving latch readers take; Cluster holds its admin latch across a
+// shard write. Only writers take either latch.
+type Shard struct {
+	wmu sync.Mutex
+	mu  sync.RWMutex
+	wal logSyncer
+}
+
+func (s *Shard) Write() error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.mu.Lock()
+	s.mu.Unlock()
+	return s.wal.SyncLog()
+}
+
+type Cluster struct {
+	adminMu sync.Mutex
+	shard   *Shard
+}
+
+func (c *Cluster) Split() error {
+	c.adminMu.Lock()
+	defer c.adminMu.Unlock()
+	return c.shard.Write()
+}
