@@ -189,10 +189,3 @@ func parseInts(s string) ([]int, error) {
 	}
 	return out, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -5,8 +5,6 @@
 // is what lets scripts/verify.sh gate on it.
 //
 //	mobidxlint ./...                 # whole repo, human-readable
-//	mobidxlint -json ./...           # machine-readable findings
-//	mobidxlint -sarif ./...          # SARIF 2.1.0 for CI annotations
 //	mobidxlint -passes errdrop ./... # one pass only
 //	mobidxlint -v ./...              # per-pass wall times on stderr
 //	mobidxlint -listcache f ./...    # cache `go list -export` in f
@@ -18,7 +16,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -29,8 +26,6 @@ import (
 
 func main() {
 	var (
-		jsonOut   = flag.Bool("json", false, "emit findings as a JSON array on stdout")
-		sarifOut  = flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 on stdout")
 		passes    = flag.String("passes", "all", "comma-separated pass names to run")
 		list      = flag.Bool("list", false, "list the available passes and exit")
 		verbose   = flag.Bool("v", false, "print per-pass wall times to stderr")
@@ -85,41 +80,11 @@ func main() {
 		diags = analysis.RunPasses(pkgs, selected)
 	}
 
-	switch {
-	case *sarifOut:
-		root, err := os.Getwd()
-		if err != nil {
-			root = "" // URIs stay absolute; the document is still valid
-		}
-		doc, err := analysis.SARIF(diags, selected, root)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mobidxlint: %v\n", err)
-			os.Exit(2)
-		}
-		doc = append(doc, '\n')
-		if _, err := os.Stdout.Write(doc); err != nil {
-			fmt.Fprintf(os.Stderr, "mobidxlint: %v\n", err)
-			os.Exit(2)
-		}
-	case *jsonOut:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []analysis.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintf(os.Stderr, "mobidxlint: %v\n", err)
-			os.Exit(2)
-		}
-	default:
-		for _, d := range diags {
-			fmt.Println(d.String())
-		}
+	for _, d := range diags {
+		fmt.Println(d.String())
 	}
 	if len(diags) > 0 {
-		if !*jsonOut && !*sarifOut {
-			fmt.Fprintf(os.Stderr, "mobidxlint: %d finding(s) across %d package(s)\n", len(diags), len(pkgs))
-		}
+		fmt.Fprintf(os.Stderr, "mobidxlint: %d finding(s) across %d package(s)\n", len(diags), len(pkgs))
 		os.Exit(1)
 	}
 }

@@ -61,11 +61,11 @@ type Pass struct {
 
 // Diagnostic is one finding, anchored to a source position.
 type Diagnostic struct {
-	Pass    string `json:"pass"`
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Message string `json:"message"`
+	Pass    string
+	File    string
+	Line    int
+	Col     int
+	Message string
 }
 
 // String renders the diagnostic in the conventional file:line:col form.

@@ -284,7 +284,6 @@ type FigureSet struct {
 // progress, if non-nil, receives one line per completed run.
 func RunFigures(methods []Method, ns []int, ticks int, verify bool, progress func(string)) (*FigureSet, error) {
 	fs := &FigureSet{Ns: ns}
-	type key struct{ method string }
 	bySeries := map[string]*[4][]float64{}
 	order := []string{}
 	for _, m := range methods {

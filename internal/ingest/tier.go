@@ -32,15 +32,12 @@ type Config struct {
 	// Terrain validates inserted motions exactly as the base index would,
 	// so a motion the eventual merge must reject is refused at Add time.
 	Terrain dual.Terrain
-	// MemtableFlush freezes the memtable into an immutable run once it
-	// holds this many distinct OIDs (0 selects 2048).
+	// MemtableFlush closes the delta's open generation once this many
+	// distinct OIDs have been written in it (0 selects 2048).
 	MemtableFlush int
-	// MaxRuns folds runs + memtable into the base via one atomic BulkLoad
-	// reindex once this many frozen runs exist (0 selects 4).
+	// MaxRuns folds the delta into the base via one atomic BulkLoad
+	// reindex once this many generations have closed (0 selects 4).
 	MaxRuns int
-	// BloomBitsPerKey sizes each run's bloom filter (0 selects 10, ~1%
-	// false positives).
-	BloomBitsPerKey int
 }
 
 func (c Config) withDefaults() Config {
@@ -50,50 +47,35 @@ func (c Config) withDefaults() Config {
 	if c.MaxRuns <= 0 {
 		c.MaxRuns = 4
 	}
-	if c.BloomBitsPerKey <= 0 {
-		c.BloomBitsPerKey = 10
-	}
 	return c
 }
 
-// delta is the newest known state of one OID in the write tier: an
-// upserted motion, or a tombstone masking the base.
-type delta struct {
-	m    dual.Motion
+// entry is the newest known state of one OID in the delta: an upserted
+// motion, or a tombstone masking the base, stamped with the generation
+// it was last written in.
+type entry struct {
+	m    dual.Motion // a tombstone keeps only m.OID meaningful
 	tomb bool
-}
-
-// run is a frozen memtable: deltas sorted by OID with a bloom filter
-// over the member OIDs so point lookups skip runs that cannot hold the
-// key.
-type run struct {
-	oids   []dual.OID // ascending
-	deltas []delta    // parallel to oids
-	filter *Bloom
-}
-
-func (r *run) get(id dual.OID) (delta, bool) {
-	i := sort.Search(len(r.oids), func(i int) bool { return r.oids[i] >= id })
-	if i < len(r.oids) && r.oids[i] == id {
-		return r.deltas[i], true
-	}
-	return delta{}, false
+	gen  int
 }
 
 // ErrClosed is returned by operations on a closed tier.
 var ErrClosed = errors.New("ingest: tier closed")
 
-// Stats is a point-in-time snapshot of the tier's shape and bloom
-// effectiveness.
+// Stats is a point-in-time snapshot of the tier's shape and counters.
 type Stats struct {
-	// BaseLen, MemLen, Runs describe the current shape.
-	BaseLen, MemLen, Runs int
-	// Freezes and Merges count memtable→run and runs→base transitions.
+	// BaseLen and MemLen describe the current shape: motions in the base,
+	// OIDs in the delta.
+	BaseLen, MemLen int
+	// Freezes counts closed generations; Merges counts folds into the
+	// base.
 	Freezes, Merges int
-	// RunProbes counts point lookups that consulted at least one run;
-	// BloomSkips counts runs skipped by their filter; BloomFalsePos
-	// counts runs whose filter said maybe but held no entry.
-	RunProbes, BloomSkips, BloomFalsePos int
+	// RunProbes counts the per-OID delta lookups of queries (one per base
+	// answer) and point lookups.
+	RunProbes int
+	// BloomSkips and BloomFalsePos are always zero: the tier has no bloom
+	// filters. They remain because the benchmark's trace still reads them.
+	BloomSkips, BloomFalsePos int
 }
 
 // Tier is the log-structured write tier. All methods are safe for
@@ -106,39 +88,25 @@ type Tier struct {
 	cfg  Config
 	base Base
 
-	mu     sync.RWMutex
-	mem    map[dual.OID]delta
-	runs   []*run        // oldest first
+	mu sync.RWMutex
+	// The delta: every OID written since the last fold, newest-wins. slot
+	// maps an OID to its entry, so masking a base answer is one lookup and
+	// the query join ranges over the dense slice.
+	slot  map[dual.OID]int
+	delta []entry
+	// gen is the open generation, which is also the number closed since
+	// the last fold; genLen counts the distinct OIDs written in it.
+	gen, genLen int
+
 	baseMs []dual.Motion // base contents, ascending OID, unique
 	live   int           // total live motions (base ⊕ delta)
 	fail   error         // sticky: a failed merge left base in-memory state unknown
 	closed bool
 	stats  Stats
 
-	// Bloom-probe counters are atomic so point lookups and query-time
-	// masking can run under the read latch. A caller counts its probes in
-	// a local probeTally and publishes it once (see probeTally.publish).
-	runProbes, bloomSkips, bloomFalsePos atomic.Int64
-}
-
-// probeTally counts one caller's bloom probes: deltaLocked and
-// shadowedLocked bump it once per probed OID, and the caller publishes it
-// to the tier's shared counters once per query or lookup, so concurrent
-// queries do not contend on the counters' cache line per probe.
-type probeTally struct {
-	runProbes, bloomSkips, bloomFalsePos int64
-}
-
-func (p *probeTally) publish(t *Tier) {
-	if p.runProbes > 0 {
-		t.runProbes.Add(p.runProbes)
-	}
-	if p.bloomSkips > 0 {
-		t.bloomSkips.Add(p.bloomSkips)
-	}
-	if p.bloomFalsePos > 0 {
-		t.bloomFalsePos.Add(p.bloomFalsePos)
-	}
+	// runProbes is atomic so queries and lookups count under the read
+	// latch; each call adds its tally once.
+	runProbes atomic.Int64
 }
 
 // New builds a tier over an empty base index.
@@ -151,7 +119,7 @@ func New(base Base, cfg Config) (*Tier, error) {
 // hands the tier the flushed prefix of its catalog). ms must carry
 // unique OIDs; the tier upserts per object.
 func Attach(base Base, ms []dual.Motion, cfg Config) (*Tier, error) {
-	t := &Tier{cfg: cfg.withDefaults(), base: base, mem: make(map[dual.OID]delta)}
+	t := &Tier{cfg: cfg.withDefaults(), base: base, slot: make(map[dual.OID]int)}
 	sorted, err := sortByOID(ms)
 	if err != nil {
 		return nil, err
@@ -183,74 +151,18 @@ func (t *Tier) ok() error {
 	return t.fail
 }
 
-// deltaLocked returns the newest delta for id across memtable and runs
-// (newest first), counting its bloom probes into p. Safe under the read
-// latch: it writes only the caller's tally.
-func (t *Tier) deltaLocked(id dual.OID, p *probeTally) (delta, bool) {
-	if d, ok := t.mem[id]; ok {
-		return d, true
+// currentLocked resolves id to its live motion, if any: the delta's
+// entry when it holds one, else the base contents.
+func (t *Tier) currentLocked(id dual.OID) (dual.Motion, bool) {
+	if i, ok := t.slot[id]; ok {
+		e := t.delta[i]
+		return e.m, !e.tomb
 	}
-	if len(t.runs) > 0 {
-		p.runProbes++
-	}
-	for i := len(t.runs) - 1; i >= 0; i-- {
-		r := t.runs[i]
-		if !r.filter.MayContain(uint64(id)) {
-			p.bloomSkips++
-			continue
-		}
-		if d, ok := r.get(id); ok {
-			return d, true
-		}
-		p.bloomFalsePos++
-	}
-	return delta{}, false
-}
-
-// shadowedLocked reports whether a level newer than run i (the memtable,
-// or a later run) holds a delta for id — i.e. whether run i's entry for
-// id is stale. Blooms skip runs that cannot hold the key; the probes are
-// counted into p.
-func (t *Tier) shadowedLocked(id dual.OID, i int, p *probeTally) bool {
-	if _, ok := t.mem[id]; ok {
-		return true
-	}
-	for j := len(t.runs) - 1; j > i; j-- {
-		r := t.runs[j]
-		if !r.filter.MayContain(uint64(id)) {
-			p.bloomSkips++
-			continue
-		}
-		if _, ok := r.get(id); ok {
-			return true
-		}
-		p.bloomFalsePos++
-	}
-	return false
-}
-
-// baseMotionLocked binary-searches the base contents for id.
-func (t *Tier) baseMotionLocked(id dual.OID) (dual.Motion, bool) {
 	i := sort.Search(len(t.baseMs), func(i int) bool { return t.baseMs[i].OID >= id })
 	if i < len(t.baseMs) && t.baseMs[i].OID == id {
 		return t.baseMs[i], true
 	}
 	return dual.Motion{}, false
-}
-
-// currentLocked resolves id to its live motion, if any, across the whole
-// tier, publishing its probes once.
-func (t *Tier) currentLocked(id dual.OID) (dual.Motion, bool) {
-	var p probeTally
-	d, ok := t.deltaLocked(id, &p)
-	p.publish(t)
-	if ok {
-		if d.tomb {
-			return dual.Motion{}, false
-		}
-		return d.m, true
-	}
-	return t.baseMotionLocked(id)
 }
 
 // Get is the point lookup: the live motion for id, if any. Lookups
@@ -261,6 +173,7 @@ func (t *Tier) Get(id dual.OID) (dual.Motion, bool, error) {
 	if err := t.ok(); err != nil {
 		return dual.Motion{}, false, err
 	}
+	t.runProbes.Add(1)
 	m, ok := t.currentLocked(id)
 	return m, ok, nil
 }
@@ -268,44 +181,27 @@ func (t *Tier) Get(id dual.OID) (dual.Motion, bool, error) {
 // Add applies ops to the write tier in order: inserts are validated
 // against the terrain and must target an absent OID, deletes must name
 // the exact live motion — the same discipline the flat Insert/Delete
-// path enforces. Crossing the memtable threshold freezes it into a run.
-// If, after every op is staged, MaxRuns frozen runs exist, the whole
-// delta folds into the base via one atomic BulkLoad reindex; the merge
-// deliberately waits for the end of the batch so that merged=true means
-// the base covers every op from this and all earlier Adds — a caller
-// that journals the delta can truncate its journal on that signal
-// without losing the batch's own tail. On a batching store the fold is
-// atomic; if it fails the base's in-memory state is unknown and the tier
-// poisons itself — the shard quarantines on the same failure.
+// path enforces. A batch is all-or-nothing: every op is checked before
+// any is staged. A generation closes once MemtableFlush distinct OIDs
+// have been written in it. If, after every op is staged, MaxRuns
+// generations have closed, the whole delta folds into the base via one
+// atomic BulkLoad reindex; the merge deliberately waits for the end of
+// the batch so that merged=true means the base covers every op from this
+// and all earlier Adds — a caller that journals the delta can truncate
+// its journal on that signal without losing the batch's own tail. On a
+// batching store the fold is atomic; if it fails the base's in-memory
+// state is unknown and the tier poisons itself — the shard quarantines
+// on the same failure.
 func (t *Tier) Add(ops []Op) (merged bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.ok(); err != nil {
 		return false, err
 	}
-	for _, op := range ops {
-		if op.Insert {
-			if err := core.ValidateMotion(op.M, t.cfg.Terrain); err != nil {
-				return false, fmt.Errorf("ingest: %w", err)
-			}
-			if _, live := t.currentLocked(op.M.OID); live {
-				return false, fmt.Errorf("ingest: insert of live OID %d without delete", op.M.OID)
-			}
-			t.mem[op.M.OID] = delta{m: op.M}
-			t.live++
-		} else {
-			cur, live := t.currentLocked(op.M.OID)
-			if !live || cur != op.M {
-				return false, fmt.Errorf("ingest: delete of absent motion (OID %d)", op.M.OID)
-			}
-			t.mem[op.M.OID] = delta{tomb: true}
-			t.live--
-		}
-		if len(t.mem) >= t.cfg.MemtableFlush {
-			t.freezeLocked()
-		}
+	if err := t.stageLocked(ops, ""); err != nil {
+		return false, err
 	}
-	if len(t.runs) >= t.cfg.MaxRuns {
+	if t.gen >= t.cfg.MaxRuns {
 		if err := t.mergeLocked(); err != nil {
 			return false, err
 		}
@@ -316,101 +212,83 @@ func (t *Tier) Add(ops []Op) (merged bool, err error) {
 
 // Replay re-applies recovered delta ops (the catalog suffix past the
 // flushed watermark) without ever merging: recovery must not write pages
-// outside a batch, and the replayed delta is already durable. Freezes
-// still happen so the recovered shape honors the memtable bound.
+// outside a batch, and the replayed delta is already durable. Generations
+// still close, so the recovered tier folds where the original would have.
 func (t *Tier) Replay(ops []Op) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.ok(); err != nil {
 		return err
 	}
+	return t.stageLocked(ops, "replay ")
+}
+
+// stageLocked checks ops as one batch, each against the state the
+// batch's earlier ops leave, and only then writes them into the delta,
+// closing generations as they fill. verb prefixes the error messages.
+func (t *Tier) stageLocked(ops []Op, verb string) error {
+	batch := make(map[dual.OID]entry, len(ops)) // each OID as the earlier ops leave it
 	for _, op := range ops {
+		id := op.M.OID
+		cur, seen := batch[id]
+		if !seen {
+			var live bool
+			cur.m, live = t.currentLocked(id)
+			cur.tomb = !live
+		}
 		if op.Insert {
-			if _, live := t.currentLocked(op.M.OID); live {
-				return fmt.Errorf("ingest: replay insert of live OID %d", op.M.OID)
+			if err := core.ValidateMotion(op.M, t.cfg.Terrain); err != nil {
+				return fmt.Errorf("ingest: %s%w", verb, err)
 			}
-			t.mem[op.M.OID] = delta{m: op.M}
+			if !cur.tomb {
+				return fmt.Errorf("ingest: %sinsert of live OID %d without delete", verb, id)
+			}
+		} else if cur.tomb || cur.m != op.M {
+			return fmt.Errorf("ingest: %sdelete of absent motion (OID %d)", verb, id)
+		}
+		batch[id] = entry{m: op.M, tomb: !op.Insert}
+	}
+	for _, op := range ops {
+		e := entry{m: op.M, tomb: !op.Insert, gen: t.gen}
+		if i, ok := t.slot[op.M.OID]; !ok {
+			t.slot[op.M.OID] = len(t.delta)
+			t.delta = append(t.delta, e)
+			t.genLen++
+		} else {
+			if t.delta[i].gen != t.gen {
+				t.genLen++
+			}
+			t.delta[i] = e
+		}
+		if op.Insert {
 			t.live++
 		} else {
-			cur, live := t.currentLocked(op.M.OID)
-			if !live || cur != op.M {
-				return fmt.Errorf("ingest: replay delete of absent motion (OID %d)", op.M.OID)
-			}
-			t.mem[op.M.OID] = delta{tomb: true}
 			t.live--
 		}
-		if len(t.mem) >= t.cfg.MemtableFlush {
-			t.freezeLocked()
+		if t.genLen >= t.cfg.MemtableFlush {
+			t.gen++
+			t.genLen = 0
+			t.stats.Freezes++
 		}
 	}
 	return nil
 }
 
-// freezeLocked turns the memtable into an immutable sorted run with a
-// bloom filter over its OIDs.
-func (t *Tier) freezeLocked() {
-	if len(t.mem) == 0 {
-		return
-	}
-	oids := make([]dual.OID, 0, len(t.mem))
-	for id := range t.mem {
-		oids = append(oids, id)
-	}
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
-	r := &run{
-		oids:   oids,
-		deltas: make([]delta, len(oids)),
-		filter: NewBloom(len(oids), t.cfg.BloomBitsPerKey),
-	}
-	for i, id := range oids {
-		r.deltas[i] = t.mem[id]
-		r.filter.Add(uint64(id))
-	}
-	t.runs = append(t.runs, r)
-	t.mem = make(map[dual.OID]delta)
-	t.stats.Freezes++
-}
-
-// overlayLocked collapses memtable + runs into newest-wins per-OID
-// deltas.
-func (t *Tier) overlayLocked() map[dual.OID]delta {
-	ov := make(map[dual.OID]delta)
-	for _, r := range t.runs { // oldest first: later entries overwrite
-		for i, id := range r.oids {
-			ov[id] = r.deltas[i]
-		}
-	}
-	for id, d := range t.mem {
-		ov[id] = d
-	}
-	return ov
-}
-
-// mergedMotionsLocked applies the overlay to the base contents: the
-// exact live motion set, ascending OID.
-func (t *Tier) mergedMotionsLocked() []dual.Motion {
-	ov := t.overlayLocked()
-	out := make([]dual.Motion, 0, len(t.baseMs)+len(ov))
-	for _, m := range t.baseMs {
-		if _, masked := ov[m.OID]; masked {
-			continue
-		}
-		out = append(out, m)
-	}
-	for id, d := range ov {
-		if !d.tomb {
-			_ = id
-			out = append(out, d.m)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].OID < out[j].OID })
-	return out
-}
-
-// mergeLocked folds the whole delta (runs + memtable) into the base with
-// one atomic BulkLoad reindex.
+// mergeLocked folds the delta into the base with one atomic BulkLoad
+// reindex of the exact live motion set.
 func (t *Tier) mergeLocked() error {
-	ms := t.mergedMotionsLocked()
+	ms := make([]dual.Motion, 0, len(t.baseMs)+len(t.delta))
+	for _, m := range t.baseMs {
+		if _, masked := t.slot[m.OID]; !masked {
+			ms = append(ms, m)
+		}
+	}
+	for _, e := range t.delta {
+		if !e.tomb {
+			ms = append(ms, e.m)
+		}
+	}
+	sort.Slice(ms, func(i, j int) bool { return ms[i].OID < ms[j].OID })
 	if err := t.base.BulkLoad(ms); err != nil {
 		// On a batching store the reindex batch rolled back, but the base's
 		// in-memory generations may hold a partial build: nothing above can
@@ -419,11 +297,16 @@ func (t *Tier) mergeLocked() error {
 		return t.fail
 	}
 	t.baseMs = ms
-	t.runs = nil
-	t.mem = make(map[dual.OID]delta)
+	t.resetDeltaLocked()
 	t.stats.Merges++
 	t.stats.BaseLen = len(ms)
 	return nil
+}
+
+func (t *Tier) resetDeltaLocked() {
+	clear(t.slot)
+	t.delta = t.delta[:0]
+	t.gen, t.genLen = 0, 0
 }
 
 // Flush folds the entire delta into the base now, regardless of
@@ -434,7 +317,7 @@ func (t *Tier) Flush() error {
 	if err := t.ok(); err != nil {
 		return err
 	}
-	if len(t.mem) == 0 && len(t.runs) == 0 {
+	if len(t.delta) == 0 {
 		return nil
 	}
 	return t.mergeLocked()
@@ -457,8 +340,7 @@ func (t *Tier) Load(ms []dual.Motion) error {
 		return t.fail
 	}
 	t.baseMs = sorted
-	t.runs = nil
-	t.mem = make(map[dual.OID]delta)
+	t.resetDeltaLocked()
 	t.live = len(sorted)
 	t.stats.BaseLen = len(sorted)
 	return nil
@@ -482,30 +364,14 @@ func (t *Tier) Len() int {
 	return t.live
 }
 
-// DeltaLen returns the number of delta entries not yet folded into the
-// base (counting an OID once per run it appears in — a shape metric, not
-// a distinct count).
-func (t *Tier) DeltaLen() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := len(t.mem)
-	for _, r := range t.runs {
-		n += len(r.oids)
-	}
-	return n
-}
-
-// Stats returns a snapshot of the tier's shape and bloom counters.
+// Stats returns a snapshot of the tier's shape and counters.
 func (t *Tier) Stats() Stats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	s := t.stats
-	s.MemLen = len(t.mem)
-	s.Runs = len(t.runs)
+	s.MemLen = len(t.delta)
 	s.BaseLen = len(t.baseMs)
 	s.RunProbes = int(t.runProbes.Load())
-	s.BloomSkips = int(t.bloomSkips.Load())
-	s.BloomFalsePos = int(t.bloomFalsePos.Load())
 	return s
 }
 
@@ -534,28 +400,30 @@ func (t *Tier) QueryParallelCtx(ctx context.Context, exec *core.Executor, q dual
 	if err := t.ok(); err != nil {
 		return nil, err
 	}
-	var probes probeTally
-	defer probes.publish(t)
-	// Mask base answers with a bloom-filtered point probe per OID: any
-	// delta entry for the OID is newer, so the base's version drops out
-	// (the delta's version decides below). Probing beats materializing a
-	// flattened overlay map per query — the probe cost scales with the
-	// answer, not the delta. Sequential executors run the subqueries
+	// Mask base answers with one delta lookup per OID: any delta entry for
+	// the OID is newer, so the base's version drops out (the delta's
+	// version decides below). Sequential executors run the subqueries
 	// inline with the mask fused into the emit path (no bucket slices, no
 	// k-way merge); duplicate emissions across subqueries are normalized
 	// by the final sort+dedup either way, so both paths return the same
 	// bytes.
 	var out []dual.OID
+	probes := 0
+	defer func() {
+		if probes > 0 {
+			t.runProbes.Add(int64(probes))
+		}
+	}()
 	if exec == nil || exec.Workers() <= 1 {
 		for _, sq := range t.base.Subqueries(q) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			err := sq(func(id dual.OID) {
-				if _, m := t.deltaLocked(id, &probes); m {
-					return
+				probes++
+				if _, masked := t.slot[id]; !masked {
+					out = append(out, id)
 				}
-				out = append(out, id)
 			})
 			if err != nil {
 				return nil, err
@@ -566,34 +434,19 @@ func (t *Tier) QueryParallelCtx(ctx context.Context, exec *core.Executor, q dual
 		if err != nil {
 			return nil, err
 		}
+		probes = len(baseOIDs)
 		out = make([]dual.OID, 0, len(baseOIDs))
 		for _, id := range baseOIDs {
-			if _, m := t.deltaLocked(id, &probes); m {
-				continue
+			if _, masked := t.slot[id]; !masked {
+				out = append(out, id)
 			}
-			out = append(out, id)
 		}
 	}
-	// Delta upserts matching the query join, newest-wins: the memtable is
-	// the newest level; a run entry counts only when no newer level holds
-	// its OID. The cheap geometric reject runs first so shadow probes are
-	// paid only for entries that would actually join.
-	for id, d := range t.mem {
-		if !d.tomb && d.m.Matches(q) {
-			out = append(out, id)
-		}
-	}
-	for i := len(t.runs) - 1; i >= 0; i-- {
-		r := t.runs[i]
-		for j, id := range r.oids {
-			d := r.deltas[j]
-			if d.tomb || !d.m.Matches(q) {
-				continue
-			}
-			if t.shadowedLocked(id, i, &probes) {
-				continue
-			}
-			out = append(out, id)
+	// Delta upserts matching the query join: the delta holds one
+	// newest-wins entry per OID, so one pass decides them all.
+	for _, e := range t.delta {
+		if !e.tomb && e.m.Matches(q) {
+			out = append(out, e.m.OID)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -164,7 +164,7 @@ func TestTierDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(999)
-	if got := tier.Stats(); got.MemLen != 0 || got.Runs != 0 {
+	if got := tier.Stats(); got.MemLen != 0 {
 		t.Fatalf("Flush left delta behind: %+v", got)
 	}
 }
@@ -200,8 +200,17 @@ func TestTierStrictDiscipline(t *testing.T) {
 	if want := core.ValidateMotion(nonFinite, testTerrain); want == nil || err == nil || !strings.Contains(err.Error(), want.Error()) {
 		t.Fatalf("Add(non-finite T0) = %v, want it to carry %v", err, want)
 	}
+	// A batch is all-or-nothing: OID 5 precedes the refused op, so it must
+	// not be staged either.
+	fresh := dual.Motion{OID: 5, Y0: 10, T0: 0, V: 1}
+	if _, err := tier.Add([]Op{{Insert: true, M: fresh}, {Insert: true, M: dual.Motion{OID: 1, Y0: 20, T0: 1, V: 1}}}); err == nil {
+		t.Fatal("Add(insert 5, insert live 1) succeeded, want error")
+	}
 	if tier.Len() != 1 {
 		t.Fatalf("failed Adds changed Len: %d", tier.Len())
+	}
+	if _, ok, err := tier.Get(5); err != nil || ok {
+		t.Fatalf("Get(5) = %v,%v after a refused batch; want absent", ok, err)
 	}
 	got, ok, err := tier.Get(1)
 	if err != nil || !ok || got != m {

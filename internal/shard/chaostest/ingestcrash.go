@@ -1,7 +1,7 @@
 // Ingest crash sweep: power-loss coverage for the log-structured write
 // tier. A single ingest shard runs a deterministic update workload sized
-// so the memtable freezes into runs and the runs fold into the base index
-// several times; the sweep then kills the machine at EVERY write/sync
+// so the delta's generations close and the delta folds into the base
+// index several times; the sweep then kills the machine at EVERY write/sync
 // boundary that workload consumes — including the ones inside a fold's
 // catalog rewrite — under each crash mode, reboots onto the survivor
 // bytes, and requires:
@@ -12,11 +12,11 @@
 //     a base/watermark mix (shard.Open's internal consistency checks make
 //     a torn state an open error, which the sweep treats as a violation);
 //  2. the recovered shard answers the package queries oracle-exactly,
-//     whether the delta suffix was replayed into runs or the crash landed
+//     whether the delta suffix was replayed into the tier or the crash landed
 //     on a freshly merged (delta-free) image — the sweep asserts both
 //     recovery shapes are observed;
 //  3. the recovered shard keeps ingesting, and enough fresh writes push
-//     it through another freeze-and-fold cycle.
+//     it through another generation-and-fold cycle.
 package chaostest
 
 import (
@@ -31,7 +31,7 @@ import (
 )
 
 // ingestCrashConfig keeps the tier thresholds tiny so the short workload
-// crosses several freeze and fold boundaries, putting crash points inside
+// crosses several generation and fold boundaries, putting crash points inside
 // the interesting windows.
 func ingestCrashConfig() shard.Config {
 	return shard.Config{
@@ -272,7 +272,7 @@ func runIngestCrashPoint(ctx context.Context, mode crashtest.Mode, budget, prelu
 	if !ok {
 		return 0, 0, fmt.Errorf("recovered shard lost its ingest tier")
 	}
-	if st.MemLen > 0 || st.Runs > 0 {
+	if st.MemLen > 0 {
 		deltaRecovery = 1
 	} else {
 		cleanRecovery = 1

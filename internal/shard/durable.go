@@ -88,7 +88,7 @@ type superblock struct {
 	catHead pager.PageID
 	// flushed is the ingest-tier watermark: the base index covers exactly
 	// the first flushed catalog records; the suffix past it is the write
-	// tier's delta, replayed into the memtable on recovery. Shards without
+	// tier's delta, replayed into the tier on recovery. Shards without
 	// a tier keep flushed equal to the record count.
 	flushed int
 	meta    core.DualMeta

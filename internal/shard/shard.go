@@ -45,9 +45,9 @@ type Config struct {
 	// or BulkLoad returns, with queries still served.
 	AutoCheckpointBytes int64
 	// Ingest, when non-nil, puts a log-structured write tier in front of
-	// the shard's index: Apply lands ops in the tier's memtable instead of
+	// the shard's index: Apply lands ops in the tier's delta instead of
 	// the B+-trees, and the trees are rebuilt by one atomic bulk reindex
-	// when enough frozen runs accumulate. The catalog then carries the
+	// when enough of the delta's generations have closed. The catalog then carries the
 	// tier's delta (superblock flushed watermark), so crash recovery stays
 	// exact: reattach the base, replay the suffix. An ingest shard requires
 	// unique live OIDs (the tier upserts per object); opening durable media
@@ -58,21 +58,19 @@ type Config struct {
 // IngestConfig tunes the shard's optional write tier; zero values select
 // the ingest package defaults.
 type IngestConfig struct {
-	// MemtableFlush freezes the memtable into an immutable run at this
-	// many distinct OIDs (0 selects 2048).
+	// MemtableFlush closes the delta's open generation at this many
+	// distinct OIDs written in it (0 selects 2048).
 	MemtableFlush int
-	// MaxRuns triggers the fold into the base index (0 selects 4).
+	// MaxRuns folds the delta into the base index once this many
+	// generations have closed (0 selects 4).
 	MaxRuns int
-	// BloomBitsPerKey sizes each run's bloom filter (0 selects 10).
-	BloomBitsPerKey int
 }
 
 func (ic *IngestConfig) tierConfig(tr dual.Terrain) ingest.Config {
 	return ingest.Config{
-		Terrain:         tr,
-		MemtableFlush:   ic.MemtableFlush,
-		MaxRuns:         ic.MaxRuns,
-		BloomBitsPerKey: ic.BloomBitsPerKey,
+		Terrain:       tr,
+		MemtableFlush: ic.MemtableFlush,
+		MaxRuns:       ic.MaxRuns,
 	}
 }
 
@@ -204,7 +202,7 @@ func openOn(cfg Config, wal *pager.WALStore, store pager.Store) (*Shard, error) 
 		if cfg.Ingest != nil {
 			// Reattach the write tier: the base index covers the catalog's
 			// flushed prefix; the suffix is the delta, replayed into the
-			// memtable (never merged — recovery must not write pages).
+			// tier (never merged — recovery must not write pages).
 			baseMs, delta, err := cat.replay(flushed)
 			if err != nil {
 				return nil, fmt.Errorf("shard %d: read catalog: %w", cfg.ID, err)

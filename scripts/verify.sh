@@ -36,12 +36,9 @@ echo "== mobidxlint =="
 # release pairing, WAL batch discipline, codec bounds, float equality,
 # dropped errors, library panics, lock ordering, atomic/plain mixing,
 # context flow, and goroutine lifecycle. Exits non-zero on any finding.
-# The package listing is cached between runs (keyed on file mtimes), the
-# SARIF artifact is written even when findings fail the gate, and the
-# verbose run prints per-pass wall time.
+# The package listing is cached between runs (keyed on file mtimes), and
+# the verbose run prints per-pass wall time.
 mkdir -p .verifycache
-go run ./cmd/mobidxlint -listcache .verifycache/golist.json -sarif ./... \
-	> .verifycache/mobidxlint.sarif || true
 go run ./cmd/mobidxlint -listcache .verifycache/golist.json -v ./...
 
 echo "== go test (shuffled) =="
@@ -187,7 +184,6 @@ go test ./internal/pager -run '^$' -fuzz '^FuzzDecodeWALRecord$' -fuzztime=10s
 go test ./internal/geom -run '^$' -fuzz '^FuzzClipConvex$' -fuzztime=10s
 go test ./internal/subscribe -run '^$' -fuzz '^FuzzMatcher$' -fuzztime=10s
 go test ./internal/subscribe -run '^$' -fuzz '^FuzzKineticBoundary$' -fuzztime=10s
-go test ./internal/ingest -run '^$' -fuzz '^FuzzBloom$' -fuzztime=10s
 # Arbitrary float bits through Router.Apply and Router.Query on a two-band
 # cluster: a typed ErrInvalidMotion/ErrInvalidQuery with every shard still
 # healthy, or the brute-force answer; never a panic or a quarantine.
