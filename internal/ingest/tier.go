@@ -129,7 +129,6 @@ func Attach(base Base, ms []dual.Motion, cfg Config) (*Tier, error) {
 	}
 	t.baseMs = sorted
 	t.live = len(sorted)
-	t.stats.BaseLen = len(sorted)
 	return t, nil
 }
 
@@ -155,8 +154,10 @@ func (t *Tier) ok() error {
 // entry when it holds one, else the base contents.
 func (t *Tier) currentLocked(id dual.OID) (dual.Motion, bool) {
 	if i, ok := t.slot[id]; ok {
-		e := t.delta[i]
-		return e.m, !e.tomb
+		if e := t.delta[i]; !e.tomb {
+			return e.m, true
+		}
+		return dual.Motion{}, false
 	}
 	i := sort.Search(len(t.baseMs), func(i int) bool { return t.baseMs[i].OID >= id })
 	if i < len(t.baseMs) && t.baseMs[i].OID == id {
@@ -299,7 +300,6 @@ func (t *Tier) mergeLocked() error {
 	t.baseMs = ms
 	t.resetDeltaLocked()
 	t.stats.Merges++
-	t.stats.BaseLen = len(ms)
 	return nil
 }
 
@@ -342,7 +342,6 @@ func (t *Tier) Load(ms []dual.Motion) error {
 	t.baseMs = sorted
 	t.resetDeltaLocked()
 	t.live = len(sorted)
-	t.stats.BaseLen = len(sorted)
 	return nil
 }
 

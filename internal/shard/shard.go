@@ -47,9 +47,9 @@ type Config struct {
 	// Ingest, when non-nil, puts a log-structured write tier in front of
 	// the shard's index: Apply lands ops in the tier's delta instead of
 	// the B+-trees, and the trees are rebuilt by one atomic bulk reindex
-	// when enough of the delta's generations have closed. The catalog then carries the
-	// tier's delta (superblock flushed watermark), so crash recovery stays
-	// exact: reattach the base, replay the suffix. An ingest shard requires
+	// when enough of the delta's generations have closed. The catalog
+	// then carries the tier's delta (superblock flushed watermark), so
+	// crash recovery stays exact: reattach the base, replay the suffix. An ingest shard requires
 	// unique live OIDs (the tier upserts per object); opening durable media
 	// that holds same-OID replicas with Ingest set fails.
 	Ingest *IngestConfig
