@@ -8,8 +8,8 @@ import (
 // CtxFlow enforces context discipline in the serving layers
 // (internal/shard, internal/core), where a dropped or fabricated
 // context silently detaches a query from its caller's deadline — the
-// retry/hedge machinery then keeps burning shard attempts for a caller
-// that has long hung up. Three rules:
+// shards then keep burning reads for a caller that has long hung up.
+// Three rules:
 //
 //   - no context.Background() / context.TODO() below the facade: the
 //     root context is created by the caller, everything underneath
@@ -18,9 +18,9 @@ import (
 //   - a ctx parameter on an exported function or method must actually
 //     flow: a body that never references its ctx cannot propagate
 //     cancellation to the Executor or store call under it;
-//   - no time.Sleep in a function that takes a ctx: a sleeping retry
-//     loop must select on ctx.Done() (a timer select), or cancellation
-//     waits out the full backoff.
+//   - no time.Sleep in a function that takes a ctx: a wait must select
+//     on ctx.Done() (a timer select), or cancellation waits out the full
+//     sleep.
 var CtxFlow = &Pass{
 	Name: "ctxflow",
 	Doc:  "exported blocking APIs in shard/core must accept and propagate context.Context",

@@ -14,7 +14,8 @@ import (
 //   - permanent: the operation failed and will keep failing (bad page id,
 //     closed store, media error). Propagated to the caller.
 //   - transient: the operation failed but may succeed if retried (injected
-//     by FaultStore with Transient: true; the shard router retries these).
+//     by FaultStore with Transient: true). Nothing in the stack retries
+//     them; a caller that sees one may.
 //   - silent: the operation "succeeded" but the data is wrong (bit rot,
 //     torn write). FileStore's page trailers convert them into detected
 //     ErrPageCorrupt errors.
@@ -88,8 +89,8 @@ type FaultConfig struct {
 	// Stall turns injected read faults into stragglers instead of errors:
 	// the read sleeps this long and then succeeds. A stalled shard is the
 	// third failure mode a serving layer must survive (after fail-fast and
-	// fail-silent) — it holds resources while producing nothing, which is
-	// what hedged reads exist to cut short. Zero disables stalling.
+	// fail-silent) — it holds resources while producing nothing until the
+	// read returns. Zero disables stalling.
 	Stall time.Duration
 	// MaxFaults caps the total number of injected faults; zero means
 	// unlimited. Once spent, the store behaves like its underlying store —

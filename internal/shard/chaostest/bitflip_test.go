@@ -28,8 +28,7 @@ import (
 func TestClusterBitFlipSweep(t *testing.T) {
 	const slot = PageSize + 4 // a FileStore slot: the page, then its CRC-32C
 	ctx := context.Background()
-	cfg := shard.ClusterConfig{Terrain: terrain, PageSize: PageSize, Exec: core.NewExecutor(1),
-		Policy: shard.Policy{AllowPartial: true}}
+	cfg := shard.ClusterConfig{Terrain: terrain, PageSize: PageSize, Exec: core.NewExecutor(1)}
 
 	// Build: a bulk load, then a third of the population moved, so the
 	// file holds freed pages and a free-list beside the live ones.

@@ -78,7 +78,8 @@ var Topologies = []Topology{
 	{Shards: 8, Workers: 4},
 }
 
-// Scenario is one fault schedule × failure policy under sweep.
+// Scenario is one fault schedule under sweep, with the breaker policy the
+// cluster serves it with.
 type Scenario struct {
 	Name   string
 	Policy shard.Policy
@@ -93,6 +94,9 @@ type Scenario struct {
 	// ExpectDegraded requires at least one degraded answer during the
 	// fault phase — the proof the scenario actually hurt something.
 	ExpectDegraded bool
+	// Cause, when set, must be reachable with errors.Is from every
+	// degraded answer of the fault phase.
+	Cause error
 	// WriteStorm applies an extra motion batch during the fault phase
 	// (instead of only querying), exercising quarantine-and-route-around.
 	WriteStorm bool
@@ -281,11 +285,23 @@ func RunScenario(topo Topology, sc Scenario) error {
 			if cerr != nil {
 				return fmt.Errorf("fault phase round %d: %w", round, cerr)
 			}
+			if d && sc.Cause != nil && !errors.Is(err, sc.Cause) {
+				return fmt.Errorf("fault phase round %d: %v does not carry %v", round, err, sc.Cause)
+			}
 			degraded = degraded || d
 		}
 	}
 	if sc.ExpectDegraded && !degraded {
 		return errors.New("fault phase: expected at least one degraded answer, every query was full")
+	}
+	if sc.Fault != nil {
+		var fired int64
+		for _, fs := range faults {
+			fired += fs.Counters().Total()
+		}
+		if fired == 0 {
+			return errors.New("fault phase: the fault schedule never fired")
+		}
 	}
 	if sc.ExpectDegraded && len(allowedDown) > 0 {
 		if st := r.Stats(); st.FailedShards == 0 {

@@ -225,7 +225,6 @@ func TestClusterRevive(t *testing.T) {
 	want := oracleAnswers(ms, qs)
 
 	cfg := testClusterConfig()
-	cfg.Policy.AllowPartial = true
 	cfg.Policy.BreakAfter = 1
 	cfg.Policy.OpenFor = time.Hour
 	c, err := OpenCluster(env, cfg, 4)
@@ -281,9 +280,7 @@ func TestClusterRebuildFromPeers(t *testing.T) {
 	qs := clusterQueries()
 	want := oracleAnswers(ms, qs)
 
-	cfg := testClusterConfig()
-	cfg.Policy.AllowPartial = true
-	c, err := OpenCluster(env, cfg, 4)
+	c, err := OpenCluster(env, testClusterConfig(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestPartialErrorUnwrap(t *testing.T) {
 	pe := &PartialError{
 		Missing: []int{1, 3},
 		Causes: []error{
-			fmt.Errorf("shard 1: retry budget exhausted: %w", inj),
+			fmt.Errorf("shard 1: %w", inj),
 			fmt.Errorf("shard 3 unhealthy: %w", ErrShardDown),
 		},
 	}
@@ -63,8 +63,7 @@ func TestPartialErrorUnwrap(t *testing.T) {
 func TestPartialErrorMissingDeterministic(t *testing.T) {
 	leakcheck.Check(t)
 	pol := Policy{
-		AllowPartial: true,
-		BreakAfter:   1 << 30, // keep the breaker out of it: every call really fails
+		BreakAfter: 1 << 30, // keep the breaker out of it: every call really fails
 	}
 	r, faults := cluster(t, 4, 4, pol)
 	ms := motions1D(192)
@@ -108,53 +107,37 @@ func TestPartialErrorMissingDeterministic(t *testing.T) {
 	}
 }
 
-// TestPartialErrorThroughRetryAndHedge drives one shard through the full
-// failure policy — stalled reads, per-attempt deadlines, a hedge racing
-// the primary, a retry after both time out — and requires the root cause
-// to survive every layer of wrapping into the PartialError: the attempt
-// deadline (context.DeadlineExceeded) must be reachable with errors.Is
-// even though the caller's own context never expired.
+// TestPartialErrorThroughRetryAndHedge drives one shard through the
+// breaker: its first failed call opens it, the next query skips the shard.
+// Both answers degrade, and each PartialError carries its root cause
+// through every layer of wrapping: the injected storage fault for the
+// call that failed, ErrShardDown for the call the breaker skipped.
 func TestPartialErrorThroughRetryAndHedge(t *testing.T) {
 	leakcheck.Check(t)
-	pol := Policy{
-		ShardTimeout: 3 * time.Millisecond,
-		HedgeAfter:   200 * time.Microsecond,
-		MaxAttempts:  2,
-		AllowPartial: true,
-		BreakAfter:   1 << 30,
-	}
-	r, faults := cluster(t, 2, 2, pol)
+	r, faults := cluster(t, 2, 2, Policy{BreakAfter: 1, OpenFor: time.Hour})
 	ms := motions1D(128)
 	if err := r.Apply(context.Background(), opsFor(ms)); err != nil {
 		t.Fatal(err)
 	}
-	// Shard 0 stalls every read far past the attempt deadline: the primary
-	// times out, the hedge launches and times out too, the retry repeats
-	// the dance, and the query degrades around the straggler.
-	faults[0].SetConfig(pager.FaultConfig{
-		Seed:  100,
-		Read:  pager.OpFaults{FailEvery: 1},
-		Stall: 50 * time.Millisecond,
-	})
-	_, err := r.Query(context.Background(), queries1D[1])
-	var pe *PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want PartialError", err)
-	}
-	if len(pe.Missing) != 1 || pe.Missing[0] != 0 {
-		t.Fatalf("Missing = %v, want [0]", pe.Missing)
-	}
-	if !errors.Is(pe, context.DeadlineExceeded) {
-		t.Errorf("attempt deadline not reachable through PartialError: %v", pe)
+	faults[0].SetConfig(pager.FaultConfig{Seed: 100, Read: pager.OpFaults{FailEvery: 1}})
+	for round, cause := range []error{pager.ErrInjected, ErrShardDown} {
+		_, err := r.Query(context.Background(), queries1D[1])
+		var pe *PartialError
+		if !errors.As(err, &pe) {
+			t.Fatalf("round %d: err = %v, want PartialError", round, err)
+		}
+		if len(pe.Missing) != 1 || pe.Missing[0] != 0 {
+			t.Fatalf("round %d: Missing = %v, want [0]", round, pe.Missing)
+		}
+		if !errors.Is(pe, cause) {
+			t.Errorf("round %d: %v not reachable through PartialError: %v", round, cause, pe)
+		}
 	}
 	st := r.Stats()
-	if st.Hedges == 0 {
-		t.Errorf("hedge never launched: %+v", st)
+	if st.BreakerOpens != 1 || st.BreakerSkips != 1 || st.FailedShards != 1 {
+		t.Errorf("breaker traffic = %+v, want one open, one skip, one failed call", st)
 	}
-	if st.Retries == 0 {
-		t.Errorf("retry never attempted: %+v", st)
-	}
-	if st.Partial == 0 {
-		t.Errorf("degraded answer not counted: %+v", st)
+	if st.Partial != 2 {
+		t.Errorf("Partial = %d, want 2", st.Partial)
 	}
 }

@@ -7,14 +7,12 @@
 // single unsharded index.
 //
 // The layer's reason to exist is what happens when a shard is NOT fine.
-// The router wraps every shard interaction in a failure policy: per-shard
-// deadlines (context cancellation), bounded retry with exponential backoff
-// and seeded jitter (the stack's one retry: the page stores below retry
-// nothing), optional hedged reads against stragglers, and a
-// per-shard circuit breaker fed by Health() and error outcomes. When a
-// shard exhausts its retry budget the query degrades instead of dying: the
-// router returns the merged results of the healthy shards together with a
-// typed *PartialError naming the missing partitions.
+// The router makes one attempt per shard, behind a per-shard circuit
+// breaker fed by Health() and call outcomes; nothing in the stack retries.
+// When a shard fails, or its breaker is open, the query degrades instead
+// of dying: the router returns the merged results of the shards that
+// served together with a typed *PartialError naming the missing
+// partitions. Writes degrade the same way.
 //
 // A Cluster makes the deployment durable: each shard keeps a superblock and
 // a motion catalog beside its trees, and the cluster a manifest, all three

@@ -51,7 +51,7 @@ func TestRouterValidation(t *testing.T) {
 // router and the shard refuse it with core.ValidateQuery's own error before
 // any shard call, breaker, PartialError or health counter sees it.
 func TestRouterRejectsHostileQuery(t *testing.T) {
-	r, _ := cluster(t, 2, 2, Policy{AllowPartial: true})
+	r, _ := cluster(t, 2, 2, Policy{})
 	if err := r.Apply(context.Background(), opsFor(motions1D(64))); err != nil {
 		t.Fatal(err)
 	}
@@ -213,68 +213,22 @@ func TestRouterDifferentialWorkload(t *testing.T) {
 	}
 }
 
-// TestRouterRetryAbsorbsTransientFaults: a bounded storm of transient
-// read faults is absorbed by the router's retry budget, the one place the
-// stack retries.
-func TestRouterRetryAbsorbsTransientFaults(t *testing.T) {
-	leakcheck.Check(t)
-	r, faults := cluster(t, 4, 4, Policy{
-		MaxAttempts: 4,
-		Backoff:     func(int) time.Duration { return 100 * time.Microsecond },
-		Jitter:      0.5,
-		Seed:        42,
-	})
-	ms := motions1D(256)
-	if err := r.Apply(context.Background(), opsFor(ms)); err != nil {
-		t.Fatal(err)
-	}
-	clean := make([]string, len(queries1D))
-	for i, q := range queries1D {
-		res, err := r.Query(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clean[i] = fingerprint(res)
-	}
-	for _, fs := range faults {
-		cfg := fs.Config()
-		cfg.Read = pager.OpFaults{FailEvery: 5}
-		cfg.Transient = true
-		cfg.MaxFaults = 3
-		fs.SetConfig(cfg)
-	}
-	for i, q := range queries1D {
-		res, err := r.Query(context.Background(), q)
-		if err != nil {
-			t.Fatalf("query %d not absorbed: %v", i, err)
-		}
-		if fingerprint(res) != clean[i] {
-			t.Fatalf("query %d diverged under transient storm", i)
-		}
-	}
-	if st := r.Stats(); st.Retries == 0 {
-		t.Fatalf("storm absorbed without retries: %+v", st)
-	}
-}
-
-// TestRouterDegradesAroundDeadShard: a permanently failing shard is
-// retried, then broken, then skipped — every answer along the way is the
-// exact union of the healthy partitions, flagged with a *PartialError
-// naming the dead one.
+// TestRouterDegradesAroundDeadShard: a permanently failing shard fails
+// its calls, then its breaker opens and skips it — every answer along the
+// way is the exact union of the healthy partitions, flagged with a
+// *PartialError naming the dead one. The caller's own cancellation still
+// fails the whole query.
 func TestRouterDegradesAroundDeadShard(t *testing.T) {
 	leakcheck.Check(t)
 	r, faults := cluster(t, 4, 4, Policy{
-		MaxAttempts:  2,
-		BreakAfter:   2,
-		OpenFor:      time.Hour, // stays open for the whole test
-		AllowPartial: true,
+		BreakAfter: 2,
+		OpenFor:    time.Hour, // stays open for the whole test
 	})
 	ms := motions1D(256)
 	if err := r.Apply(context.Background(), opsFor(ms)); err != nil {
 		t.Fatal(err)
 	}
-	// Shard 0's storage dies permanently (non-transient: retries cannot
-	// help, and must not be spent — permanent errors propagate at once).
+	// Shard 0's storage dies permanently.
 	faults[0].SetConfig(pager.FaultConfig{Seed: 100, Read: pager.OpFaults{FailEvery: 1}})
 	q := dual.MORQuery{Y1: 0, Y2: 1000, T1: 0, T2: 5} // spans every band
 	down := map[int]bool{0: true}
@@ -315,96 +269,6 @@ func TestRouterDegradesAroundDeadShard(t *testing.T) {
 	if fingerprint(got) != fingerprint(bruteForce(r.Partitioner(), ms, narrow, nil)) {
 		t.Fatal("band-3-only query wrong")
 	}
-}
-
-// TestRouterStrictModeFailsWhole: without AllowPartial a dead shard fails
-// the query outright — no silent partial answers.
-func TestRouterStrictModeFailsWhole(t *testing.T) {
-	leakcheck.Check(t)
-	r, faults := cluster(t, 2, 2, Policy{})
-	if err := r.Apply(context.Background(), opsFor(motions1D(64))); err != nil {
-		t.Fatal(err)
-	}
-	faults[1].SetConfig(pager.FaultConfig{Seed: 101, Read: pager.OpFaults{FailEvery: 1}})
-	_, err := r.Query(context.Background(), dual.MORQuery{Y1: 0, Y2: 1000, T1: 0, T2: 5})
-	if err == nil {
-		t.Fatal("strict-mode query over dead shard succeeded")
-	}
-	var pe *PartialError
-	if errors.As(err, &pe) {
-		t.Fatalf("strict mode returned a PartialError: %v", err)
-	}
-}
-
-// TestRouterHedgeBeatsStall: with a one-shot 150ms stall in shard 0's
-// read path, the hedged second attempt (launched after 2ms, running
-// against a now-clean fault budget) answers long before the stalled
-// primary would have.
-func TestRouterHedgeBeatsStall(t *testing.T) {
-	leakcheck.Check(t)
-	r, faults := cluster(t, 2, 2, Policy{HedgeAfter: 2 * time.Millisecond})
-	ms := motions1D(128)
-	if err := r.Apply(context.Background(), opsFor(ms)); err != nil {
-		t.Fatal(err)
-	}
-	q := dual.MORQuery{Y1: 0, Y2: 1000, T1: 0, T2: 5}
-	want, err := r.Query(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults[0].SetConfig(pager.FaultConfig{
-		Seed: 100, Read: pager.OpFaults{FailEvery: 1},
-		Stall: 150 * time.Millisecond, MaxFaults: 1,
-	})
-	start := time.Now()
-	got, err := r.Query(context.Background(), q)
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fingerprint(got) != fingerprint(want) {
-		t.Fatal("hedged answer diverged")
-	}
-	if elapsed >= 150*time.Millisecond {
-		t.Fatalf("hedge did not cut the stall: %v", elapsed)
-	}
-	st := r.Stats()
-	if st.Hedges == 0 || st.HedgeWins == 0 {
-		t.Fatalf("hedge not recorded: %+v", st)
-	}
-}
-
-// TestRouterDeadlineConvertsStallToDegradation: per-shard deadlines turn
-// an unbounded stall into a bounded, typed partial answer.
-func TestRouterDeadlineConvertsStallToDegradation(t *testing.T) {
-	leakcheck.Check(t)
-	r, faults := cluster(t, 2, 2, Policy{
-		ShardTimeout: 10 * time.Millisecond,
-		AllowPartial: true,
-	})
-	ms := motions1D(128)
-	if err := r.Apply(context.Background(), opsFor(ms)); err != nil {
-		t.Fatal(err)
-	}
-	faults[0].SetConfig(pager.FaultConfig{
-		Seed: 100, Read: pager.OpFaults{FailEvery: 1}, Stall: 40 * time.Millisecond,
-	})
-	q := dual.MORQuery{Y1: 0, Y2: 1000, T1: 0, T2: 5}
-	got, err := r.Query(context.Background(), q)
-	var pe *PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PartialError", err)
-	}
-	if len(pe.Missing) != 1 || pe.Missing[0] != 0 {
-		t.Fatalf("Missing = %v, want [0]", pe.Missing)
-	}
-	if !errors.Is(pe, context.DeadlineExceeded) {
-		t.Fatalf("cause %v does not carry DeadlineExceeded", pe)
-	}
-	want := healthyUnion(r.Partitioner(), ms, q, map[int]bool{0: true})
-	if fingerprint(got) != fingerprint(want) {
-		t.Fatalf("degraded answer %q, want %q", fingerprint(got), fingerprint(want))
-	}
 	// The caller's own cancellation is never converted to a partial.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -418,7 +282,7 @@ func TestRouterDeadlineConvertsStallToDegradation(t *testing.T) {
 // theirs, and reads degrade around the quarantined one from then on.
 func TestRouterApplyDegradation(t *testing.T) {
 	leakcheck.Check(t)
-	r, faults := cluster(t, 4, 4, Policy{AllowPartial: true, OpenFor: time.Hour})
+	r, faults := cluster(t, 4, 4, Policy{OpenFor: time.Hour})
 	ms := motions1D(256)
 	if err := r.Apply(context.Background(), opsFor(ms)); err != nil {
 		t.Fatal(err)

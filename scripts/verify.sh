@@ -62,7 +62,7 @@ go test -race -count=1 -run 'Storm|Stress|Differential|Leak' ./internal/subscrib
 go test -race -count=1 -run 'TestSubscribeStormOnRouter|TestSubscriptionsSurviveTopologyChanges|TestSubscriptionFeedFailure|TestQueryDuringSubscriptionFeed|TestWritesShareFeedLatch|TestRouterWriteCancelledKeepsSubs' \
 	./internal/shard
 
-echo "== chaos sweep (topology x fault x policy, race-gated) =="
+echo "== chaos sweep (topology x fault, race-gated) =="
 # The sharded-serving chaos harness: every topology through every fault
 # scenario with deterministic seeds, asserting byte-identical no-fault
 # answers, exact healthy-union degraded answers with typed PartialErrors,
@@ -82,7 +82,7 @@ echo "== cluster crash sweep (kill points x fault schedules x topologies, race-g
 # shard recovery/lifecycle tests.
 go test -race -count=1 -run 'TestClusterCrashSweep|TestClusterSplitFaultResume|TestClusterBitFlipSweep' \
 	./internal/shard/chaostest
-go test -race -count=1 -run 'TestCluster|TestShardCloseDuringHedgedReads|TestPartialError' \
+go test -race -count=1 -run 'TestCluster|TestShardCloseDuringReads|TestPartialError' \
 	./internal/shard
 
 echo "== ingest crash sweep (memtable-flush kill points x media modes, race-gated) =="
