@@ -23,7 +23,7 @@ type ClusterConfig struct {
 	Codec               bptree.Codec
 	PageSize            int
 	AutoCheckpointBytes int64
-	// Policy is the router failure policy.
+	// Policy tunes the router's per-shard circuit breaker.
 	Policy Policy
 	// Exec bounds the router fan-out (nil selects GOMAXPROCS-bounded).
 	Exec *core.Executor
