@@ -33,13 +33,33 @@ func (d *DualBPlus) BulkLoad(ms []dual.Motion) error {
 }
 
 // bulkLoad fills a fresh generation's trees bottom-up from the motions of
-// its epoch.
+// its epoch. A counting pass sizes each of the 3c entry slices exactly, so
+// each is allocated once.
 func (g *dualBPGen) bulkLoad(ms []dual.Motion) error {
 	c := g.cfg.C
 	codec := g.cfg.Codec
+	nPos := 0
+	nSub := make([]int, c)
+	for _, m := range ms {
+		if m.V > 0 {
+			nPos++
+		}
+		err := g.eachResidence(m, func(i int, _, _ float64) error {
+			nSub[i]++
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
 	pos := make([][]bptree.Entry, c)
 	neg := make([][]bptree.Entry, c)
 	sub := make([][]bptree.Entry, c)
+	for i := 0; i < c; i++ {
+		pos[i] = make([]bptree.Entry, 0, nPos)
+		neg[i] = make([]bptree.Entry, 0, len(ms)-nPos)
+		sub[i] = make([]bptree.Entry, 0, nSub[i])
+	}
 	for _, m := range ms {
 		for i := 0; i < c; i++ {
 			_, b := dual.HoughY(m, g.yr(i))

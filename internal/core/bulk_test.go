@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"slices"
 	"testing"
@@ -211,5 +214,52 @@ func TestDualBPlusBulkIOAdvantage(t *testing.T) {
 	bulkIOs := bulkStore.Stats().IOs()
 	if bulkIOs*5 > incIOs {
 		t.Fatalf("bulk reindex cost %d I/Os, incremental %d — want >= 5x reduction", bulkIOs, incIOs)
+	}
+}
+
+// A bulk load writes the same page bytes whatever sorts its entries: the
+// SHA-256 of every live page after one DualBPlus BulkLoad, per codec, is
+// pinned to the image the comparison merge sort produced at commit
+// 3b79fce. The input spans several generations, lists OIDs in descending
+// order and gives groups of objects one motion, so that whole runs of
+// entries share a key and only the OID orders them.
+func TestDualBPlusBulkImagesPinned(t *testing.T) {
+	want := map[bptree.Codec]string{
+		bptree.Compact: "b2e067034c85161efae3633509ee71fa611970cd0e9acaf19b547263dc21df3e",
+		bptree.Wide:    "8c86fb57ebb7fa7778bee1f4692d02b95a0bd2c15ed3a2eea2c86a36200f0319",
+	}
+	ms := randMotions(43, 3000, 2.5)
+	for i := range ms {
+		ms[i].OID = dual.OID(len(ms) - i)
+		if i%5 != 0 {
+			o := ms[i].OID
+			ms[i] = ms[i-i%5]
+			ms[i].OID = o
+		}
+	}
+	for codec, w := range want {
+		st := pager.NewMemStore(512)
+		d, err := NewDualBPlus(st, DualBPlusConfig{Terrain: testTerrain, C: 4, Codec: codec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.BulkLoad(ms); err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var idb [4]byte
+		for id, found := pager.PageID(1), 0; found < st.PagesInUse(); id++ {
+			b, err := st.View(id)
+			if err != nil {
+				continue
+			}
+			found++
+			binary.LittleEndian.PutUint32(idb[:], uint32(id))
+			h.Write(idb[:])
+			h.Write(b)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != w {
+			t.Errorf("codec %d: %d pages hash to %s, want %s", codec, st.PagesInUse(), got, w)
+		}
 	}
 }

@@ -1,9 +1,11 @@
 package ingest
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -132,9 +134,11 @@ func Attach(base Base, ms []dual.Motion, cfg Config) (*Tier, error) {
 	return t, nil
 }
 
+func byOID(a, b dual.Motion) int { return cmp.Compare(a.OID, b.OID) }
+
 func sortByOID(ms []dual.Motion) ([]dual.Motion, error) {
-	out := append([]dual.Motion(nil), ms...)
-	sort.Slice(out, func(i, j int) bool { return out[i].OID < out[j].OID })
+	out := slices.Clone(ms)
+	slices.SortFunc(out, byOID)
 	for i := 1; i < len(out); i++ {
 		if out[i].OID == out[i-1].OID {
 			return nil, fmt.Errorf("ingest: duplicate OID %d (the tier upserts per object)", out[i].OID)
@@ -276,20 +280,28 @@ func (t *Tier) stageLocked(ops []Op, verb string) error {
 }
 
 // mergeLocked folds the delta into the base with one atomic BulkLoad
-// reindex of the exact live motion set.
+// reindex of the exact live motion set. baseMs is already in OID order,
+// so only the delta is sorted, and one linear merge of the two yields the
+// new base: a delta entry replaces the base motion with its OID (or, as a
+// tombstone, drops it), and a delta upsert with a new OID joins in order.
 func (t *Tier) mergeLocked() error {
-	ms := make([]dual.Motion, 0, len(t.baseMs)+len(t.delta))
+	ds := make([]dual.Motion, 0, len(t.delta))
+	for _, e := range t.delta {
+		if !e.tomb {
+			ds = append(ds, e.m)
+		}
+	}
+	slices.SortFunc(ds, byOID)
+	ms := make([]dual.Motion, 0, len(t.baseMs)+len(ds))
 	for _, m := range t.baseMs {
+		for len(ds) > 0 && ds[0].OID < m.OID {
+			ms, ds = append(ms, ds[0]), ds[1:]
+		}
 		if _, masked := t.slot[m.OID]; !masked {
 			ms = append(ms, m)
 		}
 	}
-	for _, e := range t.delta {
-		if !e.tomb {
-			ms = append(ms, e.m)
-		}
-	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i].OID < ms[j].OID })
+	ms = append(ms, ds...)
 	if err := t.base.BulkLoad(ms); err != nil {
 		// On a batching store the reindex batch rolled back, but the base's
 		// in-memory generations may hold a partial build: nothing above can
@@ -448,7 +460,7 @@ func (t *Tier) QueryParallelCtx(ctx context.Context, exec *core.Executor, q dual
 			out = append(out, e.m.OID)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	// Base survivors and delta members are disjoint by construction; the
 	// dedup guards the contract, not an expected case.
 	out = dedupOIDs(out)

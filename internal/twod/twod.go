@@ -253,8 +253,10 @@ func newDual4(store pager.Store, t Terrain2D, newTree func(pager.Store, int) (co
 // constraints4 builds the ℝ⁴ simplex: the Proposition 1 wedge of the x
 // projection on dims (0,1) and of the y projection on dims (2,3). The
 // region classifies a cell one half-space at a time (geom.HalfSpaces): the
-// eight constraints are never clipped against a cell together, which is
-// E8's suspected defect (ROADMAP item 6(b)).
+// eight constraints are never clipped against a cell together. Exact
+// per-projection clipping was measured in its place and changes no I/O
+// count: the 4-D k-d dual reads 141 of 141 pages at N = 20k and 749 of 749
+// at 100k (ROADMAP item 3(b)).
 func constraints4(q MOR2Query, tref float64, tr Terrain2D, negX, negY bool) geom.HalfSpaces {
 	hs := make([]geom.HalfSpace, 0, 8)
 	add := func(vDim int, axis dual.MORQuery, t dual.Terrain, neg bool) {

@@ -145,7 +145,7 @@ echo "== bench smoke =="
 # anything. internal/core's BenchmarkQueryParallel is the standing guard
 # for reader contention: run it with -cpu 1,2 to time it.
 go test -run '^$' -bench . -benchtime=1x ./internal/bptree ./internal/pager ./internal/subscribe \
-	./internal/core
+	./internal/core ./internal/ingest
 
 echo "== mobbench smoke =="
 # cmd/mobbench has no test file: run its quickest sweep, and check that a
@@ -175,6 +175,9 @@ go test ./internal/bptree -run '^$' -fuzz '^FuzzDecodeNode$' -fuzztime=10s
 go test ./internal/bptree -run '^$' -fuzz '^FuzzMutateHostileImage$' -fuzztime=10s -fuzzminimizetime=1s
 go test ./internal/kdtree -run '^$' -fuzz '^FuzzHostileImage$' -fuzztime=10s -fuzzminimizetime=1s
 go test ./internal/parttree -run '^$' -fuzz '^FuzzHostileImage$' -fuzztime=10s -fuzzminimizetime=1s
+# Arbitrary entries, tiled so short inputs cross the radix cutoff, through
+# SortEntries against a stable comparison sort: the same order, bit for bit.
+go test ./internal/bptree -run '^$' -fuzz '^FuzzSortEntries$' -fuzztime=10s
 # A pages file as arbitrary bytes: a store or ErrBadMeta, never a panic or
 # an endless chain walk; an opened store then reads every live page, each
 # verified against its slot's trailer or ErrPageCorrupt. The 8 KB seed
