@@ -12,9 +12,7 @@ import (
 	"time"
 
 	"mobidx/internal/bptree"
-	"mobidx/internal/core"
 	"mobidx/internal/harness"
-	"mobidx/internal/pager"
 	"mobidx/internal/workload"
 )
 
@@ -35,24 +33,9 @@ func main() {
 	if *wide {
 		codec = bptree.Wide
 	}
-	var m harness.Method
-	switch *method {
-	case "dualbp":
-		m = harness.Method{Name: fmt.Sprintf("Dual B+ c=%d", *c), New: func(st pager.Store) (core.Index1D, error) {
-			return core.NewDualBPlus(st, core.DualBPlusConfig{Terrain: tr, C: *c, Codec: codec})
-		}}
-	case "kd":
-		m = harness.Method{Name: "kd-tree (hB)", New: func(st pager.Store) (core.Index1D, error) {
-			return core.NewKDDual(st, core.KDDualConfig{Terrain: tr})
-		}}
-	case "rstar":
-		m = harness.Method{Name: "R*-tree", New: func(st pager.Store) (core.Index1D, error) {
-			return core.NewRStarSeg(st, core.RStarSegConfig{Terrain: tr})
-		}}
-	case "parttree":
-		m = harness.PartTreeMethod(tr)
-	default:
-		fmt.Fprintf(os.Stderr, "mobsim: unknown method %q\n", *method)
+	m, err := harness.MethodByName(*method, tr, *c, codec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mobsim: %v\n", err)
 		os.Exit(1)
 	}
 

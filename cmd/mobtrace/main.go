@@ -17,10 +17,8 @@ import (
 	"strconv"
 
 	"mobidx/internal/bptree"
-	"mobidx/internal/core"
 	"mobidx/internal/dual"
 	"mobidx/internal/harness"
-	"mobidx/internal/pager"
 	"mobidx/internal/workload"
 )
 
@@ -41,23 +39,12 @@ func main() {
 		fail("-ops is required")
 	}
 
-	tr := workload.DefaultParams(1).Terrain
-	base := pager.NewMemStore(pager.DefaultPageSize)
-	buf := pager.NewBuffered(base, harness.BufferPages)
-	var ix core.Index1D
-	var err error
-	switch *method {
-	case "dualbp":
-		ix, err = core.NewDualBPlus(buf, core.DualBPlusConfig{Terrain: tr, C: *c, Codec: bptree.Compact})
-	case "kd":
-		ix, err = core.NewKDDual(buf, core.KDDualConfig{Terrain: tr})
-	case "rstar":
-		ix, err = core.NewRStarSeg(buf, core.RStarSegConfig{Terrain: tr})
-	case "parttree":
-		ix, err = core.NewPartTreeDual(buf, core.PartTreeDualConfig{Terrain: tr})
-	default:
-		fail("unknown method %q", *method)
+	m, err := harness.MethodByName(*method, workload.DefaultParams(1).Terrain, *c, bptree.Compact)
+	if err != nil {
+		fail("%v", err)
 	}
+	pool := harness.NewPool()
+	ix, err := m.New(pool)
 	if err != nil {
 		fail("create index: %v", err)
 	}
@@ -109,6 +96,9 @@ func main() {
 			if err != nil {
 				fail("query tick: %v", err)
 			}
+			if tick < 0 {
+				fail("query tick %d is negative", tick)
+			}
 			vals := make([]float64, 4)
 			for i := 0; i < 4; i++ {
 				if vals[i], err = strconv.ParseFloat(rec[2+i], 64); err != nil {
@@ -130,13 +120,12 @@ func main() {
 	var qIOs int64
 	runBatch := func(tick int) {
 		for _, qu := range batches[tick] {
-			buf.Clear()
-			before := buf.Stats()
 			got := 0
-			if err := ix.Query(qu.q, func(dual.OID) { got++ }); err != nil {
+			ios, err := pool.Query(func() error { return ix.Query(qu.q, func(dual.OID) { got++ }) })
+			if err != nil {
 				fail("query: %v", err)
 			}
-			qIOs += buf.Stats().Sub(before).IOs()
+			qIOs += ios
 			queries++
 			switch {
 			case got == qu.want:
@@ -190,9 +179,9 @@ func main() {
 	for tick := curTick; len(batches) > 0; tick++ {
 		runBatch(tick)
 	}
-	st := buf.Stats()
+	st := pool.Stats()
 	fmt.Printf("replayed %d ops (%d inserts, %d deletes): %d reads, %d writes, %d pages, %d objects live\n",
-		ops, inserts, deletes, st.Reads, st.Writes, buf.PagesInUse(), ix.Len())
+		ops, inserts, deletes, st.Reads, st.Writes, pool.PagesInUse(), ix.Len())
 	if *qPath == "" {
 		return
 	}

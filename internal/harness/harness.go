@@ -23,41 +23,85 @@ import (
 // BufferPages is the buffer pool size of §5 ("3 or 4 pages").
 const BufferPages = 4
 
+// Pool is the page stack every §5 measurement runs on: a MemStore of
+// 4096-byte pages under a BufferPages-page LRU pool, whose page I/Os are
+// the paper's metric.
+type Pool struct{ *pager.Buffered }
+
+// NewPool returns an empty §5 page stack.
+func NewPool() Pool {
+	return Pool{pager.NewBuffered(pager.NewMemStore(pager.DefaultPageSize), BufferPages)}
+}
+
+// Query runs one query on a cleared pool, as §5 clears the buffer before
+// every query, and returns the page I/Os it cost.
+func (p Pool) Query(query func() error) (int64, error) {
+	p.Clear()
+	return p.Update(query)
+}
+
+// Update runs an update, or a run of them, on the pool as it stands and
+// returns the page I/Os it cost.
+func (p Pool) Update(update func() error) (int64, error) {
+	before := p.Stats()
+	err := update()
+	return p.Stats().Sub(before).IOs(), err
+}
+
 // Method is one access method under test.
 type Method struct {
 	Name string
 	New  func(store pager.Store) (core.Index1D, error)
 }
 
+// methods builds each access method a command line can name; c and codec
+// tune dualbp only.
+var methods = map[string]func(tr dual.Terrain, c int, codec bptree.Codec) Method{
+	"dualbp": func(tr dual.Terrain, c int, codec bptree.Codec) Method {
+		return Method{Name: fmt.Sprintf("Dual B+ c=%d", c), New: func(st pager.Store) (core.Index1D, error) {
+			return core.NewDualBPlus(st, core.DualBPlusConfig{Terrain: tr, C: c, Codec: codec})
+		}}
+	},
+	"kd": func(tr dual.Terrain, _ int, _ bptree.Codec) Method {
+		return Method{Name: "kd-tree (hB)", New: func(st pager.Store) (core.Index1D, error) {
+			return core.NewKDDual(st, core.KDDualConfig{Terrain: tr})
+		}}
+	},
+	"rstar": func(tr dual.Terrain, _ int, _ bptree.Codec) Method {
+		return Method{Name: "R*-tree", New: func(st pager.Store) (core.Index1D, error) {
+			return core.NewRStarSeg(st, core.RStarSegConfig{Terrain: tr})
+		}}
+	},
+	"parttree": func(tr dual.Terrain, _ int, _ bptree.Codec) Method {
+		return Method{Name: "Partition tree", New: func(st pager.Store) (core.Index1D, error) {
+			return core.NewPartTreeDual(st, core.PartTreeDualConfig{Terrain: tr})
+		}}
+	},
+}
+
+// MethodByName returns the access method named dualbp (the Dual-B+
+// approximation with c observation indexes storing codec records), kd
+// (the k-d point access method, the hBΠ stand-in), rstar (the R*-tree
+// over trajectory segments) or parttree (the §3.4 partition tree).
+func MethodByName(name string, tr dual.Terrain, c int, codec bptree.Codec) (Method, error) {
+	mk, ok := methods[name]
+	if !ok {
+		return Method{}, fmt.Errorf("unknown method %q (want dualbp|kd|rstar|parttree)", name)
+	}
+	return mk(tr, c, codec), nil
+}
+
 // PaperMethods returns the five methods of Figures 6-9: the R*-tree over
 // trajectory segments, the k-d point access method (the hBΠ stand-in), and
 // the Dual-B+ approximation with c = 4, 6 and 8.
 func PaperMethods(tr dual.Terrain) []Method {
-	ms := []Method{
-		{Name: "R*-tree", New: func(st pager.Store) (core.Index1D, error) {
-			return core.NewRStarSeg(st, core.RStarSegConfig{Terrain: tr})
-		}},
-		{Name: "kd-tree (hB)", New: func(st pager.Store) (core.Index1D, error) {
-			return core.NewKDDual(st, core.KDDualConfig{Terrain: tr})
-		}},
+	return []Method{
+		methods["rstar"](tr, 0, bptree.Compact),
+		methods["kd"](tr, 0, bptree.Compact),
+		methods["dualbp"](tr, 4, bptree.Compact),
+		methods["dualbp"](tr, 6, bptree.Compact),
+		methods["dualbp"](tr, 8, bptree.Compact),
 	}
-	for _, c := range []int{4, 6, 8} {
-		c := c
-		ms = append(ms, Method{
-			Name: fmt.Sprintf("Dual B+ c=%d", c),
-			New: func(st pager.Store) (core.Index1D, error) {
-				return core.NewDualBPlus(st, core.DualBPlusConfig{Terrain: tr, C: c, Codec: bptree.Compact})
-			},
-		})
-	}
-	return ms
-}
-
-// PartTreeMethod returns the §3.4 partition tree as an extra method.
-func PartTreeMethod(tr dual.Terrain) Method {
-	return Method{Name: "Partition tree", New: func(st pager.Store) (core.Index1D, error) {
-		return core.NewPartTreeDual(st, core.PartTreeDualConfig{Terrain: tr})
-	}}
 }
 
 // MixResult aggregates one query mix's measurements.
@@ -65,6 +109,10 @@ type MixResult struct {
 	Queries   int
 	AvgIOs    float64
 	AvgAnswer float64 // average result cardinality
+	// AvgCandidates is the average number of index entries a query
+	// scanned, for an index that reports LastQueryCandidates (Dual-B+);
+	// the excess over AvgAnswer is Lemma 1's approximation error K'.
+	AvgCandidates float64
 }
 
 // ScenarioResult is the outcome of one full §5 scenario run.
@@ -100,27 +148,27 @@ func DefaultScenario(n, ticks int) ScenarioConfig {
 
 // RunScenario executes the scenario against one method.
 func RunScenario(m Method, cfg ScenarioConfig) (*ScenarioResult, error) {
-	base := pager.NewMemStore(pager.DefaultPageSize)
-	buf := pager.NewBuffered(base, BufferPages)
-	ix, err := m.New(buf)
+	pool := NewPool()
+	ix, err := m.New(pool)
 	if err != nil {
 		return nil, fmt.Errorf("harness: create %s: %w", m.Name, err)
 	}
+	candidates, _ := ix.(interface{ LastQueryCandidates() int })
 	sim, err := workload.NewSimulator(cfg.Params)
 	if err != nil {
 		return nil, err
 	}
+	res := &ScenarioResult{Method: m.Name, N: cfg.Params.N, Mix: map[string]*MixResult{}}
 	apply := func(op workload.Op) error {
 		if op.Insert {
 			return ix.Insert(op.Motion)
 		}
+		res.Updates++ // an update is a delete plus an insert; Bootstrap only inserts
 		return ix.Delete(op.Motion)
 	}
 	if err := sim.Bootstrap(apply); err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", m.Name, err)
 	}
-
-	res := &ScenarioResult{Method: m.Name, N: cfg.Params.N, Mix: map[string]*MixResult{}}
 	for _, mix := range cfg.Mixes {
 		res.Mix[mix.Name] = &MixResult{}
 	}
@@ -129,10 +177,7 @@ func RunScenario(m Method, cfg ScenarioConfig) (*ScenarioResult, error) {
 	// evenly spaced instants.
 	instants := map[int]bool{}
 	if cfg.QueryInstants > 0 {
-		step := cfg.Params.Ticks / cfg.QueryInstants
-		if step < 1 {
-			step = 1
-		}
+		step := max(cfg.Params.Ticks/cfg.QueryInstants, 1)
 		for i := 1; i <= cfg.QueryInstants; i++ {
 			instants[i*step] = true
 		}
@@ -140,19 +185,11 @@ func RunScenario(m Method, cfg ScenarioConfig) (*ScenarioResult, error) {
 
 	var updIOs int64
 	for tick := 1; tick <= cfg.Params.Ticks; tick++ {
-		before := buf.Stats()
-		preOps := 0
-		countingApply := func(op workload.Op) error {
-			if !op.Insert {
-				preOps++ // one delete per update pair
-			}
-			return apply(op)
-		}
-		if err := sim.Tick(countingApply); err != nil {
+		ios, err := pool.Update(func() error { return sim.Tick(apply) })
+		if err != nil {
 			return nil, fmt.Errorf("harness: %s tick %d: %w", m.Name, tick, err)
 		}
-		updIOs += buf.Stats().Sub(before).IOs()
-		res.Updates += preOps
+		updIOs += ios
 
 		if !instants[tick] {
 			continue
@@ -160,25 +197,28 @@ func RunScenario(m Method, cfg ScenarioConfig) (*ScenarioResult, error) {
 		for _, mix := range cfg.Mixes {
 			mr := res.Mix[mix.Name]
 			for _, q := range sim.Queries(mix) {
-				buf.Clear()
-				before := buf.Stats()
 				count := 0
 				var got map[dual.OID]bool
 				if cfg.Verify {
 					got = map[dual.OID]bool{}
 				}
-				if err := ix.Query(q, func(id dual.OID) {
-					count++
-					if got != nil {
-						got[id] = true
-					}
-				}); err != nil {
+				ios, err := pool.Query(func() error {
+					return ix.Query(q, func(id dual.OID) {
+						count++
+						if got != nil {
+							got[id] = true
+						}
+					})
+				})
+				if err != nil {
 					return nil, fmt.Errorf("harness: %s query: %w", m.Name, err)
 				}
-				d := buf.Stats().Sub(before)
 				mr.Queries++
-				mr.AvgIOs += float64(d.IOs())
+				mr.AvgIOs += float64(ios)
 				mr.AvgAnswer += float64(count)
+				if candidates != nil {
+					mr.AvgCandidates += float64(candidates.LastQueryCandidates())
+				}
 				if cfg.Verify {
 					if err := verifyAnswer(sim, q, got); err != nil {
 						return nil, fmt.Errorf("harness: %s: %w", m.Name, err)
@@ -192,12 +232,13 @@ func RunScenario(m Method, cfg ScenarioConfig) (*ScenarioResult, error) {
 		if mr.Queries > 0 {
 			mr.AvgIOs /= float64(mr.Queries)
 			mr.AvgAnswer /= float64(mr.Queries)
+			mr.AvgCandidates /= float64(mr.Queries)
 		}
 	}
 	if res.Updates > 0 {
 		res.AvgUpdateIO = float64(updIOs) / float64(res.Updates)
 	}
-	res.Pages = buf.PagesInUse()
+	res.Pages = pool.PagesInUse()
 	return res, nil
 }
 
@@ -217,7 +258,7 @@ func verifyAnswer(sim *workload.Simulator, q dual.MORQuery, got map[dual.OID]boo
 		}
 	}
 	for id := range got {
-		if !want[id] && !nearBoundary(motions[id], q, tol) {
+		if !want[id] && (id >= dual.OID(len(motions)) || !nearBoundary(motions[id], q, tol)) {
 			return fmt.Errorf("verify: spurious object %d for %+v", id, q)
 		}
 	}
