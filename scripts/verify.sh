@@ -2,7 +2,7 @@
 # Repo verification gate: formatting, vet, the mobidxlint invariant
 # suite, build, full tests (shuffled), the concurrency suites under the
 # race detector, a GOMAXPROCS stress matrix for the parallel serving
-# paths, a cmd/mobbench smoke, the nested benchmark module's own vet and
+# paths, smokes of the commands, the nested benchmark module's own vet and
 # smoke test, fuzz smoke tests, and the non-test line and lint-allow counts.
 set -eu
 
@@ -147,12 +147,49 @@ echo "== bench smoke =="
 go test -run '^$' -bench . -benchtime=1x ./internal/bptree ./internal/pager ./internal/subscribe \
 	./internal/core ./internal/ingest
 
-echo "== mobbench smoke =="
-# cmd/mobbench has no test file: run its quickest sweep, and check that a
-# -fig value it does not know is a usage error rather than a silent no-op.
-go run ./cmd/mobbench -fig e7 >/dev/null
-if go run ./cmd/mobbench -fig nosuch >/dev/null 2>&1; then
+echo "== command smokes =="
+# The commands have no test files. mobbench runs its quickest sweep,
+# verifies E5 against brute force, and treats a -fig value it does not
+# know as a usage error rather than a silent no-op. A mobgen dump
+# replayed through mobtrace must answer every recorded query exactly on
+# the Dual-B+ and the R*-tree, as EXPERIMENTS.md claims. mobsim must
+# verify a tiny scenario on every method and refuse a method it does not
+# know. mobtrace must refuse a query row stamped before tick 0 instead
+# of waiting forever for that tick.
+smoke=$(mktemp -d)
+trap 'rm -rf "$smoke"' EXIT
+go build -o "$smoke" ./cmd/mobbench ./cmd/mobgen ./cmd/mobsim ./cmd/mobtrace
+"$smoke/mobbench" -fig e7 >/dev/null
+"$smoke/mobbench" -fig e5 -ns 2000 -ticks 10 -verify >/dev/null
+if "$smoke/mobbench" -fig nosuch >/dev/null 2>&1; then
 	echo "mobbench -fig nosuch exited 0" >&2
+	exit 1
+fi
+"$smoke/mobgen" -n 2000 -ticks 10 -ops "$smoke/ops.csv" -queries "$smoke/q.csv"
+for m in dualbp rstar; do
+	out=$("$smoke/mobtrace" -method "$m" -ops "$smoke/ops.csv" -queries "$smoke/q.csv")
+	echo "mobtrace -method $m: $out"
+	case $out in
+	*" 0 within rounding, 0 diverged"*) ;;
+	*)
+		echo "mobtrace -method $m did not answer every query exactly" >&2
+		exit 1
+		;;
+	esac
+done
+for m in dualbp kd rstar parttree; do
+	"$smoke/mobsim" -method "$m" -n 1000 -ticks 5 -verify >/dev/null
+done
+if "$smoke/mobsim" -method nosuch -n 100 -ticks 1 >/dev/null 2>&1; then
+	echo "mobsim -method nosuch exited 0" >&2
+	exit 1
+fi
+printf 'tick,op,oid,y0,t0,v\n0,I,0,10,0,1\n' >"$smoke/neg_ops.csv"
+printf 'tick,mix,y1,y2,t1,t2,answer\n-1,1%%,0,10,0,5,1\n' >"$smoke/neg_q.csv"
+status=0
+timeout 10 "$smoke/mobtrace" -ops "$smoke/neg_ops.csv" -queries "$smoke/neg_q.csv" >/dev/null 2>&1 || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+	echo "mobtrace on a negative-tick query row exited $status, want an input error" >&2
 	exit 1
 fi
 
