@@ -7,7 +7,6 @@
 //	mobidxlint ./...                 # whole repo, human-readable
 //	mobidxlint -passes errdrop ./... # one pass only
 //	mobidxlint -v ./...              # per-pass wall times on stderr
-//	mobidxlint -listcache f ./...    # cache `go list -export` in f
 //	mobidxlint -list                 # describe the suite
 //
 // Suppressions are per-line and must carry a reason:
@@ -26,10 +25,9 @@ import (
 
 func main() {
 	var (
-		passes    = flag.String("passes", "all", "comma-separated pass names to run")
-		list      = flag.Bool("list", false, "list the available passes and exit")
-		verbose   = flag.Bool("v", false, "print per-pass wall times to stderr")
-		listCache = flag.String("listcache", "", "cache file for `go list -export` output (keyed on go.sum + source mtimes)")
+		passes  = flag.String("passes", "all", "comma-separated pass names to run")
+		list    = flag.Bool("list", false, "list the available passes and exit")
+		verbose = flag.Bool("v", false, "print per-pass wall times to stderr")
 	)
 	flag.Parse()
 
@@ -50,12 +48,7 @@ func main() {
 		patterns = []string{"./..."}
 	}
 	loadStart := time.Now()
-	var pkgs []*analysis.Package
-	if *listCache != "" {
-		pkgs, err = analysis.LoadCached("", *listCache, patterns...)
-	} else {
-		pkgs, err = analysis.Load("", patterns...)
-	}
+	pkgs, err := analysis.Load("", patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mobidxlint: %v\n", err)
 		os.Exit(2)

@@ -5,9 +5,9 @@ import (
 )
 
 // BatchDiscipline checks that a WAL batch opened with Begin() on a
-// *pager.WALStore, *pager.Buffered or pager.Tx reaches a Commit() or
-// Rollback() in the same function. An open batch that escapes the
-// function silently stages writes forever (they are never logged, never
+// *pager.WALStore, *pager.Buffered or *pager.FaultStore reaches a
+// Commit() or Rollback() in the same function. An open batch that escapes
+// the function silently stages writes forever (they are never logged, never
 // become visible to snapshots, and poison the next Begin). So the pairing
 // is a hard project invariant. Functions whose job *is* the batch
 // machinery (Begin, Commit, Rollback, RunBatch wrappers) are exempt; a
@@ -27,7 +27,6 @@ var BatchDiscipline = &Pass{
 var batchTypes = map[string]bool{
 	"WALStore":   true,
 	"Buffered":   true,
-	"Tx":         true,
 	"FaultStore": true,
 }
 

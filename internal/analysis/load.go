@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -11,13 +10,11 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -36,12 +33,11 @@ type listPkgError struct {
 	Err string
 }
 
-// goListRaw runs `go list -export -deps -json` over the given patterns
-// and returns the raw JSON stream. -export makes the go tool emit
-// compiled export data for every listed package, which is what lets the
-// suite type-check source packages with the stdlib gc importer and no
-// third-party loader.
-func goListRaw(dir string, patterns []string) ([]byte, error) {
+// goList runs `go list -export -deps -json` over the given patterns and
+// decodes its output. -export makes the go tool emit compiled export
+// data for every listed package, which is what lets the suite type-check
+// source packages with the stdlib gc importer and no third-party loader.
+func goList(dir string, patterns []string) ([]*listPkg, error) {
 	args := append([]string{"list", "-export", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -51,12 +47,7 @@ func goListRaw(dir string, patterns []string) ([]byte, error) {
 	if err := cmd.Run(); err != nil {
 		return nil, fmt.Errorf("go list %v: %w\n%s", patterns, err, stderr.String())
 	}
-	return stdout.Bytes(), nil
-}
-
-// decodeGoList decodes the `go list -json` stream.
-func decodeGoList(raw []byte, patterns []string) ([]*listPkg, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec := json.NewDecoder(&stdout)
 	var out []*listPkg
 	for {
 		var p listPkg
@@ -71,14 +62,6 @@ func decodeGoList(raw []byte, patterns []string) ([]*listPkg, error) {
 		out = append(out, &p)
 	}
 	return out, nil
-}
-
-func goList(dir string, patterns []string) ([]*listPkg, error) {
-	raw, err := goListRaw(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	return decodeGoList(raw, patterns)
 }
 
 // exportLookup adapts the Export paths reported by `go list` to the
@@ -112,123 +95,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	return loadFromListed(listed)
-}
-
-// LoadCached is Load with the `go list -export -deps -json` invocation
-// cached in cacheFile, keyed on a digest of go.mod/go.sum and every .go
-// file's (path, size, mtime) under dir. A hit skips the go tool
-// entirely — the expensive part of a lint run on a warm tree — and
-// falls back to a fresh listing when any cached export-data file has
-// been pruned from the build cache since.
-func LoadCached(dir, cacheFile string, patterns ...string) ([]*Package, error) {
-	key, keyErr := listCacheKey(dir, patterns)
-	if keyErr == nil {
-		if raw, ok := readListCache(cacheFile, key); ok {
-			if listed, err := decodeGoList(raw, patterns); err == nil && exportsPresent(listed) {
-				return loadFromListed(listed)
-			}
-		}
-	}
-	raw, err := goListRaw(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	listed, err := decodeGoList(raw, patterns)
-	if err != nil {
-		return nil, err
-	}
-	if keyErr == nil {
-		writeListCache(cacheFile, key, raw)
-	}
-	return loadFromListed(listed)
-}
-
-// listCacheEntry is the on-disk cache: the key the listing was taken
-// under and the raw `go list` stream.
-type listCacheEntry struct {
-	Key    string
-	Output []byte
-}
-
-// listCacheKey digests everything the go list output depends on within
-// the module: the patterns, go.mod/go.sum, and every .go file's path,
-// size and mtime (content hashing would cost more than the go tool).
-func listCacheKey(dir string, patterns []string) (string, error) {
-	root := dir
-	if root == "" {
-		root = "."
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "patterns %q\n", patterns)
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); name == ".git" || name == ".verifycache" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		name := d.Name()
-		if !strings.HasSuffix(name, ".go") && name != "go.mod" && name != "go.sum" {
-			return nil
-		}
-		info, err := d.Info()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(h, "%s %d %d\n", path, info.Size(), info.ModTime().UnixNano())
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
-}
-
-func readListCache(cacheFile, key string) ([]byte, bool) {
-	data, err := os.ReadFile(cacheFile)
-	if err != nil {
-		return nil, false
-	}
-	var entry listCacheEntry
-	if json.Unmarshal(data, &entry) != nil || entry.Key != key {
-		return nil, false
-	}
-	return entry.Output, true
-}
-
-// writeListCache persists the listing; failures are ignored (the cache
-// is an optimization, never a correctness dependency).
-func writeListCache(cacheFile, key string, raw []byte) {
-	data, err := json.Marshal(&listCacheEntry{Key: key, Output: raw})
-	if err != nil {
-		return
-	}
-	if dir := filepath.Dir(cacheFile); dir != "." {
-		_ = os.MkdirAll(dir, 0o755) //mobidxlint:allow errdrop -- best-effort cache: a failed mkdir only costs the next run a re-list
-	}
-	_ = os.WriteFile(cacheFile, data, 0o644) //mobidxlint:allow errdrop -- best-effort cache: a failed write only costs the next run a re-list
-}
-
-// exportsPresent verifies every export-data file a cached listing
-// references still exists — the go build cache may have pruned them.
-func exportsPresent(listed []*listPkg) bool {
-	for _, p := range listed {
-		if p.Export != "" {
-			if _, err := os.Stat(p.Export); err != nil {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// loadFromListed parses and type-checks the target packages of one
-// `go list` result set.
-func loadFromListed(listed []*listPkg) ([]*Package, error) {
 	exports := map[string]string{}
 	var targets []*listPkg
 	for _, p := range listed {

@@ -137,7 +137,7 @@ func (r *RStarSeg) BulkLoad(ms []dual.Motion) error {
 		if err != nil {
 			return err
 		}
-		items[i] = rstar.Item{Rect: seg.Bound(), Val: r.val(m)}
+		items[i] = segItem(m, seg)
 	}
 	return r.tree.BulkLoad(items, 0)
 }

@@ -81,12 +81,8 @@ func (h *History) archive(m dual.Motion, tEnd float64) error {
 		A: geom.Point{X: m.T0, Y: m.Y0},
 		B: geom.Point{X: tEnd, Y: m.At(tEnd)},
 	}
-	val := uint64(m.OID) << 1
-	if m.V < 0 {
-		val |= 1
-	}
 	h.closed++
-	return h.tree.Insert(rstar.Item{Rect: seg.Bound(), Val: val})
+	return h.tree.Insert(segItem(m, seg))
 }
 
 // Closed returns the number of archived trajectory pieces.
@@ -110,21 +106,8 @@ func (h *History) QueryPast(q dual.MORQuery, emit func(dual.OID)) error {
 	}
 	rect := geom.Rect{MinX: q.T1, MinY: q.Y1, MaxX: q.T2, MaxY: q.Y2}
 	err := h.tree.SearchRect(rect, func(it rstar.Item) bool {
-		neg := it.Val&1 == 1
-		var seg geom.Segment
-		if neg {
-			seg = geom.Segment{
-				A: geom.Point{X: it.Rect.MinX, Y: it.Rect.MaxY},
-				B: geom.Point{X: it.Rect.MaxX, Y: it.Rect.MinY},
-			}
-		} else {
-			seg = geom.Segment{
-				A: geom.Point{X: it.Rect.MinX, Y: it.Rect.MinY},
-				B: geom.Point{X: it.Rect.MaxX, Y: it.Rect.MaxY},
-			}
-		}
-		if seg.IntersectsRect(rect) {
-			hit(dual.OID(it.Val >> 1))
+		if segHit(it, rect) {
+			hit(segOID(it))
 		}
 		return true
 	})
@@ -157,7 +140,7 @@ func (h *History) TrajectoryLength(id dual.OID) (float64, error) {
 		MinX: math.Inf(-1), MinY: math.Inf(-1),
 		MaxX: math.Inf(1), MaxY: math.Inf(1),
 	}, func(it rstar.Item) bool {
-		if dual.OID(it.Val>>1) == id {
+		if segOID(it) == id {
 			total += it.Rect.MaxX - it.Rect.MinX
 		}
 		return true

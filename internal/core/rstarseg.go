@@ -60,14 +60,31 @@ func (r *RStarSeg) segment(m dual.Motion) (geom.Segment, error) {
 	}, nil
 }
 
-// val packs the object id with the velocity-sign bit so the exact segment
-// can be reconstructed from the stored MBR alone.
-func (r *RStarSeg) val(m dual.Motion) uint64 {
-	v := uint64(m.OID) << 1
+// segItem is the R*-tree entry of m's trajectory segment seg: its MBR,
+// and the object id packed over the velocity-sign bit, which is all
+// segHit needs to rebuild the exact segment from the entry alone.
+func segItem(m dual.Motion, seg geom.Segment) rstar.Item {
+	val := uint64(m.OID) << 1
 	if m.V < 0 {
-		v |= 1
+		val |= 1
 	}
-	return v
+	return rstar.Item{Rect: seg.Bound(), Val: val}
+}
+
+// segOID is the object id of an entry segItem built.
+func segOID(it rstar.Item) dual.OID { return dual.OID(it.Val >> 1) }
+
+// segHit reports whether the segment an entry stores meets rect: a
+// rising segment runs corner to corner up its MBR, a falling one down.
+func segHit(it rstar.Item, rect geom.Rect) bool {
+	seg := geom.Segment{
+		A: geom.Point{X: it.Rect.MinX, Y: it.Rect.MinY},
+		B: geom.Point{X: it.Rect.MaxX, Y: it.Rect.MaxY},
+	}
+	if it.Val&1 == 1 {
+		seg.A.Y, seg.B.Y = it.Rect.MaxY, it.Rect.MinY
+	}
+	return seg.IntersectsRect(rect)
 }
 
 // Insert implements Index1D.
@@ -79,7 +96,7 @@ func (r *RStarSeg) Insert(m dual.Motion) error {
 	if err != nil {
 		return err
 	}
-	return r.tree.Insert(rstar.Item{Rect: seg.Bound(), Val: r.val(m)})
+	return r.tree.Insert(segItem(m, seg))
 }
 
 // Delete implements Index1D.
@@ -88,7 +105,7 @@ func (r *RStarSeg) Delete(m dual.Motion) error {
 	if err != nil {
 		return err
 	}
-	found, err := r.tree.Delete(rstar.Item{Rect: seg.Bound(), Val: r.val(m)})
+	found, err := r.tree.Delete(segItem(m, seg))
 	if err != nil {
 		return err
 	}
@@ -108,23 +125,8 @@ func (r *RStarSeg) Query(q dual.MORQuery, emit func(dual.OID)) error {
 	}
 	rect := geom.Rect{MinX: q.T1, MinY: q.Y1, MaxX: q.T2, MaxY: q.Y2}
 	return r.tree.SearchRect(rect, func(it rstar.Item) bool {
-		// Reconstruct the segment from the MBR and the sign bit: positive
-		// velocity runs corner-to-corner rising, negative falling.
-		neg := it.Val&1 == 1
-		var seg geom.Segment
-		if neg {
-			seg = geom.Segment{
-				A: geom.Point{X: it.Rect.MinX, Y: it.Rect.MaxY},
-				B: geom.Point{X: it.Rect.MaxX, Y: it.Rect.MinY},
-			}
-		} else {
-			seg = geom.Segment{
-				A: geom.Point{X: it.Rect.MinX, Y: it.Rect.MinY},
-				B: geom.Point{X: it.Rect.MaxX, Y: it.Rect.MaxY},
-			}
-		}
-		if seg.IntersectsRect(rect) {
-			emit(dual.OID(it.Val >> 1))
+		if segHit(it, rect) {
+			emit(segOID(it))
 		}
 		return true
 	})

@@ -144,13 +144,22 @@ func (s Segment) Bound() Rect {
 }
 
 // IntersectsRect reports whether the segment has at least one point inside
-// r. It clips the segment's parameter interval against each slab of r
-// (Liang–Barsky), which is exact for axis-parallel rectangles.
+// r, within Eps.
 func (s Segment) IntersectsRect(r Rect) bool {
 	if r.IsEmpty() {
 		return false
 	}
-	t0, t1 := 0.0, 1.0
+	t0, t1, ok := s.Clip(r)
+	return ok && t0 <= t1+Eps
+}
+
+// Clip clips the segment's parameter interval [0, 1] against each slab of
+// r (Liang–Barsky), which is exact for axis-parallel rectangles: the
+// points A + t(B-A), t in [t0, t1], are the ones inside r. ok is false
+// when a slab excludes the whole segment. Rounding can leave t0 slightly
+// above t1; each caller decides how much of that it forgives.
+func (s Segment) Clip(r Rect) (t0, t1 float64, ok bool) {
+	t0, t1 = 0.0, 1.0
 	dx := s.B.X - s.A.X
 	dy := s.B.Y - s.A.Y
 	clip := func(p, q float64) bool {
@@ -176,11 +185,9 @@ func (s Segment) IntersectsRect(r Rect) bool {
 		}
 		return true
 	}
-	if !clip(-dx, s.A.X-r.MinX) || !clip(dx, r.MaxX-s.A.X) ||
-		!clip(-dy, s.A.Y-r.MinY) || !clip(dy, r.MaxY-s.A.Y) {
-		return false
-	}
-	return t0 <= t1+Eps
+	ok = clip(-dx, s.A.X-r.MinX) && clip(dx, r.MaxX-s.A.X) &&
+		clip(-dy, s.A.Y-r.MinY) && clip(dy, r.MaxY-s.A.Y)
+	return t0, t1, ok
 }
 
 // Constraint is the half-plane A*x + B*y <= C.

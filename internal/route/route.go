@@ -229,7 +229,9 @@ type Hit struct {
 // Query answers the two-dimensional MOR query: report every object that is
 // inside rect at some instant in [t1, t2]. The SAM prunes to the routes
 // and segments crossing rect; each clipped segment contributes an
-// arc-length interval queried on the route's 1-dimensional index.
+// arc-length interval queried on the route's 1-dimensional index. Hits
+// come route by route in the order the routes were added, so a repeated
+// query emits the same sequence.
 func (n *Network) Query(rect geom.Rect, t1, t2 float64, emit func(Hit)) error {
 	// Collect clipped arc-length intervals per route.
 	type span struct{ lo, hi float64 }
@@ -239,8 +241,9 @@ func (n *Network) Query(rect geom.Rect, t1, t2 float64, emit func(Hit)) error {
 		segIdx := int(it.Val & 0xffff)
 		r := n.routes[rid]
 		a, b := r.Pts[segIdx], r.Pts[segIdx+1]
-		f0, f1, ok := clipSegment(a, b, rect)
-		if !ok {
+		// A strict end test: no reversed span reaches the route's index.
+		f0, f1, ok := geom.Segment{A: a, B: b}.Clip(rect)
+		if !ok || f0 > f1 {
 			return true
 		}
 		segLo := r.cum[segIdx]
@@ -251,7 +254,11 @@ func (n *Network) Query(rect geom.Rect, t1, t2 float64, emit func(Hit)) error {
 	if err != nil {
 		return err
 	}
-	for rid, ss := range spans {
+	for _, rid := range n.order {
+		ss, ok := spans[rid]
+		if !ok {
+			continue
+		}
 		ix := n.indexes[rid]
 		seen := make(map[dual.OID]struct{})
 		for _, s := range ss {
@@ -269,42 +276,4 @@ func (n *Network) Query(rect geom.Rect, t1, t2 float64, emit func(Hit)) error {
 		}
 	}
 	return nil
-}
-
-// clipSegment clips segment a-b to rect, returning the parameter range
-// [f0, f1] of the overlap (Liang–Barsky), or ok=false when disjoint.
-func clipSegment(a, b geom.Point, rect geom.Rect) (f0, f1 float64, ok bool) {
-	t0, t1 := 0.0, 1.0
-	dx := b.X - a.X
-	dy := b.Y - a.Y
-	clip := func(p, q float64) bool {
-		if math.Abs(p) < geom.Eps {
-			return q >= -geom.Eps
-		}
-		t := q / p
-		if p < 0 {
-			if t > t1 {
-				return false
-			}
-			if t > t0 {
-				t0 = t
-			}
-		} else {
-			if t < t0 {
-				return false
-			}
-			if t < t1 {
-				t1 = t
-			}
-		}
-		return true
-	}
-	if !clip(-dx, a.X-rect.MinX) || !clip(dx, rect.MaxX-a.X) ||
-		!clip(-dy, a.Y-rect.MinY) || !clip(dy, rect.MaxY-a.Y) {
-		return 0, 0, false
-	}
-	if t0 > t1 {
-		return 0, 0, false
-	}
-	return t0, t1, true
 }

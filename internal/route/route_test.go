@@ -3,6 +3,7 @@ package route
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mobidx/internal/bptree"
@@ -290,5 +291,41 @@ func TestRemoveRoute(t *testing.T) {
 	}
 	if hits != 1 {
 		t.Fatalf("hits = %d, want 1 (route 2 only)", hits)
+	}
+}
+
+// A query emits the same hit sequence every time it runs: the per-route
+// intervals are visited in the order the routes were added, never in map
+// order.
+func TestNetworkQueryOrderDeterministic(t *testing.T) {
+	n, _ := newNet(t)
+	for rid := RouteID(1); rid <= 10; rid++ {
+		y := float64(rid) * 50
+		if _, err := n.AddRoute(rid, []geom.Point{{X: 0, Y: y}, {X: 1000, Y: y}}); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 5; k++ {
+			m := dual.Motion{OID: dual.OID(int(rid)*100 + k), Y0: float64(100 + 10*k), T0: 0, V: 1}
+			if err := n.Insert(rid, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run := func() []Hit {
+		var hits []Hit
+		if err := n.Query(geom.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}, 0, 10,
+			func(h Hit) { hits = append(hits, h) }); err != nil {
+			t.Fatal(err)
+		}
+		return hits
+	}
+	first := run()
+	if len(first) != 50 {
+		t.Fatalf("query found %d hits, want 50", len(first))
+	}
+	for i := 0; i < 20; i++ {
+		if got := run(); !reflect.DeepEqual(got, first) {
+			t.Fatalf("run %d emitted a different hit sequence:\n got %v\nwant %v", i, got, first)
+		}
 	}
 }

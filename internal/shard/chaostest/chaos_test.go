@@ -157,19 +157,20 @@ func TestChaosConcurrentStorms(t *testing.T) {
 	const nShards = 4
 	faults := make([]*pager.FaultStore, nShards)
 	pol := shard.Policy{BreakAfter: 3, OpenFor: 5 * time.Millisecond}
-	r, err := shard.NewCluster(
-		shard.Config{Terrain: terrain, PageSize: PageSize},
-		nShards, core.NewExecutor(4), pol,
-		func(id int) func(pager.Store) pager.Store {
+	c, err := shard.OpenCluster(shard.NewMemEnv(PageSize), shard.ClusterConfig{
+		Terrain: terrain, Exec: core.NewExecutor(4), Policy: pol,
+		WrapStore: func(id int) func(pager.Store) pager.Store {
 			return func(st pager.Store) pager.Store {
 				faults[id] = pager.NewFaultStore(st, pager.FaultConfig{Seed: int64(2000 + id)})
 				return faults[id]
 			}
-		})
+		},
+	}, nShards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
+	defer c.Close()
+	r := c.Router()
 	ms := motions(192)
 	ops := make([]shard.Op, len(ms))
 	for i, m := range ms {

@@ -184,19 +184,20 @@ func checkAnswer(p *shard.Partitioner, ms []dual.Motion, q dual.MORQuery,
 // first contract violation (nil: the scenario held).
 func RunScenario(topo Topology, sc Scenario) error {
 	faults := make([]*pager.FaultStore, topo.Shards)
-	r, err := shard.NewCluster(
-		shard.Config{Terrain: terrain, PageSize: PageSize},
-		topo.Shards, core.NewExecutor(topo.Workers), sc.Policy,
-		func(id int) func(pager.Store) pager.Store {
+	c, err := shard.OpenCluster(shard.NewMemEnv(PageSize), shard.ClusterConfig{
+		Terrain: terrain, Exec: core.NewExecutor(topo.Workers), Policy: sc.Policy,
+		WrapStore: func(id int) func(pager.Store) pager.Store {
 			return func(st pager.Store) pager.Store {
 				faults[id] = pager.NewFaultStore(st, pager.FaultConfig{Seed: int64(1000 + id)})
 				return faults[id]
 			}
-		})
+		},
+	}, topo.Shards)
 	if err != nil {
 		return err
 	}
-	defer r.Close()
+	defer c.Close()
+	r := c.Router()
 	ctx := context.Background()
 
 	// Load phase: clean, batched.

@@ -18,7 +18,8 @@ type ClusterConfig struct {
 	// Terrain is the shared dual-space terrain (YMax > 0 required).
 	Terrain dual.Terrain
 	// C, Codec, PageSize, AutoCheckpointBytes configure every shard (see
-	// Config).
+	// Config). The Env's media decide the page size; a non-zero PageSize
+	// that differs from it makes OpenCluster fail.
 	C                   int
 	Codec               bptree.Codec
 	PageSize            int

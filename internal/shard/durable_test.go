@@ -165,7 +165,7 @@ func TestShardBulkLoadRecovery(t *testing.T) {
 // the live multiset is preserved.
 func TestCatalogCompaction(t *testing.T) {
 	cfg := Config{ID: 0, Terrain: testTerrain(), PageSize: 512}
-	s, err := New(cfg)
+	s, err := openMem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,31 @@ func tinyIngest() *IngestConfig {
 	return &IngestConfig{MemtableFlush: 24, MaxRuns: 2}
 }
 
+// ingestCluster routes over n ingest shards on fresh in-memory media,
+// built the way a deployment without a cluster manifest builds them:
+// Open each band's shard, then NewRouter over the equal-band partitioner.
+// The router is closed when the test ends.
+func ingestCluster(t testing.TB, n, workers int) *Router {
+	t.Helper()
+	part, err := NewPartitioner(terrain1D.YMax, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make([]*Shard, n)
+	for i := range shards {
+		if shards[i], err = openMem(Config{ID: i, Terrain: terrain1D, Ingest: tinyIngest()}); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { shards[i].Close() })
+	}
+	r, err := NewRouter(shards, part, core.NewExecutor(workers), Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
 // TestShardIngestDifferentialWorkload is the ingest-tier sharding gate:
 // the §5 simulator drives an unsharded flat oracle, a single ingest
 // shard, and ingest-tier routed clusters of 1 and 4 shards in lockstep;
@@ -33,7 +58,7 @@ func TestShardIngestDifferentialWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := newOracle(t)
-	single, err := New(Config{Terrain: terrain1D, Ingest: tinyIngest()})
+	single, err := openMem(Config{Terrain: terrain1D, Ingest: tinyIngest()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,13 +72,7 @@ func TestShardIngestDifferentialWorkload(t *testing.T) {
 		{"1shard-1w", 1, 1}, {"1shard-8w", 1, 8},
 		{"4shard-1w", 4, 1}, {"4shard-2w", 4, 2}, {"4shard-8w", 4, 8},
 	} {
-		r, err := NewCluster(Config{Terrain: terrain1D, Ingest: tinyIngest()},
-			topo.shards, core.NewExecutor(topo.workers), Policy{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		routers[topo.name] = r
+		routers[topo.name] = ingestCluster(t, topo.shards, topo.workers)
 	}
 	ctx := context.Background()
 	apply := func(op workload.Op) error {
@@ -251,7 +270,7 @@ func TestShardIngestOpenWithoutConfig(t *testing.T) {
 // TestShardIngestBulkLoad: BulkLoad through the tier replaces everything
 // atomically and advances the watermark to cover the whole catalog.
 func TestShardIngestBulkLoad(t *testing.T) {
-	s, err := New(Config{Terrain: testTerrain(), Ingest: tinyIngest()})
+	s, err := openMem(Config{Terrain: testTerrain(), Ingest: tinyIngest()})
 	if err != nil {
 		t.Fatal(err)
 	}

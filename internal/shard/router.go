@@ -11,7 +11,6 @@ import (
 
 	"mobidx/internal/core"
 	"mobidx/internal/dual"
-	"mobidx/internal/pager"
 	"mobidx/internal/subscribe"
 )
 
@@ -579,43 +578,4 @@ func (r *Router) Close() error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// NewCluster builds n shards from the config template (tmpl.ID and
-// tmpl.WrapStore are overwritten per shard) plus the matching partitioner
-// and router — the one-call constructor serving code and tests use. wrap,
-// when non-nil, is called with each shard's id to produce that shard's
-// store wrapper (return nil to leave a shard unwrapped), which is how the
-// chaos harness gets a fault injector under exactly the shards it wants
-// to hurt.
-func NewCluster(tmpl Config, n int, exec *core.Executor, policy Policy, wrap func(id int) func(pager.Store) pager.Store) (*Router, error) {
-	part, err := NewPartitioner(tmpl.Terrain.YMax, n)
-	if err != nil {
-		return nil, err
-	}
-	shards := make([]*Shard, n)
-	for i := 0; i < n; i++ {
-		cfg := tmpl
-		cfg.ID = i
-		cfg.WrapStore = nil
-		if wrap != nil {
-			cfg.WrapStore = wrap(i)
-		}
-		s, err := New(cfg)
-		if err != nil {
-			for _, prev := range shards[:i] {
-				err = errors.Join(err, prev.Close())
-			}
-			return nil, err
-		}
-		shards[i] = s
-	}
-	r, err := NewRouter(shards, part, exec, policy)
-	if err != nil {
-		for _, s := range shards {
-			err = errors.Join(err, s.Close())
-		}
-		return nil, err
-	}
-	return r, nil
 }

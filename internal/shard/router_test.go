@@ -19,21 +19,13 @@ import (
 func cluster(t testing.TB, n int, workers int, pol Policy) (*Router, []*pager.FaultStore) {
 	t.Helper()
 	faults := make([]*pager.FaultStore, n)
-	r, err := NewCluster(Config{Terrain: terrain1D}, n, core.NewExecutor(workers), pol,
-		func(id int) func(pager.Store) pager.Store {
+	r := openCluster(t, 0, ClusterConfig{Terrain: terrain1D, Exec: core.NewExecutor(workers), Policy: pol,
+		WrapStore: func(id int) func(pager.Store) pager.Store {
 			return func(st pager.Store) pager.Store {
 				faults[id] = pager.NewFaultStore(st, pager.FaultConfig{Seed: int64(100 + id)})
 				return faults[id]
 			}
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := r.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	})
+		}}, n)
 	return r, faults
 }
 

@@ -27,9 +27,10 @@ type Config struct {
 	C int
 	// Codec selects the on-page record precision (zero value = Wide).
 	Codec bptree.Codec
-	// PageSize is the shard's page size (0 selects pager.DefaultPageSize).
-	// Chaos tests run small pages so tiny populations still span deep
-	// trees with real splits.
+	// PageSize, when non-zero, must equal the base store's page size: the
+	// media decide the page size (MemEnv, DirEnv), and Open refuses a
+	// mismatch instead of ignoring it. The field goes once bench/ stops
+	// setting it, with benchmark v2 (ROADMAP 1(e)).
 	PageSize int
 	// WrapStore, when non-nil, wraps the shard's WAL-backed store before
 	// the index is built on top — the serving-path position, where the
@@ -138,23 +139,19 @@ type Shard struct {
 	closed      bool
 }
 
-// New builds a shard with a fresh in-memory store and WAL.
-func New(cfg Config) (*Shard, error) {
-	pageSize := cfg.PageSize
-	if pageSize <= 0 {
-		pageSize = pager.DefaultPageSize
-	}
-	return Open(cfg, pager.NewMemStore(pageSize), pager.NewMemLog())
-}
-
 // Open builds a shard over its durable media: a base page store and its
 // write-ahead log. The WAL is replayed first (pager.OpenWALStore), then
 // the shard's superblock is located; when present the index is reattached
 // from it (core.AttachDualBPlus) and the motion catalog rewound — the
 // crash-recovery path — and when absent the media is fresh and the shard
 // initializes itself with one atomic batch. Either way the shard serves
-// exactly the last committed batch's state.
+// exactly the last committed batch's state. A non-zero cfg.PageSize that
+// differs from base's page size is refused.
 func Open(cfg Config, base pager.Store, log pager.LogFile) (*Shard, error) {
+	if cfg.PageSize != 0 && cfg.PageSize != base.PageSize() {
+		return nil, fmt.Errorf("shard %d: config page size %d, media page size %d",
+			cfg.ID, cfg.PageSize, base.PageSize())
+	}
 	wal, err := pager.OpenWALStore(base, log, pager.WALConfig{})
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: open wal: %w", cfg.ID, err)

@@ -20,7 +20,7 @@ func opsFor(ms []dual.Motion) []Op {
 }
 
 func TestShardApplyQueryRoundtrip(t *testing.T) {
-	s, err := New(Config{Terrain: terrain1D})
+	s, err := openMem(Config{Terrain: terrain1D})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestShardApplyQueryRoundtrip(t *testing.T) {
 // refused with core.ValidateMotion's own error, like any other
 // out-of-terrain motion, and nothing of the batch becomes visible.
 func TestShardApplyRejectsNonFiniteMotion(t *testing.T) {
-	s, err := New(Config{Terrain: terrain1D})
+	s, err := openMem(Config{Terrain: terrain1D})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestInvalidMotionKeepsShardsHealthy(t *testing.T) {
 		{"ingest", Config{Terrain: terrain1D, Ingest: tinyIngest()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := New(tc.cfg)
+			s, err := openMem(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,11 +138,7 @@ func TestInvalidMotionKeepsShardsHealthy(t *testing.T) {
 	}
 
 	t.Run("router", func(t *testing.T) {
-		r, err := NewCluster(Config{Terrain: terrain1D}, 2, nil, Policy{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
+		r := openCluster(t, 0, ClusterConfig{Terrain: terrain1D}, 2)
 		if err := r.Apply(ctx, opsFor(ms)); err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +180,7 @@ func TestInvalidMotionKeepsShardsHealthy(t *testing.T) {
 
 func TestShardQuarantineOnFailedBatch(t *testing.T) {
 	var fs *pager.FaultStore
-	s, err := New(Config{Terrain: terrain1D, WrapStore: func(st pager.Store) pager.Store {
+	s, err := openMem(Config{Terrain: terrain1D, WrapStore: func(st pager.Store) pager.Store {
 		fs = pager.NewFaultStore(st, pager.FaultConfig{Seed: 5})
 		return fs
 	}})
@@ -216,7 +212,7 @@ func TestShardQuarantineOnFailedBatch(t *testing.T) {
 }
 
 func TestShardPreCancelDoesNotQuarantine(t *testing.T) {
-	s, err := New(Config{Terrain: terrain1D})
+	s, err := openMem(Config{Terrain: terrain1D})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +239,7 @@ func TestShardPreCancelDoesNotQuarantine(t *testing.T) {
 
 func TestShardTransientReadFaultSurfacesWithoutQuarantine(t *testing.T) {
 	var fs *pager.FaultStore
-	s, err := New(Config{Terrain: terrain1D, WrapStore: func(st pager.Store) pager.Store {
+	s, err := openMem(Config{Terrain: terrain1D, WrapStore: func(st pager.Store) pager.Store {
 		fs = pager.NewFaultStore(st, pager.FaultConfig{Seed: 11})
 		return fs
 	}})
@@ -284,7 +280,7 @@ func TestShardTransientReadFaultSurfacesWithoutQuarantine(t *testing.T) {
 }
 
 func TestShardClose(t *testing.T) {
-	s, err := New(Config{Terrain: terrain1D})
+	s, err := openMem(Config{Terrain: terrain1D})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,5 +292,32 @@ func TestShardClose(t *testing.T) {
 	}
 	if _, err := s.Query(context.Background(), queries1D[0]); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("query after close returned %v", err)
+	}
+}
+
+// The media decide the page size: a Config or ClusterConfig page size
+// that differs from the media's is refused at open, not silently
+// replaced by the media's; zero and the media's own size open.
+func TestOpenRefusesPageSizeMismatch(t *testing.T) {
+	m, err := NewMemEnv(4096).OpenMedia(shardMediaName(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(Config{Terrain: terrain1D, PageSize: 512}, m.Base, m.Log); err == nil {
+		s.Close()
+		t.Fatal("Open with page size 512 over 4096-byte media succeeded")
+	}
+	if c, err := OpenCluster(NewMemEnv(4096), ClusterConfig{Terrain: terrain1D, PageSize: 512}, 2); err == nil {
+		c.Close()
+		t.Fatal("OpenCluster with page size 512 over a 4096-byte MemEnv succeeded")
+	}
+	for _, ps := range []int{0, 4096} {
+		c, err := OpenCluster(NewMemEnv(4096), ClusterConfig{Terrain: terrain1D, PageSize: ps}, 2)
+		if err != nil {
+			t.Fatalf("page size %d: %v", ps, err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

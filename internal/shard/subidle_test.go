@@ -221,11 +221,7 @@ func TestFirstSubscribeSeedsIdleEngine(t *testing.T) {
 }
 
 func TestIdleEngineSurvivesApplies(t *testing.T) {
-	r, err := NewCluster(Config{Terrain: terrain1D}, 2, nil, Policy{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := openCluster(t, 0, ClusterConfig{Terrain: terrain1D}, 2)
 	ctx := context.Background()
 	ms := motions1D(200)
 	if err := r.BulkLoad(ctx, ms); err != nil {
@@ -253,7 +249,7 @@ func TestIdleEngineSurvivesApplies(t *testing.T) {
 // keeps serving, and the next Subscribe seeds normally.
 func TestSubscribeSeedFailure(t *testing.T) {
 	var fs *pager.FaultStore
-	r, err := NewCluster(Config{Terrain: terrain1D, PageSize: 512}, 2, nil, Policy{}, func(id int) func(pager.Store) pager.Store {
+	r := openCluster(t, 512, ClusterConfig{Terrain: terrain1D, WrapStore: func(id int) func(pager.Store) pager.Store {
 		if id != 1 {
 			return nil
 		}
@@ -261,11 +257,7 @@ func TestSubscribeSeedFailure(t *testing.T) {
 			fs = pager.NewFaultStore(st, pager.FaultConfig{})
 			return fs
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	}}, 2)
 	ctx := context.Background()
 	ms := motions1D(120)
 	if err := r.BulkLoad(ctx, ms); err != nil {
@@ -303,11 +295,7 @@ func TestSubscribeSeedFailure(t *testing.T) {
 // lasts; once it is over, each surviving subscription reconstructs the
 // brute-force answer and the engine empties with the last Unsubscribe.
 func TestSubscribeStormOnRouter(t *testing.T) {
-	r, err := NewCluster(Config{Terrain: terrain1D}, 2, nil, Policy{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := openCluster(t, 0, ClusterConfig{Terrain: terrain1D}, 2)
 	ctx := context.Background()
 	ms := motions1D(150)
 	if err := r.BulkLoad(ctx, ms); err != nil {

@@ -31,11 +31,7 @@ func TestRouterSubscriptionDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewGeofenceSim: %v", err)
 			}
-			r, err := NewCluster(Config{Terrain: p.Terrain}, nShards, nil, Policy{}, nil)
-			if err != nil {
-				t.Fatalf("NewCluster: %v", err)
-			}
-			defer r.Close()
+			r := openCluster(t, 0, ClusterConfig{Terrain: p.Terrain}, nShards)
 			ctx := context.Background()
 
 			var pend []Op
@@ -219,11 +215,7 @@ func TestShardSubscriptionRecovery(t *testing.T) {
 // resets the engine alongside the shards' indexes: standing queries see
 // the net membership transitions and end up exactly on the bulk image.
 func TestShardBulkLoadResetsSubs(t *testing.T) {
-	s, err := NewCluster(Config{Terrain: testTerrain()}, 2, nil, Policy{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := openCluster(t, 0, ClusterConfig{Terrain: testTerrain()}, 2)
 	ctx := context.Background()
 	if err := s.Apply(ctx, []Op{
 		{Insert: true, M: dual.Motion{OID: 1, Y0: 150, V: 0.5}},
@@ -277,11 +269,7 @@ func TestShardBulkLoadResetsSubs(t *testing.T) {
 // band serves again with what its peers committed, the spanning range
 // subscribes too.
 func TestRouterSubscribeRollback(t *testing.T) {
-	r, err := NewCluster(Config{Terrain: testTerrain()}, 4, nil, Policy{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := openCluster(t, 0, ClusterConfig{Terrain: testTerrain()}, 4)
 	ctx := context.Background()
 	ms := clusterMotions(200)
 	if err := r.BulkLoad(ctx, ms); err != nil {
@@ -349,7 +337,7 @@ func TestRouterSubscribeRollback(t *testing.T) {
 	check("after a write the dead band missed")
 
 	// Serve band 3 again, holding what its peers committed.
-	fresh, err := New(Config{ID: 3, Terrain: testTerrain()})
+	fresh, err := openMem(Config{ID: 3, Terrain: testTerrain()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,11 +378,7 @@ func TestRouterDrainSingleAndMultiLeg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewCluster(Config{Terrain: p.Terrain}, 4, nil, Policy{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := openCluster(t, 0, ClusterConfig{Terrain: p.Terrain}, 4)
 	ctx := context.Background()
 	var pend []Op
 	feed := func(op workload.Op) error {
@@ -477,11 +461,7 @@ func TestRouterDrainSingleAndMultiLeg(t *testing.T) {
 // per motion however many bands replicate it, and that a write grows its
 // update count by the ops the router was handed, not by their replicas.
 func TestRouterFeedsEachMotionOnce(t *testing.T) {
-	r, err := NewCluster(Config{Terrain: terrain1D}, 4, nil, Policy{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := openCluster(t, 0, ClusterConfig{Terrain: terrain1D}, 4)
 	ctx := context.Background()
 	ms := motions1D(200)
 	if err := r.BulkLoad(ctx, ms); err != nil {
@@ -705,11 +685,7 @@ func TestSubscriptionFeedFailure(t *testing.T) {
 // way a Subscribe does while it seeds: queries, drains and the
 // subscription clock never take it, so all of them complete meanwhile.
 func TestQueryDuringSubscriptionFeed(t *testing.T) {
-	r, err := NewCluster(Config{Terrain: terrain1D}, 2, nil, Policy{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := openCluster(t, 0, ClusterConfig{Terrain: terrain1D}, 2)
 	ctx := context.Background()
 	ms := motions1D(100)
 	if err := r.BulkLoad(ctx, ms); err != nil {
@@ -752,11 +728,7 @@ func TestQueryDuringSubscriptionFeed(t *testing.T) {
 // range over the third band subscribes. Once the replica is back, the
 // next Subscribe reseeds and every band answers.
 func TestSeedMarksDisagreeingReplicas(t *testing.T) {
-	r, err := NewCluster(Config{Terrain: terrain1D}, 3, nil, Policy{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := openCluster(t, 0, ClusterConfig{Terrain: terrain1D}, 3)
 	ctx := context.Background()
 	ms := motions1D(90)
 	if err := r.BulkLoad(ctx, ms); err != nil {
@@ -806,11 +778,7 @@ func TestSeedMarksDisagreeingReplicas(t *testing.T) {
 // commits anything, so nothing is marked stale and the subscription keeps
 // answering exactly, through the cancelled writes and the next real one.
 func TestRouterWriteCancelledKeepsSubs(t *testing.T) {
-	r, err := NewCluster(Config{Terrain: terrain1D}, 2, nil, Policy{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := openCluster(t, 0, ClusterConfig{Terrain: terrain1D}, 2)
 	ctx := context.Background()
 	ms := motions1D(100)
 	if err := r.BulkLoad(ctx, ms); err != nil {
@@ -857,11 +825,7 @@ func TestRouterWriteCancelledKeepsSubs(t *testing.T) {
 // checkpoint; only Subscribe, Unsubscribe and a reseed take the latch
 // exclusively.
 func TestWritesShareFeedLatch(t *testing.T) {
-	r, err := NewCluster(Config{Terrain: terrain1D}, 2, nil, Policy{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := openCluster(t, 0, ClusterConfig{Terrain: terrain1D}, 2)
 	ctx := context.Background()
 	ms := motions1D(50)
 	if err := r.BulkLoad(ctx, ms); err != nil {

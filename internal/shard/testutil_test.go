@@ -36,6 +36,33 @@ var queries1D = []dual.MORQuery{
 	{Y1: 700, Y2: 900, T1: 0, T2: 60},
 }
 
+// openMem opens a shard over fresh in-memory media, a MemEnv's, of
+// cfg.PageSize (0 selects the default).
+func openMem(cfg Config) (*Shard, error) {
+	m, err := NewMemEnv(cfg.PageSize).OpenMedia(shardMediaName(cfg.ID))
+	if err != nil {
+		return nil, err
+	}
+	return Open(cfg, m.Base, m.Log)
+}
+
+// openCluster opens an n-band cluster over a fresh MemEnv of the given
+// page size (0 selects the default), closes it when the test ends, and
+// returns its router.
+func openCluster(t testing.TB, pageSize int, cfg ClusterConfig, n int) *Router {
+	t.Helper()
+	c, err := OpenCluster(NewMemEnv(pageSize), cfg, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := c.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	return c.Router()
+}
+
 // fingerprint canonicalizes one result set: sorted, deduplicated OIDs.
 func fingerprint(ids []dual.OID) string {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })

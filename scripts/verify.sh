@@ -36,10 +36,8 @@ echo "== mobidxlint =="
 # release pairing, WAL batch discipline, codec bounds, float equality,
 # dropped errors, library panics, lock ordering, atomic/plain mixing,
 # context flow, and goroutine lifecycle. Exits non-zero on any finding.
-# The package listing is cached between runs (keyed on file mtimes), and
-# the verbose run prints per-pass wall time.
-mkdir -p .verifycache
-go run ./cmd/mobidxlint -listcache .verifycache/golist.json -v ./...
+# The verbose run prints the load's and each pass's wall time.
+go run ./cmd/mobidxlint -v ./...
 
 echo "== go test (shuffled) =="
 go test -shuffle=on ./...
