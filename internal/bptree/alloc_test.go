@@ -69,26 +69,6 @@ func TestRangeZeroAlloc(t *testing.T) {
 	}
 }
 
-// A range scan into a caller-owned buffer with sufficient capacity must
-// also run allocation-free.
-func TestRangeAppendZeroAlloc(t *testing.T) {
-	tr, es := allocTree(t, 50000)
-	buf := make([]Entry, 0, 4096)
-	i := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		lo := es[(i*37)%len(es)].Key
-		i++
-		var err error
-		buf, err = tr.RangeAppend(buf[:0], lo, lo+0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("RangeAppend allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
 // steadyUpdate returns a closure that deletes one entry of allocTree and
 // inserts it back: leaves stand at 90 % fill and above minLeaf, so both
 // halves are non-structural — one descent, one leaf image written — and

@@ -552,15 +552,6 @@ func (t *Tree) Range(lo, hi float64, fn func(Entry) bool) error {
 	return err
 }
 
-// RangeAppend appends every entry with lo <= key <= hi to dst, in (key,
-// val) order, and returns the extended slice: Range with a caller-owned
-// result buffer. When dst has capacity for the answer and the scanned
-// path is pool-resident, the call performs zero heap allocations.
-func (t *Tree) RangeAppend(dst []Entry, lo, hi float64) ([]Entry, error) {
-	err := t.Range(lo, hi, func(e Entry) bool { dst = append(dst, e); return true })
-	return dst, err
-}
-
 // Destroy frees every page of the tree, atomically on a batching store;
 // the tree must not be used after.
 func (t *Tree) Destroy() error {

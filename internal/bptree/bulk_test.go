@@ -188,8 +188,7 @@ func TestGetDifferential(t *testing.T) {
 	}
 }
 
-// Range and RangeAppend must return exactly the model's entries in the
-// range, and RangeAppend must reuse the caller's buffer.
+// Range must return exactly the model's entries in the range.
 func TestRangeAppendMatchesRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, codec := range []Codec{Wide, Compact} {
@@ -202,7 +201,6 @@ func TestRangeAppendMatchesRange(t *testing.T) {
 			}
 			m.insert(Entry{Key: codec.roundKey(e.Key), Val: e.Val, Aux: codec.roundKey(e.Aux)})
 		}
-		buf := make([]Entry, 0, 4096)
 		for i := 0; i < 100; i++ {
 			lo := rng.Float64() * 100
 			hi := lo + rng.Float64()*20
@@ -213,13 +211,6 @@ func TestRangeAppendMatchesRange(t *testing.T) {
 			}
 			if !sameEntries(want, got) {
 				t.Fatalf("codec=%v [%v,%v]: Range %d entries, model %d", codec, lo, hi, len(got), len(want))
-			}
-			got, err := tr.RangeAppend(buf[:0], lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameEntries(want, got) || &got[:1][0] != &buf[:1][0] {
-				t.Fatalf("codec=%v [%v,%v]: RangeAppend %d entries, model %d", codec, lo, hi, len(got), len(want))
 			}
 		}
 	}

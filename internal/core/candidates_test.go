@@ -16,7 +16,7 @@ import (
 
 // scannedEntries counts, without the query path's own counter, the index
 // entries a query over ix scans: per live generation, the entries of the
-// approximating b-ranges (read with RangeAppend) and the intervals
+// approximating b-ranges (collected through Range) and the intervals
 // Overlapping reports for each whole subterrain of the Lemma 1 split.
 func scannedEntries(t *testing.T, ix *DualBPlus, q dual.MORQuery) int {
 	t.Helper()
@@ -26,7 +26,11 @@ func scannedEntries(t *testing.T, ix *DualBPlus, q dual.MORQuery) int {
 			best := g.bestObservation(q)
 			for _, positive := range []bool{true, false} {
 				bLo, bHi := dual.HoughYRect(q, g.yr(best), g.cfg.Terrain, positive)
-				es, err := g.obs(best, positive).RangeAppend(nil, bLo-g.tref, bHi-g.tref)
+				var es []bptree.Entry
+				err := g.obs(best, positive).Range(bLo-g.tref, bHi-g.tref, func(e bptree.Entry) bool {
+					es = append(es, e)
+					return true
+				})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -526,6 +527,63 @@ func TestSpeedPartitioned(t *testing.T) {
 	_ = ix.Query(q, func(dual.OID) { got++ })
 	if got != want {
 		t.Fatalf("after churn: got %d want %d", got, want)
+	}
+}
+
+// The slow side's scan must cover windows before t = 0: a slow object
+// drifts from its intercept by up to cutoff·|t| at either end of the
+// window, and a window ending below zero would otherwise narrow the scan.
+func TestSpeedPartitionedWindowBeforeZero(t *testing.T) {
+	tr := dual.Terrain{YMax: 1000, VMin: 0.16, VMax: 1.66}
+	st := pager.NewMemStore(1024)
+	moving, err := NewDualBPlus(st, DualBPlusConfig{Terrain: tr, C: 4, Codec: bptree.Wide})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := NewSpeedPartitioned(st, SpeedPartitionedConfig{Terrain: tr, SlowCutoff: 0.3, Codec: bptree.Wide}, moving)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := dual.Motion{OID: 1, Y0: 500, T0: 0, V: 0.1}
+	if err := ix.Insert(m); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []dual.MORQuery{
+		{Y1: 489.5, Y2: 490.5, T1: -100, T2: -50},
+		{Y1: 489.5, Y2: 490.5, T1: -100, T2: 10},
+	} {
+		if !m.Matches(q) {
+			t.Fatalf("%+v does not match %+v; the test is wrong", m, q)
+		}
+		n := 0
+		if err := ix.Query(q, func(dual.OID) { n++ }); err != nil {
+			t.Fatal(err)
+		}
+		if n != 1 {
+			t.Fatalf("query %+v reported %d objects, want the slow one", q, n)
+		}
+	}
+}
+
+// Both sides refuse an off-terrain motion as ErrInvalidMotion.
+func TestSpeedPartitionedOffTerrainTyped(t *testing.T) {
+	st := pager.NewMemStore(1024)
+	moving, err := NewDualBPlus(st, DualBPlusConfig{Terrain: testTerrain, C: 4, Codec: bptree.Wide})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := NewSpeedPartitioned(st, SpeedPartitionedConfig{Terrain: testTerrain, Codec: bptree.Wide}, moving)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{0, 0.1, 1} { // static, slow, moving
+		err := ix.Insert(dual.Motion{OID: 1, Y0: testTerrain.YMax + 50, V: v})
+		if !errors.Is(err, ErrInvalidMotion) {
+			t.Fatalf("v=%v: off-terrain insert returned %v, want ErrInvalidMotion", v, err)
+		}
+	}
+	if ix.Len() != 0 {
+		t.Fatalf("Len = %d after refused inserts", ix.Len())
 	}
 }
 

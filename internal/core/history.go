@@ -47,8 +47,13 @@ func NewHistory(store pager.Store, terrain dual.Terrain) (*History, error) {
 }
 
 // Begin records that m is the object's motion from m.T0 on. Any previous
-// open motion of the same object is closed at m.T0 and archived.
+// open motion of the same object is closed at m.T0 and archived. A motion
+// with a non-finite field is refused with ErrInvalidMotion; there is no
+// speed-band check, since the archive keeps slow objects too.
 func (h *History) Begin(m dual.Motion) error {
+	if err := finiteMotion(m); err != nil {
+		return err
+	}
 	if old, ok := h.open[m.OID]; ok {
 		if err := h.archive(old, m.T0); err != nil {
 			return err
@@ -59,8 +64,12 @@ func (h *History) Begin(m dual.Motion) error {
 }
 
 // End closes the object's open motion at time t and archives it; the
-// object disappears from the (historical) present.
+// object disappears from the (historical) present. A non-finite t is
+// refused with ErrInvalidMotion.
 func (h *History) End(id dual.OID, t float64) error {
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return invalid(ErrInvalidMotion, "core: non-finite end time %v for object %d", t, id)
+	}
 	old, ok := h.open[id]
 	if !ok {
 		return fmt.Errorf("core: object %d has no open motion", id)
@@ -72,14 +81,21 @@ func (h *History) End(id dual.OID, t float64) error {
 	return nil
 }
 
-// archive stores the trajectory piece of m over [m.T0, tEnd].
+// archive stores the trajectory piece of m over [m.T0, tEnd]. A piece
+// that ends before it begins, or whose end position overflows the float
+// range, is refused with ErrInvalidMotion: a NaN coordinate in the R*-tree
+// would hide other pieces from every later search.
 func (h *History) archive(m dual.Motion, tEnd float64) error {
 	if tEnd < m.T0 {
-		return fmt.Errorf("core: motion of %d ends at %v before it began at %v", m.OID, tEnd, m.T0)
+		return invalid(ErrInvalidMotion, "core: motion of %d ends at %v before it began at %v", m.OID, tEnd, m.T0)
+	}
+	end := m.At(tEnd)
+	if math.IsNaN(end) || math.IsInf(end, 0) {
+		return invalid(ErrInvalidMotion, "core: motion of %d leaves the float range by %v", m.OID, tEnd)
 	}
 	seg := geom.Segment{
 		A: geom.Point{X: m.T0, Y: m.Y0},
-		B: geom.Point{X: tEnd, Y: m.At(tEnd)},
+		B: geom.Point{X: tEnd, Y: end},
 	}
 	h.closed++
 	return h.tree.Insert(segItem(m, seg))
@@ -94,8 +110,12 @@ func (h *History) Open() int { return len(h.open) }
 // QueryPast reports every object that was inside [q.Y1, q.Y2] at some
 // instant of [q.T1, q.T2], considering archived trajectory pieces and,
 // for windows reaching past the last update, the still-open motions.
-// Each object is reported at most once.
+// Each object is reported at most once. A query with a non-finite or
+// reversed bound is refused with ErrInvalidQuery.
 func (h *History) QueryPast(q dual.MORQuery, emit func(dual.OID)) error {
+	if err := ValidateQuery(q); err != nil {
+		return err
+	}
 	seen := make(map[dual.OID]struct{})
 	hit := func(id dual.OID) {
 		if _, dup := seen[id]; dup {

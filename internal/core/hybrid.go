@@ -74,7 +74,7 @@ func (s *SpeedPartitioned) Insert(m dual.Motion) error {
 		return err
 	}
 	if m.Y0 < -1e-9 || m.Y0 > s.cfg.Terrain.YMax+1e-9 {
-		return fmt.Errorf("core: position %v outside terrain [0, %v]", m.Y0, s.cfg.Terrain.YMax)
+		return invalid(ErrInvalidMotion, "core: position %v outside terrain [0, %v]", m.Y0, s.cfg.Terrain.YMax)
 	}
 	if err := s.slow.Insert(bptree.Entry{Key: slowKey(m), Val: uint64(m.OID), Aux: m.V}); err != nil {
 		return err
@@ -103,16 +103,16 @@ func (s *SpeedPartitioned) SlowLen() int { return s.slowCount }
 
 // Query implements Index1D: the moving side answers as usual; the slow
 // side is a B+-tree range scan over intercepts, enlarged by the drift a
-// slow object can accumulate by the end of the window, with exact
+// slow object can accumulate by either end of the window, with exact
 // filtering.
 func (s *SpeedPartitioned) Query(q dual.MORQuery, emit func(dual.OID)) error {
 	if err := s.moving.Query(q, emit); err != nil {
 		return err
 	}
-	// A slow object with intercept k is at k + v·t; over t ∈ [0, T2] it
-	// stays within cutoff·T2 of its intercept, so candidates lie in the
-	// enlarged key range.
-	drift := s.cfg.SlowCutoff * q.T2
+	// A slow object with intercept k is at k + v·t; over t ∈ [T1, T2] it
+	// stays within cutoff·max(|T1|, |T2|) of its intercept — a window
+	// before t = 0 included — so candidates lie in the enlarged key range.
+	drift := s.cfg.SlowCutoff * math.Max(math.Abs(q.T1), math.Abs(q.T2))
 	return s.slow.Range(q.Y1-drift, q.Y2+drift, func(e bptree.Entry) bool {
 		m := dual.Motion{OID: dual.OID(e.Val), Y0: e.Key, T0: 0, V: e.Aux}
 		if m.Matches(q) {

@@ -210,14 +210,6 @@ type ConvexRegion struct {
 // NewRegion builds a region from constraints.
 func NewRegion(cs ...Constraint) ConvexRegion { return ConvexRegion{Cs: cs} }
 
-// And returns the conjunction of r with additional constraints.
-func (r ConvexRegion) And(cs ...Constraint) ConvexRegion {
-	out := make([]Constraint, 0, len(r.Cs)+len(cs))
-	out = append(out, r.Cs...)
-	out = append(out, cs...)
-	return ConvexRegion{Cs: out}
-}
-
 // ContainsPoint reports whether p satisfies every constraint.
 func (r ConvexRegion) ContainsPoint(p Point) bool {
 	for _, c := range r.Cs {
@@ -310,51 +302,7 @@ func clipPolygon(poly []Point, c Constraint) []Point {
 	return out
 }
 
-// Triangle is a triangle given by three vertices. Partition trees use
-// triangles as the cells of simplicial partitions.
-type Triangle struct {
-	P0, P1, P2 Point
-}
-
-// sign returns the signed area of (a,b,c) times two.
-func sign(a, b, c Point) float64 {
-	return (b.X-a.X)*(c.Y-a.Y) - (c.X-a.X)*(b.Y-a.Y)
-}
-
-// ContainsPoint reports whether p lies inside or on t.
-func (t Triangle) ContainsPoint(p Point) bool {
-	d0 := sign(t.P0, t.P1, p)
-	d1 := sign(t.P1, t.P2, p)
-	d2 := sign(t.P2, t.P0, p)
-	hasNeg := d0 < -Eps || d1 < -Eps || d2 < -Eps
-	hasPos := d0 > Eps || d1 > Eps || d2 > Eps
-	return !(hasNeg && hasPos)
-}
-
-// Bound returns the minimum bounding rectangle of t.
-func (t Triangle) Bound() Rect {
-	r := EmptyRect()
-	r = r.Extend(t.P0)
-	r = r.Extend(t.P1)
-	return r.Extend(t.P2)
-}
-
-// Vertices returns the three corners.
-func (t Triangle) Vertices() [3]Point { return [3]Point{t.P0, t.P1, t.P2} }
-
-// IntersectsLine reports whether the (infinite) line A*x + B*y = C crosses
-// the triangle, i.e. has vertices strictly on both sides or touches it.
-func (t Triangle) IntersectsLine(c Constraint) bool {
-	d0 := c.Eval(t.P0)
-	d1 := c.Eval(t.P1)
-	d2 := c.Eval(t.P2)
-	neg := d0 < -Eps || d1 < -Eps || d2 < -Eps
-	pos := d0 > Eps || d1 > Eps || d2 > Eps
-	onLine := math.Abs(d0) <= Eps || math.Abs(d1) <= Eps || math.Abs(d2) <= Eps
-	return (neg && pos) || onLine
-}
-
-// RelativeToRegion classifies the triangle against a convex region.
+// RegionRelation is how a cell relates to a query region.
 type RegionRelation int
 
 // Classification outcomes for bounding shapes tested against a query region.
@@ -363,29 +311,6 @@ const (
 	Inside                        // fully contained: report the whole subtree
 	Partial                       // boundary crosses: recurse
 )
-
-// Classify returns the relation between triangle t and region r.
-func (r ConvexRegion) Classify(t Triangle) RegionRelation {
-	all := true
-	for _, p := range t.Vertices() {
-		if !r.ContainsPoint(p) {
-			all = false
-			break
-		}
-	}
-	if all {
-		return Inside
-	}
-	// Clip the triangle against the half-planes.
-	poly := []Point{t.P0, t.P1, t.P2}
-	for _, c := range r.Cs {
-		poly = clipPolygon(poly, c)
-		if len(poly) == 0 {
-			return Outside
-		}
-	}
-	return Partial
-}
 
 // ClassifyRect classifies rect against the region.
 func (r ConvexRegion) ClassifyRect(rect Rect) RegionRelation {

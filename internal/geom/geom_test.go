@@ -234,50 +234,6 @@ func TestClipRect(t *testing.T) {
 	}
 }
 
-func TestTriangleContainsPoint(t *testing.T) {
-	tri := Triangle{Point{0, 0}, Point{4, 0}, Point{0, 4}}
-	if !tri.ContainsPoint(Point{1, 1}) {
-		t.Fatal("interior point rejected")
-	}
-	if !tri.ContainsPoint(Point{0, 0}) || !tri.ContainsPoint(Point{2, 2}) {
-		t.Fatal("boundary points rejected")
-	}
-	if tri.ContainsPoint(Point{3, 3}) {
-		t.Fatal("exterior point accepted")
-	}
-	// Clockwise winding must work too.
-	cw := Triangle{Point{0, 0}, Point{0, 4}, Point{4, 0}}
-	if !cw.ContainsPoint(Point{1, 1}) {
-		t.Fatal("clockwise triangle rejected interior point")
-	}
-}
-
-func TestTriangleIntersectsLine(t *testing.T) {
-	tri := Triangle{Point{0, 0}, Point{4, 0}, Point{0, 4}}
-	if !tri.IntersectsLine(Constraint{A: 1, B: 1, C: 2}) { // x+y=2 crosses
-		t.Fatal("crossing line not detected")
-	}
-	if tri.IntersectsLine(Constraint{A: 1, B: 1, C: 10}) { // far away
-		t.Fatal("distant line detected as crossing")
-	}
-}
-
-func TestRegionClassifyTriangle(t *testing.T) {
-	reg := NewRegion(
-		Constraint{-1, 0, 0}, Constraint{1, 0, 10},
-		Constraint{0, -1, 0}, Constraint{0, 1, 10},
-	)
-	if got := reg.Classify(Triangle{Point{1, 1}, Point{2, 1}, Point{1, 2}}); got != Inside {
-		t.Fatalf("inner triangle: got %v", got)
-	}
-	if got := reg.Classify(Triangle{Point{20, 20}, Point{21, 20}, Point{20, 21}}); got != Outside {
-		t.Fatalf("outer triangle: got %v", got)
-	}
-	if got := reg.Classify(Triangle{Point{-5, 5}, Point{5, 5}, Point{0, 6}}); got != Partial {
-		t.Fatalf("straddling triangle: got %v", got)
-	}
-}
-
 // Property: Union is commutative, associative (approximately) and
 // monotone: the union contains both inputs.
 func TestUnionProperties(t *testing.T) {

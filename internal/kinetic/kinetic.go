@@ -316,15 +316,31 @@ func (s *Structure) M() int { return s.m }
 // Window returns the time interval the structure covers.
 func (s *Structure) Window() (float64, float64) { return s.tStart, s.tEnd }
 
+// checkWindow refuses a query instant outside the structure's window (a
+// NaN instant included): the crossings past either end were never
+// recorded, so an answer there would be wrong without an error.
+func (s *Structure) checkWindow(tq float64) error {
+	if !(tq >= s.tStart-1e-9 && tq <= s.tEnd+1e-9) {
+		return fmt.Errorf("kinetic: query time %v outside window [%v, %v]", tq, s.tStart, s.tEnd)
+	}
+	return nil
+}
+
 // Query reports every object whose build-time motion places it inside
 // [yl, yh] at instant tq; tq must lie within the structure's window.
 func (s *Structure) Query(yl, yh, tq float64, emit func(dual.OID)) error {
-	if tq < s.tStart-1e-9 || tq > s.tEnd+1e-9 {
-		return fmt.Errorf("kinetic: query time %v outside window [%v, %v]", tq, s.tStart, s.tEnd)
+	if err := s.checkWindow(tq); err != nil {
+		return err
 	}
 	if s.n == 0 {
 		return nil
 	}
+	return s.scan(yl, yh, tq, func(id dual.OID, _ float64) { emit(id) })
+}
+
+// scan reports every object inside [yl, yh] at instant tq with its
+// position there: the root copy valid at tq, then one descent.
+func (s *Structure) scan(yl, yh, tq float64, emit func(dual.OID, float64)) error {
 	e, ok, err := s.versions.Floor(tq)
 	if err != nil {
 		return err
@@ -339,7 +355,7 @@ func (s *Structure) valAt(o occupant, tq float64) float64 {
 	return o.y0 + o.v*(tq-s.tStart)
 }
 
-func (s *Structure) descend(id pager.PageID, height int, yl, yh, tq float64, emit func(dual.OID)) error {
+func (s *Structure) descend(id pager.PageID, height int, yl, yh, tq float64, emit func(dual.OID, float64)) error {
 	if height == 1 {
 		_, occs, err := s.bd.leafState(id, tq)
 		if err != nil {
@@ -347,7 +363,7 @@ func (s *Structure) descend(id pager.PageID, height int, yl, yh, tq float64, emi
 		}
 		for _, o := range occs {
 			if y := s.valAt(o, tq); y >= yl && y <= yh {
-				emit(dual.OID(o.oid))
+				emit(dual.OID(o.oid), y)
 			}
 		}
 		return nil
@@ -385,8 +401,12 @@ type Neighbor struct {
 // QueryKNearest reports the k objects nearest to position y at instant tq
 // (a near-neighbor query, listed as future work in §7 of the paper; on
 // this structure it reduces to a widening sequence of MOR1 range queries,
-// each O(log_B(n+m) + output/B) I/Os). Results are ordered by distance.
+// each O(log_B(n+m) + output/B) I/Os). Results are ordered by distance;
+// tq must lie within the structure's window.
 func (s *Structure) QueryKNearest(y float64, tq float64, k int) ([]Neighbor, error) {
+	if err := s.checkWindow(tq); err != nil {
+		return nil, err
+	}
 	if k <= 0 || s.n == 0 {
 		return nil, nil
 	}
@@ -405,7 +425,7 @@ func (s *Structure) QueryKNearest(y float64, tq float64, k int) ([]Neighbor, err
 	}
 	for radius := 1.0; ; radius *= 2 {
 		var cand []Neighbor
-		err := s.queryWithValues(y-radius, y+radius, tq, func(id dual.OID, pos float64) {
+		err := s.scan(y-radius, y+radius, tq, func(id dual.OID, pos float64) {
 			cand = append(cand, Neighbor{OID: id, Y: pos, Dist: math.Abs(pos - y)})
 		})
 		if err != nil {
@@ -427,50 +447,6 @@ func (s *Structure) QueryKNearest(y float64, tq float64, k int) ([]Neighbor, err
 			return cand, nil
 		}
 	}
-}
-
-// queryWithValues is Query but also reports each hit's position at tq.
-func (s *Structure) queryWithValues(yl, yh, tq float64, emit func(dual.OID, float64)) error {
-	e, ok, err := s.versions.Floor(tq)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("kinetic: no root version at or before %v", tq)
-	}
-	var walk func(id pager.PageID, height int) error
-	walk = func(id pager.PageID, height int) error {
-		if height == 1 {
-			_, occs, err := s.bd.leafState(id, tq)
-			if err != nil {
-				return err
-			}
-			for _, o := range occs {
-				if yv := s.valAt(o, tq); yv >= yl && yv <= yh {
-					emit(dual.OID(o.oid), yv)
-				}
-			}
-			return nil
-		}
-		kids, err := s.bd.intState(id, tq)
-		if err != nil {
-			return err
-		}
-		for c := range kids {
-			lo := s.valAt(kids[c].router, tq)
-			if lo > yh {
-				break
-			}
-			if c+1 < len(kids) && s.valAt(kids[c+1].router, tq) < yl {
-				continue
-			}
-			if err := walk(kids[c].ptr, height-1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return walk(pager.PageID(e.Val), s.height)
 }
 
 // Validate checks the structure's core invariant at the given number of

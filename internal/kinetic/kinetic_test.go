@@ -405,6 +405,41 @@ func TestQueryKNearestEdges(t *testing.T) {
 	}
 }
 
+// QueryKNearest shares Query's window check: an instant past the window's
+// end, or a NaN one, is refused rather than answered from crossings that
+// were never recorded; inside the window the answer is brute force's.
+func TestQueryKNearestOutsideWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	objs := randObjects(rng, 3000, 1000, 2)
+	s, err := Build(pager.NewMemStore(1024), objs, 0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tq := range []float64{-1, 10.5, 200, 1000, math.NaN()} {
+		if got, err := s.QueryKNearest(500, tq, 5); err == nil {
+			t.Fatalf("tq=%v outside [0, 10]: %d neighbors and no error", tq, len(got))
+		}
+		if err := s.Query(0, 1000, tq, func(dual.OID) {}); err == nil {
+			t.Fatalf("tq=%v outside [0, 10]: Query returned no error", tq)
+		}
+	}
+	for trial := 0; trial < 50; trial++ {
+		y, k := rng.Float64()*1000, 1+rng.Intn(12)
+		got, err := s.QueryKNearest(y, 5, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dists := make([]float64, len(objs))
+		for i, o := range objs {
+			dists[i] = math.Abs(o.Y0 + o.V*5 - y)
+		}
+		sort.Float64s(dists)
+		if len(got) != k || math.Abs(got[k-1].Dist-dists[k-1]) > 1e-9 {
+			t.Fatalf("trial %d: k-th distance %v of %d neighbors, want %v", trial, got[len(got)-1].Dist, len(got), dists[k-1])
+		}
+	}
+}
+
 // Validate must pass on random builds and catch the invariant it guards.
 func TestValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))

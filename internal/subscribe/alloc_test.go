@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mobidx/internal/dual"
-	"mobidx/internal/pager"
 )
 
 // steadyEngine is 64 fences in two window classes over 200 objects, run
@@ -71,51 +70,6 @@ func TestCertFireZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMatchSetErrorLeavesScratchClean fails stab reads at random under an
-// engine with two window classes: whichever class the failure lands in,
-// no hit bit may survive the call — a later matchSet would report it.
-func TestMatchSetErrorLeavesScratchClean(t *testing.T) {
-	e := mustEngine(t)
-	fs := pager.NewFaultStore(e.store, pager.FaultConfig{})
-	e.store = fs // before the first class: its trees live on the fault store
-	for i := 0; i < 40; i++ {
-		if _, err := e.Subscribe(float64(i*10), float64(i*10+300), float64(1+i%2)); err != nil {
-			t.Fatalf("Subscribe: %v", err)
-		}
-	}
-	m := dual.Motion{OID: 1, Y0: 400, V: 0.5}
-	want, err := e.matchSet(m)
-	if err != nil || len(want) < 20 {
-		t.Fatalf("matchSet: %v, %v; want at least 20 hits", want, err)
-	}
-	want = append([]uint32(nil), want...)
-	fs.SetConfig(pager.FaultConfig{Seed: 5, Read: pager.OpFaults{FailProb: 0.4}})
-	failed := 0
-	for i := 0; i < 200; i++ {
-		if _, err := e.matchSet(m); err != nil {
-			failed++
-			for w, word := range e.hitBits {
-				if word != 0 {
-					t.Fatalf("call %d failed (%v) and left hitBits[%d] = %#x", i, err, w, word)
-				}
-			}
-		}
-	}
-	if failed < 20 || failed == 200 {
-		t.Fatalf("%d of 200 stabs failed; the fault schedule does not exercise both outcomes", failed)
-	}
-	fs.SetConfig(pager.FaultConfig{})
-	got, err := e.matchSet(m)
-	if err != nil || len(got) != len(want) {
-		t.Fatalf("matchSet after the faults: %v, %v; want %v", got, err, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("matchSet after the faults: %v, want %v", got, want)
-		}
-	}
-}
-
 // TestSlotReuseKeepsSubIDOrder frees two slots and reuses them, so slot
 // order and id order disagree, then moves one object into and out of
 // every query at once: deltas still come in SubID order.
@@ -172,13 +126,11 @@ func TestSlotReuseKeepsSubIDOrder(t *testing.T) {
 
 // TestChurnLeavesNothingBehind: 10 000 subscribe/unsubscribe rounds, each
 // over a window length never seen before, with at most three queries live.
-// Window classes are destroyed when they empty (their pages return to the
-// store) and the slot table and hit bitset stay the size of the live set.
+// Window classes are dropped when they empty, and the slot table and hit
+// bitset stay the size of the live set.
 func TestChurnLeavesNothingBehind(t *testing.T) {
 	e := mustEngine(t)
 	update(t, e, dual.Motion{OID: 1, Y0: 50})
-	store := e.store.(*pager.MemStore)
-	pages := store.PagesInUse()
 	var live []SubID
 	for i := 0; i < 10000; i++ {
 		id, err := e.Subscribe(0, 100, 1+float64(i)/7)
@@ -205,8 +157,8 @@ func TestChurnLeavesNothingBehind(t *testing.T) {
 			t.Fatalf("Unsubscribe: %v", err)
 		}
 	}
-	if len(e.classes) != 0 || store.PagesInUse() != pages {
-		t.Fatalf("%d classes and %d pages left, want 0 and %d", len(e.classes), store.PagesInUse(), pages)
+	if len(e.classes) != 0 {
+		t.Fatalf("%d classes left, want 0", len(e.classes))
 	}
 	if o := e.objects[1]; len(o.member) != 0 {
 		t.Fatalf("object still lists memberships %v", o.member)

@@ -1,15 +1,13 @@
 package subscribe
 
 import (
-	"errors"
-	"fmt"
+	"cmp"
 	"math"
 	"math/bits"
+	"slices"
 
-	"mobidx/internal/bptree"
 	"mobidx/internal/dual"
 	"mobidx/internal/geom"
-	"mobidx/internal/kinetic"
 )
 
 // The query index groups subscriptions by exact window length W (the
@@ -20,61 +18,107 @@ import (
 // instant of [now, now+W] iff the position interval it sweeps over the
 // window intersects [Y1, Y2] — so the subscriptions whose answer can
 // contain the motion are exactly those whose [Y1, Y2] stabs the swept
-// interval. Two B+-trees per class support that stab query and the
-// kinetic successor probes: byY1 keyed on each query's lower edge (Aux
-// carries Y2) and byY2 keyed on the upper edge (Aux carries Y1).
+// interval. Two sorted edge lists per class support that stab query and
+// the kinetic successor probes: byY1 holds each query's lower edge (other
+// is its upper edge) and byY2 its upper edge (other is its lower edge).
 //
-// Tree probes are candidate filters only, padded with conservative
+// Edge probes are candidate filters only, padded with conservative
 // slack; the exact verdict is always dual.Motion.Matches on the
 // original motion, which is what keeps the engine byte-identical to a
 // one-shot re-run.
 type windowClass struct {
 	w          float64
-	byY1, byY2 *bptree.Tree
-	count      int
+	byY1, byY2 edges
 	// maxWidth is the running maximum query width ever admitted to the
 	// class: a stab over [lo, hi] scans byY1 from lo − maxWidth, which
 	// is the furthest a still-overlapping query's lower edge can sit.
 	// It never shrinks (a shrink could under-scan); the class is
-	// destroyed when it empties.
+	// dropped when it empties.
 	maxWidth float64
 }
 
-// add indexes the subscription under its slot, leaving no entry behind
-// when it fails.
-func (cl *windowClass) add(s *sub) error {
-	if err := cl.byY1.Insert(bptree.Entry{Key: s.y1, Val: uint64(s.slot), Aux: s.y2}); err != nil {
-		return err
+// edge is one query edge of a window class: the edge the list is ordered
+// on, the query's opposite edge, and the query's slot.
+type edge struct {
+	key, other float64
+	slot       uint32
+}
+
+// edges is a list of edges in (key, slot) order. Keys compare through
+// cmp.Compare, under which −0 and +0 are one key.
+type edges []edge
+
+// at returns the position of (key, slot) in the list, or where it would
+// be inserted, and whether it is there.
+func (es edges) at(key float64, slot uint32) (int, bool) {
+	lo, hi := 0, len(es)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c := cmp.Compare(es[mid].key, key); c < 0 || (c == 0 && es[mid].slot < slot) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	if err := cl.byY2.Insert(bptree.Entry{Key: s.y2, Val: uint64(s.slot), Aux: s.y1}); err != nil {
-		return errors.Join(err, cl.byY1.Delete(s.y1, uint64(s.slot)))
+	return lo, lo < len(es) && cmp.Compare(es[lo].key, key) == 0 && es[lo].slot == slot
+}
+
+// ceil returns the index of the first edge whose key is at or above key,
+// or len(es) when there is none.
+func (es edges) ceil(key float64) int {
+	i, _ := es.at(key, 0)
+	return i
+}
+
+// floor returns the index of the last edge whose key is at or below key,
+// or -1 when there is none.
+func (es edges) floor(key float64) int {
+	lo, hi := 0, len(es)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cmp.Compare(es[mid].key, key) <= 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	cl.count++
+	return lo - 1
+}
+
+// insert adds e at its place in (key, slot) order.
+func (es edges) insert(e edge) edges {
+	i, _ := es.at(e.key, e.slot)
+	return slices.Insert(es, i, e)
+}
+
+// remove takes the edge (key, slot) out of the list.
+func (es edges) remove(key float64, slot uint32) edges {
+	if i, ok := es.at(key, slot); ok {
+		return slices.Delete(es, i, i+1)
+	}
+	return es
+}
+
+// add indexes the subscription under its slot.
+func (cl *windowClass) add(s *sub) {
+	cl.byY1 = cl.byY1.insert(edge{key: s.y1, other: s.y2, slot: s.slot})
+	cl.byY2 = cl.byY2.insert(edge{key: s.y2, other: s.y1, slot: s.slot})
 	cl.maxWidth = max(cl.maxWidth, s.y2-s.y1)
-	return nil
 }
 
-// remove takes the subscription's two entries out of the class.
-func (cl *windowClass) remove(s *sub) error {
-	if err := cl.byY1.Delete(s.y1, uint64(s.slot)); err != nil {
-		return err
-	}
-	if err := cl.byY2.Delete(s.y2, uint64(s.slot)); err != nil {
-		return err
-	}
-	cl.count--
-	return nil
+// remove takes the subscription's two edges out of the class.
+func (cl *windowClass) remove(s *sub) {
+	cl.byY1 = cl.byY1.remove(s.y1, s.slot)
+	cl.byY2 = cl.byY2.remove(s.y2, s.slot)
 }
 
-// dropIfEmpty destroys a class no subscription uses any more: window
-// lengths are arbitrary floats, so a class kept for reuse is two trees
+// dropIfEmpty drops a class no subscription uses any more: window
+// lengths are arbitrary floats, so a class kept for reuse is two lists
 // leaked per length ever seen.
-func (e *Engine) dropIfEmpty(cl *windowClass) error {
-	if cl.count > 0 {
-		return nil
+func (e *Engine) dropIfEmpty(cl *windowClass) {
+	if len(cl.byY1) == 0 {
+		delete(e.classes, math.Float64bits(cl.w))
 	}
-	delete(e.classes, math.Float64bits(cl.w))
-	return errors.Join(cl.byY1.Destroy(), cl.byY2.Destroy())
 }
 
 // certEarly schedules certificates slightly before the raw boundary
@@ -102,54 +146,45 @@ func edgePad(v, edge float64) float64 {
 }
 
 // classFor returns (creating on first use) the class for window w.
-func (e *Engine) classFor(w float64) (*windowClass, error) {
+func (e *Engine) classFor(w float64) *windowClass {
 	key := math.Float64bits(w)
-	if cl, ok := e.classes[key]; ok {
-		return cl, nil
+	cl, ok := e.classes[key]
+	if !ok {
+		cl = &windowClass{w: w}
+		e.classes[key] = cl
 	}
-	byY1, err := bptree.New(e.store, bptree.Config{})
-	if err != nil {
-		return nil, fmt.Errorf("subscribe: query index: %w", err)
-	}
-	byY2, err := bptree.New(e.store, bptree.Config{})
-	if err != nil {
-		return nil, fmt.Errorf("subscribe: query index: %w", err)
-	}
-	cl := &windowClass{w: w, byY1: byY1, byY2: byY2}
-	e.classes[key] = cl
-	return cl, nil
+	return cl
 }
 
 // matchSet returns the slots of exactly the subscriptions whose standing
 // query the motion currently satisfies, ascending, via one stab per
 // window class. The returned slice is engine-owned scratch, valid until
 // the next matchSet — this is the hottest path (every upsert and every
-// certificate fire), so the stab runs on the zero-alloc RangeAppend into
-// reused buffers, and a hit is one bit set: a stab sees hundreds of hits
-// in key order, and reading the bitset back is what orders them.
-func (e *Engine) matchSet(m dual.Motion) ([]uint32, error) {
+// certificate fire), so the stab walks the byY1 list in place, and a hit
+// is one bit set: a stab sees hundreds of hits in key order, and reading
+// the bitset back is what orders them.
+func (e *Engine) matchSet(m dual.Motion) []uint32 {
 	for _, cl := range e.classes {
 		ya := m.At(e.now)
 		yb := m.At(e.now + cl.w)
 		lo, hi := math.Min(ya, yb), math.Max(ya, yb)
 		pad := candPad(m.V, lo, hi)
 		q := dual.MORQuery{T1: e.now, T2: e.now + cl.w}
-		ents, err := cl.byY1.RangeAppend(e.scanBuf[:0], lo-cl.maxWidth-pad, hi+pad)
-		e.scanBuf = ents
-		if err != nil {
-			clear(e.hitBits)
-			return nil, fmt.Errorf("subscribe: stab: %w", err)
-		}
-		e.stats.Candidates += uint64(len(ents))
-		for _, en := range ents {
-			if en.Aux < lo-pad {
+		top, n := hi+pad, 0
+		for _, en := range cl.byY1[cl.byY1.ceil(lo-cl.maxWidth-pad):] {
+			if en.key > top {
+				break
+			}
+			n++
+			if en.other < lo-pad {
 				continue // query ends below the swept interval
 			}
-			q.Y1, q.Y2 = en.Key, en.Aux // byY1: the entry is the query
+			q.Y1, q.Y2 = en.key, en.other // byY1: the edge's query
 			if m.Matches(q) {
-				e.hitBits[en.Val>>6] |= 1 << (en.Val & 63)
+				e.hitBits[en.slot>>6] |= 1 << (en.slot & 63)
 			}
 		}
+		e.stats.Candidates += uint64(n)
 	}
 	hits := e.hitBuf[:0]
 	for w, word := range e.hitBits {
@@ -159,7 +194,7 @@ func (e *Engine) matchSet(m dual.Motion) ([]uint32, error) {
 		e.hitBits[w] = 0
 	}
 	e.hitBuf = hits
-	return hits, nil
+	return hits
 }
 
 // classBoundary returns the earliest future time at which the motion
@@ -168,43 +203,33 @@ func (e *Engine) matchSet(m dual.Motion) ([]uint32, error) {
 // position (an enter) or the next upper edge ahead of the object (a
 // leave); mirrored via predecessor probes for a descending one. Static
 // objects never cross anything.
-func (e *Engine) classBoundary(cl *windowClass, m dual.Motion) (float64, error) {
+func (e *Engine) classBoundary(cl *windowClass, m dual.Motion) float64 {
 	if geom.ApproxEq(m.V, 0) {
-		return math.Inf(1), nil
+		return math.Inf(1)
 	}
 	y := m.At(e.now)
 	lead := m.At(e.now + cl.w)
 	t := math.Inf(1)
-	var en bptree.Entry
-	var ok bool
-	var err error
 	if m.V > 0 {
-		if en, ok, err = cl.byY1.Ceil(lead - edgePad(m.V, lead)); err == nil && ok {
-			t = e.now + (en.Key-y)/m.V - cl.w
+		if i := cl.byY1.ceil(lead - edgePad(m.V, lead)); i < len(cl.byY1) {
+			t = e.now + (cl.byY1[i].key-y)/m.V - cl.w
 		}
-		if err == nil {
-			if en, ok, err = cl.byY2.Ceil(y - edgePad(m.V, y)); err == nil && ok {
-				if lt := e.now + (en.Key-y)/m.V; lt < t {
-					t = lt
-				}
+		if i := cl.byY2.ceil(y - edgePad(m.V, y)); i < len(cl.byY2) {
+			if lt := e.now + (cl.byY2[i].key-y)/m.V; lt < t {
+				t = lt
 			}
 		}
 	} else {
-		if en, ok, err = cl.byY2.Floor(lead + edgePad(m.V, lead)); err == nil && ok {
-			t = e.now + (en.Key-y)/m.V - cl.w
+		if i := cl.byY2.floor(lead + edgePad(m.V, lead)); i >= 0 {
+			t = e.now + (cl.byY2[i].key-y)/m.V - cl.w
 		}
-		if err == nil {
-			if en, ok, err = cl.byY1.Floor(y + edgePad(m.V, y)); err == nil && ok {
-				if lt := e.now + (en.Key-y)/m.V; lt < t {
-					t = lt
-				}
+		if i := cl.byY1.floor(y + edgePad(m.V, y)); i >= 0 {
+			if lt := e.now + (cl.byY1[i].key-y)/m.V; lt < t {
+				t = lt
 			}
 		}
 	}
-	if err != nil {
-		return 0, fmt.Errorf("subscribe: boundary probe: %w", err)
-	}
-	return t, nil
+	return t
 }
 
 // subBoundary returns the earliest future membership boundary of the
@@ -244,24 +269,19 @@ func subBoundary(m dual.Motion, y1, y2, w, now float64) float64 {
 // earliest boundary across every populated class, scheduled slightly
 // early and clamped strictly past the current time. The previous
 // certificate is invalidated by the version bump, never searched for.
-func (e *Engine) recert(oid dual.OID, o *object) error {
+func (e *Engine) recert(oid dual.OID, o *object) {
 	t := math.Inf(1)
 	for _, cl := range e.classes {
-		b, err := e.classBoundary(cl, o.m)
-		if err != nil {
-			return err
-		}
-		if b < t {
+		if b := e.classBoundary(cl, o.m); b < t {
 			t = b
 		}
 	}
 	if math.IsInf(t, 1) {
 		o.certVer++
 		o.certTime = t
-		return nil
+		return
 	}
 	e.arm(oid, o, t)
-	return nil
 }
 
 // arm schedules a certificate for the raw boundary time t.
@@ -273,5 +293,5 @@ func (e *Engine) arm(oid dual.OID, o *object, t float64) {
 	}
 	o.certVer++
 	o.certTime = tc
-	e.agenda.Push(kinetic.Event{Time: tc, OID: oid, Ver: o.certVer})
+	e.agenda.Push(event{Time: tc, OID: oid, Ver: o.certVer})
 }

@@ -5,23 +5,23 @@
 // through a sliding time window: at engine time t it asks the MOR query
 // [Y1, Y2] × [t, t+W]. The dual transform of §3.2 makes such a query a
 // region in dual space, so the queries themselves are indexable: the
-// engine stores every subscription in per-window-length B+-trees keyed by
-// its range endpoints (the query-region structure), and a motion update
-// probes those trees to find exactly the subscriptions whose answer can
-// have changed — nothing is re-executed. Membership deltas are emitted as
-// typed enter/leave events.
+// engine keeps every subscription's range endpoints in per-window-length
+// sorted edge lists (the query-region structure), and a motion update
+// binary-searches those lists to find exactly the subscriptions whose
+// answer can have changed — nothing is re-executed. Membership deltas are
+// emitted as typed enter/leave events.
 //
 // Between updates, membership still changes as objects move across
 // standing-query window boundaries. Those instants are kinetic events
-// (internal/kinetic): for each object the engine keeps one certificate —
+// (agenda.go): for each object the engine keeps one certificate —
 // the earliest future time at which the object can cross the nearest
 // boundary of any standing query, found by successor/predecessor probes
-// on the query trees — and Advance fires due certificates, re-evaluates
+// on the edge lists — and Advance fires due certificates, re-evaluates
 // only the affected object, and re-arms. Event volume is therefore
 // output-sensitive: no boundary crossings, no work.
 //
 // The exact membership authority is always dual.Motion.Matches on the
-// original motion; tree probes are candidate filters with conservative
+// original motion; edge probes are candidate filters with conservative
 // slack. That makes the engine's accumulated deltas reconstruct, at every
 // checkpoint (after Apply or Advance), byte-identically the answer of
 // re-running each standing query one-shot — the property the differential
@@ -31,8 +31,8 @@
 // goroutines, so Close can never leak, and delta emission order is
 // deterministic (affected subscriptions in SubID order per re-evaluation,
 // certificate events in agenda order). Subscriptions are serving-side
-// state, not durable state: the query trees live on a private in-memory
-// store, and the sharded router seeds its one engine via Reset when the
+// state, not durable state: the edge lists are plain in-memory slices,
+// and the sharded router seeds its one engine via Reset when the
 // first standing query arrives (and again when a bulk load or a revived
 // shard replaces what the cluster holds).
 //
@@ -43,8 +43,8 @@
 //
 // Membership is kept in ordered slices, not maps. Every subscription
 // owns a slot in a dense, free-listed table (bounded by the live
-// subscriptions, not by the ids ever issued); the query trees carry the
-// slot as the entry value, an object's memberships are an ascending slot
+// subscriptions, not by the ids ever issued); every edge carries its
+// query's slot, an object's memberships are an ascending slot
 // list — the only record of membership: a subscription's answer set is
 // the objects whose list holds its slot — and a re-evaluation marks its
 // hits in a bitset over the slots, reads them back ascending and
@@ -60,10 +60,7 @@ import (
 	"slices"
 	"sync"
 
-	"mobidx/internal/bptree"
 	"mobidx/internal/dual"
-	"mobidx/internal/kinetic"
-	"mobidx/internal/pager"
 )
 
 // SubID identifies a subscription within one engine.
@@ -104,12 +101,8 @@ type Delta struct {
 // Op is one motion mutation (see dual.Op).
 type Op = dual.Op
 
-// Config configures an engine. The query trees always use the exact
-// Wide record codec: the stab filters assume unrounded keys.
+// Config configures an engine.
 type Config struct {
-	// PageSize is the private query-store page size (0 selects
-	// pager.DefaultPageSize).
-	PageSize int
 	// Start is the initial engine time (0 for fresh scenarios).
 	Start float64
 }
@@ -121,7 +114,7 @@ type Stats struct {
 	CertFires   uint64 // kinetic certificates fired by Advance
 	StaleEvents uint64 // agenda events skipped as invalidated
 	Emitted     uint64 // deltas emitted across all subscriptions
-	Candidates  uint64 // subscription candidates scanned by tree probes
+	Candidates  uint64 // subscription candidates scanned by edge probes
 	Compactions uint64 // agenda compactions
 	Dropped     uint64 // stream deltas dropped on full channels
 }
@@ -145,7 +138,7 @@ type object struct {
 // sub is one standing query.
 type sub struct {
 	id     SubID
-	slot   uint32 // index in Engine.slots; the query trees' entry value
+	slot   uint32 // index in Engine.slots; carried by the query's edges
 	y1, y2 float64
 	class  *windowClass
 	buf    []Delta    // transitions since the last Drain
@@ -155,14 +148,13 @@ type sub struct {
 // Engine maintains standing queries over a stream of motion updates.
 type Engine struct {
 	mu      sync.Mutex
-	store   pager.Store // private in-memory store for the query trees
 	objects map[dual.OID]*object
 	all     []*object               // the objects again, dense: the scans visiting every one range here
 	classes map[uint64]*windowClass // keyed by math.Float64bits(window)
 	subs    map[SubID]*sub
 	slots   []*sub   // dense subscription table; nil where free
 	free    []uint32 // free slots, reused before the table grows
-	agenda  *kinetic.Agenda
+	agenda  *agenda
 	now     float64
 	nextSub SubID
 	seq     uint64
@@ -172,9 +164,8 @@ type Engine struct {
 	// Re-evaluation scratch, reused across calls under mu: the match
 	// path runs once per update and once per certificate fire, so its
 	// buffers must not allocate in steady state.
-	scanBuf  []bptree.Entry // stab-scan result buffer (RangeAppend dst)
-	hitBits  []uint64       // one bit per slot; all zero outside matchSet
-	hitBuf   []uint32       // matchSet result, valid until next matchSet
+	hitBits  []uint64 // one bit per slot; all zero outside matchSet
+	hitBuf   []uint32 // matchSet result, valid until next matchSet
 	leaveBuf []uint32
 	enterBuf []uint32
 }
@@ -184,16 +175,11 @@ func New(cfg Config) (*Engine, error) {
 	if math.IsNaN(cfg.Start) || math.IsInf(cfg.Start, 0) {
 		return nil, fmt.Errorf("subscribe: non-finite start time %v", cfg.Start)
 	}
-	pageSize := cfg.PageSize
-	if pageSize <= 0 {
-		pageSize = pager.DefaultPageSize
-	}
 	return &Engine{
-		store:   pager.NewMemStore(pageSize),
 		objects: make(map[dual.OID]*object),
 		classes: make(map[uint64]*windowClass),
 		subs:    make(map[SubID]*sub),
-		agenda:  kinetic.NewAgenda(),
+		agenda:  newAgenda(),
 		now:     cfg.Start,
 	}, nil
 }
@@ -275,16 +261,10 @@ func (e *Engine) subscribe(y1, y2, window float64, buf int) (SubID, <-chan Delta
 	if e.closed {
 		return 0, nil, ErrClosed
 	}
-	cl, err := e.classFor(window)
-	if err != nil {
-		return 0, nil, err
-	}
+	cl := e.classFor(window)
 	s := &sub{y1: y1, y2: y2, class: cl}
 	e.allocSlot(s)
-	if err := cl.add(s); err != nil {
-		e.freeSlot(s)
-		return 0, nil, errors.Join(fmt.Errorf("subscribe: index query: %w", err), e.dropIfEmpty(cl))
-	}
+	cl.add(s)
 	e.nextSub++
 	s.id = e.nextSub
 	if buf >= 0 {
@@ -361,9 +341,7 @@ func (e *Engine) Unsubscribe(id SubID) error {
 	if !ok {
 		return fmt.Errorf("subscribe: unsubscribe %d: %w", id, ErrUnknownSub)
 	}
-	if err := s.class.remove(s); err != nil {
-		return fmt.Errorf("subscribe: unsubscribe %d: %w", id, err)
-	}
+	s.class.remove(s)
 	for _, o := range e.all {
 		if at, ok := slices.BinarySearch(o.member, s.slot); ok {
 			o.member = slices.Delete(o.member, at, at+1)
@@ -374,7 +352,8 @@ func (e *Engine) Unsubscribe(id SubID) error {
 	}
 	delete(e.subs, id)
 	e.freeSlot(s)
-	return e.dropIfEmpty(s.class)
+	e.dropIfEmpty(s.class)
+	return nil
 }
 
 // Apply feeds a batch of motion mutations at the current engine time.
@@ -436,14 +415,10 @@ func (e *Engine) Advance(now float64) error {
 			continue
 		}
 		e.stats.CertFires++
-		if err := e.refresh(ev.OID, o); err != nil {
-			return err
-		}
+		e.refresh(ev.OID, o)
 		// Certificates are clamped strictly past now on re-arm, so this
 		// loop pops each live certificate at most once per Advance.
-		if err := e.recert(ev.OID, o); err != nil {
-			return err
-		}
+		e.recert(ev.OID, o)
 	}
 	e.maybeCompact()
 	return nil
@@ -504,7 +479,7 @@ func (e *Engine) Reset(ms []dual.Motion) error {
 		// wholesale. This is how the router seeds and empties an idle engine.
 		e.objects = make(map[dual.OID]*object, len(ms))
 		e.all = nil
-		e.agenda = kinetic.NewAgenda()
+		e.agenda = newAgenda()
 	} else {
 		keep := make(map[dual.OID]struct{}, len(ms))
 		for _, m := range ms {
@@ -530,9 +505,10 @@ func (e *Engine) Reset(ms []dual.Motion) error {
 	return nil
 }
 
-// Close shuts the engine down: every stream channel is closed, the query
-// trees are destroyed, and every further call fails with ErrClosed — no
-// delta is ever emitted after Close. Close is idempotent.
+// Close shuts the engine down: every stream channel is closed, the
+// engine's state is released, and every further call fails with
+// ErrClosed — no delta is ever emitted after Close. Close is idempotent
+// and always returns nil.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -540,18 +516,9 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed = true
-	var errs []error
 	for _, s := range e.subs {
 		if s.ch != nil {
 			close(s.ch)
-		}
-	}
-	for _, cl := range e.classes {
-		if err := cl.byY1.Destroy(); err != nil {
-			errs = append(errs, err)
-		}
-		if err := cl.byY2.Destroy(); err != nil {
-			errs = append(errs, err)
 		}
 	}
 	e.subs = nil
@@ -560,7 +527,7 @@ func (e *Engine) Close() error {
 	e.all = nil
 	e.classes = nil
 	e.agenda = nil
-	return errors.Join(errs...)
+	return nil
 }
 
 // emit appends one delta to the subscription's drain buffer and offers
@@ -592,10 +559,9 @@ func (e *Engine) upsert(m dual.Motion) error {
 	}
 	o.m = m
 	e.stats.Updates++
-	if err := e.refresh(m.OID, o); err != nil {
-		return err
-	}
-	return e.recert(m.OID, o)
+	e.refresh(m.OID, o)
+	e.recert(m.OID, o)
+	return nil
 }
 
 // remove drops one motion, emitting Leave for every membership. Unknown
@@ -620,11 +586,8 @@ func (e *Engine) remove(oid dual.OID) {
 // refresh recomputes the object's exact membership across all standing
 // queries and emits the difference: leaves then enters, each in SubID
 // order.
-func (e *Engine) refresh(oid dual.OID, o *object) error {
-	hits, err := e.matchSet(o.m)
-	if err != nil {
-		return err
-	}
+func (e *Engine) refresh(oid dual.OID, o *object) {
+	hits := e.matchSet(o.m)
 	// Both lists ascend by slot: one merge pass finds the difference.
 	leave, enter := e.leaveBuf[:0], e.enterBuf[:0]
 	old, i, j := o.member, 0, 0
@@ -644,7 +607,7 @@ func (e *Engine) refresh(oid dual.OID, o *object) error {
 	enter = append(enter, hits[j:]...)
 	e.leaveBuf, e.enterBuf = leave, enter
 	if len(leave)+len(enter) == 0 {
-		return nil
+		return
 	}
 	o.member = append(o.member[:0], hits...)
 	e.byID(leave)
@@ -655,7 +618,6 @@ func (e *Engine) refresh(oid dual.OID, o *object) error {
 	for _, slot := range enter {
 		e.emit(e.slots[slot], oid, Enter)
 	}
-	return nil
 }
 
 // maybeCompact drops stale agenda events once they can outnumber the one
@@ -664,7 +626,7 @@ func (e *Engine) maybeCompact() {
 	if e.agenda.Len() <= 2*len(e.objects)+64 {
 		return
 	}
-	e.agenda.Compact(func(ev kinetic.Event) bool {
+	e.agenda.Compact(func(ev event) bool {
 		o := e.objects[ev.OID]
 		return o != nil && o.certVer == ev.Ver
 	})

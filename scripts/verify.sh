@@ -124,11 +124,10 @@ done
 
 echo "== zero-allocation gates =="
 # The steady-state query hot loops must stay allocation-free above the
-# buffer pool — a B+-tree point query (TestPointQueryZeroAlloc), a range
-# scan with a callback (TestRangeZeroAlloc) or into a caller's buffer
-# (TestRangeAppendZeroAlloc) — and a non-structural Insert/Delete must
-# allocate nothing but the one page image the stores below share
-# (TestUpdateZeroAllocAboveStores);
+# buffer pool — a B+-tree point query (TestPointQueryZeroAlloc) and a
+# range scan with a callback (TestRangeZeroAlloc) — and a non-structural
+# Insert/Delete must allocate nothing but the one page image the stores
+# below share (TestUpdateZeroAllocAboveStores);
 # in the pager a commit allocates the same for 8 staged pages as for 512,
 # a pool write one image, a pool miss on a page the WAL holds only the
 # frame header, and a FileStore write (trailer included) nothing; in the
@@ -222,6 +221,11 @@ go test ./internal/pager -run '^$' -fuzz '^FuzzDecodeWALRecord$' -fuzztime=10s
 go test ./internal/geom -run '^$' -fuzz '^FuzzClipConvex$' -fuzztime=10s
 go test ./internal/subscribe -run '^$' -fuzz '^FuzzMatcher$' -fuzztime=10s
 go test ./internal/subscribe -run '^$' -fuzz '^FuzzKineticBoundary$' -fuzztime=10s
+# Arbitrary float bits through History's Begin, End and QueryPast over an
+# archive of well-formed trajectories: a typed ErrInvalidMotion or
+# ErrInvalidQuery, or the answer of a linear scan over the archived
+# pieces; never a panic or an answer lost to a poisoned R*-tree.
+go test ./internal/core -run '^$' -fuzz '^FuzzHistoryHostile$' -fuzztime=10s
 # Arbitrary float bits through Router.Apply and Router.Query on a two-band
 # cluster: a typed ErrInvalidMotion/ErrInvalidQuery with every shard still
 # healthy, or the brute-force answer; never a panic or a quarantine.
