@@ -107,8 +107,7 @@ func (g *dualBPGen) bulkLoad(ms []dual.Motion) error {
 // QueryAppend answers q like Query but appends the matching OIDs to dst,
 // returning the extended slice with the appended tail sorted ascending and
 // deduplicated (the same order QueryParallelCtx produces). A serving loop
-// that reuses dst's capacity avoids the per-call result-set and seen-map
-// allocations Query pays.
+// that reuses dst's capacity avoids the per-call result slice Query pays.
 func (d *DualBPlus) QueryAppend(dst []dual.OID, q dual.MORQuery) ([]dual.OID, error) {
 	if err := ValidateQuery(q); err != nil {
 		return dst, err
@@ -139,5 +138,5 @@ func (r *RStarSeg) BulkLoad(ms []dual.Motion) error {
 		}
 		items[i] = segItem(m, seg)
 	}
-	return r.tree.BulkLoad(items, 0)
+	return r.tree.BulkLoad(items)
 }

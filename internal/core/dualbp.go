@@ -98,27 +98,18 @@ func (d *DualBPlus) Generations() int { return d.rot.Generations() }
 // under concurrent queries the counter aggregates all of them.
 func (d *DualBPlus) LastQueryCandidates() int { return int(d.candidates.Load()) }
 
-// Query implements Index1D, deduplicating across decomposed subqueries.
-// Concurrent Query calls are safe as long as no Insert/Delete runs at the
-// same time (readers-writer locking is the caller's choice of policy; see
-// the harness throughput mode).
+// Query implements Index1D: it emits, in ascending order, the answer
+// QueryAppend builds, and on an error emits nothing. Concurrent Query calls
+// are safe as long as no Insert/Delete runs at the same time
+// (readers-writer locking is the caller's choice of policy; see the
+// harness throughput mode).
 func (d *DualBPlus) Query(q dual.MORQuery, emit func(dual.OID)) error {
-	if err := ValidateQuery(q); err != nil {
+	ids, err := d.QueryAppend(nil, q)
+	if err != nil {
 		return err
 	}
-	d.candidates.Store(0)
-	seen := make(map[dual.OID]struct{})
-	for _, sub := range d.Subqueries(q) {
-		err := sub(func(id dual.OID) {
-			if _, ok := seen[id]; ok {
-				return
-			}
-			seen[id] = struct{}{}
-			emit(id)
-		})
-		if err != nil {
-			return err
-		}
+	for _, id := range ids {
+		emit(id)
 	}
 	return nil
 }
@@ -127,9 +118,9 @@ func (d *DualBPlus) Query(q dual.MORQuery, emit func(dual.OID)) error {
 // live generations: per generation, either the two per-velocity-sign
 // observation scans (small queries) or the Lemma 1 decomposition — one
 // task per whole subterrain plus the endpoint fragments' sign scans. It is
-// the one decomposition: Query and QueryAppend run the pieces in this
-// order, QueryParallelCtx on an executor, and the deduplicated union of
-// their emissions is the answer.
+// the one decomposition: QueryAppend (and Query through it) runs the
+// pieces in this order, QueryParallelCtx on an executor, and the
+// deduplicated union of their emissions is the answer.
 // Each piece reads only index pages, so the pieces may run concurrently
 // with each other (and with other queries), but not with Insert/Delete.
 func (d *DualBPlus) Subqueries(q dual.MORQuery) []func(emit func(dual.OID)) error {

@@ -135,24 +135,34 @@ func MergeOIDs(buckets [][]dual.OID) []dual.OID {
 	return out[:w]
 }
 
-// RunSubqueriesCtx runs a set of emit-style subqueries on the executor,
-// each collecting into a private bucket, and returns the deterministic
-// sorted, deduplicated union of their emissions. It is the shared harness
-// for every parallel query path (1-dimensional here, 2-dimensional in
-// package twod). The context stops the fan-out between subqueries (see
-// RunCtx). On cancellation the partial buckets are discarded and the
-// context's error is returned — a cancelled query has no answer, not a
-// truncated one.
-func RunSubqueriesCtx(ctx context.Context, exec *Executor, subs []func(emit func(dual.OID)) error) ([]dual.OID, error) {
-	buckets := make([][]dual.OID, len(subs))
-	tasks := make([]func() error, len(subs))
-	for i, sq := range subs {
-		i, sq := i, sq
+// RunPiecesCtx runs the emit-style pieces of a query on the executor, each
+// collecting into a private bucket, and returns the buckets in piece
+// order. It is the one runner behind every query that splits into
+// independent pieces: the Lemma 1 subqueries and sign scans here, the
+// per-axis pieces of package twod. The context stops the fan-out between
+// pieces (see RunCtx). On cancellation or a failed piece the partial
+// buckets are discarded and the error is returned — a cancelled query has
+// no answer, not a truncated one.
+func RunPiecesCtx(ctx context.Context, exec *Executor, pieces []func(emit func(dual.OID)) error) ([][]dual.OID, error) {
+	buckets := make([][]dual.OID, len(pieces))
+	tasks := make([]func() error, len(pieces))
+	for i, piece := range pieces {
 		tasks[i] = func() error {
-			return sq(func(id dual.OID) { buckets[i] = append(buckets[i], id) })
+			return piece(func(id dual.OID) { buckets[i] = append(buckets[i], id) })
 		}
 	}
 	if err := exec.RunCtx(ctx, tasks); err != nil {
+		return nil, err
+	}
+	return buckets, nil
+}
+
+// RunSubqueriesCtx runs the pieces of one query (RunPiecesCtx) and returns
+// the deterministic sorted, deduplicated union of their emissions
+// (MergeOIDs).
+func RunSubqueriesCtx(ctx context.Context, exec *Executor, subs []func(emit func(dual.OID)) error) ([]dual.OID, error) {
+	buckets, err := RunPiecesCtx(ctx, exec, subs)
+	if err != nil {
 		return nil, err
 	}
 	return MergeOIDs(buckets), nil

@@ -39,7 +39,7 @@ func NewHistory(store pager.Store, terrain dual.Terrain) (*History, error) {
 	if terrain.YMax <= 0 {
 		return nil, fmt.Errorf("core: invalid terrain %+v", terrain)
 	}
-	t, err := rstar.New(store, rstar.Config{})
+	t, err := rstar.New(store)
 	if err != nil {
 		return nil, err
 	}

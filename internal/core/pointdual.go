@@ -127,11 +127,9 @@ func (d *PointDual[M, Q]) Query(q Q, emit func(dual.OID)) error {
 	if err := d.spec.CheckQuery(q); err != nil {
 		return err
 	}
-	for _, g := range d.rot.Live() {
-		for slot := range g.trees {
-			if err := g.scan(slot, q, emit); err != nil {
-				return err
-			}
+	for _, scan := range d.scans(q) {
+		if err := scan(emit); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -147,14 +145,19 @@ func (d *PointDual[M, Q]) QueryParallel(ctx context.Context, exec *Executor, q Q
 	if err := d.spec.CheckQuery(q); err != nil {
 		return nil, err
 	}
-	var subs []func(emit func(dual.OID)) error
+	return RunSubqueriesCtx(ctx, exec, d.scans(q))
+}
+
+// scans returns the pieces of q: one sign-tree scan per slot of every live
+// generation, in epoch and slot order.
+func (d *PointDual[M, Q]) scans(q Q) []func(emit func(dual.OID)) error {
+	var scans []func(emit func(dual.OID)) error
 	for _, g := range d.rot.Live() {
 		for slot := range g.trees {
-			g, slot := g, slot
-			subs = append(subs, func(emit func(dual.OID)) error { return g.scan(slot, q, emit) })
+			scans = append(scans, func(emit func(dual.OID)) error { return g.scan(slot, q, emit) })
 		}
 	}
-	return RunSubqueriesCtx(ctx, exec, subs)
+	return scans
 }
 
 // pointGen is one generation: a tree per velocity-sign slot, dual points

@@ -36,7 +36,7 @@ func NewRStarSeg(store pager.Store, cfg RStarSegConfig) (*RStarSeg, error) {
 	if cfg.Terrain.YMax <= 0 || cfg.Terrain.VMin <= 0 || cfg.Terrain.VMax < cfg.Terrain.VMin {
 		return nil, fmt.Errorf("core: invalid terrain %+v", cfg.Terrain)
 	}
-	t, err := rstar.New(store, rstar.Config{})
+	t, err := rstar.New(store)
 	if err != nil {
 		return nil, err
 	}

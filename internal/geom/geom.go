@@ -82,11 +82,6 @@ func (r Rect) Union(s Rect) Rect {
 	}
 }
 
-// Extend returns the smallest rectangle containing r and p.
-func (r Rect) Extend(p Point) Rect {
-	return r.Union(Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y})
-}
-
 // Area returns the area of r (zero for empty or degenerate rectangles).
 func (r Rect) Area() float64 {
 	if r.IsEmpty() {

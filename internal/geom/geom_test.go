@@ -66,18 +66,13 @@ func TestRectIntersection(t *testing.T) {
 	}
 }
 
-func TestRectUnionExtend(t *testing.T) {
+func TestRectUnion(t *testing.T) {
 	a := Rect{0, 0, 1, 1}
 	b := Rect{2, -1, 3, 0.5}
 	u := a.Union(b)
 	want := Rect{0, -1, 3, 1}
 	if u != want {
 		t.Fatalf("Union = %v, want %v", u, want)
-	}
-	e := a.Extend(Point{-2, 5})
-	want = Rect{-2, 0, 1, 5}
-	if e != want {
-		t.Fatalf("Extend = %v, want %v", e, want)
 	}
 }
 

@@ -267,7 +267,7 @@ func RunBuildBench(cfg BuildBenchConfig, logf func(format string, args ...any)) 
 	}
 
 	r, err = measureBuild("rstar", "incremental", cfg.N, cfg.BufferPages, func(st pager.Store) error {
-		tr, err := rstar.New(st, rstar.Config{})
+		tr, err := rstar.New(st)
 		if err != nil {
 			return err
 		}
@@ -284,11 +284,11 @@ func RunBuildBench(cfg BuildBenchConfig, logf func(format string, args ...any)) 
 	add(r)
 
 	r, err = measureBuild("rstar", "bulk", cfg.N, cfg.BufferPages, func(st pager.Store) error {
-		tr, err := rstar.New(st, rstar.Config{})
+		tr, err := rstar.New(st)
 		if err != nil {
 			return err
 		}
-		return tr.BulkLoad(items, 0)
+		return tr.BulkLoad(items)
 	})
 	if err != nil {
 		return nil, err

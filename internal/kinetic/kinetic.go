@@ -326,10 +326,25 @@ func (s *Structure) checkWindow(tq float64) error {
 	return nil
 }
 
+// checkPositions refuses a NaN or ±Inf query position: every comparison
+// with NaN is false, so the descent would find nothing and report no error.
+func checkPositions(ys ...float64) error {
+	for _, y := range ys {
+		if math.IsNaN(y) || math.IsInf(y, 0) {
+			return fmt.Errorf("kinetic: query position %v is not finite", y)
+		}
+	}
+	return nil
+}
+
 // Query reports every object whose build-time motion places it inside
-// [yl, yh] at instant tq; tq must lie within the structure's window.
+// [yl, yh] at instant tq; tq must lie within the structure's window and
+// yl, yh must be finite.
 func (s *Structure) Query(yl, yh, tq float64, emit func(dual.OID)) error {
 	if err := s.checkWindow(tq); err != nil {
+		return err
+	}
+	if err := checkPositions(yl, yh); err != nil {
 		return err
 	}
 	if s.n == 0 {
@@ -402,9 +417,12 @@ type Neighbor struct {
 // (a near-neighbor query, listed as future work in §7 of the paper; on
 // this structure it reduces to a widening sequence of MOR1 range queries,
 // each O(log_B(n+m) + output/B) I/Os). Results are ordered by distance;
-// tq must lie within the structure's window.
+// tq must lie within the structure's window and y must be finite.
 func (s *Structure) QueryKNearest(y float64, tq float64, k int) ([]Neighbor, error) {
 	if err := s.checkWindow(tq); err != nil {
+		return nil, err
+	}
+	if err := checkPositions(y); err != nil {
 		return nil, err
 	}
 	if k <= 0 || s.n == 0 {

@@ -440,6 +440,27 @@ func TestQueryKNearestOutsideWindow(t *testing.T) {
 	}
 }
 
+// A NaN or ±Inf position must be refused, not answered with nothing: every
+// comparison with NaN is false, so the descent finds no object.
+func TestQueryNonFinitePosition(t *testing.T) {
+	objs := []Object{{OID: 1, Y0: 100, V: 1}, {OID: 2, Y0: 200, V: -1}}
+	s, err := Build(pager.NewMemStore(1024), objs, 0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, y := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got, err := s.QueryKNearest(y, 5, 1); err == nil {
+			t.Errorf("QueryKNearest(%v): %d neighbors and no error", y, len(got))
+		}
+		if err := s.Query(y, 300, 5, func(dual.OID) {}); err == nil {
+			t.Errorf("Query(%v, 300): no error", y)
+		}
+		if err := s.Query(0, y, 5, func(dual.OID) {}); err == nil {
+			t.Errorf("Query(0, %v): no error", y)
+		}
+	}
+}
+
 // Validate must pass on random builds and catch the invariant it guards.
 func TestValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))

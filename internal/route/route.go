@@ -81,7 +81,7 @@ func NewNetwork(store pager.Store, cfg Config) (*Network, error) {
 	if cfg.C == 0 {
 		cfg.C = 4
 	}
-	sam, err := rstar.New(store, rstar.Config{})
+	sam, err := rstar.New(store)
 	if err != nil {
 		return nil, err
 	}

@@ -23,40 +23,30 @@ type strEnt struct {
 	ref uint32
 }
 
+// bulkFill is the fraction of a node BulkLoad fills: the slack keeps the
+// Inserts that follow a bulk load from splitting every node at once.
+// Balanced packing makes groups of at least half that many entries, and
+// 0.9·M/2 ≥ 0.4·M meets the R* minimum fill m at every capacity M ≥ 8.
+const bulkFill = 0.9
+
 // BulkLoad replaces the tree's contents with the given items, packed
-// bottom-up with STR at the given fill fraction (0 selects 0.9). Group
-// sizes are balanced so every node — even a slab tail — meets the R*
-// minimum fill, keeping the loaded tree indistinguishable from an
-// incrementally grown one to CheckInvariants and to subsequent
-// Insert/Delete traffic. On a batching store the whole rebuild commits
-// atomically. The input slice is not modified.
-func (t *Tree) BulkLoad(items []Item, fill float64) error {
-	if fill == 0 {
-		fill = 0.9
-	}
-	if fill <= 0 || fill > 1 {
-		return fmt.Errorf("rstar: fill fraction %v outside (0, 1]", fill)
-	}
+// bottom-up with STR, each node filled to bulkFill. Group sizes are
+// balanced so every node — even a slab tail — meets the R* minimum fill,
+// keeping the loaded tree indistinguishable from an incrementally grown
+// one to CheckInvariants and to subsequent Insert/Delete traffic. On a
+// batching store the whole rebuild commits atomically. The input slice is
+// not modified.
+func (t *Tree) BulkLoad(items []Item) error {
 	for _, it := range items {
 		if it.Val > math.MaxUint32 {
 			return fmt.Errorf("rstar: value %d does not fit in the 32-bit page slot", it.Val)
 		}
 	}
-	per := int(fill * float64(t.maxCap))
-	// Balanced packing guarantees groups of at least per/2 entries; per
-	// must therefore be at least 2m for packed nodes to satisfy the R*
-	// minimum fill m.
-	if per < 2*t.minCap {
-		per = 2 * t.minCap
-	}
-	if per > t.maxCap {
-		per = t.maxCap
-	}
-	return pager.RunBatch(t.store, func() error { return t.bulkLoad(items, per) })
+	return pager.RunBatch(t.store, func() error { return t.bulkLoad(items, int(bulkFill*float64(t.maxCap))) })
 }
 
 func (t *Tree) bulkLoad(items []Item, per int) error {
-	if err := t.destroy(t.root); err != nil {
+	if err := t.destroy(t.root, t.height-1); err != nil {
 		return err
 	}
 	es := make([]strEnt, len(items))
@@ -84,11 +74,7 @@ func (t *Tree) bulkLoad(items []Item, per int) error {
 // entries (MBR + page id) for the level above. A single (possibly empty)
 // node is produced for an input that fits one page.
 func (t *Tree) strPackLevel(es []strEnt, level, per int) ([]strEnt, error) {
-	groups := (len(es) + per - 1) / per
-	if groups < 1 {
-		groups = 1
-	}
-	if groups > 1 {
+	if groups := (len(es) + per - 1) / per; groups > 1 {
 		slabs := int(math.Ceil(math.Sqrt(float64(groups))))
 		sort.Slice(es, func(i, j int) bool {
 			return es[i].r.MinX+es[i].r.MaxX < es[j].r.MinX+es[j].r.MaxX
@@ -116,11 +102,9 @@ func (t *Tree) strPackLevel(es []strEnt, level, per int) ([]strEnt, error) {
 }
 
 // balancedCuts splits es into k contiguous pieces whose sizes differ by
-// at most one, so no piece is left pathologically small.
+// at most one, so no piece is left pathologically small. k is at least
+// one and at most len(es).
 func balancedCuts(es []strEnt, k int) [][]strEnt {
-	if k < 1 {
-		k = 1
-	}
 	out := make([][]strEnt, 0, k)
 	base, rem := len(es)/k, len(es)%k
 	start := 0
@@ -151,15 +135,16 @@ func (t *Tree) packNode(es []strEnt, level int) (strEnt, error) {
 	return strEnt{r: n.mbr(), ref: uint32(n.id)}, nil
 }
 
-// destroy frees every page of the subtree rooted at id.
-func (t *Tree) destroy(id pager.PageID) error {
-	n, err := t.readNode(id)
+// destroy frees every page of the subtree rooted at id, a node at the given
+// level.
+func (t *Tree) destroy(id pager.PageID, level int) error {
+	n, err := t.readNode(id, level)
 	if err != nil {
 		return err
 	}
-	if n.level > 0 {
+	if level > 0 {
 		for _, ref := range n.refs {
-			if err := t.destroy(pager.PageID(ref)); err != nil {
+			if err := t.destroy(pager.PageID(ref), level-1); err != nil {
 				return err
 			}
 		}

@@ -21,8 +21,7 @@ func collectRect(t *testing.T, tr *Tree, q geom.Rect) []uint64 {
 }
 
 // STR bulk load must return exactly the incremental build's answers for
-// rectangle and convex-region queries, at every fill factor, and leave a
-// structurally valid, mutable tree.
+// rectangle queries and leave a structurally valid, mutable tree.
 func TestBulkLoadDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 1, 100, 5000} {
@@ -36,28 +35,26 @@ func TestBulkLoadDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, fill := range []float64{0.7, 0.9, 1.0} {
-			bulk, _ := newTree(t, 1024)
-			if err := bulk.BulkLoad(items, fill); err != nil {
-				t.Fatal(err)
+		bulk, _ := newTree(t, 1024)
+		if err := bulk.BulkLoad(items); err != nil {
+			t.Fatal(err)
+		}
+		if bulk.Len() != n {
+			t.Fatalf("n=%d: Len=%d", n, bulk.Len())
+		}
+		if err := bulk.CheckInvariants(); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for q := 0; q < 50; q++ {
+			query := randRect(rng, 100, 15)
+			want := collectRect(t, inc, query)
+			got := collectRect(t, bulk, query)
+			if len(want) != len(got) {
+				t.Fatalf("n=%d: rect query %d answers, incremental %d", n, len(got), len(want))
 			}
-			if bulk.Len() != n {
-				t.Fatalf("n=%d fill=%v: Len=%d", n, fill, bulk.Len())
-			}
-			if err := bulk.CheckInvariants(); err != nil {
-				t.Fatalf("n=%d fill=%v: %v", n, fill, err)
-			}
-			for q := 0; q < 50; q++ {
-				query := randRect(rng, 100, 15)
-				want := collectRect(t, inc, query)
-				got := collectRect(t, bulk, query)
-				if len(want) != len(got) {
-					t.Fatalf("n=%d fill=%v: rect query %d answers, incremental %d", n, fill, len(got), len(want))
-				}
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("n=%d fill=%v: rect answers diverge at %d", n, fill, i)
-					}
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("n=%d: rect answers diverge at %d", n, i)
 				}
 			}
 		}
@@ -72,7 +69,7 @@ func TestBulkLoadThenMutate(t *testing.T) {
 		items[i] = Item{Rect: randRect(rng, 100, 2), Val: uint64(i)}
 	}
 	tr, _ := newTree(t, 1024)
-	if err := tr.BulkLoad(items, 1.0); err != nil {
+	if err := tr.BulkLoad(items); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
@@ -100,7 +97,7 @@ func TestBulkLoadThenMutate(t *testing.T) {
 // BulkLoad replaces previous contents and reclaims their pages.
 func TestBulkLoadReplaces(t *testing.T) {
 	st := pager.NewMemStore(1024)
-	tr, err := New(st, Config{})
+	tr, err := New(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +107,7 @@ func TestBulkLoadReplaces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tr.BulkLoad([]Item{{Rect: rect(0, 0, 1, 1), Val: 1}}, 0); err != nil {
+	if err := tr.BulkLoad([]Item{{Rect: rect(0, 0, 1, 1), Val: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Len() != 1 || st.PagesInUse() > 2 {
@@ -126,15 +123,15 @@ func TestBulkLoadIOAdvantage(t *testing.T) {
 		items[i] = Item{Rect: randRect(rng, 1000, 3), Val: uint64(i)}
 	}
 	incStore := pager.NewMemStore(4096)
-	inc, _ := New(incStore, Config{})
+	inc, _ := New(incStore)
 	for _, it := range items {
 		if err := inc.Insert(it); err != nil {
 			t.Fatal(err)
 		}
 	}
 	bulkStore := pager.NewMemStore(4096)
-	bulk, _ := New(bulkStore, Config{})
-	if err := bulk.BulkLoad(items, 0.9); err != nil {
+	bulk, _ := New(bulkStore)
+	if err := bulk.BulkLoad(items); err != nil {
 		t.Fatal(err)
 	}
 	incIOs := incStore.Stats().IOs()

@@ -25,7 +25,7 @@ func TestRStarSurfacesStorageFaults(t *testing.T) {
 		{Seed: 4, Free: pager.OpFaults{FailEvery: 2}},
 	} {
 		faulty := pager.NewFaultStore(pager.NewMemStore(256), cfg)
-		tr, err := New(faulty, Config{})
+		tr, err := New(faulty)
 		if err != nil {
 			if !errors.Is(err, pager.ErrInjected) {
 				t.Fatalf("cfg %+v: constructor error outside taxonomy: %v", cfg, err)

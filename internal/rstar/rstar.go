@@ -7,12 +7,13 @@
 // experiments, where each mobile object's trajectory is stored as a line
 // segment approximated by its minimum bounding rectangle. Leaf entries are
 // four 4-byte coordinates plus a 4-byte pointer — 20 bytes — so a 4096-byte
-// page holds B = 204 entries exactly as computed in §5.
+// page holds B = 204 entries exactly as computed in §5. Its one query is
+// SearchRect, the (t, y) rectangle search of §3.1.
 //
-// Besides rectangle search it supports linear-constraint (simplex) search
-// in the style of Goldstein et al. (PODS 1997): a subtree is pruned when
-// its rectangle misses the convex query region and reported wholesale when
-// contained.
+// Every page is checked as it is read: an image shorter than a page, an
+// entry count past the page capacity, or a level other than the one its
+// parent implies yields an error wrapping pager.ErrPageCorrupt, never a
+// panic or an endless descent.
 package rstar
 
 import (
@@ -31,15 +32,12 @@ type Item struct {
 	Val  uint64 // must fit in 32 bits
 }
 
-// Config tunes the tree.
-type Config struct {
-	// MinFill is the minimum node fill fraction m/M; the R*-paper
-	// recommends 0.4. Zero selects 0.4.
-	MinFill float64
-	// ReinsertFrac is the fraction p of entries removed on forced
-	// reinsert; the R*-paper recommends 0.3. Zero selects 0.3.
-	ReinsertFrac float64
-}
+// The R*-paper's recommended tuning: the minimum node fill m/M and the
+// fraction p of entries removed on forced reinsert.
+const (
+	minFill      = 0.4
+	reinsertFrac = 0.3
+)
 
 // Tree is an R*-tree stored in a pager.Store.
 type Tree struct {
@@ -65,13 +63,7 @@ const headerSize = 8 // type/level byte, pad, count uint16, pad uint32
 const entrySize = 20 // four float32 coords + uint32 ref
 
 // New creates an empty tree.
-func New(store pager.Store, cfg Config) (*Tree, error) {
-	if cfg.MinFill == 0 {
-		cfg.MinFill = 0.4
-	}
-	if cfg.ReinsertFrac == 0 {
-		cfg.ReinsertFrac = 0.3
-	}
+func New(store pager.Store) (*Tree, error) {
 	maxCap := (store.PageSize() - headerSize) / entrySize
 	if maxCap < 8 {
 		return nil, fmt.Errorf("rstar: page size %d too small", store.PageSize())
@@ -79,14 +71,8 @@ func New(store pager.Store, cfg Config) (*Tree, error) {
 	t := &Tree{
 		store:  store,
 		maxCap: maxCap,
-		minCap: int(cfg.MinFill * float64(maxCap)),
-		pReins: int(cfg.ReinsertFrac * float64(maxCap)),
-	}
-	if t.minCap < 1 {
-		t.minCap = 1
-	}
-	if t.pReins < 1 {
-		t.pReins = 1
+		minCap: int(minFill * float64(maxCap)),
+		pReins: int(reinsertFrac * float64(maxCap)),
 	}
 	p, err := store.Allocate()
 	if err != nil {
@@ -148,14 +134,35 @@ func (t *Tree) writeNode(n *node) error {
 	return err
 }
 
-func (t *Tree) readNode(id pager.PageID) (*node, error) {
+// corrupt reports a page whose bytes cannot have been written by this tree.
+func corrupt(id pager.PageID, format string, args ...any) error {
+	return fmt.Errorf("rstar: %w: page %d %s", pager.ErrPageCorrupt, id, fmt.Sprintf(format, args...))
+}
+
+// readNode reads the node of page id, which its parent places at the given
+// level (the root at height − 1). Levels fall by one per step down, so a
+// child reference that leads back up the tree, a cycle included, fails the
+// level check instead of recursing forever.
+func (t *Tree) readNode(id pager.PageID, level int) (*node, error) {
 	p, err := t.store.Read(id)
 	if err != nil {
 		return nil, err
 	}
 	d := p.Data
-	n := &node{id: id, level: int(d[0])}
+	if len(d) < t.store.PageSize() {
+		return nil, corrupt(id, "is %d bytes, want %d", len(d), t.store.PageSize())
+	}
+	if int(d[0]) != level {
+		return nil, corrupt(id, "is at level %d, want %d", d[0], level)
+	}
 	count := int(d[2]) | int(d[3])<<8
+	if count > t.maxCap {
+		return nil, corrupt(id, "holds %d entries, past the capacity %d", count, t.maxCap)
+	}
+	if count == 0 && level > 0 {
+		return nil, corrupt(id, "is an internal node with no entries")
+	}
+	n := &node{id: id, level: level}
 	n.rects = make([]geom.Rect, count)
 	n.refs = make([]uint32, count)
 	off := headerSize
@@ -236,16 +243,19 @@ type pathEl struct {
 // choosePath descends from the root to the node at targetLevel using the
 // R* ChooseSubtree criteria, returning the visited path.
 func (t *Tree) choosePath(r geom.Rect, targetLevel int) ([]pathEl, error) {
+	if targetLevel >= t.height {
+		return nil, fmt.Errorf("rstar: no level %d in a tree of height %d", targetLevel, t.height)
+	}
 	var path []pathEl
 	id := t.root
 	idxInParent := -1
-	for {
-		n, err := t.readNode(id)
+	for level := t.height - 1; ; level-- {
+		n, err := t.readNode(id, level)
 		if err != nil {
 			return nil, err
 		}
 		path = append(path, pathEl{n: n, idx: idxInParent})
-		if n.level == targetLevel {
+		if level == targetLevel {
 			return path, nil
 		}
 		ci := t.chooseSubtree(n, r)
@@ -284,7 +294,9 @@ func overlapFast(a, b geom.Rect) float64 {
 	return (maxX - minX) * (maxY - minY)
 }
 
-// chooseSubtree picks the child of n to descend into for rectangle r.
+// chooseSubtree picks the child of n to descend into for rectangle r. It
+// starts from a valid child, since with NaN or infinite coordinates no
+// comparison below may hold.
 func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
 	if n.level == 1 {
 		// Children are leaves: minimize overlap enlargement, then area
@@ -304,7 +316,7 @@ func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
 			sort.Slice(cand, func(a, b int) bool { return deltas[cand[a]] < deltas[cand[b]] })
 			cand = cand[:p]
 		}
-		best, bestOverlapDelta, bestAreaDelta, bestArea := -1, math.Inf(1), math.Inf(1), math.Inf(1)
+		best, bestOverlapDelta, bestAreaDelta, bestArea := cand[0], math.Inf(1), math.Inf(1), math.Inf(1)
 		for _, i := range cand {
 			cr := n.rects[i]
 			enlarged := cr.Union(r)
@@ -328,7 +340,7 @@ func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
 		return best
 	}
 	// Children are internal: minimize area enlargement, then area.
-	best, bestAreaDelta, bestArea := -1, math.Inf(1), math.Inf(1)
+	best, bestAreaDelta, bestArea := 0, math.Inf(1), math.Inf(1)
 	for i, cr := range n.rects {
 		ad := cr.Union(r).Area() - cr.Area()
 		a := cr.Area()
@@ -462,7 +474,9 @@ func (t *Tree) forcedReinsert(path []pathEl, reinserted map[int]bool) error {
 // split performs the R* topological split of an overflowing node: pick the
 // axis minimizing the margin sum over all legal distributions, then the
 // distribution with minimum overlap (ties: minimum total area). The left
-// half reuses n's page.
+// half reuses n's page. Like chooseSubtree it starts from a legal choice,
+// so an infinite coordinate, whose margins and areas compare false, still
+// splits the node instead of emptying both halves.
 func (t *Tree) split(n *node) (left, right *node) {
 	type ent struct {
 		r   geom.Rect
@@ -514,7 +528,7 @@ func (t *Tree) split(n *node) (left, right *node) {
 				suf[i] = suf[i+1].Union(sorted[i].r)
 			}
 			marginSum := 0.0
-			localBestOverlap, localBestArea, localSplit := math.Inf(1), math.Inf(1), -1
+			localBestOverlap, localBestArea, localSplit := math.Inf(1), math.Inf(1), m
 			for k := m; k <= M-m; k++ {
 				l, r := pre[k], suf[k]
 				marginSum += l.Margin() + r.Margin()
@@ -525,7 +539,7 @@ func (t *Tree) split(n *node) (left, right *node) {
 					localBestOverlap, localBestArea, localSplit = ov, ar, k
 				}
 			}
-			if marginSum < bestAxisMargin {
+			if bestSorted == nil || marginSum < bestAxisMargin {
 				bestAxisMargin = marginSum
 				bestSorted = sorted
 				bestSplitAt = localSplit
@@ -552,12 +566,12 @@ func (t *Tree) split(n *node) (left, right *node) {
 // SearchRect calls fn for every item whose rectangle intersects q; fn
 // returning false stops the search.
 func (t *Tree) SearchRect(q geom.Rect, fn func(Item) bool) error {
-	_, err := t.searchRect(t.root, q, fn)
+	_, err := t.searchRect(t.root, t.height-1, q, fn)
 	return err
 }
 
-func (t *Tree) searchRect(id pager.PageID, q geom.Rect, fn func(Item) bool) (bool, error) {
-	n, err := t.readNode(id)
+func (t *Tree) searchRect(id pager.PageID, level int, q geom.Rect, fn func(Item) bool) (bool, error) {
+	n, err := t.readNode(id, level)
 	if err != nil {
 		return false, err
 	}
@@ -565,78 +579,13 @@ func (t *Tree) searchRect(id pager.PageID, q geom.Rect, fn func(Item) bool) (boo
 		if !r.Intersects(q) {
 			continue
 		}
-		if n.level == 0 {
+		if level == 0 {
 			if !fn(Item{Rect: r, Val: uint64(n.refs[i])}) {
 				return false, nil
 			}
 			continue
 		}
-		cont, err := t.searchRect(pager.PageID(n.refs[i]), q, fn)
-		if err != nil || !cont {
-			return cont, err
-		}
-	}
-	return true, nil
-}
-
-// SearchRegion calls fn for every item whose rectangle intersects the
-// convex region (Goldstein et al. linear-constraint search). Subtrees whose
-// rectangle is contained in the region are reported without further
-// geometric tests.
-func (t *Tree) SearchRegion(reg geom.ConvexRegion, fn func(Item) bool) error {
-	_, err := t.searchRegion(t.root, reg, fn)
-	return err
-}
-
-func (t *Tree) searchRegion(id pager.PageID, reg geom.ConvexRegion, fn func(Item) bool) (bool, error) {
-	n, err := t.readNode(id)
-	if err != nil {
-		return false, err
-	}
-	for i, r := range n.rects {
-		switch reg.ClassifyRect(r) {
-		case geom.Outside:
-			continue
-		case geom.Inside:
-			if n.level == 0 {
-				if !fn(Item{Rect: r, Val: uint64(n.refs[i])}) {
-					return false, nil
-				}
-			} else {
-				cont, err := t.reportSubtree(pager.PageID(n.refs[i]), fn)
-				if err != nil || !cont {
-					return cont, err
-				}
-			}
-		case geom.Partial:
-			if n.level == 0 {
-				if !fn(Item{Rect: r, Val: uint64(n.refs[i])}) {
-					return false, nil
-				}
-			} else {
-				cont, err := t.searchRegion(pager.PageID(n.refs[i]), reg, fn)
-				if err != nil || !cont {
-					return cont, err
-				}
-			}
-		}
-	}
-	return true, nil
-}
-
-func (t *Tree) reportSubtree(id pager.PageID, fn func(Item) bool) (bool, error) {
-	n, err := t.readNode(id)
-	if err != nil {
-		return false, err
-	}
-	for i, r := range n.rects {
-		if n.level == 0 {
-			if !fn(Item{Rect: r, Val: uint64(n.refs[i])}) {
-				return false, nil
-			}
-			continue
-		}
-		cont, err := t.reportSubtree(pager.PageID(n.refs[i]), fn)
+		cont, err := t.searchRect(pager.PageID(n.refs[i]), level-1, q, fn)
 		if err != nil || !cont {
 			return cont, err
 		}
@@ -653,7 +602,7 @@ func (t *Tree) reportSubtree(id pager.PageID, fn func(Item) bool) (bool, error) 
 // a boolean found result.
 func (t *Tree) Delete(it Item) (bool, error) {
 	r := roundRect(it.Rect)
-	path, idx, err := t.findLeaf(t.root, nil, r, uint32(it.Val))
+	path, idx, err := t.findLeaf(t.root, t.height-1, nil, r, uint32(it.Val))
 	if err != nil {
 		return false, err
 	}
@@ -662,7 +611,6 @@ func (t *Tree) Delete(it Item) (bool, error) {
 	}
 	leaf := path[len(path)-1].n
 	leaf.remove(idx)
-	t.size--
 	// Condense: collect orphaned entries from underfull nodes bottom-up.
 	type orphan struct {
 		r     geom.Rect
@@ -678,11 +626,6 @@ func (t *Tree) Delete(it Item) (bool, error) {
 				orphans = append(orphans, orphan{n.rects[i], n.refs[i], n.level})
 			}
 			parent.remove(path[depth].idx)
-			// Fix sibling path indexes shifted by the removal.
-			if depth < len(path) {
-				// Only the current chain matters; deeper entries already
-				// processed. Nothing else references parent indexes.
-			}
 			if err := t.store.Free(n.id); err != nil {
 				return false, err
 			}
@@ -698,7 +641,7 @@ func (t *Tree) Delete(it Item) (bool, error) {
 	}
 	// Shrink the root if it is internal with a single child.
 	for {
-		rn, err := t.readNode(t.root)
+		rn, err := t.readNode(t.root, t.height-1)
 		if err != nil {
 			return false, err
 		}
@@ -719,13 +662,14 @@ func (t *Tree) Delete(it Item) (bool, error) {
 			return false, err
 		}
 	}
+	t.size--
 	return true, nil
 }
 
 // findLeaf locates the leaf containing (r, ref), returning the path and
 // entry index, or a nil path when absent.
-func (t *Tree) findLeaf(id pager.PageID, path []pathEl, r geom.Rect, ref uint32) ([]pathEl, int, error) {
-	n, err := t.readNode(id)
+func (t *Tree) findLeaf(id pager.PageID, level int, path []pathEl, r geom.Rect, ref uint32) ([]pathEl, int, error) {
+	n, err := t.readNode(id, level)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -741,7 +685,7 @@ func (t *Tree) findLeaf(id pager.PageID, path []pathEl, r geom.Rect, ref uint32)
 		if !n.rects[i].ContainsRect(r) {
 			continue
 		}
-		got, idx, err := t.findLeaf(pager.PageID(n.refs[i]), append(path, pathEl{n: n}), r, ref)
+		got, idx, err := t.findLeaf(pager.PageID(n.refs[i]), level-1, append(path, pathEl{n: n}), r, ref)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -777,16 +721,10 @@ func (t *Tree) CheckInvariants() error {
 	return nil
 }
 
-func (t *Tree) checkNode(id pager.PageID, wantLevel int, isRoot bool) (int, error) {
-	n, err := t.readNode(id)
+func (t *Tree) checkNode(id pager.PageID, level int, isRoot bool) (int, error) {
+	n, err := t.readNode(id, level)
 	if err != nil {
 		return 0, err
-	}
-	if n.level != wantLevel {
-		return 0, fmt.Errorf("rstar: node %d at level %d, want %d", id, n.level, wantLevel)
-	}
-	if len(n.rects) > t.maxCap {
-		return 0, fmt.Errorf("rstar: node %d overfull (%d > %d)", id, len(n.rects), t.maxCap)
 	}
 	if !isRoot && len(n.rects) < t.minCap {
 		return 0, fmt.Errorf("rstar: node %d underfull (%d < %d)", id, len(n.rects), t.minCap)
@@ -796,7 +734,7 @@ func (t *Tree) checkNode(id pager.PageID, wantLevel int, isRoot bool) (int, erro
 	}
 	total := 0
 	for i := range n.rects {
-		child, err := t.readNode(pager.PageID(n.refs[i]))
+		child, err := t.readNode(pager.PageID(n.refs[i]), level-1)
 		if err != nil {
 			return 0, err
 		}
@@ -804,7 +742,7 @@ func (t *Tree) checkNode(id pager.PageID, wantLevel int, isRoot bool) (int, erro
 			return 0, fmt.Errorf("rstar: node %d entry %d rect %v does not contain child mbr %v",
 				id, i, n.rects[i], child.mbr())
 		}
-		c, err := t.checkNode(pager.PageID(n.refs[i]), wantLevel-1, false)
+		c, err := t.checkNode(pager.PageID(n.refs[i]), level-1, false)
 		if err != nil {
 			return 0, err
 		}

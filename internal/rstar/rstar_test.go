@@ -1,6 +1,7 @@
 package rstar
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 func newTree(t *testing.T, pageSize int) (*Tree, *pager.MemStore) {
 	t.Helper()
 	st := pager.NewMemStore(pageSize)
-	tr, err := New(st, Config{})
+	tr, err := New(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,47 +136,27 @@ func TestRandomOpsAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestSearchRegionAgainstBruteForce(t *testing.T) {
-	tr, _ := newTree(t, 512)
-	rng := rand.New(rand.NewSource(29))
-	type rec struct {
-		r geom.Rect
-		v uint64
-	}
-	var ref []rec
-	for i := 0; i < 3000; i++ {
-		r := randRect(rng, 1000, 30)
+// A coordinate past the float32 range is stored as ±Inf. Such entries
+// must still be found, and must not make a split drop the entries beside
+// them.
+func TestInfiniteCoordinates(t *testing.T) {
+	tr, _ := newTree(t, 256)
+	for i := 0; i < 300; i++ {
+		x := float64(i)
+		r := rect(x, 0, x+1, 1)
+		if i%3 == 0 {
+			r.MaxX = 1e39
+		}
 		if err := tr.Insert(Item{Rect: r, Val: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
-		ref = append(ref, rec{roundRect(r), uint64(i)})
 	}
-	for trial := 0; trial < 40; trial++ {
-		// Random wedge-like region: a bounding box and two diagonal cuts.
-		bb := randRect(rng, 1000, 400)
-		reg := geom.NewRegion(
-			geom.Constraint{A: -1, B: 0, C: -bb.MinX},
-			geom.Constraint{A: 1, B: 0, C: bb.MaxX},
-			geom.Constraint{A: 0, B: -1, C: -bb.MinY},
-			geom.Constraint{A: 0, B: 1, C: bb.MaxY},
-			geom.Constraint{A: rng.Float64()*2 - 1, B: rng.Float64()*2 - 1, C: rng.Float64() * 1000},
-		)
-		want := map[uint64]bool{}
-		for _, e := range ref {
-			if reg.IntersectsRect(e.r) {
-				want[e.v] = true
-			}
-		}
-		got := map[uint64]bool{}
-		_ = tr.SearchRegion(reg, func(it Item) bool { got[it.Val] = true; return true })
-		for v := range want {
-			if !got[v] {
-				t.Fatalf("region search missing %d", v)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("region search: got %d, want %d", len(got), len(want))
-		}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	got := collectRect(t, tr, rect(-1, -1, math.MaxFloat64, 2))
+	if len(got) != 300 {
+		t.Fatalf("search found %d of 300 items", len(got))
 	}
 }
 
@@ -296,7 +277,7 @@ func TestPointItems(t *testing.T) {
 // The R*-tree must cluster well enough that query I/O is far below a scan.
 func TestQueryIOBetterThanScan(t *testing.T) {
 	st := pager.NewMemStore(4096)
-	tr, err := New(st, Config{})
+	tr, err := New(st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -344,30 +344,25 @@ func (d *Decomposed) Delete(m Motion2D) error {
 // Len implements Index2D.
 func (d *Decomposed) Len() int { return len(d.motions) }
 
-// Query implements Index2D: intersect the two per-axis answers, then apply
-// the exact 2-dimensional predicate.
+// Query implements Index2D: it emits, in ascending order, the answer
+// QueryParallel gives on a one-worker executor, and on an error emits
+// nothing.
 func (d *Decomposed) Query(q MOR2Query, emit func(dual.OID)) error {
-	if err := validateQuery(q); err != nil {
+	ids, err := d.QueryParallel(context.Background(), core.NewExecutor(1), q)
+	if err != nil {
 		return err
 	}
-	xHits := make(map[dual.OID]struct{})
-	if err := d.xIndex.Query(q.xQuery(), func(id dual.OID) { xHits[id] = struct{}{} }); err != nil {
-		return err
+	for _, id := range ids {
+		emit(id)
 	}
-	return d.yIndex.Query(q.yQuery(), func(id dual.OID) {
-		if _, ok := xHits[id]; !ok {
-			return
-		}
-		if m, ok := d.motions[id]; ok && m.Matches(q) {
-			emit(id)
-		}
-	})
+	return nil
 }
 
-// QueryParallel answers q by running the two per-axis 1-dimensional MOR
-// queries — themselves decomposed into their Lemma 1 pieces — concurrently
-// on one shared worker pool (ctx stops the fan-out between pieces), then
-// intersecting the per-axis answers by object id and filtering with the
+// QueryParallel answers q by running the pieces of the two per-axis
+// 1-dimensional MOR queries — their Lemma 1 decompositions — as one flat
+// list on exec (core.RunPiecesCtx; ctx stops the fan-out between pieces),
+// so the pieces of the slower axis do not wait for the faster axis. It
+// then intersects the per-axis answers by object id and filters with the
 // exact 2-dimensional predicate. The returned OIDs are sorted ascending
 // and deduplicated; the slice is identical for every worker count. Safe
 // to run concurrently with other queries, but not with Insert/Delete.
@@ -375,30 +370,13 @@ func (d *Decomposed) QueryParallel(ctx context.Context, exec *core.Executor, q M
 	if err := validateQuery(q); err != nil {
 		return nil, err
 	}
-	xsubs := d.xIndex.Subqueries(q.xQuery())
-	ysubs := d.yIndex.Subqueries(q.yQuery())
-
-	// One flat task list over both axes: the pieces of the slower axis
-	// don't wait for the faster axis to finish.
-	nx := len(xsubs)
-	buckets := make([][]dual.OID, nx+len(ysubs))
-	tasks := make([]func() error, 0, len(buckets))
-	for i, sq := range xsubs {
-		i, sq := i, sq
-		tasks = append(tasks, func() error {
-			return sq(func(id dual.OID) { buckets[i] = append(buckets[i], id) })
-		})
-	}
-	for j, sq := range ysubs {
-		j, sq := nx+j, sq
-		tasks = append(tasks, func() error {
-			return sq(func(id dual.OID) { buckets[j] = append(buckets[j], id) })
-		})
-	}
-	if err := exec.RunCtx(ctx, tasks); err != nil {
+	pieces := d.xIndex.Subqueries(q.xQuery())
+	nx := len(pieces)
+	pieces = append(pieces, d.yIndex.Subqueries(q.yQuery())...)
+	buckets, err := core.RunPiecesCtx(ctx, exec, pieces)
+	if err != nil {
 		return nil, err
 	}
-
 	xIDs := core.MergeOIDs(buckets[:nx])
 	yIDs := core.MergeOIDs(buckets[nx:])
 	// Intersect two sorted slices; the result inherits sortedness.

@@ -209,6 +209,8 @@ go test ./internal/bptree -run '^$' -fuzz '^FuzzDecodeNode$' -fuzztime=10s
 go test ./internal/bptree -run '^$' -fuzz '^FuzzMutateHostileImage$' -fuzztime=10s -fuzzminimizetime=1s
 go test ./internal/kdtree -run '^$' -fuzz '^FuzzHostileImage$' -fuzztime=10s -fuzzminimizetime=1s
 go test ./internal/parttree -run '^$' -fuzz '^FuzzHostileImage$' -fuzztime=10s -fuzzminimizetime=1s
+# An R*-tree page image planted on the descent of a search, Delete and Insert.
+go test ./internal/rstar -run '^$' -fuzz '^FuzzHostileImage$' -fuzztime=10s -fuzzminimizetime=1s
 # Arbitrary entries, tiled so short inputs cross the radix cutoff, through
 # SortEntries against a stable comparison sort: the same order, bit for bit.
 go test ./internal/bptree -run '^$' -fuzz '^FuzzSortEntries$' -fuzztime=10s
