@@ -22,9 +22,18 @@
 //	commit (4): batch sequence number u64 | record count u32
 //
 // LSNs are assigned sequentially over the store's lifetime and are strictly
-// consecutive within the log. Every record carries its own CRC-32C, so a
+// consecutive within a checkpoint cycle: the records appended since the log
+// was last reset to its header. Every record carries its own CRC-32C, so a
 // torn append is detected and truncated at recovery; a batch is durable
 // exactly when its commit record (and everything before it) verifies.
+//
+// The log file may be longer than the cycle. A due checkpoint rewinds a
+// log that can rewind (MemLog, FileLog) instead of truncating it, and the
+// next cycle's commits overwrite the old records in place, in blocks the
+// file already owns. Whatever lies past the cycle's end is a stale tail:
+// the remains of a longer, earlier cycle, every record of it at or below
+// the watermark. An explicit Checkpoint and Close truncate the file to its
+// header, so a quiesced store's log is the header alone.
 //
 // # Commit protocol
 //
@@ -108,9 +117,19 @@
 // base store, syncs the base (persisting the base allocator — FileStore's
 // meta page — together with the data), then records the applied watermark
 // (LSN + batch sequence) in a reserved WAL-meta page of the base store,
-// syncs again, and truncates the log to its header. The watermark is
-// written only after the allocator sync, so the durable base allocator is
-// never behind the durable watermark.
+// syncs again, and resets the log to its header. The watermark is written
+// only after the allocator sync, so the durable base allocator is never
+// behind the durable watermark.
+//
+// How the log is reset depends on who asks. A due checkpoint
+// (CheckpointIfDue, the serving path) rewinds a log that offers Rewind: no
+// I/O at all, the records stay on disk as a stale tail, and a commit of
+// the next cycle costs a write and an fsync over blocks the file already
+// owns rather than an append that must also make a new allocation
+// durable. The rewind needs no sync, because the durable watermark already
+// covers every record it leaves behind. Any other LogFile, an explicit
+// Checkpoint and Close truncate the log to its header and sync the
+// truncation.
 //
 // A checkpoint runs in two phases so that it never blocks a reader. Under
 // the latch it snapshots the table's ids and images and marks the store's
@@ -121,22 +140,35 @@
 // no image is modified in place. The table itself cannot change
 // meanwhile: only a commit changes it, and Begin waits for the mark to
 // clear, so a batch that arrives during the I/O phase opens after it and
-// its records land in the truncated log. Nothing else writes the base
-// while no batch is open.
+// its records land in the reset log. Nothing else writes the base while no
+// batch is open.
 //
 // # Recovery
 //
 // OpenWALStore on a non-empty log verifies the header, reads the watermark
 // from the WAL-meta page, scans the log verifying every record's CRC and
-// LSN continuity, truncates the torn tail (records after the last commit
-// record, or after the first framing break), and replays every committed
-// batch with LSN beyond the watermark: allocs re-adopt their page ids,
-// page images are staged into the table, frees are re-applied. Replay uses
-// forcing semantics (Adopter) — an adopt of an already-live page or a
-// disown of an already-free page is a no-op — so recovery is idempotent
-// and tolerates a base store that crashed ahead of the watermark (e.g.
-// mid-checkpoint). A corrupt WAL-meta page degrades to a full replay from
+// LSN continuity, truncates the tail (records after the last commit
+// record, after the first framing break, or from the first stale record
+// on), and replays every committed batch with LSN beyond the watermark:
+// allocs re-adopt their page ids, page images are staged into the table,
+// frees are re-applied. Replay uses forcing semantics (Adopter) — an adopt
+// of an already-live page or a disown of an already-free page is a no-op —
+// so recovery is idempotent and tolerates a base store that crashed ahead
+// of the watermark (e.g. mid-checkpoint). A corrupt WAL-meta page degrades to a full replay from
 // LSN zero, which the same forcing semantics make safe.
+//
+// The scan ends at a stale tail. After a valid record, a record that
+// decodes with an LSN below the next expected one belongs to a cycle the
+// base already holds: the current cycle ended where it begins. A tail that
+// starts inside an old record fails to decode, and the mid-log probe — is
+// there a live record past the failure? — counts only records with an LSN
+// at or past the expected one and past the watermark, so stale records,
+// all at or below the watermark, read as a torn tail even when the cycle's
+// very first record is the torn one. Recovery cuts whatever it does not
+// keep with a physical truncate, never a rewind, and so does a commit
+// whose append failed: the records of a batch that never committed must
+// not survive past the end, where a later, shorter cycle that reuses their
+// LSNs would expose them as live.
 package pager
 
 import (
@@ -178,7 +210,8 @@ var (
 // implement it.
 type LogFile interface {
 	io.ReaderAt
-	// Size returns the current length in bytes.
+	// Size returns the current length in bytes: where the next Append
+	// writes.
 	Size() (int64, error)
 	// Append writes b at the current end.
 	Append(b []byte) error
@@ -190,29 +223,44 @@ type LogFile interface {
 	Close() error
 }
 
-// MemLog is an in-memory LogFile, for tests and volatile stores.
+// logRewinder is a LogFile that can move its end back without discarding
+// the bytes past it (MemLog, FileLog): the appends that follow overwrite
+// them. A due checkpoint rewinds such a log to its header, so the next
+// cycle's commits write into blocks the file already owns instead of
+// allocating new ones; any other LogFile is truncated.
+type logRewinder interface {
+	Rewind(size int64) error
+}
+
+// MemLog is an in-memory LogFile, for tests and volatile stores. It models
+// a file: buf is the device image, end the append point, and the bytes a
+// Rewind left past end stay in the image (Bytes, ReadAt) until an Append
+// overwrites them or a Truncate cuts them.
 type MemLog struct {
 	mu  sync.Mutex
 	buf []byte
+	end int
 }
 
 // NewMemLog returns an empty in-memory log.
 func NewMemLog() *MemLog { return &MemLog{} }
 
 // NewMemLogFrom returns an in-memory log holding a copy of the given
-// image, for replaying captured (or deliberately corrupted) logs.
+// image, appending at its end, for replaying captured (or deliberately
+// corrupted) logs.
 func NewMemLogFrom(img []byte) *MemLog {
-	return &MemLog{buf: append([]byte(nil), img...)}
+	return &MemLog{buf: append([]byte(nil), img...), end: len(img)}
 }
 
-// Bytes returns a copy of the log's current contents.
+// Bytes returns a copy of the log's device image, including any stale
+// bytes a Rewind left past the append point: what a reopen would find.
 func (m *MemLog) Bytes() []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]byte(nil), m.buf...)
 }
 
-// ReadAt implements io.ReaderAt.
+// ReadAt implements io.ReaderAt over the device image.
 func (m *MemLog) ReadAt(p []byte, off int64) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -226,29 +274,46 @@ func (m *MemLog) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// Size implements LogFile.
+// Size implements LogFile: the append point.
 func (m *MemLog) Size() (int64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return int64(len(m.buf)), nil
+	return int64(m.end), nil
 }
 
-// Append implements LogFile.
+// Append implements LogFile, overwriting stale bytes past the append point.
 func (m *MemLog) Append(b []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.buf = append(m.buf, b...)
+	if m.end+len(b) > len(m.buf) {
+		m.buf = append(m.buf[:m.end], b...)
+	} else {
+		copy(m.buf[m.end:], b)
+	}
+	m.end += len(b)
 	return nil
 }
 
-// Truncate implements LogFile.
+// Truncate implements LogFile: it cuts the image, stale bytes included.
 func (m *MemLog) Truncate(size int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if size < 0 || size > int64(len(m.buf)) {
-		return fmt.Errorf("pager: memlog truncate to %d of %d", size, len(m.buf))
+	if size < 0 || size > int64(m.end) {
+		return fmt.Errorf("pager: memlog truncate to %d of %d", size, m.end)
 	}
 	m.buf = m.buf[:size]
+	m.end = int(size)
+	return nil
+}
+
+// Rewind moves the append point back to size and keeps the image.
+func (m *MemLog) Rewind(size int64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if size < 0 || size > int64(m.end) {
+		return fmt.Errorf("pager: memlog rewind to %d of %d", size, m.end)
+	}
+	m.end = int(size)
 	return nil
 }
 
@@ -258,7 +323,9 @@ func (m *MemLog) Sync() error { return nil }
 // Close implements LogFile.
 func (m *MemLog) Close() error { return nil }
 
-// FileLog is a LogFile backed by a File.
+// FileLog is a LogFile backed by a File. size is the append point; after a
+// Rewind the file holds stale bytes past it, which the appends that follow
+// overwrite and a Truncate cuts.
 type FileLog struct {
 	mu   sync.Mutex
 	f    File
@@ -288,10 +355,10 @@ func OpenFileLogOn(f File) (*FileLog, error) {
 	return &FileLog{f: f, size: size}, nil
 }
 
-// ReadAt implements io.ReaderAt.
+// ReadAt implements io.ReaderAt over the whole file.
 func (l *FileLog) ReadAt(p []byte, off int64) (int, error) { return l.f.ReadAt(p, off) }
 
-// Size implements LogFile.
+// Size implements LogFile: the append point.
 func (l *FileLog) Size() (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -315,6 +382,18 @@ func (l *FileLog) Truncate(size int64) error {
 	defer l.mu.Unlock()
 	if err := l.f.Truncate(size); err != nil {
 		return fmt.Errorf("pager: log truncate: %w", err)
+	}
+	l.size = size
+	return nil
+}
+
+// Rewind moves the append point back to size. It does no I/O: the file
+// keeps its length and its bytes.
+func (l *FileLog) Rewind(size int64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if size < 0 || size > l.size {
+		return fmt.Errorf("pager: log rewind to %d of %d", size, l.size)
 	}
 	l.size = size
 	return nil
@@ -555,7 +634,10 @@ type WALStore struct {
 	nextLSN    uint64
 	appliedLSN uint64
 	seq        uint64 // last committed batch sequence number
-	logSize    int64
+	logSize    int64  // the log's append point
+	// stale marks a log file that holds bytes past logSize: a due
+	// checkpoint rewound it. An explicit checkpoint truncates them.
+	stale bool
 
 	table map[PageID][]byte // committed page images not yet checkpointed
 	batch *walBatch
@@ -717,22 +799,24 @@ func (w *WALStore) recover(size int64) error {
 		rec, err := decodeWALRecord(buf[off:], w.pageSize)
 		if err != nil {
 			// A record that fails to decode is either the torn tail of a
-			// crashed append — everything after it is garbage — or
-			// corruption in the middle of the log. Distinguish them by
-			// searching the remainder for a record that still decodes at
-			// an LSN the sequence could reach: appends are sequential, so
-			// valid data past the failure means the failure is corruption
-			// (a bit flip, possibly in the length field itself), and
-			// silently truncating there would drop committed batches. The
-			// byte-wise search can in principle mistake record-shaped page
-			// content inside a torn write record for a live record; that
-			// errs toward refusing recovery, never toward losing data.
-			for probe := off + 1; probe < len(buf); probe++ {
-				rec2, err2 := decodeWALRecord(buf[probe:], w.pageSize)
-				if err2 == nil && rec2.lsn >= expectLSN {
-					return fmt.Errorf("%w: record at offset %d invalid mid-log", ErrWALCorrupt, walHeaderLen+off)
-				}
+			// crashed append — everything after it is garbage or a stale
+			// tail — or corruption in the middle of the log. Distinguish
+			// them by probing the remainder for a live record: appends are
+			// sequential, so valid data past the failure means the failure
+			// is corruption (a bit flip, possibly in the length field
+			// itself), and silently truncating there would drop committed
+			// batches. The byte-wise search can in principle mistake
+			// record-shaped page content inside a torn write record for a
+			// live record; that errs toward refusing recovery, never toward
+			// losing data.
+			if probeLiveRecord(buf[off+1:], w.pageSize, expectLSN, w.appliedLSN) {
+				return fmt.Errorf("%w: record at offset %d invalid mid-log", ErrWALCorrupt, walHeaderLen+off)
 			}
+			break
+		}
+		if expectLSN != 0 && rec.lsn < expectLSN {
+			// A stale tail: a due checkpoint rewound the log, and this
+			// record belongs to a cycle the base already holds.
 			break
 		}
 		if expectLSN != 0 && rec.lsn != expectLSN {
@@ -759,7 +843,10 @@ func (w *WALStore) recover(size int64) error {
 	if degraded && len(batches) == 0 {
 		return fmt.Errorf("%w: watermark unreadable and no committed batch in log: %w", ErrWALCorrupt, werr)
 	}
-	// Discard the torn/uncommitted tail.
+	// Discard the torn, uncommitted or stale tail. This is a physical cut,
+	// never a rewind: a crashed batch's records left past the append point
+	// could reuse the LSNs of the commits that follow, and a later, shorter
+	// cycle would expose them to a recovery as live.
 	if lastGood < size {
 		if err := w.log.Truncate(lastGood); err != nil {
 			return fmt.Errorf("pager: wal recover: %w", err)
@@ -810,6 +897,27 @@ func (w *WALStore) recover(size int64) error {
 		}
 	}
 	return nil
+}
+
+// probeLiveRecord reports whether rest — the log past a record that failed
+// to decode — holds a record that decodes at an LSN a live log could
+// reach there: at or past expect, past the watermark, and at most one LSN
+// per minimal record beyond both. A stale tail's records are at or below
+// the watermark, so a torn record over a stale tail reads as a torn tail.
+// The LSN window is checked before the checksum, so probing a stale tail
+// of megabytes stays a linear scan.
+func probeLiveRecord(rest []byte, pageSize int, expect, applied uint64) bool {
+	lo := max(expect, applied+1)
+	hi := lo + uint64(len(rest)/walRecordOverhead+1)
+	for i := 0; i+walRecordOverhead <= len(rest); i++ {
+		if lsn := binary.LittleEndian.Uint64(rest[i+4:]); lsn < lo || lsn > hi {
+			continue
+		}
+		if _, err := decodeWALRecord(rest[i:], pageSize); err == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // replayAdopt forces page id live in the base during recovery.
@@ -867,7 +975,10 @@ func (w *WALStore) AppliedLSN() uint64 {
 	return w.appliedLSN
 }
 
-// LogSize returns the current log length in bytes.
+// LogSize returns the length of the current checkpoint cycle in bytes —
+// the header and the records since the last checkpoint — which is where
+// the next commit appends. After a due checkpoint the log file can be
+// longer (a stale tail).
 func (w *WALStore) LogSize() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -1075,6 +1186,7 @@ func (w *WALStore) commitBatchLocked(b *walBatch) error {
 		if terr := w.log.Truncate(startSize); terr != nil {
 			return w.poison(fmt.Errorf("commit append: %w; truncate: %w", appendErr, terr))
 		}
+		w.stale = false
 		if rerr := w.rollbackBatchLocked(b); rerr != nil {
 			return errors.Join(fmt.Errorf("pager: wal commit: %w", appendErr), rerr)
 		}
@@ -1164,16 +1276,19 @@ func (w *WALStore) appendBatchLocked(b *walBatch) (appended int64, err error) {
 }
 
 // Checkpoint applies every committed page image to the base store, makes
-// the base durable, advances the watermark, and truncates the log to its
-// header. It fails with ErrBatchOpen while a batch is open. Checkpoint is
-// idempotent and safe to retry after an error. The I/O runs with the latch
-// released: reads are served from the committed table throughout, and a
-// Begin waits until the checkpoint is done.
+// the base durable, advances the watermark, and truncates the log file to
+// its header, stale tail included. It fails with ErrBatchOpen while a
+// batch is open. Checkpoint is idempotent and safe to retry after an
+// error. The I/O runs with the latch released: reads are served from the
+// committed table throughout, and a Begin waits until the checkpoint is
+// done.
 func (w *WALStore) Checkpoint() error { return w.checkpoint(0) }
 
 // CheckpointIfDue checkpoints when the log has reached limit bytes and no
 // batch is open, and does nothing when limit is zero or negative. A writer
-// calls it after each commit to keep the log bounded.
+// calls it after each commit to keep the log bounded. Unlike Checkpoint it
+// rewinds a log that can rewind instead of truncating it, so the next
+// cycle's commits overwrite the file's own blocks.
 func (w *WALStore) CheckpointIfDue(limit int64) error {
 	if limit <= 0 {
 		return nil
@@ -1210,30 +1325,33 @@ func (w *WALStore) checkpoint(limit int64) error {
 		}
 		w.mu.Lock()
 	}
-	cp := w.planCheckpointLocked()
+	cp := w.planCheckpointLocked(limit > 0)
 	w.mu.Unlock()
 	return w.runCheckpoint(cp)
 }
 
 // checkpointPlan is what a checkpoint's I/O phase works from: the table's
-// images in page-id order, and the watermark they bring the base to.
+// images in page-id order, the watermark they bring the base to, and
+// whether the log is rewound (a due checkpoint) or truncated.
 type checkpointPlan struct {
 	ids      []PageID
 	imgs     [][]byte
 	lsn, seq uint64
+	rewind   bool
 }
 
 // planCheckpointLocked snapshots the committed table and marks the I/O
-// phase (caller holds mu, no batch open, no I/O in flight).
-// It returns nil when the base already holds everything the log does.
-func (w *WALStore) planCheckpointLocked() *checkpointPlan {
-	if len(w.table) == 0 && w.logSize <= walHeaderLen && w.appliedLSN == w.nextLSN-1 {
+// phase (caller holds mu, no batch open, no I/O in flight). It returns
+// nil when the base already holds everything the log does and the log is
+// its header alone, or a rewind would leave it as it is.
+func (w *WALStore) planCheckpointLocked(rewind bool) *checkpointPlan {
+	if len(w.table) == 0 && w.logSize <= walHeaderLen && w.appliedLSN == w.nextLSN-1 && (rewind || !w.stale) {
 		return nil
 	}
 	// Page-id order: the base sees the same write sequence on every run (a
 	// crash sweep's kill point k names the same page each time) and
 	// ascending file offsets.
-	cp := &checkpointPlan{ids: make([]PageID, 0, len(w.table)), lsn: w.nextLSN - 1, seq: w.seq}
+	cp := &checkpointPlan{ids: make([]PageID, 0, len(w.table)), lsn: w.nextLSN - 1, seq: w.seq, rewind: rewind}
 	for id := range w.table {
 		cp.ids = append(cp.ids, id)
 	}
@@ -1252,17 +1370,23 @@ func (w *WALStore) runCheckpoint(cp *checkpointPlan) error {
 	if cp == nil {
 		return nil
 	}
-	durable, err := w.applyCheckpoint(cp)
+	err := w.applyCheckpoint(cp)
+	durable := err == nil
+	rewound := false
+	if durable {
+		rewound, err = w.resetLog(cp.rewind)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if durable {
 		// The base holds every image and the watermark durably: the table
-		// is dropped even if truncation failed — the watermark covers the
-		// stale records and recovery will skip them.
+		// is dropped even if the log reset failed — the watermark covers
+		// the records and recovery will skip them.
 		w.appliedLSN = cp.lsn
 		w.table = make(map[PageID][]byte)
 		if err == nil {
 			w.logSize = walHeaderLen
+			w.stale = rewound
 		}
 	}
 	w.ioPhase = false
@@ -1271,37 +1395,52 @@ func (w *WALStore) runCheckpoint(cp *checkpointPlan) error {
 }
 
 // applyCheckpoint writes the plan's images to the base, makes them and the
-// base allocator durable, writes the watermark and makes it durable, then
-// truncates the log. durable reports that the watermark is.
-func (w *WALStore) applyCheckpoint(cp *checkpointPlan) (durable bool, err error) {
+// base allocator durable, then writes the watermark and makes it durable.
+// It returns nil once the watermark is.
+func (w *WALStore) applyCheckpoint(cp *checkpointPlan) error {
 	for i, id := range cp.ids {
 		if err := w.base.Write(&Page{ID: id, Data: cp.imgs[i]}); err != nil {
-			return false, fmt.Errorf("pager: checkpoint page %d: %w", id, err)
+			return fmt.Errorf("pager: checkpoint page %d: %w", id, err)
 		}
 	}
 	// The watermark goes down only after the allocator sync, so the
 	// durable allocator is never behind it.
 	if err := w.baseSync(); err != nil {
-		return false, fmt.Errorf("pager: checkpoint sync: %w", err)
+		return fmt.Errorf("pager: checkpoint sync: %w", err)
 	}
 	if err := w.writeMetaPage(cp.lsn, cp.seq); err != nil {
-		return false, err
+		return err
 	}
 	if err := w.baseSync(); err != nil {
-		return false, fmt.Errorf("pager: checkpoint meta sync: %w", err)
+		return fmt.Errorf("pager: checkpoint meta sync: %w", err)
 	}
-	if err := w.log.Truncate(walHeaderLen); err != nil {
-		return true, fmt.Errorf("pager: checkpoint truncate: %w", err)
-	}
-	if err := w.log.Sync(); err != nil {
-		return true, fmt.Errorf("pager: checkpoint truncate sync: %w", err)
-	}
-	return true, nil
+	return nil
 }
 
-// Close checkpoints and closes the log (the base store remains the
-// caller's to close). A deferred batch is synced and an open batch rolled
-// back first.
+// resetLog moves the log back to its header once the watermark covers
+// every record in it. With rewind, a log that can rewinds — no I/O, and
+// the bytes past the header stay as a stale tail for the next cycle's
+// commits to overwrite — and reports that it did; otherwise the log is
+// truncated and the truncation synced.
+func (w *WALStore) resetLog(rewind bool) (rewound bool, err error) {
+	if r, ok := w.log.(logRewinder); ok && rewind {
+		if err := r.Rewind(walHeaderLen); err != nil {
+			return false, fmt.Errorf("pager: checkpoint rewind: %w", err)
+		}
+		return true, nil
+	}
+	if err := w.log.Truncate(walHeaderLen); err != nil {
+		return false, fmt.Errorf("pager: checkpoint truncate: %w", err)
+	}
+	if err := w.log.Sync(); err != nil {
+		return false, fmt.Errorf("pager: checkpoint truncate sync: %w", err)
+	}
+	return false, nil
+}
+
+// Close checkpoints, truncating the log file to its header, and closes the
+// log (the base store remains the caller's to close). A deferred batch is
+// synced and an open batch rolled back first.
 func (w *WALStore) Close() error {
 	var errs []error
 	if err := w.SyncLog(); err != nil {
@@ -1321,7 +1460,7 @@ func (w *WALStore) Close() error {
 	}
 	var cp *checkpointPlan
 	if w.fail == nil && !w.unsynced {
-		cp = w.planCheckpointLocked()
+		cp = w.planCheckpointLocked(false)
 	}
 	// Closed from here on: the final checkpoint's I/O phase runs without
 	// the latch, and nothing may begin a batch or read behind it.

@@ -711,7 +711,7 @@ func rectsEqual(a, b geom.Rect) bool {
 // children, entry counts within bounds, and the reachable item count equals
 // Len.
 func (t *Tree) CheckInvariants() error {
-	count, err := t.checkNode(t.root, t.height-1, true)
+	count, err := t.checkNode(t.root, t.height-1, nil)
 	if err != nil {
 		return err
 	}
@@ -721,28 +721,28 @@ func (t *Tree) CheckInvariants() error {
 	return nil
 }
 
-func (t *Tree) checkNode(id pager.PageID, level int, isRoot bool) (int, error) {
+// checkNode checks the subtree at id, reading each page once: a node is
+// checked against within, its parent's entry rect (nil at the root), from
+// the page read here.
+func (t *Tree) checkNode(id pager.PageID, level int, within *geom.Rect) (int, error) {
 	n, err := t.readNode(id, level)
 	if err != nil {
 		return 0, err
 	}
-	if !isRoot && len(n.rects) < t.minCap {
-		return 0, fmt.Errorf("rstar: node %d underfull (%d < %d)", id, len(n.rects), t.minCap)
+	if within != nil {
+		if len(n.rects) < t.minCap {
+			return 0, fmt.Errorf("rstar: node %d underfull (%d < %d)", id, len(n.rects), t.minCap)
+		}
+		if !within.ContainsRect(n.mbr()) {
+			return 0, fmt.Errorf("rstar: node %d mbr %v lies outside its parent entry rect %v", id, n.mbr(), *within)
+		}
 	}
 	if n.level == 0 {
 		return len(n.rects), nil
 	}
 	total := 0
 	for i := range n.rects {
-		child, err := t.readNode(pager.PageID(n.refs[i]), level-1)
-		if err != nil {
-			return 0, err
-		}
-		if !n.rects[i].ContainsRect(child.mbr()) {
-			return 0, fmt.Errorf("rstar: node %d entry %d rect %v does not contain child mbr %v",
-				id, i, n.rects[i], child.mbr())
-		}
-		c, err := t.checkNode(pager.PageID(n.refs[i]), level-1, false)
+		c, err := t.checkNode(pager.PageID(n.refs[i]), level-1, &n.rects[i])
 		if err != nil {
 			return 0, err
 		}

@@ -305,3 +305,40 @@ func TestQueryIOBetterThanScan(t *testing.T) {
 		t.Fatal("query found nothing")
 	}
 }
+
+// CheckInvariants reads each page of the tree exactly once, checking a
+// node against its parent's entry from the page it reads, and still finds
+// a parent rect that does not cover its child.
+func TestCheckInvariantsReadsEachPageOnce(t *testing.T) {
+	tr, st := newTree(t, 1024)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 5000; i++ {
+		if err := tr.Insert(Item{Rect: randRect(rng, 1000, 5), Val: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Height() < 3 {
+		t.Fatalf("height %d: the tree needs internal levels below the root", tr.Height())
+	}
+	before := st.Stats().Reads
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if reads, pages := st.Stats().Reads-before, int64(st.PagesInUse()); reads != pages {
+		t.Fatalf("CheckInvariants read %d pages of a %d-page tree, want each once", reads, pages)
+	}
+
+	root, err := st.Read(tr.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ { // entry 0's rect shrinks to a point far outside the world
+		putf32(root.Data[headerSize+4*i:], -1e6)
+	}
+	if err := st.Write(root); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants accepted a parent rect that does not cover its child")
+	}
+}

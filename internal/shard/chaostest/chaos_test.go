@@ -96,7 +96,7 @@ func scenarios() []Scenario {
 		{
 			// A one-shot straggler: the query waits out the single stall
 			// and answers byte-identically.
-			Name: "stall-hedge",
+			Name: "stall-straggler",
 			Fault: func(n, id int) (pager.FaultConfig, bool) {
 				if id != 0 {
 					return pager.FaultConfig{}, false

@@ -107,12 +107,12 @@ func TestPartialErrorMissingDeterministic(t *testing.T) {
 	}
 }
 
-// TestPartialErrorThroughRetryAndHedge drives one shard through the
+// TestPartialErrorThroughBreaker drives one shard through the
 // breaker: its first failed call opens it, the next query skips the shard.
 // Both answers degrade, and each PartialError carries its root cause
 // through every layer of wrapping: the injected storage fault for the
 // call that failed, ErrShardDown for the call the breaker skipped.
-func TestPartialErrorThroughRetryAndHedge(t *testing.T) {
+func TestPartialErrorThroughBreaker(t *testing.T) {
 	leakcheck.Check(t)
 	r, faults := cluster(t, 2, 2, Policy{BreakAfter: 1, OpenFor: time.Hour})
 	ms := motions1D(128)

@@ -43,7 +43,10 @@ type Config struct {
 	WrapStore func(pager.Store) pager.Store
 	// AutoCheckpointBytes bounds the shard's WAL (0 disables): a write
 	// batch that leaves the log at or beyond it checkpoints before Apply
-	// or BulkLoad returns, with queries still served.
+	// or BulkLoad returns, with queries still served. The checkpoint
+	// rewinds the log file rather than truncating it, so between explicit
+	// checkpoints the file keeps its largest cycle: this bound plus one
+	// batch.
 	AutoCheckpointBytes int64
 	// Ingest, when non-nil, puts a log-structured write tier in front of
 	// the shard's index: Apply lands ops in the tier's delta instead of

@@ -171,9 +171,6 @@ func NewFaultStore(under Store, cfg FaultConfig) *pager.FaultStore {
 type (
 	// WALStore is the write-ahead-logged store.
 	WALStore = pager.WALStore
-	// WALConfig configures the WAL; it has no fields. A writer bounds
-	// the log with WALStore.CheckpointIfDue after each commit.
-	WALConfig = pager.WALConfig
 	// LogFile is the append-only device a WALStore logs to.
 	LogFile = pager.LogFile
 	// Batcher is implemented by stores with atomic Begin/Commit/Rollback
@@ -203,9 +200,11 @@ var (
 
 // OpenWALStore opens (or recovers) a write-ahead-logged store over base
 // and log. On a non-empty log it verifies the header, truncates any torn
-// tail, and replays committed batches newer than the checkpoint watermark.
-func OpenWALStore(base Store, log LogFile, cfg WALConfig) (*WALStore, error) {
-	return pager.OpenWALStore(base, log, cfg)
+// or stale tail, and replays committed batches newer than the checkpoint
+// watermark. It takes no configuration: a writer bounds the log with
+// WALStore.CheckpointIfDue after each commit.
+func OpenWALStore(base Store, log LogFile) (*WALStore, error) {
+	return pager.OpenWALStore(base, log, pager.WALConfig{})
 }
 
 // NewMemLog returns an empty in-memory log device.

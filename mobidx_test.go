@@ -273,7 +273,7 @@ func TestPublicRobustnessStack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws, err := OpenWALStore(fs, log, WALConfig{})
+		ws, err := OpenWALStore(fs, log)
 		if err != nil {
 			return nil, errors.Join(err, log.Close())
 		}
@@ -412,7 +412,7 @@ func TestPublicWALCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := OpenWALStore(base, log, WALConfig{})
+	ws, err := OpenWALStore(base, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestPublicWALCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws2, err := OpenWALStore(base2, log2, WALConfig{})
+	ws2, err := OpenWALStore(base2, log2)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}

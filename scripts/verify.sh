@@ -140,7 +140,10 @@ echo "== bench smoke =="
 # One iteration of each benchmark: catches bit-rot in the benchmark code
 # (and the bulk-vs-incremental build paths it drives) without timing
 # anything. internal/core's BenchmarkQueryParallel is the standing guard
-# for reader contention: run it with -cpu 1,2 to time it.
+# for reader contention: run it with -cpu 1,2 to time it. internal/pager's
+# BenchmarkWALCommitCycle (one shard's durable commits and due checkpoints
+# on real files) attributes the write path's fsync cost to the WAL: time
+# it with -benchtime 400x -count 5 against the parent commit.
 go test -run '^$' -bench . -benchtime=1x ./internal/bptree ./internal/pager ./internal/subscribe \
 	./internal/core ./internal/ingest
 
