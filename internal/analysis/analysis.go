@@ -3,8 +3,8 @@
 // correctness convention of the codebase as a machine check:
 //
 //   - pagebufrelease — every pager.GetPageBuf (and the pager's own
-//     getLogChunk) is paired with Release() on all return paths
-//     (CFG-lite escape analysis);
+//     getLogChunk, and core's query scratch from GetScratch) is paired
+//     with Release() on all return paths (CFG-lite escape analysis);
 //   - batchdiscipline — every Begin() on a WAL-capable store reaches
 //     Commit or Rollback in the same function;
 //   - codecbounds — constant-folded page-codec offset arithmetic stays

@@ -74,7 +74,22 @@ func TestGolden(t *testing.T) {
 // own frame-chunk pool (getLogChunk/Release) like GetPageBuf: the deferred
 // release is accepted, the early error return that skips it is reported.
 func TestPageBufReleaseSeesLogChunk(t *testing.T) {
-	dir := filepath.Join("testdata", "pagebufrelease", "chunk")
+	checkPageBufFixture(t, "chunk")
+}
+
+// TestPageBufReleaseSeesScratch checks that the pass pairs core's pooled
+// query scratch (GetScratch/Release) like GetPageBuf, and that calling the
+// scratch's own methods does not end tracking: the deferred release is
+// accepted, the early error return that skips it is reported.
+func TestPageBufReleaseSeesScratch(t *testing.T) {
+	checkPageBufFixture(t, "scratch")
+}
+
+// checkPageBufFixture runs the pagebufrelease pass over one of its extra
+// fixtures and compares the findings with that fixture's expect.txt.
+func checkPageBufFixture(t *testing.T, name string) {
+	t.Helper()
+	dir := filepath.Join("testdata", "pagebufrelease", name)
 	want, err := os.ReadFile(filepath.Join(dir, "expect.txt"))
 	if err != nil {
 		t.Fatal(err)

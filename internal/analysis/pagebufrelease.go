@@ -4,26 +4,41 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // PageBufRelease checks that every pooled buffer obtained from
 // pager.GetPageBuf — or, inside the pager, a commit's frame chunk from
-// getLogChunk — is returned to the pool with Release() on every path
-// out of the acquiring function — including early error returns, the
-// classic way a pooled buffer leaks. The analysis is a CFG-lite forward
-// walk over the statement tree: it clones the live-buffer set at every
-// branch, merges the states of branches that fall through, and reports
-// any return reached with an unreleased buffer.
+// getLogChunk, or a query's scratch from core.GetScratch — is returned to
+// the pool with Release() on every path out of the acquiring function —
+// including early error returns, the classic way a pooled buffer leaks.
+// The analysis is a CFG-lite forward walk over the statement tree: it
+// clones the live-buffer set at every branch, merges the states of
+// branches that fall through, and reports any return reached with an
+// unreleased buffer.
 //
 // Ownership transfers are recognized conservatively: passing the buffer
-// itself (not its .B bytes) to another function, returning it, storing
-// it anywhere, or capturing it in a closure all end tracking, so the
-// pass never reports a buffer whose lifetime legitimately escapes the
-// function.
+// itself (not its .B bytes, nor a call of one of the scratch's own
+// methods) to another function, returning it, storing it anywhere, or
+// capturing it in a closure all end tracking, so the pass never reports a
+// buffer whose lifetime legitimately escapes the function.
 var PageBufRelease = &Pass{
 	Name: "pagebufrelease",
-	Doc:  "every pager.GetPageBuf (and getLogChunk) must be paired with Release() on all return paths",
+	Doc:  "every pager.GetPageBuf (and getLogChunk, core.GetScratch) must be paired with Release() on all return paths",
 	Run:  runPageBufRelease,
+}
+
+// bufPool is one pool the pass pairs: the package and function that take
+// a buffer from it, and the selectors that use the buffer in place.
+type bufPool struct {
+	pkg, fn string
+	uses    []string
+}
+
+var bufPools = []bufPool{
+	{"pager", "GetPageBuf", []string{"B"}},
+	{"pager", "getLogChunk", []string{"B"}},
+	{"core", "GetScratch", []string{"RunPiecesCtx", "Merge", "Union"}},
 }
 
 func runPageBufRelease(pkg *Package) []Diagnostic {
@@ -43,10 +58,10 @@ func runPageBufRelease(pkg *Package) []Diagnostic {
 // bufLive maps each tracked buffer variable to its acquisition site.
 type bufLive map[*types.Var]bufAcquire
 
-// bufAcquire is where a buffer was acquired and from which pool function.
+// bufAcquire is where a buffer was acquired and from which pool.
 type bufAcquire struct {
-	pos token.Pos
-	fn  string
+	pos  token.Pos
+	pool *bufPool
 }
 
 func (l bufLive) clone() bufLive {
@@ -65,8 +80,8 @@ type bufReleaseChecker struct {
 func (r *bufReleaseChecker) reportLive(live bufLive, at token.Pos, where string) {
 	for v, acq := range live {
 		r.diags = append(r.diags, r.pkg.diag("pagebufrelease", at,
-			"%s acquired from pager.%s at line %d is not Released on the path reaching %s",
-			v.Name(), acq.fn, r.pkg.line(acq.pos), where))
+			"%s acquired from %s.%s at line %d is not Released on the path reaching %s",
+			v.Name(), acq.pool.pkg, acq.pool.fn, r.pkg.line(acq.pos), where))
 	}
 }
 
@@ -182,8 +197,8 @@ func (r *bufReleaseChecker) loopBody(body *ast.BlockStmt, live bufLive) {
 		for v, acq := range inner {
 			if _, outer := live[v]; !outer {
 				r.diags = append(r.diags, r.pkg.diag("pagebufrelease", acq.pos,
-					"%s acquired from pager.%s is not Released by the end of the loop iteration",
-					v.Name(), acq.fn))
+					"%s acquired from %s.%s is not Released by the end of the loop iteration",
+					v.Name(), acq.pool.pkg, acq.pool.fn))
 			}
 		}
 	}
@@ -264,16 +279,16 @@ func mergeBranches(live bufLive, states []bufLive, falls []bool) {
 	}
 }
 
-// assign tracks GetPageBuf acquisitions and scans everything else on the
+// assign tracks pool acquisitions and scans everything else on the
 // statement for escapes.
 func (r *bufReleaseChecker) assign(s *ast.AssignStmt, live bufLive) {
 	for i, rhs := range s.Rhs {
 		call, ok := unparen(rhs).(*ast.CallExpr)
-		fn := ""
+		var pool *bufPool
 		if ok {
-			fn = r.poolAcquire(call)
+			pool = r.poolAcquire(call)
 		}
-		if fn == "" {
+		if pool == nil {
 			r.escapes(rhs, live)
 			continue
 		}
@@ -291,22 +306,23 @@ func (r *bufReleaseChecker) assign(s *ast.AssignStmt, live bufLive) {
 		}
 		if id.Name == "_" {
 			r.diags = append(r.diags, r.pkg.diag("pagebufrelease", s.Pos(),
-				"result of pager.%s is discarded and can never be Released", fn))
+				"result of %s.%s is discarded and can never be Released", pool.pkg, pool.fn))
 			continue
 		}
 		if v := r.objOf(id); v != nil {
 			if _, tracked := live[v]; tracked {
 				r.diags = append(r.diags, r.pkg.diag("pagebufrelease", s.Pos(),
-					"%s is reassigned from pager.%s while still holding an unreleased buffer", v.Name(), fn))
+					"%s is reassigned from %s.%s while still holding an unreleased buffer", v.Name(), pool.pkg, pool.fn))
 			}
-			live[v] = bufAcquire{s.Pos(), fn}
+			live[v] = bufAcquire{s.Pos(), pool}
 		}
 	}
 }
 
 // escapes removes from live every tracked variable that is used in a way
-// other than pb.Release() / pb.B: such a use hands the buffer to code
-// this pass cannot see, so requiring a local Release would be wrong.
+// other than pb.Release() or one of its pool's in-place uses (pb.B,
+// s.Merge(...)): such a use hands the buffer to code this pass cannot
+// see, so requiring a local Release would be wrong.
 func (r *bufReleaseChecker) escapes(e ast.Expr, live bufLive) {
 	if e == nil || len(live) == 0 {
 		return
@@ -315,12 +331,13 @@ func (r *bufReleaseChecker) escapes(e ast.Expr, live bufLive) {
 	walk = func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
-			// pb.B and pb.Release are the blessed uses; anything else
-			// selected from a tracked variable is an escape.
+			// Release and the pool's in-place uses are the blessed
+			// selectors; anything else selected from a tracked variable
+			// is an escape.
 			if id, ok := unparen(n.X).(*ast.Ident); ok {
 				if v := r.objOf(id); v != nil {
-					if _, tracked := live[v]; tracked {
-						if n.Sel.Name == "B" || n.Sel.Name == "Release" {
+					if acq, tracked := live[v]; tracked {
+						if n.Sel.Name == "Release" || slices.Contains(acq.pool.uses, n.Sel.Name) {
 							return false
 						}
 						delete(live, v)
@@ -361,9 +378,9 @@ func (r *bufReleaseChecker) releaseTarget(call *ast.CallExpr, live bufLive) *typ
 	return v
 }
 
-// poolAcquire returns the name of the pager pool function the call
-// resolves to — GetPageBuf or getLogChunk — or "" for any other call.
-func (r *bufReleaseChecker) poolAcquire(call *ast.CallExpr) string {
+// poolAcquire returns the pool whose taking function the call resolves
+// to, or nil for any other call.
+func (r *bufReleaseChecker) poolAcquire(call *ast.CallExpr) *bufPool {
 	var id *ast.Ident
 	switch fun := unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -371,16 +388,18 @@ func (r *bufReleaseChecker) poolAcquire(call *ast.CallExpr) string {
 	case *ast.SelectorExpr:
 		id = fun.Sel
 	default:
-		return ""
+		return nil
 	}
 	obj := r.pkg.Info.Uses[id]
-	if obj == nil || obj.Pkg() == nil || obj.Pkg().Name() != "pager" {
-		return ""
+	if obj == nil || obj.Pkg() == nil {
+		return nil
 	}
-	if name := obj.Name(); name == "GetPageBuf" || name == "getLogChunk" {
-		return name
+	for i, p := range bufPools {
+		if obj.Pkg().Name() == p.pkg && obj.Name() == p.fn {
+			return &bufPools[i]
+		}
 	}
-	return ""
+	return nil
 }
 
 func (r *bufReleaseChecker) objOf(id *ast.Ident) *types.Var {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -125,6 +126,60 @@ func TestMergeOIDs(t *testing.T) {
 	}
 	if out := MergeOIDs([][]dual.OID{nil, {}}); out != nil {
 		t.Fatalf("MergeOIDs(empty buckets) = %v, want nil", out)
+	}
+}
+
+// TestUnionOIDs: one band's answer comes back as is; several are merged
+// in one pass, replicas collapsed, into an exact-size slice; no answer at
+// all is nil.
+func TestUnionOIDs(t *testing.T) {
+	one := []dual.OID{2, 4, 7}
+	if got := UnionOIDs([][]dual.OID{nil, one, {}}); &got[0] != &one[0] || !slices.Equal(got, one) {
+		t.Fatalf("UnionOIDs of one list = %v, want that list itself", got)
+	}
+	got := UnionOIDs([][]dual.OID{{1, 4, 9}, nil, {2, 4, 5, 9, 12}, {0, 4}})
+	if want := []dual.OID{0, 1, 2, 4, 5, 9, 12}; !slices.Equal(got, want) || cap(got) != len(want) {
+		t.Fatalf("UnionOIDs = %v (cap %d), want %v at exact size", got, cap(got), want)
+	}
+	if got := UnionOIDs([][]dual.OID{nil, {}}); got != nil {
+		t.Fatalf("UnionOIDs of empty lists = %v, want nil", got)
+	}
+	// A list that repeats an OID (an unmerged piece's sorted bucket) still
+	// yields it once, after what dst already holds.
+	got = AppendUnion([]dual.OID{0}, []dual.OID{1, 1, 3}, []dual.OID{1, 3, 3, 4})
+	if want := []dual.OID{0, 1, 3, 4}; !slices.Equal(got, want) {
+		t.Fatalf("AppendUnion of two lists = %v, want %v", got, want)
+	}
+	got = AppendUnion([]dual.OID{5}, nil, []dual.OID{1, 1, 3})
+	if want := []dual.OID{5, 1, 3}; !slices.Equal(got, want) {
+		t.Fatalf("AppendUnion with one empty list = %v, want %v", got, want)
+	}
+	// Scratch.Union folds list after list; an OID equal to the running
+	// union's last one is not lost, and earlier results stay intact.
+	s := GetScratch()
+	defer s.Release()
+	first := s.Union([][]dual.OID{{3, 8}, {1, 3}})
+	second := s.Union([][]dual.OID{{9}, {2, 9, 11}, nil, {0, 2, 2}, {11, 12}})
+	if want := []dual.OID{1, 3, 8}; !slices.Equal(first, want) {
+		t.Fatalf("first Scratch.Union = %v, want %v", first, want)
+	}
+	if want := []dual.OID{0, 2, 9, 11, 12}; !slices.Equal(second, want) {
+		t.Fatalf("second Scratch.Union = %v, want %v", second, want)
+	}
+}
+
+// TestScratchOverCapDropped: a scratch whose buffers grew past
+// maxPooledOIDs is left to the collector on Release, not pooled.
+func TestScratchOverCapDropped(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := GetScratch()
+	big := make([]dual.OID, maxPooledOIDs+1)
+	s.Merge([][]dual.OID{big})
+	s.Release()
+	next := GetScratch()
+	defer next.Release()
+	if next == s {
+		t.Fatal("a scratch past the cap came back from the pool")
 	}
 }
 

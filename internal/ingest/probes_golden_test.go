@@ -22,14 +22,15 @@ func probeCountsOf(t *Tier) probeCounts {
 
 // TestGoldenProbeCounters pins the tier's probe counters after a seeded
 // add / fold / query / lookup stream: the same ops feed two tiers, one
-// answering through the sequential Query path (the mask fused into the
-// emit path, one probe per emission) and one through a two-worker
-// executor (one probe per merged base answer); each Get is one probe
-// more. Freezes and Merges were captured from the implementation that
-// kept the delta in a memtable and frozen runs, so they pin the fold
-// points across that change; RunProbes was re-based when the delta became
-// one map, and however the counting is batched, serialized traffic must
-// read the same numbers.
+// answering through the sequential Query path and one through a
+// two-worker executor. Both count one probe per deduplicated base answer
+// and must read the same numbers; each Get is one probe more. Freezes and
+// Merges were captured from the implementation that kept the delta in a
+// memtable and frozen runs, so they pin the fold points across that
+// change. RunProbes was re-based when the delta became one map, and its
+// value is the executor path's count of that capture: the sequential
+// path's, which counted every emission of a Lemma 1 piece, was the one
+// that disagreed with Stats' "one per base answer".
 func TestGoldenProbeCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(3101))
 	cfg := Config{Terrain: testTerrain, MemtableFlush: 24, MaxRuns: 3}
@@ -111,18 +112,60 @@ func TestGoldenProbeCounters(t *testing.T) {
 	if answers != goldenProbeAnswers {
 		t.Errorf("stream answered %d OIDs, golden %d: the stream itself changed", answers, goldenProbeAnswers)
 	}
-	if got := probeCountsOf(seq); got != goldenProbeSeq {
-		t.Errorf("sequential path: %+v, golden %+v", got, goldenProbeSeq)
+	if got := probeCountsOf(seq); got != goldenProbes {
+		t.Errorf("sequential path: %+v, golden %+v", got, goldenProbes)
 	}
-	if got := probeCountsOf(par); got != goldenProbeExec {
-		t.Errorf("executor path: %+v, golden %+v", got, goldenProbeExec)
+	if got := probeCountsOf(par); got != goldenProbes {
+		t.Errorf("executor path: %+v, golden %+v", got, goldenProbes)
 	}
 }
 
 // Never edit these to make the test pass.
 const goldenProbeAnswers = 3850
 
-var (
-	goldenProbeSeq  = probeCounts{RunProbes: 3874, Freezes: 22, Merges: 8}
-	goldenProbeExec = probeCounts{RunProbes: 3048, Freezes: 22, Merges: 8}
-)
+var goldenProbes = probeCounts{RunProbes: 3048, Freezes: 22, Merges: 8}
+
+// TestRunProbesSameOnEveryExecutor runs a Lemma 1 query — wider than one
+// subterrain, so its pieces emit some objects more than once — on a one-
+// and a two-worker executor: each counts one probe per deduplicated base
+// answer, not one per emission.
+func TestRunProbesSameOnEveryExecutor(t *testing.T) {
+	rng := rand.New(rand.NewSource(3102))
+	tier, err := New(newBase(t), Config{Terrain: testTerrain, MemtableFlush: 1 << 20, MaxRuns: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []Op
+	for i := 0; i < 600; i++ {
+		ops = append(ops, Op{Insert: true, M: motionAt(rng, dual.OID(i), 0)})
+	}
+	if _, err := tier.Add(ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := tier.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	q := dual.MORQuery{Y1: 5, Y2: 95, T1: 2, T2: 10}
+	emissions := 0
+	for _, sub := range tier.base.Subqueries(q) {
+		if err := sub(func(dual.OID) { emissions++ }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base, err := core.RunSubqueriesCtx(context.Background(), core.NewExecutor(1), tier.base.Subqueries(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if emissions <= len(base) {
+		t.Fatalf("the query's pieces emit %d times for %d answers: no duplicate to count", emissions, len(base))
+	}
+	for _, workers := range []int{1, 2} {
+		before := tier.Stats().RunProbes
+		if _, err := tier.QueryParallelCtx(context.Background(), core.NewExecutor(workers), q); err != nil {
+			t.Fatal(err)
+		}
+		if got := tier.Stats().RunProbes - before; got != len(base) {
+			t.Errorf("%d workers: %d probes, want one per base answer (%d)", workers, got, len(base))
+		}
+	}
+}

@@ -392,16 +392,19 @@ func (t *Tier) Query(q dual.MORQuery) ([]dual.OID, error) {
 	return t.QueryParallelCtx(context.Background(), core.NewExecutor(1), q)
 }
 
-// QueryParallelCtx answers the MOR query with the base subqueries fanned
-// out on exec, then merges the delta overlay exactly: base answers
-// masked by any delta entry for the same OID drop out (the delta is
-// newer), and delta upserts matching the query join. The result is
-// byte-identical to the flat index at every worker count: the base
-// answer is deterministic (core.RunSubqueriesCtx), the overlay is
-// resolved newest-wins per OID, and the final sort+dedup normalizes
-// order. Identity holds for model-conformant queries (dual.MORQuery's
-// now ≤ T1 contract, so T1 is at or after every live motion's update
-// time) — the regime in which the flat index itself is exact.
+// QueryParallelCtx answers the MOR query with the base subqueries and one
+// delta piece — the delta upserts matching the query — fanned out on exec
+// into the query's scratch (core.Scratch.RunPiecesCtx), then merges the
+// overlay exactly: base answers masked by any delta entry for the same OID
+// drop out (the delta is newer), and the matching delta upserts join. The
+// result is byte-identical to the flat index at every worker count: the
+// base answer is deterministic (core.Scratch.Union of the sorted
+// buckets), and the overlay is resolved newest-wins per OID. Identity
+// holds for model-conformant queries (dual.MORQuery's now ≤ T1 contract,
+// so T1 is at or after every live motion's update time) — the regime in
+// which the flat index itself is exact. The answer is the query's one
+// allocation: survivors and upserts are disjoint, so their union is
+// sized exactly before it is built.
 func (t *Tier) QueryParallelCtx(ctx context.Context, exec *core.Executor, q dual.MORQuery) ([]dual.OID, error) {
 	if err := core.ValidateQuery(q); err != nil {
 		return nil, err
@@ -411,72 +414,49 @@ func (t *Tier) QueryParallelCtx(ctx context.Context, exec *core.Executor, q dual
 	if err := t.ok(); err != nil {
 		return nil, err
 	}
-	// Mask base answers with one delta lookup per OID: any delta entry for
-	// the OID is newer, so the base's version drops out (the delta's
-	// version decides below). Sequential executors run the subqueries
-	// inline with the mask fused into the emit path (no bucket slices, no
-	// k-way merge); duplicate emissions across subqueries are normalized
-	// by the final sort+dedup either way, so both paths return the same
-	// bytes.
-	var out []dual.OID
-	probes := 0
-	defer func() {
-		if probes > 0 {
-			t.runProbes.Add(int64(probes))
-		}
-	}()
-	if exec == nil || exec.Workers() <= 1 {
-		for _, sq := range t.base.Subqueries(q) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			err := sq(func(id dual.OID) {
-				probes++
-				if _, masked := t.slot[id]; !masked {
-					out = append(out, id)
-				}
-			})
-			if err != nil {
-				return nil, err
+	pieces := t.base.Subqueries(q)
+	nb := len(pieces)
+	// The delta holds one newest-wins entry per OID, so one pass decides
+	// every upsert.
+	pieces = append(pieces, func(emit func(dual.OID)) error {
+		for _, e := range t.delta {
+			if !e.tomb && e.m.Matches(q) {
+				emit(e.m.OID)
 			}
 		}
-	} else {
-		baseOIDs, err := core.RunSubqueriesCtx(ctx, exec, t.base.Subqueries(q))
-		if err != nil {
-			return nil, err
-		}
-		probes = len(baseOIDs)
-		out = make([]dual.OID, 0, len(baseOIDs))
-		for _, id := range baseOIDs {
-			if _, masked := t.slot[id]; !masked {
-				out = append(out, id)
-			}
-		}
+		return nil
+	})
+	sc := core.GetScratch()
+	defer sc.Release()
+	buckets, err := sc.RunPiecesCtx(ctx, exec, pieces)
+	if err != nil {
+		return nil, err
 	}
-	// Delta upserts matching the query join: the delta holds one
-	// newest-wins entry per OID, so one pass decides them all.
-	for _, e := range t.delta {
-		if !e.tomb && e.m.Matches(q) {
-			out = append(out, e.m.OID)
-		}
+	// The tier keeps its typed sort, per bucket, and merges the sorted
+	// base buckets (Scratch.Union) rather than through Scratch.Merge's
+	// reflective sort, which cost mixed_ingest 7 % of its query rate on
+	// a 2-CPU host (EXPERIMENTS.md, "A query allocates its answer").
+	// Once the benchmark stops counting kept answers (ROADMAP item
+	// 1(a)), Scratch.Merge should merge this way and this loop go. The
+	// deduplicated base answer is masked with one delta lookup per OID:
+	// any delta entry for the OID is newer, so the base's version drops
+	// out (the delta's version decides through the upserts).
+	for _, b := range buckets {
+		slices.Sort(b)
 	}
-	slices.Sort(out)
-	// Base survivors and delta members are disjoint by construction; the
-	// dedup guards the contract, not an expected case.
-	out = dedupOIDs(out)
-	return out, nil
-}
-
-func dedupOIDs(ids []dual.OID) []dual.OID {
-	j := 0
-	for i, id := range ids {
-		if i > 0 && id == ids[j-1] {
-			continue
-		}
-		ids[j] = id
-		j++
+	base := sc.Union(buckets[:nb])
+	if len(base) > 0 {
+		t.runProbes.Add(int64(len(base)))
 	}
-	return ids[:j]
+	base = slices.DeleteFunc(base, func(id dual.OID) bool {
+		_, masked := t.slot[id]
+		return masked
+	})
+	upserts := buckets[nb]
+	if len(base)+len(upserts) == 0 {
+		return nil, nil
+	}
+	return core.AppendUnion(make([]dual.OID, 0, len(base)+len(upserts)), base, upserts), nil
 }
 
 // Close marks the tier closed; further operations fail with ErrClosed.

@@ -333,8 +333,12 @@ func (r *Router) Stats() Stats {
 // Query fans q to every shard whose band overlaps it, makes one attempt
 // per shard under its breaker, and merges the per-shard answers into one
 // sorted, deduplicated slice — byte-identical to the same query against a
-// single unsharded index when every shard serves. A shard that fails or
-// is skipped by its breaker degrades the answer instead of failing it:
+// single unsharded index when every shard serves. The shards' answers are
+// already sorted and deduplicated and belong to this call: a single
+// shard's is returned as is, several are merged without a sort into one
+// exact-size slice (core.UnionOIDs), so replicas of a motion held by two
+// bands collapse. A shard that fails or is skipped by its breaker
+// degrades the answer instead of failing it:
 // the results cover exactly the partitions that served and the returned
 // error is a *PartialError naming the missing ones. The caller's own
 // context giving up fails the whole query.
@@ -361,7 +365,7 @@ func (r *Router) Query(ctx context.Context, q dual.MORQuery) ([]dual.OID, error)
 	default:
 		return nil, err
 	}
-	return core.MergeOIDs(buckets), err
+	return core.UnionOIDs(buckets), err
 }
 
 // fanOut runs task(k, ids[k]) for every position k of ids, the shards a

@@ -336,8 +336,9 @@ func (s *Shard) down() error {
 }
 
 // Query answers the MOR query from the shard's partition: sorted
-// ascending, deduplicated — the core.MergeOIDs contract, so per-shard
-// answers merge deterministically. The context is honored between query
+// ascending, deduplicated, in a slice the caller owns — so the router
+// returns one shard's answer as is and merges several without a sort
+// (core.UnionOIDs). The context is honored between query
 // pieces (see core.Executor.RunCtx): a router deadline stops the query at
 // piece granularity.
 func (s *Shard) Query(ctx context.Context, q dual.MORQuery) ([]dual.OID, error) {

@@ -32,6 +32,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"mobidx/internal/bptree"
 	"mobidx/internal/core"
@@ -360,12 +361,13 @@ func (d *Decomposed) Query(q MOR2Query, emit func(dual.OID)) error {
 
 // QueryParallel answers q by running the pieces of the two per-axis
 // 1-dimensional MOR queries — their Lemma 1 decompositions — as one flat
-// list on exec (core.RunPiecesCtx; ctx stops the fan-out between pieces),
-// so the pieces of the slower axis do not wait for the faster axis. It
-// then intersects the per-axis answers by object id and filters with the
-// exact 2-dimensional predicate. The returned OIDs are sorted ascending
-// and deduplicated; the slice is identical for every worker count. Safe
-// to run concurrently with other queries, but not with Insert/Delete.
+// list on exec (core.Scratch.RunPiecesCtx; ctx stops the fan-out between
+// pieces), so the pieces of the slower axis do not wait for the faster
+// axis. It then intersects the per-axis answers by object id and filters
+// with the exact 2-dimensional predicate, all in the query's scratch, and
+// copies the survivors out. The returned OIDs are sorted ascending and
+// deduplicated; the slice is identical for every worker count. Safe to
+// run concurrently with other queries, but not with Insert/Delete.
 func (d *Decomposed) QueryParallel(ctx context.Context, exec *core.Executor, q MOR2Query) ([]dual.OID, error) {
 	if err := validateQuery(q); err != nil {
 		return nil, err
@@ -373,15 +375,17 @@ func (d *Decomposed) QueryParallel(ctx context.Context, exec *core.Executor, q M
 	pieces := d.xIndex.Subqueries(q.xQuery())
 	nx := len(pieces)
 	pieces = append(pieces, d.yIndex.Subqueries(q.yQuery())...)
-	buckets, err := core.RunPiecesCtx(ctx, exec, pieces)
+	sc := core.GetScratch()
+	defer sc.Release()
+	buckets, err := sc.RunPiecesCtx(ctx, exec, pieces)
 	if err != nil {
 		return nil, err
 	}
-	xIDs := core.MergeOIDs(buckets[:nx])
-	yIDs := core.MergeOIDs(buckets[nx:])
-	// Intersect two sorted slices; the result inherits sortedness.
-	var out []dual.OID
-	i, j := 0, 0
+	xIDs := sc.Merge(buckets[:nx])
+	yIDs := sc.Merge(buckets[nx:])
+	// Intersect two sorted slices into xIDs' own prefix; the result
+	// inherits sortedness.
+	w, i, j := 0, 0, 0
 	for i < len(xIDs) && j < len(yIDs) {
 		switch {
 		case xIDs[i] < yIDs[j]:
@@ -390,13 +394,17 @@ func (d *Decomposed) QueryParallel(ctx context.Context, exec *core.Executor, q M
 			j++
 		default:
 			if m, ok := d.motions[xIDs[i]]; ok && m.Matches(q) {
-				out = append(out, xIDs[i])
+				xIDs[w] = xIDs[i]
+				w++
 			}
 			i++
 			j++
 		}
 	}
-	return out, nil
+	if w == 0 {
+		return nil, nil
+	}
+	return slices.Clone(xIDs[:w]), nil
 }
 
 // Interface compliance checks.

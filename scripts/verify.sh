@@ -132,9 +132,13 @@ echo "== zero-allocation gates =="
 # a pool write one image, a pool miss on a page the WAL holds only the
 # frame header, and a FileStore write (trailer included) nothing; in the
 # subscription engine an upsert or a certificate
-# fire that changes no membership allocates nothing.
+# fire that changes no membership allocates nothing; a serving query
+# allocates its answer and a fixed handful of small objects on one worker
+# and on two (TestQueryAllocatesOnlyItsAnswer), and the router returns a
+# single band's answer without copying it (TestRouterQueryNoSecondCopy).
 # testing.AllocsPerRun makes a regression a test failure.
 go test -count=1 -run 'ZeroAlloc' ./internal/bptree ./internal/pager ./internal/subscribe
+go test -count=1 -run 'TestQueryAllocatesOnlyItsAnswer|TestRouterQueryNoSecondCopy' ./internal/core ./internal/shard
 
 echo "== bench smoke =="
 # One iteration of each benchmark: catches bit-rot in the benchmark code
