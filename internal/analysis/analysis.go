@@ -2,9 +2,10 @@
 // static-analysis suite. Every pass encodes one hand-maintained
 // correctness convention of the codebase as a machine check:
 //
-//   - pagebufrelease — every pager.GetPageBuf (and the pager's own
-//     getLogChunk, and core's query scratch from GetScratch) is paired
-//     with Release() on all return paths (CFG-lite escape analysis);
+//   - pagebufrelease — every pooled buffer (the pager's commit frame
+//     chunk from getLogChunk, core's query scratch from GetScratch) is
+//     paired with Release() on all return paths (CFG-lite escape
+//     analysis);
 //   - batchdiscipline — every Begin() on a WAL-capable store reaches
 //     Commit or Rollback in the same function;
 //   - codecbounds — constant-folded page-codec offset arithmetic stays
@@ -185,7 +186,7 @@ func SortDiagnostics(diags []Diagnostic) {
 // All returns the full pass suite in stable order.
 func All() []*Pass {
 	return []*Pass{
-		PageBufRelease,
+		BufRelease,
 		BatchDiscipline,
 		CodecBounds,
 		FloatEq,

@@ -70,31 +70,31 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestPageBufReleaseSeesLogChunk checks that the pass pairs the pager's
-// own frame-chunk pool (getLogChunk/Release) like GetPageBuf: the deferred
-// release is accepted, the early error return that skips it is reported.
-func TestPageBufReleaseSeesLogChunk(t *testing.T) {
-	checkPageBufFixture(t, "chunk")
-}
-
-// TestPageBufReleaseSeesScratch checks that the pass pairs core's pooled
-// query scratch (GetScratch/Release) like GetPageBuf, and that calling the
-// scratch's own methods does not end tracking: the deferred release is
+// TestBufReleaseSeesLogChunk checks that the pass pairs the pager's
+// own frame-chunk pool (getLogChunk/Release): the deferred release is
 // accepted, the early error return that skips it is reported.
-func TestPageBufReleaseSeesScratch(t *testing.T) {
-	checkPageBufFixture(t, "scratch")
+func TestBufReleaseSeesLogChunk(t *testing.T) {
+	checkBufReleaseFixture(t, "chunk")
 }
 
-// checkPageBufFixture runs the pagebufrelease pass over one of its extra
+// TestBufReleaseSeesScratch checks that the pass pairs core's pooled
+// query scratch (GetScratch/Release), and that calling the scratch's own
+// methods does not end tracking: the deferred release is accepted, the
+// early error return that skips it is reported.
+func TestBufReleaseSeesScratch(t *testing.T) {
+	checkBufReleaseFixture(t, "scratch")
+}
+
+// checkBufReleaseFixture runs the pagebufrelease pass over one of its extra
 // fixtures and compares the findings with that fixture's expect.txt.
-func checkPageBufFixture(t *testing.T, name string) {
+func checkBufReleaseFixture(t *testing.T, name string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "pagebufrelease", name)
 	want, err := os.ReadFile(filepath.Join(dir, "expect.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(runFixture(t, PageBufRelease, dir), "\n") + "\n"; got != string(want) {
+	if got := strings.Join(runFixture(t, BufRelease, dir), "\n") + "\n"; got != string(want) {
 		t.Errorf("diagnostics mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }

@@ -7,25 +7,25 @@ import (
 	"slices"
 )
 
-// PageBufRelease checks that every pooled buffer obtained from
-// pager.GetPageBuf — or, inside the pager, a commit's frame chunk from
-// getLogChunk, or a query's scratch from core.GetScratch — is returned to
-// the pool with Release() on every path out of the acquiring function —
-// including early error returns, the classic way a pooled buffer leaks.
+// BufRelease checks that every pooled buffer — inside the pager, a
+// commit's frame chunk from getLogChunk, or a query's scratch from
+// core.GetScratch — is returned to the pool with Release() on every path
+// out of the acquiring function — including early error returns, the
+// classic way a pooled buffer leaks.
 // The analysis is a CFG-lite forward walk over the statement tree: it
 // clones the live-buffer set at every branch, merges the states of
 // branches that fall through, and reports any return reached with an
 // unreleased buffer.
 //
 // Ownership transfers are recognized conservatively: passing the buffer
-// itself (not its .B bytes, nor a call of one of the scratch's own
+// itself (not a chunk's .B bytes, nor a call of one of the scratch's own
 // methods) to another function, returning it, storing it anywhere, or
 // capturing it in a closure all end tracking, so the pass never reports a
 // buffer whose lifetime legitimately escapes the function.
-var PageBufRelease = &Pass{
+var BufRelease = &Pass{
 	Name: "pagebufrelease",
-	Doc:  "every pager.GetPageBuf (and getLogChunk, core.GetScratch) must be paired with Release() on all return paths",
-	Run:  runPageBufRelease,
+	Doc:  "every pager getLogChunk and core.GetScratch must be paired with Release() on all return paths",
+	Run:  runBufRelease,
 }
 
 // bufPool is one pool the pass pairs: the package and function that take
@@ -36,12 +36,11 @@ type bufPool struct {
 }
 
 var bufPools = []bufPool{
-	{"pager", "GetPageBuf", []string{"B"}},
 	{"pager", "getLogChunk", []string{"B"}},
 	{"core", "GetScratch", []string{"RunPiecesCtx", "Merge", "Union"}},
 }
 
-func runPageBufRelease(pkg *Package) []Diagnostic {
+func runBufRelease(pkg *Package) []Diagnostic {
 	r := &bufReleaseChecker{pkg: pkg}
 	for _, file := range pkg.Files {
 		for _, fn := range funcBodies(file) {
@@ -320,7 +319,7 @@ func (r *bufReleaseChecker) assign(s *ast.AssignStmt, live bufLive) {
 }
 
 // escapes removes from live every tracked variable that is used in a way
-// other than pb.Release() or one of its pool's in-place uses (pb.B,
+// other than Release() or one of its pool's in-place uses (chunk.B,
 // s.Merge(...)): such a use hands the buffer to code this pass cannot
 // see, so requiring a local Release would be wrong.
 func (r *bufReleaseChecker) escapes(e ast.Expr, live bufLive) {

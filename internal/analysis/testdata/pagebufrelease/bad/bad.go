@@ -1,31 +1,34 @@
 // Package bad exercises every leak shape the pagebufrelease pass
-// reports: a return with the buffer still live, an early return that
+// reports: a return with the scratch still live, an early return that
 // skips the release on one path, a discarded acquisition, and a
-// reassignment that overwrites a live buffer.
+// reassignment that overwrites a live scratch.
 package bad
 
-import "mobidx/internal/pager"
+import (
+	"mobidx/internal/core"
+	"mobidx/internal/dual"
+)
 
-func leakOnReturn(s pager.Store) error {
-	pb := pager.GetPageBuf(64)
-	pb.B[0] = 1
-	return s.Write(&pager.Page{ID: 1, Data: pb.B})
+func leakOnReturn(lists [][]dual.OID) int {
+	s := core.GetScratch()
+	n := len(s.Union(lists))
+	return n
 }
 
 func leakOnOnePath(cond bool) {
-	pb := pager.GetPageBuf(64)
+	s := core.GetScratch()
 	if cond {
 		return
 	}
-	pb.Release()
+	s.Release()
 }
 
 func discarded() {
-	_ = pager.GetPageBuf(32)
+	_ = core.GetScratch()
 }
 
 func reassigned() {
-	pb := pager.GetPageBuf(32)
-	pb = pager.GetPageBuf(64)
-	pb.Release()
+	s := core.GetScratch()
+	s = core.GetScratch()
+	s.Release()
 }

@@ -1,6 +1,6 @@
 // Package pager stands in for the real one: the pagebufrelease pass
 // pairs the pager's unexported frame-chunk pool the way it pairs
-// GetPageBuf, and only a package of this name can call it.
+// core.GetScratch, and only a package of this name can call it.
 package pager
 
 type logChunk struct{ B []byte }

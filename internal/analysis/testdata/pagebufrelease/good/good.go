@@ -1,41 +1,47 @@
-// Package good holds PageBuf usage the pagebufrelease pass must accept:
-// release on every path, deferred release, and ownership hand-off.
+// Package good holds pooled-scratch usage the pagebufrelease pass must
+// accept: release on every path, deferred release, ownership hand-off to
+// a callee, and release inside a loop.
 package good
 
-import "mobidx/internal/pager"
+import (
+	"mobidx/internal/core"
+	"mobidx/internal/dual"
+)
 
-func releaseAllPaths(s pager.Store, cond bool) error {
-	pb := pager.GetPageBuf(64)
+func releaseAllPaths(lists [][]dual.OID, cond bool) int {
+	s := core.GetScratch()
 	if cond {
-		pb.Release()
-		return nil
+		s.Release()
+		return 0
 	}
-	err := s.Write(&pager.Page{ID: 1, Data: pb.B})
-	pb.Release()
-	return err
+	n := len(s.Union(lists))
+	s.Release()
+	return n
 }
 
-func deferred(s pager.Store) error {
-	pb := pager.GetPageBuf(64)
-	defer pb.Release()
-	return s.Write(&pager.Page{ID: 2, Data: pb.B})
+func deferred(buckets [][]dual.OID) int {
+	s := core.GetScratch()
+	defer s.Release()
+	return len(s.Merge(buckets))
 }
 
-func consume(pb *pager.PageBuf) { pb.Release() }
+func consume(s *core.Scratch) { s.Release() }
 
 func handedOff() {
-	pb := pager.GetPageBuf(16)
-	consume(pb)
+	s := core.GetScratch()
+	consume(s)
 }
 
-func releasedInLoop(s pager.Store, n int) error {
+func releasedInLoop(lists [][]dual.OID, n int) int {
+	total := 0
 	for i := 0; i < n; i++ {
-		pb := pager.GetPageBuf(32)
-		if err := s.Write(&pager.Page{ID: pager.PageID(i + 1), Data: pb.B}); err != nil {
-			pb.Release()
-			return err
+		s := core.GetScratch()
+		if len(lists) == i {
+			s.Release()
+			return total
 		}
-		pb.Release()
+		total += len(s.Union(lists))
+		s.Release()
 	}
-	return nil
+	return total
 }

@@ -1,6 +1,6 @@
 // Package core stands in for the real one: the pagebufrelease pass pairs
-// a query's pooled scratch (GetScratch/Release) the way it pairs
-// pager.GetPageBuf, and the scratch's own methods keep it tracked.
+// a query's pooled scratch (GetScratch/Release), and the scratch's own
+// methods keep it tracked.
 package core
 
 type Scratch struct{ merged []uint64 }

@@ -21,10 +21,10 @@
 // place, after checkImage has bounds-checked the image, so a steady-state
 // read whose pages sit in the buffer pool allocates nothing and a corrupted
 // page yields an error wrapping pager.ErrPageCorrupt, never a panic. Every
-// write builds a fresh image in a pooled pager.PageBuf as a concatenation of
-// slot runs copied from existing images and newly encoded slots (put), and
-// reaches the store only through Write: a viewed image, which other readers
-// may hold, is never written through. Deletion rebalances by borrowing from
+// write builds a fresh image as a concatenation of slot runs copied from
+// existing images and newly encoded slots (put), and hands it to the store
+// through Write: a viewed image, which other readers may hold, is never
+// written through. Deletion rebalances by borrowing from
 // or merging with siblings, so space stays proportional to the live entry
 // count under the heavy churn of mobile-object updates.
 package bptree
@@ -376,11 +376,10 @@ func (t *Tree) encodeEntry(b []byte, e Entry) {
 // runs copied from page images and freshly encoded slots; an internal
 // node's first run starts with its leftmost child — behind the header
 // (type, count, and for a leaf its next link) and ahead of a zero tail. It
-// is the one page encoder: the image is built in a pooled buffer and
-// reaches the store only through Write, which keeps its own copy.
+// is the one page encoder: the image is allocated here and handed to
+// Write, which owns it from then on.
 func (t *Tree) put(id pager.PageID, leaf bool, next pager.PageID, parts ...[]byte) error {
-	pb := pager.GetPageBuf(t.store.PageSize())
-	data := pb.B
+	data := make([]byte, t.store.PageSize())
 	off := headerSize
 	for _, part := range parts {
 		off += copy(data[off:], part)
@@ -393,9 +392,7 @@ func (t *Tree) put(id pager.PageID, leaf bool, next pager.PageID, parts ...[]byt
 		data[0] = typeInternal
 		binary.LittleEndian.PutUint16(data[2:4], uint16((off-headerSize-4)/t.codec.intEntrySize()))
 	}
-	err := t.store.Write(&pager.Page{ID: id, Data: data})
-	pb.Release()
-	return err
+	return t.store.Write(&pager.Page{ID: id, Data: data})
 }
 
 // step is one internal node of a recorded descent and the child it took.

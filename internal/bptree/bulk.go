@@ -115,8 +115,7 @@ func (t *Tree) bulkLoad(es []Entry, fill float64) error {
 	if err := t.destroy(t.root, t.height); err != nil {
 		return err
 	}
-	sb := pager.GetPageBuf(t.store.PageSize())
-	defer sb.Release()
+	sb := make([]byte, t.store.PageSize())
 	ies := t.codec.intEntrySize()
 	// childRef is a node of the level being built: its first composite,
 	// which becomes its separator in the level above, and its page.
@@ -135,7 +134,7 @@ func (t *Tree) bulkLoad(es []Entry, fill float64) error {
 			return err
 		}
 		if len(level) > 0 {
-			if err := t.put(level[len(level)-1].id, true, p.ID, t.encodeLeaf(sb.B, prev)); err != nil {
+			if err := t.put(level[len(level)-1].id, true, p.ID, t.encodeLeaf(sb, prev)); err != nil {
 				return err
 			}
 		}
@@ -148,7 +147,7 @@ func (t *Tree) bulkLoad(es []Entry, fill float64) error {
 			break
 		}
 	}
-	if err := t.put(level[len(level)-1].id, true, pager.NilPage, t.encodeLeaf(sb.B, prev)); err != nil {
+	if err := t.put(level[len(level)-1].id, true, pager.NilPage, t.encodeLeaf(sb, prev)); err != nil {
 		return err
 	}
 	height := 1
@@ -161,11 +160,11 @@ func (t *Tree) bulkLoad(es []Entry, fill float64) error {
 			if err != nil {
 				return err
 			}
-			binary.LittleEndian.PutUint32(sb.B[0:4], uint32(group[0].id))
+			binary.LittleEndian.PutUint32(sb[0:4], uint32(group[0].id))
 			for i, c := range group[1:] {
-				t.encodeSep(sb.B[4+i*ies:], c.firstK, c.firstV, c.id)
+				t.encodeSep(sb[4+i*ies:], c.firstK, c.firstV, c.id)
 			}
-			if err := t.put(p.ID, false, pager.NilPage, sb.B[:4+(len(group)-1)*ies]); err != nil {
+			if err := t.put(p.ID, false, pager.NilPage, sb[:4+(len(group)-1)*ies]); err != nil {
 				return err
 			}
 			next = append(next, childRef{firstK: group[0].firstK, firstV: group[0].firstV, id: p.ID})

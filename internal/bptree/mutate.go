@@ -73,9 +73,7 @@ func (t *Tree) insert(e Entry) error {
 // opening the upper half.
 func (t *Tree) split(m image, parts ...[]byte) ([24]byte, error) {
 	var up [24]byte
-	sb := pager.GetPageBuf(t.store.PageSize() + t.codec.leafEntrySize())
-	defer sb.Release()
-	s := image{d: sb.B, n: m.n + 1}
+	s := image{d: make([]byte, t.store.PageSize()+t.codec.leafEntrySize()), n: m.n + 1}
 	s.d[0] = m.d[0]
 	end := headerSize
 	for _, part := range parts {

@@ -114,7 +114,7 @@ const maxPooledOIDs = 1 << 16
 // Scratch is the working memory of one query: a bucket per piece and one
 // merge buffer. It comes from a pool (GetScratch) and goes back to it with
 // Release on every path out of the taking function; the pagebufrelease
-// lint pass pairs the two, as it pairs pager.GetPageBuf. Nothing it hands
+// lint pass pairs the two. Nothing it hands
 // out — buckets, merged answers — may be used after the Release, so a
 // query copies its answer out (MergeOIDs, RunSubqueriesCtx, UnionOIDs)
 // before it lets the scratch go. One scratch serves one query on one

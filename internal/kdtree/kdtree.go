@@ -214,8 +214,7 @@ func (t *Tree) allocBucket() (*bucket, error) {
 }
 
 func (t *Tree) writeBucket(b *bucket) error {
-	pb := pager.GetPageBuf(t.store.PageSize())
-	data := pb.B
+	data := make([]byte, t.store.PageSize())
 	data[0] = typeBucket
 	put16(data[2:], len(b.points))
 	put32(data[4:], uint32(b.next))
@@ -227,9 +226,7 @@ func (t *Tree) writeBucket(b *bucket) error {
 		put32(data[off+4*t.dims:], uint32(pt.Val))
 		off += t.pointSize
 	}
-	err := t.store.Write(&pager.Page{ID: b.id, Data: data})
-	pb.Release()
-	return err
+	return t.store.Write(&pager.Page{ID: b.id, Data: data})
 }
 
 // readPage reads page id, charging the read to traversal w when it is not
@@ -287,8 +284,7 @@ func (t *Tree) allocDir() (*dirPage, error) {
 }
 
 func (t *Tree) writeDir(dp *dirPage) error {
-	pb := pager.GetPageBuf(t.store.PageSize())
-	data := pb.B
+	data := make([]byte, t.store.PageSize())
 	data[0] = typeDir
 	put16(data[2:], dp.count)
 	put16(data[4:], dp.root)
@@ -303,9 +299,7 @@ func (t *Tree) writeDir(dp *dirPage) error {
 		put32(data[off+12:], uint32(s.right))
 		off += slotSize
 	}
-	err := t.store.Write(&pager.Page{ID: dp.id, Data: data})
-	pb.Release()
-	return err
+	return t.store.Write(&pager.Page{ID: dp.id, Data: data})
 }
 
 // readDir decodes directory page id. Beyond the header bounds it checks

@@ -146,16 +146,12 @@ func (b *Buffered) fill(id PageID) ([]byte, error) {
 	return data, nil
 }
 
-// Write implements Store (write-through). The one immutable copy of the
-// caller's bytes made here becomes the pool frame and is passed down
-// frozen, so a store that keeps frozen images (WALStore, MemStore) shares
-// it instead of copying again.
+// Write implements Store (write-through). The caller's slice, which the
+// store below may keep as well (WALStore, MemStore), becomes the pool
+// frame once the write below succeeds.
 func (b *Buffered) Write(p *Page) error {
 	if b.cap <= 0 {
 		return b.under.Write(p)
-	}
-	if !p.Frozen {
-		p = &Page{ID: p.ID, Data: append([]byte(nil), p.Data...), Frozen: true}
 	}
 	if err := b.under.Write(p); err != nil {
 		return err

@@ -261,12 +261,8 @@ func TestSharedImagesConcurrentReaders(t *testing.T) {
 		}(r)
 	}
 
-	scratch := make([]byte, buf.PageSize())
 	put := func(id PageID, tag byte) error {
-		for i := range scratch {
-			scratch[i] = tag
-		}
-		return buf.Write(&Page{ID: id, Data: scratch}) // recycled at once
+		return buf.Write(&Page{ID: id, Data: uniform(tag)})
 	}
 	for i := 0; i < rounds && !t.Failed(); i++ {
 		if err := buf.Begin(); err != nil {

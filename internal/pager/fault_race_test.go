@@ -27,7 +27,6 @@ func TestFaultStoreConfigRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make([]byte, 128)
 			for {
 				select {
 				case <-stop:
@@ -36,11 +35,14 @@ func TestFaultStoreConfigRace(t *testing.T) {
 				}
 				// Errors are expected while a faulting schedule is live;
 				// the property under test is memory safety, not success.
+				// Each write hands over a slice of its own: the page read
+				// (a private copy), else a fresh one.
+				data := make([]byte, 128)
 				if pg, err := fs.Read(id); err == nil {
-					copy(buf, pg.Data)
+					data = pg.Data
 				}
 				//mobidxlint:allow errdrop -- injected faults are the point of this stress loop
-				_ = fs.Write(&Page{ID: id, Data: buf})
+				_ = fs.Write(&Page{ID: id, Data: data})
 			}
 		}()
 	}

@@ -1,6 +1,7 @@
 package pager
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
@@ -92,9 +93,7 @@ func TestFaultStoreTornWrite(t *testing.T) {
 	if err := fs.Write(p); err != nil { // write 1: clean
 		t.Fatal(err)
 	}
-	for i := range p.Data {
-		p.Data[i] = 0x22
-	}
+	p = &Page{ID: p.ID, Data: bytes.Repeat([]byte{0x22}, len(p.Data))}
 	err := fs.Write(p) // write 2: torn
 	if err == nil || !errors.Is(err, ErrInjected) {
 		t.Fatalf("torn write must still error, got %v", err)

@@ -39,28 +39,8 @@ const NilPage PageID = 0
 
 // Page is one fixed-size block of storage.
 type Page struct {
-	ID PageID
-	// Frozen is set by the caller of Store.Write to promise that nobody
-	// will ever modify Data again: the store may then keep the slice as
-	// its image of the page instead of copying it, and must itself never
-	// write through it. The mark travels with the *Page, so a wrapper that
-	// builds a page of its own (a checksum trailer, a torn prefix) drops
-	// it and the store below copies as for any other caller. (Declared
-	// here it sits in ID's padding: a Page is still 32 bytes.)
-	Frozen bool
-	Data   []byte
-}
-
-// stableImage returns an image of p the store may keep: p.Data itself
-// when the caller froze it at the store's page size, else a private copy
-// (padded or cut to the page size, as Write always did).
-func stableImage(p *Page, pageSize int) []byte {
-	if p.Frozen && len(p.Data) == pageSize {
-		return p.Data
-	}
-	img := make([]byte, pageSize)
-	copy(img, p.Data)
-	return img
+	ID   PageID
+	Data []byte
 }
 
 // Stats counts the I/O traffic of a Store.
@@ -111,11 +91,11 @@ type Store interface {
 	Allocate() (*Page, error)
 	// Read fetches the page with the given id.
 	Read(id PageID) (*Page, error)
-	// Write persists the page. Implementations copy p.Data before
-	// returning — a store never retains the caller's slice, so callers
-	// may recycle their encode buffers (see PageBuf) — unless the caller
-	// set p.Frozen, which hands the store an image it may keep and share
-	// but never modify.
+	// Write persists the page and takes ownership of p.Data: the caller
+	// allocates it at exactly PageSize() bytes and never touches it
+	// again, so a store may keep the slice as its image of the page (and
+	// share it with readers) but never writes through it. A page of any
+	// other length is refused.
 	Write(p *Page) error
 	// Free returns the page to the allocator.
 	Free(id PageID) error
@@ -306,18 +286,20 @@ func (m *MemStore) Read(id PageID) (*Page, error) {
 	return &Page{ID: id, Data: data}, nil
 }
 
-// Write implements Store. A fresh image — a copy, or the caller's own
-// slice when it is frozen — is installed rather than mutating the stored
-// slice in place, so slices handed out by View stay stable snapshots (see
-// Viewer).
+// Write implements Store. The caller's slice becomes the page's image;
+// the old image is replaced, never mutated, so slices handed out by View
+// stay stable snapshots (see Viewer).
 func (m *MemStore) Write(p *Page) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.pages[p.ID]; !ok {
 		return fmt.Errorf("%w: %d", ErrPageNotFound, p.ID)
 	}
+	if len(p.Data) != m.pageSize {
+		return fmt.Errorf("pager: write page %d: %d bytes, want %d", p.ID, len(p.Data), m.pageSize)
+	}
 	m.stats.writes.Add(1)
-	m.pages[p.ID] = stableImage(p, m.pageSize)
+	m.pages[p.ID] = p.Data
 	return nil
 }
 
@@ -478,7 +460,8 @@ type FileStore struct {
 	user     []byte
 	closed   bool
 	stats    counters
-	slot     []byte // Write's and writeMeta's slot image, under mu
+	slot     []byte    // Write's and writeMeta's slot image, under mu
+	reads    sync.Pool // Read's slot images (*[]byte), one per reader
 }
 
 // NewFileStore creates (truncating) a file-backed store at path and writes
@@ -545,6 +528,10 @@ func OpenFileStoreOn(f File, pageSize int) (*FileStore, error) {
 func newFileStore(f File, pageSize int) *FileStore {
 	fs := &FileStore{f: f, pageSize: pageSize, slot: make([]byte, pageSize+trailerSize)}
 	fs.synced.L = &fs.mu
+	fs.reads.New = func() any {
+		b := make([]byte, pageSize+trailerSize)
+		return &b
+	}
 	return fs
 }
 
@@ -850,14 +837,16 @@ func (fs *FileStore) Allocate() (*Page, error) {
 	return &Page{ID: id, Data: make([]byte, fs.pageSize)}, nil
 }
 
-// Read implements Store. It reads the page's whole slot into a pooled
-// buffer and verifies its trailer: a mismatch is ErrPageCorrupt, unless
-// the slot is all zero — a page never written, including one past EOF
-// (the file simply hasn't grown that far), which reads as zeroes. The
-// page is then copied out into an allocation of exactly the page size,
-// which a pool above may keep as its frame. Any real I/O error propagates
-// wrapped. Concurrent reads share the read-latch; a write to the same page
-// is excluded for its duration, so readers never observe a torn page.
+// Read implements Store. It reads the page's whole slot into a scratch
+// slot from the store's private pool and verifies its trailer: a mismatch
+// is ErrPageCorrupt, unless the slot is all zero — a page never written,
+// including one past EOF (the file simply hasn't grown that far), which
+// reads as zeroes. The page is then copied out into an allocation of
+// exactly the page size, which a pool above may keep as its frame: a
+// slot-sized one would round up to a larger size class. Any real I/O
+// error propagates wrapped. Concurrent reads share the read-latch; a write
+// to the same page is excluded for its duration, so readers never observe
+// a torn page.
 func (fs *FileStore) Read(id PageID) (*Page, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -867,24 +856,25 @@ func (fs *FileStore) Read(id PageID) (*Page, error) {
 	if !fs.alloc.live(id) {
 		return nil, fmt.Errorf("%w: %d", ErrPageNotFound, id)
 	}
-	slot := GetPageBuf(fs.pageSize + trailerSize)
-	defer slot.Release()
-	n, err := fs.f.ReadAt(slot.B, fs.offset(id))
+	buf := fs.reads.Get().(*[]byte)
+	defer fs.reads.Put(buf)
+	slot := *buf
+	n, err := fs.f.ReadAt(slot, fs.offset(id))
 	switch {
 	case err == nil:
 	case errors.Is(err, io.EOF):
 		// Allocated beyond the written tail of the file: the unread
 		// remainder is zeroes by definition.
-		clear(slot.B[n:])
+		clear(slot[n:])
 	default:
 		return nil, fmt.Errorf("pager: read page %d: %w", id, err)
 	}
 	fs.stats.reads.Add(1)
-	if err := verifyTrailer(slot.B); err != nil && !allZero(slot.B) {
+	if err := verifyTrailer(slot); err != nil && !allZero(slot) {
 		return nil, fmt.Errorf("%w: page %d %v", ErrPageCorrupt, id, err)
 	}
 	data := make([]byte, fs.pageSize)
-	copy(data, slot.B)
+	copy(data, slot)
 	return &Page{ID: id, Data: data}, nil
 }
 

@@ -1,8 +1,10 @@
 package pager
 
 import (
+	"bytes"
 	"errors"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -76,6 +78,47 @@ func TestFileStore(t *testing.T) {
 	}
 	defer fs.Close()
 	testStoreBasics(t, fs)
+}
+
+// Store.Write takes ownership of a whole page: every store refuses an
+// image one byte short or long, with the same error, and keeps the page
+// it had. A MemStore that padded or cut it would let an encoder that
+// overran a page pass every test off real media.
+func TestWriteRefusesWrongLength(t *testing.T) {
+	const size = 256
+	fs, err := NewFileStore(filepath.Join(t.TempDir(), "pages.db"), size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	var msgs [2][]string
+	for si, s := range []Store{NewMemStore(size), fs} {
+		p, err := s.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := bytes.Repeat([]byte{0x5A}, size)
+		if err := s.Write(&Page{ID: p.ID, Data: old}); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{size - 1, size + 1} {
+			err := s.Write(&Page{ID: p.ID, Data: bytes.Repeat([]byte{0xA5}, n)})
+			if err == nil {
+				t.Fatalf("%T: a %d-byte write of a %d-byte page was accepted", s, n, size)
+			}
+			msgs[si] = append(msgs[si], err.Error())
+			got, err := s.Read(p.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Data, bytes.Repeat([]byte{0x5A}, size)) {
+				t.Fatalf("%T: a refused %d-byte write changed the page", s, n)
+			}
+		}
+	}
+	if !slices.Equal(msgs[0], msgs[1]) {
+		t.Fatalf("MemStore refuses with %q, FileStore with %q", msgs[0], msgs[1])
+	}
 }
 
 func TestMemStoreStats(t *testing.T) {

@@ -50,16 +50,15 @@ func (s *shareStack) end(t *testing.T, commit bool) {
 	}
 }
 
-func (s *shareStack) write(t *testing.T, id PageID, tag byte) {
+// write hands a fresh image tagged tag to the pool, as every encoder
+// does, and returns it.
+func (s *shareStack) write(t *testing.T, id PageID, tag byte) []byte {
 	t.Helper()
-	// The caller's buffer is recycled at once, as bptree's PageBuf is.
-	scratch := walPattern(s.buf.PageSize(), tag)
-	if err := s.buf.Write(&Page{ID: id, Data: scratch}); err != nil {
+	data := walPattern(s.buf.PageSize(), tag)
+	if err := s.buf.Write(&Page{ID: id, Data: data}); err != nil {
 		t.Fatal(err)
 	}
-	for i := range scratch {
-		scratch[i] = 0xEE
-	}
+	return data
 }
 
 // view checks that the pool serves the image tagged tag and holds on to
@@ -86,12 +85,14 @@ func (s *shareStack) checkHeld(t *testing.T, step string) {
 	}
 }
 
-// Pool frames and WAL images are the same slices, so every one of them
-// must stay what it was when a reader took it: through rewrites inside a
-// batch, commit, checkpoint, a later write and a rollback. A wrapper that
-// builds its own page (copyingStore, a tearing FaultStore) drops the
-// frozen mark and the WAL copies as it always did; one that forwards the
-// *Page (FaultStore without a fault) shares.
+// Store.Write takes ownership of the caller's slice, so pool frames, WAL
+// images and the slices the encoders handed over are the same arrays, and
+// every one of them must stay what it was when a reader took it: through
+// rewrites inside a batch, commit, checkpoint, a later write and a
+// rollback. A wrapper that forwards the *Page (FaultStore without a
+// fault) hands the WAL the caller's slice; one that builds its own page
+// (copyingStore, a tearing FaultStore) hands it that page instead, while
+// the pool's frame is still the caller's slice.
 func TestSharedImagesStayImmutable(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -112,6 +113,26 @@ func TestSharedImagesStayImmutable(t *testing.T) {
 				t.Fatal(err)
 			}
 			id := p.ID
+			// handedOver checks that the pool's frame is the slice the
+			// caller wrote, and that the WAL's staged or committed image is
+			// it too when the stack shares.
+			handedOver := func(step string, data []byte) {
+				t.Helper()
+				frame, err := s.buf.View(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				img, err := w.View(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if &frame[0] != &data[0] {
+					t.Fatalf("%s: the pool frame is not the caller's slice", step)
+				}
+				if got := &img[0] == &data[0]; got != tc.shares {
+					t.Fatalf("%s: the WAL image is the caller's slice: %v, want %v", step, got, tc.shares)
+				}
+			}
 			sameArray := func(step string, want bool) {
 				t.Helper()
 				frame, err := s.buf.View(id)
@@ -127,20 +148,19 @@ func TestSharedImagesStayImmutable(t *testing.T) {
 				}
 			}
 
-			s.write(t, id, 0x10)
+			handedOver("first write", s.write(t, id, 0x10))
 			first := s.view(t, "first write", id, 0x10)
-			sameArray("first write", tc.shares)
 
 			s.begin(t)
-			s.write(t, id, 0x11)
+			handedOver("staged once", s.write(t, id, 0x11))
 			s.view(t, "staged once", id, 0x11)
-			s.write(t, id, 0x12)
+			staged := s.write(t, id, 0x12)
+			handedOver("staged twice", staged)
 			s.view(t, "staged twice", id, 0x12)
-			sameArray("staged", tc.shares)
 			s.checkHeld(t, "two writes in one batch")
 			s.end(t, true)
 			s.view(t, "committed", id, 0x12)
-			sameArray("committed", tc.shares)
+			handedOver("committed", staged)
 			s.checkHeld(t, "commit")
 
 			if err := w.Checkpoint(); err != nil {
@@ -154,9 +174,8 @@ func TestSharedImagesStayImmutable(t *testing.T) {
 			s.buf.Clear() // and the base's image, through both View paths
 			s.view(t, "checkpointed, from the base", id, 0x12)
 
-			s.write(t, id, 0x13)
+			handedOver("write after checkpoint", s.write(t, id, 0x13))
 			s.view(t, "write after checkpoint", id, 0x13)
-			sameArray("write after checkpoint", tc.shares)
 			s.checkHeld(t, "write after checkpoint")
 
 			s.begin(t)
@@ -187,16 +206,16 @@ func TestSharedImagesStayImmutable(t *testing.T) {
 }
 
 // copyingStore is a wrapper that writes a page of its own: a copy of the
-// caller's bytes, without the caller's frozen mark.
+// caller's bytes.
 type copyingStore struct{ Store }
 
 func (c copyingStore) Write(p *Page) error {
 	return c.Store.Write(&Page{ID: p.ID, Data: append([]byte(nil), p.Data...)})
 }
 
-// A torn write reaches the WAL as a page the FaultStore built, unmarked:
-// the WAL stages a copy of its own, and the pool — told the write failed —
-// installs nothing.
+// A torn write reaches the WAL as a page the FaultStore built: the WAL
+// stages that page, not the caller's, and the pool — told the write
+// failed — installs nothing.
 func TestTornWriteIsNotShared(t *testing.T) {
 	w := openTestWAL(t, NewMemStore(walTestPageSize), NewMemLog(), WALConfig{})
 	fs := NewFaultStore(w, FaultConfig{Seed: 7})
@@ -216,7 +235,8 @@ func TestTornWriteIsNotShared(t *testing.T) {
 	if err := buf.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	err = buf.Write(&Page{ID: p.ID, Data: walPattern(walTestPageSize, 0x22)})
+	torn := walPattern(walTestPageSize, 0x22)
+	err = buf.Write(&Page{ID: p.ID, Data: torn})
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("torn write: %v, want an injected fault", err)
 	}
@@ -231,7 +251,7 @@ func TestTornWriteIsNotShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &staged[0] == &good[0] || bytes.Equal(staged, good) {
+	if &staged[0] == &good[0] || &staged[0] == &torn[0] || bytes.Equal(staged, good) || bytes.Equal(staged, torn) {
 		t.Fatal("the torn image did not reach the WAL as a slice of its own")
 	}
 	if err := buf.Rollback(); err != nil {

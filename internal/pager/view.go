@@ -1,9 +1,6 @@
 package pager
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Viewer is an optional Store capability: zero-copy read access to a
 // page's bytes. View returns the store's own image of the page instead of
@@ -11,11 +8,12 @@ import (
 // performs no heap allocation at all (the hot-loop discipline enforced by
 // the AllocsPerRun gates in the index packages).
 //
-// The returned slice is read-only and stable: stores that implement
-// Viewer install a fresh image on every Write rather than mutating the
-// old one in place, so a slice obtained before a concurrent write remains
-// a consistent (if stale) snapshot of the page. Callers must never write
-// through it and must not use it after freeing the page.
+// The returned slice is read-only and stable: a store that implements
+// Viewer installs the slice each Write hands it (see Store.Write) rather
+// than mutating the old image in place, so a slice obtained before a
+// concurrent write remains a consistent (if stale) snapshot of the page.
+// Callers must never write through it and must not use it after freeing
+// the page.
 type Viewer interface {
 	View(id PageID) ([]byte, error)
 }
@@ -35,8 +33,8 @@ func ViewBytes(s Store, id PageID) ([]byte, error) {
 }
 
 // View implements Viewer: the stored image is returned directly, under
-// the read-latch only for the map lookup. Write installs a fresh slice
-// per page (never mutating the old image), which is what makes the
+// the read-latch only for the map lookup. Write installs the caller's
+// slice per page (never mutating the old image), which is what makes the
 // returned bytes a stable snapshot.
 func (m *MemStore) View(id PageID) ([]byte, error) {
 	m.mu.RLock()
@@ -66,33 +64,3 @@ func (b *Buffered) View(id PageID) ([]byte, error) {
 	sh.mu.RUnlock()
 	return b.fill(id)
 }
-
-// PageBuf is a pooled page-sized scratch buffer for node encoders. The
-// index packages serialize a node into B and hand it to Store.Write,
-// unfrozen — every Store implementation then copies the data before
-// returning (Write never retains p.Data) — and Release the buffer, so a
-// build writes thousands of pages through a handful of recycled buffers
-// instead of allocating one per write.
-type PageBuf struct {
-	B []byte
-}
-
-var pageBufPool = sync.Pool{New: func() any { return new(PageBuf) }}
-
-// GetPageBuf returns a zeroed scratch buffer of the given size from the
-// pool. Release it when the Write it fed has returned.
-func GetPageBuf(size int) *PageBuf {
-	pb := pageBufPool.Get().(*PageBuf)
-	if cap(pb.B) < size {
-		pb.B = make([]byte, size)
-		return pb
-	}
-	pb.B = pb.B[:size]
-	for i := range pb.B {
-		pb.B[i] = 0
-	}
-	return pb
-}
-
-// Release returns the buffer to the pool.
-func (pb *PageBuf) Release() { pageBufPool.Put(pb) }

@@ -76,17 +76,16 @@
 // who shares and who copies, for one page written through a Buffered pool
 // over a WALStore over a FileStore with a FileLog:
 //
-//	bptree.put              encodes into a pooled PageBuf (no allocation),
-//	                        calls Write, releases the buffer
-//	Buffered.Write          makes THE copy: one immutable slice; installs
-//	                        it as the pool frame and passes it down in a
-//	                        Page marked Frozen
-//	[a wrapper]             forwarding the *Page keeps the mark; building a
-//	                        page of its own (a tearing FaultStore) drops
-//	                        it, and the store below copies, as for any
-//	                        unmarked page
-//	WALStore.Write          keeps the frozen slice as the batch's staged
-//	                        image: no copy
+//	bptree.put              allocates the image (PageSize bytes), encodes
+//	                        into it and hands it to Write, which owns it
+//	                        from then on (see Store.Write)
+//	Buffered.Write          passes the *Page down and, once that write
+//	                        succeeds, installs p.Data as the pool frame
+//	[a wrapper]             forwards the *Page, or hands down a page of its
+//	                        own (a tearing FaultStore), whose failed write
+//	                        the pool never installs
+//	WALStore.Write          keeps p.Data as the batch's staged image: no
+//	                        copy
 //	Commit                  copies the image once more, into the pooled
 //	                        frame chunk behind its record header and before
 //	                        its CRC, then moves the slice into the page
@@ -106,10 +105,10 @@
 //
 // Pool frames, staged images and page-table images are therefore the same
 // slices, and what keeps a View a stable snapshot is one rule: nothing
-// ever modifies an image in place. Write stages a fresh slice, Commit and
-// Checkpoint only move or drop references, recovery copies images out of
-// its scan buffer, and Rollback makes the pool forget (Buffered.Rollback
-// clears it) what the WAL discards.
+// ever modifies an image in place. Write stages the slice its caller
+// handed over, Commit and Checkpoint only move or drop references,
+// recovery copies images out of its scan buffer, and Rollback makes the
+// pool forget (Buffered.Rollback clears it) what the WAL discards.
 //
 // # Checkpoint
 //
@@ -519,7 +518,7 @@ type logChunk struct {
 var logChunkPool = sync.Pool{New: func() any { return &logChunk{B: make([]byte, 0, logChunkSize)} }}
 
 // getLogChunk returns an empty chunk from the pool; Release it on every
-// path (the pagebufrelease pass pairs the two, as for GetPageBuf).
+// path (the pagebufrelease pass pairs the two).
 func getLogChunk() *logChunk { return logChunkPool.Get().(*logChunk) }
 
 // Release returns the chunk to the pool.
@@ -1633,7 +1632,7 @@ func (w *WALStore) writeLocked(p *Page) error {
 	if _, seen := b.writes[p.ID]; !seen {
 		b.writeOrder = append(b.writeOrder, p.ID)
 	}
-	b.writes[p.ID] = stableImage(p, w.pageSize)
+	b.writes[p.ID] = p.Data
 	w.stats.writes.Add(1)
 	return nil
 }

@@ -285,10 +285,13 @@ func BenchmarkWALCommitCycle(b *testing.B) {
 	if err := w.Checkpoint(); err != nil {
 		b.Fatal(err)
 	}
-	data := walPattern(pageSize, 1)
+	pattern := walPattern(pageSize, 1)
 	next := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// The WAL keeps what Write hands it, so each batch writes an
+		// image of its own, shared by its pages and never touched again.
+		data := bytes.Clone(pattern)
 		data[0] = byte(i)
 		if err := RunBatch(w, func() error {
 			for j := 0; j < perBatch; j++ {

@@ -10,8 +10,8 @@ import (
 
 // imageStore is a MemStore that serves a planted image for one page until
 // that page is next written: what a store hands back when the medium under
-// it rotted. The image may be any length — MemStore.Write would pad a short
-// one back to a full page.
+// it rotted. The image may be any length — MemStore.Write would refuse one
+// that is not a full page.
 type imageStore struct {
 	*pager.MemStore
 	id  pager.PageID

@@ -316,8 +316,7 @@ func (t *Tree) writeLeaf(id pager.PageID, pts []Point) (pager.PageID, error) {
 		}
 		id = p.ID
 	}
-	pb := pager.GetPageBuf(t.store.PageSize())
-	d := pb.B
+	d := make([]byte, t.store.PageSize())
 	d[0] = typeLeaf
 	put16(d[2:], len(pts))
 	off := headerSize
@@ -328,9 +327,7 @@ func (t *Tree) writeLeaf(id pager.PageID, pts []Point) (pager.PageID, error) {
 		put32(d[off+4*t.dims:], uint32(q.Val))
 		off += t.pointSize
 	}
-	err := t.store.Write(&pager.Page{ID: id, Data: d})
-	pb.Release()
-	return id, err
+	return id, t.store.Write(&pager.Page{ID: id, Data: d})
 }
 
 type cellEntry struct {

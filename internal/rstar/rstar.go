@@ -115,8 +115,7 @@ func putf32(b []byte, f float64) { put32(b, math.Float32bits(float32(f))) }
 func getf32(b []byte) float64    { return float64(math.Float32frombits(get32(b))) }
 
 func (t *Tree) writeNode(n *node) error {
-	pb := pager.GetPageBuf(t.store.PageSize())
-	data := pb.B
+	data := make([]byte, t.store.PageSize())
 	data[0] = byte(n.level)
 	data[2] = byte(len(n.rects))
 	data[3] = byte(len(n.rects) >> 8)
@@ -129,9 +128,7 @@ func (t *Tree) writeNode(n *node) error {
 		put32(data[off+16:], n.refs[i])
 		off += entrySize
 	}
-	err := t.store.Write(&pager.Page{ID: n.id, Data: data})
-	pb.Release()
-	return err
+	return t.store.Write(&pager.Page{ID: n.id, Data: data})
 }
 
 // corrupt reports a page whose bytes cannot have been written by this tree.
