@@ -32,6 +32,39 @@ func (d *DualBPlus) BulkLoad(ms []dual.Motion) error {
 	})
 }
 
+// Build is BulkLoad split in two, for a caller whose readers keep querying
+// d while the new contents are built. Build loads ms into a new index of
+// d's configuration on d's store, whose pages no reader of d reaches, and
+// leaves d answering as before. The install step it returns makes those
+// contents d's and frees d's old pages. Run both steps in one batch on a
+// batching store: a batch that fails between them leaves d as it was and
+// its rollback returns the new pages. Such a batch stages the page ids,
+// images and frees of BulkLoad(ms), because a batch never reuses a page
+// it frees. The caller keeps readers of d out of the install step.
+func (d *DualBPlus) Build(ms []dual.Motion) (install func() error, err error) {
+	n, err := NewDualBPlus(d.store, d.cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := n.BulkLoad(ms); err != nil {
+		return nil, err
+	}
+	return func() error {
+		return pager.RunBatch(d.store, func() error {
+			for len(d.rot.gens) > 0 {
+				if err := d.rot.retire(0); err != nil {
+					return err
+				}
+			}
+			for _, g := range n.rot.gens {
+				g.cand = &d.candidates
+			}
+			d.rot.epochs, d.rot.gens, d.rot.size = n.rot.epochs, n.rot.gens, n.rot.size
+			return nil
+		})
+	}, nil
+}
+
 // bulkLoad fills a fresh generation's trees bottom-up from the motions of
 // its epoch. A counting pass sizes each of the 3c entry slices exactly, so
 // each is allocated once.

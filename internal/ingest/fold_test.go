@@ -11,9 +11,9 @@ import (
 )
 
 // resortBase is a base index that checks each fold's motion list, at the
-// moment the tier hands it over, against the list the fold computed
-// before it merged: the unmasked base and the delta's live upserts,
-// concatenated and sorted by OID.
+// moment the tier installs it, against the list the fold computed before
+// it merged: the unmasked base and the delta's live upserts, concatenated
+// and sorted by OID.
 type resortBase struct {
 	*core.DualBPlus
 	t     *testing.T
@@ -21,9 +21,14 @@ type resortBase struct {
 	folds int
 }
 
-func (b *resortBase) BulkLoad(ms []dual.Motion) error {
-	if b.tier != nil {
-		// The tier holds its write latch across the fold, on this goroutine.
+func (b *resortBase) Build(ms []dual.Motion) (func() error, error) {
+	install, err := b.DualBPlus.Build(ms)
+	if err != nil || b.tier == nil {
+		return install, err
+	}
+	return func() error {
+		// The tier installs under its write latch, on this goroutine, with
+		// the batch staged into the delta.
 		tr := b.tier
 		var want []dual.Motion
 		for _, m := range tr.baseMs {
@@ -41,8 +46,8 @@ func (b *resortBase) BulkLoad(ms []dual.Motion) error {
 			b.t.Errorf("fold %d: merged list of %d motions differs from the resorted %d", b.folds, len(ms), len(want))
 		}
 		b.folds++
-	}
-	return b.DualBPlus.BulkLoad(ms)
+		return install()
+	}, nil
 }
 
 // TestTierFoldMatchesResort drives a seeded stream through a tier with

@@ -17,12 +17,14 @@ import (
 // Op is one motion mutation (see dual.Op).
 type Op = dual.Op
 
-// Base is the immutable bulk-loaded index the tier fronts. core.DualBPlus
-// satisfies it; any Index1D with Subqueries would.
+// Base is the bulk-loaded index the tier fronts. core.DualBPlus
+// satisfies it.
 type Base interface {
-	// BulkLoad atomically replaces the index contents (one WAL batch on a
-	// batching store).
-	BulkLoad(ms []dual.Motion) error
+	// Build loads ms beside the live contents, which keep answering, and
+	// returns the step that installs them in their place and frees the
+	// old pages (see core.DualBPlus.Build). On a batching store both
+	// steps belong in the caller's batch.
+	Build(ms []dual.Motion) (install func() error, err error)
 	// Subqueries decomposes a MOR query into independent exact pieces.
 	Subqueries(q dual.MORQuery) []func(emit func(dual.OID)) error
 	// Len reports the number of indexed motions.
@@ -37,8 +39,8 @@ type Config struct {
 	// MemtableFlush closes the delta's open generation once this many
 	// distinct OIDs have been written in it (0 selects 2048).
 	MemtableFlush int
-	// MaxRuns folds the delta into the base via one atomic BulkLoad
-	// reindex once this many generations have closed (0 selects 4).
+	// MaxRuns folds the delta into the base, rebuilt in bulk, once this
+	// many generations have closed (0 selects 4).
 	MaxRuns int
 }
 
@@ -81,16 +83,20 @@ type Stats struct {
 }
 
 // Tier is the log-structured write tier. All methods are safe for
-// concurrent use: Add/Flush/Load serialize on a write latch, queries and
-// lookups share a read latch (and may run in parallel through a
-// core.Executor). Durability is the caller's concern — the tier is the
-// volatile serving structure; internal/shard journals ops in its motion
-// catalog within the same WAL batch.
+// concurrent use. Writes (Add, Flush, Load, Replay) serialize on the
+// writer latch wmu; queries and lookups share the read side of mu, and
+// may run in parallel through a core.Executor. A write holds mu's write
+// side only to install what it staged: a fold builds the new base under
+// wmu alone, beside the live one, so queries keep answering from the old
+// base while it fills (Build, Install). Durability is the caller's
+// concern — the tier is the volatile serving structure; internal/shard
+// journals ops in its motion catalog within the same WAL batch.
 type Tier struct {
 	cfg  Config
 	base Base
 
-	mu sync.RWMutex
+	wmu sync.Mutex   // writer latch: Add, Flush, Load, Replay, Close
+	mu  sync.RWMutex // serving latch: queries and lookups read, installs write
 	// The delta: every OID written since the last fold, newest-wins. slot
 	// maps an OID to its entry, so masking a base answer is one lookup and
 	// the query join ranges over the dense slice.
@@ -102,7 +108,7 @@ type Tier struct {
 
 	baseMs []dual.Motion // base contents, ascending OID, unique
 	live   int           // total live motions (base ⊕ delta)
-	fail   error         // sticky: a failed merge left base in-memory state unknown
+	fail   error         // sticky: a failed install left base in-memory state unknown
 	closed bool
 	stats  Stats
 
@@ -189,30 +195,108 @@ func (t *Tier) Get(id dual.OID) (dual.Motion, bool, error) {
 // path enforces. A batch is all-or-nothing: every op is checked before
 // any is staged. A generation closes once MemtableFlush distinct OIDs
 // have been written in it. If, after every op is staged, MaxRuns
-// generations have closed, the whole delta folds into the base via one
-// atomic BulkLoad reindex; the merge deliberately waits for the end of
-// the batch so that merged=true means the base covers every op from this
-// and all earlier Adds — a caller that journals the delta can truncate
-// its journal on that signal without losing the batch's own tail. On a
-// batching store the fold is atomic; if it fails the base's in-memory
-// state is unknown and the tier poisons itself — the shard quarantines
-// on the same failure.
+// generations have closed, the whole delta folds into a base rebuilt in
+// bulk; the fold deliberately covers the whole batch, so merged=true
+// means the base covers every op from this and all earlier Adds — a
+// caller that journals the delta can truncate its journal on that signal
+// without losing the batch's own tail. Add is Build then Install under
+// the writer latch: queries answer the pre-batch state until the
+// install. The fold is atomic when the caller runs Add inside a batch on
+// a batching store, as the shard does through Build and Install; if its
+// install fails the base's in-memory state is unknown and the tier
+// poisons itself — the shard quarantines on the same failure.
 func (t *Tier) Add(ops []Op) (merged bool, err error) {
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	b, err := t.Build(ops)
+	if err != nil {
+		return false, err
+	}
+	return t.Install(b)
+}
+
+// Batch is one write split into its two steps: Build stages it where no
+// query looks, Install makes it visible.
+type Batch struct {
+	ops     []Op
+	ms      []dual.Motion // the new base's contents, when install is set
+	install func() error  // the base's install step: the batch folds or loads
+	load    bool          // ms replaces the whole tier (Load)
+}
+
+// Build is Add's first step, for a caller that serializes its writers
+// itself and takes its own serving latch around the second (the shard
+// does both; Add takes the tier's writer latch). It checks ops as Add
+// does, and when staging them will fold the delta it builds the folded
+// base beside the live one. It changes nothing a query or lookup reads,
+// so they run meanwhile and answer the pre-batch state. No other write
+// may run between Build and the Install of its batch.
+func (t *Tier) Build(ops []Op) (*Batch, error) { return t.build(ops, false) }
+
+// build checks ops and, when fold is set or they close the MaxRuns-th
+// generation, builds the folded base.
+func (t *Tier) build(ops []Op, fold bool) (*Batch, error) {
+	b, folds, err := t.plan(ops, fold)
+	if err != nil || !folds {
+		return b, err
+	}
+	if b.install, err = t.base.Build(b.ms); err != nil {
+		return nil, fmt.Errorf("ingest: fold build: %w", err)
+	}
+	return b, nil
+}
+
+// plan is build's part under the read latch: it checks ops and, when the
+// batch folds, computes the folded base's contents — the delta, the
+// batch's entries newest, merged into the base's.
+func (t *Tier) plan(ops []Op, fold bool) (b *Batch, folds bool, err error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if err := t.ok(); err != nil {
+		return nil, false, err
+	}
+	batch, closes, err := t.checkLocked(ops, "")
+	if err != nil {
+		return nil, false, err
+	}
+	b = &Batch{ops: ops}
+	if fold || t.gen+closes >= t.cfg.MaxRuns {
+		b.ms, folds = t.foldedLocked(batch), true
+	}
+	return b, folds, nil
+}
+
+// Install is the second step of Add or Load: it makes b visible under the
+// serving latch. An Add batch stages its ops into the delta; when it
+// folds, the base Build made replaces the live one, whose pages it frees,
+// and the delta empties. merged reports a fold.
+func (t *Tier) Install(b *Batch) (merged bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.ok(); err != nil {
 		return false, err
 	}
-	if err := t.stageLocked(ops, ""); err != nil {
-		return false, err
+	if !b.load {
+		t.applyLocked(b.ops)
 	}
-	if t.gen >= t.cfg.MaxRuns {
-		if err := t.mergeLocked(); err != nil {
-			return false, err
-		}
-		merged = true
+	if b.install == nil {
+		return false, nil
 	}
-	return merged, nil
+	if err := b.install(); err != nil {
+		// On a batching store the caller's batch rolls back, but the
+		// base's in-memory generations may be half freed: nothing above
+		// can trust this tier again.
+		t.fail = fmt.Errorf("ingest: install folded base: %w", err)
+		return false, t.fail
+	}
+	t.baseMs = b.ms
+	t.resetDeltaLocked()
+	if b.load {
+		t.live = len(b.ms)
+	} else {
+		t.stats.Merges++
+	}
+	return true, nil
 }
 
 // Replay re-applies recovered delta ops (the catalog suffix past the
@@ -220,19 +304,28 @@ func (t *Tier) Add(ops []Op) (merged bool, err error) {
 // outside a batch, and the replayed delta is already durable. Generations
 // still close, so the recovered tier folds where the original would have.
 func (t *Tier) Replay(ops []Op) error {
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.ok(); err != nil {
 		return err
 	}
-	return t.stageLocked(ops, "replay ")
+	if _, _, err := t.checkLocked(ops, "replay "); err != nil {
+		return err
+	}
+	t.applyLocked(ops)
+	return nil
 }
 
-// stageLocked checks ops as one batch, each against the state the
-// batch's earlier ops leave, and only then writes them into the delta,
-// closing generations as they fill. verb prefixes the error messages.
-func (t *Tier) stageLocked(ops []Op, verb string) error {
-	batch := make(map[dual.OID]entry, len(ops)) // each OID as the earlier ops leave it
+// checkLocked checks ops as one batch, each against the state the batch's
+// earlier ops leave, and returns each OID the batch writes with its entry
+// as the batch leaves it, and how many generations staging the batch will
+// close. verb prefixes the error messages. The caller holds mu, either
+// side.
+func (t *Tier) checkLocked(ops []Op, verb string) (map[dual.OID]entry, int, error) {
+	batch := make(map[dual.OID]entry, len(ops))
+	gen, genLen := t.gen, t.genLen
 	for _, op := range ops {
 		id := op.M.OID
 		cur, seen := batch[id]
@@ -240,19 +333,38 @@ func (t *Tier) stageLocked(ops []Op, verb string) error {
 			var live bool
 			cur.m, live = t.currentLocked(id)
 			cur.tomb = !live
+			cur.gen = -1
+			if i, ok := t.slot[id]; ok {
+				cur.gen = t.delta[i].gen
+			}
 		}
 		if op.Insert {
 			if err := core.ValidateMotion(op.M, t.cfg.Terrain); err != nil {
-				return fmt.Errorf("ingest: %s%w", verb, err)
+				return nil, 0, fmt.Errorf("ingest: %s%w", verb, err)
 			}
 			if !cur.tomb {
-				return fmt.Errorf("ingest: %sinsert of live OID %d without delete", verb, id)
+				return nil, 0, fmt.Errorf("ingest: %sinsert of live OID %d without delete", verb, id)
 			}
 		} else if cur.tomb || cur.m != op.M {
-			return fmt.Errorf("ingest: %sdelete of absent motion (OID %d)", verb, id)
+			return nil, 0, fmt.Errorf("ingest: %sdelete of absent motion (OID %d)", verb, id)
 		}
-		batch[id] = entry{m: op.M, tomb: !op.Insert}
+		// The same count applyLocked keeps: an OID is new to the open
+		// generation unless its entry was last written in it.
+		if cur.gen != gen {
+			genLen++
+		}
+		batch[id] = entry{m: op.M, tomb: !op.Insert, gen: gen}
+		if genLen >= t.cfg.MemtableFlush {
+			gen++
+			genLen = 0
+		}
 	}
+	return batch, gen - t.gen, nil
+}
+
+// applyLocked writes checked ops into the delta, closing generations as
+// they fill (caller holds mu's write side).
+func (t *Tier) applyLocked(ops []Op) {
 	for _, op := range ops {
 		e := entry{m: op.M, tomb: !op.Insert, gen: t.gen}
 		if i, ok := t.slot[op.M.OID]; !ok {
@@ -276,17 +388,22 @@ func (t *Tier) stageLocked(ops []Op, verb string) error {
 			t.stats.Freezes++
 		}
 	}
-	return nil
 }
 
-// mergeLocked folds the delta into the base with one atomic BulkLoad
-// reindex of the exact live motion set. baseMs is already in OID order,
-// so only the delta is sorted, and one linear merge of the two yields the
-// new base: a delta entry replaces the base motion with its OID (or, as a
-// tombstone, drops it), and a delta upsert with a new OID joins in order.
-func (t *Tier) mergeLocked() error {
-	ds := make([]dual.Motion, 0, len(t.delta))
+// foldedLocked returns the exact live motion set once the batch is staged,
+// ascending OID: the contents a fold loads into the new base. baseMs is
+// already in OID order, so only the delta is sorted, and one linear merge
+// of the two yields the set: a delta entry replaces the base motion with
+// its OID (or, as a tombstone, drops it), and a delta upsert with a new
+// OID joins in order. The batch's entries are the delta's newest.
+func (t *Tier) foldedLocked(batch map[dual.OID]entry) []dual.Motion {
+	ds := make([]dual.Motion, 0, len(t.delta)+len(batch))
 	for _, e := range t.delta {
+		if _, newer := batch[e.m.OID]; !newer && !e.tomb {
+			ds = append(ds, e.m)
+		}
+	}
+	for _, e := range batch {
 		if !e.tomb {
 			ds = append(ds, e.m)
 		}
@@ -297,22 +414,12 @@ func (t *Tier) mergeLocked() error {
 		for len(ds) > 0 && ds[0].OID < m.OID {
 			ms, ds = append(ms, ds[0]), ds[1:]
 		}
-		if _, masked := t.slot[m.OID]; !masked {
+		_, masked := t.slot[m.OID]
+		if _, newer := batch[m.OID]; !masked && !newer {
 			ms = append(ms, m)
 		}
 	}
-	ms = append(ms, ds...)
-	if err := t.base.BulkLoad(ms); err != nil {
-		// On a batching store the reindex batch rolled back, but the base's
-		// in-memory generations may hold a partial build: nothing above can
-		// trust this tier again.
-		t.fail = fmt.Errorf("ingest: merge reindex: %w", err)
-		return t.fail
-	}
-	t.baseMs = ms
-	t.resetDeltaLocked()
-	t.stats.Merges++
-	return nil
+	return append(ms, ds...)
 }
 
 func (t *Tier) resetDeltaLocked() {
@@ -324,37 +431,55 @@ func (t *Tier) resetDeltaLocked() {
 // Flush folds the entire delta into the base now, regardless of
 // thresholds. No-op when the delta is empty.
 func (t *Tier) Flush() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.ok(); err != nil {
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	t.mu.RLock()
+	empty, err := len(t.delta) == 0, t.ok()
+	t.mu.RUnlock()
+	if err != nil || empty {
 		return err
 	}
-	if len(t.delta) == 0 {
-		return nil
-	}
-	return t.mergeLocked()
-}
-
-// Load atomically replaces the whole tier's contents with ms: the base
-// is bulk-loaded and the delta cleared (the shard BulkLoad path).
-func (t *Tier) Load(ms []dual.Motion) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.ok(); err != nil {
-		return err
-	}
-	sorted, err := sortByOID(ms)
+	b, err := t.build(nil, true)
 	if err != nil {
 		return err
 	}
-	if err := t.base.BulkLoad(sorted); err != nil {
-		t.fail = fmt.Errorf("ingest: load reindex: %w", err)
-		return t.fail
+	_, err = t.Install(b)
+	return err
+}
+
+// Load atomically replaces the whole tier's contents with ms: the base
+// is rebuilt in bulk and the delta cleared (the shard BulkLoad path). It
+// is BuildLoad then Install under the writer latch.
+func (t *Tier) Load(ms []dual.Motion) error {
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	b, err := t.BuildLoad(ms)
+	if err != nil {
+		return err
 	}
-	t.baseMs = sorted
-	t.resetDeltaLocked()
-	t.live = len(sorted)
-	return nil
+	_, err = t.Install(b)
+	return err
+}
+
+// BuildLoad is Load's first step, under the same contract as Build: it
+// builds a base holding exactly ms beside the live one, and the Install
+// of its batch replaces the tier's contents with it.
+func (t *Tier) BuildLoad(ms []dual.Motion) (*Batch, error) {
+	t.mu.RLock()
+	err := t.ok()
+	t.mu.RUnlock()
+	if err != nil {
+		return nil, err
+	}
+	sorted, err := sortByOID(ms)
+	if err != nil {
+		return nil, err
+	}
+	b := &Batch{ms: sorted, load: true}
+	if b.install, err = t.base.Build(sorted); err != nil {
+		return nil, fmt.Errorf("ingest: load build: %w", err)
+	}
+	return b, nil
 }
 
 // BaseMotions returns the base index's exact contents, ascending OID.
@@ -462,6 +587,8 @@ func (t *Tier) QueryParallelCtx(ctx context.Context, exec *core.Executor, q dual
 // Close marks the tier closed; further operations fail with ErrClosed.
 // In-flight queries drain under the read latch first.
 func (t *Tier) Close() error {
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.closed = true

@@ -121,6 +121,37 @@ func TestPoolWriteZeroAllocBeyondImage(t *testing.T) {
 	}
 }
 
+// MemStore.Allocate makes one page image, the caller's: the page itself
+// reads as the store's shared zero image until its first Write replaces
+// it. Freeing each page again keeps the allocator and the page map at a
+// fixed size, so the count is Allocate's own.
+func TestMemStoreAllocateZeroAllocBeyondImage(t *testing.T) {
+	m := NewMemStore(DefaultPageSize)
+	allocate := func() {
+		p, err := m.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Free(p.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, allocate); allocs > 2 {
+		t.Fatalf("an Allocate makes %.1f objects, want <= 2 (the caller's image and Page)", allocs)
+	}
+	p, err := m.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Read(p.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Data, make([]byte, DefaultPageSize)) {
+		t.Fatal("a page allocated but not written does not read as zeros")
+	}
+}
+
 // A pool miss on a page the WAL still holds installs the WAL's own image
 // as the frame: the frame header is the only allocation.
 func TestPoolMissZeroAllocFromWALTable(t *testing.T) {

@@ -241,6 +241,7 @@ type MemStore struct {
 	mu       sync.RWMutex
 	pageSize int
 	pages    map[PageID][]byte // the live pages' images
+	zero     []byte            // the image of every page allocated but not yet written
 	alloc    allocator
 	stats    counters
 }
@@ -253,6 +254,7 @@ func NewMemStore(pageSize int) *MemStore {
 	return &MemStore{
 		pageSize: pageSize,
 		pages:    make(map[PageID][]byte),
+		zero:     make([]byte, pageSize),
 		alloc:    newAllocator(),
 	}
 }
@@ -265,10 +267,12 @@ func (m *MemStore) Allocate() (*Page, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	id := m.alloc.allocate()
-	m.pages[id] = make([]byte, m.pageSize)
-	m.stats.allocs.Add(1)
 	// An allocation materializes the page in memory; the caller writes it
-	// out explicitly, so allocation itself costs no I/O.
+	// out explicitly, so allocation itself costs no I/O. Until then the
+	// page reads as the store's one shared zero image, and the caller's
+	// zeroed image is the only one the allocation makes.
+	m.pages[id] = m.zero
+	m.stats.allocs.Add(1)
 	return &Page{ID: id, Data: make([]byte, m.pageSize)}, nil
 }
 
@@ -325,7 +329,7 @@ func (m *MemStore) Adopt(id PageID) error {
 	defer m.mu.Unlock()
 	fresh, err := m.alloc.adopt(id)
 	if fresh {
-		m.pages[id] = make([]byte, m.pageSize)
+		m.pages[id] = m.zero
 	}
 	return err
 }

@@ -194,6 +194,115 @@ func TestShardQueryDuringLogSync(t *testing.T) {
 	}
 }
 
+// parkingWAL is a shard's store whose first page Write after arming parks
+// until released: it holds a write batch inside the build of its new
+// index, before the serving latch.
+type parkingWAL struct {
+	*pager.WALStore
+	*gate
+}
+
+func (w *parkingWAL) Write(p *pager.Page) error {
+	w.pass()
+	return w.WALStore.Write(p)
+}
+
+// queryDuringBuild opens a shard over a parkingWAL, applies ms[:32], and
+// parks the first page write of write, which must build a new index
+// before it installs one holding ms: queries complete meanwhile and answer
+// the pre-batch state, and write returns only once it is released, with
+// the batch in.
+func queryDuringBuild(t *testing.T, cfg Config, ms []dual.Motion, write func(*Shard) error) *Shard {
+	t.Helper()
+	ctx := context.Background()
+	leakcheck.Check(t)
+	w := &parkingWAL{gate: newGate()}
+	cfg.WrapStore = func(st pager.Store) pager.Store {
+		w.WALStore = st.(*pager.WALStore)
+		return w
+	}
+	s, err := openMem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		w.release() // before Close: a failed check must not strand the write
+		if err := s.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	if err := s.Apply(ctx, opsFor(ms[:32])); err != nil {
+		t.Fatal(err)
+	}
+
+	w.armed.Store(true)
+	wrote := make(chan error, 1)
+	go func() { wrote <- write(s) }()
+	select {
+	case <-w.parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the write never built a page")
+	}
+
+	answered := make(chan error, 1)
+	go func() { answered <- checkExact(ctx, s, ms[:32]) }()
+	select {
+	case err := <-answered:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a query blocked behind the build")
+	}
+	select {
+	case err := <-wrote:
+		t.Fatalf("the write returned before its build finished (err %v)", err)
+	default:
+	}
+	w.release()
+	if err := <-wrote; err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if err := checkExact(ctx, s, ms); err != nil {
+		t.Fatal(err)
+	}
+	if h := s.Health(); !h.Healthy {
+		t.Fatalf("shard after the write: %+v", h)
+	}
+	return s
+}
+
+// TestShardQueryDuringFold parks a page write of the folded base an
+// ingest Apply builds: queries answer the pre-batch state meanwhile, and
+// the Apply returns after the fold.
+func TestShardQueryDuringFold(t *testing.T) {
+	ms := motions1D(64)
+	s := queryDuringBuild(t, Config{Terrain: terrain1D, Ingest: tinyIngest()}, ms, func(s *Shard) error {
+		return s.Apply(context.Background(), opsFor(ms[32:]))
+	})
+	if st, _ := s.IngestStats(); st.Merges != 1 || st.MemLen != 0 {
+		t.Fatalf("after the folding Apply: %d folds, %d OIDs in the delta; want 1 and 0", st.Merges, st.MemLen)
+	}
+}
+
+// TestShardQueryDuringBulkLoad parks a page write of the index a BulkLoad
+// builds, on a flat and on an ingest shard: queries answer the pre-batch
+// state meanwhile, and the BulkLoad returns after the build.
+func TestShardQueryDuringBulkLoad(t *testing.T) {
+	ms := motions1D(64)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"flat", Config{Terrain: terrain1D}},
+		{"ingest", Config{Terrain: terrain1D, Ingest: tinyIngest()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			queryDuringBuild(t, tc.cfg, ms, func(s *Shard) error { return s.BulkLoad(context.Background(), ms) })
+		})
+	}
+}
+
 // checkExact compares every test query's answer from s with brute force
 // over ms.
 func checkExact(ctx context.Context, s *Shard, ms []dual.Motion) error {

@@ -52,8 +52,8 @@ type Migration struct {
 // from the Env's surviving media; Split rebalances a hot band while the
 // cluster serves; Revive brings a quarantined shard back. All admin
 // operations are serialized; serving operations (Query/Apply/BulkLoad)
-// run concurrently with everything except the short quiesce barriers
-// around a migration flip and a source trim.
+// run concurrently with everything except the short quiesce barrier
+// around a migration flip.
 type Cluster struct {
 	env    Env
 	cfg    ClusterConfig
@@ -349,34 +349,32 @@ func (c *Cluster) migratePrepared(ctx context.Context) error {
 // its narrowed band. Before the trim the source holds a superset of its
 // band — harmless, since shard answers are predicate-exact and the merge
 // deduplicates — so this step only reclaims space and is safe to redo.
-// The trim runs under the quiesce barrier so no write lands between the
-// catalog read and the atomic replace.
+// The trim is the source's own Retain: its writer latch keeps any write
+// from landing between the catalog read and the atomic replace, and
+// queries on every band, the source's included, run meanwhile.
 func (c *Cluster) migrateRetire(ctx context.Context) error {
 	mig := c.cur.Mig
 	if mig.State != migFlipped {
 		return fmt.Errorf("shard: retire in migration state %d", mig.State)
 	}
-	err := c.router.swapTopology(func(old topology) (topology, error) {
-		src := old.shards[mig.Band]
-		cur, err := src.Motions()
-		if err != nil {
-			return topology{}, fmt.Errorf("shard: retire read: %w", err)
-		}
-		keep := filterAssigned(old.part, cur, mig.Band)
-		if len(keep) != len(cur) {
-			if err := src.BulkLoad(ctx, keep); err != nil {
-				return topology{}, fmt.Errorf("shard: retire trim: %w", err)
-			}
-		}
-		m := c.cur
-		m.Mig = migRecord{State: migNone}
-		if err := c.man.save(m); err != nil {
-			return topology{}, fmt.Errorf("shard: retire finish: %w", err)
-		}
-		c.cur = m
-		return old, nil
-	})
-	return err
+	part, err := c.cur.partitionerOf()
+	if err != nil {
+		return err
+	}
+	src := c.router.Shard(mig.Band)
+	if src == nil {
+		return fmt.Errorf("shard: retire source band %d missing", mig.Band)
+	}
+	if err := src.Retain(ctx, func(m dual.Motion) bool { return assignedTo(part, m, mig.Band) }); err != nil {
+		return fmt.Errorf("shard: retire trim: %w", err)
+	}
+	m := c.cur
+	m.Mig = migRecord{State: migNone}
+	if err := c.man.save(m); err != nil {
+		return fmt.Errorf("shard: retire finish: %w", err)
+	}
+	c.cur = m
+	return nil
 }
 
 // Revive brings the shard serving band back: the dead instance is closed,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"mobidx/internal/bptree"
@@ -102,15 +103,18 @@ type Health struct {
 var ErrShardDown = errors.New("shard: shard down")
 
 // Shard is one partition's server: a Dual-B+ index over a write-ahead-
-// logged private store, behind a context-aware interface. Queries share a
-// read latch; Apply/BulkLoad take the writer latch, then the write latch,
-// and run as one atomic WAL batch — a failed batch leaves no durable trace
-// and quarantines the shard (see Health). Every batch also rewrites the
-// shard's superblock and appends to its motion catalog (see durable.go),
-// so Open can recover the shard from its surviving base store and log
-// alone. The batch's log sync and the checkpoint it makes due run after
-// the write latch is released, under the writer latch alone, so queries
-// keep flowing.
+// logged private store, behind a context-aware interface. Queries share
+// the serving latch; Apply/BulkLoad take the writer latch and run as one
+// atomic WAL batch — a failed batch leaves no durable trace and
+// quarantines the shard (see Health). A bulk rebuild (BulkLoad, Retain,
+// an ingest fold) builds its new index under the writer latch alone,
+// beside the live one, and takes the serving latch only to install it;
+// the flat Apply edits the trees under the serving latch. Every batch also
+// rewrites the shard's superblock and appends to its motion catalog (see
+// durable.go), so Open can recover the shard from its surviving base
+// store and log alone. The batch's log sync and the checkpoint it makes
+// due run after the serving latch is released, under the writer latch
+// alone, so queries keep flowing.
 type Shard struct {
 	id       int
 	terrain  dual.Terrain
@@ -129,11 +133,12 @@ type Shard struct {
 	tier    *ingest.Tier
 	flushed int
 
-	// wmu is the writer latch: Apply, BulkLoad, Checkpoint and Close hold
-	// it, taken before mu, so writers and checkpoints run one at a time
-	// while mu is held only across what readers must not see half done.
+	// wmu is the writer latch: Apply, BulkLoad, Retain, Checkpoint and
+	// Close hold it, taken before mu, so writers and checkpoints run one at
+	// a time while mu is held only across what readers must not see half
+	// done: a write's install step and its commit (see write).
 	wmu sync.Mutex
-	mu  sync.RWMutex // serving latch: Query RLock, Apply/BulkLoad Lock
+	mu  sync.RWMutex // serving latch: Query RLock, a write's install Lock
 
 	stateMu     sync.Mutex
 	consecFails int
@@ -395,10 +400,20 @@ func (s *Shard) Apply(ctx context.Context, ops []Op) error {
 		return err
 	}
 	applied := 0
-	return s.write(func() error {
-		if s.tier != nil {
-			return s.applyTier(ctx, ops, &applied)
-		}
+	clean := func(err error) bool {
+		// A pre-first-op cancellation left the in-memory index untouched;
+		// every other failure (including a first op that died mid-split)
+		// may have mutated it.
+		return applied == 0 && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
+	}
+	if s.tier != nil {
+		var b *ingest.Batch
+		return s.write(func() (err error) {
+			b, err = s.buildTier(ctx, ops, &applied)
+			return err
+		}, func() error { return s.installTier(b, ops) }, clean)
+	}
+	return s.write(nil, func() error {
 		for _, op := range ops {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -418,37 +433,50 @@ func (s *Shard) Apply(ctx context.Context, ops []Op) error {
 			return err
 		}
 		return s.saveMeta()
-	}, func(err error) bool {
-		// A pre-first-op cancellation left the in-memory index untouched;
-		// every other failure (including a first op that died mid-split)
-		// may have mutated it.
-		return applied == 0 && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-	})
+	}, clean)
 }
 
-// write runs one write batch, Apply's or BulkLoad's. Under the writer
-// latch and then the serving latch, body edits the index, the catalog and
-// the superblock inside one WAL batch, whose commit appends its log
-// records and publishes its page images. The serving latch is released
-// before the log is synced, so queries run during the fsync and may see
-// the batch up to one fsync before it is durable; write returns only after
-// the sync, so an acknowledged batch is a durable one. A failed batch
-// quarantines the shard before readers can see its in-memory state, unless
-// clean (nil: never) vouches that the failure left that state untouched; a
-// failed sync quarantines it too. A success runs the checkpoint it made
-// due.
-func (s *Shard) write(body func() error, clean func(error) bool) error {
+// write runs one write batch, Apply's or BulkLoad's, in two steps inside
+// one WAL batch under the writer latch. build (nil: none) runs first,
+// without the serving latch: it may read what only writers change and
+// stage pages no query reaches, such as a bulk rebuild's new index, but
+// changes nothing a query reads, so queries keep answering the pre-batch
+// state meanwhile. install then runs under the serving latch: it edits
+// what queries read, the catalog and the superblock, and the batch
+// commits, appending its log records and publishing its page images. The
+// serving latch is released before the log is synced, so queries run
+// during the fsync and may see the batch up to one fsync before it is
+// durable; write returns only after the sync, so an acknowledged batch is
+// a durable one. A failed batch quarantines the shard before readers can
+// see its in-memory state, unless clean (nil: never) vouches that the
+// failure left that state untouched; a failed sync quarantines it too. A
+// success runs the checkpoint it made due.
+func (s *Shard) write(build, install func() error, clean func(error) bool) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	s.mu.Lock()
+	return s.writeLocked(build, install, clean)
+}
+
+// writeLocked is write for a caller that holds the writer latch.
+func (s *Shard) writeLocked(build, install func() error, clean func(error) bool) error {
+	serving := false
 	err := pager.RunBatch(s.store, func() error {
 		s.wal.DeferSync()
-		return body()
+		if build != nil {
+			if err := build(); err != nil {
+				return err
+			}
+		}
+		s.mu.Lock()
+		serving = true
+		return install()
 	})
 	if err != nil && (clean == nil || !clean(err)) {
 		s.quarantine(err)
 	}
-	s.mu.Unlock()
+	if serving {
+		s.mu.Unlock()
+	}
 	if err == nil {
 		if err = s.wal.SyncLog(); err != nil {
 			err = fmt.Errorf("shard %d: %w", s.id, err)
@@ -475,25 +503,29 @@ func (s *Shard) checkpointIfDue() {
 	}
 }
 
-// applyTier is Apply's batch body on the ingest path: ops stage into the
-// write tier (validated with the same discipline the flat path's
-// Insert/Delete enforce) and the catalog logs the delta without
-// compacting, preserving the base-covers-prefix invariant. When the tier
-// folds into the base (Add reports merged), the whole catalog is
-// rewritten from the tier's base contents inside this same batch and the
-// flushed watermark advances to cover it — so a crash at any boundary
-// recovers either the pre-batch state or the post-merge state, never a
-// torn run. Must run inside the shard's open batch, under the write
-// latch.
-func (s *Shard) applyTier(ctx context.Context, ops []Op, applied *int) error {
+// buildTier is the build step of Apply on the ingest path: the tier
+// checks ops with the same discipline the flat path's Insert/Delete
+// enforce and, when staging them will fold its delta, builds the folded
+// base beside the live one (ingest.Tier.Build).
+func (s *Shard) buildTier(ctx context.Context, ops []Op, applied *int) (*ingest.Batch, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	// The tier stages the whole batch in memory; from here on any failure
-	// may have mutated tier state, so the caller's quarantine logic treats
-	// the batch as entered.
+	// From here on a failure may have left state behind, so the caller's
+	// quarantine logic treats the batch as entered.
 	*applied = len(ops)
-	merged, err := s.tier.Add(ops)
+	return s.tier.Build(ops)
+}
+
+// installTier is the install step of Apply on the ingest path: the tier
+// stages the ops into its delta, and the catalog logs them without
+// compacting, preserving the base-covers-prefix invariant. When the tier
+// folds (Install reports merged), the whole catalog is rewritten from the
+// tier's base contents inside this same batch and the flushed watermark
+// advances to cover it — so a crash at any boundary recovers either the
+// pre-batch state or the post-merge state, never a torn run.
+func (s *Shard) installTier(b *ingest.Batch, ops []Op) error {
+	merged, err := s.tier.Install(b)
 	if err != nil {
 		return err
 	}
@@ -509,9 +541,11 @@ func (s *Shard) applyTier(ctx context.Context, ops []Op, applied *int) error {
 }
 
 // BulkLoad atomically replaces the shard's contents with ms (one WAL
-// batch, bottom-up builders — see core.DualBPlus.BulkLoad). Like Apply, it
-// refuses an invalid motion before any latch, a failure quarantines the
-// shard, and a due checkpoint follows a success.
+// batch, bottom-up builders — see core.DualBPlus.BulkLoad). The new index
+// is built beside the live one, which answers queries until it is
+// installed (see write). Like Apply, it refuses an invalid motion before
+// any latch, a failure quarantines the shard, and a due checkpoint
+// follows a success.
 func (s *Shard) BulkLoad(ctx context.Context, ms []dual.Motion) error {
 	for _, m := range ms {
 		if err := core.ValidateMotion(m, s.terrain); err != nil {
@@ -524,24 +558,72 @@ func (s *Shard) BulkLoad(ctx context.Context, ms []dual.Motion) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return s.write(func() error {
-		if s.tier != nil {
-			// Load through the tier: base replaced, delta cleared, catalog
-			// fully covered by the new base.
-			if err := s.tier.Load(ms); err != nil {
-				return err
-			}
-		} else if err := s.ix.BulkLoad(ms); err != nil {
-			return err
-		}
-		if err := s.cat.rewrite(ms); err != nil {
-			return err
-		}
-		if s.tier != nil {
-			s.flushed = s.cat.records
-		}
-		return s.saveMeta()
-	}, nil)
+	r := &rebuild{s: s, ms: ms}
+	return s.write(r.build, r.install, nil)
+}
+
+// Retain drops every motion keep refuses, as one BulkLoad of the rest;
+// when keep refuses none it writes nothing. It reads the catalog under the
+// writer latch, so no write lands between the read and the replace, and
+// like BulkLoad it builds the new index while queries run.
+func (s *Shard) Retain(ctx context.Context, keep func(dual.Motion) bool) error {
+	if err := s.down(); err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	cur, err := s.cat.motions()
+	if err != nil {
+		return err
+	}
+	n := len(cur)
+	kept := slices.DeleteFunc(cur, func(m dual.Motion) bool { return !keep(m) })
+	if len(kept) == n {
+		return nil
+	}
+	r := &rebuild{s: s, ms: kept}
+	return s.writeLocked(r.build, r.install, nil)
+}
+
+// rebuild replaces the shard's contents with ms in write's two steps.
+type rebuild struct {
+	s    *Shard
+	ms   []dual.Motion
+	swap func() error // installs what build built
+}
+
+// build loads ms into a new index beside the live one: the tier's base,
+// or the flat index's.
+func (r *rebuild) build() (err error) {
+	if r.s.tier == nil {
+		r.swap, err = r.s.ix.Build(r.ms)
+		return err
+	}
+	b, err := r.s.tier.BuildLoad(r.ms)
+	r.swap = func() error {
+		_, err := r.s.tier.Install(b)
+		return err
+	}
+	return err
+}
+
+// install puts the new index in place of the live one, frees the old
+// one's pages, and rewrites the catalog and the superblock to match.
+func (r *rebuild) install() error {
+	s := r.s
+	if err := r.swap(); err != nil {
+		return err
+	}
+	if err := s.cat.rewrite(r.ms); err != nil {
+		return err
+	}
+	if s.tier != nil {
+		s.flushed = s.cat.records
+	}
+	return s.saveMeta()
 }
 
 // IngestStats reports the write tier's shape and counters; ok is false

@@ -100,14 +100,17 @@ echo "== I/O off the read path (race-gated) =="
 # View and Read, and a FileStore Read all return while it is parked, and
 # see the published batch; a batch begun meanwhile, or already open when
 # the fsync began, waits and lands after it; the write is not
-# acknowledged before its fsync ends. A failed
+# acknowledged before its fsync ends. A fold or a BulkLoad parked inside
+# a page write of the index it builds must not stall readers either: they
+# answer the pre-batch state, and the write returns after the build. A failed
 # checkpoint still acknowledges the durable batch that made it due, and a
 # failed log fsync quarantines the shard and feeds its batch to no
 # subscription. Each deadlocks or times out if the I/O runs under a latch
 # readers take.
 go test -race -count=1 -run 'TestWALCheckpointIOPhase|TestWALLogSyncOffLatch|TestWALSyncCoversLaterBatch|TestFileStoreReadDuringSync' ./internal/pager
-go test -race -count=1 -run 'TestShardQueryDuringCheckpoint|TestShardCheckpointFailureAcksBatch|TestShardQueryDuringLogSync|TestShardSyncFailureQuarantines' \
+go test -race -count=1 -run 'TestShardQueryDuringCheckpoint|TestShardCheckpointFailureAcksBatch|TestShardQueryDuringLogSync|TestShardSyncFailureQuarantines|TestShardQueryDuringFold|TestShardQueryDuringBulkLoad' \
 	./internal/shard
+go test -race -count=1 -run 'TestTierQueryDuringFoldBuild' ./internal/ingest
 
 echo "== stress matrix (GOMAXPROCS=1,4) =="
 # The concurrency tests must hold both when goroutines interleave on one
@@ -129,7 +132,7 @@ echo "== zero-allocation gates =="
 # Insert/Delete must allocate nothing but the one page image the stores
 # below share (TestUpdateZeroAllocAboveStores);
 # in the pager a commit allocates the same for 8 staged pages as for 512,
-# a pool write one image, a pool miss on a page the WAL holds only the
+# a MemStore Allocate one image, a pool write one image, a pool miss on a page the WAL holds only the
 # frame header, and a FileStore write (trailer included) nothing; in the
 # subscription engine an upsert or a certificate
 # fire that changes no membership allocates nothing; a serving query
