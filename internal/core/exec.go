@@ -183,13 +183,14 @@ func (s *Scratch) RunPiecesCtx(ctx context.Context, exec *Executor, pieces []fun
 // result is identical for every worker count — the property the
 // differential tests pin down.
 //
-// The sort is the reflective sort.Slice on purpose. A typed sort roughly
-// doubles read_small's query rate, but the benchmark reads heap_live_mb
-// with every 50th answer still held, so the faster reader fails that
-// metric's bound until the benchmark stops counting kept answers
-// (ROADMAP item 1(a)). Then Merge should sort each bucket with
-// slices.Sort and Union them, as the ingest tier already does, and the
-// tier's own loop go.
+// The sort is the reflective sort.Slice on purpose. Sorting each bucket
+// with slices.Sort and merging them with Union, as the ingest tier
+// already does, lifts read_small's query rate ≈ 16 % and read_large's
+// ≈ 46 % (EXPERIMENTS.md, PR 45), but the benchmark reads heap_live_mb
+// with every 50th answer still held, so read_large's rises ≈ 34 %, past
+// that metric's bound, until the benchmark stops counting kept answers
+// (ROADMAP item 1(a)). Then Merge should do so, and the tier's own loop
+// go.
 func (s *Scratch) Merge(buckets [][]dual.OID) []dual.OID {
 	start := len(s.merged)
 	n := 0

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"mobidx/internal/bptree"
@@ -291,7 +290,7 @@ func (c *Cluster) migratePrepared(ctx context.Context) error {
 	}
 	// Warm load: the bulk of the copy happens while the source serves.
 	// The receiver is not in any topology yet, so nothing can query it.
-	snap, err := src.Motions()
+	snap, gen, err := src.snapshot()
 	if err != nil {
 		return errors.Join(fmt.Errorf("shard: split snapshot: %w", err), recv.Close())
 	}
@@ -299,17 +298,22 @@ func (c *Cluster) migratePrepared(ctx context.Context) error {
 		return errors.Join(fmt.Errorf("shard: split warm load: %w", err), recv.Close())
 	}
 	// Flip: under the exclusive topology lock nothing is in flight, so
-	// the source catalog is final. Catch up the receiver if writes landed
-	// since the snapshot, commit the flipped manifest (epoch bump + new
-	// band table) in one batch, and install the new topology. The barrier
-	// holds only for the delta plus one small manifest write.
+	// the source catalog is final. Catch up the receiver only if a write
+	// moved the catalog's generation since the snapshot, commit the
+	// flipped manifest (epoch bump + new band table) in one batch, and
+	// install the new topology. Without such a write the barrier holds
+	// only for one small manifest write and reads no catalog; with one, it
+	// also re-enumerates the source and reloads the receiver.
 	err = c.router.swapTopology(func(old topology) (topology, error) {
-		cur, err := src.Motions()
+		now, err := src.catalogGen()
 		if err != nil {
 			return topology{}, fmt.Errorf("shard: split catch-up read: %w", err)
 		}
-		// Both enumerations are in the catalog's one sorted order.
-		if !slices.Equal(cur, snap) {
+		if now != gen {
+			cur, err := src.Motions()
+			if err != nil {
+				return topology{}, fmt.Errorf("shard: split catch-up read: %w", err)
+			}
 			if err := recv.BulkLoad(ctx, filterAssigned(newPart, cur, mig.Band+1)); err != nil {
 				return topology{}, fmt.Errorf("shard: split catch-up load: %w", err)
 			}

@@ -2,10 +2,13 @@ package shard
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"mobidx/internal/dual"
+	"mobidx/internal/pager"
 )
 
 func clusterMotions(n int) []dual.Motion {
@@ -210,6 +213,92 @@ func TestClusterSplitCrashResume(t *testing.T) {
 		t.Fatal("migration still pending after resume")
 	}
 	assertOracle(t, c2, qs, want, "after resume")
+}
+
+// warmLoadGate is a split receiver's store whose first page write after
+// the batch that initializes its fresh media parks until released: it
+// holds the split inside its warm load, after the source snapshot and
+// before the flip.
+type warmLoadGate struct {
+	*pager.WALStore
+	*gate
+}
+
+func (w *warmLoadGate) Write(p *pager.Page) error {
+	if w.CommittedSeq() == 1 {
+		w.pass()
+	}
+	return w.WALStore.Write(p)
+}
+
+// TestClusterSplitCatchUp parks a split of band 1 of two in its warm load
+// and, in one run, applies a write to the source band meanwhile: a delete
+// and an insert in the receiver's half. The split cluster must answer the
+// oracle with the write in, and the receiver must have been loaded twice,
+// the second time under the barrier; with no write between the snapshot
+// and the flip it is loaded once.
+func TestClusterSplitCatchUp(t *testing.T) {
+	ctx := context.Background()
+	ms := clusterMotions(300)
+	qs := clusterQueries()
+	gone := slices.IndexFunc(ms, func(m dual.Motion) bool { return m.V > 0 && m.Y0 >= 800 && m.Y0 <= 950 })
+	for _, write := range []bool{false, true} {
+		t.Run(fmt.Sprintf("write=%v", write), func(t *testing.T) {
+			g := &warmLoadGate{gate: newGate()}
+			g.armed.Store(true)
+			cfg := testClusterConfig()
+			cfg.WrapStore = func(storeID int) func(pager.Store) pager.Store {
+				if storeID != 2 { // the receiver: the store after bands 0 and 1
+					return nil
+				}
+				return func(st pager.Store) pager.Store {
+					g.WALStore = st.(*pager.WALStore)
+					return g
+				}
+			}
+			c, err := OpenCluster(NewMemEnv(512), cfg, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				g.release() // before Close: a failed check must not strand the split
+				if err := c.Close(); err != nil {
+					t.Errorf("close: %v", err)
+				}
+			})
+			if err := c.BulkLoad(ctx, ms); err != nil {
+				t.Fatal(err)
+			}
+			split := make(chan error, 1)
+			go func() { split <- c.Split(ctx, 1, 750) }()
+			select {
+			case <-g.parked:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the split never loaded its receiver")
+			}
+			want := ms
+			if write {
+				extra := dual.Motion{OID: 9001, Y0: 820, V: 0.3}
+				if err := c.Apply(ctx, []Op{{M: ms[gone]}, {Insert: true, M: extra}}); err != nil {
+					t.Fatal(err)
+				}
+				want = append(slices.Delete(slices.Clone(ms), gone, gone+1), extra)
+			}
+			g.release()
+			if err := <-split; err != nil {
+				t.Fatal(err)
+			}
+			assertOracle(t, c, qs, oracleAnswers(want, qs), "after split")
+			// The receiver's catalog is rewritten once per load.
+			wantLoads := uint64(1)
+			if write {
+				wantLoads = 2
+			}
+			if loads, err := c.Router().Shard(2).catalogGen(); err != nil || loads != wantLoads {
+				t.Fatalf("receiver loaded %d times (%v), want %d", loads, err, wantLoads)
+			}
+		})
+	}
 }
 
 // TestClusterRevive quarantines a shard with a poisoned batch, trips its

@@ -182,6 +182,10 @@ type catalog struct {
 	chain   *pager.RecordChain
 	live    int // records currently live (inserts minus deletes)
 	records int // total records in the log
+	// gen counts the appends and rewrites, which run in a write's install
+	// step under Shard.mu: two reads of the log that see the same gen see
+	// the same records.
+	gen uint64
 }
 
 // initCatalog allocates an empty catalog inside the caller's open batch.
@@ -276,6 +280,7 @@ func (c *catalog) appendRaw(ops []Op) error {
 		}
 	}
 	c.records += len(ops)
+	c.gen++
 	return c.chain.Append(recs)
 }
 
@@ -288,6 +293,7 @@ func (c *catalog) rewrite(ms []dual.Motion) error {
 		recs = appendCatRec(recs, Op{Insert: true, M: m})
 	}
 	c.live, c.records = len(ms), len(ms)
+	c.gen++
 	return c.chain.Rewrite(recs)
 }
 
@@ -296,8 +302,18 @@ func (c *catalog) rewrite(ms []dual.Motion) error {
 // Y0, V) so identical states enumerate identically; the records after them
 // come back as ops. The ingest tier's recovery splits the log at the
 // flushed watermark this way, into the base's contents and the delta.
+//
+// The fold is a merge, not a count: the prefix's inserts and deletes are
+// read into two slices, each sorted only if it is out of order, and one
+// pass subtracts every delete from one copy of its motion, so identical
+// replicas keep their multiplicity. A catalog rewritten from a sorted
+// enumeration (a split's receiver and trimmed source, a flat compaction)
+// replays without a sort.
 func (c *catalog) replay(prefix int) (ms []dual.Motion, suffix []Op, err error) {
-	counts := make(map[dual.Motion]int)
+	// The inserts number at most (records+live)/2, exactly that when the
+	// prefix is the whole log.
+	ins := make([]dual.Motion, 0, min(prefix, (c.records+c.live)/2))
+	var del []dual.Motion
 	n := 0
 	err = c.chain.Scan(func(recs []byte) error {
 		for ; len(recs) >= catRecLen; recs = recs[catRecLen:] {
@@ -305,9 +321,9 @@ func (c *catalog) replay(prefix int) (ms []dual.Motion, suffix []Op, err error) 
 			case n >= prefix:
 				suffix = append(suffix, op)
 			case op.Insert:
-				counts[op.M]++
+				ins = append(ins, op.M)
 			default:
-				counts[op.M]--
+				del = append(del, op.M)
 			}
 			n++
 		}
@@ -316,17 +332,40 @@ func (c *catalog) replay(prefix int) (ms []dual.Motion, suffix []Op, err error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	for m, k := range counts {
-		if k < 0 {
-			return nil, nil, fmt.Errorf("shard: catalog: motion %d deleted more than inserted: %w",
-				m.OID, pager.ErrPageCorrupt)
-		}
-		for ; k > 0; k-- {
-			ms = append(ms, m)
-		}
+	sortMotions(ins)
+	sortMotions(del)
+	ms, err = subtractMotions(ins, del)
+	if err != nil {
+		return nil, nil, err
 	}
-	slices.SortFunc(ms, compareMotions)
 	return ms, suffix, nil
+}
+
+// sortMotions puts ms in the catalog's order unless it already is.
+func sortMotions(ms []dual.Motion) {
+	if !slices.IsSortedFunc(ms, compareMotions) {
+		slices.SortFunc(ms, compareMotions)
+	}
+}
+
+// subtractMotions removes one copy of each of del's motions from ins, both
+// sorted, in place, and returns what is left. A delete with no copy left
+// to remove is a corrupt catalog.
+func subtractMotions(ins, del []dual.Motion) ([]dual.Motion, error) {
+	w, i := 0, 0
+	for _, d := range del {
+		for i < len(ins) && compareMotions(ins[i], d) < 0 {
+			ins[w] = ins[i]
+			w, i = w+1, i+1
+		}
+		if i == len(ins) || compareMotions(ins[i], d) != 0 {
+			return nil, fmt.Errorf("shard: catalog: motion %d deleted more than inserted: %w",
+				d.OID, pager.ErrPageCorrupt)
+		}
+		i++
+	}
+	w += copy(ins[w:], ins[i:])
+	return ins[:w], nil
 }
 
 // compareMotions is the catalog's enumeration order: by OID, then T0, Y0

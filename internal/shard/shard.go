@@ -641,14 +641,36 @@ func (s *Shard) IngestStats() (ingest.Stats, bool) {
 // sorted by (OID, T0, Y0, V). This is the exact record of what the shard
 // holds — the dual transform is not invertible in a way that preserves
 // residence intervals, so migration, peer rebuild and the router's
-// subscription seeding read from here, not from the trees.
+// subscription seeding read from here, not from the trees. It costs one
+// pass over the catalog, and a sort only when its records are out of
+// order (see catalog.replay).
 func (s *Shard) Motions() ([]dual.Motion, error) {
+	ms, _, err := s.snapshot()
+	return ms, err
+}
+
+// snapshot is Motions plus the catalog generation it enumerated: while
+// catalogGen still returns that generation, Motions would return the same
+// motions.
+func (s *Shard) snapshot() ([]dual.Motion, uint64, error) {
 	if err := s.down(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.cat.motions()
+	ms, err := s.cat.motions()
+	return ms, s.cat.gen, err
+}
+
+// catalogGen returns the catalog's generation (see catalog.gen) without
+// reading the catalog; like Motions, it fails on a shard that is down.
+func (s *Shard) catalogGen() (uint64, error) {
+	if err := s.down(); err != nil {
+		return 0, err
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.cat.gen, nil
 }
 
 // Checkpoint folds the shard's committed WAL into its base store and

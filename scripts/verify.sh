@@ -151,8 +151,12 @@ echo "== bench smoke =="
 # BenchmarkWALCommitCycle (one shard's durable commits and due checkpoints
 # on real files) attributes the write path's fsync cost to the WAL: time
 # it with -benchtime 400x -count 5 against the parent commit.
+# internal/shard's BenchmarkCatalogReplay (one enumeration of a 50k-motion
+# catalog, as rewritten and with 10k update pairs appended) attributes a
+# split's catalog reads to the catalog: time it with -benchtime 20x
+# -count 5 against the parent commit.
 go test -run '^$' -bench . -benchtime=1x ./internal/bptree ./internal/pager ./internal/subscribe \
-	./internal/core ./internal/ingest
+	./internal/core ./internal/ingest ./internal/shard
 
 echo "== command smokes =="
 # The commands have no test files. mobbench runs its quickest sweep,
