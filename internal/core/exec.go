@@ -186,7 +186,7 @@ func (s *Scratch) RunPiecesCtx(ctx context.Context, exec *Executor, pieces []fun
 // The sort is the reflective sort.Slice on purpose. Sorting each bucket
 // with slices.Sort and merging them with Union, as the ingest tier
 // already does, lifts read_small's query rate ≈ 16 % and read_large's
-// ≈ 46 % (EXPERIMENTS.md, PR 45), but the benchmark reads heap_live_mb
+// ≈ 46 % (EXPERIMENTS.md, *The typed merge, re-measured*), but the benchmark reads heap_live_mb
 // with every 50th answer still held, so read_large's rises ≈ 34 %, past
 // that metric's bound, until the benchmark stops counting kept answers
 // (ROADMAP item 1(a)). Then Merge should do so, and the tier's own loop

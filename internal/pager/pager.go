@@ -290,16 +290,6 @@ func (m *MemStore) Read(id PageID) (*Page, error) {
 	return &Page{ID: id, Data: data}, nil
 }
 
-// CheckLive implements LiveChecker.
-func (m *MemStore) CheckLive(id PageID) error {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if !m.alloc.live(id) {
-		return fmt.Errorf("%w: %d", ErrPageNotFound, id)
-	}
-	return nil
-}
-
 // Write implements Store. The caller's slice becomes the page's image;
 // the old image is replaced, never mutated, so slices handed out by View
 // stay stable snapshots (see Viewer).
@@ -890,19 +880,6 @@ func (fs *FileStore) Read(id PageID) (*Page, error) {
 	data := make([]byte, fs.pageSize)
 	copy(data, slot)
 	return &Page{ID: id, Data: data}, nil
-}
-
-// CheckLive implements LiveChecker: the allocator's answer, with no I/O.
-func (fs *FileStore) CheckLive(id PageID) error {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	if fs.closed {
-		return ErrStoreClosed
-	}
-	if !fs.alloc.live(id) {
-		return fmt.Errorf("%w: %d", ErrPageNotFound, id)
-	}
-	return nil
 }
 
 func allZero(b []byte) bool {

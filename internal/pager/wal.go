@@ -423,29 +423,6 @@ type Adopter interface {
 	Disown(id PageID) error
 }
 
-// LiveChecker is implemented by stores that tell a live page from a dead
-// or never-allocated one by their allocator, without reading it: CheckLive
-// returns nil for a live page and what Read would return otherwise.
-// MemStore and FileStore implement it. A WALStore asks its base this
-// before it logs a free; on any other base it reads the page instead (a
-// pread and a checksum, under a FileStore), so a wrapper that sits between
-// a WALStore and a FileStore forwards it to keep frees free of I/O.
-// FaultStore does not: a free through it still reads the page, and meets
-// its read faults.
-type LiveChecker interface {
-	CheckLive(id PageID) error
-}
-
-// checkLive returns nil when page id of s is live, and what Read of it
-// would return otherwise.
-func checkLive(s Store, id PageID) error {
-	if lc, ok := s.(LiveChecker); ok {
-		return lc.CheckLive(id)
-	}
-	_, err := s.Read(id)
-	return err
-}
-
 // Batcher is implemented by stores that group operations into atomic
 // batches. See RunBatch.
 type Batcher interface {
@@ -1691,13 +1668,12 @@ func (w *WALStore) freeLocked(id PageID) error {
 		return fmt.Errorf("pager: free page %d: %w", id, ErrDoubleFree)
 	}
 	// Validate liveness now: once logged, a free MUST apply, so a bad id
-	// must be rejected before it can reach the log. A page only the base
-	// holds is vouched for by the base's allocator, not read (checkLive).
+	// must be rejected before it can reach the log.
 	_, inBatch := b.allocSet[id]
 	_, inWrites := b.writes[id]
 	_, inTable := w.table[id]
 	if !inBatch && !inWrites && !inTable {
-		if err := checkLive(w.base, id); err != nil {
+		if _, err := w.base.Read(id); err != nil {
 			return fmt.Errorf("pager: free page %d: %w", id, err)
 		}
 	}

@@ -663,65 +663,3 @@ func TestWALStatsAndPagesInUse(t *testing.T) {
 		t.Fatalf("PagesInUse after free = %d, want 0", got)
 	}
 }
-
-// TestWALFreeAsksBaseAllocator frees checkpointed pages, which only the
-// base holds, over a MemStore and a FileStore: the free of a live page
-// reads nothing from the base, its allocator vouches for the page, and a
-// never-allocated or already freed id is still refused with
-// ErrPageNotFound before it reaches the log.
-func TestWALFreeAsksBaseAllocator(t *testing.T) {
-	file, err := NewFileStore(filepath.Join(t.TempDir(), "pages"), walTestPageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = file.Close() })
-	for _, tc := range []struct {
-		name string
-		base Store
-	}{{"mem", NewMemStore(walTestPageSize)}, {"file", file}} {
-		t.Run(tc.name, func(t *testing.T) {
-			w := openTestWAL(t, tc.base, NewMemLog(), WALConfig{})
-			var ids []PageID
-			for i := 0; i < 3; i++ {
-				p, err := w.Allocate()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := w.Write(&Page{ID: p.ID, Data: walPattern(walTestPageSize, byte(i))}); err != nil {
-					t.Fatal(err)
-				}
-				ids = append(ids, p.ID)
-			}
-			if err := w.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			reads := tc.base.Stats().Reads
-			err := RunBatch(w, func() error {
-				for _, id := range ids[:2] {
-					if err := w.Free(id); err != nil {
-						return err
-					}
-				}
-				if err := w.Free(PageID(999)); !errors.Is(err, ErrPageNotFound) {
-					t.Errorf("free of a never-allocated page: %v, want ErrPageNotFound", err)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("free of live pages: %v", err)
-			}
-			if got := tc.base.Stats().Reads - reads; got != 0 {
-				t.Fatalf("freeing two live pages read %d pages of the base, want 0", got)
-			}
-			if err := w.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Free(ids[0]); !errors.Is(err, ErrPageNotFound) {
-				t.Fatalf("free of a freed page: %v, want ErrPageNotFound", err)
-			}
-			if _, err := w.Read(ids[2]); err != nil {
-				t.Fatalf("the page left live: %v", err)
-			}
-		})
-	}
-}
