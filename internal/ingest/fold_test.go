@@ -27,8 +27,8 @@ func (b *resortBase) Build(ms []dual.Motion) (func() error, error) {
 		return install, err
 	}
 	return func() error {
-		// The tier installs under its write latch, on this goroutine, with
-		// the batch staged into the delta.
+		// The tier installs on this goroutine, with the batch staged into
+		// the delta.
 		tr := b.tier
 		var want []dual.Motion
 		for _, m := range tr.baseMs {
@@ -50,8 +50,8 @@ func (b *resortBase) Build(ms []dual.Motion) (func() error, error) {
 	}, nil
 }
 
-// TestTierFoldMatchesResort drives a seeded stream through a tier with
-// small thresholds and checks every fold's motion list against the
+// TestTierFoldMatchesResort drives a seeded stream through a tier with a
+// small fold bound and checks every fold's motion list against the
 // concatenate-and-sort result and against a model of the live set. The
 // stream upserts base OIDs, inserts new OIDs below, between and above the
 // base OIDs, deletes (tombstones) and re-inserts an OID tombstoned earlier
@@ -59,7 +59,7 @@ func (b *resortBase) Build(ms []dual.Motion) (func() error, error) {
 func TestTierFoldMatchesResort(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	base := &resortBase{DualBPlus: newBase(t), t: t}
-	tier, err := New(base, Config{Terrain: testTerrain, MemtableFlush: 16, MaxRuns: 2})
+	tier, err := New(base, Config{Terrain: testTerrain, FoldOps: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +172,10 @@ func TestTierFoldMatchesResort(t *testing.T) {
 
 // BenchmarkTierFold times one fold of a 2048-OID delta (upserts,
 // tombstones and new OIDs) into a 100k-motion base: the merge and the
-// base's bulk reindex, as one Flush. Staging the delta is not timed.
+// base's bulk reindex. Staging the delta is not timed.
 func BenchmarkTierFold(b *testing.B) {
 	rng := rand.New(rand.NewSource(29))
-	tier, err := New(newBase(b), Config{Terrain: testTerrain, MemtableFlush: 1 << 20, MaxRuns: 1 << 20})
+	tier, err := New(newBase(b), Config{Terrain: testTerrain, FoldOps: 1 << 30})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -220,8 +220,6 @@ func BenchmarkTierFold(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if err := tier.Flush(); err != nil {
-			b.Fatal(err)
-		}
+		fold(b, tier)
 	}
 }

@@ -8,18 +8,16 @@ import (
 	"mobidx/internal/dual"
 )
 
-// TestTierFoldPoints pins where generations close and where the delta
-// folds, with MemtableFlush 3 and MaxRuns 2. A generation closes once
-// three distinct OIDs have been written in it: an OID rewritten inside
-// its generation counts once, one rewritten in a later generation counts
-// again (a plain distinct-OID count over the delta misses the second
-// case). The fold waits for the end of the Add that closes the second
-// generation. After each Add the test checks merged, Freezes, Merges and
-// the tier's answers against a brute-force map; from step 4 on, a tier
-// rebuilt by Attach + Replay shadows the original and must fold at the
-// same points.
+// TestTierFoldPoints pins where the delta folds, with FoldOps 5. Every op
+// counts toward the bound, a tombstone and a rewrite of an OID the delta
+// already holds included, so a hot set of a few OIDs folds as often as
+// fresh ones do. The fold waits for the end of the Add that reaches the
+// bound and covers that whole Add. After each Add the test checks merged,
+// Merges, the ops staged since the last fold and the tier's answers
+// against a brute-force map; from step 4 on, a tier rebuilt by Attach +
+// Replay shadows the original and must fold at the same points.
 func TestTierFoldPoints(t *testing.T) {
-	cfg := Config{Terrain: testTerrain, MemtableFlush: 3, MaxRuns: 2}
+	cfg := Config{Terrain: testTerrain, FoldOps: 5}
 	rng := rand.New(rand.NewSource(7))
 	tier, err := New(newBase(t), cfg)
 	if err != nil {
@@ -41,26 +39,26 @@ func TestTierFoldPoints(t *testing.T) {
 	batch := func(parts ...[]Op) []Op { return slices.Concat(parts...) }
 
 	steps := []struct {
-		ops             func() []Op
-		merged          bool
-		freezes, merges int
+		ops            func() []Op
+		merged         bool
+		staged, merges int
 	}{
-		{func() []Op { return batch(ins(1), ins(2)) }, false, 0, 0},
-		// A rewrite inside gen 0 counts once.
-		{func() []Op { return upd(1) }, false, 0, 0},
-		// The third distinct OID closes gen 0.
-		{func() []Op { return ins(3) }, false, 1, 0},
-		// A rewrite in gen 1 counts again.
-		{func() []Op { return upd(1) }, false, 1, 0},
-		// Closing gen 1 folds.
-		{func() []Op { return batch(upd(2), upd(3)) }, true, 2, 1},
-		// Two generations close mid-batch; the fold waits for its end.
-		{func() []Op { return batch(ins(4), ins(5), ins(6), ins(7), ins(8), ins(9), ins(10)) }, true, 4, 2},
-		// A tombstone, then a reinsert inside its generation.
-		{func() []Op { return del(4) }, false, 4, 2},
-		{func() []Op { return ins(4) }, false, 4, 2},
-		{func() []Op { return batch(ins(11), ins(12)) }, false, 5, 2},
-		{func() []Op { return batch(del(11), del(12), del(5)) }, true, 6, 3},
+		{func() []Op { return batch(ins(1), ins(2)) }, false, 2, 0},
+		{func() []Op { return upd(1) }, false, 4, 0},
+		// Reaching the bound exactly folds.
+		{func() []Op { return ins(3) }, true, 0, 1},
+		{func() []Op { return upd(1) }, false, 2, 1},
+		// Crossing it mid-batch folds at the batch's end.
+		{func() []Op { return batch(upd(2), upd(3)) }, true, 0, 2},
+		// One batch past the bound folds once.
+		{func() []Op { return batch(ins(4), ins(5), ins(6), ins(7), ins(8), ins(9), ins(10)) }, true, 0, 3},
+		// A tombstone, a reinsert and rewrites of that one OID all count.
+		{func() []Op { return del(4) }, false, 1, 3},
+		{func() []Op { return ins(4) }, false, 2, 3},
+		{func() []Op { return upd(4) }, false, 4, 3},
+		{func() []Op { return upd(4) }, true, 0, 4},
+		{func() []Op { return batch(ins(11), ins(12)) }, false, 2, 4},
+		{func() []Op { return batch(del(11), del(12), del(5)) }, true, 0, 5},
 	}
 
 	var rec *Tier   // the Attach + Replay copy, built after step 4
@@ -71,13 +69,10 @@ func TestTierFoldPoints(t *testing.T) {
 			t.Fatalf("step %d %s: Len %d, oracle %d", step, who, tr.Len(), len(cur))
 		}
 		for id := dual.OID(0); id <= 13; id++ {
-			m, ok, err := tr.Get(id)
-			if err != nil {
-				t.Fatal(err)
-			}
+			m, ok := tr.current(id)
 			want, wantOK := cur[id]
 			if ok != wantOK || (ok && m != want) {
-				t.Fatalf("step %d %s: Get(%d) = %+v,%v, oracle %+v,%v", step, who, id, m, ok, want, wantOK)
+				t.Fatalf("step %d %s: OID %d resolves to %+v,%v, oracle %+v,%v", step, who, id, m, ok, want, wantOK)
 			}
 		}
 		qs := []dual.MORQuery{{Y1: 0, Y2: testTerrain.YMax, T1: now, T2: now + 100}}
@@ -110,9 +105,9 @@ func TestTierFoldPoints(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		s := tier.Stats()
-		if merged != st.merged || s.Freezes != st.freezes || s.Merges != st.merges {
-			t.Fatalf("step %d: merged=%v Freezes=%d Merges=%d, want %v %d %d",
-				step, merged, s.Freezes, s.Merges, st.merged, st.freezes, st.merges)
+		if merged != st.merged || tier.staged != st.staged || s.Merges != st.merges {
+			t.Fatalf("step %d: merged=%v staged=%d Merges=%d, want %v %d %d",
+				step, merged, tier.staged, s.Merges, st.merged, st.staged, st.merges)
 		}
 		check(step, tier, "tier")
 		if rec != nil {
@@ -120,9 +115,9 @@ func TestTierFoldPoints(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d replayed: %v", step, err)
 			}
-			if rs := rec.Stats(); recMerged != merged || rs.Freezes != s.Freezes || rs.Merges != s.Merges {
-				t.Fatalf("step %d replayed: merged=%v Freezes=%d Merges=%d, original %v %d %d",
-					step, recMerged, rs.Freezes, rs.Merges, merged, s.Freezes, s.Merges)
+			if recMerged != merged || rec.staged != tier.staged {
+				t.Fatalf("step %d replayed: merged=%v staged=%d, original %v %d",
+					step, recMerged, rec.staged, merged, tier.staged)
 			}
 			check(step, rec, "replayed")
 		}
@@ -144,6 +139,9 @@ func TestTierFoldPoints(t *testing.T) {
 			}
 			if err := rec.Replay(suffix); err != nil {
 				t.Fatal(err)
+			}
+			if rec.staged != tier.staged {
+				t.Fatalf("replayed tier staged %d ops, original %d", rec.staged, tier.staged)
 			}
 			check(step, rec, "replayed")
 		}

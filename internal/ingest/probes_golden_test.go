@@ -11,29 +11,25 @@ import (
 
 // probeCounts is the counter half of Stats, the part a golden pins.
 type probeCounts struct {
-	RunProbes       int
-	Freezes, Merges int
+	RunProbes, Merges int
 }
 
 func probeCountsOf(t *Tier) probeCounts {
 	s := t.Stats()
-	return probeCounts{s.RunProbes, s.Freezes, s.Merges}
+	return probeCounts{s.RunProbes, s.Merges}
 }
 
 // TestGoldenProbeCounters pins the tier's probe counters after a seeded
 // add / fold / query / lookup stream: the same ops feed two tiers, one
 // answering through the sequential Query path and one through a
 // two-worker executor. Both count one probe per deduplicated base answer
-// and must read the same numbers; each Get is one probe more. Freezes and
-// Merges were captured from the implementation that kept the delta in a
-// memtable and frozen runs, so they pin the fold points across that
-// change. RunProbes was re-based when the delta became one map, and its
-// value is the executor path's count of that capture: the sequential
-// path's, which counted every emission of a Lemma 1 piece, was the one
-// that disagreed with Stats' "one per base answer".
+// and must read the same numbers. The counts were derived for FoldOps 96
+// by a brute-force replay of the same stream that knows nothing of the
+// tier: the base holds the live set as of the last fold, and a query's
+// probes are the base motions it matches.
 func TestGoldenProbeCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(3101))
-	cfg := Config{Terrain: testTerrain, MemtableFlush: 24, MaxRuns: 3}
+	cfg := Config{Terrain: testTerrain, FoldOps: 96}
 	seq, err := New(newBase(t), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -78,11 +74,8 @@ func TestGoldenProbeCounters(t *testing.T) {
 			}
 		}
 		if round == 17 {
-			for _, tier := range []*Tier{seq, par} {
-				if err := tier.Flush(); err != nil {
-					t.Fatal(err)
-				}
-			}
+			fold(t, seq)
+			fold(t, par)
 		}
 		for i := 0; i < 4; i++ {
 			q := morAt(rng, now)
@@ -101,9 +94,10 @@ func TestGoldenProbeCounters(t *testing.T) {
 		}
 		for i := 0; i < 6; i++ {
 			id := dual.OID(rng.Intn(450))
+			want, wantOK := cur[id]
 			for _, tier := range []*Tier{seq, par} {
-				if _, _, err := tier.Get(id); err != nil {
-					t.Fatal(err)
+				if m, ok := tier.current(id); ok != wantOK || (ok && m != want) {
+					t.Fatalf("round %d: OID %d resolves to %+v,%v, oracle %+v,%v", round, id, m, ok, want, wantOK)
 				}
 			}
 		}
@@ -123,7 +117,7 @@ func TestGoldenProbeCounters(t *testing.T) {
 // Never edit these to make the test pass.
 const goldenProbeAnswers = 3850
 
-var goldenProbes = probeCounts{RunProbes: 3048, Freezes: 22, Merges: 8}
+var goldenProbes = probeCounts{RunProbes: 2935, Merges: 9}
 
 // TestRunProbesSameOnEveryExecutor runs a Lemma 1 query — wider than one
 // subterrain, so its pieces emit some objects more than once — on a one-
@@ -131,7 +125,7 @@ var goldenProbes = probeCounts{RunProbes: 3048, Freezes: 22, Merges: 8}
 // answer, not one per emission.
 func TestRunProbesSameOnEveryExecutor(t *testing.T) {
 	rng := rand.New(rand.NewSource(3102))
-	tier, err := New(newBase(t), Config{Terrain: testTerrain, MemtableFlush: 1 << 20, MaxRuns: 8})
+	tier, err := New(newBase(t), Config{Terrain: testTerrain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +136,7 @@ func TestRunProbesSameOnEveryExecutor(t *testing.T) {
 	if _, err := tier.Add(ops); err != nil {
 		t.Fatal(err)
 	}
-	if err := tier.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	fold(t, tier)
 	q := dual.MORQuery{Y1: 5, Y2: 95, T1: 2, T2: 10}
 	emissions := 0
 	for _, sub := range tier.base.Subqueries(q) {

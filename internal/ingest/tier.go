@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"mobidx/internal/core"
@@ -36,31 +35,29 @@ type Config struct {
 	// Terrain validates inserted motions exactly as the base index would,
 	// so a motion the eventual merge must reject is refused at Add time.
 	Terrain dual.Terrain
-	// MemtableFlush closes the delta's open generation once this many
-	// distinct OIDs have been written in it (0 selects 2048).
-	MemtableFlush int
-	// MaxRuns folds the delta into the base, rebuilt in bulk, once this
-	// many generations have closed (0 selects 4).
-	MaxRuns int
+	// FoldOps folds the delta into the base, rebuilt in bulk, at the end
+	// of the Add that brings the ops staged since the last fold to this
+	// many or more (0 selects DefaultFoldOps).
+	FoldOps int
 }
 
+// DefaultFoldOps is FoldOps' default. On the benchmark's mixed_ingest
+// traffic it keeps the fold rate of the distinct-OID rule it replaced,
+// which folded every 13 123 to 13 330 ops (EXPERIMENTS.md).
+const DefaultFoldOps = 13 * 1024
+
 func (c Config) withDefaults() Config {
-	if c.MemtableFlush <= 0 {
-		c.MemtableFlush = 2048
-	}
-	if c.MaxRuns <= 0 {
-		c.MaxRuns = 4
+	if c.FoldOps <= 0 {
+		c.FoldOps = DefaultFoldOps
 	}
 	return c
 }
 
 // entry is the newest known state of one OID in the delta: an upserted
-// motion, or a tombstone masking the base, stamped with the generation
-// it was last written in.
+// motion, or a tombstone masking the base.
 type entry struct {
 	m    dual.Motion // a tombstone keeps only m.OID meaningful
 	tomb bool
-	gen  int
 }
 
 // ErrClosed is returned by operations on a closed tier.
@@ -71,49 +68,51 @@ type Stats struct {
 	// BaseLen and MemLen describe the current shape: motions in the base,
 	// OIDs in the delta.
 	BaseLen, MemLen int
-	// Freezes counts closed generations; Merges counts folds into the
-	// base.
-	Freezes, Merges int
-	// RunProbes counts the per-OID delta lookups of queries (one per base
-	// answer) and point lookups.
+	// Merges counts folds into the base.
+	Merges int
+	// RunProbes counts the per-OID delta lookups of queries, one per base
+	// answer.
 	RunProbes int
 	// BloomSkips and BloomFalsePos are always zero: the tier has no bloom
 	// filters. They remain because the benchmark's trace still reads them.
 	BloomSkips, BloomFalsePos int
 }
 
-// Tier is the log-structured write tier. All methods are safe for
-// concurrent use. Writes (Add, Flush, Load, Replay) serialize on the
-// writer latch wmu; queries and lookups share the read side of mu, and
-// may run in parallel through a core.Executor. A write holds mu's write
-// side only to install what it staged: a fold builds the new base under
-// wmu alone, beside the live one, so queries keep answering from the old
-// base while it fills (Build, Install). Durability is the caller's
-// concern — the tier is the volatile serving structure; internal/shard
-// journals ops in its motion catalog within the same WAL batch.
+// Tier is the log-structured write tier. It takes no latch: the caller
+// runs one write at a time — Add, Load, Replay, Close, or Build or
+// BuildLoad followed by the Install of its batch — and keeps the readers
+// (queries, Len, Stats, BaseMotions) out of every write step but Build
+// and BuildLoad. Those change nothing a reader sees, so readers may run
+// beside them and beside each other, queries in parallel through a
+// core.Executor: a fold builds its new base beside the live one while
+// queries keep answering from the old (Build, Install). internal/shard
+// keeps this contract with its own latches: every write runs under
+// Shard.wmu, an Install under the write side of Shard.mu, and queries
+// under its read side. Durability is the caller's concern — the tier is
+// the volatile serving structure; internal/shard journals ops in its
+// motion catalog within the same WAL batch.
 type Tier struct {
 	cfg  Config
 	base Base
 
-	wmu sync.Mutex   // writer latch: Add, Flush, Load, Replay, Close
-	mu  sync.RWMutex // serving latch: queries and lookups read, installs write
 	// The delta: every OID written since the last fold, newest-wins. slot
 	// maps an OID to its entry, so masking a base answer is one lookup and
 	// the query join ranges over the dense slice.
 	slot  map[dual.OID]int
 	delta []entry
-	// gen is the open generation, which is also the number closed since
-	// the last fold; genLen counts the distinct OIDs written in it.
-	gen, genLen int
+	// staged counts the ops staged since the last fold or load; in a
+	// shard, they are its catalog records past the flushed watermark.
+	staged int
 
 	baseMs []dual.Motion // base contents, ascending OID, unique
 	live   int           // total live motions (base ⊕ delta)
-	fail   error         // sticky: a failed install left base in-memory state unknown
-	closed bool
-	stats  Stats
+	// fail is sticky: ErrClosed, or the failed install that left the
+	// base's in-memory state unknown.
+	fail  error
+	stats Stats
 
-	// runProbes is atomic so queries and lookups count under the read
-	// latch; each call adds its tally once.
+	// runProbes is atomic because queries run concurrently; each adds its
+	// tally once.
 	runProbes atomic.Int64
 }
 
@@ -153,16 +152,9 @@ func sortByOID(ms []dual.Motion) ([]dual.Motion, error) {
 	return out, nil
 }
 
-func (t *Tier) ok() error {
-	if t.closed {
-		return ErrClosed
-	}
-	return t.fail
-}
-
-// currentLocked resolves id to its live motion, if any: the delta's
-// entry when it holds one, else the base contents.
-func (t *Tier) currentLocked(id dual.OID) (dual.Motion, bool) {
+// current resolves id to its live motion, if any: the delta's entry
+// when it holds one, else the base contents.
+func (t *Tier) current(id dual.OID) (dual.Motion, bool) {
 	if i, ok := t.slot[id]; ok {
 		if e := t.delta[i]; !e.tomb {
 			return e.m, true
@@ -176,38 +168,21 @@ func (t *Tier) currentLocked(id dual.OID) (dual.Motion, bool) {
 	return dual.Motion{}, false
 }
 
-// Get is the point lookup: the live motion for id, if any. Lookups
-// share the read latch, so they run concurrently with queries.
-func (t *Tier) Get(id dual.OID) (dual.Motion, bool, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if err := t.ok(); err != nil {
-		return dual.Motion{}, false, err
-	}
-	t.runProbes.Add(1)
-	m, ok := t.currentLocked(id)
-	return m, ok, nil
-}
-
 // Add applies ops to the write tier in order: inserts are validated
 // against the terrain and must target an absent OID, deletes must name
 // the exact live motion — the same discipline the flat Insert/Delete
 // path enforces. A batch is all-or-nothing: every op is checked before
-// any is staged. A generation closes once MemtableFlush distinct OIDs
-// have been written in it. If, after every op is staged, MaxRuns
-// generations have closed, the whole delta folds into a base rebuilt in
-// bulk; the fold deliberately covers the whole batch, so merged=true
-// means the base covers every op from this and all earlier Adds — a
-// caller that journals the delta can truncate its journal on that signal
-// without losing the batch's own tail. Add is Build then Install under
-// the writer latch: queries answer the pre-batch state until the
-// install. The fold is atomic when the caller runs Add inside a batch on
+// any is staged. If, with the batch staged, FoldOps or more ops have
+// been staged since the last fold, the whole delta folds into a base
+// rebuilt in bulk; the fold deliberately covers the whole batch, so
+// merged=true means the base covers every op from this and all earlier
+// Adds — a caller that journals the delta can truncate its journal on
+// that signal without losing the batch's own tail. Add is Build then
+// Install. The fold is atomic when the caller runs Add inside a batch on
 // a batching store, as the shard does through Build and Install; if its
 // install fails the base's in-memory state is unknown and the tier
 // poisons itself — the shard quarantines on the same failure.
 func (t *Tier) Add(ops []Op) (merged bool, err error) {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
 	b, err := t.Build(ops)
 	if err != nil {
 		return false, err
@@ -224,60 +199,41 @@ type Batch struct {
 	load    bool          // ms replaces the whole tier (Load)
 }
 
-// Build is Add's first step, for a caller that serializes its writers
-// itself and takes its own serving latch around the second (the shard
-// does both; Add takes the tier's writer latch). It checks ops as Add
-// does, and when staging them will fold the delta it builds the folded
-// base beside the live one. It changes nothing a query or lookup reads,
-// so they run meanwhile and answer the pre-batch state. No other write
-// may run between Build and the Install of its batch.
-func (t *Tier) Build(ops []Op) (*Batch, error) { return t.build(ops, false) }
-
-// build checks ops and, when fold is set or they close the MaxRuns-th
-// generation, builds the folded base.
-func (t *Tier) build(ops []Op, fold bool) (*Batch, error) {
-	b, folds, err := t.plan(ops, fold)
-	if err != nil || !folds {
-		return b, err
+// Build is Add's first step. It checks ops as Add does, and when staging
+// them will fold the delta it builds the folded base — the delta, the
+// batch's entries newest, merged into the base's contents — beside the
+// live one. It changes nothing a reader sees, so queries may run
+// meanwhile and answer the pre-batch state. No other write may run
+// between Build and the Install of its batch.
+func (t *Tier) Build(ops []Op) (*Batch, error) {
+	if t.fail != nil {
+		return nil, t.fail
 	}
+	batch, err := t.check(ops, "")
+	if err != nil {
+		return nil, err
+	}
+	b := &Batch{ops: ops}
+	if t.staged+len(ops) < t.cfg.FoldOps {
+		return b, nil
+	}
+	b.ms = t.folded(batch)
 	if b.install, err = t.base.Build(b.ms); err != nil {
 		return nil, fmt.Errorf("ingest: fold build: %w", err)
 	}
 	return b, nil
 }
 
-// plan is build's part under the read latch: it checks ops and, when the
-// batch folds, computes the folded base's contents — the delta, the
-// batch's entries newest, merged into the base's.
-func (t *Tier) plan(ops []Op, fold bool) (b *Batch, folds bool, err error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if err := t.ok(); err != nil {
-		return nil, false, err
-	}
-	batch, closes, err := t.checkLocked(ops, "")
-	if err != nil {
-		return nil, false, err
-	}
-	b = &Batch{ops: ops}
-	if fold || t.gen+closes >= t.cfg.MaxRuns {
-		b.ms, folds = t.foldedLocked(batch), true
-	}
-	return b, folds, nil
-}
-
-// Install is the second step of Add or Load: it makes b visible under the
-// serving latch. An Add batch stages its ops into the delta; when it
-// folds, the base Build made replaces the live one, whose pages it frees,
-// and the delta empties. merged reports a fold.
+// Install is the second step of Add or Load: it makes b visible. An Add
+// batch stages its ops into the delta; when it folds, the base Build
+// made replaces the live one, whose pages it frees, and the delta
+// empties. merged reports a fold.
 func (t *Tier) Install(b *Batch) (merged bool, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.ok(); err != nil {
-		return false, err
+	if t.fail != nil {
+		return false, t.fail
 	}
 	if !b.load {
-		t.applyLocked(b.ops)
+		t.apply(b.ops)
 	}
 	if b.install == nil {
 		return false, nil
@@ -290,7 +246,9 @@ func (t *Tier) Install(b *Batch) (merged bool, err error) {
 		return false, t.fail
 	}
 	t.baseMs = b.ms
-	t.resetDeltaLocked()
+	clear(t.slot)
+	t.delta = t.delta[:0]
+	t.staged = 0
 	if b.load {
 		t.live = len(b.ms)
 	} else {
@@ -300,103 +258,75 @@ func (t *Tier) Install(b *Batch) (merged bool, err error) {
 }
 
 // Replay re-applies recovered delta ops (the catalog suffix past the
-// flushed watermark) without ever merging: recovery must not write pages
-// outside a batch, and the replayed delta is already durable. Generations
-// still close, so the recovered tier folds where the original would have.
+// flushed watermark) without ever folding: recovery must not write pages
+// outside a batch, and the replayed delta is already durable. The ops
+// count toward FoldOps, so the recovered tier folds where the original
+// would have.
 func (t *Tier) Replay(ops []Op) error {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.ok(); err != nil {
+	if t.fail != nil {
+		return t.fail
+	}
+	if _, err := t.check(ops, "replay "); err != nil {
 		return err
 	}
-	if _, _, err := t.checkLocked(ops, "replay "); err != nil {
-		return err
-	}
-	t.applyLocked(ops)
+	t.apply(ops)
 	return nil
 }
 
-// checkLocked checks ops as one batch, each against the state the batch's
+// check checks ops as one batch, each against the state the batch's
 // earlier ops leave, and returns each OID the batch writes with its entry
-// as the batch leaves it, and how many generations staging the batch will
-// close. verb prefixes the error messages. The caller holds mu, either
-// side.
-func (t *Tier) checkLocked(ops []Op, verb string) (map[dual.OID]entry, int, error) {
+// as the batch leaves it. verb prefixes the error messages.
+func (t *Tier) check(ops []Op, verb string) (map[dual.OID]entry, error) {
 	batch := make(map[dual.OID]entry, len(ops))
-	gen, genLen := t.gen, t.genLen
 	for _, op := range ops {
 		id := op.M.OID
 		cur, seen := batch[id]
 		if !seen {
 			var live bool
-			cur.m, live = t.currentLocked(id)
+			cur.m, live = t.current(id)
 			cur.tomb = !live
-			cur.gen = -1
-			if i, ok := t.slot[id]; ok {
-				cur.gen = t.delta[i].gen
-			}
 		}
 		if op.Insert {
 			if err := core.ValidateMotion(op.M, t.cfg.Terrain); err != nil {
-				return nil, 0, fmt.Errorf("ingest: %s%w", verb, err)
+				return nil, fmt.Errorf("ingest: %s%w", verb, err)
 			}
 			if !cur.tomb {
-				return nil, 0, fmt.Errorf("ingest: %sinsert of live OID %d without delete", verb, id)
+				return nil, fmt.Errorf("ingest: %sinsert of live OID %d without delete", verb, id)
 			}
 		} else if cur.tomb || cur.m != op.M {
-			return nil, 0, fmt.Errorf("ingest: %sdelete of absent motion (OID %d)", verb, id)
+			return nil, fmt.Errorf("ingest: %sdelete of absent motion (OID %d)", verb, id)
 		}
-		// The same count applyLocked keeps: an OID is new to the open
-		// generation unless its entry was last written in it.
-		if cur.gen != gen {
-			genLen++
-		}
-		batch[id] = entry{m: op.M, tomb: !op.Insert, gen: gen}
-		if genLen >= t.cfg.MemtableFlush {
-			gen++
-			genLen = 0
-		}
+		batch[id] = entry{m: op.M, tomb: !op.Insert}
 	}
-	return batch, gen - t.gen, nil
+	return batch, nil
 }
 
-// applyLocked writes checked ops into the delta, closing generations as
-// they fill (caller holds mu's write side).
-func (t *Tier) applyLocked(ops []Op) {
+// apply writes checked ops into the delta.
+func (t *Tier) apply(ops []Op) {
 	for _, op := range ops {
-		e := entry{m: op.M, tomb: !op.Insert, gen: t.gen}
-		if i, ok := t.slot[op.M.OID]; !ok {
+		e := entry{m: op.M, tomb: !op.Insert}
+		if i, ok := t.slot[op.M.OID]; ok {
+			t.delta[i] = e
+		} else {
 			t.slot[op.M.OID] = len(t.delta)
 			t.delta = append(t.delta, e)
-			t.genLen++
-		} else {
-			if t.delta[i].gen != t.gen {
-				t.genLen++
-			}
-			t.delta[i] = e
 		}
 		if op.Insert {
 			t.live++
 		} else {
 			t.live--
 		}
-		if t.genLen >= t.cfg.MemtableFlush {
-			t.gen++
-			t.genLen = 0
-			t.stats.Freezes++
-		}
 	}
+	t.staged += len(ops)
 }
 
-// foldedLocked returns the exact live motion set once the batch is staged,
+// folded returns the exact live motion set once the batch is staged,
 // ascending OID: the contents a fold loads into the new base. baseMs is
 // already in OID order, so only the delta is sorted, and one linear merge
 // of the two yields the set: a delta entry replaces the base motion with
 // its OID (or, as a tombstone, drops it), and a delta upsert with a new
 // OID joins in order. The batch's entries are the delta's newest.
-func (t *Tier) foldedLocked(batch map[dual.OID]entry) []dual.Motion {
+func (t *Tier) folded(batch map[dual.OID]entry) []dual.Motion {
 	ds := make([]dual.Motion, 0, len(t.delta)+len(batch))
 	for _, e := range t.delta {
 		if _, newer := batch[e.m.OID]; !newer && !e.tomb {
@@ -422,37 +352,10 @@ func (t *Tier) foldedLocked(batch map[dual.OID]entry) []dual.Motion {
 	return append(ms, ds...)
 }
 
-func (t *Tier) resetDeltaLocked() {
-	clear(t.slot)
-	t.delta = t.delta[:0]
-	t.gen, t.genLen = 0, 0
-}
-
-// Flush folds the entire delta into the base now, regardless of
-// thresholds. No-op when the delta is empty.
-func (t *Tier) Flush() error {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	t.mu.RLock()
-	empty, err := len(t.delta) == 0, t.ok()
-	t.mu.RUnlock()
-	if err != nil || empty {
-		return err
-	}
-	b, err := t.build(nil, true)
-	if err != nil {
-		return err
-	}
-	_, err = t.Install(b)
-	return err
-}
-
 // Load atomically replaces the whole tier's contents with ms: the base
 // is rebuilt in bulk and the delta cleared (the shard BulkLoad path). It
-// is BuildLoad then Install under the writer latch.
+// is BuildLoad then Install.
 func (t *Tier) Load(ms []dual.Motion) error {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
 	b, err := t.BuildLoad(ms)
 	if err != nil {
 		return err
@@ -465,11 +368,8 @@ func (t *Tier) Load(ms []dual.Motion) error {
 // builds a base holding exactly ms beside the live one, and the Install
 // of its batch replaces the tier's contents with it.
 func (t *Tier) BuildLoad(ms []dual.Motion) (*Batch, error) {
-	t.mu.RLock()
-	err := t.ok()
-	t.mu.RUnlock()
-	if err != nil {
-		return nil, err
+	if t.fail != nil {
+		return nil, t.fail
 	}
 	sorted, err := sortByOID(ms)
 	if err != nil {
@@ -483,27 +383,17 @@ func (t *Tier) BuildLoad(ms []dual.Motion) (*Batch, error) {
 }
 
 // BaseMotions returns the base index's exact contents, ascending OID.
-// After a merge (Add returning merged=true, or Flush) this is the full
+// After a fold (Add returning merged=true) or a Load this is the full
 // live state. Callers must not mutate the returned slice; it is the
 // tier's own backing array, exposed so the shard can rewrite its catalog
 // inside the same WAL batch without a copy.
-func (t *Tier) BaseMotions() []dual.Motion {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.baseMs
-}
+func (t *Tier) BaseMotions() []dual.Motion { return t.baseMs }
 
 // Len returns the number of live motions (base ⊕ delta).
-func (t *Tier) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.live
-}
+func (t *Tier) Len() int { return t.live }
 
 // Stats returns a snapshot of the tier's shape and counters.
 func (t *Tier) Stats() Stats {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	s := t.stats
 	s.MemLen = len(t.delta)
 	s.BaseLen = len(t.baseMs)
@@ -534,10 +424,8 @@ func (t *Tier) QueryParallelCtx(ctx context.Context, exec *core.Executor, q dual
 	if err := core.ValidateQuery(q); err != nil {
 		return nil, err
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if err := t.ok(); err != nil {
-		return nil, err
+	if t.fail != nil {
+		return nil, t.fail
 	}
 	pieces := t.base.Subqueries(q)
 	nb := len(pieces)
@@ -584,13 +472,9 @@ func (t *Tier) QueryParallelCtx(ctx context.Context, exec *core.Executor, q dual
 	return core.AppendUnion(make([]dual.OID, 0, len(base)+len(upserts)), base, upserts), nil
 }
 
-// Close marks the tier closed; further operations fail with ErrClosed.
-// In-flight queries drain under the read latch first.
+// Close closes the tier: every later write or query fails with
+// ErrClosed.
 func (t *Tier) Close() error {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.closed = true
+	t.fail = ErrClosed
 	return nil
 }

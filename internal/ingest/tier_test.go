@@ -43,6 +43,20 @@ func motionAt(rng *rand.Rand, oid dual.OID, now float64) dual.Motion {
 	}
 }
 
+// fold folds the whole delta into the base now, whatever FoldOps says:
+// Add's fold with an empty batch.
+func fold(tb testing.TB, tr *Tier) {
+	tb.Helper()
+	b := &Batch{ms: tr.folded(nil)}
+	var err error
+	if b.install, err = tr.base.Build(b.ms); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := tr.Install(b); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // morAt issues a model-conformant query at time now.
 func morAt(rng *rand.Rand, now float64) dual.MORQuery {
 	tr := testTerrain
@@ -53,19 +67,15 @@ func morAt(rng *rand.Rand, now float64) dual.MORQuery {
 	return dual.MORQuery{Y1: y1, Y2: y2, T1: t1, T2: t2}
 }
 
-// TestTierDifferential is the tentpole gate: a Tier with small thresholds
-// (so freezes and merges fire constantly mid-stream) must answer every
+// TestTierDifferential is the tentpole gate: a Tier with a small fold
+// bound (so folds fire every few rounds, mid-stream) must answer every
 // MOR query byte-identically to a flat DualBPlus maintained with direct
 // Insert/Delete — sequentially and through QueryParallelCtx at worker
-// counts 1, 2 and 8 — and Get must agree with a tracked oracle map.
+// counts 1, 2 and 8 — and resolve each OID as a tracked oracle map does.
 func TestTierDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	flat := newBase(t)
-	tier, err := New(newBase(t), Config{
-		Terrain:       testTerrain,
-		MemtableFlush: 32, // tiny: force freezes mid-stream
-		MaxRuns:       3,  // and merges
-	})
+	tier, err := New(newBase(t), Config{Terrain: testTerrain, FoldOps: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,16 +112,13 @@ func TestTierDifferential(t *testing.T) {
 				}
 			}
 		}
-		// Point lookups: present and absent OIDs.
+		// Present and absent OIDs resolve as the oracle has them.
 		for i := 0; i < 20; i++ {
 			id := dual.OID(rng.Intn(600))
-			m, ok, err := tier.Get(id)
-			if err != nil {
-				t.Fatal(err)
-			}
+			m, ok := tier.current(id)
 			want, wantOK := cur[id]
 			if ok != wantOK || (ok && m != want) {
-				t.Fatalf("round %d: Get(%d) = %+v,%v, oracle %+v,%v", round, id, m, ok, want, wantOK)
+				t.Fatalf("round %d: OID %d resolves to %+v,%v, oracle %+v,%v", round, id, m, ok, want, wantOK)
 			}
 		}
 	}
@@ -155,17 +162,14 @@ func TestTierDifferential(t *testing.T) {
 		}
 		check(round)
 	}
-	st := tier.Stats()
-	if st.Freezes == 0 || st.Merges == 0 {
-		t.Fatalf("thresholds never fired: stats %+v — the differential never saw a mid-flush state", st)
+	if st := tier.Stats(); st.Merges < 5 {
+		t.Fatalf("only %d folds: stats %+v — the differential barely saw a fold", st.Merges, st)
 	}
-	// A final explicit Flush must leave answers unchanged.
-	if err := tier.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	// A final fold of the whole delta must leave answers unchanged.
+	fold(t, tier)
 	check(999)
 	if got := tier.Stats(); got.MemLen != 0 {
-		t.Fatalf("Flush left delta behind: %+v", got)
+		t.Fatalf("fold left delta behind: %+v", got)
 	}
 }
 
@@ -209,12 +213,11 @@ func TestTierStrictDiscipline(t *testing.T) {
 	if tier.Len() != 1 {
 		t.Fatalf("failed Adds changed Len: %d", tier.Len())
 	}
-	if _, ok, err := tier.Get(5); err != nil || ok {
-		t.Fatalf("Get(5) = %v,%v after a refused batch; want absent", ok, err)
+	if _, ok := tier.current(5); ok {
+		t.Fatal("OID 5 is live after a refused batch; want absent")
 	}
-	got, ok, err := tier.Get(1)
-	if err != nil || !ok || got != m {
-		t.Fatalf("Get(1) = %+v,%v,%v; want original motion", got, ok, err)
+	if got, ok := tier.current(1); !ok || got != m {
+		t.Fatalf("OID 1 resolves to %+v,%v; want the original motion", got, ok)
 	}
 }
 
@@ -224,7 +227,8 @@ func TestTierStrictDiscipline(t *testing.T) {
 func TestTierAttachReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	// Build the "pre-crash" tier and capture its durable pieces.
-	orig, err := New(newBase(t), Config{Terrain: testTerrain, MemtableFlush: 16, MaxRuns: 2})
+	cfg := Config{Terrain: testTerrain, FoldOps: 48}
+	orig, err := New(newBase(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +257,7 @@ func TestTierAttachReplay(t *testing.T) {
 	}
 	baseMs := append([]dual.Motion(nil), orig.BaseMotions()...)
 	if len(suffix) == 0 {
-		t.Fatal("test never accumulated a delta suffix; tune thresholds")
+		t.Fatal("test never accumulated a delta suffix; tune FoldOps")
 	}
 
 	// "Recover": fresh base bulk-loaded with the flushed prefix, Attach,
@@ -262,7 +266,7 @@ func TestTierAttachReplay(t *testing.T) {
 	if err := base.BulkLoad(baseMs); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Attach(base, baseMs, Config{Terrain: testTerrain, MemtableFlush: 16, MaxRuns: 2})
+	rec, err := Attach(base, baseMs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,9 +280,8 @@ func TestTierAttachReplay(t *testing.T) {
 		t.Fatalf("recovered Len=%d, want %d", rec.Len(), len(cur))
 	}
 	for id, want := range cur {
-		m, ok, err := rec.Get(id)
-		if err != nil || !ok || m != want {
-			t.Fatalf("recovered Get(%d) = %+v,%v,%v; want %+v", id, m, ok, err, want)
+		if m, ok := rec.current(id); !ok || m != want {
+			t.Fatalf("recovered OID %d resolves to %+v,%v; want %+v", id, m, ok, want)
 		}
 	}
 	// And the recovered tier answers queries identically to the original.
@@ -328,7 +331,7 @@ func TestTierClosed(t *testing.T) {
 	if _, err := tier.Query(dual.MORQuery{Y1: 0, Y2: 10, T1: 0, T2: 10}); err != ErrClosed {
 		t.Fatalf("Query after Close: %v, want ErrClosed", err)
 	}
-	if _, _, err := tier.Get(1); err != ErrClosed {
-		t.Fatalf("Get after Close: %v, want ErrClosed", err)
+	if err := tier.Load(nil); err != ErrClosed {
+		t.Fatalf("Load after Close: %v, want ErrClosed", err)
 	}
 }

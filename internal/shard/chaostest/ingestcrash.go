@@ -1,6 +1,6 @@
 // Ingest crash sweep: power-loss coverage for the log-structured write
 // tier. A single ingest shard runs a deterministic update workload sized
-// so the delta's generations close and the delta folds into the base
+// so the delta reaches the tier's FoldOps bound and folds into the base
 // index several times; the sweep then kills the machine at EVERY write/sync
 // boundary that workload consumes — including the ones inside a fold's
 // catalog rewrite — under each crash mode, reboots onto the survivor
@@ -16,7 +16,7 @@
 //     on a freshly merged (delta-free) image — the sweep asserts both
 //     recovery shapes are observed;
 //  3. the recovered shard keeps ingesting, and enough fresh writes push
-//     it through another generation-and-fold cycle.
+//     it through another fold.
 package chaostest
 
 import (
@@ -30,14 +30,14 @@ import (
 	"mobidx/internal/shard"
 )
 
-// ingestCrashConfig keeps the tier thresholds tiny so the short workload
-// crosses several generation and fold boundaries, putting crash points inside
-// the interesting windows.
+// ingestCrashConfig keeps the fold bound tiny so the short workload folds
+// three times and ends with a delta staged (16, 16, 14 + 6, then 12 ops),
+// putting crash points inside the interesting windows.
 func ingestCrashConfig() shard.Config {
 	return shard.Config{
 		Terrain:  terrain,
 		PageSize: PageSize,
-		Ingest:   &shard.IngestConfig{MemtableFlush: 8, MaxRuns: 2},
+		Ingest:   &shard.IngestConfig{FoldOps: 16},
 	}
 }
 
@@ -89,8 +89,8 @@ func ingestCrashBatches() (batches [][]shard.Op, states [][]dual.Motion) {
 	return batches, states
 }
 
-// ingestCrashExtra is the post-recovery load: fresh OIDs, enough of them
-// to force another freeze-and-fold on the rebooted shard.
+// ingestCrashExtra is the post-recovery load: fresh OIDs, 24 inserts, so
+// the rebooted shard folds again whatever delta it recovered.
 func ingestCrashExtra() [][]shard.Op {
 	var batches [][]shard.Op
 	for i := 0; i < 24; i += 4 {
@@ -184,8 +184,8 @@ func RunIngestCrashSweep(mode crashtest.Mode) (deltaRecoveries, cleanRecoveries 
 			return 0, 0, fmt.Errorf("record batch %d: %w", i, err)
 		}
 	}
-	if st, ok := s.IngestStats(); !ok || st.Freezes < 2 || st.Merges < 1 {
-		return 0, 0, fmt.Errorf("workload too small to cross flush boundaries: %+v", st)
+	if st, ok := s.IngestStats(); !ok || st.Merges < 2 || st.MemLen == 0 {
+		return 0, 0, fmt.Errorf("workload too small to fold twice and keep a delta: %+v", st)
 	}
 	if err := s.Close(); err != nil {
 		return 0, 0, fmt.Errorf("record close: %w", err)

@@ -8,7 +8,7 @@ import (
 )
 
 // TestIngestCrashSweep kills an ingest shard at every write/sync boundary
-// of a memtable-flush workload under each crash mode and requires
+// of a folding workload under each crash mode and requires
 // empty-or-complete recovery — never a torn run — plus oracle-exact
 // answers and continued folding afterwards. Both recovery shapes (live
 // delta replayed, freshly merged image) must be observed.

@@ -385,120 +385,34 @@ func (c *Cluster) migrateRetire(ctx context.Context) error {
 // its media reopened — pager.OpenWALStore replays every committed batch,
 // so the recovered shard serves exactly the last committed state — and
 // the fresh instance swapped into the topology with a reset breaker. If
-// the media cannot be recovered the shard is rebuilt from its peers'
-// replicated bands instead (see RebuildFromPeers for the exactness
-// contract).
-func (c *Cluster) Revive(ctx context.Context, band int) error {
+// the media cannot be reopened, Revive returns that error and leaves the
+// band down, its media untouched, so a later Revive can try again.
+func (c *Cluster) Revive(band int) error {
 	c.adminMu.Lock()
 	defer c.adminMu.Unlock()
-	return c.reviveLocked(ctx, band, false)
-}
-
-// RebuildFromPeers rebuilds band's shard from scratch out of the motions
-// its peers replicate, dropping whatever media the store had. Trajectory
-// replication makes this exact for every interior band (an interior
-// band's content is a filter of the border bands' contents); the border
-// bands (0 and top) hold motions no peer replicates, so rebuilding one of
-// them recovers only the replicated part and the caller must accept the
-// loss — WAL replay (Revive) is the lossless path.
-func (c *Cluster) RebuildFromPeers(ctx context.Context, band int) error {
-	c.adminMu.Lock()
-	defer c.adminMu.Unlock()
-	return c.reviveLocked(ctx, band, true)
-}
-
-func (c *Cluster) reviveLocked(ctx context.Context, band int, rebuild bool) error {
 	if c.closed {
 		return errors.New("shard: cluster closed")
 	}
 	if band < 0 || band >= len(c.cur.Bands) {
 		return fmt.Errorf("shard: revive band %d of %d", band, len(c.cur.Bands))
 	}
-	storeID := c.cur.Bands[band].Store
-	old := c.router.Shard(band)
 	// Closing drains the dead instance's in-flight queries; routed
 	// traffic degrades around the band until the swap below. A close
 	// error only means the final checkpoint failed — WAL replay recovers
 	// every committed batch regardless — so it is carried as context, not
 	// treated as fatal.
 	var closeErr error
-	if old != nil {
+	if old := c.router.Shard(band); old != nil {
 		closeErr = old.Close()
 	}
-	var fresh *Shard
-	var err error
-	if !rebuild {
-		fresh, err = c.openShard(storeID)
-		if err != nil {
-			// Media unrecoverable: fall back to the peers.
-			err = errors.Join(err, closeErr)
-			rebuild = true
-		}
-	}
-	if rebuild {
-		if err := c.env.DropMedia(shardMediaName(storeID)); err != nil {
-			return fmt.Errorf("shard: drop media for rebuild: %w", err)
-		}
-		fresh, err = c.openShard(storeID)
-		if err != nil {
-			return fmt.Errorf("shard: rebuild open: %w", err)
-		}
-		ms, err := c.peerMotions(band)
-		if err != nil {
-			return errors.Join(err, fresh.Close())
-		}
-		if err := fresh.BulkLoad(ctx, ms); err != nil {
-			return errors.Join(fmt.Errorf("shard: rebuild load: %w", err), fresh.Close())
-		}
+	fresh, err := c.openShard(c.cur.Bands[band].Store)
+	if err != nil {
+		return errors.Join(err, closeErr)
 	}
 	if _, err := c.router.ReplaceShard(band, fresh); err != nil {
 		return errors.Join(err, fresh.Close())
 	}
 	return nil
-}
-
-// peerMotions gathers band's content from the other healthy shards'
-// catalogs: every motion some peer holds that the partitioner assigns to
-// band, with per-motion multiplicity the maximum any single peer reports
-// (replicas hold identical multiplicity, so max-of-peers is the original
-// count, not a sum of replicas).
-func (c *Cluster) peerMotions(band int) ([]dual.Motion, error) {
-	part, err := c.cur.partitionerOf()
-	if err != nil {
-		return nil, err
-	}
-	counts := make(map[dual.Motion]int)
-	for i := range c.cur.Bands {
-		if i == band {
-			continue
-		}
-		peer := c.router.Shard(i)
-		if peer == nil || !peer.Health().Healthy {
-			continue
-		}
-		ms, err := peer.Motions()
-		if err != nil {
-			return nil, fmt.Errorf("shard: peer %d enumerate: %w", i, err)
-		}
-		local := make(map[dual.Motion]int)
-		for _, m := range ms {
-			if assignedTo(part, m, band) {
-				local[m]++
-			}
-		}
-		for m, n := range local {
-			if n > counts[m] {
-				counts[m] = n
-			}
-		}
-	}
-	var out []dual.Motion
-	for m, n := range counts {
-		for i := 0; i < n; i++ {
-			out = append(out, m)
-		}
-	}
-	return out, nil
 }
 
 // Checkpoint folds every healthy shard's WAL into its base store — the

@@ -2,8 +2,10 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -345,7 +347,7 @@ func TestClusterRevive(t *testing.T) {
 		t.Fatalf("degraded before revive = %v, want [2]", d)
 	}
 
-	if err := c.Revive(ctx, 2); err != nil {
+	if err := c.Revive(2); err != nil {
 		t.Fatal(err)
 	}
 	if h := c.Router().Shard(2).Health(); !h.Healthy {
@@ -360,10 +362,35 @@ func TestClusterRevive(t *testing.T) {
 	assertOracle(t, c, qs, want, "after revive")
 }
 
-// TestClusterRebuildFromPeers destroys an interior band's media outright
-// and rebuilds it from the peers' replicated bands.
-func TestClusterRebuildFromPeers(t *testing.T) {
-	env := NewMemEnv(512)
+// flakyEnv fails the next OpenMedia of one name, once.
+type flakyEnv struct {
+	Env
+	mu       sync.Mutex
+	failNext string
+}
+
+var errFlakyMedia = errors.New("flaky media")
+
+func (e *flakyEnv) OpenMedia(name string) (Media, error) {
+	e.mu.Lock()
+	fail := name == e.failNext
+	if fail {
+		e.failNext = ""
+	}
+	e.mu.Unlock()
+	if fail {
+		return Media{}, errFlakyMedia
+	}
+	return e.Env.OpenMedia(name)
+}
+
+// TestClusterReviveOpenFailure revives a quarantined border band whose
+// media fail to open once. Band 0 holds motions no peer replicates, so
+// only its own media can restore them: the first Revive reports the
+// error and leaves the band down with its media intact, and a second
+// Revive brings back every motion.
+func TestClusterReviveOpenFailure(t *testing.T) {
+	env := &flakyEnv{Env: NewMemEnv(512)}
 	ctx := context.Background()
 	ms := clusterMotions(300)
 	qs := clusterQueries()
@@ -377,15 +404,27 @@ func TestClusterRebuildFromPeers(t *testing.T) {
 	if err := c.BulkLoad(ctx, ms); err != nil {
 		t.Fatal(err)
 	}
-	wantLen := c.Router().Shard(1).Len()
+	s := c.Router().Shard(0)
+	wantLen := s.Len()
+	absent := dual.Motion{OID: 999999, Y0: 10, T0: 0, V: 1}
+	if err := s.Apply(ctx, []Op{{Insert: false, M: absent}}); err == nil {
+		t.Fatal("a delete of an absent motion applied cleanly")
+	}
 
-	if err := c.RebuildFromPeers(ctx, 1); err != nil {
+	env.failNext = shardMediaName(c.cur.Bands[0].Store)
+	if err := c.Revive(0); !errors.Is(err, errFlakyMedia) {
+		t.Fatalf("Revive over failing media = %v, want %v", err, errFlakyMedia)
+	}
+	if h := c.Router().Shard(0).Health(); h.Healthy {
+		t.Fatalf("band 0 serves after a failed revive: %+v", h)
+	}
+	if err := c.Revive(0); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Router().Shard(1).Len(); got != wantLen {
-		t.Fatalf("rebuilt shard holds %d motions, want %d", got, wantLen)
+	if got := c.Router().Shard(0).Len(); got != wantLen {
+		t.Fatalf("revived band 0 holds %d motions, want %d", got, wantLen)
 	}
-	assertOracle(t, c, qs, want, "after peer rebuild")
+	assertOracle(t, c, qs, want, "after the second revive")
 }
 
 // TestClusterDirEnv exercises the real file-backed environment end to

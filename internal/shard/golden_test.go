@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"mobidx/internal/dual"
-	"mobidx/internal/ingest"
 	"mobidx/internal/pager"
 )
 
@@ -280,10 +279,10 @@ func TestGoldenDurableRecords(t *testing.T) {
 		}
 		defer s.Close()
 		g := newGoldenScript(29)
-		until := func(what string, done func(st ingest.Stats) bool) {
+		until := func(what string, done func() bool) {
 			t.Helper()
 			for i := 0; ; i++ {
-				if st, _ := s.IngestStats(); done(st) {
+				if done() {
 					return
 				}
 				if i == 100 {
@@ -294,16 +293,21 @@ func TestGoldenDurableRecords(t *testing.T) {
 				}
 			}
 		}
-		until("freeze", func(st ingest.Stats) bool { return st.Freezes > 0 })
+		// Pinned with half a fold's worth of records staged: 40 records,
+		// the state after four batches of ten.
+		until("staged delta", func() bool { return s.cat.records-s.flushed >= tinyIngest().FoldOps/2 })
 		if st, _ := s.IngestStats(); st.Merges != 0 {
-			t.Fatalf("folded before the first freeze was pinned: %+v", st)
+			t.Fatalf("folded before the staged delta was pinned: %+v", st)
 		}
 		ms, err := s.Motions()
 		checkpoint(s)
 		step("ingest/frozen", append([]string{goldenPages(t, base), goldenMotions(t, ms, err)},
 			goldenShardChains(t, base)...)...)
 
-		until("fold", func(st ingest.Stats) bool { return st.Merges > 0 })
+		until("fold", func() bool {
+			st, _ := s.IngestStats()
+			return st.Merges > 0
+		})
 		ms, err = s.Motions()
 		checkpoint(s)
 		step("ingest/folded", append(goldenShardChains(t, base), goldenMotions(t, ms, err))...)

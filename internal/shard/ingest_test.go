@@ -2,20 +2,25 @@ package shard
 
 import (
 	"context"
+	"errors"
+	"math"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"mobidx/internal/core"
 	"mobidx/internal/dual"
+	"mobidx/internal/ingest"
 	"mobidx/internal/leakcheck"
 	"mobidx/internal/pager"
 	"mobidx/internal/workload"
 )
 
-// tinyIngest forces freezes and merges every few batches, so the
-// differential and recovery tests constantly observe mid-flush states.
+// tinyIngest folds every 64 catalog records, so the differential and
+// recovery tests constantly observe states between folds.
 func tinyIngest() *IngestConfig {
-	return &IngestConfig{MemtableFlush: 24, MaxRuns: 2}
+	return &IngestConfig{FoldOps: 64}
 }
 
 // ingestCluster routes over n ingest shards on fresh in-memory media,
@@ -48,7 +53,7 @@ func ingestCluster(t testing.TB, n, workers int) *Router {
 // shard, and ingest-tier routed clusters of 1 and 4 shards in lockstep;
 // every query at every tick must be byte-identical across all of them at
 // worker counts 1, 2 and 8 — including the many states where the tier
-// holds frozen runs and a partially filled memtable.
+// holds a delta between folds.
 func TestShardIngestDifferentialWorkload(t *testing.T) {
 	leakcheck.Check(t)
 	sim, err := workload.NewSimulator(workload.Params{
@@ -134,9 +139,8 @@ func TestShardIngestDifferentialWorkload(t *testing.T) {
 		}
 		check()
 	}
-	st := single.tier.Stats()
-	if st.Freezes == 0 || st.Merges == 0 {
-		t.Fatalf("tier thresholds never fired (stats %+v); the differential never saw a mid-flush state", st)
+	if st := single.tier.Stats(); st.Merges < 2 {
+		t.Fatalf("the tier folded %d times (stats %+v); the differential barely saw a fold", st.Merges, st)
 	}
 }
 
@@ -154,8 +158,8 @@ func TestShardIngestRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Enough updates to cross several freeze and at least one merge
-	// boundary, then a few more so a delta suffix remains.
+	// Enough updates to fold three times, then a few more so a delta
+	// suffix remains.
 	for i := 0; i < 180; i++ {
 		if err := s.Apply(ctx, []Op{{Insert: true, M: testMotion(i)}}); err != nil {
 			t.Fatal(err)
@@ -242,7 +246,7 @@ func TestShardIngestOpenWithoutConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for i := 0; i < 10; i++ { // below the flush threshold: pure delta
+	for i := 0; i < 10; i++ { // below the fold bound: pure delta
 		if err := s.Apply(ctx, []Op{{Insert: true, M: testMotion(i)}}); err != nil {
 			t.Fatal(err)
 		}
@@ -298,4 +302,129 @@ func TestShardIngestBulkLoad(t *testing.T) {
 	if st := s.tier.Stats(); st.MemLen != 0 {
 		t.Fatalf("BulkLoad left delta behind: %+v", st)
 	}
+}
+
+// TestShardIngestHotSetFolds drives one ingest shard at the default fold
+// bound with 40 000 updates over a hot set of 1 000 objects. The bound
+// counts ops, not distinct objects, so the shard folds, and its catalog
+// records past the flushed watermark — what Open replays — never exceed
+// FoldOps plus one batch. A bound on distinct objects per generation
+// never folded here and left 81 000 records to replay.
+func TestShardIngestHotSetFolds(t *testing.T) {
+	s, err := openMem(Config{Terrain: terrain1D, Ingest: &IngestConfig{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	const hot, updates, perBatch = 1000, 40000, 100
+	ms := motions1D(hot)
+	if err := s.Apply(ctx, opsFor(ms)); err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < updates; u += perBatch {
+		ops := make([]Op, 0, 2*perBatch)
+		for k := 0; k < perBatch; k++ {
+			i := (u + k) % hot
+			upd := ms[i]
+			upd.Y0 = math.Mod(upd.Y0+7, terrain1D.YMax)
+			ops = append(ops, Op{M: ms[i]}, Op{Insert: true, M: upd})
+			ms[i] = upd
+		}
+		if err := s.Apply(ctx, ops); err != nil {
+			t.Fatalf("update %d: %v", u, err)
+		}
+		if staged := s.cat.records - s.flushed; staged > ingest.DefaultFoldOps+len(ops) {
+			t.Fatalf("after update %d: %d catalog records past the flushed watermark, bound %d + one batch of %d",
+				u+perBatch, staged, ingest.DefaultFoldOps, len(ops))
+		}
+	}
+	st, _ := s.IngestStats()
+	if want := (hot + 2*updates) / ingest.DefaultFoldOps; st.Merges != want {
+		t.Fatalf("the shard folded %d times over %d ops, want %d", st.Merges, hot+2*updates, want)
+	}
+	for _, q := range queries1D {
+		got, err := s.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bruteForce(nil, ms, q, nil); fingerprint(got) != fingerprint(want) {
+			t.Fatalf("query %+v: %q, brute force %q", q, fingerprint(got), fingerprint(want))
+		}
+	}
+}
+
+// TestShardIngestCloseUnderLoad runs folding Applies, queries and Close
+// on one ingest shard at once. The tier takes no latch of its own, so
+// under the race detector this is the gate on the shard latches that
+// serialize it. It waits for a few folds, then closes the shard: every
+// call succeeds or reports the shard closed — ErrShardDown, or the closed
+// tier or store beneath a call that got in before Close — and no
+// goroutine outlives the test.
+func TestShardIngestCloseUnderLoad(t *testing.T) {
+	leakcheck.Check(t)
+	s, err := openMem(Config{Terrain: terrain1D, Ingest: &IngestConfig{FoldOps: 32}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := func(err error) bool {
+		return errors.Is(err, ErrShardDown) || errors.Is(err, ingest.ErrClosed) || errors.Is(err, pager.ErrStoreClosed)
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Each writer owns its OIDs, so its deletes name live motions.
+			ms := motions1D(40)
+			for i := range ms {
+				ms[i].OID += dual.OID(1000 * g)
+			}
+			if err := s.Apply(ctx, opsFor(ms)); err != nil {
+				if !closed(err) {
+					t.Errorf("writer %d: %v", g, err)
+				}
+				return
+			}
+			for i := 0; ; i++ {
+				k := i % len(ms)
+				upd := ms[k]
+				upd.Y0 = math.Mod(upd.Y0+13, terrain1D.YMax)
+				if err := s.Apply(ctx, []Op{{M: ms[k]}, {Insert: true, M: upd}}); err != nil {
+					if !closed(err) {
+						t.Errorf("writer %d: %v", g, err)
+					}
+					return
+				}
+				ms[k] = upd
+			}
+		}(g)
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i++ {
+				if _, err := s.Query(ctx, queries1D[i%len(queries1D)]); err != nil {
+					if !closed(err) {
+						t.Errorf("reader %d: %v", g, err)
+					}
+					return
+				}
+			}
+		}(g)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for st, _ := s.IngestStats(); st.Merges < 4; st, _ = s.IngestStats() {
+		if time.Now().After(deadline) {
+			t.Errorf("only %d folds in 10 s", st.Merges)
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
 }

@@ -52,31 +52,26 @@ type Config struct {
 	// Ingest, when non-nil, puts a log-structured write tier in front of
 	// the shard's index: Apply lands ops in the tier's delta instead of
 	// the B+-trees, and the trees are rebuilt by one atomic bulk reindex
-	// when enough of the delta's generations have closed. The catalog
-	// then carries the tier's delta (superblock flushed watermark), so
-	// crash recovery stays exact: reattach the base, replay the suffix. An ingest shard requires
-	// unique live OIDs (the tier upserts per object); opening durable media
-	// that holds same-OID replicas with Ingest set fails.
+	// once the catalog holds FoldOps records past the superblock's flushed
+	// watermark. Those records are the tier's delta, so crash recovery
+	// stays exact: reattach the base, replay the suffix. The tier runs
+	// under the shard's latches (see ingest.Tier). An ingest shard
+	// requires unique live OIDs (the tier upserts per object); opening
+	// durable media that holds same-OID replicas with Ingest set fails.
 	Ingest *IngestConfig
 }
 
 // IngestConfig tunes the shard's optional write tier; zero values select
 // the ingest package defaults.
 type IngestConfig struct {
-	// MemtableFlush closes the delta's open generation at this many
-	// distinct OIDs written in it (0 selects 2048).
-	MemtableFlush int
-	// MaxRuns folds the delta into the base index once this many
-	// generations have closed (0 selects 4).
-	MaxRuns int
+	// FoldOps folds the delta into the base index at the end of the batch
+	// that brings the catalog records past the flushed watermark to this
+	// many or more (0 selects ingest.DefaultFoldOps).
+	FoldOps int
 }
 
 func (ic *IngestConfig) tierConfig(tr dual.Terrain) ingest.Config {
-	return ingest.Config{
-		Terrain:       tr,
-		MemtableFlush: ic.MemtableFlush,
-		MaxRuns:       ic.MaxRuns,
-	}
+	return ingest.Config{Terrain: tr, FoldOps: ic.FoldOps}
 }
 
 // Health is a shard's self-reported serving state.
@@ -127,9 +122,12 @@ type Shard struct {
 	cat      *catalog           // durable motion log
 
 	// tier is the optional write tier (Config.Ingest); when non-nil the
-	// write path stages into it and queries go through it. flushed mirrors
-	// the superblock watermark: the base index covers exactly the first
-	// flushed catalog records. Tierless shards keep flushed = cat.records.
+	// write path stages into it and queries go through it. It has no latch
+	// of its own: its writes run under wmu, its installs under mu's write
+	// side and its queries under mu's read side. flushed mirrors the
+	// superblock watermark: the base index covers exactly the first
+	// flushed catalog records, and the tier has staged the rest. Tierless
+	// shards keep flushed = cat.records.
 	tier    *ingest.Tier
 	flushed int
 

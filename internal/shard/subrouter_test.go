@@ -506,10 +506,10 @@ func TestRouterFeedsEachMotionOnce(t *testing.T) {
 
 // TestSubscriptionsSurviveTopologyChanges keeps standing queries open
 // through two live splits — run while the cluster ticks and new fences
-// subscribe — then a revive from the WAL and an interior rebuild from
-// peers: a topology change moves motions between shards, not in or out
-// of the cluster, so every subscription keeps reconstructing the
-// brute-force answer at every tick.
+// subscribe — then WAL revives of two bands in turn: a topology change
+// moves motions between shards, not in or out of the cluster, so every
+// subscription keeps reconstructing the brute-force answer at every
+// tick.
 func TestSubscriptionsSurviveTopologyChanges(t *testing.T) {
 	p := workload.DefaultGeofenceParams(200, 8)
 	sim, err := workload.NewGeofenceSim(p)
@@ -558,8 +558,8 @@ func TestSubscriptionsSurviveTopologyChanges(t *testing.T) {
 		t.Fatalf("%d bands after two splits, want 4", c.Bands())
 	}
 	for step, topo := range []func() error{
-		func() error { return c.Revive(ctx, 1) },
-		func() error { return c.RebuildFromPeers(ctx, 2) },
+		func() error { return c.Revive(1) },
+		func() error { return c.Revive(2) },
 	} {
 		d.tick(t)
 		if err := topo(); err != nil {
@@ -672,7 +672,7 @@ func TestSubscriptionFeedFailure(t *testing.T) {
 	}
 
 	// WAL replay serves band 0's pre-batch state, which band 1 agrees with.
-	if err := c.Revive(ctx, 0); err != nil {
+	if err := c.Revive(0); err != nil {
 		t.Fatal(err)
 	}
 	drain("after the revive")

@@ -83,10 +83,10 @@ go test -race -count=1 -run 'TestClusterCrashSweep|TestClusterSplitFaultResume|T
 go test -race -count=1 -run 'TestCluster|TestShardCloseDuringReads|TestPartialError' \
 	./internal/shard
 
-echo "== ingest crash sweep (memtable-flush kill points x media modes, race-gated) =="
+echo "== ingest crash sweep (fold kill points x media modes, race-gated) =="
 # The log-structured write tier's recovery harness: kill an ingesting
-# shard at every log/base write-and-sync boundary across memtable
-# freezes and base folds under every media failure mode, asserting the
+# shard at every log/base write-and-sync boundary across staged deltas
+# and base folds under every media failure mode, asserting the
 # reboot lands on a batch boundary (complete or absent, never torn),
 # answers a brute-force oracle exactly, and keeps folding afterwards;
 # plus the pager's commit tests (a failed append, sync or truncate; a
@@ -252,8 +252,8 @@ echo "== least code =="
 # printed by the gate so that a simplicity PR quotes a measured count.
 echo "non-test Go lines: $(find . -name '*.go' -not -name '*_test.go' \
 	-not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l)"
-# ROADMAP item 9 tracks the suppressions too: every directive outside the
-# lint suite's own fixtures, test files included; one quoted inside a doc
+# The suppressions are counted too: every directive outside the lint
+# suite's own fixtures, test files included; one quoted inside a doc
 # comment is not a directive.
 echo "mobidxlint:allow directives: $(grep -rE --include='*.go' \
 	--exclude-dir=testdata '//mobidxlint:allow [a-z,]+ -- ' . |
