@@ -19,7 +19,7 @@ func allocTree(t testing.TB, n int) (*Tree, []Entry) {
 	for i := range es {
 		es[i] = Entry{Key: Compact.roundKey(rng.Float64() * 1000), Val: uint64(i), Aux: Compact.roundKey(rng.Float64())}
 	}
-	SortEntries(es)
+	es = SortEntries(es, new(SortScratch))
 	tr, err := New(pager.NewBuffered(pager.NewMemStore(4096), 4096), Config{Codec: Compact})
 	if err != nil {
 		t.Fatal(err)

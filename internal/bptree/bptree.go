@@ -157,7 +157,7 @@ func New(store pager.Store, cfg Config) (*Tree, error) {
 			return err
 		}
 		t.root, t.height = p.ID, 1
-		return t.put(p.ID, true, pager.NilPage)
+		return t.write(p, true, pager.NilPage, 0)
 	})
 	if err != nil {
 		return nil, err
@@ -375,24 +375,37 @@ func (t *Tree) encodeEntry(b []byte, e Entry) {
 // put writes page id as a node whose body is the concatenation of parts —
 // runs copied from page images and freshly encoded slots; an internal
 // node's first run starts with its leftmost child — behind the header
-// (type, count, and for a leaf its next link) and ahead of a zero tail. It
-// is the one page encoder: the image is allocated here and handed to
-// Write, which owns it from then on.
+// (type, count, and for a leaf its next link) and ahead of a zero tail.
+// The image is allocated here and handed to Write, which owns it from
+// then on.
 func (t *Tree) put(id pager.PageID, leaf bool, next pager.PageID, parts ...[]byte) error {
 	data := make([]byte, t.store.PageSize())
 	off := headerSize
 	for _, part := range parts {
 		off += copy(data[off:], part)
 	}
-	if leaf {
-		data[0] = typeLeaf
-		binary.LittleEndian.PutUint16(data[2:4], uint16((off-headerSize)/t.codec.leafEntrySize()))
-		binary.LittleEndian.PutUint32(data[4:8], uint32(next))
-	} else {
-		data[0] = typeInternal
-		binary.LittleEndian.PutUint16(data[2:4], uint16((off-headerSize-4)/t.codec.intEntrySize()))
+	n := (off - headerSize) / t.codec.leafEntrySize()
+	if !leaf {
+		n = (off - headerSize - 4) / t.codec.intEntrySize()
 	}
-	return t.store.Write(&pager.Page{ID: id, Data: data})
+	return t.write(&pager.Page{ID: id, Data: data}, leaf, next, n)
+}
+
+// write stamps the header of a node of n slots (for a leaf, its next
+// link) on p's image, whose body the caller has encoded behind a zero
+// header and ahead of a zero tail, and hands p to Write, which owns the
+// image from then on. It is the one place a node's header is encoded:
+// put encodes into a fresh image, New and bulkLoad into the one Allocate
+// returned.
+func (t *Tree) write(p *pager.Page, leaf bool, next pager.PageID, n int) error {
+	if leaf {
+		p.Data[0] = typeLeaf
+		binary.LittleEndian.PutUint32(p.Data[4:8], uint32(next))
+	} else {
+		p.Data[0] = typeInternal
+	}
+	binary.LittleEndian.PutUint16(p.Data[2:4], uint16(n))
+	return t.store.Write(p)
 }
 
 // step is one internal node of a recorded descent and the child it took.

@@ -37,8 +37,8 @@ func (t *Tree) BulkLoad(entries []Entry, fill float64) error {
 	for i, e := range entries {
 		es[i] = Entry{Key: t.codec.roundKey(e.Key), Val: e.Val, Aux: t.codec.roundKey(e.Aux)}
 	}
-	SortEntries(es)
-	return pager.RunBatch(t.store, func() error { return t.bulkLoad(es, fill) })
+	sorted := SortEntries(es, new(SortScratch))
+	return pager.RunBatch(t.store, func() error { return t.bulkLoad(sorted, fill) })
 }
 
 // BulkLoadSorted is BulkLoad for entries already in (Key, Val) order with
@@ -62,27 +62,49 @@ func (t *Tree) BulkLoadSorted(entries []Entry, fill float64) error {
 	return pager.RunBatch(t.store, func() error { return t.bulkLoad(entries, fill) })
 }
 
-// SortEntries sorts entries in place by (Key, Val) — the order
-// BulkLoadSorted requires. The sort is stable: entries equal in (Key, Val)
-// keep their input order, and a -0 key equals a +0 one. It is a
-// least-significant-digit radix sort of (sort key, position) pairs
-// followed by one gather of the entries: when every key is exactly a
-// float32 and every val fits 32 bits (all a Compact tree holds) the two
-// pack into one 64-bit sort key; otherwise the pairs are sorted by Val and
-// then, stably, by Key. Slices shorter than radixMin, and a slice holding
-// a NaN key (which has no place in the order), take a stable comparison
-// sort instead.
-func SortEntries(es []Entry) {
+// SortScratch is the memory SortEntries sorts with: the radix sort's two
+// buffers of (sort key, position) pairs and the buffer the sorted run is
+// gathered into. A caller that sorts run after run — a reindex sorts one
+// per tree — passes the same scratch to every call, so the buffers are
+// allocated once per build rather than once per run. The zero value is
+// ready to use.
+type SortScratch struct {
+	pairs, tmp []radixPair
+	out        []Entry
+}
+
+// Grow makes room for runs of up to n entries, so that a caller that knows
+// its longest run sizes the scratch once instead of regrowing it.
+func (s *SortScratch) Grow(n int) {
+	s.pairs = slices.Grow(s.pairs[:0], n)
+	s.tmp = slices.Grow(s.tmp[:0], n)
+	s.out = slices.Grow(s.out[:0], n)
+}
+
+// SortEntries returns es's entries ordered by (Key, Val) — the order
+// BulkLoadSorted requires — in s's output buffer, which holds them until
+// the next call with s; es itself is not modified. The sort is stable:
+// entries equal in (Key, Val) keep their input order, and a -0 key equals
+// a +0 one. It is a least-significant-digit radix sort of (sort key,
+// position) pairs followed by one gather of the entries into the output:
+// when every key is exactly a float32 and every val fits 32 bits (all a
+// Compact tree holds) the two pack into one 64-bit sort key; otherwise the
+// pairs are sorted by Val and then, stably, by Key. Runs shorter than
+// radixMin, and a run holding a NaN key (which has no place in the order),
+// are copied to the output and take a stable comparison sort instead.
+// Every buffer comes from s, so a sort allocates only when s is shorter
+// than es.
+func SortEntries(es []Entry, s *SortScratch) []Entry {
+	out := slices.Grow(s.out[:0], len(es))[:len(es)]
+	s.out = out
 	if len(es) < radixMin || uint64(len(es)) > math.MaxUint32 {
-		slices.SortStableFunc(es, compareEntries)
-		return
+		return sortStable(out, es)
 	}
-	ps, tmp := make([]radixPair, len(es)), make([]radixPair, len(es))
+	ps, tmp := slices.Grow(s.pairs[:0], len(es))[:len(es)], slices.Grow(s.tmp[:0], len(es))[:len(es)]
 	packed := true
 	for i, e := range es {
 		if math.IsNaN(e.Key) {
-			slices.SortStableFunc(es, compareEntries)
-			return
+			return sortStable(out, es)
 		}
 		packed = packed && float64(float32(e.Key)) == e.Key && e.Val <= math.MaxUint32
 		ps[i] = radixPair{k: uint64(keyBits32(e.Key))<<32 | e.Val, i: uint32(i)}
@@ -98,24 +120,32 @@ func SortEntries(es []Entry) {
 		for j, p := range ps {
 			ps[j].k = keyBits64(es[p.i].Key)
 		}
-		ps, _ = radixSortPairs(ps, tmp)
+		ps, tmp = radixSortPairs(ps, tmp)
 	}
-	out := make([]Entry, len(es))
+	s.pairs, s.tmp = ps, tmp
 	for j, p := range ps {
 		out[j] = es[p.i]
 	}
-	copy(es, out)
+	return out
+}
+
+// sortStable is SortEntries' comparison path: es copied into out and
+// sorted there.
+func sortStable(out, es []Entry) []Entry {
+	copy(out, es)
+	slices.SortStableFunc(out, compareEntries)
+	return out
 }
 
 // bulkLoad packs sorted, codec-rounded entries bottom-up. es is read, not
-// modified or retained. Each node's slots are encoded into one scratch
-// buffer and written through put; a leaf is written once the next one is
-// allocated, so that it can link to it.
+// modified or retained. Each node is encoded into the image Allocate
+// returned for its page and handed to Write with it, so the build
+// allocates no image beyond the ones it writes; a leaf is written once the
+// next one is allocated, so that it can link to it.
 func (t *Tree) bulkLoad(es []Entry, fill float64) error {
 	if err := t.destroy(t.root, t.height); err != nil {
 		return err
 	}
-	sb := make([]byte, t.store.PageSize())
 	ies := t.codec.intEntrySize()
 	// childRef is a node of the level being built: its first composite,
 	// which becomes its separator in the level above, and its page.
@@ -126,15 +156,16 @@ func (t *Tree) bulkLoad(es []Entry, fill float64) error {
 	}
 	var level []childRef
 	perLeaf := max(1, int(fill*float64(t.leafCap)))
-	var prev []Entry
+	var leaf *pager.Page // the last leaf allocated, written once its successor is
+	var prev []Entry     // its entries
 	for start := 0; ; start += perLeaf {
 		end := min(start+perLeaf, len(es))
 		p, err := t.store.Allocate()
 		if err != nil {
 			return err
 		}
-		if len(level) > 0 {
-			if err := t.put(level[len(level)-1].id, true, p.ID, t.encodeLeaf(sb, prev)); err != nil {
+		if leaf != nil {
+			if err := t.write(leaf, true, p.ID, t.encodeLeaf(leaf.Data, prev)); err != nil {
 				return err
 			}
 		}
@@ -142,12 +173,12 @@ func (t *Tree) bulkLoad(es []Entry, fill float64) error {
 		if start < end {
 			ref.firstK, ref.firstV = es[start].Key, es[start].Val
 		}
-		level, prev = append(level, ref), es[start:end]
+		level, leaf, prev = append(level, ref), p, es[start:end]
 		if end >= len(es) {
 			break
 		}
 	}
-	if err := t.put(level[len(level)-1].id, true, pager.NilPage, t.encodeLeaf(sb, prev)); err != nil {
+	if err := t.write(leaf, true, pager.NilPage, t.encodeLeaf(leaf.Data, prev)); err != nil {
 		return err
 	}
 	height := 1
@@ -160,11 +191,12 @@ func (t *Tree) bulkLoad(es []Entry, fill float64) error {
 			if err != nil {
 				return err
 			}
-			binary.LittleEndian.PutUint32(sb[0:4], uint32(group[0].id))
+			body := p.Data[headerSize:]
+			binary.LittleEndian.PutUint32(body[0:4], uint32(group[0].id))
 			for i, c := range group[1:] {
-				t.encodeSep(sb[4+i*ies:], c.firstK, c.firstV, c.id)
+				t.encodeSep(body[4+i*ies:], c.firstK, c.firstV, c.id)
 			}
-			if err := t.put(p.ID, false, pager.NilPage, sb[:4+(len(group)-1)*ies]); err != nil {
+			if err := t.write(p, false, pager.NilPage, len(group)-1); err != nil {
 				return err
 			}
 			next = append(next, childRef{firstK: group[0].firstK, firstV: group[0].firstV, id: p.ID})
@@ -176,13 +208,14 @@ func (t *Tree) bulkLoad(es []Entry, fill float64) error {
 	return nil
 }
 
-// encodeLeaf encodes run as consecutive leaf entries at the start of b.
-func (t *Tree) encodeLeaf(b []byte, run []Entry) []byte {
+// encodeLeaf encodes run as consecutive leaf entries into the body of
+// the page image img and returns their count.
+func (t *Tree) encodeLeaf(img []byte, run []Entry) int {
 	es := t.codec.leafEntrySize()
 	for i, e := range run {
-		t.encodeEntry(b[i*es:], e)
+		t.encodeEntry(img[headerSize+i*es:], e)
 	}
-	return b[:len(run)*es]
+	return len(run)
 }
 
 // encodeSep encodes an internal slot: separator (k, v) and the child right

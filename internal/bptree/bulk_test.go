@@ -52,7 +52,7 @@ func TestBulkLoadSortedMatchesBulkLoad(t *testing.T) {
 			for i, e := range es {
 				sorted[i] = Entry{Key: codec.roundKey(e.Key), Val: e.Val, Aux: codec.roundKey(e.Aux)}
 			}
-			SortEntries(sorted)
+			sorted = SortEntries(sorted, new(SortScratch))
 			tr, err := New(pager.NewMemStore(4096), Config{Codec: codec})
 			if err != nil {
 				t.Fatal(err)

@@ -450,7 +450,7 @@ func TestGoldenBPTreeImages(t *testing.T) {
 			for i := range sorted {
 				sorted[i] = rounded(fresh())
 			}
-			SortEntries(sorted)
+			sorted = SortEntries(sorted, new(SortScratch))
 			result("bulk-sorted", tr.BulkLoadSorted(sorted, 0))
 			live = append(live[:0], sorted...)
 			phase("bulk-sorted")

@@ -20,15 +20,23 @@ func refSort(es []Entry) {
 	})
 }
 
-// checkSortMatches sorts a copy of es with SortEntries and with refSort
-// and fails unless the two agree bit for bit, sign of zero and Aux
-// included.
-func checkSortMatches(t *testing.T, name string, es []Entry) {
+// checkSortMatches sorts es with SortEntries through s and a copy with
+// refSort, and fails unless the two agree bit for bit, sign of zero and
+// Aux included, and es is left as it was.
+func checkSortMatches(t *testing.T, name string, es []Entry, s *SortScratch) {
 	t.Helper()
-	got := append([]Entry(nil), es...)
+	in := append([]Entry(nil), es...)
 	want := append([]Entry(nil), es...)
-	SortEntries(got)
+	got := SortEntries(es, s)
 	refSort(want)
+	if len(got) != len(want) {
+		t.Fatalf("%s (n=%d): sorted run of %d entries", name, len(es), len(got))
+	}
+	for i, e := range es {
+		if math.Float64bits(e.Key) != math.Float64bits(in[i].Key) || e.Val != in[i].Val || e.Aux != in[i].Aux {
+			t.Fatalf("%s (n=%d): input entry %d changed to %+v from %+v", name, len(es), i, e, in[i])
+		}
+	}
 	for i := range want {
 		g, w := got[i], want[i]
 		if math.Float64bits(g.Key) != math.Float64bits(w.Key) || g.Val != w.Val ||
@@ -87,9 +95,11 @@ var sortCases = []sortCase{
 }
 
 // SortEntries must order every input exactly as a stable comparison sort
-// does, on either side of the radix cutoff.
+// does, on either side of the radix cutoff, through one scratch reused
+// from run to run as a reindex reuses it from tree to tree.
 func TestSortEntriesMatchesStableOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	var s SortScratch
 	for _, c := range sortCases {
 		for _, n := range []int{0, 1, 2, 31, radixMin - 1, radixMin, radixMin + 1, 300, 5000} {
 			es := make([]Entry, n)
@@ -97,7 +107,7 @@ func TestSortEntriesMatchesStableOrder(t *testing.T) {
 				es[i] = c.gen(rng, i)
 				es[i].Aux = float64(i)
 			}
-			checkSortMatches(t, c.name, es)
+			checkSortMatches(t, c.name, es, &s)
 		}
 	}
 }
@@ -179,7 +189,7 @@ func FuzzSortEntries(f *testing.F) {
 		for i := range es {
 			es[i].Aux = float64(i)
 		}
-		checkSortMatches(t, "fuzz", es)
+		checkSortMatches(t, "fuzz", es, new(SortScratch))
 	})
 }
 
@@ -191,11 +201,10 @@ func BenchmarkSortEntries(b *testing.B) {
 	for i := range es {
 		es[i] = Entry{Key: Compact.RoundKey(rng.Float64() * 4000), Val: uint64(rng.Intn(200000)), Aux: Compact.RoundKey(rng.Float64())}
 	}
-	work := make([]Entry, len(es))
+	var s SortScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(work, es)
-		SortEntries(work)
+		SortEntries(es, &s)
 	}
 }

@@ -2,9 +2,11 @@
 // paper's workload after a terrain-wide batch of forced updates, or the
 // serving layer refreshing a replica — pays the per-motion descent cost c
 // times over in DualBPlus if done with Insert. The BulkLoad entry points
-// instead group motions by rotation epoch, materialize every underlying
-// tree's entries in memory, sort each slice once, and hand them to the
-// structures' bottom-up builders, writing every index page exactly once.
+// instead group motions by rotation epoch, collect each underlying tree's
+// entries in turn, sort them once, and hand them to the structures'
+// bottom-up builders, writing every index page exactly once. A build
+// allocates the pages it writes and one set of scratch buffers, sized for
+// its largest tree, reused tree after tree and dropped when it returns.
 package core
 
 import (
@@ -18,7 +20,7 @@ import (
 
 // BulkLoad replaces the index's contents with the given motions using the
 // B+-trees' bottom-up builders: per generation, each of the 2c observation
-// trees and c interval indexes receives its full entry slice, sorted once,
+// trees and c interval indexes receives its full entry run, sorted once,
 // and is packed leaf-by-leaf. On a batching store the whole reindex
 // commits atomically. The input slice is not modified.
 func (d *DualBPlus) BulkLoad(ms []dual.Motion) error {
@@ -27,8 +29,11 @@ func (d *DualBPlus) BulkLoad(ms []dual.Motion) error {
 			return err
 		}
 	}
+	var s bulkScratch
 	return pager.RunBatch(d.store, func() error {
-		return d.rot.BulkLoad(ms, (*dualBPGen).bulkLoad)
+		return d.rot.BulkLoad(ms, func(g *dualBPGen, ms []dual.Motion) error {
+			return g.bulkLoad(ms, &s)
+		})
 	})
 }
 
@@ -65,12 +70,23 @@ func (d *DualBPlus) Build(ms []dual.Motion) (install func() error, err error) {
 	}, nil
 }
 
+// bulkScratch is what one BulkLoad fills its trees through: the buffer
+// each tree's entries are collected in, one tree at a time, and the sort's
+// scratch. BulkLoad makes one per call and drops it on return.
+type bulkScratch struct {
+	entries []bptree.Entry
+	sort    bptree.SortScratch
+}
+
 // bulkLoad fills a fresh generation's trees bottom-up from the motions of
-// its epoch. A counting pass sizes each of the 3c entry slices exactly, so
-// each is allocated once.
-func (g *dualBPGen) bulkLoad(ms []dual.Motion) error {
+// its epoch, one tree at a time in a fixed order — for each i, the
+// positive and negative observation trees, then subterrain i's interval
+// index. Each tree's entries are collected into s.entries in ms's order,
+// sorted through s.sort, and packed from the sorted run, so the build
+// holds the entries of one tree at a time. A counting pass sizes both
+// buffers for the generation's largest tree up front.
+func (g *dualBPGen) bulkLoad(ms []dual.Motion, s *bulkScratch) error {
 	c := g.cfg.C
-	codec := g.cfg.Codec
 	nPos := 0
 	nSub := make([]int, c)
 	for _, m := range ms {
@@ -85,56 +101,67 @@ func (g *dualBPGen) bulkLoad(ms []dual.Motion) error {
 			return err
 		}
 	}
-	pos := make([][]bptree.Entry, c)
-	neg := make([][]bptree.Entry, c)
-	sub := make([][]bptree.Entry, c)
+	most := max(nPos, len(ms)-nPos, slices.Max(nSub))
+	s.entries = slices.Grow(s.entries[:0], most)
+	s.sort.Grow(most)
 	for i := 0; i < c; i++ {
-		pos[i] = make([]bptree.Entry, 0, nPos)
-		neg[i] = make([]bptree.Entry, 0, len(ms)-nPos)
-		sub[i] = make([]bptree.Entry, 0, nSub[i])
-	}
-	for _, m := range ms {
-		for i := 0; i < c; i++ {
-			_, b := dual.HoughY(m, g.yr(i))
-			e := bptree.Entry{
-				Key: codec.RoundKey(b - g.tref),
-				Val: uint64(m.OID),
-				Aux: codec.RoundKey(m.V),
-			}
-			if m.V > 0 {
-				pos[i] = append(pos[i], e)
-			} else {
-				neg[i] = append(neg[i], e)
+		for _, positive := range [2]bool{true, false} {
+			es := g.observations(s.entries[:0], ms, i, positive)
+			if err := g.obs(i, positive).BulkLoadSorted(bptree.SortEntries(es, &s.sort), 0); err != nil {
+				return err
 			}
 		}
-		err := g.eachResidence(m, func(i int, in, out float64) error {
-			sub[i] = append(sub[i], bptree.Entry{
-				Key: codec.RoundKey(in - g.tref),
-				Val: uint64(m.OID),
-				Aux: codec.RoundKey(out - g.tref),
-			})
-			return nil
-		})
+		es, err := g.residences(s.entries[:0], ms, i)
 		if err != nil {
 			return err
 		}
-	}
-	for i := 0; i < c; i++ {
-		bptree.SortEntries(pos[i])
-		if err := g.pos[i].BulkLoadSorted(pos[i], 0); err != nil {
-			return err
-		}
-		bptree.SortEntries(neg[i])
-		if err := g.neg[i].BulkLoadSorted(neg[i], 0); err != nil {
-			return err
-		}
-		bptree.SortEntries(sub[i])
-		if err := g.sub[i].BulkLoadSorted(sub[i], 0); err != nil {
+		if err := g.sub[i].BulkLoadSorted(bptree.SortEntries(es, &s.sort), 0); err != nil {
 			return err
 		}
 	}
 	g.size = len(ms)
 	return nil
+}
+
+// observations appends to es the entries of observation index i's tree of
+// one velocity sign for the motions of ms with that sign, in ms's order.
+func (g *dualBPGen) observations(es []bptree.Entry, ms []dual.Motion, i int, positive bool) []bptree.Entry {
+	codec := g.cfg.Codec
+	for _, m := range ms {
+		if m.V > 0 != positive {
+			continue
+		}
+		_, b := dual.HoughY(m, g.yr(i))
+		es = append(es, bptree.Entry{
+			Key: codec.RoundKey(b - g.tref),
+			Val: uint64(m.OID),
+			Aux: codec.RoundKey(m.V),
+		})
+	}
+	return es
+}
+
+// residences appends to es the entries of subterrain i's interval index:
+// the residence interval there of each motion of ms that traverses it, in
+// ms's order.
+func (g *dualBPGen) residences(es []bptree.Entry, ms []dual.Motion, i int) ([]bptree.Entry, error) {
+	codec := g.cfg.Codec
+	for _, m := range ms {
+		err := g.eachResidence(m, func(j int, in, out float64) error {
+			if j == i {
+				es = append(es, bptree.Entry{
+					Key: codec.RoundKey(in - g.tref),
+					Val: uint64(m.OID),
+					Aux: codec.RoundKey(out - g.tref),
+				})
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return es, nil
 }
 
 // QueryAppend answers q like Query but appends the matching OIDs to dst,

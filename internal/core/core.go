@@ -248,7 +248,11 @@ func (r *Rotator[M, G]) Delete(m M) error {
 // BulkLoad replaces the rotator's contents with ms: it destroys every live
 // generation, groups ms by rotation epoch (input order kept within a
 // group), and for each epoch in ascending order makes a fresh generation
-// and hands it its group through load. The caller validates ms first and
+// and hands it its group through load, which reads the group and keeps
+// none of it. Grouping is one counting pass and allocates no per-epoch
+// slices: when every motion falls in one epoch, as under the forced-update
+// bound most reindexes do, the group is ms itself; otherwise one buffer of
+// len(ms) holds the groups back to back. The caller validates ms first and
 // runs the call inside pager.RunBatch, so a failure midway rolls the store
 // back; the rotator itself is then empty or partly loaded and must be
 // loaded again.
@@ -259,25 +263,41 @@ func (r *Rotator[M, G]) BulkLoad(ms []M, load func(G, []M) error) error {
 		}
 	}
 	r.size = 0
-	groups := make(map[int64][]M)
+	// epochs is ascending, and counts[k] motions fall in epochs[k].
 	var epochs []int64
+	var counts []int
 	for _, m := range ms {
 		e := r.epoch(r.updTime(m))
-		if _, ok := groups[e]; !ok {
-			epochs = append(epochs, e)
+		k, ok := slices.BinarySearch(epochs, e)
+		if !ok {
+			epochs, counts = slices.Insert(epochs, k, e), slices.Insert(counts, k, 0)
 		}
-		groups[e] = append(groups[e], m)
+		counts[k]++
 	}
-	slices.Sort(epochs)
-	for _, e := range epochs {
+	groups := ms
+	if len(epochs) > 1 {
+		next := make([]int, len(epochs)) // where each group's next motion goes
+		for k := 1; k < len(epochs); k++ {
+			next[k] = next[k-1] + counts[k-1]
+		}
+		groups = make([]M, len(ms))
+		for _, m := range ms {
+			k, _ := slices.BinarySearch(epochs, r.epoch(r.updTime(m)))
+			groups[next[k]] = m
+			next[k]++
+		}
+	}
+	for k, e := range epochs {
 		g, err := r.make(float64(e) * r.period)
 		if err != nil {
 			return err
 		}
-		if err := load(g, groups[e]); err != nil {
+		group := groups[:counts[k]]
+		groups = groups[counts[k]:]
+		if err := load(g, group); err != nil {
 			return err
 		}
-		r.adopt(e, g, len(groups[e]))
+		r.adopt(e, g, len(group))
 	}
 	return nil
 }

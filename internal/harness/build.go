@@ -140,8 +140,7 @@ func RunBuildBench(cfg BuildBenchConfig, logf func(format string, args ...any)) 
 			Aux: bptree.Compact.RoundKey(rng.Float64()*3 - 1.5),
 		}
 	}
-	sortedEntries := append([]bptree.Entry(nil), entries...)
-	bptree.SortEntries(sortedEntries)
+	sortedEntries := bptree.SortEntries(entries, new(bptree.SortScratch))
 
 	r, err := measureBuild("bptree", "incremental", cfg.N, cfg.BufferPages, func(st pager.Store) error {
 		tr, err := bptree.New(st, bptree.Config{Codec: bptree.Compact})

@@ -707,7 +707,7 @@ func TestCrashSweepBPTreeBulk(t *testing.T) {
 	for i := range initial {
 		initial[i] = bptree.Entry{Key: float64(i * 3), Val: uint64(i), Aux: float64(i) / 2}
 	}
-	bptree.SortEntries(initial)
+	initial = bptree.SortEntries(initial, new(bptree.SortScratch))
 	ops := []treeOp{
 		{e: bptree.Entry{Key: 1, Val: 1000, Aux: 0.5}},
 		{del: true, e: bptree.Entry{Key: 33, Val: 11}},

@@ -68,12 +68,7 @@ func InitRecordChain(store Store, magic string, stride int) (*RecordChain, error
 	if err != nil {
 		return nil, err
 	}
-	p, err := store.Allocate()
-	if err != nil {
-		return nil, err
-	}
-	c.pages = []PageID{p.ID}
-	if err := c.fill(0, nil); err != nil {
+	if err := c.fill(0, nil); err != nil { // allocates the head
 		return nil, err
 	}
 	return c, nil
@@ -163,11 +158,11 @@ func (c *RecordChain) walk(head PageID, fn func(recs []byte) error) ([]PageID, e
 			return nil, fmt.Errorf("pager: record chain from %d: more than the store's %d pages, a cycle: %w",
 				head, limit, ErrPageCorrupt)
 		}
-		p, err := c.store.Read(id)
+		data, err := ViewBytes(c.store, id)
 		if err != nil {
 			return nil, err
 		}
-		recs, next, err := c.decode(id, p.Data)
+		recs, next, err := c.decode(id, data)
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +178,8 @@ func (c *RecordChain) walk(head PageID, fn func(recs []byte) error) ([]PageID, e
 }
 
 // Scan hands fn each page's records in log order. The slice aliases a page
-// buffer and is only valid during the call.
+// image, possibly the store's own (ViewBytes): it is read-only and only
+// valid during the call.
 func (c *RecordChain) Scan(fn func(recs []byte) error) error {
 	_, err := c.walk(c.pages[0], fn)
 	return err
@@ -201,7 +197,9 @@ func (c *RecordChain) Bytes() ([]byte, error) {
 
 // fill lays payload over the chain from its i-th page on, every page but
 // the last full: pages the payload no longer reaches are freed, missing
-// ones allocated, and the rest rewritten in place.
+// ones allocated, and the rest rewritten in place. An allocated page is
+// encoded into the image Allocate returned for it; a rewritten one gets a
+// fresh image, since the store may still share the old one with readers.
 func (c *RecordChain) fill(i int, payload []byte) error {
 	if len(payload)%c.stride != 0 {
 		return fmt.Errorf("pager: record chain from %d: %d bytes are not whole %d-byte records",
@@ -214,12 +212,15 @@ func (c *RecordChain) fill(i int, payload []byte) error {
 		}
 		c.pages = c.pages[:len(c.pages)-1]
 	}
+	kept := len(c.pages)
+	var fresh [][]byte // the images of pages kept+0, kept+1, …
 	for len(c.pages) < end {
 		p, err := c.store.Allocate()
 		if err != nil {
 			return err
 		}
 		c.pages = append(c.pages, p.ID)
+		fresh = append(fresh, p.Data)
 	}
 	for ; i < end; i++ {
 		recs := payload[:min(len(payload), c.cap)]
@@ -228,7 +229,12 @@ func (c *RecordChain) fill(i int, payload []byte) error {
 		if i+1 < end {
 			next = c.pages[i+1]
 		}
-		data := make([]byte, c.store.PageSize())
+		var data []byte
+		if i >= kept {
+			data = fresh[i-kept]
+		} else {
+			data = make([]byte, c.store.PageSize())
+		}
 		copy(data, c.magic)
 		binary.LittleEndian.PutUint32(data[c.hdr-8:], uint32(next))
 		binary.LittleEndian.PutUint32(data[c.hdr-4:], uint32(len(recs)))

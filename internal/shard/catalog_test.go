@@ -151,6 +151,50 @@ func TestCatalogReplayDifferential(t *testing.T) {
 	}
 }
 
+// TestCatalogReplayMergesTail covers the merge of a rewritten run with
+// the writes appended after it, at every prefix against the reference:
+// tail inserts that sort before the run, after it, between its motions
+// and onto one of them (a second replica, split across run and tail); a
+// delete of a run motion, of a tail insert, and of both replicas; and OIDs
+// that differ only in their high bytes, so the tail's radix sort takes
+// more than its low passes.
+func TestCatalogReplayMergesTail(t *testing.T) {
+	run := clusterMotions(40)[10:] // OIDs 11..40
+	far, wide := testMotion(5), testMotion(6)
+	far.OID, wide.OID = 1<<40|7, 3<<8|9
+	mid := testMotion(20)
+	mid.T0 = 3
+	low := testMotion(0)
+	tail := []Op{
+		{M: run[4]}, // ends the run: what follows is the tail
+		{Insert: true, M: far},
+		{Insert: true, M: wide},
+		{Insert: true, M: run[9]},
+		{Insert: true, M: mid},
+		{Insert: true, M: low},
+		{M: mid},
+		{Insert: true, M: testMotion(77)},
+		{M: run[9]},
+		{M: run[9]},
+	}
+	c := buildCatalog(t, logPageSize, []catalogStep{{rewrite: true, ms: run}, {ops: tail[:4]}, {ops: tail[4:]}})
+	for prefix := 0; prefix <= c.records; prefix++ {
+		wantMs, wantOps, wantErr := refReplay(c, prefix)
+		ms, ops, err := c.replay(prefix)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("prefix %d: error %v, reference %v", prefix, err, wantErr)
+		}
+		if !slices.Equal(ms, wantMs) || !slices.Equal(ops, wantOps) {
+			t.Fatalf("prefix %d: %d motions and %d ops, reference %d and %d\n got %v\nwant %v",
+				prefix, len(ms), len(ops), len(wantMs), len(wantOps), ms, wantMs)
+		}
+	}
+	// far, wide, low and 77 join; run[4] and both copies of run[9] leave.
+	if ms, err := c.motions(); err != nil || len(ms) != len(run)+2 {
+		t.Fatalf("%d motions, %v; want %d", len(ms), err, len(run)+2)
+	}
+}
+
 // TestCatalogReplayDeletedMoreThanInserted: a delete with no insert left
 // to cancel, alone or the second of two deletes of one insert, makes the
 // catalog corrupt, but only in a replay whose prefix holds it.

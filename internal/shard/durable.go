@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 
 	"mobidx/internal/bptree"
 	"mobidx/internal/core"
@@ -303,27 +302,30 @@ func (c *catalog) rewrite(ms []dual.Motion) error {
 // come back as ops. The ingest tier's recovery splits the log at the
 // flushed watermark this way, into the base's contents and the delta.
 //
-// The fold is a merge, not a count: the prefix's inserts and deletes are
-// read into two slices, each sorted only if it is out of order, and one
-// pass subtracts every delete from one copy of its motion, so identical
-// replicas keep their multiplicity. A catalog rewritten from a sorted
-// enumeration (a split's receiver and trimmed source, a flat compaction)
-// replays without a sort.
+// The fold is a merge, not a count. The prefix's leading run of inserts
+// in order — all of a catalog rewritten from a sorted enumeration (a
+// fold, a split's receiver and trimmed source, a flat compaction) — is
+// kept as read, and only the records after it, the writes appended since,
+// are sorted (sortOps) and merged into it (mergeTail). Identical replicas
+// keep their multiplicity.
 func (c *catalog) replay(prefix int) (ms []dual.Motion, suffix []Op, err error) {
 	// The inserts number at most (records+live)/2, exactly that when the
-	// prefix is the whole log.
-	ins := make([]dual.Motion, 0, min(prefix, (c.records+c.live)/2))
-	var del []dual.Motion
+	// prefix is the whole log; the run and the tail's inserts fit.
+	ms = make([]dual.Motion, 0, min(prefix, (c.records+c.live)/2))
+	var tail []Op
 	n := 0
 	err = c.chain.Scan(func(recs []byte) error {
 		for ; len(recs) >= catRecLen; recs = recs[catRecLen:] {
 			switch op := decodeCatRec(recs); {
 			case n >= prefix:
 				suffix = append(suffix, op)
-			case op.Insert:
-				ins = append(ins, op.M)
+			case tail == nil && op.Insert && (len(ms) == 0 || compareMotions(ms[len(ms)-1], op.M) <= 0):
+				ms = append(ms, op.M)
 			default:
-				del = append(del, op.M)
+				if tail == nil { // the rest of the prefix, at most
+					tail = make([]Op, 0, prefix-n)
+				}
+				tail = append(tail, op)
 			}
 			n++
 		}
@@ -332,49 +334,130 @@ func (c *catalog) replay(prefix int) (ms []dual.Motion, suffix []Op, err error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	sortMotions(ins)
-	sortMotions(del)
-	ms, err = subtractMotions(ins, del)
+	ms, err = mergeTail(ms, tail)
 	if err != nil {
 		return nil, nil, err
 	}
 	return ms, suffix, nil
 }
 
-// sortMotions puts ms in the catalog's order unless it already is.
-func sortMotions(ms []dual.Motion) {
-	if !slices.IsSortedFunc(ms, compareMotions) {
-		slices.SortFunc(ms, compareMotions)
+// mergeTail folds tail's ops into run, a sorted multiset of motions whose
+// backing array has room for tail's inserts, and returns the result in
+// the catalog's order in that array. With tail sorted, one pass from the
+// back takes each motion once, largest first, and writes as many copies
+// as run holds plus tail inserts less tail deletes; fewer than none is a
+// corrupt catalog.
+func mergeTail(run []dual.Motion, tail []Op) ([]dual.Motion, error) {
+	if len(tail) == 0 {
+		return run, nil
 	}
+	sortOps(tail)
+	ins := 0
+	for _, op := range tail {
+		if op.Insert {
+			ins++
+		}
+	}
+	out := run[:len(run)+ins]
+	i, j, w := len(run)-1, len(tail)-1, len(out)
+	for i >= 0 || j >= 0 {
+		// Take the largest motion left, then its other copies in either.
+		var m dual.Motion
+		k := 0
+		if j < 0 || i >= 0 && compareMotions(run[i], tail[j].M) >= 0 {
+			m, k, i = run[i], 1, i-1
+		} else {
+			m, k, j = tail[j].M, opCount(tail[j]), j-1
+		}
+		for ; i >= 0 && compareMotions(run[i], m) == 0; i-- {
+			k++
+		}
+		for ; j >= 0 && compareMotions(tail[j].M, m) == 0; j-- {
+			k += opCount(tail[j])
+		}
+		if k < 0 {
+			return nil, fmt.Errorf("shard: catalog: motion %d deleted more than inserted: %w",
+				m.OID, pager.ErrPageCorrupt)
+		}
+		for ; k > 0; k-- {
+			w--
+			out[w] = m
+		}
+	}
+	return out[w:], nil
 }
 
-// subtractMotions removes one copy of each of del's motions from ins, both
-// sorted, in place, and returns what is left. A delete with no copy left
-// to remove is a corrupt catalog.
-func subtractMotions(ins, del []dual.Motion) ([]dual.Motion, error) {
-	w, i := 0, 0
-	for _, d := range del {
-		for i < len(ins) && compareMotions(ins[i], d) < 0 {
-			ins[w] = ins[i]
-			w, i = w+1, i+1
-		}
-		if i == len(ins) || compareMotions(ins[i], d) != 0 {
-			return nil, fmt.Errorf("shard: catalog: motion %d deleted more than inserted: %w",
-				d.OID, pager.ErrPageCorrupt)
-		}
-		i++
+// opCount is what op adds to its motion's copies: one for an insert,
+// minus one for a delete.
+func opCount(op Op) int {
+	if op.Insert {
+		return 1
 	}
-	w += copy(ins[w:], ins[i:])
-	return ins[:w], nil
+	return -1
+}
+
+// sortOps orders ops by their motions in the catalog's order: a
+// least-significant-digit radix sort on OID, one pass per byte in which
+// the OIDs differ, then an insertion sort of each run of one object's
+// ops, which is short.
+func sortOps(ops []Op) {
+	if len(ops) < 2 {
+		return
+	}
+	var differ dual.OID // the bits in which some OID differs from the first
+	for _, op := range ops {
+		differ |= op.M.OID ^ ops[0].M.OID
+	}
+	src, dst := ops, make([]Op, len(ops))
+	for sh := 0; differ>>sh != 0; sh += 8 {
+		if byte(differ>>sh) == 0 {
+			continue
+		}
+		var at [256]int
+		for _, op := range src {
+			at[byte(op.M.OID>>sh)]++
+		}
+		sum := 0
+		for b, n := range at {
+			at[b], sum = sum, sum+n
+		}
+		for _, op := range src {
+			b := byte(op.M.OID >> sh)
+			dst[at[b]] = op
+			at[b]++
+		}
+		src, dst = dst, src
+	}
+	copy(ops, src)
+	for k := 1; k < len(ops); k++ {
+		for m := k; m > 0 && ops[m].M.OID == ops[m-1].M.OID && compareSameOID(ops[m].M, ops[m-1].M) < 0; m-- {
+			ops[m], ops[m-1] = ops[m-1], ops[m]
+		}
+	}
 }
 
 // compareMotions is the catalog's enumeration order: by OID, then T0, Y0
-// and V.
+// and V. It is small enough to inline, so the OID comparison that nearly
+// always decides costs no call.
 func compareMotions(a, b dual.Motion) int {
-	if a.OID != b.OID { // nearly always: replicas aside, one motion per object
-		return cmp.Compare(a.OID, b.OID)
+	switch { // nearly always decided here: replicas aside, one motion per object
+	case a.OID < b.OID:
+		return -1
+	case a.OID > b.OID:
+		return 1
 	}
-	return cmp.Or(cmp.Compare(a.T0, b.T0), cmp.Compare(a.Y0, b.Y0), cmp.Compare(a.V, b.V))
+	return compareSameOID(a, b)
+}
+
+// compareSameOID is compareMotions for two motions of one object.
+func compareSameOID(a, b dual.Motion) int {
+	if c := cmp.Compare(a.T0, b.T0); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Y0, b.Y0); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.V, b.V)
 }
 
 // motions replays the whole log into the live motion multiset.

@@ -357,6 +357,10 @@ func (s *Shard) Query(ctx context.Context, q dual.MORQuery) ([]dual.OID, error) 
 		return nil, err
 	}
 	s.mu.RLock()
+	if err := s.down(); err != nil { // a Close that ran while this query queued
+		s.mu.RUnlock()
+		return nil, err
+	}
 	var res []dual.OID
 	var err error
 	if s.tier != nil {
@@ -448,10 +452,15 @@ func (s *Shard) Apply(ctx context.Context, ops []Op) error {
 // a durable one. A failed batch quarantines the shard before readers can
 // see its in-memory state, unless clean (nil: never) vouches that the
 // failure left that state untouched; a failed sync quarantines it too. A
-// success runs the checkpoint it made due.
+// success runs the checkpoint it made due. A write that queued for the
+// writer latch behind Close or a failed batch finds the shard down once it
+// holds the latch and returns ErrShardDown, touching nothing.
 func (s *Shard) write(build, install func() error, clean func(error) bool) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
+	if err := s.down(); err != nil {
+		return err
+	}
 	return s.writeLocked(build, install, clean)
 }
 
@@ -573,6 +582,9 @@ func (s *Shard) Retain(ctx context.Context, keep func(dual.Motion) bool) error {
 	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
+	if err := s.down(); err != nil {
+		return err
+	}
 	cur, err := s.cat.motions()
 	if err != nil {
 		return err
@@ -651,11 +663,11 @@ func (s *Shard) Motions() ([]dual.Motion, error) {
 // catalogGen still returns that generation, Motions would return the same
 // motions.
 func (s *Shard) snapshot() ([]dual.Motion, uint64, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if err := s.down(); err != nil {
 		return nil, 0, err
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	ms, err := s.cat.motions()
 	return ms, s.cat.gen, err
 }
@@ -675,11 +687,11 @@ func (s *Shard) catalogGen() (uint64, error) {
 // truncates the log — the idle-time compaction hook; recovery works with
 // or without it. It holds the writer latch only, so queries keep running.
 func (s *Shard) Checkpoint() error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if err := s.down(); err != nil {
 		return err
 	}
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
 	return s.wal.Checkpoint()
 }
 
@@ -690,7 +702,10 @@ func (s *Shard) quarantine(cause error) {
 	s.stateMu.Unlock()
 }
 
-// Close shuts the shard down; further operations fail with ErrShardDown.
+// Close shuts the shard down; further operations fail with ErrShardDown,
+// including those already queued on a latch when Close marks the shard
+// closed: each checks again once it holds its latch, so none runs on the
+// closed log or tier.
 func (s *Shard) Close() error {
 	s.stateMu.Lock()
 	if s.closed {

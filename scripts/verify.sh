@@ -139,8 +139,11 @@ echo "== zero-allocation gates =="
 # allocates its answer and a fixed handful of small objects on one worker
 # and on two (TestQueryAllocatesOnlyItsAnswer), and the router returns a
 # single band's answer without copying it (TestRouterQueryNoSecondCopy).
+# A bulk rebuild (DualBPlus.Build plus its install, an ingest fold)
+# allocates the page images it writes and a bounded per-motion scratch
+# beside them (TestBuildZeroAllocBeyondPages).
 # testing.AllocsPerRun makes a regression a test failure.
-go test -count=1 -run 'ZeroAlloc' ./internal/bptree ./internal/pager ./internal/subscribe
+go test -count=1 -run 'ZeroAlloc' ./internal/bptree ./internal/pager ./internal/subscribe ./internal/core
 go test -count=1 -run 'TestQueryAllocatesOnlyItsAnswer|TestRouterQueryNoSecondCopy' ./internal/core ./internal/shard
 
 echo "== bench smoke =="
