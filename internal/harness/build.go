@@ -58,7 +58,9 @@ type BuildBenchConfig struct {
 }
 
 // countStore tallies the logical I/Os a structure issues above the buffer
-// pool. Builds are single-goroutine, so plain counters suffice.
+// pool. Builds are single-goroutine, so plain counters suffice. It is a
+// Viewer, so a structure that views its pages does so through the pool's
+// zero-copy path here as it does when it serves.
 type countStore struct {
 	pager.Store
 	reads, writes int64
@@ -67,6 +69,11 @@ type countStore struct {
 func (c *countStore) Read(id pager.PageID) (*pager.Page, error) {
 	c.reads++
 	return c.Store.Read(id)
+}
+
+func (c *countStore) View(id pager.PageID) ([]byte, error) {
+	c.reads++
+	return pager.ViewBytes(c.Store, id)
 }
 
 func (c *countStore) Write(p *pager.Page) error {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -171,6 +172,68 @@ func TestPoolMissZeroAllocFromWALTable(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Fatalf("a pool miss served from the WAL table allocates %.1f objects, want 1 (the frame header)", allocs)
+	}
+}
+
+// A pool hit hands out the frame's image under the latch and relinks the
+// frame in the recency ring: it allocates nothing.
+func TestPoolHitZeroAlloc(t *testing.T) {
+	w, ids := allocWAL(t, NewMemLog(), 8)
+	buf := NewBuffered(w, len(ids))
+	for _, id := range ids {
+		if _, err := buf.View(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := buf.View(ids[i%len(ids)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("a pool hit allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// BenchmarkBufferedView times Buffered.View over a WALStore on one and on
+// two goroutines, all hits (every page in the pool) and all misses (a
+// pool of a quarter of the pages, which each goroutine cycles through its
+// own half of in order, so every view evicts a page cycled before it).
+func BenchmarkBufferedView(b *testing.B) {
+	const pages = 256
+	for _, bc := range []struct {
+		name     string
+		capacity int
+	}{{"hit", pages}, {"miss", pages / 4}} {
+		for _, procs := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/goroutines=%d", bc.name, procs), func(b *testing.B) {
+				w, ids := allocWAL(b, NewMemLog(), pages)
+				buf := NewBuffered(w, bc.capacity)
+				for _, id := range ids {
+					if _, err := buf.View(id); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for g := 0; g < procs; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						for i := g; i < b.N; i += procs {
+							if _, err := buf.View(ids[i%pages]); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}(g)
+				}
+				wg.Wait()
+			})
+		}
 	}
 }
 

@@ -213,6 +213,66 @@ func TestBufferedEviction(t *testing.T) {
 	}
 }
 
+// TestBufferedExactLRU fills a 256-page pool with 256 pages whose ids are
+// all multiples of 16 — ids a pool split by id hash would crowd into one
+// part of it — and checks the pool keeps every one, then that the 257th
+// page evicts the least recently used page and no other.
+func TestBufferedExactLRU(t *testing.T) {
+	const capacity = 256
+	under := NewMemStore(128)
+	b := NewBuffered(under, capacity)
+	var ids []PageID
+	for len(ids) <= capacity {
+		p, err := under.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.ID%16 == 0 {
+			ids = append(ids, p.ID)
+		}
+	}
+	pool, extra := ids[:capacity], ids[capacity]
+	for _, id := range pool {
+		if _, err := b.View(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Touch the pool again from the middle on, so the least recently used
+	// page is pool[capacity/2], neither the first installed nor the last.
+	reads := func() int64 { return b.Stats().Reads }
+	base := reads()
+	for i := range pool {
+		if _, err := b.View(pool[(i+capacity/2)%capacity]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := reads() - base; d != 0 {
+		t.Fatalf("a full %d-page pool re-served its own pages with %d store reads, want 0", capacity, d)
+	}
+	if _, err := b.View(extra); err != nil {
+		t.Fatal(err)
+	}
+	victim := pool[capacity/2]
+	base = reads()
+	for i := 1; i < capacity; i++ { // every pool page but the victim
+		if _, err := b.Read(pool[(capacity/2+i)%capacity]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.Read(extra); err != nil {
+		t.Fatal(err)
+	}
+	if d := reads() - base; d != 0 {
+		t.Fatalf("page %d evicted %d pages besides the least recently used one", extra, d)
+	}
+	if _, err := b.Read(victim); err != nil {
+		t.Fatal(err)
+	}
+	if d := reads() - base; d != 1 {
+		t.Fatalf("the least recently used page %d stayed in the pool (%d reads, want 1)", victim, d)
+	}
+}
+
 func TestBufferedWriteThrough(t *testing.T) {
 	under := NewMemStore(128)
 	b := NewBuffered(under, 2)

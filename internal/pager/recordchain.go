@@ -19,9 +19,9 @@ import (
 // FindRecordChain locates its head on a reopened store with a bounded scan
 // of the low page ids, with no reliance on store-specific metadata areas.
 //
-// Append and Rewrite must run inside the owner's open batch (RunBatch), so
-// the chain commits atomically with the mutation it describes and a crash
-// recovers exactly the old or exactly the new log. The in-memory page list
+// Append, Rewrite and RewriteFunc must run inside the owner's open batch
+// (RunBatch), so the chain commits atomically with the mutation it
+// describes and a crash recovers exactly the old or exactly the new log. The in-memory page list
 // mirrors the staged state and is only to be trusted once that batch
 // commits; an owner whose batch failed must not use the chain again.
 // Everything read back from a page is bounds-checked, and a page that
@@ -68,7 +68,7 @@ func InitRecordChain(store Store, magic string, stride int) (*RecordChain, error
 	if err != nil {
 		return nil, err
 	}
-	if err := c.fill(0, nil); err != nil { // allocates the head
+	if err := c.Rewrite(nil); err != nil { // allocates the head
 		return nil, err
 	}
 	return c, nil
@@ -195,17 +195,20 @@ func (c *RecordChain) Bytes() ([]byte, error) {
 	return out, err
 }
 
-// fill lays payload over the chain from its i-th page on, every page but
-// the last full: pages the payload no longer reaches are freed, missing
-// ones allocated, and the rest rewritten in place. An allocated page is
-// encoded into the image Allocate returned for it; a rewritten one gets a
-// fresh image, since the store may still share the old one with readers.
-func (c *RecordChain) fill(i int, payload []byte) error {
-	if len(payload)%c.stride != 0 {
+// fill lays size bytes of records over the chain from its i-th page on,
+// every page but the last full: pages the records no longer reach are
+// freed, missing ones allocated, and the rest rewritten in place. put
+// encodes the records straight into each page image: it is handed the
+// image's record area and the offset of its first byte in the records.
+// An allocated page is encoded into the image Allocate returned for it; a
+// rewritten one gets a fresh image, since the store may still share the
+// old one with readers.
+func (c *RecordChain) fill(i, size int, put func(dst []byte, off int)) error {
+	if size%c.stride != 0 {
 		return fmt.Errorf("pager: record chain from %d: %d bytes are not whole %d-byte records",
-			c.pages[0], len(payload), c.stride)
+			c.pages[0], size, c.stride)
 	}
-	end := i + max(1, (len(payload)+c.cap-1)/c.cap)
+	end := i + max(1, (size+c.cap-1)/c.cap)
 	for len(c.pages) > end {
 		if err := c.store.Free(c.pages[len(c.pages)-1]); err != nil {
 			return err
@@ -222,9 +225,8 @@ func (c *RecordChain) fill(i int, payload []byte) error {
 		c.pages = append(c.pages, p.ID)
 		fresh = append(fresh, p.Data)
 	}
-	for ; i < end; i++ {
-		recs := payload[:min(len(payload), c.cap)]
-		payload = payload[len(recs):]
+	for off := 0; i < end; i++ {
+		n := min(size-off, c.cap)
 		next := NilPage
 		if i+1 < end {
 			next = c.pages[i+1]
@@ -237,8 +239,9 @@ func (c *RecordChain) fill(i int, payload []byte) error {
 		}
 		copy(data, c.magic)
 		binary.LittleEndian.PutUint32(data[c.hdr-8:], uint32(next))
-		binary.LittleEndian.PutUint32(data[c.hdr-4:], uint32(len(recs)))
-		copy(data[c.hdr:], recs)
+		binary.LittleEndian.PutUint32(data[c.hdr-4:], uint32(n))
+		put(data[c.hdr:c.hdr+n], off)
+		off += n
 		stampTrailer(data)
 		if err := c.store.Write(&Page{ID: c.pages[i], Data: data}); err != nil {
 			return err
@@ -247,26 +250,40 @@ func (c *RecordChain) fill(i int, payload []byte) error {
 	return nil
 }
 
-// Append adds whole records to the end of the log: one read of the tail
-// page, one write of it, and an allocation and a write for every page the
-// records spill into.
+// Append adds whole records to the end of the log: one view of the tail
+// page, one write of it with its records and the new ones laid into a
+// fresh image, and an allocation and a write for every page the records
+// spill into.
 func (c *RecordChain) Append(recs []byte) error {
 	if len(recs) == 0 {
 		return nil
 	}
 	tail := len(c.pages) - 1
-	p, err := c.store.Read(c.pages[tail])
+	data, err := ViewBytes(c.store, c.pages[tail])
 	if err != nil {
 		return err
 	}
-	cur, _, err := c.decode(c.pages[tail], p.Data)
+	cur, _, err := c.decode(c.pages[tail], data)
 	if err != nil {
 		return err
 	}
-	// cur aliases the store's page buffer: the capped slice makes append copy.
-	return c.fill(tail, append(cur[:len(cur):len(cur)], recs...))
+	// cur stays valid while fill runs: the tail's write installs a fresh
+	// image and leaves the one cur aliases as it was.
+	return c.fill(tail, len(cur)+len(recs), func(dst []byte, off int) {
+		n := copy(dst, cur[min(off, len(cur)):])
+		copy(dst[n:], recs[max(0, off-len(cur)):])
+	})
 }
 
 // Rewrite replaces the whole log with payload. The head keeps its id, so
 // whatever names the chain need not change.
-func (c *RecordChain) Rewrite(payload []byte) error { return c.fill(0, payload) }
+func (c *RecordChain) Rewrite(payload []byte) error {
+	return c.RewriteFunc(len(payload), func(dst []byte, off int) { copy(dst, payload[off:]) })
+}
+
+// RewriteFunc replaces the whole log with size bytes of records that put
+// encodes into the page images as they are laid out: each call fills dst,
+// whole records only, with the records' bytes from offset off on.
+func (c *RecordChain) RewriteFunc(size int, put func(dst []byte, off int)) error {
+	return c.fill(0, size, put)
+}

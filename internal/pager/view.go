@@ -46,21 +46,3 @@ func (m *MemStore) View(id PageID) ([]byte, error) {
 	m.stats.reads.Add(1)
 	return buf, nil
 }
-
-// View implements Viewer. A pool hit returns the cached frame's bytes
-// with no copy and no store I/O — frames are immutable once installed
-// (see bufFrame), so the slice stays consistent even if the page is
-// rewritten later. A miss installs the underlying store's image as the
-// frame (see fill).
-func (b *Buffered) View(id PageID) ([]byte, error) {
-	sh := b.shard(id)
-	sh.mu.RLock()
-	if f, ok := sh.frames[id]; ok {
-		f.tick.Store(sh.clock.Add(1))
-		data := f.data
-		sh.mu.RUnlock()
-		return data, nil
-	}
-	sh.mu.RUnlock()
-	return b.fill(id)
-}

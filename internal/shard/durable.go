@@ -222,17 +222,16 @@ func attachCatalog(store pager.Store, head pager.PageID) (*catalog, error) {
 	return c, nil
 }
 
-func appendCatRec(buf []byte, op Op) []byte {
-	opByte := byte(catOpDelete)
+// putCatRec encodes op into the first catRecLen bytes of dst.
+func putCatRec(dst []byte, op Op) {
+	dst[0] = catOpDelete
 	if op.Insert {
-		opByte = catOpInsert
+		dst[0] = catOpInsert
 	}
-	buf = append(buf, opByte)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(op.M.OID))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(op.M.Y0))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(op.M.T0))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(op.M.V))
-	return buf
+	binary.LittleEndian.PutUint64(dst[1:9], uint64(op.M.OID))
+	binary.LittleEndian.PutUint64(dst[9:17], math.Float64bits(op.M.Y0))
+	binary.LittleEndian.PutUint64(dst[17:25], math.Float64bits(op.M.T0))
+	binary.LittleEndian.PutUint64(dst[25:33], math.Float64bits(op.M.V))
 }
 
 // decodeCatRec decodes one catRecLen-byte record whose op byte attach
@@ -269,9 +268,9 @@ func (c *catalog) append(ops []Op) error {
 // whole catalog is rewritten from the tier's base. Must run in the
 // owner's open batch.
 func (c *catalog) appendRaw(ops []Op) error {
-	recs := make([]byte, 0, len(ops)*catRecLen)
-	for _, op := range ops {
-		recs = appendCatRec(recs, op)
+	recs := make([]byte, len(ops)*catRecLen)
+	for i, op := range ops {
+		putCatRec(recs[i*catRecLen:], op)
 		if op.Insert {
 			c.live++
 		} else {
@@ -285,15 +284,18 @@ func (c *catalog) appendRaw(ops []Op) error {
 
 // rewrite replaces the log with plain inserts of ms (the BulkLoad, fold
 // and compaction path). The head page id is stable, so the superblock
-// need not change for a rewrite. Must run in the owner's open batch.
+// need not change for a rewrite. Each record is encoded straight into
+// its page image, with no staging copy of the whole log. Must run in the
+// owner's open batch.
 func (c *catalog) rewrite(ms []dual.Motion) error {
-	recs := make([]byte, 0, len(ms)*catRecLen)
-	for _, m := range ms {
-		recs = appendCatRec(recs, Op{Insert: true, M: m})
-	}
 	c.live, c.records = len(ms), len(ms)
 	c.gen++
-	return c.chain.Rewrite(recs)
+	return c.chain.RewriteFunc(len(ms)*catRecLen, func(dst []byte, off int) {
+		for k := off / catRecLen; len(dst) > 0; k++ {
+			putCatRec(dst, Op{Insert: true, M: ms[k]})
+			dst = dst[catRecLen:]
+		}
+	})
 }
 
 // replay reads the log once, in append order. Its first prefix records

@@ -118,8 +118,9 @@ func NewFileStore(path string, pageSize int) (*pager.FileStore, error) {
 	return pager.NewFileStore(path, pageSize)
 }
 
-// NewBufferedStore wraps a store with a small LRU pool of the given
-// capacity (the paper buffers a root-to-leaf path, 3-4 pages).
+// NewBufferedStore wraps a store with an exact LRU pool of the given
+// capacity (the paper buffers a root-to-leaf path, 3-4 pages). Writes go
+// through to the store; a capacity of zero caches nothing.
 func NewBufferedStore(under Store, capacity int) *pager.Buffered {
 	return pager.NewBuffered(under, capacity)
 }

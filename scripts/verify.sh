@@ -133,7 +133,8 @@ echo "== zero-allocation gates =="
 # below share (TestUpdateZeroAllocAboveStores);
 # in the pager a commit allocates the same for 8 staged pages as for 512,
 # a MemStore Allocate one image, a pool write one image, a pool miss on a page the WAL holds only the
-# frame header, and a FileStore write (trailer included) nothing; in the
+# frame header, a pool hit nothing (TestPoolHitZeroAlloc), and a FileStore
+# write (trailer included) nothing; in the
 # subscription engine an upsert or a certificate
 # fire that changes no membership allocates nothing; a serving query
 # allocates its answer and a fixed handful of small objects on one worker
@@ -153,7 +154,9 @@ echo "== bench smoke =="
 # for reader contention: run it with -cpu 1,2 to time it. internal/pager's
 # BenchmarkWALCommitCycle (one shard's durable commits and due checkpoints
 # on real files) attributes the write path's fsync cost to the WAL: time
-# it with -benchtime 400x -count 5 against the parent commit.
+# it with -benchtime 400x -count 5 against the parent commit. Its
+# BenchmarkBufferedView times a pool hit and a miss on one and two
+# goroutines: time it with -count 5 against the parent commit.
 # internal/shard's BenchmarkCatalogReplay (one enumeration of a 50k-motion
 # catalog, as rewritten and with 10k update pairs appended) attributes a
 # split's catalog reads to the catalog: time it with -benchtime 20x
