@@ -18,19 +18,25 @@ import "sync"
 // frame at the back, the least recently used page of the whole pool. The
 // latch covers only the lookup and the relinking: a hit hands out the
 // frame's image (Read copies it after the latch drops), and a miss fetches
-// the page from the store below before it takes the latch to install it.
+// the page from the store below with the latch released. A miss first
+// maps an empty, unlinked placeholder frame and fills it after the fetch
+// only if the placeholder is still mapped and still empty: a Write that
+// lands meanwhile fills it, a Free or Clear unmaps it, and either way the
+// fetched image, possibly older, is returned without being cached.
 type Buffered struct {
 	under Store
 	cap   int
 
 	mu     sync.Mutex
-	frames map[PageID]*bufFrame
-	ring   bufFrame // sentinel: ring.next is the most recently used frame, ring.prev the least
+	frames map[PageID]*bufFrame // linked frames and the placeholders of misses in flight
+	linked int                  // frames in the ring; only they count against cap
+	ring   bufFrame             // sentinel: ring.next is the most recently used frame, ring.prev the least
 }
 
-// bufFrame is one cached page and its place in the recency ring. Its
-// image is never modified: a write installs the new slice, so a reader
-// that took data under the latch keeps a consistent (if stale) page.
+// bufFrame is one cached page and its place in the recency ring, or, with
+// no image and no place, a miss's placeholder. Its image is never
+// modified: a write installs the new slice, so a reader that took data
+// under the latch keeps a consistent (if stale) page.
 type bufFrame struct {
 	id         PageID
 	data       []byte
@@ -61,6 +67,7 @@ func (b *Buffered) toFront(f *bufFrame) {
 func (b *Buffered) Clear() {
 	b.mu.Lock()
 	clear(b.frames)
+	b.linked = 0
 	b.ring.prev, b.ring.next = &b.ring, &b.ring
 	b.mu.Unlock()
 }
@@ -75,22 +82,39 @@ func (b *Buffered) Allocate() (*Page, error) { return b.under.Allocate() }
 // copy and no store I/O. A miss takes the underlying store's image of the
 // page — its own slice when it is a Viewer (a WALStore's staged or
 // page-table image, a MemStore's), a fresh Read otherwise; read-only and
-// stable either way — and installs that slice, not a copy, as the frame.
+// stable either way — and fills the miss's placeholder with that slice,
+// not a copy, unless a Write, Free or Clear of the page came first.
 func (b *Buffered) View(id PageID) ([]byte, error) {
+	if b.cap <= 0 {
+		return ViewBytes(b.under, id)
+	}
 	b.mu.Lock()
-	if f, ok := b.frames[id]; ok {
+	f, ok := b.frames[id]
+	if ok && f.data != nil {
 		f.unlink()
 		b.toFront(f)
 		data := f.data
 		b.mu.Unlock()
 		return data, nil
 	}
+	if !ok {
+		f = &bufFrame{id: id}
+		b.frames[id] = f
+	}
 	b.mu.Unlock()
 	data, err := ViewBytes(b.under, id)
+	b.mu.Lock()
+	if b.frames[id] == f && f.data == nil {
+		if err != nil {
+			delete(b.frames, id)
+		} else {
+			b.link(f, data)
+		}
+	}
+	b.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	b.install(id, data)
 	return data, nil
 }
 
@@ -117,35 +141,49 @@ func (b *Buffered) Write(p *Page) error {
 }
 
 // install caches data — an image nobody will modify again — as the page's
-// most recently used frame, dropping the least recently used one when the
-// pool is over capacity.
+// most recently used frame, filling a miss's placeholder if one is mapped.
 func (b *Buffered) install(id PageID, data []byte) {
 	if b.cap <= 0 {
 		return
 	}
 	b.mu.Lock()
-	if f, ok := b.frames[id]; ok {
+	f, ok := b.frames[id]
+	if !ok {
+		f = &bufFrame{id: id}
+		b.frames[id] = f
+	}
+	if f.data == nil {
+		b.link(f, data)
+	} else {
 		f.data = data
 		f.unlink()
 		b.toFront(f)
-	} else {
-		f = &bufFrame{id: id, data: data}
-		b.frames[id] = f
-		b.toFront(f)
-		if len(b.frames) > b.cap {
-			victim := b.ring.prev
-			victim.unlink()
-			delete(b.frames, victim.id)
-		}
 	}
 	b.mu.Unlock()
 }
 
-// Free implements Store, dropping any cached copy.
+// link fills the mapped, unlinked frame f with data and makes it the most
+// recently used frame, dropping the least recently used one when the pool
+// is over capacity. Caller holds mu.
+func (b *Buffered) link(f *bufFrame, data []byte) {
+	f.data = data
+	b.toFront(f)
+	if b.linked++; b.linked > b.cap {
+		victim := b.ring.prev
+		victim.unlink()
+		delete(b.frames, victim.id)
+		b.linked--
+	}
+}
+
+// Free implements Store, dropping any cached copy or placeholder.
 func (b *Buffered) Free(id PageID) error {
 	b.mu.Lock()
 	if f, ok := b.frames[id]; ok {
-		f.unlink()
+		if f.data != nil {
+			f.unlink()
+			b.linked--
+		}
 		delete(b.frames, id)
 	}
 	b.mu.Unlock()

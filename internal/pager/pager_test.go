@@ -3,8 +3,10 @@ package pager
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"slices"
+	"sync/atomic"
 	"testing"
 )
 
@@ -270,6 +272,95 @@ func TestBufferedExactLRU(t *testing.T) {
 	}
 	if d := reads() - base; d != 1 {
 		t.Fatalf("the least recently used page %d stayed in the pool (%d reads, want 1)", victim, d)
+	}
+}
+
+// parkingViewStore is a MemStore whose View, once armed, takes the page's
+// image and then parks until released: a pool miss holding that image can
+// be overtaken by a write, a free or a clear of the same page.
+type parkingViewStore struct {
+	*MemStore
+	armed   atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (s *parkingViewStore) View(id PageID) ([]byte, error) {
+	data, err := s.MemStore.View(id)
+	if s.armed.CompareAndSwap(true, false) {
+		close(s.parked)
+		<-s.release
+	}
+	return data, err
+}
+
+// TestBufferedMissKeepsLaterWrite parks a pool miss inside the store's
+// View after it took the page's old image, then writes the page through
+// the pool, frees it, or changes it below the pool and clears the pool.
+// Released, the miss must not cache its older image: the next View sees
+// the new byte, or that the page is gone.
+func TestBufferedMissKeepsLaterWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		overtake func(b *Buffered, under *MemStore, id PageID) error
+		want     byte // the next View's first byte; 0: the page is gone
+	}{
+		{"write", func(b *Buffered, _ *MemStore, id PageID) error {
+			return b.Write(&Page{ID: id, Data: append([]byte{2}, make([]byte, 127)...)})
+		}, 2},
+		{"free", func(b *Buffered, _ *MemStore, id PageID) error {
+			return b.Free(id)
+		}, 0},
+		{"clear", func(b *Buffered, under *MemStore, id PageID) error {
+			err := under.Write(&Page{ID: id, Data: append([]byte{3}, make([]byte, 127)...)})
+			b.Clear()
+			return err
+		}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			under := &parkingViewStore{MemStore: NewMemStore(128), parked: make(chan struct{}), release: make(chan struct{})}
+			b := NewBuffered(under, 4)
+			p, err := under.Allocate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Data[0] = 1
+			if err := under.Write(p); err != nil {
+				t.Fatal(err)
+			}
+			under.armed.Store(true)
+			missed := make(chan error, 1)
+			go func() {
+				data, err := b.View(p.ID)
+				if err == nil && data[0] != 1 {
+					err = fmt.Errorf("the parked miss read byte %d, want the old 1", data[0])
+				}
+				missed <- err
+			}()
+			<-under.parked
+			err = tc.overtake(b, under.MemStore, p.ID)
+			close(under.release)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := <-missed; err != nil {
+				t.Fatal(err)
+			}
+			got, err := b.View(p.ID)
+			switch {
+			case tc.want == 0:
+				if !errors.Is(err, ErrPageNotFound) {
+					t.Fatalf("View of a freed page = %v, want ErrPageNotFound", err)
+				}
+			case err != nil:
+				t.Fatal(err)
+			case got[0] != tc.want:
+				t.Fatalf("the pool serves byte %d after the miss, want %d", got[0], tc.want)
+			}
+			if len(b.frames) != b.linked {
+				t.Fatalf("the pool maps %d frames, %d of them linked: a placeholder outlived its miss", len(b.frames), b.linked)
+			}
+		})
 	}
 }
 

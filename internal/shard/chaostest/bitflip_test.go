@@ -127,14 +127,14 @@ func flipAndServe(ctx context.Context, env *crashEnv, cfg shard.ClusterConfig, n
 			var pe *shard.PartialError
 			switch {
 			case err == nil:
-				if !sameOIDs(got, want[i]) {
+				if !slices.Equal(got, want[i]) {
 					return fmt.Errorf("query %d: a wrong answer with no error: %d oids, want %d", i, len(got), len(want[i]))
 				}
 			case errors.As(err, &pe):
 				if !slices.Equal(pe.Missing, []int{damaged}) || !detected(err) {
 					return fmt.Errorf("query %d: %w, want band %d missing with ErrPageCorrupt", i, err, damaged)
 				}
-				if !sameOIDs(got, wantDegraded[i]) {
+				if !slices.Equal(got, wantDegraded[i]) {
 					return fmt.Errorf("query %d: degraded answer %d oids, want the healthy band's %d", i, len(got), len(wantDegraded[i]))
 				}
 				outcome = "partial"

@@ -21,7 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mobidx/internal/core"
@@ -108,46 +108,58 @@ type Scenario struct {
 	HealWait time.Duration
 }
 
-// bruteForce is the exact oracle: every motion whose assigned bands
-// intersect the healthy targets and which matches q. down=nil means no
-// band is down.
+// bruteForce is the exact oracle, ascending: every motion that matches q
+// and whose assigned bands intersect p's bands for q that are not down.
+// down=nil means no band is down and ignores p: the answer over the full
+// population, the unsharded oracle.
 func bruteForce(p *shard.Partitioner, ms []dual.Motion, q dual.MORQuery, down map[int]bool) []dual.OID {
-	healthy := make(map[int]bool)
-	for _, b := range p.Overlapping(q) {
-		if !down[b] {
-			healthy[b] = true
+	var healthy map[int]bool
+	if down != nil {
+		healthy = make(map[int]bool)
+		for _, b := range p.Overlapping(q) {
+			if !down[b] {
+				healthy[b] = true
+			}
 		}
 	}
 	var out []dual.OID
 	for _, m := range ms {
-		if !m.Matches(q) {
-			continue
-		}
-		held := false
-		for _, b := range p.Assign(m) {
-			if healthy[b] {
-				held = true
-				break
-			}
-		}
-		if held {
+		if m.Matches(q) && (healthy == nil || slices.ContainsFunc(p.Assign(m), func(b int) bool { return healthy[b] })) {
 			out = append(out, m.OID)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-func sameOIDs(a, b []dual.OID) bool {
-	if len(a) != len(b) {
-		return false
+// exactAnswers is the unsharded oracle over a fully healthy cluster or
+// shard: for each package query, every matching motion's OID, ascending.
+func exactAnswers(pop []dual.Motion) [][]dual.OID {
+	out := make([][]dual.OID, len(queries))
+	for i, q := range queries {
+		out[i] = bruteForce(nil, pop, q, nil)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	return out
+}
+
+// querier is what checkExact asks: a cluster or one shard.
+type querier interface {
+	Query(ctx context.Context, q dual.MORQuery) ([]dual.OID, error)
+}
+
+// checkExact asks s every package query and requires want's answer (see
+// exactAnswers) with no error.
+func checkExact(ctx context.Context, s querier, want [][]dual.OID, tag string) error {
+	for i, q := range queries {
+		got, err := s.Query(ctx, q)
+		if err != nil {
+			return fmt.Errorf("%s: query %d: %w", tag, i, err)
+		}
+		if !slices.Equal(got, want[i]) {
+			return fmt.Errorf("%s: query %d: %d oids, want %d (exact oracle)", tag, i, len(got), len(want[i]))
 		}
 	}
-	return true
+	return nil
 }
 
 // checkAnswer verifies the serving invariant for one routed answer: the
@@ -173,7 +185,7 @@ func checkAnswer(p *shard.Partitioner, ms []dual.Motion, q dual.MORQuery,
 		}
 	}
 	want := bruteForce(p, ms, q, down)
-	if !sameOIDs(got, want) {
+	if !slices.Equal(got, want) {
 		return len(down) > 0, fmt.Errorf("query %+v (down %v): got %d oids, want %d (union of healthy partitions)",
 			q, down, len(got), len(want))
 	}

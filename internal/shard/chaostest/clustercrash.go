@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"mobidx/internal/core"
@@ -98,36 +97,6 @@ const (
 
 // RecoveryStates lists every legal post-crash state in lifecycle order.
 var RecoveryStates = []string{RecoveredOld, RecoveredPrepared, RecoveredFlipped, RecoveredDone}
-
-// exactAnswers is the unsharded oracle over a fully healthy cluster: for
-// each package query, every matching motion's OID, ascending.
-func exactAnswers(pop []dual.Motion) [][]dual.OID {
-	out := make([][]dual.OID, len(queries))
-	for i, q := range queries {
-		var res []dual.OID
-		for _, m := range pop {
-			if m.Matches(q) {
-				res = append(res, m.OID)
-			}
-		}
-		sort.Slice(res, func(a, b int) bool { return res[a] < res[b] })
-		out[i] = res
-	}
-	return out
-}
-
-func checkExact(ctx context.Context, c *shard.Cluster, want [][]dual.OID, tag string) error {
-	for i, q := range queries {
-		got, err := c.Query(ctx, q)
-		if err != nil {
-			return fmt.Errorf("%s: query %d: %w", tag, i, err)
-		}
-		if !sameOIDs(got, want[i]) {
-			return fmt.Errorf("%s: query %d: %d oids, want %d (exact oracle)", tag, i, len(got), len(want[i]))
-		}
-	}
-	return nil
-}
 
 // crashClusterConfig pins the sweep to a single-worker executor: tasks
 // run sequentially on the calling goroutine, so the I/O sequence — and

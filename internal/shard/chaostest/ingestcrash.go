@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"mobidx/internal/dual"
@@ -114,40 +115,6 @@ func sortedMotions(cur map[dual.OID]dual.Motion) []dual.Motion {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].OID < out[j].OID })
 	return out
-}
-
-func sameMotions(a, b []dual.Motion) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// checkIngestExact verifies the recovered shard against the brute-force
-// oracle over pop for every package query.
-func checkIngestExact(ctx context.Context, s *shard.Shard, pop []dual.Motion, tag string) error {
-	for i, q := range queries {
-		got, err := s.Query(ctx, q)
-		if err != nil {
-			return fmt.Errorf("%s: query %d: %w", tag, i, err)
-		}
-		var want []dual.OID
-		for _, m := range pop {
-			if m.Matches(q) {
-				want = append(want, m.OID)
-			}
-		}
-		sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
-		if !sameOIDs(got, want) {
-			return fmt.Errorf("%s: query %d: %d oids, want %d (brute force)", tag, i, len(got), len(want))
-		}
-	}
-	return nil
 }
 
 // openIngestShard opens the sweep's one shard on its media in env.
@@ -258,8 +225,8 @@ func runIngestCrashPoint(ctx context.Context, mode crashtest.Mode, budget, prelu
 	}
 	sort.Slice(gotMs, func(i, j int) bool { return gotMs[i].OID < gotMs[j].OID })
 	state := completed
-	if !sameMotions(gotMs, states[completed]) {
-		if !inFlight || !sameMotions(gotMs, states[completed+1]) {
+	if !slices.Equal(gotMs, states[completed]) {
+		if !inFlight || !slices.Equal(gotMs, states[completed+1]) {
 			return 0, 0, fmt.Errorf("torn recovery: %d motions, not the state after %d or %d batches",
 				len(gotMs), completed, completed+1)
 		}
@@ -277,7 +244,7 @@ func runIngestCrashPoint(ctx context.Context, mode crashtest.Mode, budget, prelu
 	} else {
 		cleanRecovery = 1
 	}
-	if err := checkIngestExact(ctx, s2, states[state], "recovered"); err != nil {
+	if err := checkExact(ctx, s2, exactAnswers(states[state]), "recovered"); err != nil {
 		return 0, 0, err
 	}
 
@@ -294,7 +261,7 @@ func runIngestCrashPoint(ctx context.Context, mode crashtest.Mode, budget, prelu
 	if st, _ := s2.IngestStats(); st.Merges == 0 {
 		return 0, 0, fmt.Errorf("recovered shard never folded: %+v", st)
 	}
-	if err := checkIngestExact(ctx, s2, pop, "post-recovery"); err != nil {
+	if err := checkExact(ctx, s2, exactAnswers(pop), "post-recovery"); err != nil {
 		return 0, 0, err
 	}
 	return deltaRecovery, cleanRecovery, nil

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mobidx/internal/core"
 	"mobidx/internal/dual"
 	"mobidx/internal/pager"
 )
@@ -360,6 +361,64 @@ func TestClusterRevive(t *testing.T) {
 		t.Fatalf("degraded after revive: %v", d)
 	}
 	assertOracle(t, c, qs, want, "after revive")
+}
+
+// cancelAtCommit is a shard's store that, once given a cancel function,
+// calls it when the shard commits a write batch.
+type cancelAtCommit struct {
+	*pager.WALStore
+	cancel context.CancelFunc
+}
+
+func (w *cancelAtCommit) Commit() error {
+	if w.cancel != nil {
+		w.cancel()
+	}
+	return w.WALStore.Commit()
+}
+
+// TestClusterCancelledWriteLandsOnEveryBand cancels a router write's
+// context at band 0's first Commit, a nested one inside its batch, before
+// band 1, on a one-worker executor, has written. The router and the shard
+// admitted the write before: band 0 finishes its batch and band 1 still
+// applies its own, so Apply returns nil, no band is quarantined, and every
+// answer is the brute-force one with no error.
+func TestClusterCancelledWriteLandsOnEveryBand(t *testing.T) {
+	w := &cancelAtCommit{}
+	cfg := ClusterConfig{Terrain: terrain1D, Exec: core.NewExecutor(1), WrapStore: func(id int) func(pager.Store) pager.Store {
+		if id != 0 {
+			return nil
+		}
+		return func(st pager.Store) pager.Store {
+			w.WALStore = st.(*pager.WALStore)
+			return w
+		}
+	}}
+	r := openCluster(t, 0, cfg, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w.cancel = cancel
+	ms := motions1D(64)
+	if err := r.Apply(ctx, opsFor(ms)); err != nil {
+		t.Fatalf("Apply cancelled at band 0's commit: %v, want nil", err)
+	}
+	if ctx.Err() == nil {
+		t.Fatal("band 0 committed nothing")
+	}
+	for i := 0; i < 2; i++ {
+		if h := r.Shard(i).Health(); !h.Healthy {
+			t.Fatalf("band %d after the cancelled write: %+v", i, h)
+		}
+	}
+	for _, q := range queries1D {
+		got, err := r.Query(context.Background(), q)
+		if err != nil {
+			t.Fatalf("query %+v: %v", q, err)
+		}
+		if want := bruteForce(nil, ms, q, nil); fingerprint(got) != fingerprint(want) {
+			t.Fatalf("query %+v: %q, want %q", q, fingerprint(got), fingerprint(want))
+		}
+	}
 }
 
 // flakyEnv fails the next OpenMedia of one name, once.

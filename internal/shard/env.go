@@ -21,7 +21,9 @@ type Media struct {
 // the first time a name is seen and reopens the surviving bytes on every
 // later call — which is exactly a reboot, so Cluster.Open recovers
 // whatever the environment preserved. DropMedia irrevocably deletes a
-// name (retired migration sources); dropping an unknown name is a no-op.
+// name; dropping an unknown name is a no-op. No library path calls it (a
+// split keeps and trims its source, a revive reopens its media): it is
+// kept for callers outside the library and goes with benchmark v2.
 type Env interface {
 	OpenMedia(name string) (Media, error)
 	DropMedia(name string) error
@@ -124,8 +126,8 @@ func (e *DirEnv) DropMedia(name string) error {
 }
 
 // shardMediaName is the stable name of a shard store's media. Store ids
-// are allocated by the manifest and never reused, so a retired source's
-// media can be dropped without racing a younger shard.
+// are allocated by the manifest and never reused, so no two shards ever
+// share media.
 func shardMediaName(storeID int) string { return fmt.Sprintf("shard-%d", storeID) }
 
 // manifestMediaName is the cluster manifest's media name.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -427,5 +428,92 @@ func TestShardIngestCloseUnderLoad(t *testing.T) {
 	wg.Wait()
 	if h := s.Health(); h.Quarantined {
 		t.Errorf("closed shard quarantined by a write queued behind Close: %v", h.Err)
+	}
+}
+
+// TestShardIngestQuarantineOnFailedInstall fails every page write of an
+// ingest shard's batch that stages without folding: its build step writes
+// nothing, so the first failed write is the catalog append of its install
+// step. The batch fails and the shard is quarantined with that cause.
+func TestShardIngestQuarantineOnFailedInstall(t *testing.T) {
+	var fs *pager.FaultStore
+	s, err := openMem(Config{Terrain: terrain1D, Ingest: tinyIngest(), WrapStore: func(st pager.Store) pager.Store {
+		fs = pager.NewFaultStore(st, pager.FaultConfig{Seed: 5})
+		return fs
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	ms := motions1D(24)
+	if err := s.Apply(ctx, opsFor(ms[:16])); err != nil {
+		t.Fatal(err)
+	}
+	fs.SetConfig(pager.FaultConfig{Seed: 5, Write: pager.OpFaults{FailEvery: 1}})
+	if err := s.Apply(ctx, opsFor(ms[16:])); !errors.Is(err, pager.ErrInjected) {
+		t.Fatalf("Apply over a failing catalog append = %v, want the injected fault", err)
+	}
+	if st, _ := s.IngestStats(); st.Merges != 0 {
+		t.Fatalf("the batch folded (%d merges): its build step wrote pages", st.Merges)
+	}
+	if h := s.Health(); h.Healthy || !h.Quarantined || !errors.Is(h.Err, pager.ErrInjected) {
+		t.Fatalf("after a failed install Health = %+v, want quarantined by the fault", h)
+	}
+	if _, err := s.Query(ctx, queries1D[0]); !errors.Is(err, ErrShardDown) {
+		t.Fatalf("query on the quarantined shard = %v, want ErrShardDown", err)
+	}
+}
+
+// TestShardIngestQuarantineOnRefusedBuild routes a delete of a motion no
+// shard holds to band 0 of a two-band ingest cluster with standing
+// queries. The tier refuses it in the build step: Apply reports band 0 in
+// a PartialError, band 0 is quarantined, and the router marks it stale, so
+// the subscription over it and a new one there are refused while band 1's
+// keeps answering exactly.
+func TestShardIngestQuarantineOnRefusedBuild(t *testing.T) {
+	r := ingestCluster(t, 2, 1)
+	ctx := context.Background()
+	ms := motions1D(40)
+	if err := r.Apply(ctx, opsFor(ms)); err != nil {
+		t.Fatal(err)
+	}
+	low, err := r.Subscribe(0, 400, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	highQ := dual.MORQuery{Y1: 600, Y2: 900, T1: 0, T2: 10}
+	high, err := r.Subscribe(highQ.Y1, highQ.Y2, highQ.T2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Heading down from inside band 0: band 0 alone would hold it.
+	absent := dual.Motion{OID: 9999, Y0: 100, T0: 0, V: -0.5}
+	if got := r.Partitioner().Assign(absent); !slices.Equal(got, []int{0}) {
+		t.Fatalf("the absent motion is assigned to bands %v, want [0]", got)
+	}
+	err = r.Apply(ctx, []Op{{Insert: false, M: absent}})
+	var pe *PartialError
+	if !errors.As(err, &pe) || !slices.Equal(pe.Missing, []int{0}) {
+		t.Fatalf("Apply of a delete the tier refuses = %v, want a PartialError naming band 0", err)
+	}
+	if h := r.Shard(0).Health(); h.Healthy || !h.Quarantined || h.Err == nil {
+		t.Fatalf("band 0 after the refused build: %+v, want quarantined", h)
+	}
+	if h := r.Shard(1).Health(); !h.Healthy {
+		t.Fatalf("band 1 after band 0's refused build: %+v", h)
+	}
+	if _, err := r.DrainSubs(low); !errors.As(err, &pe) {
+		t.Fatalf("DrainSubs over the quarantined band: %v, want the write's PartialError", err)
+	}
+	if _, err := r.Subscribe(0, 100, 5); !errors.As(err, &pe) {
+		t.Fatalf("Subscribe over the quarantined band: %v, want the write's PartialError", err)
+	}
+	if _, err := r.DrainSubs(high); err != nil {
+		t.Fatalf("DrainSubs over the serving band: %v", err)
+	}
+	got, err := r.SubMembers(high)
+	if err != nil || fingerprint(got) != fingerprint(bruteForce(nil, ms, highQ, nil)) {
+		t.Fatalf("members over the serving band: %v, %v", got, err)
 	}
 }

@@ -457,12 +457,16 @@ func (r *Router) queryShard(ctx context.Context, si int, q dual.MORQuery) ([]dua
 // applies the per-shard batches through writeShards, each as one atomic
 // WAL batch. A batch holding a motion the index cannot take
 // (core.ValidateMotion) is refused whole, with that error, before any
-// latch, shard or feed sees it. Writes do not degrade: a failed shard
-// batch quarantines that shard (see Shard.Apply) and Apply reports it in
-// a *PartialError — the surviving shards applied their batches, the
-// named partitions did not, and reads will degrade around them from now
-// on. With standing queries, the ops some shard committed are then fed to
-// the subscription engine once, with every shard latch released (see
+// latch, shard or feed sees it. The caller's context is checked once,
+// after that: a context that has given up refuses the whole write, and
+// otherwise every shard batch runs to its end whatever the context does
+// (context.WithoutCancel), so a cancellation can never leave one band
+// with the write and its replica without it. Writes do not degrade: a
+// failed shard batch quarantines that shard (see Shard.Apply) and Apply
+// reports it in a *PartialError — the surviving shards applied their
+// batches, the named partitions did not, and reads will degrade around
+// them from now on. With standing queries, the ops are then fed to the
+// subscription engine once, with every shard latch released (see
 // feedApply). Writers share the feed latch: two concurrent Applies of one
 // object have no defined order, on its replicas or in the engine.
 func (r *Router) Apply(ctx context.Context, ops []Op) error {
@@ -471,6 +475,10 @@ func (r *Router) Apply(ctx context.Context, ops []Op) error {
 			return err
 		}
 	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	ctx = context.WithoutCancel(ctx)
 	r.topoMu.RLock()
 	defer r.topoMu.RUnlock()
 	topo := r.topo
@@ -497,16 +505,22 @@ func (r *Router) Apply(ctx context.Context, ops []Op) error {
 }
 
 // BulkLoad splits ms by band assignment and bulk-loads every shard
-// through writeShards, each as one atomic batch. An invalid motion is
-// refused as in Apply. Any failure is returned as a *PartialError
-// (failed shards are quarantined). With standing queries, the engine then
-// resets to ms, emitting the net transitions (see feedBulkLoad).
+// through writeShards, each as one atomic batch. An invalid motion and a
+// context that has given up are refused as in Apply, and an admitted
+// BulkLoad runs to its end on every shard. Any failure is returned as a
+// *PartialError (failed shards are quarantined). With standing queries,
+// the engine then resets to ms, emitting the net transitions (see
+// feedBulkLoad).
 func (r *Router) BulkLoad(ctx context.Context, ms []dual.Motion) error {
 	for _, m := range ms {
 		if err := core.ValidateMotion(m, r.terrain); err != nil {
 			return err
 		}
 	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	ctx = context.WithoutCancel(ctx)
 	r.topoMu.RLock()
 	defer r.topoMu.RUnlock()
 	topo := r.topo
@@ -531,7 +545,8 @@ func (r *Router) BulkLoad(ctx context.Context, ms []dual.Motion) error {
 }
 
 // writeShards runs each shard's write (nil: that shard has none) through
-// fanOut. It reports which writes committed, and the shards whose write
+// fanOut, under a context that never gives up (see Apply), so every write
+// runs. It reports which writes committed, and the shards whose write
 // failed in a *PartialError.
 func (r *Router) writeShards(ctx context.Context, writes []func() error) ([]bool, error) {
 	ok := make([]bool, len(writes))

@@ -70,7 +70,7 @@ func TestRouterRejectsHostileQuery(t *testing.T) {
 		t.Fatalf("refused queries reached the failure policy: %+v", st)
 	}
 	for i := 0; i < 2; i++ {
-		if h := r.Shard(i).Health(); !h.Healthy || h.Failures != 0 {
+		if h := r.Shard(i).Health(); !h.Healthy || h.Err != nil {
 			t.Fatalf("shard %d after refused queries: %+v", i, h)
 		}
 	}

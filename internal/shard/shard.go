@@ -79,16 +79,13 @@ type Health struct {
 	// Healthy reports whether the shard accepts work. A shard turns
 	// unhealthy when closed or quarantined after a failed write batch.
 	Healthy bool
-	// Quarantined reports a failed Apply/BulkLoad: the WAL rolled the
+	// Quarantined reports a failed write: a write the shard admitted runs
+	// to completion or quarantines it (see Shard.Apply). The WAL rolled the
 	// batch back, or its log sync failed and left it absent or whole on
 	// the media, but the in-memory index may have diverged from the
 	// durable state, so the shard refuses further work until rebuilt.
 	Quarantined bool
-	// Failures counts consecutive failed operations (any kind); it resets
-	// on success. Context cancellations are the caller's doing and are
-	// not counted.
-	Failures int
-	// Err is the last failure observed (nil when none).
+	// Err is the quarantine's cause (nil when not quarantined).
 	Err error
 }
 
@@ -139,8 +136,7 @@ type Shard struct {
 	mu  sync.RWMutex // serving latch: Query RLock, a write's install Lock
 
 	stateMu     sync.Mutex
-	consecFails int
-	lastErr     error
+	cause       error // the quarantine's cause
 	quarantined bool
 	closed      bool
 }
@@ -302,26 +298,7 @@ func (s *Shard) Health() Health {
 	return Health{
 		Healthy:     !s.closed && !s.quarantined,
 		Quarantined: s.quarantined,
-		Failures:    s.consecFails,
-		Err:         s.lastErr,
-	}
-}
-
-// observe feeds an operation outcome into the health state. Context
-// cancellations are the caller's deadline, not shard sickness, and do not
-// count as failures.
-func (s *Shard) observe(err error) {
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	switch {
-	case err == nil:
-		s.consecFails = 0
-		s.lastErr = nil
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		// leave the streak as it was
-	default:
-		s.consecFails++
-		s.lastErr = err
+		Err:         s.cause,
 	}
 }
 
@@ -346,7 +323,7 @@ func (s *Shard) down() error {
 // piece granularity.
 func (s *Shard) Query(ctx context.Context, q dual.MORQuery) ([]dual.OID, error) {
 	// A bad query is the caller's error, not a shard failure: it is
-	// refused before anything observes it.
+	// refused before the health gate.
 	if err := core.ValidateQuery(q); err != nil {
 		return nil, err
 	}
@@ -371,55 +348,40 @@ func (s *Shard) Query(ctx context.Context, q dual.MORQuery) ([]dual.OID, error) 
 		res, err = s.ix.QueryParallelCtx(ctx, s.exec, q)
 	}
 	s.mu.RUnlock()
-	s.observe(err)
 	return res, err
 }
 
 // Apply applies the ops as one atomic WAL batch (see write). An op whose
 // motion the index cannot take (core.ValidateMotion) is the caller's
 // error: the whole batch is refused before any latch or WAL batch sees it,
-// and the shard stays healthy. On any other error the batch is rolled
-// back — the durable state is untouched — and the shard quarantines
-// itself: the in-memory index may have applied a prefix, so it can no
+// and the shard stays healthy. The rest of the admission rule is write's:
+// once the writer latch is held, a shard that is down or a context that
+// has given up refuses the batch, touching nothing; an admitted batch runs
+// to completion, ignoring the context from then on, or fails. A failed
+// batch is rolled back — the durable state is untouched — and quarantines
+// the shard: the in-memory index may have applied a prefix, so it can no
 // longer be trusted to mirror the store. The router's circuit breaker and
-// Health checks route around it from then on. The context is checked
-// between ops; a cancellation that arrives before the first op rolls back
-// cleanly without quarantining, one that arrives mid-batch quarantines
-// like any other failure (the in-memory index already diverged from the
-// rolled-back pages). A nil return means the batch is durable; the
-// checkpoint it may make due runs before Apply returns, and its failure
-// does not undo that (see checkpointIfDue).
+// Health checks route around it from then on. A nil return means the
+// batch is durable; the checkpoint it may make due runs before Apply
+// returns, and its failure does not undo that (see checkpointIfDue).
 func (s *Shard) Apply(ctx context.Context, ops []Op) error {
 	for _, op := range ops {
 		if err := core.ValidateMotion(op.M, s.terrain); err != nil {
 			return err
 		}
 	}
-	if err := s.down(); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	applied := 0
-	clean := func(err error) bool {
-		// A pre-first-op cancellation left the in-memory index untouched;
-		// every other failure (including a first op that died mid-split)
-		// may have mutated it.
-		return applied == 0 && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-	}
 	if s.tier != nil {
+		// The tier checks ops with the discipline the flat path's
+		// Insert/Delete enforce and, when staging them folds its delta,
+		// builds the folded base beside the live one.
 		var b *ingest.Batch
-		return s.write(func() (err error) {
-			b, err = s.buildTier(ctx, ops, &applied)
+		return s.write(ctx, func() (err error) {
+			b, err = s.tier.Build(ops)
 			return err
-		}, func() error { return s.installTier(b, ops) }, clean)
+		}, func() error { return s.installTier(b, ops) })
 	}
-	return s.write(nil, func() error {
+	return s.write(ctx, nil, func() error {
 		for _, op := range ops {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			var err error
 			if op.Insert {
 				err = s.ix.Insert(op.M)
@@ -429,43 +391,51 @@ func (s *Shard) Apply(ctx context.Context, ops []Op) error {
 			if err != nil {
 				return err
 			}
-			applied++
 		}
 		if err := s.cat.append(ops); err != nil {
 			return err
 		}
 		return s.saveMeta()
-	}, clean)
+	})
 }
 
-// write runs one write batch, Apply's or BulkLoad's, in two steps inside
-// one WAL batch under the writer latch. build (nil: none) runs first,
-// without the serving latch: it may read what only writers change and
-// stage pages no query reaches, such as a bulk rebuild's new index, but
-// changes nothing a query reads, so queries keep answering the pre-batch
-// state meanwhile. install then runs under the serving latch: it edits
+// admit is the one admission point of a write: the shard refuses it when
+// down or when ctx has given up. Caller holds the writer latch, so a write
+// that queued behind Close or a failed batch finds the shard down.
+func (s *Shard) admit(ctx context.Context) error {
+	if err := s.down(); err != nil {
+		return err
+	}
+	return ctx.Err()
+}
+
+// write admits one write batch, Apply's or BulkLoad's, under the writer
+// latch and runs it in two steps inside one WAL batch. build (nil: none)
+// runs first, without the serving latch: it may read what only writers
+// change and stage pages no query reaches, such as a bulk rebuild's new
+// index, but changes nothing a query reads, so queries keep answering the
+// pre-batch state meanwhile. install then runs under the serving latch: it edits
 // what queries read, the catalog and the superblock, and the batch
 // commits, appending its log records and publishing its page images. The
 // serving latch is released before the log is synced, so queries run
 // during the fsync and may see the batch up to one fsync before it is
 // durable; write returns only after the sync, so an acknowledged batch is
-// a durable one. A failed batch quarantines the shard before readers can
-// see its in-memory state, unless clean (nil: never) vouches that the
-// failure left that state untouched; a failed sync quarantines it too. A
-// success runs the checkpoint it made due. A write that queued for the
-// writer latch behind Close or a failed batch finds the shard down once it
-// holds the latch and returns ErrShardDown, touching nothing.
-func (s *Shard) write(build, install func() error, clean func(error) bool) error {
+// a durable one. A refused write (see admit) touches nothing; an admitted
+// one either succeeds, and runs the checkpoint it made due, or
+// quarantines the shard: a failed batch before readers can see its
+// in-memory state, a failed sync after.
+func (s *Shard) write(ctx context.Context, build, install func() error) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if err := s.down(); err != nil {
+	if err := s.admit(ctx); err != nil {
 		return err
 	}
-	return s.writeLocked(build, install, clean)
+	return s.writeLocked(build, install)
 }
 
-// writeLocked is write for a caller that holds the writer latch.
-func (s *Shard) writeLocked(build, install func() error, clean func(error) bool) error {
+// writeLocked runs an admitted write for a caller that holds the writer
+// latch.
+func (s *Shard) writeLocked(build, install func() error) error {
 	serving := false
 	err := pager.RunBatch(s.store, func() error {
 		s.wal.DeferSync()
@@ -478,7 +448,7 @@ func (s *Shard) writeLocked(build, install func() error, clean func(error) bool)
 		serving = true
 		return install()
 	})
-	if err != nil && (clean == nil || !clean(err)) {
+	if err != nil {
 		s.quarantine(err)
 	}
 	if serving {
@@ -490,7 +460,6 @@ func (s *Shard) writeLocked(build, install func() error, clean func(error) bool)
 			s.quarantine(err)
 		}
 	}
-	s.observe(err)
 	if err == nil {
 		s.checkpointIfDue()
 	}
@@ -506,22 +475,7 @@ func (s *Shard) checkpointIfDue() {
 	if err := s.wal.CheckpointIfDue(s.autoCkpt); err != nil {
 		err = fmt.Errorf("shard %d: checkpoint: %w", s.id, err)
 		s.quarantine(err)
-		s.observe(err)
 	}
-}
-
-// buildTier is the build step of Apply on the ingest path: the tier
-// checks ops with the same discipline the flat path's Insert/Delete
-// enforce and, when staging them will fold its delta, builds the folded
-// base beside the live one (ingest.Tier.Build).
-func (s *Shard) buildTier(ctx context.Context, ops []Op, applied *int) (*ingest.Batch, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// From here on a failure may have left state behind, so the caller's
-	// quarantine logic treats the batch as entered.
-	*applied = len(ops)
-	return s.tier.Build(ops)
 }
 
 // installTier is the install step of Apply on the ingest path: the tier
@@ -551,38 +505,27 @@ func (s *Shard) installTier(b *ingest.Batch, ops []Op) error {
 // batch, bottom-up builders — see core.DualBPlus.BulkLoad). The new index
 // is built beside the live one, which answers queries until it is
 // installed (see write). Like Apply, it refuses an invalid motion before
-// any latch, a failure quarantines the shard, and a due checkpoint
-// follows a success.
+// any latch, is admitted once under the writer latch, a failure
+// quarantines the shard, and a due checkpoint follows a success.
 func (s *Shard) BulkLoad(ctx context.Context, ms []dual.Motion) error {
 	for _, m := range ms {
 		if err := core.ValidateMotion(m, s.terrain); err != nil {
 			return err
 		}
 	}
-	if err := s.down(); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	r := &rebuild{s: s, ms: ms}
-	return s.write(r.build, r.install, nil)
+	return s.write(ctx, r.build, r.install)
 }
 
 // Retain drops every motion keep refuses, as one BulkLoad of the rest;
-// when keep refuses none it writes nothing. It reads the catalog under the
-// writer latch, so no write lands between the read and the replace, and
-// like BulkLoad it builds the new index while queries run.
+// when keep refuses none it writes nothing. It is admitted and reads the
+// catalog under the writer latch, so no write lands between the read and
+// the replace, and like BulkLoad it builds the new index while queries
+// run.
 func (s *Shard) Retain(ctx context.Context, keep func(dual.Motion) bool) error {
-	if err := s.down(); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if err := s.down(); err != nil {
+	if err := s.admit(ctx); err != nil {
 		return err
 	}
 	cur, err := s.cat.motions()
@@ -595,7 +538,7 @@ func (s *Shard) Retain(ctx context.Context, keep func(dual.Motion) bool) error {
 		return nil
 	}
 	r := &rebuild{s: s, ms: kept}
-	return s.writeLocked(r.build, r.install, nil)
+	return s.writeLocked(r.build, r.install)
 }
 
 // rebuild replaces the shard's contents with ms in write's two steps.
@@ -698,7 +641,7 @@ func (s *Shard) Checkpoint() error {
 func (s *Shard) quarantine(cause error) {
 	s.stateMu.Lock()
 	s.quarantined = true
-	s.lastErr = cause
+	s.cause = cause
 	s.stateMu.Unlock()
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"mobidx/internal/core"
@@ -53,7 +55,7 @@ func TestShardApplyQueryRoundtrip(t *testing.T) {
 	if err := s.Apply(context.Background(), upd); err != nil {
 		t.Fatal(err)
 	}
-	if h := s.Health(); !h.Healthy || h.Failures != 0 {
+	if h := s.Health(); !h.Healthy || h.Err != nil {
 		t.Fatalf("healthy shard reports %+v", h)
 	}
 }
@@ -100,7 +102,7 @@ func TestInvalidMotionKeepsShardsHealthy(t *testing.T) {
 	}
 	checkHealthy := func(t *testing.T, s *Shard) {
 		t.Helper()
-		if h := s.Health(); !h.Healthy || h.Quarantined || h.Failures != 0 {
+		if h := s.Health(); !h.Healthy || h.Quarantined || h.Err != nil {
 			t.Fatalf("shard %d after a refused batch: %+v", s.ID(), h)
 		}
 	}
@@ -222,7 +224,7 @@ func TestShardPreCancelDoesNotQuarantine(t *testing.T) {
 	if err := s.Apply(ctx, opsFor(motions1D(8))); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled apply returned %v", err)
 	}
-	if h := s.Health(); !h.Healthy || h.Failures != 0 {
+	if h := s.Health(); !h.Healthy || h.Err != nil {
 		t.Fatalf("pre-cancelled apply dirtied health: %+v", h)
 	}
 	if _, err := s.Query(ctx, queries1D[0]); !errors.Is(err, context.Canceled) {
@@ -233,6 +235,50 @@ func TestShardPreCancelDoesNotQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := s.Query(context.Background(), queries1D[0]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// lateCancelCtx is a context whose Err reports context.Canceled from its
+// from-th call on.
+type lateCancelCtx struct {
+	context.Context
+	calls atomic.Int32
+	from  int32
+}
+
+func (c *lateCancelCtx) Err() error {
+	if c.calls.Add(1) >= c.from {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestShardAdmittedWriteRunsToEnd hands a flat shard 16 inserts under a
+// context that gives up from its third Err call on, after the shard has
+// admitted the write: the batch runs to its end and returns nil, and the
+// shard stays healthy and holds all 16 motions.
+func TestShardAdmittedWriteRunsToEnd(t *testing.T) {
+	s, err := openMem(Config{Terrain: terrain1D})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ms := motions1D(16)
+	if err := s.Apply(&lateCancelCtx{Context: context.Background(), from: 3}, opsFor(ms)); err != nil {
+		t.Fatalf("an admitted write cancelled meanwhile returned %v, want nil", err)
+	}
+	if h := s.Health(); !h.Healthy || h.Err != nil {
+		t.Fatalf("an admitted write cancelled meanwhile left the shard %+v", h)
+	}
+	got, err := s.Motions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, ms) {
+		t.Fatalf("the shard holds %d motions, want the batch's %d", len(got), len(ms))
+	}
+	if err := checkExact(context.Background(), s, ms); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -263,9 +309,6 @@ func TestShardTransientReadFaultSurfacesWithoutQuarantine(t *testing.T) {
 	if !h.Healthy || h.Quarantined {
 		t.Fatalf("read fault quarantined the shard: %+v", h)
 	}
-	if h.Failures != 1 {
-		t.Fatalf("failure streak = %d, want 1", h.Failures)
-	}
 	// Budget spent: the shard recovers and answers exactly as before.
 	got, err := s.Query(context.Background(), queries1D[0])
 	if err != nil {
@@ -273,9 +316,6 @@ func TestShardTransientReadFaultSurfacesWithoutQuarantine(t *testing.T) {
 	}
 	if fingerprint(got) != fingerprint(clean) {
 		t.Fatalf("post-fault answer diverged: %q vs %q", fingerprint(got), fingerprint(clean))
-	}
-	if h := s.Health(); h.Failures != 0 {
-		t.Fatalf("success did not reset the streak: %+v", h)
 	}
 }
 

@@ -13,8 +13,8 @@
 // subscriptions survive topology changes.
 //
 // Stale bands. The engine vouches only for shards whose contents it
-// agrees with. A shard that is down when the engine seeds, that misses a
-// write its replicas committed, or whose catalog disagrees with its
+// agrees with. A shard that is down when the engine seeds, whose write
+// failed (which leaves it down), or whose catalog disagrees with its
 // replicas' is marked stale (Router.stale), and only the subscriptions
 // whose range overlaps its band are refused: every motion that can match
 // a range is held by a band the range overlaps (the witness-band argument
@@ -251,14 +251,14 @@ func (r *Router) fed(topo topology, err error) {
 	}
 }
 
-// missedBands returns the bands whose write was tried and failed and
-// that the engine can no longer vouch for: each that lost an op another
-// band committed (lost[band]), and each its failure left down, whose
-// contents are then known to nobody.
-func missedBands(topo topology, writes []func() error, ok, lost []bool) []int {
+// failedBands returns the bands whose write was tried and failed. Every
+// one of them is down: the router admits a write once and runs its shard
+// batches to their end, and a shard batch that fails quarantines its
+// shard (see Shard.Apply), so its contents are known to nobody.
+func failedBands(writes []func() error, ok []bool) []int {
 	var out []int
 	for band, w := range writes {
-		if w != nil && !ok[band] && (lost[band] || !topo.shards[band].Health().Healthy) {
+		if w != nil && !ok[band] {
 			out = append(out, band)
 		}
 	}
@@ -267,25 +267,16 @@ func missedBands(topo topology, writes []func() error, ok, lost []bool) []int {
 
 // feedApply feeds the engine a router Apply once its shard writes have
 // returned (ok: which committed): every op when all did; otherwise the
-// ops some band committed, after marking stale the bands that missed one
-// of them or were left down. An op no band committed changed nothing the
-// engine vouches for. Caller holds topoMu and feedMu shared.
+// ops some band committed, after marking stale the bands whose write
+// failed. An op no band committed changed nothing the engine vouches for.
+// Caller holds topoMu and feedMu shared.
 func (r *Router) feedApply(topo topology, ops []Op, writes []func() error, ok []bool, werr error) {
 	feed := ops
 	if werr != nil {
-		feed = nil
-		lost := make([]bool, len(writes))
-		for _, op := range ops {
-			bands := topo.part.Assign(op.M)
-			if !slices.ContainsFunc(bands, func(b int) bool { return ok[b] }) {
-				continue
-			}
-			feed = append(feed, op)
-			for _, b := range bands {
-				lost[b] = lost[b] || !ok[b]
-			}
-		}
-		r.markStale(topo, missedBands(topo, writes, ok, lost), werr)
+		r.markStale(topo, failedBands(writes, ok), werr)
+		feed = slices.DeleteFunc(slices.Clone(ops), func(op Op) bool {
+			return !slices.ContainsFunc(topo.part.Assign(op.M), func(b int) bool { return ok[b] })
+		})
 	}
 	if len(feed) > 0 {
 		r.fed(topo, r.subs.Apply(feed))
@@ -294,20 +285,14 @@ func (r *Router) feedApply(topo topology, ops []Op, writes []func() error, ok []
 
 // feedBulkLoad resets the engine to a router BulkLoad's motions once its
 // shard writes have returned, unless no band committed. Every band that
-// did holds its part of ms; one that did not keeps its old contents and
-// is marked stale. When every band committed, the engine and the cluster
-// agree again and all marks are cleared. Caller holds topoMu and feedMu
-// shared.
+// did holds its part of ms; one that did not is down and marked stale.
+// When every band committed, the engine and the cluster agree again and
+// all marks are cleared. Caller holds topoMu and feedMu shared.
 func (r *Router) feedBulkLoad(topo topology, ms []dual.Motion, writes []func() error, ok []bool, werr error) {
-	committed := slices.Contains(ok, true)
-	lost := make([]bool, len(writes))
-	for band := range lost {
-		lost[band] = committed
-	}
 	if werr != nil {
-		r.markStale(topo, missedBands(topo, writes, ok, lost), werr)
+		r.markStale(topo, failedBands(writes, ok), werr)
 	}
-	if !committed {
+	if !slices.Contains(ok, true) {
 		return
 	}
 	if err := r.subs.Reset(ms); err != nil {

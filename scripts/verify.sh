@@ -77,10 +77,16 @@ echo "== cluster crash sweep (kill points x fault schedules x topologies, race-g
 # flipped in a closed shard's pages file: every reopen is refused with
 # ErrPageCorrupt/ErrBadMeta, degrades that band to a PartialError, or
 # answers the oracle exactly — never a wrong answer), and the durable
-# shard recovery/lifecycle tests.
+# shard recovery/lifecycle tests. With them run the write admission rule:
+# a shard write is refused before its batch or runs to completion
+# (TestShardAdmittedWriteRunsToEnd), a router write cancelled at one
+# band's commit still lands on every band (TestClusterCancelledWriteLandsOnEveryBand),
+# and an ingest shard's failed install or refused build quarantines it
+# and marks its band stale (TestShardIngestQuarantineOnFailedInstall,
+# TestShardIngestQuarantineOnRefusedBuild).
 go test -race -count=1 -run 'TestClusterCrashSweep|TestClusterSplitFaultResume|TestClusterBitFlipSweep' \
 	./internal/shard/chaostest
-go test -race -count=1 -run 'TestCluster|TestShardCloseDuringReads|TestPartialError' \
+go test -race -count=1 -run 'TestCluster|TestShardCloseDuringReads|TestPartialError|TestShardAdmittedWriteRunsToEnd|TestShardIngestQuarantineOn' \
 	./internal/shard
 
 echo "== ingest crash sweep (fold kill points x media modes, race-gated) =="
@@ -106,8 +112,10 @@ echo "== I/O off the read path (race-gated) =="
 # checkpoint still acknowledges the durable batch that made it due, and a
 # failed log fsync quarantines the shard and feeds its batch to no
 # subscription. Each deadlocks or times out if the I/O runs under a latch
-# readers take.
-go test -race -count=1 -run 'TestWALCheckpointIOPhase|TestWALLogSyncOffLatch|TestWALSyncCoversLaterBatch|TestFileStoreReadDuringSync' ./internal/pager
+# readers take. A pool miss fetches its page off the pool's latch, and a
+# write, free or clear of that page landing meanwhile wins: the miss does
+# not cache its older image (TestBufferedMissKeepsLaterWrite).
+go test -race -count=1 -run 'TestWALCheckpointIOPhase|TestWALLogSyncOffLatch|TestWALSyncCoversLaterBatch|TestFileStoreReadDuringSync|TestBufferedMissKeepsLaterWrite' ./internal/pager
 go test -race -count=1 -run 'TestShardQueryDuringCheckpoint|TestShardCheckpointFailureAcksBatch|TestShardQueryDuringLogSync|TestShardSyncFailureQuarantines|TestShardQueryDuringFold|TestShardQueryDuringBulkLoad' \
 	./internal/shard
 go test -race -count=1 -run 'TestTierQueryDuringFoldBuild' ./internal/ingest
